@@ -99,11 +99,18 @@ def pytest_sessionfinish(session, exitstatus):
     # collect-only and failed/partial sessions would clobber it.
     if exitstatus != 0 or session.config.getoption("collectonly"):
         return
-    # Sessions running only self-contained benchmarks don't touch it.
+    # Sessions running only self-contained benchmarks don't touch it,
+    # and neither does one that ran nothing from this directory: a plain
+    # `pytest` from the repo root loads this conftest while walking the
+    # tree and would otherwise rewrite a tracked file on every tier-1 run.
     # session.items is the post-deselection list, so -k/-m filtered
     # runs are classified by what actually ran, not what was collected.
-    ran = {Path(item.fspath).stem for item in session.items}
-    if ran and ran <= _SELF_CONTAINED:
+    ran = {
+        Path(item.fspath).stem
+        for item in session.items
+        if Path(item.fspath).resolve().parent == _RESULTS_PATH.parent
+    }
+    if ran <= _SELF_CONTAINED:
         return
     stats = api.compile_cache_stats()
     figures = {}

@@ -52,7 +52,6 @@ from __future__ import annotations
 
 import enum
 import functools
-import warnings
 from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Mapping, Optional, Union
@@ -139,8 +138,7 @@ def _compile_one(
     use_tma: Optional[bool],
     options: Optional[CompileOptions],
     collect: bool,
-    legacy_errors: bool,
-) -> Union[CompiledKernel, CompileFailure, CypressError]:
+) -> Union[CompiledKernel, CompileFailure]:
     # Module-level (not a closure) so a process pool can pickle the
     # worker; the builds themselves must also be picklable for that.
     if not collect:
@@ -148,8 +146,6 @@ def _compile_one(
     try:
         return compile_kernel(build, use_tma=use_tma, options=options)
     except CypressError as error:
-        if legacy_errors:
-            return error
         return CompileFailure(name=build.name, error=error)
 
 
@@ -161,8 +157,7 @@ def compile_many(
     executor: str = "thread",
     max_workers: Optional[int] = None,
     raise_on_error: bool = True,
-    return_errors: bool = False,
-) -> List[Union[CompiledKernel, CompileFailure, CypressError]]:
+) -> List[Union[CompiledKernel, CompileFailure]]:
     """Batch-compile builds, preserving input order.
 
     Args:
@@ -178,28 +173,13 @@ def compile_many(
             :class:`CompileFailure` (build name + exception) in its slot
             and the rest of the batch still compiles — the autotuner
             relies on this to keep sweeping past infeasible mappings.
-        return_errors: deprecated legacy spelling of
-            ``raise_on_error=False`` that yields the raw
-            :class:`CypressError` objects instead of
-            :class:`CompileFailure`. Behavior is unchanged, but passing
-            it emits a :class:`DeprecationWarning`; use
-            ``raise_on_error=False`` instead.
     """
-    if return_errors:
-        warnings.warn(
-            "compile_many(return_errors=True) is deprecated; use "
-            "raise_on_error=False, which collects CompileFailure "
-            "(name + exception) per failing slot instead of raw errors",
-            DeprecationWarning,
-            stacklevel=2,
-        )
     builds = list(builds)
     one = functools.partial(
         _compile_one,
         use_tma=use_tma,
         options=options,
-        collect=return_errors or not raise_on_error,
-        legacy_errors=return_errors,
+        collect=not raise_on_error,
     )
     if executor == "serial":
         return [one(build) for build in builds]

@@ -289,7 +289,8 @@ class GraphScheduler:
         self.server._register_graph(
             id(state), lambda error: self._fail(state, error)
         )
-        self.server.telemetry.record_graph_submit(len(graph))
+        self.server.telemetry.count("graphs")
+        self.server.telemetry.count("graph_nodes", len(graph))
         if lookup_error is not None:
             self._fail(state, lookup_error)
             return execution
@@ -486,7 +487,7 @@ class GraphScheduler:
                 state.span, args={"error": repr(error)}
             )
         self.server._unregister_graph(id(state))
-        self.server.telemetry.record_graph_failure()
+        self.server.telemetry.count("graphs_failed")
         state.execution.future.set_exception(error)
 
 

@@ -1,6 +1,6 @@
 """A unified metrics registry with Prometheus text exposition.
 
-Three instrument kinds — :class:`Counter` (monotonic), :class:`Gauge`
+Three instrument kinds — :class:`Counter` (event count), :class:`Gauge`
 (point-in-time), :class:`Histogram` (bucketed distribution) — live in a
 :class:`MetricsRegistry`, each optionally split by labels. The registry
 renders the standard Prometheus text-exposition format
@@ -111,12 +111,35 @@ class _Metric:
             return list(self._children.items())
 
 
-class Counter(_Metric):
-    """A monotonically increasing count (requests served, cache hits).
+class _Scalar(_Metric):
+    """A family whose children are single numbers."""
 
-    Use :meth:`inc` to add; :meth:`set_total` exists for publishing an
-    externally maintained monotonic counter (the telemetry bridge) and
-    still refuses to go backwards.
+    def set(self, value: float, *labels) -> None:
+        """Set the child named by ``labels`` to ``value``."""
+        key = self._key(labels)
+        with self._lock:
+            self._children[key] = float(value)
+
+    def inc(self, amount: float = 1.0, *labels) -> None:
+        """Add ``amount`` to the child named by ``labels``."""
+        key = self._key(labels)
+        with self._lock:
+            self._children[key] = self._children.get(key, 0.0) + amount
+
+    def value(self, *labels) -> float:
+        """Current value for ``labels`` (0.0 if never touched)."""
+        with self._lock:
+            return float(self._children.get(self._key(labels), 0.0))
+
+
+class Counter(_Scalar):
+    """A count that only grows while its owner lives (requests served,
+    cache hits).
+
+    :meth:`inc` counts events seen here. :meth:`set` publishes a total
+    that some other object owns and counts (the telemetry bridge): the
+    owner may restart from zero — ``CompileCache.clear()`` does — and a
+    scraper reads the drop as an ordinary counter reset.
     """
 
     kind = "counter"
@@ -127,58 +150,17 @@ class Counter(_Metric):
             raise CypressError(
                 f"counter {self.name!r} cannot decrease (inc {amount!r})"
             )
-        key = self._key(labels)
-        with self._lock:
-            self._children[key] = self._children.get(key, 0.0) + amount
-
-    def set_total(self, total: float, *labels) -> None:
-        """Publish an externally tracked monotonic total for ``labels``.
-
-        Raises :class:`~repro.errors.CypressError` if ``total`` is below
-        the published value — a counter that moves backwards means two
-        publishers disagree about who owns the metric.
-        """
-        key = self._key(labels)
-        with self._lock:
-            current = self._children.get(key, 0.0)
-            if total < current:
-                raise CypressError(
-                    f"counter {self.name!r}{key} cannot decrease: "
-                    f"{current} -> {total}"
-                )
-            self._children[key] = float(total)
-
-    def value(self, *labels) -> float:
-        """Current total for ``labels`` (0.0 if never touched)."""
-        with self._lock:
-            return float(self._children.get(self._key(labels), 0.0))
+        super().inc(amount, *labels)
 
 
-class Gauge(_Metric):
+class Gauge(_Scalar):
     """A value that goes up and down (queue depth, cache capacity)."""
 
     kind = "gauge"
 
-    def set(self, value: float, *labels) -> None:
-        """Set the child named by ``labels`` to ``value``."""
-        key = self._key(labels)
-        with self._lock:
-            self._children[key] = float(value)
-
-    def inc(self, amount: float = 1.0, *labels) -> None:
-        """Add ``amount`` (may be negative) to the child."""
-        key = self._key(labels)
-        with self._lock:
-            self._children[key] = self._children.get(key, 0.0) + amount
-
     def dec(self, amount: float = 1.0, *labels) -> None:
         """Subtract ``amount`` from the child."""
         self.inc(-amount, *labels)
-
-    def value(self, *labels) -> float:
-        """Current value for ``labels`` (0.0 if never set)."""
-        with self._lock:
-            return float(self._children.get(self._key(labels), 0.0))
 
 
 class _HistogramChild:
@@ -367,10 +349,10 @@ def server_metrics(
     cache's :class:`~repro.compiler.cache.CacheStats`, and the attached
     disk tier's :class:`~repro.runtime.diskcache.DiskCacheStats` — into
     one registry whose :meth:`~MetricsRegistry.render` a ``/metrics``
-    endpoint can serve. Call again with the same registry to refresh;
-    counters re-publish via ``set_total`` so a snapshot that went
-    backwards (two servers sharing one registry) fails loudly instead
-    of silently zig-zagging.
+    endpoint can serve. Call again with the same registry to refresh:
+    every value is overwritten with its owner's current total. The
+    :data:`~repro.runtime.telemetry.COUNTERS` table names the
+    ``RuntimeStats`` counter families; the rest are spelled below.
 
     Args:
         server: a :class:`~repro.runtime.server.RuntimeServer`.
@@ -383,6 +365,7 @@ def server_metrics(
 
     import repro
     from repro.compiler.cache import compile_cache
+    from repro.runtime.telemetry import COUNTERS
 
     reg = registry if registry is not None else MetricsRegistry()
     stats = server.stats()
@@ -395,28 +378,15 @@ def server_metrics(
         labels=("version", "python"),
     ).set(1, repro.__version__, platform.python_version())
 
-    requests = reg.counter(
-        "repro_requests_total", "Requests submitted to the runtime server."
-    )
-    requests.set_total(stats.requests)
-    completed = reg.counter(
-        "repro_requests_completed_total", "Requests served to completion."
-    )
-    completed.set_total(stats.completed)
-    failed = reg.counter(
-        "repro_requests_failed_total", "Requests that resolved with an error."
-    )
-    failed.set_total(stats.failed)
+    for spec in COUNTERS:
+        reg.counter(spec.metric, spec.help).set(getattr(stats, spec.field))
+
     reg.gauge(
         "repro_queue_depth", "Requests waiting in the priority queue."
     ).set(stats.queue_depth)
     reg.gauge(
         "repro_uptime_seconds", "Server uptime at snapshot time."
     ).set(stats.uptime_s)
-    batches = reg.counter(
-        "repro_batches_total", "Micro-batches executed."
-    )
-    batches.set_total(stats.batches)
     reg.gauge(
         "repro_batch_size_max", "Largest micro-batch served so far."
     ).set(stats.max_batch_size)
@@ -427,7 +397,7 @@ def server_metrics(
         labels=("tier",),
     )
     for tier, count in stats.tier_counts.items():
-        tiers.set_total(count, tier)
+        tiers.set(count, tier)
 
     latency = reg.gauge(
         "repro_request_latency_seconds",
@@ -448,23 +418,10 @@ def server_metrics(
         labels=("kernel", "quantile"),
     )
     for name, kernel in stats.per_kernel.items():
-        kernel_requests.set_total(kernel.requests, name)
+        kernel_requests.set(kernel.requests, name)
         kernel_latency.set(kernel.p50_latency_s, name, "0.5")
         kernel_latency.set(kernel.p95_latency_s, name, "0.95")
 
-    graphs = reg.counter(
-        "repro_graphs_total", "Task graphs submitted."
-    )
-    graphs.set_total(stats.graphs)
-    reg.counter(
-        "repro_graphs_completed_total", "Task graphs completed."
-    ).set_total(stats.graphs_completed)
-    reg.counter(
-        "repro_graphs_failed_total", "Task graphs that failed."
-    ).set_total(stats.graphs_failed)
-    reg.counter(
-        "repro_graph_nodes_total", "Kernel launches submitted via graphs."
-    ).set_total(stats.graph_nodes)
     makespan = reg.gauge(
         "repro_graph_makespan_seconds",
         "Graph makespan percentiles over the telemetry window.",
@@ -473,68 +430,11 @@ def server_metrics(
     makespan.set(stats.p50_graph_makespan_s, "0.5")
     makespan.set(stats.p95_graph_makespan_s, "0.95")
 
-    reg.counter(
-        "repro_speculative_compiles_total",
-        "Kernels compiled in the background by the speculator.",
-    ).set_total(stats.speculative_compiles)
-    reg.counter(
-        "repro_speculation_issued_total",
-        "Buckets precompiled speculatively.",
-    ).set_total(stats.speculation_issued)
-    reg.counter(
-        "repro_speculation_hits_total",
-        "Speculatively precompiled buckets that later saw real traffic.",
-    ).set_total(stats.speculation_hits)
-
-    reg.counter(
-        "repro_specialize_promotions_total",
-        "Shapes promoted to exact-shape specialized kernels.",
-    ).set_total(stats.promotions)
-    reg.counter(
-        "repro_specialize_deopts_total",
-        "Specializations deoptimized back to their generic bucket.",
-    ).set_total(stats.deopts)
-    reg.counter(
-        "repro_specialized_hits_total",
-        "Requests served by an exact-shape specialized kernel.",
-    ).set_total(stats.specialized_hits)
-    reg.counter(
-        "repro_specialize_errors_total",
-        "Specialized compiles that failed (shape quarantined).",
-    ).set_total(stats.specialize_errors)
-    reg.counter(
-        "repro_specialize_padded_flops_saved_total",
-        "Padded FLOPs avoided by serving specialized kernels.",
-    ).set_total(stats.padded_flops_saved)
     reg.gauge(
         "repro_specializations_active",
         "Exact-shape specializations currently installed.",
     ).set(stats.specializations_active)
 
-    reg.counter(
-        "repro_timeouts_total",
-        "Requests failed fast for missing their deadline.",
-    ).set_total(stats.timeouts)
-    reg.counter(
-        "repro_retries_total",
-        "Transient failures absorbed by the retry machinery.",
-    ).set_total(stats.retries)
-    reg.counter(
-        "repro_shed_requests_total",
-        "Queued requests evicted by bounded-queue load shedding.",
-    ).set_total(stats.shed_requests)
-    reg.counter(
-        "repro_loop_crashes_total",
-        "Background-loop crashes caught and restarted by supervision.",
-    ).set_total(stats.loop_crashes)
-    reg.counter(
-        "repro_degraded_serves_total",
-        "Requests served in a degraded mode (breaker open).",
-    ).set_total(stats.degraded_serves)
-    reg.counter(
-        "repro_breaker_trips_total",
-        "Circuit-breaker transitions to open.",
-    ).set_total(stats.breaker_trips)
     breaker_state = reg.gauge(
         "repro_breaker_state",
         "Per-site breaker state: 0 closed, 1 half-open, 2 open.",
@@ -547,19 +447,19 @@ def server_metrics(
     cache = compile_cache.stats
     reg.counter(
         "repro_compile_cache_hits_total", "In-memory compile-cache hits."
-    ).set_total(cache.hits)
+    ).set(cache.hits)
     reg.counter(
         "repro_compile_cache_misses_total",
         "Compile-cache misses (ran the full pass pipeline).",
-    ).set_total(cache.misses)
+    ).set(cache.misses)
     reg.counter(
         "repro_compile_cache_second_tier_hits_total",
         "Compile-cache lookups answered by the persistent tier.",
-    ).set_total(cache.second_tier_hits)
+    ).set(cache.second_tier_hits)
     reg.counter(
         "repro_compile_cache_evictions_total",
         "Compile-cache LRU evictions.",
-    ).set_total(cache.evictions)
+    ).set(cache.evictions)
     reg.gauge(
         "repro_compile_cache_capacity", "Compile-cache entry capacity."
     ).set(cache.capacity)
@@ -571,16 +471,16 @@ def server_metrics(
             "Disk-tier operations by outcome.",
             labels=("op",),
         )
-        disk_ops.set_total(disk.hits, "hit")
-        disk_ops.set_total(disk.misses, "miss")
-        disk_ops.set_total(disk.stores, "store")
-        disk_ops.set_total(disk.corrupt, "corrupt")
-        disk_ops.set_total(disk.errors, "error")
-        disk_ops.set_total(disk.pruned, "pruned")
+        disk_ops.set(disk.hits, "hit")
+        disk_ops.set(disk.misses, "miss")
+        disk_ops.set(disk.stores, "store")
+        disk_ops.set(disk.corrupt, "corrupt")
+        disk_ops.set(disk.errors, "error")
+        disk_ops.set(disk.pruned, "pruned")
         reg.counter(
             "repro_disk_cache_pruned_bytes_total",
             "Bytes evicted by the disk tier's LRU budget.",
-        ).set_total(disk.pruned_bytes)
+        ).set(disk.pruned_bytes)
         reg.gauge(
             "repro_disk_cache_quarantined",
             "Corrupt disk-tier entries retained as .bad postmortem "
@@ -591,36 +491,36 @@ def server_metrics(
     if tracer is not None and tracer.enabled:
         reg.counter(
             "repro_trace_spans_total", "Finished trace spans recorded."
-        ).set_total(tracer.span_count)
+        ).set(tracer.span_count)
         reg.counter(
             "repro_trace_spans_dropped_total",
             "Finished spans evicted by the tracer's capacity bound.",
-        ).set_total(tracer.dropped)
+        ).set(tracer.dropped)
 
     flight = getattr(server, "flight", None)
     if flight is not None:
         reg.counter(
             "repro_flight_records_total",
             "Records appended to the flight recorder (retained or not).",
-        ).set_total(flight.recorded)
+        ).set(flight.recorded)
         reg.counter(
             "repro_flight_dumps_total",
             "Flight-recorder dump files written (close, crash, manual).",
-        ).set_total(flight.dumps)
+        ).set(flight.dumps)
 
     profiler = getattr(server, "profiler", None)
     if profiler is not None:
         reg.counter(
             "repro_profiler_samples_total",
             "Thread samples attributed by the continuous profiler.",
-        ).set_total(profiler.samples)
+        ).set(profiler.samples)
         phase_samples = reg.counter(
             "repro_profiler_phase_samples_total",
             "Profiler samples per serving phase.",
             labels=("phase",),
         )
         for phase, count in profiler.report()["phases"].items():
-            phase_samples.set_total(count, phase)
+            phase_samples.set(count, phase)
 
     monitor = getattr(server, "slo_monitor", None)
     if monitor is not None:

@@ -363,4 +363,4 @@ class SloMonitor(BackgroundLoop):
                         severity,
                     )
             for (name, severity), count in self._alerts_total.items():
-                total.set_total(count, name, severity)
+                total.set(count, name, severity)

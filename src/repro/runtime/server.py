@@ -513,7 +513,8 @@ class RuntimeServer:
             if entry is not None:
                 bucket = entry.serving
                 specialized = True
-                self.telemetry.record_specialized_hit(entry.flops_saved)
+                self.telemetry.count("specialized_hits")
+                self.telemetry.count("padded_flops_saved", entry.flops_saved)
         request = self.prepare_request(
             registered, shape_dict, bucket, inputs=inputs, priority=priority
         )
@@ -616,7 +617,7 @@ class RuntimeServer:
                 overflow = len(self._queue) + len(requests) - max_queue
                 if overflow > 0:
                     if self.resilience.shed_policy == SHED_REJECT_NEW:
-                        # Before record_submit: a rejected request is
+                        # Before the submit is counted: a rejected request is
                         # never counted as admitted.
                         raise CypressError(
                             f"queue full ({max_queue} requests); "
@@ -655,8 +656,8 @@ class RuntimeServer:
             # never complete or fail: count all of them shed so
             # shed + completed + failed keeps accounting for every
             # admitted request.
-            self.telemetry.record_shed(len(shed))
-        self.telemetry.record_submit(len(requests))
+            self.telemetry.count("shed_requests", len(shed))
+        self.telemetry.count("requests", len(requests))
         self.telemetry.record_bucket_traffic(pairs, shapes)
 
     def submit_many(
@@ -841,7 +842,7 @@ class RuntimeServer:
     ) -> None:
         # Invoked outside the breaker lock (see CircuitBreaker).
         if new == BREAKER_OPEN:
-            self.telemetry.record_breaker_trip()
+            self.telemetry.count("breaker_trips")
         tracer = self.tracer
         if tracer.enabled:
             now = time.perf_counter()
@@ -858,10 +859,10 @@ class RuntimeServer:
         # Counts every transient failure the retry machinery absorbs,
         # including a final failing attempt — so a chaos soak can
         # assert retries >= injected transient faults.
-        self.telemetry.record_retry()
+        self.telemetry.count("retries")
 
     def _on_degraded(self, site: str) -> None:
-        self.telemetry.record_degraded()
+        self.telemetry.count("degraded_serves")
 
     # ------------------------------------------------------------------
     # Execution
@@ -1018,7 +1019,7 @@ class RuntimeServer:
                 except Exception:
                     pass
         if failed:
-            self.telemetry.record_failure(failed)
+            self.telemetry.count("failed", failed)
         if self.flight is not None:
             self.flight.note(
                 "worker-exception",
@@ -1048,8 +1049,8 @@ class RuntimeServer:
             request.future.set_exception(error)
             timed_out += 1
         if timed_out:
-            self.telemetry.record_timeout(timed_out)
-            self.telemetry.record_failure(timed_out)
+            self.telemetry.count("timeouts", timed_out)
+            self.telemetry.count("failed", timed_out)
 
     def _dispatch_live(
         self, batch: List[_QueuedRequest]
@@ -1089,7 +1090,7 @@ class RuntimeServer:
             if generic == head.bucket:
                 raise
             kernel, tier, _key = self._obtain_kernel(head.kernel, generic)
-            self.telemetry.record_degraded(batch_size)
+            self.telemetry.count("degraded_serves", batch_size)
         return kernel, tier
 
     def _execute_batch(
@@ -1157,7 +1158,7 @@ class RuntimeServer:
                 if profiling:
                     PHASES.pop()
         except Exception as error:
-            self.telemetry.record_failure(len(live))
+            self.telemetry.count("failed", len(live))
             for request in live:
                 if request.span is not None:
                     tracer.end(request.span, args={"error": repr(error)})
@@ -1218,7 +1219,7 @@ class RuntimeServer:
                         )
                     request.future.set_result(result)
                 except Exception as error:
-                    self.telemetry.record_failure()
+                    self.telemetry.count("failed")
                     if (
                         request.span is not None
                         and not request.span.closed

@@ -300,7 +300,7 @@ class ShapeSpecializer(BackgroundLoop):
         if failure is not None:
             with self._lock:
                 self._quarantine[key] = self._cycle + config.quarantine_cycles
-            server.telemetry.record_specialize_error()
+            server.telemetry.count("specialize_errors")
             if tracer.enabled:
                 tracer.record(
                     "specialize.promote", "specialize",
@@ -332,7 +332,7 @@ class ShapeSpecializer(BackgroundLoop):
         )
         with self._lock:
             self._active[key] = entry
-        server.telemetry.record_promotion()
+        server.telemetry.count("promotions")
         if tracer.enabled:
             tracer.record(
                 "specialize.promote", "specialize",
@@ -362,7 +362,7 @@ class ShapeSpecializer(BackgroundLoop):
         with self._lock:
             self._active.pop(key, None)
         self.server.telemetry.drop_shape_traffic(key)
-        self.server.telemetry.record_deopt()
+        self.server.telemetry.count("deopts")
         tracer = self.server.tracer
         if tracer.enabled:
             now = time.perf_counter()

@@ -128,7 +128,7 @@ class BackgroundLoop:
                 return  # clean stop() — no restart
             except Exception:
                 self.crashes += 1
-                self.server.telemetry.record_loop_crash()
+                self.server.telemetry.count("loop_crashes")
                 if self._cycles > cycles_before:
                     backoff = self.restart_backoff_s  # it made progress
                 if self._stop.wait(backoff):
@@ -269,7 +269,7 @@ class Speculator(BackgroundLoop):
             if self._precompiled.get(key) is not False:
                 return
             self._precompiled[key] = True
-        self.server.telemetry.record_speculation_hit()
+        self.server.telemetry.count("speculation_hits")
 
     # ------------------------------------------------------------------
     # Internals
@@ -361,5 +361,6 @@ class Speculator(BackgroundLoop):
                 if (registered.name, bucket) not in self._precompiled:
                     self._precompiled[(registered.name, bucket)] = False
                     issued = 1
-        server.telemetry.record_speculation(succeeded, issued)
+        server.telemetry.count("speculative_compiles", succeeded)
+        server.telemetry.count("speculation_issued", issued)
         return succeeded

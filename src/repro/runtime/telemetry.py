@@ -19,7 +19,7 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, NamedTuple, Optional, Sequence
 
 from repro.util import fmt_percent
 
@@ -32,6 +32,92 @@ TIERS = (TIER_MEMORY, TIER_DISK, TIER_COMPILE)
 #: Version of the ``RuntimeStats.to_json()`` schema. Bump on any
 #: renamed/removed key; consumers (benchmarks, dashboards) key off it.
 STATS_SCHEMA_VERSION = 1
+
+
+class CounterSpec(NamedTuple):
+    """One lifetime counter and every name it is published under."""
+
+    field: str  #: ``RuntimeStats`` attribute and ``Telemetry.count`` name
+    section: str  #: ``RuntimeStats.to_json()`` section ...
+    key: str  #: ... and the key inside it
+    metric: str  #: Prometheus counter family
+    help: str  #: its ``# HELP`` text
+
+
+#: Every lifetime scalar counter the server keeps, declared once:
+#: :meth:`Telemetry.count` adds to them, :meth:`Telemetry.snapshot`
+#: copies them into :class:`RuntimeStats`, :meth:`RuntimeStats.to_json`
+#: and ``repro.obs.metrics.server_metrics`` render them. A new counter
+#: is one row here plus one ``RuntimeStats`` field.
+COUNTERS = (
+    CounterSpec("requests", "runtime", "requests", "repro_requests_total",
+                "Requests submitted to the runtime server."),
+    CounterSpec("completed", "runtime", "completed",
+                "repro_requests_completed_total",
+                "Requests served to completion."),
+    CounterSpec("failed", "runtime", "failed", "repro_requests_failed_total",
+                "Requests that resolved with an error."),
+    CounterSpec("batches", "runtime", "batches", "repro_batches_total",
+                "Micro-batches executed."),
+    CounterSpec("graphs", "graphs", "submitted", "repro_graphs_total",
+                "Task graphs submitted."),
+    CounterSpec("graphs_completed", "graphs", "completed",
+                "repro_graphs_completed_total", "Task graphs completed."),
+    CounterSpec("graphs_failed", "graphs", "failed",
+                "repro_graphs_failed_total", "Task graphs that failed."),
+    CounterSpec("graph_nodes", "graphs", "nodes", "repro_graph_nodes_total",
+                "Kernel launches submitted via graphs."),
+    CounterSpec("speculative_compiles", "speculation", "compiles",
+                "repro_speculative_compiles_total",
+                "Kernels compiled in the background by the speculator."),
+    CounterSpec("speculation_issued", "speculation", "issued",
+                "repro_speculation_issued_total",
+                "Buckets precompiled speculatively."),
+    # At most once per bucket: its first real request.
+    CounterSpec("speculation_hits", "speculation", "hits",
+                "repro_speculation_hits_total",
+                "Speculatively precompiled buckets that later saw real "
+                "traffic."),
+    CounterSpec("specialized_hits", "specialization", "hits",
+                "repro_specialized_hits_total",
+                "Requests served by an exact-shape specialized kernel."),
+    CounterSpec("promotions", "specialization", "promotions",
+                "repro_specialize_promotions_total",
+                "Shapes promoted to exact-shape specialized kernels."),
+    CounterSpec("deopts", "specialization", "deopts",
+                "repro_specialize_deopts_total",
+                "Specializations deoptimized back to their generic bucket."),
+    CounterSpec("specialize_errors", "specialization", "errors",
+                "repro_specialize_errors_total",
+                "Specialized compiles that failed (shape quarantined)."),
+    CounterSpec("padded_flops_saved", "specialization", "padded_flops_saved",
+                "repro_specialize_padded_flops_saved_total",
+                "Padded FLOPs avoided by serving specialized kernels."),
+    # Deadline failures; the caller also counts them in ``failed``.
+    CounterSpec("timeouts", "resilience", "timeouts", "repro_timeouts_total",
+                "Requests failed fast for missing their deadline."),
+    # Every transient fault seen (compile, disk tier, worker execute),
+    # the final attempt's included: ``retries`` >= faults injected.
+    CounterSpec("retries", "resilience", "retries", "repro_retries_total",
+                "Transient failures absorbed by the retry machinery."),
+    # Shed requests are *not* counted in ``failed``: ``shed_requests +
+    # completed + failed`` accounts for every admitted submit.
+    CounterSpec("shed_requests", "resilience", "shed_requests",
+                "repro_shed_requests_total",
+                "Queued requests evicted by bounded-queue load shedding."),
+    CounterSpec("loop_crashes", "resilience", "loop_crashes",
+                "repro_loop_crashes_total",
+                "Background-loop crashes caught and restarted by "
+                "supervision."),
+    # Memory-only after a disk-breaker trip, or generic-bucket fallback
+    # after a compile-breaker trip.
+    CounterSpec("degraded_serves", "resilience", "degraded_serves",
+                "repro_degraded_serves_total",
+                "Requests served in a degraded mode (breaker open)."),
+    CounterSpec("breaker_trips", "resilience", "breaker_trips",
+                "repro_breaker_trips_total",
+                "Circuit-breaker transitions to open."),
+)
 
 
 def percentile(values: Sequence[float], q: float) -> float:
@@ -153,15 +239,11 @@ class RuntimeStats:
         (:data:`STATS_SCHEMA_VERSION`) bumps on any renamed or removed
         key, and every value is a JSON-native scalar/dict.
         """
-        return {
+        doc = {
             "schema_version": STATS_SCHEMA_VERSION,
             "runtime": {
                 "uptime_s": self.uptime_s,
-                "requests": self.requests,
-                "completed": self.completed,
-                "failed": self.failed,
                 "queue_depth": self.queue_depth,
-                "batches": self.batches,
                 "max_batch_size": self.max_batch_size,
                 "throughput_rps": self.throughput_rps,
             },
@@ -176,27 +258,15 @@ class RuntimeStats:
                 "rates": {tier: self.tier_rate(tier) for tier in TIERS},
             },
             "graphs": {
-                "submitted": self.graphs,
-                "completed": self.graphs_completed,
-                "failed": self.graphs_failed,
-                "nodes": self.graph_nodes,
                 "p50_makespan_s": self.p50_graph_makespan_s,
                 "p95_makespan_s": self.p95_graph_makespan_s,
             },
             "speculation": {
-                "compiles": self.speculative_compiles,
-                "issued": self.speculation_issued,
-                "hits": self.speculation_hits,
                 "wasted": self.speculation_wasted,
                 "wasted_ratio": self.speculation_wasted_ratio,
             },
             "specialization": {
-                "hits": self.specialized_hits,
-                "promotions": self.promotions,
-                "deopts": self.deopts,
-                "errors": self.specialize_errors,
                 "active": self.specializations_active,
-                "padded_flops_saved": self.padded_flops_saved,
             },
             "obs": {
                 "trace_enabled": self.trace_enabled,
@@ -204,12 +274,6 @@ class RuntimeStats:
                 "flight_records": self.flight_records,
             },
             "resilience": {
-                "timeouts": self.timeouts,
-                "retries": self.retries,
-                "shed_requests": self.shed_requests,
-                "loop_crashes": self.loop_crashes,
-                "degraded_serves": self.degraded_serves,
-                "breaker_trips": self.breaker_trips,
                 "breaker_states": dict(sorted(self.breaker_states.items())),
             },
             "slo": {
@@ -227,6 +291,9 @@ class RuntimeStats:
                 for name, k in sorted(self.per_kernel.items())
             },
         }
+        for spec in COUNTERS:
+            doc[spec.section][spec.key] = getattr(self, spec.field)
+        return doc
 
     def table(self) -> str:
         """A human-readable dashboard, one kernel per row.
@@ -333,46 +400,30 @@ class Telemetry:
         self._window = window
         self._lock = threading.Lock()
         self._started = time.perf_counter()
-        self._submitted = 0
-        self._completed = 0
-        self._failed = 0
-        self._batches = 0
+        self._counts: Dict[str, float] = {spec.field: 0 for spec in COUNTERS}
+        self._counts["padded_flops_saved"] = 0.0  # the one float counter
         self._max_batch = 0
         self._tiers: Dict[str, int] = {tier: 0 for tier in TIERS}
         self._kernels: Dict[str, _KernelWindow] = {}
-        self._graphs = 0
-        self._graphs_completed = 0
-        self._graphs_failed = 0
-        self._graph_nodes = 0
         self._graph_makespans: deque = deque(maxlen=window)
         self._bucket_traffic: Dict[tuple, int] = {}
         self._shape_traffic: Dict[tuple, float] = {}
-        self._spec_compiles = 0
-        self._spec_issued = 0
-        self._spec_hits = 0
-        self._specialized_hits = 0
-        self._promotions = 0
-        self._deopts = 0
-        self._specialize_errors = 0
-        self._padded_flops_saved = 0.0
-        self._timeouts = 0
-        self._retries = 0
-        self._shed = 0
-        self._loop_crashes = 0
-        self._degraded = 0
-        self._breaker_trips = 0
 
     @property
     def completed_count(self) -> int:
         """Completed requests so far (cheap readiness probe; no
         snapshot materialization)."""
         with self._lock:
-            return self._completed
+            return self._counts["completed"]
 
-    def record_submit(self, count: int = 1) -> None:
-        """Count ``count`` requests entering the queue."""
+    def count(self, field: str, amount: float = 1) -> None:
+        """Add ``amount`` to the :data:`COUNTERS` row named ``field``.
+
+        Raises:
+            KeyError: ``field`` is not a declared counter.
+        """
         with self._lock:
-            self._submitted += count
+            self._counts[field] += amount
 
     def record_bucket_traffic(
         self,
@@ -433,86 +484,10 @@ class Telemetry:
         with self._lock:
             self._shape_traffic.pop(key, None)
 
-    def record_speculation(self, compiles: int, buckets: int = 0) -> None:
-        """Record speculative work: ``compiles`` kernels built in the
-        background, covering ``buckets`` newly precompiled buckets."""
-        with self._lock:
-            self._spec_compiles += compiles
-            self._spec_issued += buckets
-
-    def record_speculation_hit(self) -> None:
-        """Count one speculatively precompiled bucket receiving its
-        first real request (at most once per bucket)."""
-        with self._lock:
-            self._spec_hits += 1
-
-    def record_specialized_hit(self, flops_saved: float = 0.0) -> None:
-        """Count one request served by an exact-shape specialized
-        kernel, saving ``flops_saved`` padded FLOPs of bucket waste."""
-        with self._lock:
-            self._specialized_hits += 1
-            self._padded_flops_saved += flops_saved
-
-    def record_promotion(self) -> None:
-        """Count one shape promoted to an exact-shape specialization."""
-        with self._lock:
-            self._promotions += 1
-
-    def record_deopt(self) -> None:
-        """Count one specialization deoptimized back to its bucket."""
-        with self._lock:
-            self._deopts += 1
-
-    def record_specialize_error(self) -> None:
-        """Count one failed specialized compile (shape quarantined)."""
-        with self._lock:
-            self._specialize_errors += 1
-
-    def record_timeout(self, count: int = 1) -> None:
-        """Count ``count`` requests failed by deadline enforcement
-        (also counted in ``failed`` by the caller)."""
-        with self._lock:
-            self._timeouts += count
-
-    def record_retry(self, count: int = 1) -> None:
-        """Count ``count`` transient failures absorbed by the retry
-        machinery (compile, disk tier, worker execute). Every observed
-        transient fault is counted — including the final attempt's —
-        so under fault injection ``retries`` is at least the number of
-        transient faults seen."""
-        with self._lock:
-            self._retries += count
-
-    def record_shed(self, count: int = 1) -> None:
-        """Count ``count`` requests shed by queue admission control
-        (bounded queue, drop-oldest policy). Shed requests are *not*
-        counted in ``failed``: ``shed + completed + failed`` accounts
-        for every admitted submit."""
-        with self._lock:
-            self._shed += count
-
-    def record_loop_crash(self) -> None:
-        """Count one background-loop crash (the supervisor restarts
-        the loop with capped backoff)."""
-        with self._lock:
-            self._loop_crashes += 1
-
-    def record_degraded(self, count: int = 1) -> None:
-        """Count ``count`` requests served in degraded mode (memory-only
-        after a disk-breaker trip, or generic-bucket fallback after a
-        compile-breaker trip)."""
-        with self._lock:
-            self._degraded += count
-
-    def record_breaker_trip(self) -> None:
-        """Count one circuit breaker tripping open."""
-        with self._lock:
-            self._breaker_trips += 1
-
     def record_batch(self, size: int) -> None:
         """Count one micro-batch of ``size`` requests."""
         with self._lock:
-            self._batches += 1
+            self._counts["batches"] += 1
             self._max_batch = max(self._max_batch, size)
 
     def record_result(
@@ -527,7 +502,7 @@ class Telemetry:
             tflops: simulated throughput of the serving kernel.
         """
         with self._lock:
-            self._completed += 1
+            self._counts["completed"] += 1
             self._tiers[tier] = self._tiers.get(tier, 0) + 1
             window = self._kernels.get(kernel)
             if window is None:
@@ -536,27 +511,11 @@ class Telemetry:
             window.latencies.append(latency_s)
             window.tflops_sum += tflops
 
-    def record_failure(self, count: int = 1) -> None:
-        """Count ``count`` failed requests."""
-        with self._lock:
-            self._failed += count
-
-    def record_graph_submit(self, nodes: int) -> None:
-        """Count one submitted task graph of ``nodes`` launches."""
-        with self._lock:
-            self._graphs += 1
-            self._graph_nodes += nodes
-
     def record_graph_done(self, makespan_s: float) -> None:
         """Record one completed graph's submit-to-last-node wall time."""
         with self._lock:
-            self._graphs_completed += 1
+            self._counts["graphs_completed"] += 1
             self._graph_makespans.append(makespan_s)
-
-    def record_graph_failure(self) -> None:
-        """Count one graph whose execution failed."""
-        with self._lock:
-            self._graphs_failed += 1
 
     def snapshot(
         self,
@@ -605,40 +564,19 @@ class Telemetry:
                 )
             makespans = list(self._graph_makespans)
             return RuntimeStats(
+                **self._counts,
                 uptime_s=uptime,
-                requests=self._submitted,
-                completed=self._completed,
-                failed=self._failed,
                 queue_depth=queue_depth,
-                batches=self._batches,
                 max_batch_size=self._max_batch,
                 tier_counts=dict(self._tiers),
                 p50_latency_s=percentile(all_latencies, 50),
                 p95_latency_s=percentile(all_latencies, 95),
                 per_kernel=per_kernel,
-                graphs=self._graphs,
-                graphs_completed=self._graphs_completed,
-                graphs_failed=self._graphs_failed,
-                graph_nodes=self._graph_nodes,
                 p50_graph_makespan_s=percentile(makespans, 50),
                 p95_graph_makespan_s=percentile(makespans, 95),
-                speculative_compiles=self._spec_compiles,
-                speculation_issued=self._spec_issued,
-                speculation_hits=self._spec_hits,
-                specialized_hits=self._specialized_hits,
-                promotions=self._promotions,
-                deopts=self._deopts,
-                specialize_errors=self._specialize_errors,
-                padded_flops_saved=self._padded_flops_saved,
                 trace_enabled=trace_enabled,
                 trace_spans=trace_spans,
                 flight_records=flight_records,
-                timeouts=self._timeouts,
-                retries=self._retries,
-                shed_requests=self._shed,
-                loop_crashes=self._loop_crashes,
-                degraded_serves=self._degraded,
-                breaker_trips=self._breaker_trips,
                 breaker_states=dict(breaker_states or {}),
                 slo_alerts=dict(slo_alerts or {}),
                 slo_burn_rates=dict(slo_burn_rates or {}),

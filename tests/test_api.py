@@ -150,20 +150,3 @@ class TestCompileManyFailures:
         assert failure.name == "gemm_256x256x128"
         assert isinstance(failure.error, CypressError)
         assert "gemm_256x256x128" in str(failure)
-
-    def test_legacy_return_errors_still_yields_raw_errors(self, hopper):
-        with pytest.warns(DeprecationWarning, match="raise_on_error"):
-            results = api.compile_many(
-                [self._bad(hopper)], return_errors=True
-            )
-        assert isinstance(results[0], CypressError)
-
-    def test_return_errors_false_does_not_warn(self, hopper):
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            results = api.compile_many(
-                [self._bad(hopper)], raise_on_error=False
-            )
-        assert isinstance(results[0], api.CompileFailure)

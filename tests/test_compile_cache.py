@@ -223,10 +223,9 @@ class TestCompileMany:
         good = _build(hopper)
         bad = _build(hopper)
         bad.spec.by_instance["gemm_block"].smem_limit_bytes = 1024
-        with pytest.warns(DeprecationWarning):
-            results = api.compile_many([good, bad], return_errors=True)
-        assert not isinstance(results[0], CypressError)
-        assert isinstance(results[1], CypressError)
+        results = api.compile_many([good, bad], raise_on_error=False)
+        assert not isinstance(results[0], api.CompileFailure)
+        assert isinstance(results[1].error, CypressError)
 
     def test_unknown_executor_rejected(self, hopper):
         from repro.errors import CypressError

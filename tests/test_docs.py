@@ -12,7 +12,10 @@ invariants so documentation cannot silently regress:
    ``repro.tensors.regions`` (and their public methods) carries a
    non-empty docstring;
 2. every intra-repo markdown link in ``README.md``, ``docs/``, and the
-   other root guides resolves to an existing file.
+   other root guides resolves to an existing file;
+3. every serving counter in ``repro.runtime.telemetry.COUNTERS`` is
+   documented: its field in the ``RuntimeStats`` table of
+   ``docs/serving.md``, its metric family in an ops-facing guide.
 """
 
 import inspect
@@ -35,6 +38,7 @@ import repro.runtime.specialize
 import repro.runtime.speculate
 import repro.tensors.regions
 import repro.tuner
+from repro.runtime.telemetry import COUNTERS
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -160,3 +164,23 @@ class TestMarkdownLinks:
             "docs/serving.md",
         ):
             assert guide in readme, f"README must link {guide}"
+
+
+class TestCounterDocs:
+    def test_every_counter_field_is_in_the_runtime_stats_table(self):
+        serving = (REPO_ROOT / "docs" / "serving.md").read_text()
+        table = serving.split("### `RuntimeStats`")[1].split("\n### ")[0]
+        missing = [
+            spec.field for spec in COUNTERS if f"`{spec.field}`" not in table
+        ]
+        assert not missing, f"docs/serving.md RuntimeStats table: {missing}"
+
+    def test_every_counter_metric_is_in_an_ops_guide(self):
+        guides = "".join(
+            (REPO_ROOT / "docs" / name).read_text()
+            for name in ("observability.md", "ops.md", "resilience.md")
+        )
+        missing = [
+            spec.metric for spec in COUNTERS if f"`{spec.metric}`" not in guides
+        ]
+        assert not missing, f"undocumented metric families: {missing}"

@@ -396,10 +396,7 @@ class TestMetrics:
         assert counter.value() == 5
         with pytest.raises(CypressError):
             counter.inc(-1)
-        counter.set_total(9)
-        assert counter.value() == 9
-        with pytest.raises(CypressError):
-            counter.set_total(3)
+        assert counter.value() == 5
 
     def test_gauge_moves_both_ways(self):
         gauge = Gauge("depth", "Queue depth.")

@@ -16,6 +16,7 @@ Prometheus render (which :func:`validate_prometheus_text` re-checks
 strictly on every fully-populated server here).
 """
 
+import contextlib
 import dataclasses
 import json
 import threading
@@ -71,6 +72,73 @@ def registry():
         defaults=dict(SMALL),
     )
     return reg
+
+
+#: Captured from the commit before the ``COUNTERS`` table existed.
+GOLDEN_SURFACE = Path(__file__).parent / "golden_serving_surface.json"
+
+
+def _key_tree(doc):
+    """``to_json()`` keys, nested; maps keyed by runtime names (breaker
+    sites, SLO names) collapse to ``None`` like any other leaf."""
+    if not isinstance(doc, dict):
+        return None
+    return {
+        key: None
+        if key in ("breaker_states", "alerts", "burn_rates")
+        else _key_tree(value)
+        for key, value in sorted(doc.items())
+    }
+
+
+@contextlib.contextmanager
+def _fully_populated_server(machine, registry, tmp_path):
+    """A server with every optional subsystem on, so every metric
+    family and stats field is published."""
+    slo = Slo("availability", metric="error_rate")
+    with RuntimeServer(
+        machine,
+        registry,
+        workers=1,
+        trace=True,
+        flight=str(tmp_path / "flight.json"),
+        speculate=True,
+        specialize=True,
+        disk_cache=str(tmp_path / "disk"),
+        diag=DiagConfig(profile=True, slos=(slo,), slo_tick_s=30.0),
+    ) as server:
+        try:
+            yield server
+        finally:
+            server.diag.stop()
+
+
+def _serving_surface(machine, registry, tmp_path):
+    """Every name a consumer can key off: ``RuntimeStats`` fields, the
+    ``to_json()`` key tree, each ``/metrics`` family's (name, type,
+    help)."""
+    with _fully_populated_server(machine, registry, tmp_path) as server:
+        server.submit("gemm", GEMM_SHAPE).result(timeout=600)
+        server.slo_monitor.observe()
+        stats = server.stats()
+        code, _ctype, body = server.diag.handle("/metrics")
+    assert code == 200, body[:200]
+    text = body.decode("utf-8")
+    kinds = validate_prometheus_text(text)
+    return {
+        "stats_fields": sorted(
+            field.name for field in dataclasses.fields(stats)
+        ),
+        "to_json_keys": _key_tree(stats.to_json()),
+        "metric_families": sorted(
+            [name, kinds[name], help_text]
+            for name, help_text in (
+                line.split(" ", 3)[2:]
+                for line in text.splitlines()
+                if line.startswith("# HELP ")
+            )
+        ),
+    }
 
 
 def _http_get(url, timeout=30.0):
@@ -193,6 +261,17 @@ class TestEndpoints:
         assert families["repro_uptime_seconds"] == "gauge"
         assert families["repro_diag_requests_total"] == "counter"
         assert 'repro_build_info{version="' in text
+
+    def test_metrics_survive_a_compile_cache_clear(self, server):
+        # The compile cache owns its hit/miss counts and clear() restarts
+        # them from zero; the scrape after it must not answer 500.
+        server.submit("gemm", GEMM_SHAPE).result(timeout=600)  # a cache hit
+        assert server.diag.handle("/metrics")[0] == 200
+        api.clear_compile_cache()
+        server.submit("gemm", GEMM_SHAPE).result(timeout=600)
+        code, _ctype, body = server.diag.handle("/metrics")
+        assert code == 200, body[:200]
+        validate_prometheus_text(body.decode("utf-8"))
 
     def test_diag_requests_counter_accumulates(self, server):
         for _ in range(3):
@@ -887,28 +966,14 @@ class TestPrometheusValidator:
     def test_fully_populated_server_render_passes(
         self, hopper, registry, tmp_path
     ):
-        slo = Slo("availability", metric="error_rate")
-        with RuntimeServer(
-            hopper,
-            registry,
-            workers=1,
-            trace=True,
-            flight=str(tmp_path / "flight.json"),
-            speculate=True,
-            specialize=True,
-            disk_cache=str(tmp_path / "disk"),
-            diag=DiagConfig(profile=True, slos=(slo,), slo_tick_s=30.0),
-        ) as server:
-            try:
-                futures = [
-                    server.submit("gemm", GEMM_SHAPE) for _ in range(4)
-                ]
-                for future in futures:
-                    future.result(timeout=600)
-                server.slo_monitor.observe()
-                text = server.metrics().render()
-            finally:
-                server.diag.stop()
+        with _fully_populated_server(hopper, registry, tmp_path) as server:
+            futures = [
+                server.submit("gemm", GEMM_SHAPE) for _ in range(4)
+            ]
+            for future in futures:
+                future.result(timeout=600)
+            server.slo_monitor.observe()
+            text = server.metrics().render()
         families = validate_prometheus_text(text)
         for family in (
             "repro_requests_total",
@@ -919,6 +984,15 @@ class TestPrometheusValidator:
             "repro_slo_alerts_total",
         ):
             assert family in families, family
+
+    def test_serving_surface_matches_the_golden_fixture(
+        self, hopper, registry, tmp_path
+    ):
+        surface = _serving_surface(hopper, registry, tmp_path)
+        golden = json.loads(GOLDEN_SURFACE.read_text())
+        assert sorted(surface) == sorted(golden)
+        for part in golden:
+            assert surface[part] == golden[part], part
 
     def test_live_histogram_render_passes(self):
         registry = MetricsRegistry()

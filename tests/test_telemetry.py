@@ -10,6 +10,7 @@ those counts.
 
 import math
 
+import pytest
 from hypothesis import given, strategies as st
 
 from repro.runtime.telemetry import (
@@ -127,10 +128,11 @@ class TestZeroSafety:
 
     def test_graph_counters_flow_into_snapshot(self):
         telemetry = Telemetry()
-        telemetry.record_graph_submit(7)
-        telemetry.record_graph_submit(3)
+        telemetry.count("graphs", 2)
+        telemetry.count("graph_nodes", 7)
+        telemetry.count("graph_nodes", 3)
         telemetry.record_graph_done(0.25)
-        telemetry.record_graph_failure()
+        telemetry.count("graphs_failed")
         stats = telemetry.snapshot()
         assert stats.graphs == 2
         assert stats.graph_nodes == 10
@@ -139,3 +141,7 @@ class TestZeroSafety:
         assert stats.p50_graph_makespan_s == 0.25
         table = stats.table()
         assert "graphs:" in table and "1/2 completed" in table
+
+    def test_count_rejects_an_undeclared_counter(self):
+        with pytest.raises(KeyError):
+            Telemetry().count("no_such_counter")
