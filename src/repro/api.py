@@ -224,7 +224,9 @@ def run_functional(
             backward compatibility).
 
     Returns:
-        ``{parameter name: array}`` for every written tensor.
+        ``{parameter name: array}`` for every entrypoint tensor
+        parameter — read-only operands come back as the (dtype-cast)
+        copies the interpreter ran on, written ones hold the results.
 
     Raises:
         CypressError: unknown ``stage``.

@@ -13,11 +13,14 @@ rows/columns of the Figure-4 pattern), so disjointness and containment
 of two references are O(rank) arithmetic tests instead of
 O(elements) set operations.
 
-Two entry points:
+Three entry points:
 
 * :func:`region_of` — the concrete region of a reference under an
   index environment, or ``None`` when a partition kind cannot be
   described (callers fall back to coordinate materialization);
+* :func:`view_of` — the same region as a numpy reshape plus basic
+  slices, which is how the functional executor reads and writes a
+  reference's elements without building coordinate arrays;
 * :func:`prove_iterations_disjoint` — an affine proof, over *all*
   pairs of distinct loop iterations at once, that two write references
   can never overlap; on success the dependence analysis skips
@@ -26,8 +29,9 @@ Two entry points:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence, Set, Tuple
+from typing import Mapping, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
@@ -265,6 +269,67 @@ def region_of(
     return Region((Box(dims),))
 
 
+#: ``(view_shape, *slices)``: reshape the root array, then index it.
+ViewSpec = Tuple[Union[Tuple[int, ...], slice], ...]
+
+
+# Callers keep one spec per reference and environment — for a fragment,
+# per thread — built from few distinct pieces. Sharing the equal ones
+# (bounded, like ``sys.intern``) keeps a retained spec to one small
+# tuple of pointers.
+@functools.lru_cache(maxsize=4096)
+def shared_tuple(value: Tuple[int, ...]) -> Tuple[int, ...]:
+    """The first-built tuple equal to ``value``."""
+    return value
+
+
+@functools.lru_cache(maxsize=4096)
+def _shared_slice(start: int, stop: int) -> slice:
+    return slice(start, stop)
+
+
+def view_of(
+    ref, env: Optional[Mapping[str, int]] = None
+) -> Optional[ViewSpec]:
+    """The reference's elements as ``(view_shape, *slices)``, or ``None``.
+
+    ``root_array.reshape(spec[0])[spec[1:]]`` is a numpy *view* holding
+    exactly the reference's elements in sub-tensor order (reshape it to
+    ``ref.shape``). A strided axis ``Dim(lo, step, count, span)`` of a
+    root extent ``n`` splits into ``(n // step, step)`` and takes
+    ``[lo // step : lo // step + count, lo % step : lo % step + span]``;
+    a dense axis is the ``count == 1`` case and needs no split.
+
+    Returns ``None`` — callers gather through ``element_coords`` — when
+    :func:`region_of` declines, when a step does not divide its root
+    extent or an interval straddles a period boundary, and when the
+    region leaves the root's bounds (the gather path raises there).
+    Raises ``KeyError`` when a symbolic index is unbound by ``env``.
+    """
+    region = region_of(ref, env)
+    if region is None:
+        return None
+    (box,) = region.boxes
+    view_shape = []
+    slices = []
+    for dim, extent in zip(box.dims, ref.root.shape):
+        if dim.lo < 0 or dim.hi >= extent:
+            return None
+        if dim.is_dense:
+            view_shape.append(extent)
+            slices.append(_shared_slice(dim.lo, dim.lo + dim.span))
+            continue
+        period, offset = divmod(dim.lo, dim.step)
+        if extent % dim.step or offset + dim.span > dim.step:
+            return None
+        view_shape += [extent // dim.step, dim.step]
+        slices += [
+            _shared_slice(period, period + dim.count),
+            _shared_slice(offset, offset + dim.span),
+        ]
+    return (shared_tuple(tuple(view_shape)), *slices)
+
+
 # ----------------------------------------------------------------------
 # Symbolic (all-iterations) disjointness
 # ----------------------------------------------------------------------
@@ -290,9 +355,8 @@ def symbolic_box(ref) -> Optional[Tuple[SymDim, ...]]:
     offsets (``blocks`` and ``squeeze``) are representable; any other
     partition kind, non-affine index expression, or ragged symbolic
     piece yields ``None``. The decomposition is memoized on the
-    reference — both the functional executor's slice fast path and the
-    ``prange`` disjointness proof query the same reference objects
-    many times.
+    reference — the ``prange`` disjointness proof queries the same
+    reference objects many times.
     """
     cached = ref.__dict__.get("_symbolic_box_cache", False)
     if cached is not False:

@@ -12,18 +12,37 @@ which powers both the functional executor and exact aliasing checks.
 from __future__ import annotations
 
 import itertools
-from typing import TYPE_CHECKING, Mapping, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Iterable,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 import numpy as np
 
 from repro.errors import TensorError
 from repro.sym import Expr, evaluate, to_expr, variables
 from repro.tensors.dtype import DType
+from repro.tensors.regions import (
+    region_of,
+    rows_intersect,
+    shared_tuple,
+    view_of,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.tensors.partition import Partition
 
 _tensor_counter = itertools.count()
+
+#: Environments one reference memoises its view under. The shipped
+#: kernels stay far below it (a warpgroup fragment has 128 instances);
+#: a reference indexed by grid *and* thread indices of a large launch
+#: resolves the rest on each access instead of growing with the grid.
+_VIEW_MEMO_LIMIT = 1024
 
 
 class LogicalTensor:
@@ -107,8 +126,11 @@ class TensorRef:
     def shape(self) -> Tuple[int, ...]:
         if not self.path:
             return self.root.shape
-        partition, index = self.path[-1]
-        return partition.piece_shape(index)
+        shape = self.__dict__.get("_shape")
+        if shape is None:
+            partition, index = self.path[-1]
+            shape = self._shape = partition.piece_shape(index)
+        return shape
 
     @property
     def rank(self) -> int:
@@ -160,45 +182,64 @@ class TensorRef:
             coords = partition.map_coords(coords, concrete)
         return coords
 
-    def _slice_template(self):
-        """Cached affine bounds when this reference is a dense box.
+    def _view_spec(self, env: Optional[Mapping[str, int]]):
+        """``(view_shape, *slices)`` reaching this reference's elements.
 
-        Pure ``blocks``/``squeeze`` chains select axis-aligned dense
-        boxes whose low corner is affine in the path's symbolic
-        indices; the decomposition (one ``SymDim`` per root axis,
-        memoized by ``symbolic_box``) is computed once per reference
-        and reused across every environment the executor binds.
-        ``None`` marks references the algebra cannot slice (strided
-        ``mma`` fragments, unsupported partition kinds).
+        The functional executor's hot path: ``regions.view_of`` turns
+        the reference's region — dense ``blocks``/``squeeze`` boxes and
+        strided ``mma`` fragments alike — into a reshape plus basic
+        slices, so reads and writes go through numpy views instead of
+        gather/scatter index arrays. The reference is immutable, so the
+        answer depends only on the values ``env`` gives its own free
+        variables; it is memoised on those (slice tuples, never index
+        arrays). ``None`` sends the caller to ``element_coords``: the
+        region algebra declined, or an index is unbound and the gather
+        path raises.
         """
-        from repro.tensors.regions import symbolic_box
-
-        return symbolic_box(self)
-
-    def _dense_slices(
-        self, env: Optional[Mapping[str, int]]
-    ) -> Optional[Tuple[slice, ...]]:
-        """Per-root-axis slices when the region is one dense box.
-
-        The functional executor's hot path: numpy basic slicing
-        reaches dense boxes as views — no gather/scatter index
-        arrays. Returns ``None`` for strided fragments, unsupported
-        partition kinds, or unbound symbolic indices.
-        """
-        template = self._slice_template()
-        if template is None:
-            return None
+        memo = self.__dict__.get("_view_memo")
+        if memo is None:
+            # One attribute, assigned once: racing first uses each
+            # build an equivalent memo and the last one wins.
+            memo = self._view_memo = (
+                tuple(sorted(self.free_variables())),
+                {},
+            )
+        names, specs = memo
         env = env or {}
-        slices = []
-        for dim in template:
-            lo = dim.const
-            for name, coeff in dim.coeffs.items():
-                value = env.get(name)
-                if value is None:
-                    return None  # unbound index: let the gather path raise
-                lo += coeff * value
-            slices.append(slice(lo, lo + dim.span))
-        return tuple(slices)
+        try:
+            key = tuple([env[name] for name in names])
+        except KeyError:
+            return None  # unbound index: let the gather path raise
+        try:
+            return specs[key]
+        except KeyError:
+            spec = view_of(self, env)
+            if len(specs) < _VIEW_MEMO_LIMIT:
+                specs[shared_tuple(key)] = spec
+            return spec
+
+    def resolve_views(self, envs: Iterable[Mapping[str, int]]) -> None:
+        """Memoise this reference's view under each of ``envs`` up front.
+
+        For a caller about to ``read``/``write`` under all of them (the
+        functional executor, per processor instance), on a reference
+        that has memoised nothing yet; otherwise a no-op. The memo's
+        tables then grow in one burst rather than between the callers'
+        transient arrays, where each outgrown table left a hole the
+        allocator could not return: 4.4 MB of a 55 MB peak on the
+        ``graph_replay`` benchmark.
+        """
+        if "_view_memo" not in self.__dict__:
+            for env in envs:
+                self._view_spec(env)
+
+    def __getstate__(self):
+        """Pickle without the memos: they are cheap to rebuild and
+        would make a kernel's stored size depend on what it has run."""
+        state = self.__dict__.copy()
+        state.pop("_shape", None)
+        state.pop("_view_memo", None)
+        return state
 
     def read(
         self, root_array: np.ndarray, env: Optional[Mapping[str, int]] = None
@@ -207,9 +248,10 @@ class TensorRef:
         self._check_array(root_array)
         if self.is_whole:
             return root_array.copy()
-        slices = self._dense_slices(env)
-        if slices is not None:
-            return root_array[slices].reshape(self.shape).copy()
+        spec = self._view_spec(env)
+        if spec is not None:
+            view = root_array.reshape(spec[0])[spec[1:]]
+            return view.copy().reshape(self.shape)
         coords = self.element_coords(env)
         flat = coords.reshape(-1, self.root.rank)
         values = root_array[tuple(flat.T)]
@@ -232,10 +274,12 @@ class TensorRef:
         if self.is_whole:
             root_array[...] = value
             return
-        slices = self._dense_slices(env)
-        if slices is not None:
-            box_shape = tuple(s.stop - s.start for s in slices)
-            root_array[slices] = value.reshape(box_shape)
+        spec = self._view_spec(env)
+        if spec is not None:
+            # Splitting an axis never copies, whatever the strides, so
+            # the assignment lands in ``root_array`` itself.
+            view = root_array.reshape(spec[0])[spec[1:]]
+            view[...] = value.reshape(view.shape)
             return
         coords = self.element_coords(env)
         flat = coords.reshape(-1, self.root.rank)
@@ -269,8 +313,6 @@ class TensorRef:
         if self.is_whole or other.is_whole:
             return True
         env = env or {}
-        from repro.tensors.regions import region_of, rows_intersect
-
         try:
             mine_region = region_of(self, env)
             their_region = region_of(other, env)

@@ -1,0 +1,98 @@
+"""Property: every pass preserves the functional result.
+
+The example-based end-to-end tests pin a handful of mappings. This one
+draws them: a GEMM-family kernel, any candidate of the mapping search
+space that family is registered with (tile shape, warpgroups, pipeline
+depth, warp specialization) that the analytic cost model calls feasible,
+and a shape from the bottom of the serving ladders. The IR straight out
+of dependence analysis and the IR after the whole pass pipeline must
+both compute what numpy computes.
+"""
+
+import numpy as np
+from hypothesis import assume, given, settings, strategies as st
+
+from repro import api
+from repro.machine import hopper_machine
+from repro.runtime import default_registry
+from repro.tuner import AnalyticCostModel
+
+ATOL = 0.02
+#: ``y`` is an FP32 row sum; only the summation order differs.
+ATOL_ROW_SUM = 1e-3
+#: The frontend's aliasing-write probe rejects gemm_reduction's
+#: cross-tile reduction into ``y`` on grids with fewer than four row
+#: tiles, so its ``m`` starts at the first rung every tile height quarters.
+MIN_M = {"gemm_reduction": 1024}
+
+FAMILIES = ("gemm", "batched_gemm", "gemm_reduction", "dual_gemm")
+MACHINE = hopper_machine()
+REGISTRY = default_registry()
+MODEL = AnalyticCostModel()
+
+
+@st.composite
+def feasible_builds(draw):
+    """(family, build) for a drawn mapping the cost model accepts."""
+    family = draw(st.sampled_from(FAMILIES))
+    registered = REGISTRY.get(family)
+    shape = {}
+    for dim in registered.dims:
+        floor = MIN_M.get(family, 0) if dim == "m" else 0
+        rungs = [r for r in registered.policy.ladders[dim] if r >= floor]
+        # The interpreter's cost follows m*n; k and batch are cheap.
+        shape[dim] = draw(st.sampled_from(rungs[: 1 if dim in "mn" else 2]))
+    candidate = draw(st.sampled_from(registered.search_space.as_list()))
+    build = registered.build(
+        MACHINE, registered.exact_bucket(shape), candidate
+    )
+    assume(MODEL.score(build, MACHINE, memoize=False).feasible)
+    return family, build
+
+
+def _inputs_and_reference(family, kernel, tile_n):
+    """Random FP16 operands, zeroed outputs, and the FP32 reference."""
+    rng = np.random.default_rng(12345)
+    inputs = {}
+    for param in kernel.final_ir.params:
+        if param.name in ("C", "y"):
+            inputs[param.name] = np.zeros(param.shape, param.dtype.to_numpy())
+        else:
+            inputs[param.name] = (
+                rng.standard_normal(param.shape) * 0.1
+            ).astype(np.float16)
+    f32 = {name: array.astype(np.float32) for name, array in inputs.items()}
+    if family == "dual_gemm":
+        want = {"C": f32["A"] @ f32["B1"] + f32["A"] @ f32["B2"]}
+    else:
+        want = {"C": f32["A"] @ f32["B"]}  # matmul broadcasts over batch
+    if family == "gemm_reduction":
+        # Every column tile of the grid stores its row panel's sums
+        # weighted by 1/(column tiles) — the kernel presumes a store
+        # that accumulates across CTAs. Under the sequential semantics
+        # the stores overwrite, so that weight is what ``y`` holds.
+        column_tiles = -(-f32["C"].shape[1] // tile_n)
+        want["y"] = f32["A"].sum(axis=1) / column_tiles
+    return inputs, want
+
+
+@given(case=feasible_builds())
+@settings(max_examples=20)
+def test_dependence_and_final_ir_match_numpy(case):
+    family, build = case
+    kernel = api.compile_kernel(build)
+    inputs, want = _inputs_and_reference(
+        family, kernel, build.params["tile_n"]
+    )
+    for stage in (api.Stage.DEPENDENCE, api.Stage.FINAL):
+        outputs = api.run_functional(kernel, inputs, stage=stage)
+        for name, reference in want.items():
+            atol = ATOL_ROW_SUM if name == "y" else ATOL
+            if family == "dual_gemm":
+                atol *= 2  # two products sum
+            np.testing.assert_allclose(
+                outputs[name].astype(np.float32),
+                reference,
+                atol=atol,
+                err_msg=f"{build.name} {build.params} {stage.value} {name}",
+            )

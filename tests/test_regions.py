@@ -33,7 +33,7 @@ from repro.frontend import (
 from repro.machine import hopper_machine
 from repro.machine.memory import MemoryKind
 from repro.machine.processor import ProcessorKind
-from repro.sym import Var, to_expr
+from repro.sym import ProcIndex, Var, to_expr
 from repro.tensors import (
     Dim,
     LogicalTensor,
@@ -45,7 +45,7 @@ from repro.tensors import (
     region_of,
     squeeze,
 )
-from repro.tensors.regions import rows_intersect
+from repro.tensors.regions import rows_intersect, view_of
 
 
 def _coord_set(ref, env=None):
@@ -208,34 +208,107 @@ class TestMmaRegions:
 # ----------------------------------------------------------------------
 # Functional executor fast path
 # ----------------------------------------------------------------------
+@st.composite
+def mma_refs(draw):
+    """An ``mma`` fragment reference, its environment, and whether every
+    strided axis divides its root extent (so the view path applies).
+
+    The fragment is a WARP piece, a THREAD piece, or a THREAD piece of a
+    WARP piece, optionally of a symbolically indexed ``blocks`` tile and
+    optionally cut once more by a concrete ``blocks`` piece.
+    """
+    operand = draw(st.sampled_from(["A", "B", "C"]))
+    nesting = draw(st.sampled_from(["warp", "thread", "warp+thread"]))
+    # C validates its shape; A and B also take extents the period-8
+    # pattern does not divide.
+    ragged = operand != "C" and draw(st.booleans())
+    extra = st.integers(1, 7) if ragged else st.just(0)
+    rows = 64 * draw(st.integers(1, 2)) + draw(extra)
+    cols = 8 * draw(st.integers(1, 4)) + draw(extra)
+    env = {}
+    if draw(st.booleans()):
+        grid = (draw(st.integers(1, 3)), draw(st.integers(1, 3)))
+        root = LogicalTensor("t", (grid[0] * rows, grid[1] * cols), f16)
+        env = {"i": draw(st.integers(0, grid[0] - 1)),
+               "j": draw(st.integers(0, grid[1] - 1))}
+        ref = partition_by_blocks(root, (rows, cols))[Var("i"), Var("j")]
+        tiles = grid
+    else:
+        root = LogicalTensor("t", (rows, cols), f16)
+        ref = root.ref()
+        tiles = (1, 1)
+    for level in nesting.split("+"):
+        proc = ProcessorKind[level.upper()]
+        part = partition_by_mma(ref, WGMMA_64x64x16(), proc, operand)
+        env[level] = draw(st.integers(0, part.grid[0] - 1))
+        ref = part[ProcIndex(level)]
+    if draw(st.booleans()):
+        block = tuple(draw(st.integers(1, extent)) for extent in ref.shape)
+        if operand != "A":
+            block = (block[0], 2 * -(-block[1] // 2))  # whole column pairs
+        part = partition_by_blocks(ref, block)
+        ref = part[tuple(draw(st.integers(0, g - 1)) for g in part.grid)]
+    strided_rows = "thread" in nesting and operand in ("A", "C")
+    strided_cols = "thread" in nesting and operand in ("B", "C")
+    divisible = not (
+        (strided_rows and ref.shape[0] > 1 and (tiles[0] * rows) % 8)
+        or (strided_cols and ref.shape[1] > 2 and (tiles[1] * cols) % 8)
+    )
+    return ref, env, divisible
+
+
+def _assert_matches_gather_scatter(ref, env=None):
+    """``read``/``write`` against the ``element_coords`` oracle, element
+    for element and in sub-tensor order, on a non-contiguous array."""
+    rng = np.random.default_rng(0)
+    root_array = np.asfortranarray(
+        rng.standard_normal(ref.root.shape).astype(np.float32)
+    )
+    coords = ref.element_coords(env).reshape(-1, ref.root.rank)
+    expected = root_array[tuple(coords.T)].reshape(ref.shape)
+    assert np.array_equal(ref.read(root_array, env), expected)
+
+    value = np.arange(ref.size, dtype=np.float32).reshape(ref.shape)
+    via_write = root_array.copy(order="F")
+    ref.write(via_write, value, env)
+    via_scatter = root_array.copy()
+    via_scatter[tuple(coords.T)] = value.reshape(-1)
+    assert np.array_equal(via_write, via_scatter)
+
+
 class TestDenseSliceFastPath:
     @given(refs=blocks_refs())
     @settings(max_examples=100, deadline=None)
     def test_read_write_equal_gather_scatter(self, refs):
         ref, _ = refs
-        rng = np.random.default_rng(0)
-        root_array = rng.standard_normal(ref.root.shape).astype(np.float32)
-        coords = ref.element_coords().reshape(-1, ref.root.rank)
-        expected = root_array[tuple(coords.T)].reshape(ref.shape)
-        assert np.array_equal(ref.read(root_array), expected)
+        assert ref.is_whole or view_of(ref) is not None
+        _assert_matches_gather_scatter(ref)
 
-        value = rng.standard_normal(ref.shape).astype(np.float32)
-        via_slices = root_array.copy()
-        ref.write(via_slices, value)
-        via_scatter = root_array.copy()
-        via_scatter[tuple(coords.T)] = value.reshape(-1)
-        assert np.array_equal(via_slices, via_scatter)
+    @given(case=mma_refs())
+    @settings(max_examples=150)
+    def test_mma_fragment_views_equal_gather_scatter(self, case):
+        ref, env, divisible = case
+        # A step that divides its root extent is a reshape plus basic
+        # slices; otherwise the algebra declines and read/write gather.
+        assert (view_of(ref, env) is not None) == divisible
+        _assert_matches_gather_scatter(ref, env)
 
-    def test_strided_fragment_still_uses_gather(self):
-        root = LogicalTensor("c", (64, 64), f16)
-        part = partition_by_mma(
-            root, WGMMA_64x64x16(), ProcessorKind.THREAD, "C"
-        )
-        ref = part[3]
-        assert ref._dense_slices(None) is None
-        array = np.zeros((64, 64), dtype=np.float16)
-        ref.write(array, np.ones(ref.shape, dtype=np.float16))
-        assert array.sum() == ref.size
+    def test_declined_reference_round_trips_through_gather(self):
+        from repro.tensors import BlocksPartition
+
+        class OpaquePartition(BlocksPartition):
+            kind = "opaque"
+
+            def map_dims(self, dims, index):
+                return None
+
+        root = LogicalTensor("t", (8, 6), f16)
+        ref = OpaquePartition(root.ref(), (4, 3))[Var("i"), 1]
+        assert region_of(ref, {"i": 1}) is None
+        assert view_of(ref, {"i": 1}) is None
+        _assert_matches_gather_scatter(ref, {"i": 1})
+        with pytest.raises(KeyError):
+            ref.read(np.zeros((8, 6), np.float16), {})
 
 
 class TestRowsIntersect:
