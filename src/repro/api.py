@@ -344,8 +344,8 @@ def tflops(kernel: CompiledKernel, machine: MachineModel) -> float:
 def clear_compile_cache() -> None:
     """Drop every in-memory cached kernel and reset the counters.
 
-    An attached persistent tier keeps its contents: a subsequent
-    compile of a previously seen instantiation warms from disk.
+    A server's disk tier keeps its contents: its next request for a
+    previously seen instantiation warms from disk.
     """
     compile_cache.clear()
 
@@ -379,14 +379,13 @@ def serve(
     flight: Any = None,
     resilience: Any = None,
     diag: Any = None,
-    diag_port: Optional[int] = None,
 ) -> "RuntimeServer":
     """Start a :class:`~repro.runtime.RuntimeServer` on ``machine``.
 
     The returned server is live (workers running) and is a context
     manager; see :mod:`repro.runtime` for the full API. ``disk_cache``
-    names a directory for the persistent compile-cache tier, so a
-    restarted server warms from disk instead of recompiling.
+    names a directory for this server's own persistent compile-cache
+    tier, so a restarted server warms from disk instead of recompiling.
     ``speculate=True`` (or a :class:`~repro.runtime.SpeculatorConfig`)
     starts the background :class:`~repro.runtime.Speculator`, which
     precompiles likely-next shape buckets during idle time.
@@ -409,16 +408,11 @@ def serve(
     :class:`~repro.obs.DiagConfig`): an embedded read-only HTTP
     listener with ``/metrics``, ``/statusz``, health/readiness probes,
     trace/flight/profiler views, and — when configured — the
-    continuous sampling profiler and SLO burn-rate alerting.
-    ``diag_port`` is shorthand for ``diag=DiagConfig(port=...)``; see
+    continuous sampling profiler and SLO burn-rate alerting. See
     ``docs/ops.md``.
     """
     from repro.runtime import RuntimeServer
 
-    if diag_port is not None:
-        if diag is not None:
-            raise CypressError("pass either diag or diag_port, not both")
-        diag = diag_port
     return RuntimeServer(
         machine,
         registry,

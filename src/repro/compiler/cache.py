@@ -1,4 +1,4 @@
-"""Content-keyed compile cache with a pluggable persistent tier.
+"""Content-keyed compile cache with a per-lookup persistent tier.
 
 A kernel compilation is a pure function of (mapping spec, argument
 shapes/dtypes, machine, compile options): the logical program is reached
@@ -14,12 +14,15 @@ hits it concurrently from a thread pool. Capacity defaults to the
 ``REPRO_COMPILE_CACHE_SIZE`` environment variable (falling back to 256)
 and can be changed at runtime with :meth:`CompileCache.resize`.
 
-Below the in-memory LRU sits an optional **second tier**: any object
+Below the in-memory LRU a lookup may name a **second tier**: any object
 with ``load(key) -> kernel | None`` and ``store(key, kernel)`` (see
-:class:`SecondTier`). The runtime attaches a persistent on-disk tier
-(:class:`repro.runtime.diskcache.DiskCacheTier`) so a restarted server
-warms from disk instead of recompiling; ``get_or_compute`` consults it
-on a memory miss and writes freshly compiled kernels through to it.
+:class:`SecondTier`), passed as ``tier=`` to :meth:`CompileCache.lookup`.
+The cache holds none of its own: the memory LRU is process-wide, while
+each serving runtime passes its own on-disk tier
+(:class:`repro.runtime.diskcache.DiskCacheTier`) into its lookups, so a
+restarted server warms from disk instead of recompiling. A lookup
+consults the tier on a memory miss, writes fresh compiles through to
+it, and reports which of the three answered.
 
 Cached kernels are shared objects; treat them as immutable.
 """
@@ -42,6 +45,12 @@ CACHE_SIZE_ENV = "REPRO_COMPILE_CACHE_SIZE"
 #: Capacity used when the environment variable is unset.
 DEFAULT_CAPACITY = 256
 
+#: Which branch of :meth:`CompileCache.lookup` produced the kernel: the
+#: in-memory LRU, the second tier passed to the lookup, or ``compute``.
+TIER_MEMORY = "memory"
+TIER_DISK = "disk"
+TIER_COMPILE = "compile"
+
 
 class SecondTier:
     """Structural interface of a second cache tier (duck-typed).
@@ -63,7 +72,7 @@ class CacheStats:
     """Counters since the last ``clear`` plus the current capacity.
 
     ``hits`` are in-memory hits; ``second_tier_hits`` count lookups
-    answered by the attached persistent tier (disk); ``misses`` ran the
+    answered by the persistent tier they were given (disk); ``misses`` ran the
     full pass pipeline. ``evictions`` counts LRU entries dropped because
     the cache was over capacity (from ``put`` or ``resize``). Every
     field is documented for dashboard consumers in ``docs/serving.md``.
@@ -166,38 +175,16 @@ class CompileCache:
         self._entries: "OrderedDict[str, Any]" = OrderedDict()
         self._lock = threading.Lock()
         self._in_flight: dict = {}
-        self._second_tier: Optional[SecondTier] = None
-
-    # ------------------------------------------------------------------
-    # Second tier
-    # ------------------------------------------------------------------
-    @property
-    def second_tier(self) -> Optional[SecondTier]:
-        return self._second_tier
-
-    def attach_second_tier(self, tier: SecondTier) -> Optional[SecondTier]:
-        """Install ``tier`` below the in-memory LRU; returns the old one."""
-        with self._lock:
-            previous, self._second_tier = self._second_tier, tier
-            return previous
-
-    def detach_second_tier(self) -> Optional[SecondTier]:
-        """Remove and return the attached second tier, if any."""
-        with self._lock:
-            tier, self._second_tier = self._second_tier, None
-            return tier
 
     # ------------------------------------------------------------------
     # Lookup / insert
     # ------------------------------------------------------------------
     def get(self, key: str) -> Optional[Any]:
-        """In-memory lookup only (the second tier is consulted solely by
-        :meth:`get_or_compute`, which can populate memory on a tier hit)."""
+        """In-memory lookup only (a second tier is consulted solely by
+        :meth:`lookup`, which can populate memory on a tier hit)."""
         with self._lock:
             if key in self._entries:
-                self._entries.move_to_end(key)
-                self.stats.hits += 1
-                return self._entries[key]
+                return self._hit_locked(key)
             self.stats.misses += 1
             return None
 
@@ -223,52 +210,65 @@ class CompileCache:
                 self._entries.popitem(last=False)
                 self.stats.evictions += 1
 
-    def get_or_compute(self, key: str, compute) -> Any:
-        """Return the kernel for ``key``, computing it at most once
-        across threads.
+    def lookup(
+        self, key: str, compute, tier: Optional[SecondTier] = None
+    ) -> Tuple[Any, str]:
+        """Return ``(kernel, answered_by)`` for ``key``, computing it at
+        most once across threads.
 
-        Lookup order: in-memory LRU, then the attached second tier (a
-        tier hit is promoted into memory), then ``compute``. Freshly
-        computed kernels are written through to the second tier.
-        Concurrent callers with the same key (a batch compilation with
-        duplicate builds, overlapping tuning sweeps) serialize on a
-        per-key lock: one runs ``compute``, the rest wait and take the
-        result as a hit instead of re-running the pass pipeline.
+        Lookup order: in-memory LRU (``"memory"``), then ``tier`` when
+        one is passed (``"disk"``; the hit is promoted into memory),
+        then ``compute`` (``"compile"``; written through to ``tier``).
+        The label names the branch that answered, so it is exact under
+        concurrency: callers racing on one key (duplicate builds in a
+        batch, first requests for a cold bucket) serialize on a per-key
+        lock, one runs ``compute`` and the rest read a memory hit. A
+        raising ``compute`` fails its own caller only.
         """
         with self._lock:
             if key in self._entries:
-                self._entries.move_to_end(key)
-                self.stats.hits += 1
-                return self._entries[key]
+                return self._hit_locked(key), TIER_MEMORY
             key_lock = self._in_flight.setdefault(key, threading.Lock())
-        with key_lock:
+        try:
+            with key_lock:
+                with self._lock:
+                    if key in self._entries:
+                        return self._hit_locked(key), TIER_MEMORY
+                if tier is not None:
+                    value = tier.load(key)
+                    if value is not None:
+                        with self._lock:
+                            self.stats.second_tier_hits += 1
+                            self._put_locked(key, value)
+                        return value, TIER_DISK
+                with self._lock:
+                    self.stats.misses += 1
+                value = compute()
+                self.put(key, value)
+                if tier is not None:
+                    tier.store(key, value)
+                return value, TIER_COMPILE
+        finally:
             with self._lock:
-                if key in self._entries:
-                    self._entries.move_to_end(key)
-                    self.stats.hits += 1
-                    return self._entries[key]
-                tier = self._second_tier
-            if tier is not None:
-                value = tier.load(key)
-                if value is not None:
-                    with self._lock:
-                        self.stats.second_tier_hits += 1
-                        self._put_locked(key, value)
-                        self._in_flight.pop(key, None)
-                    return value
-            with self._lock:
-                self.stats.misses += 1
-            value = compute()
-            self.put(key, value)
-            if tier is not None:
-                tier.store(key, value)
-            with self._lock:
-                self._in_flight.pop(key, None)
-            return value
+                # Only the lock this call registered: a waiter that woke
+                # after an eviction must not drop a newer computer's.
+                if self._in_flight.get(key) is key_lock:
+                    del self._in_flight[key]
+
+    def get_or_compute(
+        self, key: str, compute, tier: Optional[SecondTier] = None
+    ) -> Any:
+        """:meth:`lookup` without the label."""
+        return self.lookup(key, compute, tier)[0]
+
+    def _hit_locked(self, key: str) -> Any:
+        self._entries.move_to_end(key)
+        self.stats.hits += 1
+        return self._entries[key]
 
     def clear(self) -> None:
-        """Drop in-memory entries and counters (the second tier keeps
-        its contents — persistent state survives a cache reset)."""
+        """Drop in-memory entries and counters (a second tier is the
+        caller's, so persistent state survives a cache reset)."""
         with self._lock:
             self._entries.clear()
             self._in_flight.clear()

@@ -3,8 +3,9 @@
 ``compile_program`` is the one entry point every caller funnels through
 (directly or via :func:`repro.api.compile_kernel`). It
 
-1. fingerprints the instantiation and consults the content-keyed
-   :mod:`compile cache <repro.compiler.cache>`;
+1. fingerprints the instantiation — once, in :func:`compile_step`, the
+   step the serving runtime's kernel fetch starts from too — and
+   consults the content-keyed :mod:`compile cache <repro.compiler.cache>`;
 2. on a miss, runs dependence analysis (task tree -> event IR) and then
    the :class:`~repro.compiler.passes.PassManager` over the default
    Figure-6 pipeline (or ``options.passes``);
@@ -22,7 +23,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 
 from repro.compiler.allocation import AllocationReport
 from repro.compiler.cache import compile_cache, compile_key
@@ -92,6 +93,38 @@ def compile_program(
         options: full compile configuration; see
             :class:`~repro.compiler.passes.CompileOptions`.
     """
+    key, compute = compile_step(
+        spec, name, arg_shapes, arg_dtypes, total_flops,
+        unique_dram_bytes, scalar_args, use_tma, options,
+    )
+    # Folding scalar_args/use_tma never touches the ``cache`` flag.
+    if options is not None and not options.cache:
+        return compute()
+    return compile_cache.get_or_compute(key, compute)
+
+
+def compile_step(
+    spec: MappingSpec,
+    name: str,
+    arg_shapes: Sequence[Tuple[int, ...]],
+    arg_dtypes: Sequence[DType],
+    total_flops: float,
+    unique_dram_bytes: float,
+    scalar_args: Optional[Dict[str, Any]] = None,
+    use_tma: Optional[bool] = None,
+    options: Optional[CompileOptions] = None,
+) -> Tuple[str, Callable[[], CompiledKernel]]:
+    """The one step every kernel acquisition starts with.
+
+    Takes :func:`compile_program`'s arguments, folds the legacy keywords
+    into ``options``, fingerprints the instantiation **once**, and
+    returns ``(key, compute)``: ``compute()`` runs dependence analysis
+    and the pass pipeline for exactly the instantiation ``key`` names.
+    The caller either calls it outright or hands both to
+    :meth:`CompileCache.lookup <repro.compiler.cache.CompileCache.lookup>`
+    — :func:`compile_program` without a second tier, the serving
+    runtime's fetch with its own.
+    """
     options = _merge_options(options, scalar_args, use_tma)
     key = compile_key(
         spec, name, arg_shapes, arg_dtypes, total_flops,
@@ -99,37 +132,77 @@ def compile_program(
     )
 
     def compute() -> CompiledKernel:
-        return _compile_uncached(
-            spec, name, arg_shapes, arg_dtypes, total_flops,
-            unique_dram_bytes, options, key,
+        analysis = DependenceAnalysis(spec, name)
+        fn = analysis.run(arg_shapes, arg_dtypes, options.scalar_args)
+        # Snapshot the pre-pass IR by cloning only the nodes passes mutate
+        # (ops, blocks, events, buffers) — not a whole-module deepcopy.
+        dependence_ir = clone_function(fn)
+
+        ctx = PassContext(
+            spec=spec,
+            kernel_name=name,
+            arg_shapes=arg_shapes,
+            arg_dtypes=arg_dtypes,
+            total_flops=total_flops,
+            unique_dram_bytes=unique_dram_bytes,
+            options=options,
+            block_mapping=_block_instance(spec),
+        )
+        manager = PassManager(options.passes, verify=options.verify)
+        trace = manager.run(fn, ctx)
+
+        for artifact in ("allocation", "warpspec", "schedule", "cuda_source"):
+            if artifact not in ctx.artifacts:
+                raise CompileError(
+                    f"pass pipeline {manager.pass_names} produced no "
+                    f"{artifact!r} artifact; compile_program needs the "
+                    "full backend — use PassManager directly for partial "
+                    "pipelines"
+                )
+
+        return CompiledKernel(
+            name=name,
+            dependence_ir=dependence_ir,
+            final_ir=fn,
+            schedule=ctx.artifacts["schedule"],
+            cuda_source=ctx.artifacts["cuda_source"],
+            allocation=ctx.artifacts["allocation"],
+            warpspec=ctx.artifacts["warpspec"],
+            metadata={
+                "machine": spec.machine.name,
+                "entry": spec.entrypoint.instance,
+                "pass_trace": trace,
+                "cache_key": key,
+                "options": options,
+            },
         )
 
-    if not options.cache:
-        return compute()
-    # get_or_compute dedupes concurrent compilations of the same key
-    # (duplicate builds in one compile_many batch, overlapping sweeps).
-    return compile_cache.get_or_compute(key, compute)
+    return key, compute
 
 
-def compile_key_for(build, options: Optional[CompileOptions] = None) -> str:
-    """The cache key :func:`compile_program` will use for ``build``.
-
-    Folds the build's ``scalar_args`` into ``options`` exactly the way
-    ``api.compile_kernel`` + ``compile_program`` do, so callers that
-    need the key without compiling (the serving runtime's cache-tier
-    attribution and explicit disk persistence) can never diverge from
-    the key the compile path caches under.
-    """
-    merged = _merge_options(options, build.scalar_args, None)
-    return compile_key(
+def build_step(
+    build, options: Optional[CompileOptions] = None
+) -> Tuple[str, Callable[[], CompiledKernel]]:
+    """:func:`compile_step` for a ``repro.kernels`` build, folding the
+    build's ``scalar_args`` into ``options`` exactly the way
+    ``api.compile_kernel(build, options=options)`` does."""
+    return compile_step(
         build.spec,
         build.name,
         build.arg_shapes,
         build.arg_dtypes,
         build.total_flops,
         build.unique_dram_bytes,
-        merged,
+        scalar_args=build.scalar_args,
+        options=options,
     )
+
+
+def compile_key_for(build, options: Optional[CompileOptions] = None) -> str:
+    """The cache key :func:`compile_program` will use for ``build`` —
+    the key half of :func:`build_step`, for callers that need it
+    without compiling."""
+    return build_step(build, options)[0]
 
 
 def _merge_options(
@@ -148,61 +221,6 @@ def _merge_options(
     if updates:
         options = dataclasses.replace(options, **updates)
     return options
-
-
-def _compile_uncached(
-    spec: MappingSpec,
-    name: str,
-    arg_shapes: Sequence[Tuple[int, ...]],
-    arg_dtypes: Sequence[DType],
-    total_flops: float,
-    unique_dram_bytes: float,
-    options: CompileOptions,
-    cache_key: str,
-) -> CompiledKernel:
-    analysis = DependenceAnalysis(spec, name)
-    fn = analysis.run(arg_shapes, arg_dtypes, options.scalar_args)
-    # Snapshot the pre-pass IR by cloning only the nodes passes mutate
-    # (ops, blocks, events, buffers) — not a whole-module deepcopy.
-    dependence_ir = clone_function(fn)
-
-    ctx = PassContext(
-        spec=spec,
-        kernel_name=name,
-        arg_shapes=arg_shapes,
-        arg_dtypes=arg_dtypes,
-        total_flops=total_flops,
-        unique_dram_bytes=unique_dram_bytes,
-        options=options,
-        block_mapping=_block_instance(spec),
-    )
-    manager = PassManager(options.passes, verify=options.verify)
-    trace = manager.run(fn, ctx)
-
-    for artifact in ("allocation", "warpspec", "schedule", "cuda_source"):
-        if artifact not in ctx.artifacts:
-            raise CompileError(
-                f"pass pipeline {manager.pass_names} produced no "
-                f"{artifact!r} artifact; compile_program needs the full "
-                "backend — use PassManager directly for partial pipelines"
-            )
-
-    return CompiledKernel(
-        name=name,
-        dependence_ir=dependence_ir,
-        final_ir=fn,
-        schedule=ctx.artifacts["schedule"],
-        cuda_source=ctx.artifacts["cuda_source"],
-        allocation=ctx.artifacts["allocation"],
-        warpspec=ctx.artifacts["warpspec"],
-        metadata={
-            "machine": spec.machine.name,
-            "entry": spec.entrypoint.instance,
-            "pass_trace": trace,
-            "cache_key": cache_key,
-            "options": options,
-        },
-    )
 
 
 def _block_instance(spec: MappingSpec) -> Optional[TaskMapping]:

@@ -35,6 +35,7 @@ the queue is empty would be a profiler that never sees load.
 
 from __future__ import annotations
 
+import contextlib
 import sys
 import threading
 from dataclasses import dataclass
@@ -46,11 +47,12 @@ from repro.errors import CypressError
 class PhaseTracker:
     """Per-thread stacks of serving-phase markers.
 
-    The runtime's hot sections bracket themselves with
-    :meth:`push`/:meth:`pop` **only when ``enabled`` is true**, so the
-    instrumentation is a single attribute load and branch when no
-    profiler is running. The sampler calls :meth:`snapshot` to read
-    the top-of-stack phase of every instrumented thread.
+    The runtime's hot sections run inside ``with PHASES.phase(name)``,
+    which pushes and pops a marker **only when ``enabled`` is true** —
+    with no profiler running it hands back one shared no-op, so the
+    instrumentation is an attribute load and a branch. The sampler
+    calls :meth:`snapshot` to read the top-of-stack phase of every
+    instrumented thread.
 
     ``enabled`` is reference-counted via :meth:`activate` /
     :meth:`deactivate` so two profilers (e.g. a server-owned one plus
@@ -93,6 +95,20 @@ class PhaseTracker:
             if not stack:
                 self._stacks.pop(tid, None)
 
+    def phase(self, name: str, detail: Optional[str] = None):
+        """Context manager: the calling thread is in phase ``name``
+        for the body. Whether to mark is decided once, on entry, so a
+        profiler starting or stopping mid-body leaves no stray marker."""
+        return self._marked(name, detail) if self.enabled else _NO_PHASE
+
+    @contextlib.contextmanager
+    def _marked(self, name: str, detail: Optional[str]):
+        self.push(name, detail)
+        try:
+            yield
+        finally:
+            self.pop()
+
     def current(self) -> Optional[Tuple[str, Optional[str]]]:
         """The calling thread's innermost ``(phase, detail)``, if any."""
         with self._lock:
@@ -108,6 +124,9 @@ class PhaseTracker:
                 if stack
             }
 
+
+#: What :meth:`PhaseTracker.phase` hands back while no profiler runs.
+_NO_PHASE = contextlib.nullcontext()
 
 #: Process-wide phase tracker. Defined *before* the BackgroundLoop
 #: import below: ``runtime.server`` imports this name at module top,

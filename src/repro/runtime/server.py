@@ -10,12 +10,15 @@ simulation serve the whole batch, and resolves each future with a
 :class:`RuntimeResult` (simulated timing, optional functional outputs,
 which cache tier produced the kernel).
 
-Compilation goes through the process-wide content-keyed
-:class:`~repro.compiler.cache.CompileCache`; when the server is given a
-``disk_cache`` directory it attaches a :class:`~repro.runtime.diskcache.
-DiskCacheTier` beneath it, so a restarted server warms from disk —
-zero passes executed — instead of recompiling. ``warm`` precompiles
-buckets ahead of traffic and can autotune each bucket's mapping with
+Every kernel the server uses — for a request, ``warm``, the speculator
+or the specializer — comes from one fetch (:meth:`RuntimeServer._fetch`)
+through the content-keyed :class:`~repro.compiler.cache.CompileCache`,
+whose lookup names the tier that answered. The memory LRU is
+process-wide; each server consults its own disk tier: the
+:class:`~repro.runtime.diskcache.DiskCacheTier` of its ``disk_cache``
+directory goes into its own lookups only, so a restarted server warms
+from disk — zero passes executed. ``warm`` precompiles buckets ahead of
+traffic and can autotune each bucket's mapping with
 :func:`repro.tuner.autotune` first.
 
 The server composes the :mod:`~repro.runtime.resilience` layer so a
@@ -30,11 +33,11 @@ breaker opens, generic-bucket when a kernel's compile breaker opens.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 import threading
 import time
-import weakref
 from concurrent.futures import Future
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
@@ -43,7 +46,7 @@ import numpy as np
 
 from repro.compiler.cache import compile_cache
 from repro.compiler.passes import CompileOptions
-from repro.compiler.pipeline import compile_key_for
+from repro.compiler.pipeline import build_step
 from repro.errors import CypressError
 from repro.gpusim.gpu import GpuResult
 from repro.machine.machine import MachineModel
@@ -72,7 +75,6 @@ from repro.runtime.specialize import ShapeSpecializer, SpecializerConfig
 from repro.runtime.speculate import Speculator, SpeculatorConfig
 from repro.runtime.telemetry import (
     TIER_COMPILE,
-    TIER_DISK,
     TIER_MEMORY,
     RuntimeStats,
     Telemetry,
@@ -80,12 +82,6 @@ from repro.runtime.telemetry import (
 from repro.tuner import MappingSearchSpace, autotune
 
 ShapeLike = Union[Mapping[str, int], Sequence[int]]
-
-#: Tiers whose owning server has closed. A closing server must not
-#: reattach a predecessor's tier if that predecessor closed first
-#: (non-LIFO server shutdown would otherwise leave a dead tier
-#: installed on the process-wide cache forever).
-_RETIRED_TIERS: "weakref.WeakSet" = weakref.WeakSet()
 
 
 @dataclass
@@ -160,8 +156,9 @@ class RuntimeServer:
         registry: servable kernels; defaults to the full zoo
             (:func:`~repro.runtime.registry.default_registry`).
         workers: worker threads draining the request queue.
-        disk_cache: a directory path or :class:`DiskCacheTier` to attach
-            as the persistent compile-cache tier (``None`` disables it).
+        disk_cache: a directory path or :class:`DiskCacheTier` this
+            server consults below the process-wide memory cache and
+            writes its kernels through to (``None``: memory only).
         max_batch: micro-batch bound — how many same-bucket requests one
             worker serves per compile + simulation.
         options: compile options applied to every served kernel.
@@ -301,9 +298,8 @@ class RuntimeServer:
                 else DiskCacheTier(disk_cache)
             )
             # The server's disk tier IS the armored wrapper: every
-            # load/store (compile-cache write-through, warm(), the
-            # speculator) goes through retry + breaker, and an open
-            # disk breaker degrades to memory-only serving.
+            # load/store of the one fetch goes through retry + breaker,
+            # and an open disk breaker degrades to memory-only serving.
             self.disk_tier = ResilientTier(
                 raw_tier,
                 breaker=self._breaker("disk"),
@@ -311,12 +307,6 @@ class RuntimeServer:
                 on_retry=self._on_retry,
                 on_degraded=self._on_degraded,
             )
-        self._previous_tier = None
-        if self.disk_tier is not None:
-            self._previous_tier = compile_cache.attach_second_tier(
-                self.disk_tier
-            )
-            _RETIRED_TIERS.discard(self.disk_tier)
         self.profiler = None
         self.slo_monitor = None
         self.diag = None
@@ -391,7 +381,7 @@ class RuntimeServer:
         cancellation) and *fails* any in-flight ``submit_graph``
         futures — nothing is left pending. Stops the speculator and
         specializer threads (an in-flight promotion is abandoned
-        cleanly) and detaches the disk tier it attached.
+        cleanly).
         """
         if self._closed:
             return
@@ -430,15 +420,6 @@ class RuntimeServer:
             )
             for fail in list(self._live_graphs.values()):
                 fail(error)
-        if self.disk_tier is not None:
-            _RETIRED_TIERS.add(self.disk_tier)
-            if compile_cache.second_tier is self.disk_tier:
-                compile_cache.detach_second_tier()
-                if (
-                    self._previous_tier is not None
-                    and self._previous_tier not in _RETIRED_TIERS
-                ):
-                    compile_cache.attach_second_tier(self._previous_tier)
         if self.flight is not None:
             self.flight.note("close", {"drain": drain})
             self.flight.dump(reason="close")
@@ -567,14 +548,8 @@ class RuntimeServer:
         """
         if not requests:
             return
-        profiling = PHASES.enabled
-        if profiling:
-            PHASES.push("queue")
-        try:
+        with PHASES.phase("queue"):
             self._submit_prepared(requests)
-        finally:
-            if profiling:
-                PHASES.pop()
 
     def _submit_prepared(self, requests: List[_QueuedRequest]) -> None:
         now = time.perf_counter()
@@ -777,13 +752,9 @@ class RuntimeServer:
                 self._tune_bucket(
                     registered, bucket, space, max_workers, top_k
                 )
-            compiled, _tier, key = self._obtain_kernel(registered, bucket)
-            if self.disk_tier is not None and not self.disk_tier.contains(
-                key
-            ):
-                # A memory hit skips write-through; persist explicitly so
-                # a restart can warm from disk regardless.
-                self.disk_tier.store(key, compiled)
+            compiled, _tier = self._fetch(
+                self._bucket_build(registered, bucket)
+            )
             self._warmed[memo_key] = compiled.name
             warmed[bucket.label()] = compiled.name
         return warmed
@@ -867,16 +838,47 @@ class RuntimeServer:
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def _obtain_kernel(
-        self, registered: RegisteredKernel, bucket: Bucket
-    ) -> Tuple[Any, str, str]:
-        """Compile (or fetch) the bucket's kernel; returns
-        ``(kernel, tier, compile_key)``.
+    def _bucket_build(self, registered: RegisteredKernel, bucket: Bucket):
+        """The build requests in ``bucket`` are served by: registered
+        defaults under the bucket's pinned (tuned) parameters."""
+        params = self._bucket_params.get((registered.name, bucket))
+        return registered.build(self.machine, bucket, params)
 
-        Actual compiles (both cache tiers missed) run under the
-        kernel's ``compile:<name>`` circuit breaker and the configured
-        retry policy, with the ``compile`` fault site armed inside the
-        retried attempt. Cache hits skip all of it — the hot path cost
+    def _fetch(self, build, guard=None) -> Tuple[Any, Optional[str]]:
+        """The server's one kernel-acquisition path: ``(kernel, tier)``.
+
+        The build's key is hashed once and looked up in the process-wide
+        compile cache with this server's own disk tier; ``tier`` is the
+        branch of that lookup which answered. A memory hit skips the
+        lookup's write-through (the kernel may predate this server), so
+        it is persisted here when the disk lacks it: a restart warms
+        from disk whatever this server has used.
+
+        ``guard(key, compute)`` sees the key before the lookup and
+        returns the ``compute`` to run when both tiers miss, or ``None``
+        to call the fetch off (``(None, None)``). Only the worker path's
+        guard wraps ``compute``: ``warm`` and the background loops stay
+        outside the compile breaker and the ``compile`` fault stream.
+        """
+        key, compute = build_step(build, self._options)
+        if guard is not None:
+            compute = guard(key, compute)
+            if compute is None:
+                return None, None
+        kernel, tier = compile_cache.lookup(key, compute, tier=self.disk_tier)
+        if (
+            tier == TIER_MEMORY
+            and self.disk_tier is not None
+            and not self.disk_tier.contains(key)
+        ):
+            self.disk_tier.store(key, kernel)
+        return kernel, tier
+
+    def _guarded_compile(self, name: str, key: str, compute) -> Any:
+        """Run ``compute`` under kernel ``name``'s ``compile:<name>``
+        circuit breaker and the configured retry policy, with the
+        ``compile`` fault site armed inside the retried attempt. Only
+        a lookup that missed both tiers gets here — the hot path cost
         of the resilience layer on a warm server is zero.
 
         Raises:
@@ -884,32 +886,15 @@ class RuntimeServer:
                 either fall back to a cached generic bucket
                 (specialized requests) or fail fast.
         """
-        from repro import api
-
-        params = self._bucket_params.get((registered.name, bucket))
-        build = registered.build(self.machine, bucket, params)
-        key = compile_key_for(build, self._options)
-        # Tier attribution is advisory (another thread may compile the
-        # same key concurrently); the compile itself always goes through
-        # get_or_compute, which deduplicates.
-        if key in compile_cache:
-            tier = TIER_MEMORY
-        elif self.disk_tier is not None and self.disk_tier.contains(key):
-            tier = TIER_DISK
-        else:
-            tier = TIER_COMPILE
-        if tier != TIER_COMPILE:
-            kernel = api.compile_kernel(build, options=self._options)
-            return kernel, tier, key
-        breaker = self._breaker(f"compile:{registered.name}")
+        breaker = self._breaker(f"compile:{name}")
         if not breaker.allow():
             raise BreakerOpen(breaker.site)
         plan = faults.ACTIVE
 
         def attempt() -> Any:
             if plan is not None:
-                plan.check("compile", registered.name)
-            return api.compile_kernel(build, options=self._options)
+                plan.check("compile", name)
+            return compute()
 
         try:
             kernel = call_with_retry(
@@ -925,7 +910,7 @@ class RuntimeServer:
             breaker.record_failure()
             raise
         breaker.record_success()
-        return kernel, tier, key
+        return kernel
 
     def _fit_inputs(
         self,
@@ -1075,35 +1060,38 @@ class RuntimeServer:
         ]
 
     def _obtain_for_batch(self, head: _QueuedRequest, batch_size: int):
-        """Obtain the batch's serving kernel, degrading a specialized
-        batch to its generic bucket when the compile breaker is open
-        (typically memory-cached, so no compile at all); generic
-        batches fail fast instead."""
+        """Fetch the batch's serving kernel with compiles guarded,
+        degrading a specialized batch to its generic bucket when the
+        compile breaker is open (typically memory-cached, so no compile
+        at all); generic batches fail fast instead."""
+        registered = head.kernel
+
+        def guard(key: str, compute) -> Any:
+            return functools.partial(
+                self._guarded_compile, registered.name, key, compute
+            )
+
         try:
-            kernel, tier, _key = self._obtain_kernel(
-                head.kernel, head.bucket
+            return self._fetch(
+                self._bucket_build(registered, head.bucket), guard
             )
         except BreakerOpen:
             if not head.specialized:
                 raise
-            generic = head.kernel.bucket(head.shape)
+            generic = registered.bucket(head.shape)
             if generic == head.bucket:
                 raise
-            kernel, tier, _key = self._obtain_kernel(head.kernel, generic)
+            fetched = self._fetch(
+                self._bucket_build(registered, generic), guard
+            )
             self.telemetry.count("degraded_serves", batch_size)
-        return kernel, tier
+            return fetched
 
     def _execute_batch(
         self, batch: List[_QueuedRequest], popped_at: float = 0.0
     ) -> None:
-        profiling = PHASES.enabled
-        if profiling:
-            PHASES.push("dispatch")
-        try:
+        with PHASES.phase("dispatch"):
             live = self._dispatch_live(batch)
-        finally:
-            if profiling:
-                PHASES.pop()
         if not live:
             return
         tracer = self.tracer
@@ -1112,25 +1100,20 @@ class RuntimeServer:
         self.telemetry.record_batch(len(live))
         head = live[0]
         detail = (
-            f"{head.kernel.name}:{head.bucket.label()}" if profiling else None
+            f"{head.kernel.name}:{head.bucket.label()}"
+            if PHASES.enabled
+            else None
         )
         if self.speculator is not None:
             self.speculator.note_request(head.kernel.name, head.bucket)
         try:
             compile_start = time.perf_counter() if tracing else 0.0
-            if profiling:
-                PHASES.push("compile", detail)
-            try:
+            with PHASES.phase("compile", detail):
                 kernel, tier = self._obtain_for_batch(head, len(live))
-            finally:
-                if profiling:
-                    PHASES.pop()
             compile_end = time.perf_counter() if tracing else 0.0
             from repro import api
 
-            if profiling:
-                PHASES.push("execute", detail)
-            try:
+            with PHASES.phase("execute", detail):
                 plan = faults.ACTIVE
                 if plan is None:
                     gpu = api.simulate(kernel, self.machine)
@@ -1154,9 +1137,6 @@ class RuntimeServer:
                         salt=f"execute:{head.kernel.name}",
                         on_retry=self._on_retry,
                     )
-            finally:
-                if profiling:
-                    PHASES.pop()
         except Exception as error:
             self.telemetry.count("failed", len(live))
             for request in live:
@@ -1170,9 +1150,7 @@ class RuntimeServer:
                 compile_start, compile_end,
             )
         params = self._bucket_params.get(head.batch_key)
-        if profiling:
-            PHASES.push("execute", detail)
-        try:
+        with PHASES.phase("execute", detail):
             for request in live:
                 try:
                     outputs = None
@@ -1228,9 +1206,6 @@ class RuntimeServer:
                             request.span, args={"error": repr(error)}
                         )
                     request.future.set_exception(error)
-        finally:
-            if profiling:
-                PHASES.pop()
 
     def _record_batch_spans(
         self,

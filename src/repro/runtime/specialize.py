@@ -11,9 +11,9 @@ PyPy-style tracing JITs applied to shapes:
    periodically so the signal tracks *current* traffic.
 2. **Promote** — shapes whose (decayed) hit count crosses
    ``hot_threshold`` are background-compiled at a **tile-aligned
-   near-exact shape** through :func:`repro.api.compile_many` while the
+   near-exact shape** through the server's own kernel fetch while the
    request queue is idle; the result lands in the ordinary process-wide
-   compile cache (and the server's disk tier), exactly like the
+   compile cache (and the server's own disk tier), exactly like the
    speculator's kernels.
 3. **Guard** — ``submit`` checks the request's exact shape against the
    installed specializations: a hit serves the specialized kernel with
@@ -54,7 +54,6 @@ import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Optional, Set, Tuple
 
-from repro.compiler.pipeline import compile_key_for
 from repro.runtime.bucketing import Bucket
 from repro.runtime.registry import RegisteredKernel
 from repro.runtime.speculate import BackgroundLoop
@@ -83,7 +82,6 @@ class SpecializerConfig:
             falls below this are deoptimized back to the bucket.
         quarantine_cycles: cycles a shape whose specialized compile
             failed is barred from re-promotion (error backoff).
-        max_workers: thread-pool width for background ``compile_many``.
     """
 
     interval_s: float = 0.02
@@ -94,7 +92,6 @@ class SpecializerConfig:
     decay_every_cycles: int = 50
     cold_threshold: float = 1.0
     quarantine_cycles: int = 8
-    max_workers: int = 2
 
 
 @dataclass(frozen=True)
@@ -258,8 +255,6 @@ class ShapeSpecializer(BackgroundLoop):
         and abandons the install when the server began shutting down
         mid-compile.
         """
-        from repro import api
-
         server = self.server
         config = self.config
         key = (registered.name, exact)
@@ -281,23 +276,11 @@ class ShapeSpecializer(BackgroundLoop):
         started = time.perf_counter() if tracer.enabled else 0.0
         # Defaults only — tuned tiles pinned for ladder rungs are not
         # guaranteed to divide an aligned shape; the granules are.
-        failure = None
-        build = compiled = None
         try:
-            build = registered.build(server.machine, serving, params=None)
-        except Exception as error:
-            failure = error
-        if failure is None:
-            compiled = api.compile_many(
-                [build],
-                options=server._options,
-                executor="thread",
-                max_workers=config.max_workers,
-                raise_on_error=False,
-            )[0]
-            if isinstance(compiled, api.CompileFailure):
-                failure = compiled.error
-        if failure is not None:
+            server._fetch(
+                registered.build(server.machine, serving, params=None)
+            )
+        except Exception as failure:
             with self._lock:
                 self._quarantine[key] = self._cycle + config.quarantine_cycles
             server.telemetry.count("specialize_errors")
@@ -312,13 +295,6 @@ class ShapeSpecializer(BackgroundLoop):
                     },
                 )
             return 0
-        cache_key = compile_key_for(build, server._options)
-        if server.disk_tier is not None and not server.disk_tier.contains(
-            cache_key
-        ):
-            # Memory hits skip write-through; persist explicitly so a
-            # restarted server's promotions warm from disk.
-            server.disk_tier.store(cache_key, compiled)
         if self._stop.is_set():
             # close() raced the compile: abandon the install cleanly —
             # the kernel stays cached, but no guard goes live.

@@ -6,16 +6,16 @@ per-``(kernel, bucket)`` traffic (recorded by the telemetry collector
 at submit time), guesses which buckets shifting traffic will need next
 — the observed buckets themselves plus their :meth:`~repro.runtime.
 bucketing.BucketPolicy.neighbors` one ladder rung above and below —
-and precompiles them through :func:`repro.api.compile_many` while the
+and precompiles them through the server's own kernel fetch while the
 request queue is idle. This is the tiering loop of background JITs
 (count hits, compile specializations off the hot path while the
 interpreter keeps serving) applied to shape buckets: ``warm()`` becomes
 a continuous process instead of a one-shot call.
 
 Speculative kernels land in the ordinary process-wide compile cache
-(and the server's :class:`~repro.runtime.diskcache.DiskCacheTier`, when
-attached), built from the *exact* build the server would produce for
-the bucket — same registered defaults, same pinned tuned parameters,
+(and the server's own :class:`~repro.runtime.diskcache.DiskCacheTier`,
+when it has one), built from the *exact* build the server would produce
+for the bucket — same registered defaults, same pinned tuned parameters,
 same compile options — so a speculation hit is indistinguishable from a
 ``warm()`` hit: the first real request in a precompiled bucket is
 served from the memory tier with zero passes executed, and its results
@@ -40,8 +40,8 @@ import threading
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 
-from repro.compiler.cache import compile_cache
-from repro.compiler.pipeline import compile_key_for
+from repro.compiler.cache import TIER_COMPILE, compile_cache
+from repro.errors import CypressError
 from repro.kernels.common import KernelBuild
 from repro.runtime.bucketing import Bucket
 from repro.runtime.registry import RegisteredKernel
@@ -174,7 +174,6 @@ class SpeculatorConfig:
             mappings, and pin the winner for buckets with no tuned
             parameters yet (stage-1-only tuning — no simulation).
         top_k: mappings precompiled per bucket when ``tune=True``.
-        max_workers: thread-pool width for background ``compile_many``.
     """
 
     interval_s: float = 0.02
@@ -182,7 +181,6 @@ class SpeculatorConfig:
     neighbors: bool = True
     tune: bool = False
     top_k: int = 2
-    max_workers: int = 2
 
 
 class Speculator(BackgroundLoop):
@@ -204,7 +202,7 @@ class Speculator(BackgroundLoop):
     ) -> None:
         self.config = config or SpeculatorConfig()
         super().__init__(server, self.config.interval_s)
-        # Compile keys already attempted (success or failure): a
+        # Compile keys already fetched (success or failure): a
         # mapping the compiler rejects must not be retried every cycle.
         self._attempted: Set[str] = set()
         # Buckets this speculator precompiled, -> "has a request hit
@@ -279,8 +277,8 @@ class Speculator(BackgroundLoop):
     ) -> List[KernelBuild]:
         """The builds worth precompiling for one candidate bucket.
 
-        The head of the list is always the exact build the server's
-        ``_obtain_kernel`` would produce, so the compile key matches
+        The head of the list is always the exact build the server
+        serves the bucket's requests from, so the compile key matches
         real traffic. ``tune=True`` appends the analytically-ranked
         top-k mappings and pins the winner when the bucket has no
         tuned parameters yet.
@@ -303,8 +301,7 @@ class Speculator(BackgroundLoop):
                 server._bucket_params.setdefault(
                     (registered.name, bucket), adapt(ranked[0].candidate)
                 )
-        params = server._bucket_params.get((registered.name, bucket))
-        builds = [registered.build(server.machine, bucket, params)]
+        builds = [server._bucket_build(registered, bucket)]
         builds.extend(survivor.build for survivor in ranked)
         return builds
 
@@ -312,55 +309,36 @@ class Speculator(BackgroundLoop):
         self, registered: RegisteredKernel, bucket: Bucket
     ) -> int:
         """Precompile one candidate bucket; returns compiles executed."""
-        from repro import api
-
         server = self.server
         try:
             builds = self._builds_for(registered, bucket)
         except Exception:
             self.errors += 1
             return 0
-        todo: List[Tuple[str, KernelBuild]] = []
-        seen: Set[str] = set()
+        compiled = 0
         for build in builds:
-            key = compile_key_for(build, server._options)
-            if key in seen or key in self._attempted:
-                continue
-            seen.add(key)
-            if key in compile_cache:
-                continue
-            if server.disk_tier is not None and server.disk_tier.contains(
-                key
-            ):
-                continue
-            todo.append((key, build))
-        if not todo:
-            return 0
-        kernels = api.compile_many(
-            [build for _key, build in todo],
-            options=server._options,
-            executor="thread",
-            max_workers=self.config.max_workers,
-            raise_on_error=False,
-        )
-        succeeded = 0
-        for (key, _build), kernel in zip(todo, kernels):
-            self._attempted.add(key)
-            if isinstance(kernel, api.CompileFailure):
-                continue
-            succeeded += 1
-            if server.disk_tier is not None and not server.disk_tier.contains(
-                key
-            ):
-                # Memory hits skip write-through; persist explicitly so
-                # restarts warm from disk, exactly like warm() does.
-                server.disk_tier.store(key, kernel)
+            try:
+                _kernel, tier = server._fetch(build, self._first_attempt)
+            except CypressError:
+                continue  # the key is in _attempted: no retry next cycle
+            if tier == TIER_COMPILE:
+                compiled += 1
         issued = 0
-        if succeeded:
+        if compiled:
             with self._lock:
                 if (registered.name, bucket) not in self._precompiled:
                     self._precompiled[(registered.name, bucket)] = False
                     issued = 1
-        server.telemetry.count("speculative_compiles", succeeded)
+        server.telemetry.count("speculative_compiles", compiled)
         server.telemetry.count("speculation_issued", issued)
-        return succeeded
+        return compiled
+
+    def _first_attempt(self, key: str, compute):
+        """The speculator's guard on the server's fetch: call it off
+        for a key already attempted or already in memory — a
+        speculative no-op must not reorder the LRU, which a lookup's
+        hit would — and leave ``compute`` unguarded otherwise."""
+        if key in self._attempted or key in compile_cache:
+            return None
+        self._attempted.add(key)
+        return compute

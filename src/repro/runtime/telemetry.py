@@ -21,12 +21,11 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, List, NamedTuple, Optional, Sequence
 
+from repro.compiler.cache import TIER_COMPILE, TIER_DISK, TIER_MEMORY
 from repro.util import fmt_percent
 
-#: The cache tier that produced a request's kernel.
-TIER_MEMORY = "memory"
-TIER_DISK = "disk"
-TIER_COMPILE = "compile"
+#: The cache tier that produced a request's kernel, as the compile
+#: cache's lookup labels it.
 TIERS = (TIER_MEMORY, TIER_DISK, TIER_COMPILE)
 
 #: Version of the ``RuntimeStats.to_json()`` schema. Bump on any

@@ -328,13 +328,14 @@ class TestSecondTier:
         cache = CompileCache(capacity=4)
         tier = _DictTier()
         tier.entries["k"] = "kernel"
-        cache.attach_second_tier(tier)
-        value = cache.get_or_compute("k", lambda: pytest.fail("computed"))
+        value = cache.get_or_compute(
+            "k", lambda: pytest.fail("computed"), tier=tier
+        )
         assert value == "kernel"
         assert cache.stats.second_tier_hits == 1
         assert cache.stats.misses == 0
         # Promoted into memory: the next lookup never touches the tier.
-        assert cache.get_or_compute("k", lambda: None) == "kernel"
+        assert cache.get_or_compute("k", lambda: None, tier=tier) == "kernel"
         assert tier.loads == 1
         assert cache.stats.hits == 1
 
@@ -343,30 +344,66 @@ class TestSecondTier:
 
         cache = CompileCache(capacity=4)
         tier = _DictTier()
-        cache.attach_second_tier(tier)
-        value = cache.get_or_compute("k", lambda: "fresh")
+        value = cache.get_or_compute("k", lambda: "fresh", tier=tier)
         assert value == "fresh"
         assert tier.entries["k"] == "fresh"
         assert cache.stats.misses == 1
 
-    def test_detach_restores_memory_only(self):
+    def test_no_tier_passed_stores_nothing(self):
         from repro.compiler.cache import CompileCache
 
         cache = CompileCache(capacity=4)
         tier = _DictTier()
-        cache.attach_second_tier(tier)
-        assert cache.detach_second_tier() is tier
-        cache.get_or_compute("k", lambda: "fresh")
-        assert tier.stores == 0
+        cache.get_or_compute("a", lambda: "A", tier=tier)
+        # The tier belongs to the lookup it was passed to, not to the
+        # cache: the next lookup, given none, neither reads nor writes it.
+        cache.get_or_compute("b", lambda: "B")
+        assert (tier.loads, tier.stores) == (1, 1)
+        assert "b" not in tier.entries
 
     def test_memory_eviction_leaves_tier_copy(self):
         from repro.compiler.cache import CompileCache
 
         cache = CompileCache(capacity=1)
         tier = _DictTier()
-        cache.attach_second_tier(tier)
-        cache.get_or_compute("a", lambda: "A")
-        cache.get_or_compute("b", lambda: "B")  # evicts a from memory
+        cache.get_or_compute("a", lambda: "A", tier=tier)
+        cache.get_or_compute("b", lambda: "B", tier=tier)  # evicts a
         assert "a" not in cache
-        assert cache.get_or_compute("a", lambda: pytest.fail("computed")) == "A"
+        assert (
+            cache.get_or_compute(
+                "a", lambda: pytest.fail("computed"), tier=tier
+            )
+            == "A"
+        )
         assert cache.stats.second_tier_hits == 1
+
+    def test_lookup_labels_the_branch_that_answered(self):
+        from repro.compiler.cache import CompileCache
+
+        cache = CompileCache(capacity=1)
+        tier = _DictTier()
+        assert cache.lookup("a", lambda: "A", tier) == ("A", "compile")
+        assert cache.lookup("a", lambda: "A2", tier) == ("A", "memory")
+        assert cache.lookup("b", lambda: "B") == ("B", "compile")  # evicts a
+        assert cache.lookup("a", lambda: "A3", tier) == ("A", "disk")
+        # No tier passed: the copy on disk is out of this lookup's reach.
+        assert cache.lookup("b", lambda: "B2") == ("B2", "compile")
+
+
+class TestInFlight:
+    def test_raising_compute_leaves_no_in_flight_lock(self):
+        from repro.compiler.cache import CompileCache
+
+        cache = CompileCache(capacity=4)
+
+        def broken():
+            raise RuntimeError("infeasible mapping")
+
+        for index in range(5):
+            with pytest.raises(RuntimeError, match="infeasible"):
+                cache.get_or_compute(f"k{index}", broken)
+        assert len(cache._in_flight) == 0
+        assert cache.stats.misses == 5
+        # The failure was the caller's alone: the next caller computes.
+        assert cache.lookup("k0", lambda: "fine") == ("fine", "compile")
+        assert len(cache._in_flight) == 0

@@ -196,18 +196,13 @@ class TestDiagConfig:
             )
 
     def test_api_serve_diag_port_shorthand(self, hopper, registry):
+        # ``diag=<int>`` is the port form; 0 picks an ephemeral port.
         with api.serve(
-            hopper, registry=registry, workers=1, diag_port=0
+            hopper, registry=registry, workers=1, diag=0
         ) as server:
             assert server.diag is not None
             assert server.diag.running
             server.diag.stop()
-
-    def test_api_serve_rejects_both_diag_forms(self, hopper, registry):
-        with pytest.raises(CypressError, match="diag"):
-            api.serve(
-                hopper, registry=registry, diag=True, diag_port=9999
-            )
 
 
 # ----------------------------------------------------------------------

@@ -346,6 +346,34 @@ class TestConcurrency:
             assert len({r.gpu.tflops for r in results}) == 1
             assert server.stats().completed == 8 * per_thread
 
+    def test_racing_first_requests_label_one_compile(
+        self, hopper, registry
+    ):
+        import sys
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with RuntimeServer(
+                hopper, registry, workers=4, max_batch=1, start=False
+            ) as server:
+                futures = [
+                    server.submit("gemm", dict(m=128, n=256, k=64))
+                    for _ in range(4)
+                ]
+                server.start()
+                results = [f.result(timeout=120) for f in futures]
+                stats = server.stats()
+        finally:
+            sys.setswitchinterval(interval)
+        # The label is the branch of the lookup that answered: the
+        # pipeline ran once, so exactly one request compiled.
+        assert sorted(r.tier for r in results) == [
+            "compile", "memory", "memory", "memory",
+        ]
+        assert api.compile_cache_stats().misses == 1
+        assert sum(stats.tier_counts.values()) == stats.completed == 4
+
     def test_microbatching_groups_same_bucket(self, hopper, registry):
         server = RuntimeServer(
             hopper, registry, workers=1, max_batch=8, start=False
@@ -547,38 +575,28 @@ class TestDiskTier:
             DiskCacheTier(tmp_path, max_bytes=0)
         assert DiskCacheTier(tmp_path, max_bytes=None).max_bytes is None
 
-    def test_non_lifo_close_leaves_no_stale_tier(
+    def test_each_server_consults_its_own_directory(
         self, hopper, registry, tmp_path
     ):
-        from repro.compiler import compile_cache
-
-        server_a = RuntimeServer(
+        shape = dict(m=128, n=256, k=64)
+        with RuntimeServer(
             hopper, registry, workers=1, disk_cache=str(tmp_path / "a")
-        )
-        server_b = RuntimeServer(
+        ) as server_a, RuntimeServer(
             hopper, registry, workers=1, disk_cache=str(tmp_path / "b")
-        )
-        # Close out of stack order: b's close must not reattach a's
-        # already-retired tier to the process-wide cache.
-        server_a.close()
-        server_b.close()
-        assert compile_cache.second_tier is None
-
-    def test_lifo_close_restores_outer_tier(
-        self, hopper, registry, tmp_path
-    ):
-        from repro.compiler import compile_cache
-
-        server_a = RuntimeServer(
-            hopper, registry, workers=1, disk_cache=str(tmp_path / "a")
-        )
-        server_b = RuntimeServer(
-            hopper, registry, workers=1, disk_cache=str(tmp_path / "b")
-        )
-        server_b.close()
-        assert compile_cache.second_tier is server_a.disk_tier
-        server_a.close()
-        assert compile_cache.second_tier is None
+        ) as server_b:
+            cold = server_a.submit("gemm", shape).result(timeout=120)
+            assert cold.tier == "compile"
+            api.clear_compile_cache()
+            before = pass_execution_count()
+            # Memory is cold, B was constructed last, and the kernel is
+            # in A's directory only: A reads it back from there.
+            warm = server_a.submit("gemm", shape).result(timeout=120)
+            assert warm.tier == "disk"
+            assert pass_execution_count() == before
+            assert api.compile_cache_stats().second_tier_hits == 1
+            assert len(server_a.disk_tier) == 1
+            assert len(server_b.disk_tier) == 0
+            assert warm.gpu == cold.gpu
 
 
 class TestWarmTuning:

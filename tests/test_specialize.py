@@ -466,17 +466,18 @@ class TestFaultInjection:
             hopper, registry, workers=1, start=False, specialize=_config()
         ) as server:
             compiles = []
-            real = api.compile_many
+            real = server._fetch
 
-            def stopping_compile(builds, **kwargs):
-                compiles.append(len(builds))
+            def stopping_fetch(build, guard=None):
                 server.specializer.stop()  # close() racing the compile
-                return real(builds, **kwargs)
+                fetched = real(build, guard)
+                compiles.append(fetched[1])
+                return fetched
 
-            monkeypatch.setattr(api, "compile_many", stopping_compile)
+            monkeypatch.setattr(server, "_fetch", stopping_fetch)
             _inject(server, HOT_M, 6)
             assert server.specializer.run_once() == 0
-            assert compiles == [1]  # the compile did run...
+            assert compiles == ["compile"]  # the compile did run...
             assert server.specializer.active == {}  # ...no guard went live
             assert server.stats().promotions == 0
 

@@ -49,7 +49,11 @@ def registry():
 
 
 def _config(**overrides):
-    base = dict(max_compiles_per_cycle=32, neighbors=True)
+    base = dict(
+        interval_s=60.0,  # dormant thread; tests drive run_once()
+        max_compiles_per_cycle=32,
+        neighbors=True,
+    )
     base.update(overrides)
     return SpeculatorConfig(**base)
 
@@ -229,3 +233,88 @@ class TestSpeculator:
             before = speculator.errors
             assert speculator.run_once() == 0
             assert speculator.errors > before
+
+
+class TestSharedFetch:
+    """The speculator reaches the cache through the server's fetch."""
+
+    def test_disk_answer_is_not_a_speculative_compile(
+        self, hopper, registry, tmp_path
+    ):
+        shape = dict(m=128, n=256, k=64)
+        with RuntimeServer(
+            hopper, registry, workers=1, disk_cache=str(tmp_path),
+            speculate=_config(neighbors=False),
+        ) as server:
+            server.submit("gemm", shape).result(timeout=120)
+            api.clear_compile_cache()
+            before = pass_execution_count()
+            # The lookup consults the server's own disk tier: the bucket
+            # comes back into memory, and nothing was compiled.
+            assert server.speculator.run_once() == 0
+            assert pass_execution_count() == before
+            stats = server.stats()
+            assert stats.speculative_compiles == 0
+            assert stats.speculation_issued == 0
+            result = server.submit("gemm", shape).result(timeout=120)
+            assert result.tier == "memory"
+
+    def test_background_compiles_skip_breaker_and_fault_stream(
+        self, hopper, registry
+    ):
+        from repro.runtime import FaultPlan, faults
+
+        plan = FaultPlan(seed=0).inject("compile", 1.0)
+        with RuntimeServer(
+            hopper, registry, workers=1, start=False, speculate=_config()
+        ) as server:
+            server.telemetry.record_bucket_traffic(
+                [("gemm", Bucket((("m", 128), ("n", 256), ("k", 64))))], None
+            )
+            breaker = server._breaker("compile:gemm")
+            for _ in range(server.resilience.breaker_threshold):
+                breaker.record_failure()
+            assert not breaker.allow()
+            with faults.active(plan):
+                assert server.speculator.run_once() > 0
+            # Neither the open breaker nor the armed fault site is on
+            # the background path: chaos draws stay the request path's.
+            assert plan.injections("compile") == 0
+
+    def test_noop_cycle_leaves_lru_order_alone(self, hopper, registry):
+        from repro.compiler import compile_cache
+
+        with RuntimeServer(
+            hopper, registry, workers=1, speculate=_config(neighbors=False)
+        ) as server:
+            for m in (256, 128):
+                server.submit("gemm", dict(m=m, n=256, k=64)).result(
+                    timeout=120
+                )
+            order = list(compile_cache._entries)
+            assert len(order) == 2
+            assert server.speculator.run_once() == 0
+            assert list(compile_cache._entries) == order
+
+    def test_failed_key_is_not_retried(self, hopper, registry, monkeypatch):
+        from repro.compiler import pipeline
+
+        with RuntimeServer(
+            hopper, registry, workers=1, speculate=_config()
+        ) as server:
+            server.submit("gemm", dict(m=128, n=256, k=64)).result(
+                timeout=120
+            )
+            runs = []
+
+            def rejecting(spec, name):
+                runs.append(name)
+                raise CypressError("infeasible mapping")
+
+            monkeypatch.setattr(pipeline, "DependenceAnalysis", rejecting)
+            assert server.speculator.run_once() == 0
+            attempted = list(runs)
+            assert "gemm_256x256x64" in attempted  # a ladder neighbor
+            assert server.speculator.run_once() == 0
+            assert runs == attempted  # barred from the next cycle
+            assert server.stats().speculative_compiles == 0
