@@ -50,6 +50,13 @@ from repro.obs.metrics import (
     server_metrics,
     validate_prometheus_text,
 )
+from repro.obs.ops import DiagConfig, DiagServer
+from repro.obs.profiler import (
+    ContinuousProfiler,
+    PhaseTracker,
+    ProfilerConfig,
+)
+from repro.obs.slo import Slo, SloMonitor
 from repro.obs.trace import (
     NULL_TRACER,
     NullTracer,
@@ -57,34 +64,6 @@ from repro.obs.trace import (
     Tracer,
     validate_chrome_trace,
 )
-
-#: Names resolved lazily from the ops/profiler/slo modules: those pull
-#: in ``repro.runtime`` (the profiler and SLO monitor are
-#: BackgroundLoop subclasses), and importing them eagerly here would
-#: close an import cycle with ``repro.runtime.server`` — which imports
-#: this package at module top.
-_LAZY_EXPORTS = {
-    "DiagConfig": "repro.obs.ops",
-    "DiagServer": "repro.obs.ops",
-    "ContinuousProfiler": "repro.obs.profiler",
-    "PhaseTracker": "repro.obs.profiler",
-    "ProfilerConfig": "repro.obs.profiler",
-    "Slo": "repro.obs.slo",
-    "SloMonitor": "repro.obs.slo",
-}
-
-
-def __getattr__(name: str):
-    """PEP 562 lazy resolution of the ops-plane exports."""
-    module_name = _LAZY_EXPORTS.get(name)
-    if module_name is None:
-        raise AttributeError(
-            f"module {__name__!r} has no attribute {name!r}"
-        )
-    import importlib
-
-    return getattr(importlib.import_module(module_name), name)
-
 
 __all__ = [
     "ContinuousProfiler",

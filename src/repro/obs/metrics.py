@@ -669,9 +669,9 @@ def _check_histogram_family(
 def validate_prometheus_text(text: str) -> Dict[str, str]:
     """Strictly validate a Prometheus text-exposition document.
 
-    The conformance oracle behind the ``/metrics`` endpoint and the
-    ``ops-smoke`` CI job: a render that passes here parses in a real
-    scraper. Checks the whole grammar and the semantic invariants —
+    The conformance oracle behind the ``/metrics`` endpoint (held to
+    it over live HTTP in ``tests/test_ops.py``): a render that passes
+    here parses in a real scraper. Checks the whole grammar and the semantic invariants —
 
     - every ``# HELP`` / ``# TYPE`` line is well-formed, names each
       family at most once, and precedes the family's samples;

@@ -40,7 +40,6 @@ import os
 import platform
 import threading
 from dataclasses import dataclass, field
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import TYPE_CHECKING, Dict, Optional, Tuple, Union
 from urllib.parse import parse_qs, urlsplit
 
@@ -50,6 +49,8 @@ from repro.obs.profiler import ProfilerConfig
 from repro.obs.slo import Slo
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle: server owns us
+    from http.server import ThreadingHTTPServer
+
     from repro.runtime.server import RuntimeServer
 
 __all__ = ["DiagConfig", "DiagServer", "ENDPOINTS", "PROM_CONTENT_TYPE"]
@@ -145,6 +146,11 @@ class DiagServer:
         """Bind the socket and spawn the serving thread (idempotent)."""
         if self._httpd is not None:
             return
+        # Imported here (and in ``_make_handler``): ``repro.obs`` exports
+        # this class, and a process that never listens should not load
+        # the stdlib HTTP stack.
+        from http.server import ThreadingHTTPServer
+
         handler = _make_handler(self)
         self._httpd = ThreadingHTTPServer(
             (self.config.host, self.config.port), handler
@@ -360,6 +366,7 @@ class DiagServer:
 
 def _make_handler(diag: DiagServer):
     """Bind a stdlib request handler class to one :class:`DiagServer`."""
+    from http.server import BaseHTTPRequestHandler
 
     class _DiagHandler(BaseHTTPRequestHandler):
         server_version = "repro-diag"

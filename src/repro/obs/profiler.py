@@ -25,10 +25,10 @@ renderable as a flamegraph. :meth:`ContinuousProfiler.report` returns
 the aggregate; :meth:`ContinuousProfiler.export_collapsed` writes the
 flamegraph input.
 
-The sampler itself is a :class:`~repro.runtime.speculate.
-BackgroundLoop` subclass, so it inherits the supervised crash-restart
-semantics of the speculator and specializer — a profiler bug can never
-take serving down, and a crashed sampler restarts with capped backoff.
+The sampler itself is a :class:`~repro.background.BackgroundLoop`
+subclass, so it inherits the supervised crash-restart semantics of the
+speculator and specializer — a profiler bug can never take serving
+down, and a crashed sampler restarts with capped backoff.
 Unlike those loops it sets ``idle_only = False``: sampling only while
 the queue is empty would be a profiler that never sees load.
 """
@@ -41,7 +41,11 @@ import threading
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
+from repro.background import BackgroundLoop
 from repro.errors import CypressError
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle: server owns us
+    from repro.runtime.server import RuntimeServer
 
 
 class PhaseTracker:
@@ -128,17 +132,8 @@ class PhaseTracker:
 #: What :meth:`PhaseTracker.phase` hands back while no profiler runs.
 _NO_PHASE = contextlib.nullcontext()
 
-#: Process-wide phase tracker. Defined *before* the BackgroundLoop
-#: import below: ``runtime.server`` imports this name at module top,
-#: and ``repro.runtime.speculate`` transitively initializes
-#: ``repro.runtime`` — defining PHASES first keeps every entry order
-#: into the ``obs.profiler <-> runtime`` cycle safe.
+#: Process-wide phase tracker.
 PHASES = PhaseTracker()
-
-from repro.runtime.speculate import BackgroundLoop  # noqa: E402
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle: server owns us
-    from repro.runtime.server import RuntimeServer
 
 
 @dataclass(frozen=True)
@@ -148,7 +143,7 @@ class ProfilerConfig:
     Attributes:
         hz: sampling frequency; the sampler wakes ``1/hz`` seconds
             apart. 100 Hz costs well under the repo's 1.5x
-            observability budget (gated in ``bench_trace.py``).
+            observability budget (``tests/test_ops.py`` gates 200 Hz).
         max_stacks: bound on distinct collapsed stack lines kept;
             samples beyond the bound still count toward phase totals
             and are tallied in ``stacks_truncated``.

@@ -24,7 +24,7 @@ transitions emit flight-recorder notes and feed
 ``repro_slo_burn_rate{slo}`` / ``repro_slo_alerts_total{slo,severity}``
 metrics plus the ``alerts:`` line of ``RuntimeStats.table()``.
 
-The monitor is a :class:`~repro.runtime.speculate.BackgroundLoop`
+The monitor is a :class:`~repro.background.BackgroundLoop`
 subclass with ``idle_only = False`` — watching the error budget only
 while nothing is happening would be a contradiction — and tests drive
 :meth:`SloMonitor.observe` synchronously with injected stats and
@@ -39,7 +39,12 @@ from dataclasses import dataclass
 from time import perf_counter
 from typing import TYPE_CHECKING, Dict, Iterable, Optional, Tuple
 
+from repro.background import BackgroundLoop
 from repro.errors import CypressError
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle: server owns us
+    from repro.runtime.server import RuntimeServer
+    from repro.runtime.telemetry import RuntimeStats
 
 #: Metrics an :class:`Slo` may target.
 SLO_METRICS = ("latency_p95", "error_rate", "shed_rate")
@@ -122,13 +127,6 @@ class Slo:
     def burn_rate(self, bad_fraction: float) -> float:
         """Budget-consumption speed for a window's bad fraction."""
         return bad_fraction / max(1.0 - self.target, 1e-12)
-
-
-from repro.runtime.speculate import BackgroundLoop  # noqa: E402
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle: server owns us
-    from repro.runtime.server import RuntimeServer
-    from repro.runtime.telemetry import RuntimeStats
 
 
 class SloMonitor(BackgroundLoop):

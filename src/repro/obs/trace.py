@@ -24,8 +24,8 @@ Two recording styles coexist:
 **Zero-cost-when-off:** the module-level :data:`NULL_TRACER` singleton
 (:class:`NullTracer`) implements the same surface as no-ops. Hot paths
 hold ``tracer.enabled`` in a local and branch on it; the disabled cost
-is one attribute load per request, which the ``obs-overhead`` CI gate
-(``benchmarks/bench_trace.py``) holds to the PR-6 launch budget.
+is one attribute load per request; ``python -m bench`` reports what
+turning it on costs as ``obs.trace.overhead_ratio``.
 
 All span timestamps are ``time.perf_counter`` — the same monotonic
 clock the latency percentiles in :mod:`repro.runtime.telemetry` use —

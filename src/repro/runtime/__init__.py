@@ -28,7 +28,7 @@ calls, this package keeps compiled kernels alive and serves them:
   degraded-mode serving (memory-only, generic-bucket fallback).
 * :mod:`~repro.runtime.faults` — :class:`FaultPlan`: deterministic,
   seeded fault injection at named sites, driving the chaos soak
-  (``benchmarks/bench_chaos.py``).
+  (``tests/test_resilience.py::TestChaosGolden``).
 
 Entry points: :class:`RuntimeServer` here, or :func:`repro.api.serve`.
 """

@@ -7,8 +7,9 @@ and, once installed via :func:`install`, makes each site raise
 draws from its own ``random.Random`` seeded by ``(seed, site)``, so
 the *sequence of verdicts at one site* is a pure function of the plan
 seed — independent of how checks at different sites interleave across
-threads. That is what makes chaos soaks (``benchmarks/bench_chaos.py``)
-reproducible enough to gate in CI.
+threads. That is what makes the chaos soak
+(``tests/test_resilience.py::TestChaosGolden``) reproducible enough to
+gate in tier-1.
 
 The hook follows the same zero-cost-when-off discipline as tracing
 (:data:`~repro.obs.trace.NULL_TRACER`): instrumented code reads the

@@ -25,8 +25,8 @@ taxonomy):
 
 All hooks follow the zero-cost-when-off discipline: with the default
 configuration and no installed :mod:`~repro.runtime.faults` plan the
-hot path pays a handful of ``is None`` / attribute checks, which the
-launch-overhead CI gate keeps honest.
+hot path pays a handful of ``is None`` / attribute checks, which show
+up in ``python -m bench`` as ``runtime.server.overhead_ms``.
 """
 
 from __future__ import annotations

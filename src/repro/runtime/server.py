@@ -51,7 +51,9 @@ from repro.errors import CypressError
 from repro.gpusim.gpu import GpuResult
 from repro.machine.machine import MachineModel
 from repro.obs.flight import FlightRecorder
-from repro.obs.profiler import PHASES
+from repro.obs.ops import DiagConfig, DiagServer
+from repro.obs.profiler import PHASES, ContinuousProfiler, ProfilerConfig
+from repro.obs.slo import SloMonitor
 from repro.obs.trace import NULL_TRACER, Tracer
 from repro.runtime import faults
 from repro.runtime.bucketing import Bucket
@@ -229,7 +231,7 @@ class RuntimeServer:
         trace: Union[bool, Tracer] = False,
         flight: Union[None, str, FlightRecorder] = None,
         resilience: Optional[ResilienceConfig] = None,
-        diag: Union[None, bool, int, "DiagConfig"] = None,
+        diag: Union[None, bool, int, DiagConfig] = None,
         start: bool = True,
     ) -> None:
         if workers < 1:
@@ -311,12 +313,6 @@ class RuntimeServer:
         self.slo_monitor = None
         self.diag = None
         if diag is not None and diag is not False:
-            # Imported lazily: repro.obs.ops pulls in the profiler and
-            # SLO modules, which most servers never need.
-            from repro.obs.ops import DiagConfig, DiagServer
-            from repro.obs.profiler import ContinuousProfiler, ProfilerConfig
-            from repro.obs.slo import SloMonitor
-
             if isinstance(diag, DiagConfig):
                 diag_config = diag
             elif diag is True:

@@ -54,9 +54,9 @@ import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Optional, Set, Tuple
 
+from repro.background import BackgroundLoop
 from repro.runtime.bucketing import Bucket
 from repro.runtime.registry import RegisteredKernel
-from repro.runtime.speculate import BackgroundLoop
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle: server owns us
     from repro.runtime.server import RuntimeServer
@@ -121,8 +121,8 @@ class ShapeSpecializer(BackgroundLoop):
     The server constructs one when built with ``specialize=`` truthy,
     starts it alongside the worker pool, and stops it on ``close()``
     (an in-flight promotion is abandoned: the compiled kernel stays in
-    the cache, but no guard is installed). Tests and benchmarks drive
-    it synchronously with :meth:`run_once` for determinism.
+    the cache, but no guard is installed). Tests drive it
+    synchronously with :meth:`run_once` for determinism.
     """
 
     thread_name = "repro-specializer"

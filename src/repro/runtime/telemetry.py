@@ -29,7 +29,7 @@ from repro.util import fmt_percent
 TIERS = (TIER_MEMORY, TIER_DISK, TIER_COMPILE)
 
 #: Version of the ``RuntimeStats.to_json()`` schema. Bump on any
-#: renamed/removed key; consumers (benchmarks, dashboards) key off it.
+#: renamed/removed key; consumers (``/statusz``, dashboards) key off it.
 STATS_SCHEMA_VERSION = 1
 
 
@@ -231,10 +231,9 @@ class RuntimeStats:
     def to_json(self) -> Dict:
         """A stable, schema-versioned dict of every counter/percentile.
 
-        The machine-readable counterpart of :meth:`table`: benchmarks
-        embed it in their ``BENCH_*.json`` reports and dashboards
-        ingest it directly, instead of plucking ad-hoc fields off the
-        dataclass. The layout is a contract — ``schema_version``
+        The machine-readable counterpart of :meth:`table`: ``/statusz``
+        serves it and dashboards ingest it directly, instead of
+        plucking ad-hoc fields off the dataclass. The layout is a contract — ``schema_version``
         (:data:`STATS_SCHEMA_VERSION`) bumps on any renamed or removed
         key, and every value is a JSON-native scalar/dict.
         """

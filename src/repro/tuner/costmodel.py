@@ -22,7 +22,8 @@ Accuracy contract: predictions are for *ranking*. On the seed kernels
 the model tracks simulated cycles within :data:`AGREEMENT_FACTOR`
 (absolute) and achieves Spearman rank correlation >= 0.8 against
 simulation across the gemm and attention search spaces
-(``benchmarks/bench_costmodel.py`` measures both); ``observe`` feeds
+(``tests/test_costmodel.py`` asserts both; ``python -m bench`` reports
+``tuner.costmodel.spearman`` and ``.pred_err``); ``observe`` feeds
 simulated outcomes back to keep the absolute scale honest.
 """
 

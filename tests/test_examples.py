@@ -96,6 +96,19 @@ def test_serving_specialize_flag_runs_tiny(capsys):
     assert "specialz.:" in out  # the stats table's specialization line
 
 
+def test_paper_figures_runs_tiny(capsys):
+    example = _load_example("paper_figures")
+    example.main(tiny=True)
+    out = capsys.readouterr().out
+    titles = [
+        line for line in out.splitlines() if line.startswith("=== ")
+    ]
+    assert len(titles) == 8  # Figures 13a-d, 14 and three ablations
+    assert titles[0] == "=== Figure 13a: GEMM (TFLOP/s) ==="
+    assert "cuBLAS" in out and "FlashAttention3" in out
+    assert "% of peak" in out
+
+
 def test_every_example_documents_its_output():
     for path in sorted(EXAMPLES_DIR.glob("*.py")):
         source = path.read_text()

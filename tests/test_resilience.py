@@ -10,6 +10,7 @@ and a hypothesis soak proving every future resolves and the telemetry
 counters stay consistent under randomized fault/submit interleavings.
 """
 
+import random
 import tempfile
 import threading
 import time
@@ -854,3 +855,111 @@ class TestSoak:
         if rate == 0.0:
             assert stats.retries == 0
             assert stats.failed == stats.timeouts
+
+
+# ----------------------------------------------------------------------
+# The pinned-seed chaos trace against a fault-free golden run
+# ----------------------------------------------------------------------
+CHAOS_SEED = 20240
+TRACE_SEED = 7
+TRACE_REQUESTS = 500
+#: Per-site injection rates — every site at >= 10%.
+CHAOS_RATES = {
+    "compile": 0.2,
+    "disk.load": 0.2,
+    "disk.store": 0.3,
+    "worker.execute": 0.1,
+    "loop.cycle": 0.25,
+}
+
+
+class TestChaosGolden:
+    def test_survivors_match_the_fault_free_run_field_for_field(
+        self, hopper, tmp_path
+    ):
+        """Resilience may change *where* a kernel came from, never
+        *what* it computes: the same seeded 500-request trace is served
+        fault-free, then under injection at every site with a disk
+        cache and the speculator running."""
+        rng = random.Random(TRACE_SEED)
+        trace = [
+            (
+                rng.choice(("gemm", "dual_gemm")),
+                dict(
+                    m=rng.choice((200, 300, 500, 900, 1800)),
+                    n=rng.choice((200, 300, 500, 900, 1800)),
+                    k=rng.choice((100, 200, 400)),
+                ),
+            )
+            for _ in range(TRACE_REQUESTS)
+        ]
+
+        server = api.serve(hopper, workers=4)
+        futures = [server.submit(kernel, shape) for kernel, shape in trace]
+        server.close(drain=True)
+        golden = [future.result(timeout=120) for future in futures]
+
+        api.clear_compile_cache()
+        plan = FaultPlan(seed=CHAOS_SEED)
+        for site, rate in CHAOS_RATES.items():
+            plan.inject(site, rate)
+        with faults.active(plan):
+            server = api.serve(
+                hopper,
+                workers=4,
+                disk_cache=str(tmp_path),
+                speculate=SpeculatorConfig(interval_s=0.002),
+                resilience=ResilienceConfig(
+                    retry=RetryPolicy(
+                        max_attempts=3, base_delay_s=1e-4, max_delay_s=1e-3
+                    )
+                ),
+            )
+            futures = [
+                server.submit(kernel, shape) for kernel, shape in trace
+            ]
+            # Let the background loop take (and survive) injections
+            # before the drain stops it.
+            deadline = time.monotonic() + 10.0
+            while (
+                plan.injections("loop.cycle") < 2
+                and time.monotonic() < deadline
+            ):
+                time.sleep(0.005)
+            # Traffic drives the disk sites, but their check counts
+            # scale with compiles: top up until each has fired.
+            while (
+                plan.injections("disk.store") < 1
+                or plan.injections("disk.load") < 1
+            ) and time.monotonic() < deadline:
+                server.disk_tier.store("chaos-probe", {"payload": 1})
+                server.disk_tier.load("chaos-probe")
+            server.close(drain=True)
+        stats = server.stats()
+
+        assert faults.ACTIVE is None
+
+        # Zero hangs: the drain returned and every future is settled.
+        assert all(future.done() for future in futures)
+        assert stats.requests == TRACE_REQUESTS
+        assert (
+            stats.completed + stats.failed + stats.shed_requests
+            == stats.requests
+        )
+        injected = sum(plan.injections(site) for site in RETRY_SITES)
+        assert stats.retries == injected
+        for site in FAULT_SITES:
+            assert plan.injections(site) > 0, site
+        assert stats.loop_crashes > 0  # the supervisor earned its keep
+
+        served = 0
+        for index, future in enumerate(futures):
+            if future.exception() is not None:
+                continue
+            served += 1
+            result, want = future.result(), golden[index]
+            assert (result.kernel, result.bucket, result.gpu) == (
+                want.kernel, want.bucket, want.gpu,
+            ), f"request {index} diverged from the golden run under faults"
+        assert served == stats.completed
+        assert served >= TRACE_REQUESTS // 2

@@ -284,6 +284,14 @@ class TestRoundTrip:
                 result.gpu.tflops == direct[(128, 256, 64)].tflops
             )
             assert api.compile_cache_stats().second_tier_hits >= 1
+            # ...and so is every other bucket the first server built:
+            # the whole mixed workload replays without one compile.
+            for m, n, k in shapes:
+                server.submit("gemm", dict(m=m, n=n, k=k)).result(
+                    timeout=120
+                )
+            assert server.stats().tier_counts["compile"] == 0
+            assert pass_execution_count() == before
 
     def test_cold_vs_warm_restart_equivalence(
         self, hopper, registry, tmp_path
