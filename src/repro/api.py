@@ -68,7 +68,7 @@ from repro.kernels.common import KernelBuild, kernel_registry
 from repro.machine.machine import MachineModel
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle: runtime uses api
-    from repro.runtime import KernelRegistry, RuntimeServer
+    from repro.runtime import RuntimeServer
 
 
 class Stage(str, enum.Enum):
@@ -365,65 +365,17 @@ def resize_compile_cache(capacity: int) -> None:
     compile_cache.resize(capacity)
 
 
-def serve(
-    machine: MachineModel,
-    *,
-    registry: Optional["KernelRegistry"] = None,
-    workers: int = 2,
-    disk_cache: Optional[Any] = None,
-    max_batch: int = 8,
-    options: Optional[CompileOptions] = None,
-    speculate: Any = False,
-    specialize: Any = False,
-    trace: Any = False,
-    flight: Any = None,
-    resilience: Any = None,
-    diag: Any = None,
-) -> "RuntimeServer":
+def serve(machine: MachineModel, **options: Any) -> "RuntimeServer":
     """Start a :class:`~repro.runtime.RuntimeServer` on ``machine``.
 
-    The returned server is live (workers running) and is a context
-    manager; see :mod:`repro.runtime` for the full API. ``disk_cache``
-    names a directory for this server's own persistent compile-cache
-    tier, so a restarted server warms from disk instead of recompiling.
-    ``speculate=True`` (or a :class:`~repro.runtime.SpeculatorConfig`)
-    starts the background :class:`~repro.runtime.Speculator`, which
-    precompiles likely-next shape buckets during idle time.
-    ``specialize=True`` (or a :class:`~repro.runtime.SpecializerConfig`)
-    starts the background :class:`~repro.runtime.ShapeSpecializer`,
-    which promotes hot exact shapes to tile-aligned specialized kernels
-    served with (near-)zero padding and deoptimizes them when traffic
-    shifts. ``trace=True`` records per-request span trees on a
-    :class:`~repro.obs.trace.Tracer` (export with
-    ``server.export_trace(path)``); ``flight`` attaches a
-    :class:`~repro.obs.flight.FlightRecorder` (or a dump path) that the
-    server writes on close and on worker crashes. ``resilience``
-    (a :class:`~repro.runtime.ResilienceConfig`) tunes per-request
-    deadlines' enforcement companions — bounded-queue load shedding,
-    seeded retry backoff, and circuit-breaker thresholds; the default
-    arms retries and breakers conservatively while keeping the queue
-    unbounded. See ``docs/resilience.md``.
-
-    ``diag`` enables the live ops plane (``True``, a port number, or a
-    :class:`~repro.obs.DiagConfig`): an embedded read-only HTTP
-    listener with ``/metrics``, ``/statusz``, health/readiness probes,
-    trace/flight/profiler views, and — when configured — the
-    continuous sampling profiler and SLO burn-rate alerting. See
-    ``docs/ops.md``.
+    ``serve(machine, **options)`` is ``RuntimeServer(machine,
+    **options)``: the returned server is live (workers running) and is
+    a context manager. :class:`~repro.runtime.RuntimeServer` documents
+    every keyword — ``registry``, ``workers``, ``disk_cache``,
+    ``max_batch``, ``speculate``, ``specialize``, ``trace``,
+    ``flight``, ``resilience``, ``diag`` — and ``docs/serving.md``,
+    ``docs/resilience.md`` and ``docs/ops.md`` are the guides.
     """
     from repro.runtime import RuntimeServer
 
-    return RuntimeServer(
-        machine,
-        registry,
-        workers=workers,
-        disk_cache=disk_cache,
-        max_batch=max_batch,
-        options=options,
-        speculate=speculate,
-        specialize=specialize,
-        trace=trace,
-        flight=flight,
-        resilience=resilience,
-        diag=diag,
-    )
+    return RuntimeServer(machine, **options)

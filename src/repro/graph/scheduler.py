@@ -286,8 +286,8 @@ class GraphScheduler:
         # Registered so close(drain=False) can fail the graph future
         # instead of leaving callers blocked on a server that will
         # never serve the remaining nodes.
-        self.server._register_graph(
-            id(state), lambda error: self._fail(state, error)
+        self.server._live_graphs[id(state)] = (
+            lambda error: self._fail(state, error)
         )
         self.server.telemetry.count("graphs")
         self.server.telemetry.count("graph_nodes", len(graph))
@@ -359,26 +359,21 @@ class GraphScheduler:
     def _on_node_done(
         self, state: "_ExecutionState", node: GraphNode, future: Future
     ) -> None:
-        span = state.node_spans.pop(node.uid, None)
-        if span is not None:
-            # The request's own span already closed inside the worker
-            # (before set_result), so closing the node span here keeps
-            # children inside their parent.
-            error = None if future.cancelled() else future.exception()
-            self.server.tracer.end(
-                span,
-                args={"error": repr(error)} if error is not None else None,
-            )
-        if future.cancelled():
-            self._fail(
-                state,
-                CypressError(
-                    f"graph node {node.label!r} was cancelled "
-                    "(server shutting down?)"
-                ),
-            )
+        cancelled = future.cancelled()
+        error = future.exception() if not cancelled else CypressError(
+            f"graph node {node.label!r} was cancelled "
+            "(server shutting down?)"
+        )
+        # The request's own span already closed inside the worker
+        # (before the future was touched), so closing the node span
+        # here keeps children inside their parent.
+        self.server.tracer.end(
+            state.node_spans.pop(node.uid, None),
+            args={"error": repr(error)} if error is not None else None,
+        )
+        if cancelled:
+            self._fail(state, error)
             return
-        error = future.exception()
         if error is not None:
             self._on_node_failed(state, node, error)
             return
@@ -456,7 +451,7 @@ class GraphScheduler:
                 for name, tensor in state.graph.tensors.items()
                 if not tensor.is_view
             }
-        self.server._unregister_graph(id(state))
+        self.server._live_graphs.pop(id(state), None)
         self.server.telemetry.record_graph_done(makespan)
         state.execution.future.set_result(
             GraphResult(
@@ -481,7 +476,7 @@ class GraphScheduler:
             self.server.tracer.end(
                 state.span, args={"error": repr(error)}
             )
-        self.server._unregister_graph(id(state))
+        self.server._live_graphs.pop(id(state), None)
         self.server.telemetry.count("graphs_failed")
         state.execution.future.set_exception(error)
 

@@ -136,6 +136,14 @@ _NO_PHASE = contextlib.nullcontext()
 PHASES = PhaseTracker()
 
 
+#: Innermost frames kept per collapsed stack, the bound on distinct
+#: ``kernel:bucket`` sample keys, and the collapsed lines included in
+#: :meth:`ContinuousProfiler.report`.
+MAX_DEPTH = 24
+MAX_KERNELS = 256
+TOP_STACKS = 20
+
+
 @dataclass(frozen=True)
 class ProfilerConfig:
     """Knobs of the continuous sampling profiler.
@@ -147,26 +155,18 @@ class ProfilerConfig:
         max_stacks: bound on distinct collapsed stack lines kept;
             samples beyond the bound still count toward phase totals
             and are tallied in ``stacks_truncated``.
-        max_depth: innermost frames kept per collapsed stack.
-        max_kernels: bound on distinct ``kernel:bucket`` sample keys.
-        top_stacks: collapsed lines included in :meth:`report`.
     """
 
     hz: float = 100.0
     max_stacks: int = 512
-    max_depth: int = 24
-    max_kernels: int = 256
-    top_stacks: int = 20
 
     def __post_init__(self) -> None:
         if self.hz <= 0:
             raise CypressError(f"hz must be > 0, got {self.hz}")
-        for field_name in ("max_stacks", "max_depth", "max_kernels"):
-            if getattr(self, field_name) < 1:
-                raise CypressError(
-                    f"{field_name} must be >= 1, got "
-                    f"{getattr(self, field_name)}"
-                )
+        if self.max_stacks < 1:
+            raise CypressError(
+                f"max_stacks must be >= 1, got {self.max_stacks}"
+            )
 
 
 class ContinuousProfiler(BackgroundLoop):
@@ -247,11 +247,7 @@ class ContinuousProfiler(BackgroundLoop):
                 self.samples += 1
                 self._bump(self._phase_counts, phase, None)
                 if detail is not None:
-                    self._bump(
-                        self._kernel_counts,
-                        detail,
-                        self.config.max_kernels,
-                    )
+                    self._bump(self._kernel_counts, detail, MAX_KERNELS)
                 self._record_stack(phase, frame)
         del frames  # frames hold live thread state; drop promptly
         return counted
@@ -273,7 +269,7 @@ class ContinuousProfiler(BackgroundLoop):
 
     def _record_stack(self, phase: str, frame) -> None:
         names: List[str] = []
-        while frame is not None and len(names) < self.config.max_depth:
+        while frame is not None and len(names) < MAX_DEPTH:
             code = frame.f_code
             names.append(getattr(code, "co_qualname", code.co_name))
             frame = frame.f_back
@@ -289,7 +285,7 @@ class ContinuousProfiler(BackgroundLoop):
             kernels = dict(self._kernel_counts)
             top = sorted(
                 self._stack_counts.items(), key=lambda kv: (-kv[1], kv[0])
-            )[: self.config.top_stacks]
+            )[:TOP_STACKS]
             samples = self.samples
             truncated = self.stacks_truncated
         idle = phases.get("idle", 0)

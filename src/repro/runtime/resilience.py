@@ -23,6 +23,10 @@ taxonomy):
   ``compile`` breaker serves the generic bucket (for specialized
   requests) or fails fast with :class:`BreakerOpen`.
 
+:func:`guarded_call` is the one wrapper that composes the last two
+with the :mod:`~repro.runtime.faults` site check; the disk tier, the
+request path's compiles and its simulations all go through it.
+
 All hooks follow the zero-cost-when-off discipline: with the default
 configuration and no installed :mod:`~repro.runtime.faults` plan the
 hot path pays a handful of ``is None`` / attribute checks, which show
@@ -55,6 +59,7 @@ __all__ = [
     "SHED_POLICIES",
     "SHED_REJECT_NEW",
     "call_with_retry",
+    "guarded_call",
     "is_transient",
 ]
 
@@ -141,15 +146,15 @@ class RetryPolicy:
 
 
 def call_with_retry(
-    fn: Callable[[], Any],
+    fn: Callable[..., Any],
     policy: RetryPolicy,
-    *,
+    *args: Any,
     salt: str = "",
     classify: Callable[[BaseException], bool] = is_transient,
     on_retry: Optional[Callable[[BaseException], None]] = None,
     sleep: Callable[[float], None] = time.sleep,
 ) -> Any:
-    """Call ``fn`` with up to ``policy.max_attempts`` tries.
+    """Call ``fn(*args)`` with up to ``policy.max_attempts`` tries.
 
     Only failures ``classify`` deems transient are retried; the last
     attempt's exception propagates. ``on_retry`` observes every
@@ -159,7 +164,7 @@ def call_with_retry(
     attempt = 1
     while True:
         try:
-            return fn()
+            return fn(*args)
         except Exception as error:
             if not classify(error):
                 raise
@@ -283,6 +288,57 @@ class CircuitBreaker:
         self._notify(change)
 
 
+def guarded_call(
+    site: str,
+    subject: str,
+    fn: Callable[..., Any],
+    *args: Any,
+    retry: RetryPolicy,
+    salt: str,
+    breaker: Optional[CircuitBreaker] = None,
+    on_retry: Optional[Callable[[BaseException], None]] = None,
+    sleep: Callable[[float], None] = time.sleep,
+) -> Any:
+    """Run ``fn(*args)`` under every guard the runtime has, in order:
+    the breaker's admission check, then :func:`call_with_retry` around
+    an attempt that first fires the ``site`` fault check (detail
+    ``subject``) of the installed :class:`~repro.runtime.faults.
+    FaultPlan`, and finally the outcome recorded on the breaker. With
+    no plan and no breaker this is ``call_with_retry`` alone.
+
+    Raises:
+        BreakerOpen: ``breaker`` refused the call; ``fn`` never ran.
+        Exception: whatever the last attempt raised. Transient or
+            deterministic, it counts against the breaker: a component
+            that keeps failing is broken either way, and failing fast
+            beats repeating the failure under every future caller.
+    """
+    if breaker is not None and not breaker.allow():
+        raise BreakerOpen(breaker.site)
+    plan = faults.ACTIVE
+    if plan is None:
+        attempt, attempt_args = fn, args
+    else:
+        attempt_args = ()
+
+        def attempt() -> Any:
+            plan.check(site, subject)
+            return fn(*args)
+
+    try:
+        value = call_with_retry(
+            attempt, retry, *attempt_args,
+            salt=salt, on_retry=on_retry, sleep=sleep,
+        )
+    except Exception:
+        if breaker is not None:
+            breaker.record_failure()
+        raise
+    if breaker is not None:
+        breaker.record_success()
+    return value
+
+
 @dataclass(frozen=True)
 class ResilienceConfig:
     """Knobs of the server's resilience layer.
@@ -301,14 +357,14 @@ class ResilienceConfig:
             new one.
         retry: backoff policy for transient compile/disk/execute
             failures.
-        breaker_threshold: consecutive failures before a breaker opens.
-        breaker_cooldown_s: open duration before a half-open probe.
+        breaker_cooldown_s: open duration before a half-open probe
+            (a breaker opens after :class:`CircuitBreaker`'s default
+            five consecutive failures).
     """
 
     max_queue: Optional[int] = None
     shed_policy: str = SHED_REJECT_NEW
     retry: RetryPolicy = field(default_factory=RetryPolicy)
-    breaker_threshold: int = 5
     breaker_cooldown_s: float = 0.25
 
     def __post_init__(self) -> None:
@@ -328,14 +384,13 @@ class ResilientTier(SecondTier):
 
     Wraps a :class:`~repro.runtime.diskcache.DiskCacheTier` (or any
     :class:`~repro.compiler.cache.SecondTier`) while preserving its
-    contract — ``load``/``store`` never raise into the compile path:
-
-    * the ``disk.load`` / ``disk.store`` fault sites fire here, so
-      injected disk failures exercise exactly this armor;
-    * transient failures retry per the :class:`RetryPolicy`;
-    * exhausted retries count a breaker failure; an **open breaker
-      skips the tier entirely** (memory-only degraded mode) until the
-      cooldown admits a probe.
+    contract — ``load``/``store`` never raise into the compile path.
+    Each runs under :func:`guarded_call` at the ``disk.load`` /
+    ``disk.store`` fault site, so injected disk failures exercise
+    exactly this armor; what the guard raises becomes a miss: exhausted
+    retries (already counted against the breaker), and an **open
+    breaker, which skips the tier entirely** (memory-only degraded
+    mode) until the cooldown admits a probe.
 
     Every other attribute (``contains``, ``keys``, ``stats``, ...)
     delegates to the wrapped tier, so the server can expose one object
@@ -359,50 +414,34 @@ class ResilientTier(SecondTier):
         self.on_degraded = on_degraded
         self._sleep = sleep
 
-    def _guarded(self, site: str, key: str, fn: Callable[[], Any]) -> Any:
-        breaker = self.breaker
-        if breaker is not None and not breaker.allow():
-            if self.on_degraded is not None:
-                self.on_degraded(site)
-            return None
-        plan = faults.ACTIVE
-
-        def attempt() -> Any:
-            if plan is not None:
-                plan.check(site, key[:16])
-            return fn()
-
+    def _guarded(self, site: str, key: str, fn, *args: Any) -> Any:
         try:
-            value = call_with_retry(
-                attempt,
-                self.retry,
-                salt=f"{site}:{key}",
-                on_retry=self.on_retry,
+            return guarded_call(
+                site, key[:16], fn, *args,
+                retry=self.retry, salt=f"{site}:{key}",
+                breaker=self.breaker, on_retry=self.on_retry,
                 sleep=self._sleep,
             )
+        except BreakerOpen:
+            if self.on_degraded is not None:
+                self.on_degraded(site)
         except Exception:
             # Transient failures exhausted retries, or the tier broke
-            # its own never-raise contract: count it against the
-            # breaker and degrade to a miss either way.
-            if breaker is not None:
-                breaker.record_failure()
-            return None
-        if breaker is not None:
-            breaker.record_success()
-        return value
+            # its own never-raise contract: guarded_call counted it
+            # against the breaker; degrade to a miss either way.
+            pass
+        return None
 
     def load(self, key: str) -> Optional[Any]:
         """Armored lookup: retries transient failures, returns ``None``
         (memory-only degradation) when they exhaust or the breaker is
         open. Never raises."""
-        return self._guarded("disk.load", key, lambda: self.tier.load(key))
+        return self._guarded("disk.load", key, self.tier.load, key)
 
     def store(self, key: str, kernel: Any) -> None:
         """Armored write-through; a failed store is dropped (the entry
         is simply not persisted). Never raises."""
-        self._guarded(
-            "disk.store", key, lambda: self.tier.store(key, kernel)
-        )
+        self._guarded("disk.store", key, self.tier.store, key, kernel)
 
     def __getattr__(self, name: str) -> Any:
         # Everything the armor does not intercept (contains, keys,

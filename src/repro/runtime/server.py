@@ -29,21 +29,30 @@ failures **retry** with seeded backoff, and per-site **circuit
 breakers** cut over to degraded serving — memory-only when the disk
 breaker opens, generic-bucket when a kernel's compile breaker opens.
 ``docs/resilience.md`` has the failure taxonomy and guarantees.
+
+A request crosses five stages — **admit** (``submit`` /
+``submit_prepared``), then on a worker **dispatch**, **obtain**,
+**execute** and **resolve** (``_serve``) — and what cuts across them
+has one owner each: :meth:`RuntimeServer._settle` alone ends a request
+(span, terminal counter, future), :func:`~repro.runtime.resilience.
+guarded_call` is the one breaker / fault-site / retry wrapper, and
+:class:`_Stages` the one source of a batch's profiler phases and stage
+spans (``docs/serving.md`` maps which acts where).
 """
 
 from __future__ import annotations
 
-import functools
 import heapq
 import itertools
 import threading
 import time
-from concurrent.futures import Future
+from concurrent.futures import CancelledError, Future
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from repro import api
 from repro.compiler.cache import compile_cache
 from repro.compiler.passes import CompileOptions
 from repro.compiler.pipeline import build_step
@@ -55,7 +64,6 @@ from repro.obs.ops import DiagConfig, DiagServer
 from repro.obs.profiler import PHASES, ContinuousProfiler, ProfilerConfig
 from repro.obs.slo import SloMonitor
 from repro.obs.trace import NULL_TRACER, Tracer
-from repro.runtime import faults
 from repro.runtime.bucketing import Bucket
 from repro.runtime.diskcache import DiskCacheTier
 from repro.runtime.resilience import (
@@ -66,14 +74,18 @@ from repro.runtime.resilience import (
     DeadlineExceeded,
     ResilienceConfig,
     ResilientTier,
-    call_with_retry,
+    guarded_call,
 )
 from repro.runtime.registry import (
     KernelRegistry,
     RegisteredKernel,
     default_registry,
 )
-from repro.runtime.specialize import ShapeSpecializer, SpecializerConfig
+from repro.runtime.specialize import (
+    ShapeSpecializer,
+    SpecializerConfig,
+    fit_inputs,
+)
 from repro.runtime.speculate import Speculator, SpeculatorConfig
 from repro.runtime.telemetry import (
     TIER_COMPILE,
@@ -84,6 +96,14 @@ from repro.runtime.telemetry import (
 from repro.tuner import MappingSearchSpace, autotune
 
 ShapeLike = Union[Mapping[str, int], Sequence[int]]
+
+#: Survivors of the cost-model ranking that ``warm(tune=True)`` compiles
+#: and simulates per bucket.
+WARM_TOP_K = 4
+
+#: What every served kernel is compiled with: the defaults, built once
+#: so a fetch allocates none.
+_OPTIONS = CompileOptions()
 
 
 @dataclass
@@ -113,6 +133,9 @@ class RuntimeResult:
     def tflops(self) -> float:
         """Simulated throughput of the serving kernel."""
         return self.gpu.tflops
+
+
+_QUEUED, _CLAIMED, _SETTLED = range(3)
 
 
 @dataclass(order=True, slots=True)
@@ -148,6 +171,133 @@ class _QueuedRequest:
     #: :class:`~repro.runtime.resilience.DeadlineExceeded` instead of
     #: occupying a worker.
     deadline: Optional[float] = field(compare=False, default=None)
+    #: ``_QUEUED`` until a worker claims the future at dispatch
+    #: (``_CLAIMED``: its holder can no longer cancel it), ``_SETTLED``
+    #: once :meth:`RuntimeServer._settle` has ended it — which is what
+    #: makes settling exactly-once even from the crash handler.
+    stage: int = field(compare=False, default=_QUEUED)
+
+
+class _Stages:
+    """One micro-batch's stage marker — the single source of its
+    profiler phases and of its ``queue``/``dispatch``/``batch``/
+    ``compile``/``pass.*``/``execute`` spans.
+
+    A batch's stages are contiguous, so :meth:`enter` crosses each
+    boundary once: it swaps the thread's :data:`PHASES` marker when a
+    profiler runs and stamps the boundary when tracing. Both are
+    decided per batch, at construction (a profiler starting mid-batch
+    leaves no stray marker); while both are off every batch shares the
+    inert :data:`_UNMARKED` and the hot path allocates nothing.
+    """
+
+    __slots__ = ("tracer", "profiling", "marked", "stamps")
+
+    #: Stages that are profiler phases (``batch`` is bookkeeping
+    #: between two of them and stays unattributed).
+    PHASED = ("dispatch", "compile", "execute")
+
+    def __init__(self, tracer: Any, profiling: bool) -> None:
+        self.tracer = tracer
+        self.profiling = profiling
+        self.marked = False
+        self.stamps: Dict[str, float] = {}
+
+    def enter(self, stage: str, head: Optional[_QueuedRequest] = None) -> None:
+        """Cross the boundary into ``stage``; ``head`` names the
+        ``kernel:bucket`` the profiler attributes the stage to."""
+        if self.profiling:
+            self.leave()
+            if stage in self.PHASED:
+                detail = head and f"{head.kernel.name}:{head.bucket.label()}"
+                PHASES.push(stage, detail)
+                self.marked = True
+        if self.tracer.enabled:
+            self.stamps[stage] = time.perf_counter()
+
+    def leave(self) -> None:
+        """Drop the thread's profiler marker (idempotent)."""
+        if self.marked:
+            PHASES.pop()
+            self.marked = False
+
+    def served(
+        self, live: List[_QueuedRequest], kernel: Any, tier: str
+    ) -> None:
+        """Emit the batch's child spans from the stamps.
+
+        Every request gets a ``queue`` child (its own submit time to
+        the batch's pop/assembly); the head request additionally owns
+        the batch-wide stages — ``dispatch`` (heap pop + same-bucket
+        scan), ``batch`` (micro-batch finalization), and ``compile``
+        (kernel acquisition, with one ``pass.*`` child per compiler
+        pass lifted from the kernel's :class:`~repro.compiler.passes.
+        PassTrace` when the batch actually compiled).
+        """
+        tracer = self.tracer
+        if not tracer.enabled:
+            return
+        at = self.stamps
+        popped, assembled = at["dispatch"], at["batch"]
+        compile_start, compile_end = at["compile"], at["execute"]
+        head = live[0]
+        for request in live:
+            waited_until = popped if request is head else assembled
+            tracer.record(
+                "queue", "serve",
+                request.submitted_at, max(waited_until, request.submitted_at),
+                parent=request.span,
+            )
+        tracer.record(
+            "dispatch", "serve", popped, assembled,
+            parent=head.span, args={"batch_size": len(live)},
+        )
+        tracer.record(
+            "batch", "serve", assembled, compile_start, parent=head.span
+        )
+        compile_span = tracer.record(
+            "compile", "compile", compile_start, compile_end,
+            parent=head.span, args={"tier": tier},
+        )
+        trace = getattr(kernel, "pass_trace", None)
+        if tier != TIER_COMPILE or trace is None:
+            return
+        for record in trace.records:
+            if record.started_at_s <= 0.0:
+                continue
+            # Clamp into the compile span: under concurrent compiles of
+            # the same key, the PassTrace on the returned kernel may
+            # belong to another thread's (earlier) pipeline run.
+            start = min(max(record.started_at_s, compile_start), compile_end)
+            end = min(max(start, record.started_at_s + record.wall_time_s),
+                      compile_end)
+            tracer.record(
+                f"pass.{record.name}", "compile", start, end,
+                parent=compile_span,
+                args={
+                    "ops_before": record.ops_before,
+                    "ops_after": record.ops_after,
+                    "wall_time_s": record.wall_time_s,
+                },
+            )
+
+    def resolved(self, request: _QueuedRequest, done_at: float) -> None:
+        """Emit ``request``'s ``execute`` span, ending at ``done_at``."""
+        if self.tracer.enabled:
+            self.tracer.record(
+                "execute", "serve", self.stamps["execute"], done_at,
+                parent=request.span,
+            )
+
+
+#: What every batch gets while tracing and profiling are both off.
+_UNMARKED = _Stages(NULL_TRACER, profiling=False)
+
+
+def _config(value: Any, config_type: type) -> Any:
+    """A ``True``-or-config constructor argument as the config to hand
+    on: the instance itself, or ``None`` for the component's defaults."""
+    return value if isinstance(value, config_type) else None
 
 
 class RuntimeServer:
@@ -163,7 +313,6 @@ class RuntimeServer:
             writes its kernels through to (``None``: memory only).
         max_batch: micro-batch bound — how many same-bucket requests one
             worker serves per compile + simulation.
-        options: compile options applied to every served kernel.
         speculate: run a background :class:`~repro.runtime.speculate.
             Speculator` that watches per-bucket traffic and precompiles
             observed buckets plus their ladder neighbors during idle
@@ -191,7 +340,7 @@ class RuntimeServer:
             exceptions, for postmortems.
         resilience: a :class:`~repro.runtime.resilience.
             ResilienceConfig` tuning the queue bound, load-shedding
-            policy, retry backoff, and breaker thresholds. ``None``
+            policy, retry backoff, and breaker cooldown. ``None``
             (the default) arms retries and breakers with conservative
             defaults while keeping the queue unbounded — the
             historical behavior, plus self-healing.
@@ -225,7 +374,6 @@ class RuntimeServer:
         workers: int = 2,
         disk_cache: Union[None, str, "DiskCacheTier"] = None,
         max_batch: int = 8,
-        options: Optional[CompileOptions] = None,
         speculate: Union[bool, "SpeculatorConfig"] = False,
         specialize: Union[bool, "SpecializerConfig"] = False,
         trace: Union[bool, Tracer] = False,
@@ -241,7 +389,6 @@ class RuntimeServer:
         self.machine = machine
         self.registry = registry if registry is not None else default_registry()
         self.max_batch = max_batch
-        self._options = options or CompileOptions()
         self._seq = itertools.count()
         self._queue: List[_QueuedRequest] = []
         self._cv = threading.Condition()
@@ -252,8 +399,9 @@ class RuntimeServer:
         self._started = False
         self._bucket_params: Dict[Tuple[str, Bucket], Dict[str, Any]] = {}
         self._warmed: Dict[Tuple[str, Bucket], str] = {}
-        #: In-flight submit_graph executions: id(state) -> fail callback
-        #: so close(drain=False) can fail (never strand) their futures.
+        #: In-flight submit_graph executions, kept by the scheduler:
+        #: id(state) -> a ``fail(error)`` that idempotently fails the
+        #: graph's future, so close(drain=False) never strands one.
         self._live_graphs: Dict[int, Any] = {}
         self.telemetry = Telemetry()
         self.resilience = resilience or ResilienceConfig()
@@ -261,12 +409,11 @@ class RuntimeServer:
         #: ``"compile:<kernel>"``); see :meth:`_breaker`.
         self.breakers: Dict[str, CircuitBreaker] = {}
         self._breaker_lock = threading.Lock()
-        if isinstance(flight, FlightRecorder):
-            self.flight: Optional[FlightRecorder] = flight
-        elif flight is not None:
-            self.flight = FlightRecorder(path=flight)
-        else:
-            self.flight = None
+        self.flight: Optional[FlightRecorder] = (
+            flight
+            if flight is None or isinstance(flight, FlightRecorder)
+            else FlightRecorder(path=flight)
+        )
         if isinstance(trace, Tracer):
             self.tracer = trace
             if self.flight is not None and trace.recorder is None:
@@ -275,22 +422,16 @@ class RuntimeServer:
             self.tracer = Tracer(recorder=self.flight)
         else:
             self.tracer = NULL_TRACER
-        self.speculator: Optional[Speculator] = None
-        if speculate:
-            config = (
-                speculate
-                if isinstance(speculate, SpeculatorConfig)
-                else None
-            )
-            self.speculator = Speculator(self, config)
-        self.specializer: Optional[ShapeSpecializer] = None
-        if specialize:
-            spec_config = (
-                specialize
-                if isinstance(specialize, SpecializerConfig)
-                else None
-            )
-            self.specializer = ShapeSpecializer(self, spec_config)
+        self.speculator: Optional[Speculator] = (
+            Speculator(self, _config(speculate, SpeculatorConfig))
+            if speculate
+            else None
+        )
+        self.specializer: Optional[ShapeSpecializer] = (
+            ShapeSpecializer(self, _config(specialize, SpecializerConfig))
+            if specialize
+            else None
+        )
         if disk_cache is None:
             self.disk_tier: Optional[ResilientTier] = None
         else:
@@ -325,12 +466,9 @@ class RuntimeServer:
                     f"got {diag!r}"
                 )
             if diag_config.profile:
-                profiler_config = (
-                    diag_config.profile
-                    if isinstance(diag_config.profile, ProfilerConfig)
-                    else None
+                self.profiler = ContinuousProfiler(
+                    self, _config(diag_config.profile, ProfilerConfig)
                 )
-                self.profiler = ContinuousProfiler(self, profiler_config)
             if diag_config.slos:
                 self.slo_monitor = SloMonitor(
                     self, diag_config.slos, tick_s=diag_config.slo_tick_s
@@ -357,57 +495,55 @@ class RuntimeServer:
             )
             thread.start()
             self._threads.append(thread)
-        if self.speculator is not None:
-            self.speculator.start()
-        if self.specializer is not None:
-            self.specializer.start()
-        if self.profiler is not None:
-            self.profiler.start()
-        if self.slo_monitor is not None:
-            self.slo_monitor.start()
+        for loop in self._loops():
+            loop.start()
         if self.diag is not None:
             self.diag.start()
         return self
+
+    def _loops(self) -> List[Any]:
+        """The background loops this server owns and runs."""
+        owned = (
+            self.speculator, self.specializer, self.profiler, self.slo_monitor
+        )
+        return [loop for loop in owned if loop is not None]
 
     def close(self, drain: bool = True) -> None:
         """Stop the server.
 
         ``drain=True`` serves everything already queued first;
         ``drain=False`` cancels queued requests (their futures report
-        cancellation) and *fails* any in-flight ``submit_graph``
-        futures — nothing is left pending. Stops the speculator and
-        specializer threads (an in-flight promotion is abandoned
-        cleanly).
+        cancellation, and they are counted ``failed`` like every other
+        request that ends without a result) and *fails* any in-flight
+        ``submit_graph`` futures — nothing is left pending. Stops the
+        speculator and specializer threads (an in-flight promotion is
+        abandoned cleanly).
         """
         if self._closed:
             return
         self._closed = True
-        if self.speculator is not None:
-            self.speculator.stop()
-        if self.specializer is not None:
-            self.specializer.stop()
-        if self.profiler is not None:
-            self.profiler.stop()
-        if self.slo_monitor is not None:
-            self.slo_monitor.stop()
+        for loop in self._loops():
+            loop.stop()
         # self.diag deliberately keeps serving (every endpoint answers
         # 503 once _closed is set) until diag.stop().
+        abandoned: List[_QueuedRequest] = []
         with self._cv:
             self._stopping = True
-            if not drain:
-                for request in self._queue:
-                    request.future.cancel()
-                self._queue.clear()
+            if not drain or not self._started:
+                # Told not to drain, or never started: no worker will
+                # serve what is queued.
+                abandoned, self._queue = self._queue, []
             self._cv.notify_all()
-        started = self._started
+        # Outside the lock: a done-callback may re-enter the server.
+        for request in abandoned:
+            self._settle(
+                request,
+                error=CancelledError(
+                    "RuntimeServer closed before the request was served"
+                ),
+            )
         for thread in self._threads:
             thread.join()
-        if not started:
-            # Never-started server: nothing will drain the queue.
-            with self._cv:
-                for request in self._queue:
-                    request.future.cancel()
-                self._queue.clear()
         if not drain:
             # Belt and braces against callback-ordering races: any
             # graph execution still unresolved is failed, not stranded.
@@ -596,15 +732,10 @@ class RuntimeServer:
                         )
                     # drop-oldest: evict the longest-queued entries
                     # (lowest sequence number) to admit the new ones.
-                    victims = sorted(
+                    shed = sorted(
                         self._queue, key=lambda r: r.sort_key[1]
                     )[:overflow]
-                    chosen = set(map(id, victims))
-                    self._queue = [
-                        r for r in self._queue if id(r) not in chosen
-                    ]
-                    heapq.heapify(self._queue)
-                    shed.extend(victims)
+                    self._unqueue(shed)
             for request in requests:
                 request.sort_key = (request.sort_key[0], next(self._seq))
                 request.submitted_at = now
@@ -613,23 +744,24 @@ class RuntimeServer:
             self._cv.notify(len(requests))
         if shed:
             # Outside the lock: a shed future's done-callback may
-            # re-enter submit_prepared.
+            # re-enter submit_prepared. Every victim was admitted
+            # (counted submitted) and will never complete or fail:
+            # settling it as shed keeps shed + completed + failed
+            # accounting for every admitted request.
             error = CypressError(
                 f"request shed: queue full ({max_queue} requests), "
                 "policy 'drop-oldest'"
             )
             for victim in shed:
-                if victim.span is not None:
-                    tracer.end(victim.span, args={"error": repr(error)})
-                if victim.future.set_running_or_notify_cancel():
-                    victim.future.set_exception(error)
-            # Every victim was admitted (counted submitted) and will
-            # never complete or fail: count all of them shed so
-            # shed + completed + failed keeps accounting for every
-            # admitted request.
-            self.telemetry.count("shed_requests", len(shed))
+                self._settle(victim, error=error, counter="shed_requests")
         self.telemetry.count("requests", len(requests))
         self.telemetry.record_bucket_traffic(pairs, shapes)
+
+    def _unqueue(self, requests: List[_QueuedRequest]) -> None:
+        """Take ``requests`` out of the heap (caller holds the lock)."""
+        chosen = set(map(id, requests))
+        self._queue = [r for r in self._queue if id(r) not in chosen]
+        heapq.heapify(self._queue)
 
     def submit_many(
         self,
@@ -691,8 +823,6 @@ class RuntimeServer:
         *,
         tune: bool = False,
         space: Optional[MappingSearchSpace] = None,
-        max_workers: Optional[int] = None,
-        top_k: int = 4,
     ) -> Dict[str, str]:
         """Precompile (and optionally autotune) the given buckets.
 
@@ -705,10 +835,10 @@ class RuntimeServer:
         kernel.
 
         Tuned warm-up uses the two-stage search: the analytic cost
-        model ranks the whole space and only the ``top_k`` survivors
-        are compiled and simulated, so warming N buckets costs N
-        compiles of the winners plus ``top_k - 1`` extras each instead
-        of N full sweeps.
+        model ranks the whole space and only the four best-ranked
+        survivors (:data:`WARM_TOP_K`) are compiled and simulated, so
+        warming N buckets costs N compiles of the winners plus three
+        extras each instead of N full sweeps.
 
         Warm-up is **idempotent** per (kernel, bucket): a bucket this
         server already warmed is skipped outright — no recompile, no
@@ -721,8 +851,6 @@ class RuntimeServer:
             buckets: request shapes; each is rounded to its bucket.
             tune: sweep the mapping space and pin the winner per bucket.
             space: override the kernel's registered search space.
-            max_workers: worker-pool width for candidate compilation.
-            top_k: survivors fully evaluated per bucket when tuning.
 
         Returns:
             ``{bucket label: compiled kernel name}``.
@@ -745,9 +873,7 @@ class RuntimeServer:
                 warmed[bucket.label()] = already
                 continue
             if needs_tune:
-                self._tune_bucket(
-                    registered, bucket, space, max_workers, top_k
-                )
+                self._tune_bucket(registered, bucket, space)
             compiled, _tier = self._fetch(
                 self._bucket_build(registered, bucket)
             )
@@ -760,8 +886,6 @@ class RuntimeServer:
         registered: RegisteredKernel,
         bucket: Bucket,
         space: Optional[MappingSearchSpace],
-        max_workers: Optional[int],
-        top_k: int,
     ) -> None:
         space = space or registered.search_space
         if space is None:
@@ -774,13 +898,7 @@ class RuntimeServer:
         def build_fn(machine: MachineModel, **candidate):
             return registered.build(machine, bucket, params=adapt(candidate))
 
-        report = autotune(
-            build_fn,
-            self.machine,
-            space,
-            max_workers=max_workers,
-            top_k=top_k,
-        )
+        report = autotune(build_fn, self.machine, space, top_k=WARM_TOP_K)
         best = report.best  # raises CypressError if nothing was feasible
         self._bucket_params[(registered.name, bucket)] = adapt(
             best.candidate
@@ -797,7 +915,6 @@ class RuntimeServer:
             if breaker is None:
                 breaker = CircuitBreaker(
                     site,
-                    failure_threshold=self.resilience.breaker_threshold,
                     cooldown_s=self.resilience.breaker_cooldown_s,
                     on_transition=self._on_breaker_transition,
                 )
@@ -856,7 +973,7 @@ class RuntimeServer:
         guard wraps ``compute``: ``warm`` and the background loops stay
         outside the compile breaker and the ``compile`` fault stream.
         """
-        key, compute = build_step(build, self._options)
+        key, compute = build_step(build, _OPTIONS)
         if guard is not None:
             compute = guard(key, compute)
             if compute is None:
@@ -870,84 +987,6 @@ class RuntimeServer:
             self.disk_tier.store(key, kernel)
         return kernel, tier
 
-    def _guarded_compile(self, name: str, key: str, compute) -> Any:
-        """Run ``compute`` under kernel ``name``'s ``compile:<name>``
-        circuit breaker and the configured retry policy, with the
-        ``compile`` fault site armed inside the retried attempt. Only
-        a lookup that missed both tiers gets here — the hot path cost
-        of the resilience layer on a warm server is zero.
-
-        Raises:
-            BreakerOpen: the kernel's compile breaker is open; callers
-                either fall back to a cached generic bucket
-                (specialized requests) or fail fast.
-        """
-        breaker = self._breaker(f"compile:{name}")
-        if not breaker.allow():
-            raise BreakerOpen(breaker.site)
-        plan = faults.ACTIVE
-
-        def attempt() -> Any:
-            if plan is not None:
-                plan.check("compile", name)
-            return compute()
-
-        try:
-            kernel = call_with_retry(
-                attempt,
-                self.resilience.retry,
-                salt=f"compile:{key}",
-                on_retry=self._on_retry,
-            )
-        except Exception:
-            # Transient or deterministic: a kernel whose compiles keep
-            # failing is broken either way, and fail-fast beats
-            # repeating the failure under every future request.
-            breaker.record_failure()
-            raise
-        breaker.record_success()
-        return kernel
-
-    def _fit_inputs(
-        self,
-        kernel: Any,
-        inputs: Dict[str, np.ndarray],
-    ) -> Dict[str, np.ndarray]:
-        """Fit functional inputs to a specialized kernel's parameters.
-
-        The serving contract has callers pad input arrays to the
-        generic bucket shape; a specialization guard hit compiles at
-        the (smaller) tile-aligned shape, so each named array is
-        cropped — or zero-padded, for callers that sent exact-shape
-        arrays below the aligned shape — to its parameter's declared
-        extents. Cropping only removes zero-padding, so specialized
-        outputs stay bit-identical to the generic kernel's outputs over
-        the same region. Arrays already matching (or of a different
-        rank, left for ``run_functional`` to diagnose) pass through.
-        """
-        declared = {
-            param.name: tuple(param.shape)
-            for param in kernel.final_ir.params
-        }
-        fitted: Dict[str, np.ndarray] = {}
-        for name, array in inputs.items():
-            target = declared.get(name)
-            if target is None or tuple(array.shape) == target \
-                    or array.ndim != len(target):
-                fitted[name] = array
-                continue
-            cropped = array[
-                tuple(slice(0, min(have, want))
-                      for have, want in zip(array.shape, target))
-            ]
-            if cropped.shape != target:
-                padded = np.zeros(target, dtype=array.dtype)
-                padded[tuple(slice(0, extent)
-                             for extent in cropped.shape)] = cropped
-                cropped = padded
-            fitted[name] = cropped
-        return fitted
-
     def _worker_loop(self) -> None:
         while True:
             with self._cv:
@@ -956,9 +995,12 @@ class RuntimeServer:
                 if not self._queue:
                     return
                 request = heapq.heappop(self._queue)
-                popped_at = (
-                    time.perf_counter() if self.tracer.enabled else 0.0
+                stages = (
+                    _Stages(self.tracer, PHASES.enabled)
+                    if self.tracer.enabled or PHASES.enabled
+                    else _UNMARKED
                 )
+                stages.enter("dispatch")
                 batch = [request]
                 if self.max_batch > 1 and self._queue:
                     same = sorted(
@@ -969,38 +1011,25 @@ class RuntimeServer:
                         )
                     )[: self.max_batch - 1]
                     if same:
-                        chosen = set(map(id, same))
-                        self._queue = [
-                            other
-                            for other in self._queue
-                            if id(other) not in chosen
-                        ]
-                        heapq.heapify(self._queue)
+                        self._unqueue(same)
                         batch.extend(same)
             try:
-                self._execute_batch(batch, popped_at)
+                self._serve(batch, stages)
             except Exception as error:  # pragma: no cover - crash path
-                # _execute_batch handles per-request errors itself; an
+                # _serve settles per-request errors itself; an
                 # exception escaping it (telemetry, tracing, future
                 # plumbing) would otherwise kill this worker silently.
-                # Fail whatever is unresolved and leave a black box.
+                # Fail whatever is unsettled and leave a black box.
                 self._worker_crash(batch, error)
+            finally:
+                stages.leave()
 
     def _worker_crash(
         self, batch: List[_QueuedRequest], error: Exception
     ) -> None:
-        """Fail a batch's unresolved futures after an unexpected
+        """Fail a batch's unsettled requests after an unexpected
         worker-loop exception and dump the flight recorder."""
-        failed = 0
-        for request in batch:
-            if not request.future.done():
-                try:
-                    request.future.set_exception(error)
-                    failed += 1
-                except Exception:
-                    pass
-        if failed:
-            self.telemetry.count("failed", failed)
+        failed = sum(self._settle(request, error=error) for request in batch)
         if self.flight is not None:
             self.flight.note(
                 "worker-exception",
@@ -1013,58 +1042,97 @@ class RuntimeServer:
             )
             self.flight.dump(reason="worker-exception")
 
-    def _fail_expired(self, expired: List[_QueuedRequest]) -> None:
-        """Fail past-deadline requests fast — no compile, no simulate,
-        no worker time beyond this bookkeeping."""
-        tracer = self.tracer
-        timed_out = 0
-        for request in expired:
-            if not request.future.set_running_or_notify_cancel():
-                continue
-            error = DeadlineExceeded(
-                f"request for {request.kernel.name!r} missed its "
-                "deadline while queued"
+    def _settle(
+        self,
+        request: _QueuedRequest,
+        result: Optional[RuntimeResult] = None,
+        *,
+        error: Optional[BaseException] = None,
+        counter: str = "failed",
+    ) -> bool:
+        """End ``request`` — the one terminal of the request path.
+
+        However a request leaves — served (``result``), failed, past
+        its deadline, shed (``counter="shed_requests"``), caught in a
+        worker crash, or cancelled (a ``CancelledError``: by ``close``,
+        or by its holder while it queued) — only this code closes its
+        ``request`` span, bumps its terminal counter and touches its
+        future, so ``completed + failed + shed_requests == requests``
+        is a property of this one function. Returns whether this call
+        settled it (only the crash handler re-offers settled requests).
+        """
+        if request.stage == _SETTLED:
+            return False
+        claimed = request.stage == _CLAIMED
+        request.stage = _SETTLED
+        future, span = request.future, request.span
+        # The root span closes before the future is touched: a graph
+        # node's done-callback runs synchronously inside that call and
+        # closes this span's parent.
+        if error is None:
+            self.telemetry.record_result(
+                result.kernel, result.latency_s, result.tier, result.gpu.tflops
             )
-            if request.span is not None:
-                tracer.end(request.span, args={"error": repr(error)})
-            request.future.set_exception(error)
-            timed_out += 1
-        if timed_out:
-            self.telemetry.count("timeouts", timed_out)
-            self.telemetry.count("failed", timed_out)
+            if span is not None:
+                served = {"tier": result.tier, "batch_size": result.batch_size}
+                self.tracer.end(span, args=served)
+            future.set_result(result)
+            return True
+        self.telemetry.count(counter)
+        if span is not None:
+            self.tracer.end(span, args={"error": repr(error)})
+        if isinstance(error, CancelledError):
+            future.cancel()
+        elif claimed or future.set_running_or_notify_cancel():
+            future.set_exception(error)
+        return True
 
-    def _dispatch_live(
-        self, batch: List[_QueuedRequest]
-    ) -> List[_QueuedRequest]:
-        """Deadline-filter a popped batch and claim its futures."""
-        pending = batch
-        if any(r.deadline is not None for r in batch):
-            now = time.perf_counter()
-            expired = []
-            pending = []
-            for request in batch:
-                if request.deadline is not None and now >= request.deadline:
-                    expired.append(request)
-                else:
-                    pending.append(request)
-            if expired:
-                self._fail_expired(expired)
-        return [
-            request
-            for request in pending
-            if request.future.set_running_or_notify_cancel()
-        ]
+    def _dispatch(self, batch: List[_QueuedRequest]) -> List[_QueuedRequest]:
+        """Claim a popped batch's futures and fail the requests already
+        past their deadline fast — no compile, no simulate, no worker
+        time beyond this bookkeeping. Returns the live rest."""
+        now = None  # the clock is read only if a request has a deadline
+        live = []
+        for request in batch:
+            if not request.future.set_running_or_notify_cancel():
+                error = CancelledError("cancelled by its holder while queued")
+                self._settle(request, error=error)
+                continue
+            request.stage = _CLAIMED
+            if request.deadline is not None:
+                if now is None:
+                    now = time.perf_counter()
+                if now >= request.deadline:
+                    self.telemetry.count("timeouts")
+                    self._settle(
+                        request,
+                        error=DeadlineExceeded(
+                            f"request for {request.kernel.name!r} missed "
+                            "its deadline while queued"
+                        ),
+                    )
+                    continue
+            live.append(request)
+        return live
 
-    def _obtain_for_batch(self, head: _QueuedRequest, batch_size: int):
+    def _obtain(self, head: _QueuedRequest, batch_size: int):
         """Fetch the batch's serving kernel with compiles guarded,
         degrading a specialized batch to its generic bucket when the
         compile breaker is open (typically memory-cached, so no compile
         at all); generic batches fail fast instead."""
         registered = head.kernel
+        name = registered.name
 
         def guard(key: str, compute) -> Any:
-            return functools.partial(
-                self._guarded_compile, registered.name, key, compute
+            # Deferred: only a lookup that missed both tiers runs it, so
+            # the kernel's ``compile:<name>`` breaker, the ``compile``
+            # fault site and the retry loop cost a warm server nothing.
+            return lambda: guarded_call(
+                "compile", name, compute,
+                retry=self.resilience.retry,
+                salt=f"compile:{key}",
+                breaker=self._breaker(f"compile:{name}"),
+                on_retry=self._on_retry,
             )
 
         try:
@@ -1083,205 +1151,66 @@ class RuntimeServer:
             self.telemetry.count("degraded_serves", batch_size)
             return fetched
 
-    def _execute_batch(
-        self, batch: List[_QueuedRequest], popped_at: float = 0.0
-    ) -> None:
-        with PHASES.phase("dispatch"):
-            live = self._dispatch_live(batch)
+    def _serve(self, batch: List[_QueuedRequest], stages: _Stages) -> None:
+        """One popped micro-batch through dispatch, obtain, execute and
+        resolve; ``stages`` marks each boundary as it is crossed."""
+        live = self._dispatch(batch)
         if not live:
             return
-        tracer = self.tracer
-        tracing = tracer.enabled
-        assembled_at = time.perf_counter() if tracing else 0.0
+        stages.enter("batch")
         self.telemetry.record_batch(len(live))
         head = live[0]
-        detail = (
-            f"{head.kernel.name}:{head.bucket.label()}"
-            if PHASES.enabled
-            else None
-        )
         if self.speculator is not None:
             self.speculator.note_request(head.kernel.name, head.bucket)
         try:
-            compile_start = time.perf_counter() if tracing else 0.0
-            with PHASES.phase("compile", detail):
-                kernel, tier = self._obtain_for_batch(head, len(live))
-            compile_end = time.perf_counter() if tracing else 0.0
-            from repro import api
-
-            with PHASES.phase("execute", detail):
-                plan = faults.ACTIVE
-                if plan is None:
-                    gpu = api.simulate(kernel, self.machine)
-                else:
-
-                    def run_batch() -> Any:
-                        active = faults.ACTIVE
-                        if active is not None:
-                            active.check(
-                                "worker.execute", head.kernel.name
-                            )
-                        return api.simulate(kernel, self.machine)
-
-                    # Simulation is deterministic, so a retried
-                    # injected fault reproduces bit-identical results
-                    # — the degraded-output guarantee bench_chaos
-                    # gates on.
-                    gpu = call_with_retry(
-                        run_batch,
-                        self.resilience.retry,
-                        salt=f"execute:{head.kernel.name}",
-                        on_retry=self._on_retry,
-                    )
+            stages.enter("compile", head)
+            kernel, tier = self._obtain(head, len(live))
+            stages.enter("execute", head)
+            # Simulation is deterministic, so a retried transient fault
+            # reproduces bit-identical results — the degraded-output
+            # guarantee TestChaosGolden gates on.
+            gpu = guarded_call(
+                "worker.execute", head.kernel.name,
+                api.simulate, kernel, self.machine,
+                retry=self.resilience.retry,
+                salt=f"execute:{head.kernel.name}",
+                on_retry=self._on_retry,
+            )
         except Exception as error:
-            self.telemetry.count("failed", len(live))
             for request in live:
-                if request.span is not None:
-                    tracer.end(request.span, args={"error": repr(error)})
-                request.future.set_exception(error)
+                self._settle(request, error=error)
             return
-        if tracing:
-            self._record_batch_spans(
-                live, kernel, tier, popped_at, assembled_at,
-                compile_start, compile_end,
-            )
+        stages.served(live, kernel, tier)
         params = self._bucket_params.get(head.batch_key)
-        with PHASES.phase("execute", detail):
-            for request in live:
-                try:
-                    outputs = None
-                    if request.inputs is not None:
-                        from repro import api
-
-                        arrays = dict(request.inputs)
-                        if request.specialized:
-                            # Callers pad inputs to the *generic*
-                            # bucket; the specialized kernel is
-                            # smaller. Crop the zero-padding off
-                            # (bit-identical results).
-                            arrays = self._fit_inputs(kernel, arrays)
-                        outputs = api.run_functional(kernel, arrays)
-                    done_at = time.perf_counter()
-                    latency = done_at - request.submitted_at
-                    result = RuntimeResult(
-                        kernel=request.kernel.name,
-                        build_name=kernel.name,
-                        requested_shape=dict(request.shape),
-                        bucket=request.bucket,
-                        tier=tier,
-                        batch_size=len(live),
-                        gpu=gpu,
-                        latency_s=latency,
-                        outputs=outputs,
-                        params=dict(params) if params else None,
-                    )
-                    self.telemetry.record_result(
-                        request.kernel.name, latency, tier, gpu.tflops
-                    )
-                    if request.span is not None:
-                        tracer.record(
-                            "execute", "serve", compile_end, done_at,
-                            parent=request.span,
-                        )
-                        # The root span must close before set_result:
-                        # a graph node's done-callback runs
-                        # synchronously inside it and closes this
-                        # span's parent.
-                        tracer.end(
-                            request.span,
-                            args={"tier": tier, "batch_size": len(live)},
-                        )
-                    request.future.set_result(result)
-                except Exception as error:
-                    self.telemetry.count("failed")
-                    if (
-                        request.span is not None
-                        and not request.span.closed
-                    ):
-                        tracer.end(
-                            request.span, args={"error": repr(error)}
-                        )
-                    request.future.set_exception(error)
-
-    def _record_batch_spans(
-        self,
-        live: List[_QueuedRequest],
-        kernel: Any,
-        tier: str,
-        popped_at: float,
-        assembled_at: float,
-        compile_start: float,
-        compile_end: float,
-    ) -> None:
-        """Record the shared per-batch child spans.
-
-        Every request gets a ``queue`` child (its own submit time to
-        the batch's pop/assembly); the head request additionally owns
-        the batch-wide stages — ``dispatch`` (heap pop + same-bucket
-        scan), ``batch`` (micro-batch finalization), and ``compile``
-        (kernel acquisition, with one ``pass.*`` child per compiler
-        pass lifted from the kernel's :class:`~repro.compiler.passes.
-        PassTrace` when the batch actually compiled).
-        """
-        tracer = self.tracer
-        head = live[0]
         for request in live:
-            if request.span is None:
+            try:
+                outputs = None
+                if request.inputs is not None:
+                    arrays = dict(request.inputs)
+                    if request.specialized:
+                        # Callers pad inputs to the *generic* bucket;
+                        # the specialized kernel is smaller. Crop the
+                        # zero-padding off (bit-identical results).
+                        arrays = fit_inputs(kernel, arrays)
+                    outputs = api.run_functional(kernel, arrays)
+                done_at = time.perf_counter()
+                result = RuntimeResult(
+                    kernel=request.kernel.name,
+                    build_name=kernel.name,
+                    requested_shape=dict(request.shape),
+                    bucket=request.bucket,
+                    tier=tier,
+                    batch_size=len(live),
+                    gpu=gpu,
+                    latency_s=done_at - request.submitted_at,
+                    outputs=outputs,
+                    params=dict(params) if params else None,
+                )
+            except Exception as error:
+                self._settle(request, error=error)
                 continue
-            waited_until = popped_at if request is head else assembled_at
-            tracer.record(
-                "queue", "serve",
-                request.submitted_at, max(waited_until, request.submitted_at),
-                parent=request.span,
-            )
-        if head.span is None:
-            return
-        tracer.record(
-            "dispatch", "serve", popped_at, assembled_at,
-            parent=head.span, args={"batch_size": len(live)},
-        )
-        tracer.record(
-            "batch", "serve", assembled_at, compile_start, parent=head.span
-        )
-        compile_span = tracer.record(
-            "compile", "compile", compile_start, compile_end,
-            parent=head.span, args={"tier": tier},
-        )
-        if tier != TIER_COMPILE:
-            return
-        trace = getattr(kernel, "pass_trace", None)
-        if trace is None:
-            return
-        for record in trace.records:
-            if record.started_at_s <= 0.0:
-                continue
-            # Clamp into the compile span: under concurrent compiles of
-            # the same key, the PassTrace on the returned kernel may
-            # belong to another thread's (earlier) pipeline run.
-            start = min(max(record.started_at_s, compile_start), compile_end)
-            end = min(max(start, record.started_at_s + record.wall_time_s),
-                      compile_end)
-            tracer.record(
-                f"pass.{record.name}", "compile", start, end,
-                parent=compile_span,
-                args={
-                    "ops_before": record.ops_before,
-                    "ops_after": record.ops_after,
-                    "wall_time_s": record.wall_time_s,
-                },
-            )
-
-    # ------------------------------------------------------------------
-    # Graph bookkeeping
-    # ------------------------------------------------------------------
-    def _register_graph(self, token: int, fail) -> None:
-        """Track one in-flight graph execution; ``fail(error)`` must
-        idempotently fail its future (used by ``close(drain=False)``)."""
-        self._live_graphs[token] = fail
-
-    def _unregister_graph(self, token: int) -> None:
-        """Drop a finished (or failed) graph execution."""
-        self._live_graphs.pop(token, None)
+            stages.resolved(request, done_at)
+            self._settle(request, result)
 
     # ------------------------------------------------------------------
     # Introspection

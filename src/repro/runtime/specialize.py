@@ -21,7 +21,7 @@ PyPy-style tracing JITs applied to shapes:
    When ``specialize=False`` the dispatch path pays one ``is None``
    branch and nothing else.
 4. **Deoptimize** — a specialization whose shape goes cold (decayed
-   count under ``cold_threshold``) or that loses a budget fight
+   count under :data:`COLD_THRESHOLD`) or that loses a budget fight
    (``max_per_kernel``) is evicted and its counter reset, so it must
    re-earn promotion; traffic instantly falls back to the generic
    bucket, which never left the cache.
@@ -52,7 +52,9 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Optional, Set, Tuple
+
+import numpy as np
 
 from repro.background import BackgroundLoop
 from repro.runtime.bucketing import Bucket
@@ -60,6 +62,11 @@ from repro.runtime.registry import RegisteredKernel
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle: server owns us
     from repro.runtime.server import RuntimeServer
+
+
+#: Active specializations whose decayed hit count falls below this are
+#: deoptimized back to their bucket.
+COLD_THRESHOLD = 1.0
 
 
 @dataclass(frozen=True)
@@ -78,8 +85,6 @@ class SpecializerConfig:
         decay: factor applied to every per-shape hit count each decay
             round (exponential forgetting of stale traffic).
         decay_every_cycles: cycles between decay rounds.
-        cold_threshold: active specializations whose decayed count
-            falls below this are deoptimized back to the bucket.
         quarantine_cycles: cycles a shape whose specialized compile
             failed is barred from re-promotion (error backoff).
     """
@@ -90,7 +95,6 @@ class SpecializerConfig:
     max_promotions_per_cycle: int = 2
     decay: float = 0.5
     decay_every_cycles: int = 50
-    cold_threshold: float = 1.0
     quarantine_cycles: int = 8
 
 
@@ -113,6 +117,45 @@ class Specialization:
     serving: Bucket
     generic: Bucket
     flops_saved: float
+
+
+def fit_inputs(
+    kernel: Any, inputs: Dict[str, np.ndarray]
+) -> Dict[str, np.ndarray]:
+    """Fit functional inputs to a specialized kernel's parameters.
+
+    The serving contract has callers pad input arrays to the
+    generic bucket shape; a specialization guard hit compiles at
+    the (smaller) tile-aligned shape, so each named array is
+    cropped — or zero-padded, for callers that sent exact-shape
+    arrays below the aligned shape — to its parameter's declared
+    extents. Cropping only removes zero-padding, so specialized
+    outputs stay bit-identical to the generic kernel's outputs over
+    the same region. Arrays already matching (or of a different
+    rank, left for ``run_functional`` to diagnose) pass through.
+    """
+    declared = {
+        param.name: tuple(param.shape)
+        for param in kernel.final_ir.params
+    }
+    fitted: Dict[str, np.ndarray] = {}
+    for name, array in inputs.items():
+        target = declared.get(name)
+        if target is None or tuple(array.shape) == target \
+                or array.ndim != len(target):
+            fitted[name] = array
+            continue
+        cropped = array[
+            tuple(slice(0, min(have, want))
+                  for have, want in zip(array.shape, target))
+        ]
+        if cropped.shape != target:
+            padded = np.zeros(target, dtype=array.dtype)
+            padded[tuple(slice(0, extent)
+                         for extent in cropped.shape)] = cropped
+            cropped = padded
+        fitted[name] = cropped
+    return fitted
 
 
 class ShapeSpecializer(BackgroundLoop):
@@ -196,7 +239,7 @@ class ShapeSpecializer(BackgroundLoop):
             server.telemetry.decay_shape_traffic(config.decay)
         traffic = server.telemetry.shape_traffic()
         for key, spec in list(self._active.items()):
-            if traffic.get(key, 0.0) < config.cold_threshold:
+            if traffic.get(key, 0.0) < COLD_THRESHOLD:
                 self._deopt(key, spec, reason="cold")
         promoted = 0
         hottest = sorted(traffic.items(), key=lambda kv: (-kv[1], kv[0][0]))

@@ -9,8 +9,8 @@ request throughput — the numbers a serving dashboard would scrape, and
 what ``RuntimeStats.table()`` renders for humans.
 
 Latencies are kept in bounded per-kernel windows (the most recent
-``window`` observations) so a long-lived server's telemetry stays O(1)
-in memory; counters are exact over the whole lifetime.
+:data:`WINDOW` observations) so a long-lived server's telemetry stays
+O(1) in memory; counters are exact over the whole lifetime.
 """
 
 from __future__ import annotations
@@ -27,6 +27,9 @@ from repro.util import fmt_percent
 #: The cache tier that produced a request's kernel, as the compile
 #: cache's lookup labels it.
 TIERS = (TIER_MEMORY, TIER_DISK, TIER_COMPILE)
+
+#: Latency and graph-makespan observations kept for the percentiles.
+WINDOW = 2048
 
 #: Version of the ``RuntimeStats.to_json()`` schema. Bump on any
 #: renamed/removed key; consumers (``/statusz``, dashboards) key off it.
@@ -385,17 +388,16 @@ class RuntimeStats:
 class _KernelWindow:
     __slots__ = ("requests", "latencies", "tflops_sum")
 
-    def __init__(self, window: int) -> None:
+    def __init__(self) -> None:
         self.requests = 0
-        self.latencies: deque = deque(maxlen=window)
+        self.latencies: deque = deque(maxlen=WINDOW)
         self.tflops_sum = 0.0
 
 
 class Telemetry:
     """The live, thread-safe collector behind ``RuntimeServer.stats()``."""
 
-    def __init__(self, window: int = 2048) -> None:
-        self._window = window
+    def __init__(self) -> None:
         self._lock = threading.Lock()
         self._started = time.perf_counter()
         self._counts: Dict[str, float] = {spec.field: 0 for spec in COUNTERS}
@@ -403,7 +405,7 @@ class Telemetry:
         self._max_batch = 0
         self._tiers: Dict[str, int] = {tier: 0 for tier in TIERS}
         self._kernels: Dict[str, _KernelWindow] = {}
-        self._graph_makespans: deque = deque(maxlen=window)
+        self._graph_makespans: deque = deque(maxlen=WINDOW)
         self._bucket_traffic: Dict[tuple, int] = {}
         self._shape_traffic: Dict[tuple, float] = {}
 
@@ -504,7 +506,7 @@ class Telemetry:
             self._tiers[tier] = self._tiers.get(tier, 0) + 1
             window = self._kernels.get(kernel)
             if window is None:
-                window = self._kernels[kernel] = _KernelWindow(self._window)
+                window = self._kernels[kernel] = _KernelWindow()
             window.requests += 1
             window.latencies.append(latency_s)
             window.tflops_sum += tflops

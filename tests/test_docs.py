@@ -1,6 +1,6 @@
 """Documentation contracts: docstring coverage and markdown links.
 
-The ``docs-check`` CI job runs exactly this module. It enforces two
+Part of the tier-1 suite CI's one job runs. It enforces three
 invariants so documentation cannot silently regress:
 
 1. every public symbol of ``repro.api``, ``repro.tuner``,

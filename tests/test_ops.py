@@ -172,7 +172,7 @@ def _one_cpu():
 
 def _trip_breaker(server, site="compile:gemm"):
     breaker = server._breaker(site)
-    for _ in range(server.resilience.breaker_threshold):
+    for _ in range(breaker.failure_threshold):
         breaker.record_failure()
     assert breaker.state == BREAKER_OPEN
     return breaker

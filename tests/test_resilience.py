@@ -637,7 +637,7 @@ class TestSubmitClose:
 class TestCompileBreaker:
     def _trip(self, server, site):
         breaker = server._breaker(site)
-        for _ in range(server.resilience.breaker_threshold):
+        for _ in range(breaker.failure_threshold):
             breaker.record_failure()
         assert breaker.state == BREAKER_OPEN
         return breaker

@@ -9,6 +9,7 @@ after a simulated restart a disk-tier hit that executes zero passes.
 
 import os
 import threading
+from concurrent.futures import CancelledError
 
 import numpy as np
 import pytest
@@ -21,8 +22,10 @@ from repro.kernels import build_gemm
 from repro.runtime import (
     Bucket,
     BucketPolicy,
+    DeadlineExceeded,
     DiskCacheTier,
     KernelRegistry,
+    ResilienceConfig,
     RuntimeServer,
     default_registry,
 )
@@ -424,12 +427,6 @@ class TestConcurrency:
         finally:
             server.close()
 
-    def test_close_without_drain_cancels_queued(self, hopper, registry):
-        server = RuntimeServer(hopper, registry, workers=1, start=False)
-        future = server.submit("gemm", dict(m=128, n=256, k=64))
-        server.close(drain=False)
-        assert future.cancelled()
-
 
 class TestDiskTier:
     def test_truncated_pickle_falls_back_to_recompile(
@@ -752,21 +749,123 @@ class TestTelemetry:
             assert 0.0 <= stats.tier_rate("memory") <= 1.0
             assert stats.throughput_rps > 0.0
 
-    def test_failed_requests_counted(self, hopper):
-        reg = KernelRegistry()
-        # tile_m=192 survives build but fails in the compiler.
-        reg.register(
+
+SHAPE = dict(m=128, n=256, k=64)
+
+
+def _served(server, monkeypatch):
+    return server.submit("gemm", SHAPE)
+
+
+def _compile_error(server, monkeypatch):
+    return server.submit("bad_gemm", dict(m=256, n=256, k=128))
+
+
+def _functional_error(server, monkeypatch):
+    return server.submit(
+        "gemm", SHAPE, inputs={"A": np.zeros((3, 3), np.float16)}
+    )
+
+
+def _expired(server, monkeypatch):
+    return server.submit("gemm", SHAPE, deadline=0.0)
+
+
+def _shed(server, monkeypatch):
+    victim = server.submit("gemm", SHAPE)
+    server.submit("gemm", SHAPE)  # over max_queue=1: evicts the victim
+    return victim
+
+
+def _cancelled(server, monkeypatch):
+    future = server.submit("gemm", SHAPE)
+    server.close(drain=False)
+    return future
+
+
+def _crashed(server, monkeypatch):
+    def explode(size):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(server.telemetry, "record_batch", explode)
+    return server.submit("gemm", SHAPE)
+
+
+class TestOutcomes:
+    """Every way a request can leave the server ends in the same place
+    (``RuntimeServer._settle``), so every exit is held to the same three
+    checks: the future is done, exactly one terminal counter moved per
+    request (the conservation law), and each request left exactly one
+    closed ``request`` span saying how it ended."""
+
+    @pytest.mark.parametrize(
+        "drive, counter, raises",
+        [
+            pytest.param(_served, "completed", None, id="served"),
+            # tile_m=192 survives build but fails in the compiler.
+            pytest.param(
+                _compile_error, "failed", CypressError, id="compile-error"
+            ),
+            pytest.param(
+                _functional_error, "failed", CypressError,
+                id="functional-error",
+            ),
+            pytest.param(_expired, "failed", DeadlineExceeded, id="expired"),
+            pytest.param(_shed, "shed_requests", CypressError, id="shed"),
+            pytest.param(_cancelled, "failed", CancelledError, id="cancelled"),
+            pytest.param(_crashed, "failed", RuntimeError, id="worker-crash"),
+        ],
+    )
+    def test_every_exit_settles_once(
+        self, hopper, registry, monkeypatch, drive, counter, raises
+    ):
+        registry.register(
             "bad_gemm",
             build_gemm,
             ("m", "n", "k"),
             policy=BucketPolicy(ladders={}),
             defaults=dict(tile_m=192, tile_n=128, tile_k=64),
         )
-        with RuntimeServer(hopper, reg, workers=1) as server:
-            future = server.submit("bad_gemm", dict(m=256, n=256, k=128))
-            with pytest.raises(CypressError):
-                future.result(timeout=120)
-            assert server.stats().failed == 1
+        server = RuntimeServer(
+            hopper,
+            registry,
+            workers=1,
+            trace=True,
+            start=False,
+            resilience=ResilienceConfig(
+                max_queue=1, shed_policy="drop-oldest"
+            ),
+        )
+        try:
+            future = drive(server, monkeypatch)
+            if not server.closed:
+                server.start()
+        finally:
+            server.close()
+        assert future.done()
+        if raises is None:
+            assert future.result().tflops > 0
+        elif raises is CancelledError:
+            assert future.cancelled()
+        else:
+            assert isinstance(future.exception(), raises)
+        stats = server.stats()
+        assert getattr(stats, counter) >= 1
+        assert (
+            stats.completed + stats.failed + stats.shed_requests
+            == stats.requests
+        )
+        spans = [s for s in server.tracer.spans() if s.name == "request"]
+        assert len(spans) == stats.requests
+        for span in spans:
+            assert span.closed
+            assert ("error" in span.args) != (
+                {"tier", "batch_size"} <= set(span.args)
+            )
+        assert (
+            sum("error" in span.args for span in spans)
+            == stats.failed + stats.shed_requests
+        )
 
 
 class TestServeEntryPoint:

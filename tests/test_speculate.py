@@ -272,7 +272,7 @@ class TestSharedFetch:
                 [("gemm", Bucket((("m", 128), ("n", 256), ("k", 64))))], None
             )
             breaker = server._breaker("compile:gemm")
-            for _ in range(server.resilience.breaker_threshold):
+            for _ in range(breaker.failure_threshold):
                 breaker.record_failure()
             assert not breaker.allow()
             with faults.active(plan):
