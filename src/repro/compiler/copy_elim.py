@@ -25,14 +25,30 @@ them away:
 
 Spill patterns are ordered ahead of dependency-preserving patterns so
 that event-array collapses are elided where the paper says they may be.
+
+The driver restarts the pattern scan after every rewrite, so what a
+rewrite costs decides what the pass costs. A rewrite never re-walks the
+function: :class:`_Uses`, built from one walk per ``eliminate_copies``
+call and dropped with it, records which ops wait on each event, which
+ops reference each tensor, and how often each tensor is read and
+written. The pass's mutation points (``_remove``,
+``_replace_buffer_refs``, the two hoists — all through
+``_Uses.set_preconds``) keep it current.
+
+One side effect of the walk this replaces is kept on purpose, because
+the printed IR depends on it: the *first* removal rebuilds **every**
+op's precondition list with duplicates dropped, not only the lists that
+name the removed event. From then on every list is duplicate-free and
+only the removed event's users change, so only they are rewritten.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from collections import Counter
+from typing import Dict, List, Optional, Set
 
 from repro.errors import CompileError
-from repro.ir.events import BROADCAST, EventUse
+from repro.ir.events import BROADCAST, Event, EventUse
 from repro.ir.module import Buffer, IRFunction
 from repro.ir.ops import Block, CallOp, CopyOp, ForOp, Operation, PForOp
 from repro.machine.memory import MemoryKind
@@ -44,14 +60,96 @@ from repro.tensors.tensor import TensorRef
 
 def eliminate_copies(fn: IRFunction, max_iterations: int = 500) -> IRFunction:
     """Apply the rewrite patterns to a fixed point."""
+    uses = _Uses(fn)
     for _ in range(max_iterations):
-        if _apply_once(fn):
+        if _apply_once(uses):
             continue
         return fn
     raise CompileError("copy elimination did not reach a fixed point")
 
 
-def _apply_once(fn: IRFunction) -> bool:
+def _accesses(op: Operation):
+    """``(reads, writes)``: the references an op's read and write
+    counts are taken over."""
+    if isinstance(op, CopyOp):
+        return (op.src,), (op.dst,)
+    if isinstance(op, CallOp):
+        return op.reads, op.writes
+    return (), ()
+
+
+def _op_refs(op: Operation) -> List[TensorRef]:
+    """Every tensor reference an op holds (what a rename must rewrite)."""
+    reads, writes = _accesses(op)
+    return [*op.tensor_uses(), *reads, *writes]
+
+
+class _Uses:
+    """Who uses what in ``fn``, kept current by the rewrites.
+
+    Attributes:
+        ops: every op in the function (a dict used as an ordered set).
+        blocks: every block; the pass moves and removes only copies, so
+            this never changes.
+        waiters: event -> ops with a precondition on it.
+        refs: tensor uid -> ops holding a reference rooted there.
+        reads / writes: tensor uid -> copy sources / destinations plus
+            call ``reads`` / ``writes`` entries rooted there.
+        deduplicated: a removal has already rebuilt every op's
+            precondition list (see the module docstring).
+    """
+
+    def __init__(self, fn: IRFunction):
+        self.fn = fn
+        self.ops: Dict[Operation, None] = dict.fromkeys(fn.walk())
+        self.blocks: List[Block] = [fn.body]
+        self.waiters: Dict[Event, Set[Operation]] = {}
+        self.refs: Dict[int, Set[Operation]] = {}
+        self.reads: Counter = Counter()
+        self.writes: Counter = Counter()
+        self.deduplicated = False
+        for op in self.ops:
+            self.blocks.extend(op.nested_blocks())
+            for use in op.preconds:
+                self.waiters.setdefault(use.event, set()).add(op)
+            for ref in _op_refs(op):
+                self.refs.setdefault(ref.root.uid, set()).add(op)
+            self._count(op, 1)
+
+    def _count(self, op: Operation, sign: int) -> None:
+        reads, writes = _accesses(op)
+        for ref in reads:
+            self.reads[ref.root.uid] += sign
+        for ref in writes:
+            self.writes[ref.root.uid] += sign
+
+    def set_preconds(self, op: Operation, preconds: List[EventUse]) -> None:
+        for use in op.preconds:
+            self.waiters[use.event].discard(op)
+        op.preconds = preconds
+        for use in preconds:
+            self.waiters.setdefault(use.event, set()).add(op)
+
+    def drop(self, op: Operation) -> None:
+        """Forget an op that left the function."""
+        del self.ops[op]
+        for use in op.preconds:
+            self.waiters[use.event].discard(op)
+        for ref in _op_refs(op):
+            self.refs[ref.root.uid].discard(op)
+        self._count(op, -1)
+
+    def rename(self, uid: int, target: int) -> Set[Operation]:
+        """Move everything recorded under tensor ``uid`` to ``target``;
+        returns the ops whose references the caller must rewrite."""
+        ops = self.refs.pop(uid, set())
+        self.refs.setdefault(target, set()).update(ops)
+        for counts in (self.reads, self.writes):
+            counts[target] += counts.pop(uid, 0)
+        return ops
+
+
+def _apply_once(uses: _Uses) -> bool:
     for pattern in (
         _self_copy,
         _roundtrip_alias,
@@ -62,17 +160,17 @@ def _apply_once(fn: IRFunction) -> bool:
         _spill_hoist,
         _invariant_copy_hoist,
     ):
-        if _rewrite_blocks(fn, fn.body, pattern):
+        if _rewrite_blocks(uses, uses.fn.body, pattern):
             return True
     return False
 
 
-def _rewrite_blocks(fn: IRFunction, block: Block, pattern) -> bool:
-    if pattern(fn, block):
+def _rewrite_blocks(uses: _Uses, block: Block, pattern) -> bool:
+    if pattern(uses, block):
         return True
     for op in block.ops:
         for nested in op.nested_blocks():
-            if _rewrite_blocks(fn, nested, pattern):
+            if _rewrite_blocks(uses, nested, pattern):
                 return True
     return False
 
@@ -108,16 +206,16 @@ def _adapt_use(pre: EventUse, outer: EventUse) -> EventUse:
     return EventUse(pre.event, tuple(new_indices))
 
 
-def _forward_event(fn: IRFunction, removed: Operation) -> None:
+def _forward_event(uses: _Uses, removed: Operation) -> None:
     """Redirect uses of a removed op's event onto its preconditions."""
     event = removed.result
     if event is None:
         return
     preconds = list(removed.preconds)
 
-    def rewrite(uses: List[EventUse]) -> List[EventUse]:
+    def rewrite(old: List[EventUse]) -> List[EventUse]:
         out: List[EventUse] = []
-        for use in uses:
+        for use in old:
             if use.event is not event:
                 if use not in out:
                     out.append(use)
@@ -128,9 +226,12 @@ def _forward_event(fn: IRFunction, removed: Operation) -> None:
                     out.append(adapted)
         return out
 
-    for op in fn.walk():
-        op.preconds = rewrite(op.preconds)
-    for nested in _all_blocks(fn.body):
+    waiting = uses.waiters.get(event, ()) if uses.deduplicated else uses.ops
+    uses.deduplicated = True
+    for op in list(waiting):
+        uses.set_preconds(op, rewrite(op.preconds))
+    uses.waiters.pop(event, None)
+    for nested in uses.blocks:
         if nested.yield_use is not None and nested.yield_use.event is event:
             if preconds:
                 nested.yield_use = _adapt_use(
@@ -154,21 +255,10 @@ def _previous_event_use(block: Block, removed: Operation) -> Optional[EventUse]:
     return previous.result.use_all()
 
 
-def _all_blocks(block: Block):
-    yield block
-    for op in block.ops:
-        for nested in op.nested_blocks():
-            yield from _all_blocks(nested)
-
-
-def _remove(fn: IRFunction, block: Block, op: Operation) -> None:
-    _forward_event(fn, op)
+def _remove(uses: _Uses, block: Block, op: Operation) -> None:
+    _forward_event(uses, op)
     block.ops.remove(op)
-    for nested in _all_blocks(fn.body):
-        if nested.yield_use is not None and nested.yield_use.event is (
-            op.result
-        ):
-            nested.yield_use = _previous_event_use(nested, op)
+    uses.drop(op)
 
 
 # ----------------------------------------------------------------------
@@ -197,7 +287,7 @@ def _compose_ref(base: TensorRef, sub: TensorRef) -> TensorRef:
     return result
 
 
-def _replace_buffer_refs(fn: IRFunction, buffer: Buffer, base: TensorRef) -> None:
+def _replace_buffer_refs(uses: _Uses, buffer: Buffer, base: TensorRef) -> None:
     uid = buffer.tensor.uid
 
     def rewrite(ref: TensorRef) -> TensorRef:
@@ -205,7 +295,7 @@ def _replace_buffer_refs(fn: IRFunction, buffer: Buffer, base: TensorRef) -> Non
             return ref
         return _compose_ref(base, ref)
 
-    for op in fn.walk():
+    for op in uses.rename(uid, base.root.uid):
         if isinstance(op, CopyOp):
             op.src = rewrite(op.src)
             op.dst = rewrite(op.dst)
@@ -221,12 +311,12 @@ def _replace_buffer_refs(fn: IRFunction, buffer: Buffer, base: TensorRef) -> Non
 # ----------------------------------------------------------------------
 # Patterns
 # ----------------------------------------------------------------------
-def _self_copy(fn: IRFunction, block: Block) -> bool:
+def _self_copy(uses: _Uses, block: Block) -> bool:
     for op in block.ops:
         if not isinstance(op, CopyOp):
             continue
         if op.src.root.uid == op.dst.root.uid and _same_path(op.src, op.dst):
-            _remove(fn, block, op)
+            _remove(uses, block, op)
             return True
     return False
 
@@ -248,7 +338,7 @@ def _memory_compatible(temp: Buffer, other: TensorRef, fn: IRFunction) -> bool:
     return counterpart is not None and counterpart.memory is temp.memory
 
 
-def _roundtrip_alias(fn: IRFunction, block: Block) -> bool:
+def _roundtrip_alias(uses: _Uses, block: Block) -> bool:
     """Figure 10a: alias a copy-in/copy-out temporary onto its source.
 
     Safe because the dependence analysis gave the launch exclusive
@@ -258,8 +348,8 @@ def _roundtrip_alias(fn: IRFunction, block: Block) -> bool:
     for i, cin in enumerate(block.ops):
         if not isinstance(cin, CopyOp):
             continue
-        temp = _is_renamable_temp(fn, cin.dst)
-        if temp is None or not _memory_compatible(temp, cin.src, fn):
+        temp = _is_renamable_temp(uses.fn, cin.dst)
+        if temp is None or not _memory_compatible(temp, cin.src, uses.fn):
             continue
         for cout in block.ops[i + 1 :]:
             if not isinstance(cout, CopyOp):
@@ -270,44 +360,44 @@ def _roundtrip_alias(fn: IRFunction, block: Block) -> bool:
                 cout.dst, cin.src
             ):
                 continue
-            _remove(fn, block, cout)
-            _remove(fn, block, cin)
-            _replace_buffer_refs(fn, temp, cin.src)
+            _remove(uses, block, cout)
+            _remove(uses, block, cin)
+            _replace_buffer_refs(uses, temp, cin.src)
             return True
     return False
 
 
-def _forward_copy_in(fn: IRFunction, block: Block) -> bool:
+def _forward_copy_in(uses: _Uses, block: Block) -> bool:
     for op in block.ops:
         if not isinstance(op, CopyOp):
             continue
-        temp = _is_renamable_temp(fn, op.dst)
-        if temp is None or not _memory_compatible(temp, op.src, fn):
+        temp = _is_renamable_temp(uses.fn, op.dst)
+        if temp is None or not _memory_compatible(temp, op.src, uses.fn):
             continue
-        if _write_count(fn, temp) != 1:
+        if uses.writes[temp.tensor.uid] != 1:
             continue
-        _remove(fn, block, op)
-        _replace_buffer_refs(fn, temp, op.src)
+        _remove(uses, block, op)
+        _replace_buffer_refs(uses, temp, op.src)
         return True
     return False
 
 
-def _forward_copy_out(fn: IRFunction, block: Block) -> bool:
+def _forward_copy_out(uses: _Uses, block: Block) -> bool:
     for op in block.ops:
         if not isinstance(op, CopyOp):
             continue
-        temp = _is_renamable_temp(fn, op.src)
-        if temp is None or not _memory_compatible(temp, op.dst, fn):
+        temp = _is_renamable_temp(uses.fn, op.src)
+        if temp is None or not _memory_compatible(temp, op.dst, uses.fn):
             continue
-        if _read_count(fn, temp) != 1:
+        if uses.reads[temp.tensor.uid] != 1:
             continue
-        _remove(fn, block, op)
-        _replace_buffer_refs(fn, temp, op.dst)
+        _remove(uses, block, op)
+        _replace_buffer_refs(uses, temp, op.dst)
         return True
     return False
 
 
-def _duplicate_copy(fn: IRFunction, block: Block) -> bool:
+def _duplicate_copy(uses: _Uses, block: Block) -> bool:
     for i, first in enumerate(block.ops):
         if not isinstance(first, CopyOp):
             continue
@@ -319,8 +409,8 @@ def _duplicate_copy(fn: IRFunction, block: Block) -> bool:
                     if first.result.type
                     else first.result.use()
                 )
-                second.preconds = [surviving]
-                _remove(fn, block, second)
+                uses.set_preconds(second, [surviving])
+                _remove(uses, block, second)
                 return True
             if _writes_buffer(second, first.src.root.uid) or _writes_buffer(
                 second, first.dst.root.uid
@@ -329,7 +419,7 @@ def _duplicate_copy(fn: IRFunction, block: Block) -> bool:
     return False
 
 
-def _redundant_load(fn: IRFunction, block: Block) -> bool:
+def _redundant_load(uses: _Uses, block: Block) -> bool:
     """Figure 10c generalized: two loads of the same data into distinct
     whole temporaries in the same memory share one allocation.
 
@@ -339,8 +429,8 @@ def _redundant_load(fn: IRFunction, block: Block) -> bool:
     for i, first in enumerate(block.ops):
         if not isinstance(first, CopyOp):
             continue
-        first_temp = _is_renamable_temp(fn, first.dst)
-        if first_temp is None or _write_count(fn, first_temp) != 1:
+        first_temp = _is_renamable_temp(uses.fn, first.dst)
+        if first_temp is None or uses.writes[first_temp.tensor.uid] != 1:
             continue
         for second in block.ops[i + 1 :]:
             if _writes_buffer(second, first.src.root.uid):
@@ -351,12 +441,12 @@ def _redundant_load(fn: IRFunction, block: Block) -> bool:
                 continue
             if not _same_path(second.src, first.src):
                 continue
-            second_temp = _is_renamable_temp(fn, second.dst)
+            second_temp = _is_renamable_temp(uses.fn, second.dst)
             if second_temp is None or second_temp is first_temp:
                 continue
             if second_temp.memory is not first_temp.memory:
                 continue
-            if _write_count(fn, second_temp) != 1:
+            if uses.writes[second_temp.tensor.uid] != 1:
                 continue
             # Consumers of the removed load must still wait on the
             # surviving load's completion.
@@ -365,14 +455,14 @@ def _redundant_load(fn: IRFunction, block: Block) -> bool:
                 if first.result.type
                 else first.result.use()
             )
-            second.preconds = [surviving]
-            _remove(fn, block, second)
-            _replace_buffer_refs(fn, second_temp, first.dst)
+            uses.set_preconds(second, [surviving])
+            _remove(uses, block, second)
+            _replace_buffer_refs(uses, second_temp, first.dst)
             return True
     return False
 
 
-def _spill_hoist(fn: IRFunction, block: Block) -> bool:
+def _spill_hoist(uses: _Uses, block: Block) -> bool:
     """Figure 10b: hoist a loop-invariant copy round trip out of a loop.
 
     Matches ``copy(P, t) ... copy(t, P)`` inside a ``for`` body where
@@ -405,11 +495,10 @@ def _spill_hoist(fn: IRFunction, block: Block) -> bool:
             # The copy-in keeps only loop-external preconditions and the
             # loop adds a dependence on it; in-body consumers of the
             # copy-in's event still reference it (now defined earlier).
-            cin.preconds = [
-                use
-                for use in cin.preconds
-                if not _defined_in(body, use)
-            ]
+            uses.set_preconds(
+                cin,
+                [use for use in cin.preconds if not _defined_in(body, use)],
+            )
             block.ops.insert(position, cin)
             position += 1
             # The copy-out waits for the loop to complete, plus any
@@ -417,7 +506,7 @@ def _spill_hoist(fn: IRFunction, block: Block) -> bool:
             external = [
                 use for use in cout.preconds if not _defined_in(body, use)
             ]
-            cout.preconds = external + [loop.result.use()]
+            uses.set_preconds(cout, external + [loop.result.use()])
             block.ops.insert(position + 1, cout)
             if cin.result is not None:
                 use = (
@@ -426,12 +515,12 @@ def _spill_hoist(fn: IRFunction, block: Block) -> bool:
                     else cin.result.use()
                 )
                 if use not in loop.preconds:
-                    loop.preconds.append(use)
+                    uses.set_preconds(loop, loop.preconds + [use])
             return True
     return False
 
 
-def _invariant_copy_hoist(fn: IRFunction, block: Block) -> bool:
+def _invariant_copy_hoist(uses: _Uses, block: Block) -> bool:
     """Hoist a loop-invariant read-only copy-in out of a loop.
 
     A copy whose source and destination are loop-index free, whose
@@ -451,10 +540,10 @@ def _invariant_copy_hoist(fn: IRFunction, block: Block) -> bool:
                 continue
             if loop.index.name in cin.dst.free_variables():
                 continue
-            dst_buffer = fn.buffers.get(cin.dst.root.uid)
+            dst_buffer = uses.fn.buffers.get(cin.dst.root.uid)
             if dst_buffer is None or dst_buffer.is_argument:
                 continue
-            if _write_count(fn, dst_buffer) != 1:
+            if uses.writes[dst_buffer.tensor.uid] != 1:
                 continue
             src_written = any(
                 _writes_buffer(op, cin.src.root.uid)
@@ -468,9 +557,10 @@ def _invariant_copy_hoist(fn: IRFunction, block: Block) -> bool:
                 cin.result
             ):
                 body.yield_use = _previous_event_use(body, cin)
-            cin.preconds = [
-                use for use in cin.preconds if not _defined_in(body, use)
-            ]
+            uses.set_preconds(
+                cin,
+                [use for use in cin.preconds if not _defined_in(body, use)],
+            )
             block.ops.insert(position, cin)
             if cin.result is not None:
                 use = (
@@ -479,7 +569,7 @@ def _invariant_copy_hoist(fn: IRFunction, block: Block) -> bool:
                     else cin.result.use()
                 )
                 if use not in loop.preconds:
-                    loop.preconds.append(use)
+                    uses.set_preconds(loop, loop.preconds + [use])
             return True
     return False
 
@@ -560,25 +650,3 @@ def _writes_buffer(op: Operation, uid: int) -> bool:
     if isinstance(op, (ForOp, PForOp)):
         return any(_writes_buffer(inner, uid) for inner in op.body.walk())
     return False
-
-
-def _write_count(fn: IRFunction, buffer: Buffer) -> int:
-    uid = buffer.tensor.uid
-    count = 0
-    for op in fn.walk():
-        if isinstance(op, CopyOp) and op.dst.root.uid == uid:
-            count += 1
-        elif isinstance(op, CallOp):
-            count += sum(1 for w in op.writes if w.root.uid == uid)
-    return count
-
-
-def _read_count(fn: IRFunction, buffer: Buffer) -> int:
-    uid = buffer.tensor.uid
-    count = 0
-    for op in fn.walk():
-        if isinstance(op, CopyOp) and op.src.root.uid == uid:
-            count += 1
-        elif isinstance(op, CallOp):
-            count += sum(1 for r in op.reads if r.root.uid == uid)
-    return count

@@ -11,12 +11,23 @@ backward write-after-read edges the pipelining pass recorded.
 For single-stream (non-warp-specialized) schedules, copies inside a
 pipelined loop are issued ``pipeline - 1`` iterations early, modeling
 the unrolled multistage prefetch of Ampere-style kernels (Figure 1a).
+
+An issue re-resolves only the stream head that advanced and the heads
+that were blocked. What a head waits on is worked out once, when it
+becomes the head (a dependence in another segment through a
+``uid -> (segment, last iteration)`` table built per call), and its
+ready time is cached from the moment every instance of every dependence
+has completed: completion times only ever change when an instance
+issues, so from then on the value is final, and so is the start time
+built on it (the stream's own clock moves only when that stream
+issues). Nothing outlives the call, and the schedule is only read: the
+per-warpgroup instruction variants live in a table local to it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from dataclasses import dataclass, replace
+from typing import Dict, List, Optional, Tuple
 
 from repro.errors import SimulationError
 from repro.gpusim.engine import ResourcePool
@@ -48,68 +59,86 @@ class _Item:
     segment: int
 
 
+#: (segment, iteration, uid) of one dynamic instruction.
+_Key = Tuple[int, int, int]
+
+
 def simulate_cta(
     schedule: KernelSchedule, machine: MachineModel
 ) -> CtaResult:
     """Simulate one CTA of ``schedule`` on ``machine``."""
     pool = ResourcePool(machine)
     streams = _build_streams(schedule)
-    completion: Dict[Tuple[int, int, int], float] = {}
-    counts: Dict[Tuple[int, int, int], int] = {}
-    expected = _expected_instances(streams)
+    # Instances of each dynamic instruction still to issue, the latest
+    # finish among those that have, and — once none is left — the time
+    # the instruction as a whole completed.
+    remaining = _expected_instances(streams)
+    latest: Dict[_Key, float] = {}
+    finished: Dict[_Key, float] = {}
+    home = {
+        instr.uid: (seg_idx, segment.extent - 1)
+        for seg_idx, segment in enumerate(schedule.segments)
+        for instr in segment.instrs
+    }
     stream_time: Dict[str, float] = {name: 0.0 for name in streams}
     cursor: Dict[str, int] = {name: 0 for name in streams}
-    dynamic = sum(len(items) for items in streams.values())
+    # Per unfinished stream: what its head waits on, and its feasible
+    # start time — None while the head is blocked or not yet resolved.
+    waits: Dict[str, List[_Key]] = {
+        name: _dep_keys(items[0], remaining, home)
+        for name, items in streams.items()
+        if items
+    }
+    start: Dict[str, Optional[float]] = dict.fromkeys(waits)
 
     # Event-driven issue: among all stream heads whose dependencies are
     # met, process the one with the earliest feasible start time. This
     # keeps resource reservations close to time order (hardware FIFOs
     # serve requests as they arrive, not in an arbitrary stream order).
-    remaining = dynamic
-    while remaining:
-        best_name = None
-        best_start = None
-        best_ready = 0.0
-        for name, items in streams.items():
-            idx = cursor[name]
-            if idx >= len(items):
-                continue
-            item = items[idx]
-            ready = _deps_ready(item, completion, counts, expected, schedule)
-            if ready is None:
-                continue
-            start = max(stream_time[name], ready)
-            if best_start is None or start < best_start:
-                best_name, best_start, best_ready = name, start, ready
-        if best_name is None:
+    while start:
+        name = None
+        for candidate, when in start.items():
+            if when is None:
+                ready = _deps_ready(waits[candidate], finished)
+                if ready is None:
+                    continue
+                when = start[candidate] = max(stream_time[candidate], ready)
+            if name is None or when < start[name]:
+                name = candidate
+        if name is None:
             raise SimulationError(
                 "schedule deadlocked: circular dependence between "
-                "instruction streams"
+                "instruction streams: "
+                + "; ".join(
+                    _blocked(n, streams[n][cursor[n]], waits[n], finished)
+                    for n in start
+                )
             )
-        name = best_name
-        item = streams[name][cursor[name]]
-        start = best_start
+        items = streams[name]
+        item = items[cursor[name]]
+        begin = start[name]
         issue = pool.issue_cycles(item.instr.kind, item.instr.bytes_moved)
-        finish = pool.completion(item.instr.kind, start + issue, item.instr)
+        finish = pool.completion(item.instr.kind, begin + issue, item.instr)
         blocking = item.instr.kind in ("simt", "sfu", "smem_copy",
                                        "ld_global", "st_global")
-        stream_time[name] = finish if blocking else start + issue
+        stream_time[name] = finish if blocking else begin + issue
         key = (item.segment, item.iteration, item.instr.uid)
-        completion[key] = max(completion.get(key, 0.0), finish)
-        counts[key] = counts.get(key, 0) + 1
-        cursor[name] = cursor[name] + 1
-        remaining -= 1
+        latest[key] = max(latest.get(key, 0.0), finish)
+        remaining[key] -= 1
+        if not remaining[key]:
+            finished[key] = latest[key]
+        cursor[name] += 1
+        if cursor[name] == len(items):
+            del start[name]
+        else:
+            start[name] = None
+            waits[name] = _dep_keys(items[cursor[name]], remaining, home)
 
-    cycles = max(
-        list(stream_time.values())
-        + [t for t in completion.values()]
-        + [0.0]
-    )
     return CtaResult(
-        cycles=cycles,
+        cycles=max([*stream_time.values(), *finished.values(), 0.0]),
         busy=pool.busy_times(),
         stream_cycles=dict(stream_time),
-        dynamic_instructions=dynamic,
+        dynamic_instructions=sum(len(items) for items in streams.values()),
     )
 
 
@@ -121,18 +150,31 @@ def _build_streams(schedule: KernelSchedule) -> Dict[str, List[_Item]]:
     if schedule.warpspecialized:
         names.append("dma")
     streams: Dict[str, List[_Item]] = {name: [] for name in names}
-
+    # Work annotated on a compute instruction covers all warpgroups;
+    # each stream executes 1/Nth of it. One variant per instruction,
+    # owned by this simulation — the schedule is shared and cached.
+    n = schedule.n_warpgroups
+    per_wg = {
+        instr.uid: instr if n == 1 else replace(
+            instr,
+            bytes_moved=instr.bytes_moved // n,
+            flops=instr.flops / n,
+            sfu_ops=instr.sfu_ops / n,
+        )
+        for segment in schedule.segments
+        for instr in segment.instrs
+    }
     for seg_idx, segment in enumerate(schedule.segments):
         if schedule.warpspecialized:
-            _emit_warpspec(streams, schedule, seg_idx, segment)
+            _emit_warpspec(streams, per_wg, seg_idx, segment)
         else:
-            _emit_single(streams, schedule, seg_idx, segment)
+            _emit_single(streams, per_wg, seg_idx, segment)
     return streams
 
 
 def _emit_warpspec(
     streams: Dict[str, List[_Item]],
-    schedule: KernelSchedule,
+    per_wg: Dict[int, Instr],
     seg_idx: int,
     segment: Segment,
 ) -> None:
@@ -141,15 +183,14 @@ def _emit_warpspec(
             if instr.role == "dma":
                 streams["dma"].append(_Item(instr, k, seg_idx))
             else:
-                for wg in range(schedule.n_warpgroups):
-                    streams[f"wg{wg}"].append(
-                        _Item(_per_wg(instr, schedule), k, seg_idx)
-                    )
+                for name, items in streams.items():
+                    if name != "dma":
+                        items.append(_Item(per_wg[instr.uid], k, seg_idx))
 
 
 def _emit_single(
     streams: Dict[str, List[_Item]],
-    schedule: KernelSchedule,
+    per_wg: Dict[int, Instr],
     seg_idx: int,
     segment: Segment,
 ) -> None:
@@ -181,44 +222,12 @@ def _emit_single(
             for instr in segment.instrs:
                 schedule_rows.append((instr, k))
     for instr, k in schedule_rows:
-        for wg in range(schedule.n_warpgroups):
-            copy_like = instr.role == "dma"
-            item_instr = instr if copy_like and wg == 0 else _per_wg(
-                instr, schedule
-            )
-            if copy_like and wg != 0:
-                continue  # a single warp issues each block-wide copy
-            streams[f"wg{wg}"].append(_Item(item_instr, k, seg_idx))
-
-
-def _per_wg(instr: Instr, schedule: KernelSchedule) -> Instr:
-    """A compute instruction's per-warpgroup share.
-
-    Work annotated on the instruction covers all warpgroups; each
-    stream executes 1/Nth of it. The shared variant is cached on the
-    instruction so repeated loop iterations reuse one object.
-    """
-    n = schedule.n_warpgroups
-    if n == 1:
-        return instr
-    cached = getattr(instr, "_per_wg_variant", None)
-    if cached is not None:
-        return cached
-    variant = Instr(
-        uid=instr.uid,
-        kind=instr.kind,
-        role=instr.role,
-        bytes_moved=instr.bytes_moved // n,
-        flops=instr.flops / n,
-        sfu_ops=instr.sfu_ops / n,
-        deps=instr.deps,
-        carried_deps=instr.carried_deps,
-        war_distance=instr.war_distance,
-        war_consumers=instr.war_consumers,
-        label=instr.label,
-    )
-    instr._per_wg_variant = variant
-    return variant
+        if instr.role == "dma":
+            # a single warp issues each block-wide copy
+            streams["wg0"].append(_Item(instr, k, seg_idx))
+        else:
+            for items in streams.values():
+                items.append(_Item(per_wg[instr.uid], k, seg_idx))
 
 
 # ----------------------------------------------------------------------
@@ -226,13 +235,13 @@ def _per_wg(instr: Instr, schedule: KernelSchedule) -> Instr:
 # ----------------------------------------------------------------------
 def _expected_instances(
     streams: Dict[str, List[_Item]]
-) -> Dict[Tuple[int, int, int], int]:
+) -> Dict[_Key, int]:
     """How many stream instances each dynamic instruction has.
 
     A compute instruction replicated across N warpgroups only counts as
     complete once all N instances finish (the warpgroup barrier).
     """
-    expected: Dict[Tuple[int, int, int], int] = {}
+    expected: Dict[_Key, int] = {}
     for items in streams.values():
         for item in items:
             key = (item.segment, item.iteration, item.instr.uid)
@@ -240,70 +249,57 @@ def _expected_instances(
     return expected
 
 
+def _dep_keys(
+    item: _Item, expected: Dict[_Key, int], home: Dict[int, Tuple[int, int]]
+) -> List[_Key]:
+    """The dynamic instructions ``item`` waits on: same-iteration deps,
+    carried deps, then write-after-read consumers."""
+    instr, segment, iteration = item.instr, item.segment, item.iteration
+    keys = [(segment, iteration, dep) for dep in instr.deps]
+    keys += [
+        (segment, iteration - distance, dep)
+        for dep, distance in instr.carried_deps
+        if distance <= iteration
+    ]
+    if 0 < instr.war_distance <= iteration:
+        target = iteration - instr.war_distance
+        keys += [(segment, target, uid) for uid in instr.war_consumers]
+    for position, key in enumerate(keys):
+        if key not in expected:
+            # The producer lives in another segment (loop-external
+            # dependence): it completes once, at its own final instance.
+            uid = key[2]
+            if uid not in home or home[uid][0] == segment:
+                raise SimulationError(
+                    f"instruction depends on unknown uid {uid}"
+                )
+            keys[position] = (*home[uid], uid)
+    return keys
+
+
 def _deps_ready(
-    item: _Item,
-    completion: Dict[Tuple[int, int, int], float],
-    counts: Dict[Tuple[int, int, int], int],
-    expected: Dict[Tuple[int, int, int], int],
-    schedule: KernelSchedule,
-):
-    """Latest completion among the item's dependencies, or None if some
-    dependency has not fully completed yet."""
+    waits: List[_Key], finished: Dict[_Key, float]
+) -> Optional[float]:
+    """Latest completion among a head's dependencies, or None if some
+    dependency has not fully completed yet. A time, once returned, is
+    final: every instance it was taken over has issued."""
     ready = 0.0
-    instr = item.instr
-
-    def dep_time(segment: int, iteration: int, uid: int):
-        return _lookup(
-            completion, counts, expected, schedule, segment, iteration, uid
-        )
-
-    for dep in instr.deps:
-        time = dep_time(item.segment, item.iteration, dep)
+    for key in waits:
+        time = finished.get(key)
         if time is None:
             return None
-        ready = max(ready, time)
-    for dep, distance in instr.carried_deps:
-        target = item.iteration - distance
-        if target < 0:
-            continue
-        time = dep_time(item.segment, target, dep)
-        if time is None:
-            return None
-        ready = max(ready, time)
-    if instr.war_distance > 0:
-        target = item.iteration - instr.war_distance
-        if target >= 0:
-            for consumer in instr.war_consumers:
-                time = dep_time(item.segment, target, consumer)
-                if time is None:
-                    return None
-                ready = max(ready, time)
+        if time > ready:
+            ready = time
     return ready
 
 
-def _lookup(
-    completion: Dict[Tuple[int, int, int], float],
-    counts: Dict[Tuple[int, int, int], int],
-    expected: Dict[Tuple[int, int, int], int],
-    schedule: KernelSchedule,
-    segment: int,
-    iteration: int,
-    uid: int,
-):
-    """Find a dependency's completion, searching earlier segments too."""
-    key = (segment, iteration, uid)
-    if key in expected:
-        if counts.get(key, 0) < expected[key]:
-            return None
-        return completion[key]
-    # The producer lives in another segment (loop-external dependence):
-    # it completes once, at its own final instance.
-    for seg_idx, seg in enumerate(schedule.segments):
-        if seg_idx == segment:
-            continue
-        if any(i.uid == uid for i in seg.instrs):
-            return _lookup(
-                completion, counts, expected, schedule,
-                seg_idx, seg.extent - 1, uid,
-            )
-    raise SimulationError(f"instruction depends on unknown uid {uid}")
+def _blocked(
+    name: str, item: _Item, waits: List[_Key], finished: Dict[_Key, float]
+) -> str:
+    """One deadlocked stream: its head and the first thing it waits on."""
+    segment, iteration, uid = next(k for k in waits if k not in finished)
+    return (
+        f"{name} is at {item.instr.label or item.instr.kind!r} "
+        f"(uid {item.instr.uid}, iteration {item.iteration}) waiting on "
+        f"uid {uid} (segment {segment}, iteration {iteration})"
+    )

@@ -16,7 +16,11 @@ from repro.errors import VerificationError
 from repro.ir.events import BROADCAST, Event, EventUse
 from repro.ir.module import IRFunction
 from repro.ir.ops import AllocOp, Block, CallOp, CopyOp, ForOp, Operation, PForOp
+from repro.machine.processor import ProcessorKind
 from repro.sym import Const, variables
+
+#: Processor-index variables (``warp_id()`` ...) are in scope everywhere.
+_PROC_NAMES = frozenset(kind.value for kind in ProcessorKind)
 
 
 def verify_function(fn: IRFunction) -> None:
@@ -106,7 +110,7 @@ class _VerifyState:
                     )
             else:
                 free = variables(index)
-                unknown = free - self.scope_vars - _proc_names()
+                unknown = free - self.scope_vars - _PROC_NAMES
                 if unknown:
                     raise VerificationError(
                         f"{where}: event index {index!r} uses out-of-scope "
@@ -120,15 +124,10 @@ class _VerifyState:
                 "into a declared buffer"
             )
         free = ref.free_variables()
-        unknown = free - self.scope_vars - _proc_names()
+        unknown = free - self.scope_vars - _PROC_NAMES
         if unknown:
             raise VerificationError(
                 f"op {op.uid}: reference {ref!r} uses out-of-scope "
                 f"variables {sorted(unknown)}"
             )
 
-
-def _proc_names() -> Set[str]:
-    from repro.machine.processor import ProcessorKind
-
-    return {kind.value for kind in ProcessorKind}

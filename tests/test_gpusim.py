@@ -122,8 +122,95 @@ class TestExecutor:
             smem_bytes_per_cta=0, regs_per_thread=32,
             total_flops=1.0, unique_dram_bytes=1.0,
         )
-        with pytest.raises(SimulationError):
+        with pytest.raises(SimulationError, match="wg0 .*uid 1.* uid 2"):
             simulate_cta(schedule, hopper)
+
+    def test_deadlock_names_every_blocked_stream(self, hopper):
+        load = Instr(uid=7, kind="tma_load", role="dma", bytes_moved=64,
+                     deps=[8], label="load A")
+        mma = Instr(uid=8, kind="wgmma", flops=1.0, deps=[7])
+        schedule = KernelSchedule(
+            name="dead",
+            segments=[Segment([Instr(uid=6, kind="nop")]),
+                      Segment([load, mma], extent=3)],
+            grid=1, n_warpgroups=1, warpspecialized=True,
+            smem_bytes_per_cta=0, regs_per_thread=32,
+            total_flops=1.0, unique_dram_bytes=1.0,
+        )
+        with pytest.raises(SimulationError) as caught:
+            simulate_cta(schedule, hopper)
+        message = str(caught.value)
+        assert message.startswith("schedule deadlocked")
+        assert (
+            "wg0 is at 'wgmma' (uid 8, iteration 0) waiting on uid 7 "
+            "(segment 1, iteration 0)"
+        ) in message
+        assert (
+            "dma is at 'load A' (uid 7, iteration 0) waiting on uid 8 "
+            "(segment 1, iteration 0)"
+        ) in message
+
+    def test_dependence_in_no_segment_is_its_own_error(self, hopper):
+        schedule = KernelSchedule(
+            name="dangling",
+            segments=[Segment([Instr(uid=1, kind="nop", deps=[99])])],
+            grid=1, n_warpgroups=1, warpspecialized=False,
+            smem_bytes_per_cta=0, regs_per_thread=32,
+            total_flops=1.0, unique_dram_bytes=1.0,
+        )
+        with pytest.raises(SimulationError, match="unknown uid 99"):
+            simulate_cta(schedule, hopper)
+
+    @pytest.mark.parametrize(
+        "family, shape",
+        [
+            ("gemm", dict(m=4096, n=4096, k=4096)),
+            ("flash_attention3", dict(heads=16, seq=4096, head_dim=128)),
+        ],
+    )
+    def test_simulating_a_kernel_does_not_change_it(
+        self, hopper, family, shape
+    ):
+        """The compiled kernel is shared (memory cache) and pickled
+        (disk tier): a simulation may read it, never write to it."""
+        import pickle
+
+        from repro import api
+        from repro.kernels import KERNEL_BUILDERS
+
+        kernel = api.compile_kernel(KERNEL_BUILDERS[family](hopper, **shape))
+        instrs = [
+            i for segment in kernel.schedule.segments for i in segment.instrs
+        ]
+        assert kernel.schedule.n_warpgroups > 1  # per-warpgroup shares exist
+        pickled = pickle.dumps(kernel)
+        state = [dict(vars(i)) for i in instrs]
+        api.simulate(kernel, hopper)
+        assert [dict(vars(i)) for i in instrs] == state
+        assert pickle.dumps(kernel) == pickled
+
+    def test_head_resolutions_stay_linear(self, hopper, monkeypatch):
+        """Complexity guard, as a count: an issue re-resolves the head
+        that advanced and the heads that were blocked, not every stream.
+        Resolving all of them took streams x dynamic instructions
+        (5,777 for the 1,927 of this dual-GEMM point)."""
+        from repro import api
+        from repro.gpusim import executor
+        from repro.kernels import KERNEL_BUILDERS
+
+        kernel = api.compile_kernel(
+            KERNEL_BUILDERS["dual_gemm"](hopper, m=8192, n=8192, k=8192)
+        )
+        resolve = executor._deps_ready
+        calls = []
+        monkeypatch.setattr(
+            executor, "_deps_ready",
+            lambda *args: calls.append(1) or resolve(*args),
+        )
+        result = simulate_cta(kernel.schedule, hopper)
+        assert result.dynamic_instructions == 1927
+        assert result.dynamic_instructions <= len(calls)
+        assert len(calls) <= 2 * result.dynamic_instructions
 
     def test_cross_segment_dependency(self, hopper):
         producer = Instr(uid=1, kind="wgmma", flops=1.0e6)
