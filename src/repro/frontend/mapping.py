@@ -11,7 +11,9 @@ machine-visibility rules.
 from __future__ import annotations
 
 import enum
+import functools
 import hashlib
+import re
 import types
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Optional, Sequence, Tuple
@@ -23,46 +25,100 @@ from repro.machine.memory import MemoryKind
 from repro.machine.processor import ProcessorKind, depth_of
 
 
-def _function_key(fn: Callable) -> Any:
-    """A content key for a traced Python function.
+#: What ``object.__repr__`` leaves in a string: an address, different in
+#: every process and reusable within one.
+_ADDRESS = re.compile(r" at 0x[0-9a-fA-F]+")
 
-    Hashes the bytecode (recursing into nested code objects without
-    touching their id-bearing reprs) plus closure-cell contents and
-    default values, so redefining a task body — e.g. in a notebook,
-    reusing the same task/variant names, or parameterizing it through a
-    captured variable — changes the key even though the names match.
-    """
 
-    def code_key(code: types.CodeType) -> Any:
+def _code_digest(code: types.CodeType, digests: Dict[int, Any]) -> str:
+    """The content digest of a code object (nested ones included),
+    hashed once: code is immutable and ``digests`` — the registry's
+    memo — holds it alive under its ``id``. A ``frozenset`` constant is
+    sorted first, its repr follows the hash seed."""
+    entry = digests.get(id(code))
+    if entry is None:
         consts = tuple(
-            code_key(c) if isinstance(c, types.CodeType) else repr(c)
-            for c in code.co_consts
+            _code_digest(const, digests)
+            if isinstance(const, types.CodeType)
+            else sorted(map(repr, const))
+            if isinstance(const, frozenset)
+            else repr(const)
+            for const in code.co_consts
         )
-        return (code.co_code.hex(), consts, code.co_names)
+        payload = repr((code.co_code.hex(), consts, code.co_names)).encode()
+        entry = digests[id(code)] = (code, hashlib.sha256(payload).hexdigest())
+    return entry[1]
 
-    code = getattr(fn, "__code__", None)
-    if code is None:  # builtins / C callables: fall back to the name
-        return getattr(fn, "__qualname__", repr(fn))
-    closure = getattr(fn, "__closure__", None) or ()
-    cells = tuple(repr(cell.cell_contents) for cell in closure)
-    defaults = tuple(repr(d) for d in getattr(fn, "__defaults__", None) or ())
-    return (code_key(code), cells, defaults)
+
+def _function_key(
+    value: Any, where: str, digests: Dict[int, Any], stack: Tuple[int, ...] = ()
+) -> Any:
+    """A content key for a traced function or a value it captures.
+
+    A function is the memoised digest of its bytecode plus — read live
+    on every call — its closure cells and defaults, so redefining a task
+    body under the same names, or parameterizing it through a captured
+    variable, changes the key. Captured functions recurse, a
+    ``functools.partial`` is its function and bound arguments,
+    containers go element-wise, the rest by ``repr``. ``where`` names
+    the variant or external in the error.
+
+    Raises:
+        MappingError: the repr carries a memory address — a key that
+            cannot be computed is not guessed.
+    """
+    if isinstance(value, functools.partial):
+        value = ("partial", value.func, value.args, value.keywords)
+    code = getattr(value, "__code__", None)
+    if code is not None:
+        digest = _code_digest(code, digests)
+        cells = getattr(value, "__closure__", None) or ()
+        defaults = getattr(value, "__defaults__", None) or ()
+        keywords = getattr(value, "__kwdefaults__", None) or {}
+        if id(value) in stack or not (cells or defaults or keywords):
+            return digest  # nothing captured, or a helper recursing
+        names = code.co_varnames[: code.co_argcount][-len(defaults):]
+        captured = list(zip(code.co_freevars, (c.cell_contents for c in cells)))
+        captured += [*zip(names, defaults), *sorted(keywords.items())]
+        stack += (id(value),)
+        return (digest,) + tuple(
+            _function_key(item, f"{where}: captured {name!r}", digests, stack)
+            for name, item in captured
+        )
+    if isinstance(value, (list, tuple)):
+        return tuple(_function_key(v, where, digests, stack) for v in value)
+    if isinstance(value, (set, frozenset, dict)):
+        items = value.items() if isinstance(value, dict) else value
+        return sorted(repr(_function_key(v, where, digests, stack)) for v in items)
+    text = repr(value)
+    if not isinstance(value, str) and _ADDRESS.search(text):
+        raise MappingError(
+            f"{where} has no content key: the repr {text} carries a memory "
+            "address. Capture a function, a functools.partial, or a value "
+            "with a stable repr"
+        )
+    return text
 
 
 def canonicalize(value: Any) -> Any:
     """A deterministic, repr-stable view of a mapping-level value.
 
-    Dicts are sorted by key, sequences become tuples, and enum members
-    collapse to ``ClassName.MEMBER`` so the result is independent of
-    insertion order and interpreter session. Anything else falls back to
-    ``repr``.
+    Dicts are sorted by their emitted key — ``str(key)`` tagged with the
+    key's type name, so mixed-type keys sort and ``1`` / ``"1"`` stay
+    distinct — sequences become tuples, and enum members collapse to
+    ``ClassName.MEMBER`` so the result is independent of insertion
+    order and interpreter session. Anything else falls back to ``repr``.
     """
     if isinstance(value, enum.Enum):
         return f"{type(value).__name__}.{value.name}"
     if isinstance(value, dict):
-        return tuple(
-            (str(k), canonicalize(v)) for k, v in sorted(value.items())
-        )
+        return tuple(sorted(
+            (
+                (str(k), type(k).__name__, canonicalize(v))
+                for k, v in value.items()
+            ),
+            key=lambda item: item[:2],
+        ))
     if isinstance(value, (list, tuple)):
         return tuple(canonicalize(v) for v in value)
     if value is None or isinstance(value, (str, int, float, bool)):
@@ -281,11 +337,15 @@ class MappingSpec:
         *logical program itself* — the bodies of the task variants the
         instances reference and of every registered external function —
         so two different programs that happen to reuse instance/variant
-        names cannot collide in the compile cache. The hash is
-        recomputed from the *current* contents on every call, so
-        mutating a ``TaskMapping`` (or redefining a task body) after
-        building the spec changes the fingerprint.
+        names cannot collide in the compile cache. Every mapping, the
+        machine, and each body's captured values and defaults are read
+        from their *current* contents on every call, so mutating a
+        ``TaskMapping`` (or a variable a task body closes over) after
+        building the spec changes the fingerprint; only the digest of a
+        code object, which cannot change, is hashed once and kept on
+        the registry (:attr:`TaskRegistry.code_digests`).
         """
+        digests = self.registry.code_digests
         machine = self.machine
         machine_key = (
             machine.name,
@@ -316,7 +376,9 @@ class MappingSpec:
                     (p, str(priv))
                     for p, priv in variant.privileges.items()
                 )),
-                _function_key(variant.fn),
+                _function_key(
+                    variant.fn, f"variant {variant.variant_name!r}", digests
+                ),
             )
             for variant in (
                 self.registry.variant(variant_name)
@@ -327,16 +389,15 @@ class MappingSpec:
         )
         external_keys = tuple(
             (
-                ext.name,
+                name,
                 ext.cost_kind,
                 ext.collective,
-                _function_key(ext.numpy_impl),
-                _function_key(ext.flops_fn) if ext.flops_fn else None,
+                _function_key(ext.numpy_impl, f"external {name!r}", digests),
+                _function_key(ext.flops_fn, f"external {name!r}", digests)
+                if ext.flops_fn
+                else None,
             )
-            for ext in (
-                self.registry.externals[name]
-                for name in sorted(self.registry.externals)
-            )
+            for name, ext in sorted(self.registry.externals.items())
         )
         payload = repr(
             (machine_key, instance_keys, variant_keys, external_keys)

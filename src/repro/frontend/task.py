@@ -98,6 +98,12 @@ class TaskRegistry:
         self.variants: Dict[str, TaskVariant] = {}
         self.tasks: Dict[str, List[str]] = {}
         self.externals: Dict[str, ExternalFunction] = {}
+        #: Bumped by every registration: a compile key covers every
+        #: external, so it is current only while this count stands.
+        self.registrations = 0
+        #: ``id(code) -> (code, digest)``: the once-hashed bytecode of
+        #: the bodies ``MappingSpec.fingerprint`` covers.
+        self.code_digests: Dict[int, Tuple[Any, str]] = {}
 
     # -- tasks ---------------------------------------------------------
     def register_variant(self, variant: TaskVariant) -> None:
@@ -119,6 +125,7 @@ class TaskRegistry:
         self.tasks.setdefault(variant.task_name, []).append(
             variant.variant_name
         )
+        self.registrations += 1
 
     def variant(self, name: str) -> TaskVariant:
         if name not in self.variants:
@@ -138,6 +145,7 @@ class TaskRegistry:
         if ext.name in self.externals:
             raise TraceError(f"duplicate external function {ext.name!r}")
         self.externals[ext.name] = ext
+        self.registrations += 1
 
     def external(self, name: str) -> ExternalFunction:
         if name not in self.externals:

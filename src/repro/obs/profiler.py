@@ -270,7 +270,11 @@ class ContinuousProfiler(BackgroundLoop):
     def _record_stack(self, phase: str, frame) -> None:
         names: List[str] = []
         while frame is not None and len(names) < MAX_DEPTH:
-            code = frame.f_code
+            # Seen once (CPython 3.11, tier-1): a sampled thread's chain
+            # yielded an object with no ``f_code``; the walk ends there.
+            code = getattr(frame, "f_code", None)
+            if code is None:
+                break
             names.append(getattr(code, "co_qualname", code.co_name))
             frame = frame.f_back
         names.reverse()

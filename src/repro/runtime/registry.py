@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Mapping, Optional, Tuple
 
+from repro.compiler.pipeline import build_step
 from repro.errors import CypressError
 from repro.kernels import KERNEL_BUILDERS, KernelBuild
 from repro.machine.machine import MachineModel
@@ -108,6 +109,46 @@ class RegisteredKernel:
         if params:
             kwargs.update(params)
         return self.builder(machine, **bucket.as_dict(), **kwargs)
+
+    def tuned_params(self, candidate: Dict[str, Any]) -> Dict[str, Any]:
+        """A search-space candidate as this builder's parameters."""
+        return self.tune_adapter(candidate) if self.tune_adapter else candidate
+
+    def candidate_builder(self, bucket: Bucket) -> Callable[..., KernelBuild]:
+        """The tuner's ``build_fn(machine, **candidate)`` at ``bucket``."""
+        return lambda machine, **candidate: self.build(
+            machine, bucket, self.tuned_params(candidate)
+        )
+
+
+@dataclass(slots=True)
+class Launch:
+    """A registered kernel resolved at one bucket, so serving it builds
+    and hashes nothing: the pinned mapping ``params`` (``None``:
+    registered defaults), the ``build`` under them, and that build's
+    compile ``key`` and ``compute`` (:func:`~repro.compiler.pipeline.
+    build_step`), hashed once, here. The key covers every registered
+    external, so the record is :attr:`current` only until its task
+    registry registers again. ``warmed`` names the compiled kernel once
+    ``warm`` has fetched it."""
+
+    params: Optional[Dict[str, Any]]
+    build: KernelBuild
+    registrations: int = field(init=False)
+    key: str = field(init=False)
+    compute: Callable[[], Any] = field(init=False)
+    warmed: Optional[str] = None
+
+    def __post_init__(self) -> None:
+        # Read before hashing: a registration racing the hash leaves a
+        # record that reads outdated, never one that reads current.
+        self.registrations = self.build.spec.registry.registrations
+        self.key, self.compute = build_step(self.build)
+
+    @property
+    def current(self) -> bool:
+        """Whether the task registry has registered nothing since."""
+        return self.registrations == self.build.spec.registry.registrations
 
 
 class KernelRegistry:

@@ -11,7 +11,10 @@ simulation serve the whole batch, and resolves each future with a
 which cache tier produced the kernel).
 
 Every kernel the server uses — for a request, ``warm``, the speculator
-or the specializer — comes from one fetch (:meth:`RuntimeServer._fetch`)
+or the specializer — is resolved once per (kernel, bucket) into a
+:class:`~repro.runtime.registry.Launch` record (build, compile key,
+``compute``; :meth:`RuntimeServer._launch`) and then comes, on every
+request, from one fetch (:meth:`RuntimeServer._fetch`) of that key
 through the content-keyed :class:`~repro.compiler.cache.CompileCache`,
 whose lookup names the tier that answered. The memory LRU is
 process-wide; each server consults its own disk tier: the
@@ -54,8 +57,6 @@ import numpy as np
 
 from repro import api
 from repro.compiler.cache import compile_cache
-from repro.compiler.passes import CompileOptions
-from repro.compiler.pipeline import build_step
 from repro.errors import CypressError
 from repro.gpusim.gpu import GpuResult
 from repro.machine.machine import MachineModel
@@ -78,6 +79,7 @@ from repro.runtime.resilience import (
 )
 from repro.runtime.registry import (
     KernelRegistry,
+    Launch,
     RegisteredKernel,
     default_registry,
 )
@@ -100,10 +102,6 @@ ShapeLike = Union[Mapping[str, int], Sequence[int]]
 #: Survivors of the cost-model ranking that ``warm(tune=True)`` compiles
 #: and simulates per bucket.
 WARM_TOP_K = 4
-
-#: What every served kernel is compiled with: the defaults, built once
-#: so a fetch allocates none.
-_OPTIONS = CompileOptions()
 
 
 @dataclass
@@ -397,8 +395,9 @@ class RuntimeServer:
         self._threads: List[threading.Thread] = []
         self._workers = workers
         self._started = False
-        self._bucket_params: Dict[Tuple[str, Bucket], Dict[str, Any]] = {}
-        self._warmed: Dict[Tuple[str, Bucket], str] = {}
+        #: The one per-(kernel, bucket) table; see :meth:`_launch`.
+        self._launches: Dict[Tuple[str, Bucket], Launch] = {}
+        self._launch_lock = threading.Lock()
         #: In-flight submit_graph executions, kept by the scheduler:
         #: id(state) -> a ``fail(error)`` that idempotently fails the
         #: graph's future, so close(drain=False) never strands one.
@@ -866,19 +865,14 @@ class RuntimeServer:
             bucket = registered.bucket(
                 self._coerce_shape(registered, shape)
             )
-            memo_key = (registered.name, bucket)
-            already = self._warmed.get(memo_key)
-            needs_tune = tune and memo_key not in self._bucket_params
-            if already is not None and not needs_tune:
-                warmed[bucket.label()] = already
-                continue
-            if needs_tune:
-                self._tune_bucket(registered, bucket, space)
-            compiled, _tier = self._fetch(
-                self._bucket_build(registered, bucket)
-            )
-            self._warmed[memo_key] = compiled.name
-            warmed[bucket.label()] = compiled.name
+            launch = self._launches.get((registered.name, bucket))
+            if tune and (launch is None or launch.params is None):
+                launch = self._tune_bucket(registered, bucket, space)
+            else:
+                launch = self._launch(registered, bucket)
+            if launch.warmed is None:
+                launch.warmed = self._fetch(launch)[0].name
+            warmed[bucket.label()] = launch.warmed
         return warmed
 
     def _tune_bucket(
@@ -886,22 +880,20 @@ class RuntimeServer:
         registered: RegisteredKernel,
         bucket: Bucket,
         space: Optional[MappingSearchSpace],
-    ) -> None:
+    ) -> Launch:
         space = space or registered.search_space
         if space is None:
             raise CypressError(
                 f"kernel {registered.name!r} has no mapping search space; "
                 "register one or pass space= to warm(tune=True)"
             )
-        adapt = registered.tune_adapter or (lambda candidate: candidate)
-
-        def build_fn(machine: MachineModel, **candidate):
-            return registered.build(machine, bucket, params=adapt(candidate))
-
-        report = autotune(build_fn, self.machine, space, top_k=WARM_TOP_K)
+        report = autotune(
+            registered.candidate_builder(bucket), self.machine, space,
+            top_k=WARM_TOP_K,
+        )
         best = report.best  # raises CypressError if nothing was feasible
-        self._bucket_params[(registered.name, bucket)] = adapt(
-            best.candidate
+        return self._launch(
+            registered, bucket, pin=registered.tuned_params(best.candidate)
         )
 
     # ------------------------------------------------------------------
@@ -951,21 +943,54 @@ class RuntimeServer:
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def _bucket_build(self, registered: RegisteredKernel, bucket: Bucket):
-        """The build requests in ``bucket`` are served by: registered
-        defaults under the bucket's pinned (tuned) parameters."""
-        params = self._bucket_params.get((registered.name, bucket))
-        return registered.build(self.machine, bucket, params)
+    def _launch(
+        self,
+        registered: RegisteredKernel,
+        bucket: Bucket,
+        pin: Optional[Dict[str, Any]] = None,
+        repin: bool = True,
+    ) -> Launch:
+        """The record ``bucket``'s requests are served from — the one
+        place the server builds and hashes a launch. Made on first use,
+        replaced whole when ``pin`` gives the bucket tuned parameters
+        (``repin=False``: only if it has none) and remade under the same
+        ones once a registration outdates it. A warm request reads it
+        without the lock; every write is under it, so racing first uses
+        leave one record and never overwrite a pin."""
+        memo_key = (registered.name, bucket)
+        launch = self._launches.get(memo_key)
+        if pin is None and launch is not None and launch.current:
+            return launch
+        with self._launch_lock:
+            launch = self._launches.get(memo_key)
+            params = launch.params if launch is not None else None
+            if pin is not None and (repin or params is None):
+                params = pin
+            elif launch is not None and launch.current:
+                return launch
+            launch = self._launches[memo_key] = Launch(
+                params, registered.build(self.machine, bucket, params)
+            )
+            return launch
 
-    def _fetch(self, build, guard=None) -> Tuple[Any, Optional[str]]:
+    def _forget(self, kernel: str, bucket: Bucket) -> None:
+        """Drop a deoptimized bucket's record, unless it pins tuned
+        parameters (those outlive the traffic)."""
+        with self._launch_lock:
+            launch = self._launches.get((kernel, bucket))
+            if launch is not None and launch.params is None:
+                del self._launches[(kernel, bucket)]
+
+    def _fetch(self, launch: Launch, guard=None) -> Tuple[Any, Optional[str]]:
         """The server's one kernel-acquisition path: ``(kernel, tier)``.
 
-        The build's key is hashed once and looked up in the process-wide
-        compile cache with this server's own disk tier; ``tier`` is the
-        branch of that lookup which answered. A memory hit skips the
-        lookup's write-through (the kernel may predate this server), so
-        it is persisted here when the disk lacks it: a restart warms
-        from disk whatever this server has used.
+        The record's key is looked up — on every request: recency, the
+        tier label, in-flight dedup and recompiling an evicted kernel
+        are the lookup's — in the process-wide compile cache with this
+        server's own disk tier; ``tier`` is the branch that answered. A
+        memory hit skips the lookup's write-through (the kernel may
+        predate this server), so it is persisted here when the disk
+        lacks it: a restart warms from disk whatever this server used.
 
         ``guard(key, compute)`` sees the key before the lookup and
         returns the ``compute`` to run when both tiers miss, or ``None``
@@ -973,7 +998,7 @@ class RuntimeServer:
         guard wraps ``compute``: ``warm`` and the background loops stay
         outside the compile breaker and the ``compile`` fault stream.
         """
-        key, compute = build_step(build, _OPTIONS)
+        key, compute = launch.key, launch.compute
         if guard is not None:
             compute = guard(key, compute)
             if compute is None:
@@ -1116,8 +1141,9 @@ class RuntimeServer:
         return live
 
     def _obtain(self, head: _QueuedRequest, batch_size: int):
-        """Fetch the batch's serving kernel with compiles guarded,
-        degrading a specialized batch to its generic bucket when the
+        """Resolve the batch's launch record and fetch its kernel with
+        compiles guarded — ``(launch, kernel, tier)`` — degrading a
+        specialized batch to its generic bucket's record when the
         compile breaker is open (typically memory-cached, so no compile
         at all); generic batches fail fast instead."""
         registered = head.kernel
@@ -1135,21 +1161,19 @@ class RuntimeServer:
                 on_retry=self._on_retry,
             )
 
+        launch = self._launch(registered, head.bucket)
         try:
-            return self._fetch(
-                self._bucket_build(registered, head.bucket), guard
-            )
+            return (launch, *self._fetch(launch, guard))
         except BreakerOpen:
             if not head.specialized:
                 raise
             generic = registered.bucket(head.shape)
             if generic == head.bucket:
                 raise
-            fetched = self._fetch(
-                self._bucket_build(registered, generic), guard
-            )
+            launch = self._launch(registered, generic)
+            fetched = self._fetch(launch, guard)
             self.telemetry.count("degraded_serves", batch_size)
-            return fetched
+            return (launch, *fetched)
 
     def _serve(self, batch: List[_QueuedRequest], stages: _Stages) -> None:
         """One popped micro-batch through dispatch, obtain, execute and
@@ -1164,7 +1188,7 @@ class RuntimeServer:
             self.speculator.note_request(head.kernel.name, head.bucket)
         try:
             stages.enter("compile", head)
-            kernel, tier = self._obtain(head, len(live))
+            launch, kernel, tier = self._obtain(head, len(live))
             stages.enter("execute", head)
             # Simulation is deterministic, so a retried transient fault
             # reproduces bit-identical results — the degraded-output
@@ -1181,7 +1205,7 @@ class RuntimeServer:
                 self._settle(request, error=error)
             return
         stages.served(live, kernel, tier)
-        params = self._bucket_params.get(head.batch_key)
+        params = launch.params
         for request in live:
             try:
                 outputs = None
@@ -1288,6 +1312,6 @@ class RuntimeServer:
     def warmed(self) -> bool:
         """Readiness signal: a bucket has been warmed or a request
         has completed — the server has proven it can serve."""
-        if self._warmed:
+        if self.telemetry.completed_count > 0:
             return True
-        return self.telemetry.completed_count > 0
+        return any(launch.warmed for launch in list(self._launches.values()))

@@ -317,12 +317,11 @@ class ShapeSpecializer(BackgroundLoop):
             self._deopt(coldest, self._active[coldest], reason="budget")
         tracer = server.tracer
         started = time.perf_counter() if tracer.enabled else 0.0
-        # Defaults only — tuned tiles pinned for ladder rungs are not
+        # The aligned bucket's own record: defaults, unless this very
+        # shape was tuned — tiles pinned for ladder rungs are not
         # guaranteed to divide an aligned shape; the granules are.
         try:
-            server._fetch(
-                registered.build(server.machine, serving, params=None)
-            )
+            server._fetch(server._launch(registered, serving))
         except Exception as failure:
             with self._lock:
                 self._quarantine[key] = self._cycle + config.quarantine_cycles
@@ -373,13 +372,15 @@ class ShapeSpecializer(BackgroundLoop):
     ) -> None:
         """Evict one specialization and reset its traffic counter.
 
-        The compiled kernel stays in the cache (an in-flight request
-        that already passed the guard still serves correctly); the
-        counter reset means the shape must re-earn promotion, which
-        stops budget-fight thrash.
+        The compiled kernel stays in the cache and only the server's
+        record of the aligned bucket goes (an in-flight request that
+        already passed the guard resolves it again and still serves
+        correctly); the counter reset means the shape must re-earn
+        promotion, which stops budget-fight thrash.
         """
         with self._lock:
             self._active.pop(key, None)
+        self.server._forget(spec.kernel, spec.serving)
         self.server.telemetry.drop_shape_traffic(key)
         self.server.telemetry.count("deopts")
         tracer = self.server.tracer

@@ -43,9 +43,8 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 from repro.background import BackgroundLoop
 from repro.compiler.cache import TIER_COMPILE, compile_cache
 from repro.errors import CypressError
-from repro.kernels.common import KernelBuild
 from repro.runtime.bucketing import Bucket
-from repro.runtime.registry import RegisteredKernel
+from repro.runtime.registry import Launch, RegisteredKernel
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle: server owns us
     from repro.runtime.server import RuntimeServer
@@ -164,38 +163,35 @@ class Speculator(BackgroundLoop):
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _builds_for(
+    def _launches_for(
         self, registered: RegisteredKernel, bucket: Bucket
-    ) -> List[KernelBuild]:
-        """The builds worth precompiling for one candidate bucket.
+    ) -> List[Launch]:
+        """What is worth precompiling for one candidate bucket.
 
-        The head of the list is always the exact build the server
-        serves the bucket's requests from, so the compile key matches
-        real traffic. ``tune=True`` appends the analytically-ranked
-        top-k mappings and pins the winner when the bucket has no
-        tuned parameters yet.
+        The head of the list is always the server's own record for the
+        bucket — the launch its requests are served from, so the compile
+        key matches real traffic. ``tune=True`` appends the
+        analytically-ranked top-k mappings and pins the winner when the
+        bucket has no tuned parameters yet.
         """
         server = self.server
         ranked = []
         if self.config.tune and registered.search_space is not None:
             from repro.tuner import rank_candidates
 
-            adapt = registered.tune_adapter or (lambda candidate: candidate)
             ranked = rank_candidates(
-                lambda machine, **candidate: registered.build(
-                    machine, bucket, params=adapt(candidate)
-                ),
+                registered.candidate_builder(bucket),
                 server.machine,
                 registered.search_space,
                 top_k=self.config.top_k,
             )
-            if ranked:
-                server._bucket_params.setdefault(
-                    (registered.name, bucket), adapt(ranked[0].candidate)
-                )
-        builds = [server._bucket_build(registered, bucket)]
-        builds.extend(survivor.build for survivor in ranked)
-        return builds
+        pin = registered.tuned_params(ranked[0].candidate) if ranked else None
+        launches = [server._launch(registered, bucket, pin, repin=False)]
+        launches.extend(
+            Launch(registered.tuned_params(survivor.candidate), survivor.build)
+            for survivor in ranked
+        )
+        return launches
 
     def _speculate_bucket(
         self, registered: RegisteredKernel, bucket: Bucket
@@ -203,14 +199,14 @@ class Speculator(BackgroundLoop):
         """Precompile one candidate bucket; returns compiles executed."""
         server = self.server
         try:
-            builds = self._builds_for(registered, bucket)
+            launches = self._launches_for(registered, bucket)
         except Exception:
             self.errors += 1
             return 0
         compiled = 0
-        for build in builds:
+        for launch in launches:
             try:
-                _kernel, tier = server._fetch(build, self._first_attempt)
+                _kernel, tier = server._fetch(launch, self._first_attempt)
             except CypressError:
                 continue  # the key is in _attempted: no retry next cycle
             if tier == TIER_COMPILE:

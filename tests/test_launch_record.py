@@ -1,0 +1,327 @@
+"""The server's per-(kernel, bucket) launch record.
+
+A :class:`~repro.runtime.registry.Launch` is made once per bucket and
+carries the build, its compile key and ``compute``. These tests hold
+the two halves of that bargain: the record *is* the launch a request
+would have resolved for itself (same key, same kernel, same result,
+and the cache lookup still runs per request), and it is replaced or
+dropped exactly when it should be. The last class counts function
+entries — not microseconds — so a refactor that puts the per-request
+rebuild back fails here first.
+"""
+
+import sys
+import threading
+
+import pytest
+
+from repro import api
+from repro.compiler import CompileOptions, pass_execution_count
+from repro.compiler.cache import compile_key
+from repro.compiler.pipeline import compile_key_for
+from repro.frontend import MappingSpec, TaskRegistry
+from repro.frontend.task import ExternalFunction
+from repro.kernels import build_gemm, kernel_registry, transformer_block_graph
+from repro.runtime import (
+    BucketPolicy,
+    KernelRegistry,
+    RuntimeServer,
+    default_registry,
+)
+from repro.runtime.registry import RegisteredKernel
+from repro.runtime.resilience import BreakerOpen, ResilienceConfig
+from repro.runtime.specialize import Specialization, SpecializerConfig
+from repro.tuner import MappingSearchSpace
+from test_copy_elim_golden import default_buckets
+
+SMALL = dict(tile_m=128, tile_n=256, tile_k=64)
+A = dict(m=128, n=256, k=64)
+B = dict(m=256, n=256, k=128)
+
+
+@pytest.fixture(autouse=True)
+def fresh_cache():
+    api.clear_compile_cache()
+    yield
+    api.clear_compile_cache()
+    api.resize_compile_cache(256)
+
+
+def _registry(builder=build_gemm):
+    reg = KernelRegistry()
+    reg.register(
+        "gemm", builder, ("m", "n", "k"),
+        policy=BucketPolicy(
+            ladders={"m": (128, 256), "n": (256,), "k": (64, 128)}
+        ),
+        defaults=dict(SMALL),
+    )
+    return reg
+
+
+@pytest.fixture()
+def registry():
+    return _registry()
+
+
+def _per_request(machine, registered, bucket, params=None):
+    """The parent's per-request path: build, hash, look up, simulate."""
+    build = registered.build(machine, bucket, params)
+    kernel = api.compile_kernel(build)
+    return build, kernel, api.simulate(kernel, machine)
+
+
+def _served_key(server, kernel, shape):
+    registered = server.registry.get(kernel)
+    return server._launches[(kernel, registered.bucket(shape))].key
+
+
+class TestRecordIsTheLaunch:
+    def test_every_default_bucket_serves_what_a_request_would_resolve(
+        self, hopper
+    ):
+        registry = default_registry()
+        with RuntimeServer(hopper, registry, workers=1) as server:
+            for family, shape in default_buckets():
+                registered = registry.get(family)
+                bucket = registered.bucket(shape)
+                server.warm(family, [shape])
+                result = server.submit(family, shape).result(timeout=120)
+                passes = pass_execution_count()
+                build, kernel, gpu = _per_request(hopper, registered, bucket)
+                # The direct path found the served kernel under its own
+                # freshly hashed key: the memoised key is the key.
+                assert pass_execution_count() == passes, (family, shape)
+                assert kernel.metadata["cache_key"] == compile_key_for(
+                    build, CompileOptions()
+                )
+                assert _served_key(server, family, shape) == (
+                    kernel.metadata["cache_key"]
+                )
+                assert result.gpu == gpu
+                assert result.build_name == kernel.name
+                assert result.tier == "memory"
+                assert result.params is None
+                assert result.bucket == bucket
+
+    def test_tuning_after_traffic_replaces_the_record(self, hopper, registry):
+        space = MappingSearchSpace(
+            tiles=((128, 256),), tile_k=(64,), warpgroups=(1, 2),
+            pipeline_depths=(1, 2), warpspecialize=(False,),
+        )
+        registered = registry.get("gemm")
+        with RuntimeServer(hopper, registry, workers=1) as server:
+            before = server.submit("gemm", A).result(timeout=120)
+            untuned_key = _served_key(server, "gemm", A)
+            assert before.params is None
+            server.warm("gemm", [A], tune=True, space=space)
+            after = server.submit("gemm", A).result(timeout=120)
+            assert after.params is not None
+            assert after.params["warpspecialize"] is False
+            assert _served_key(server, "gemm", A) != untuned_key
+            assert after.tier == "memory"  # warm() compiled the winner
+            _build, kernel, gpu = _per_request(
+                hopper, registered, registered.bucket(A), after.params
+            )
+            assert (after.gpu, after.build_name) == (gpu, kernel.name)
+            assert len(server._launches) == 1
+
+    def test_a_registration_outdates_the_record(self, hopper):
+        tasks = TaskRegistry()
+        tasks.variants.update(kernel_registry.variants)
+        tasks.tasks.update(
+            {name: list(v) for name, v in kernel_registry.tasks.items()}
+        )
+        tasks.externals.update(kernel_registry.externals)
+
+        def private_gemm(machine, m, n, k, **params):
+            build = build_gemm(machine, m, n, k, **params)
+            build.spec = MappingSpec(
+                list(build.spec.by_instance.values()), tasks, machine
+            )
+            return build
+
+        def later(x):
+            x[...] = 0
+
+        with RuntimeServer(hopper, _registry(private_gemm), workers=1) as server:
+            first = server.submit("gemm", A).result(timeout=120)
+            key = _served_key(server, "gemm", A)
+            again = server.submit("gemm", A).result(timeout=120)
+            assert (first.tier, again.tier) == ("compile", "memory")
+            assert _served_key(server, "gemm", A) == key
+            # The fingerprint covers every registered external.
+            tasks.register_external(ExternalFunction("later", later, "nop"))
+            third = server.submit("gemm", A).result(timeout=120)
+            assert third.tier == "compile"
+            assert _served_key(server, "gemm", A) != key
+            assert third.gpu == first.gpu
+            assert len(server._launches) == 1
+
+    def test_eviction_recompiles_from_the_record(
+        self, hopper, registry, monkeypatch
+    ):
+        registered = registry.get("gemm")
+        want = {
+            key: _per_request(hopper, registered, registered.bucket(shape))[2]
+            for key, shape in (("A", A), ("B", B))
+        }
+        api.clear_compile_cache()
+        api.resize_compile_cache(1)
+        with RuntimeServer(hopper, registry, workers=1) as server:
+            for shape in (A, B):
+                server.submit("gemm", shape).result(timeout=120)
+            builds = []
+            real = RegisteredKernel.build
+            monkeypatch.setattr(
+                RegisteredKernel, "build",
+                lambda self, *args: builds.append(args) or real(self, *args),
+            )
+            for _ in range(3):
+                for key, shape in (("A", A), ("B", B)):
+                    passes = pass_execution_count()
+                    result = server.submit("gemm", shape).result(timeout=120)
+                    # The other bucket evicted this one: the lookup runs
+                    # per request and the record's compute recompiles.
+                    assert result.tier == "compile"
+                    assert pass_execution_count() > passes
+                    assert result.gpu == want[key]
+            assert builds == []
+            assert len(server._launches) == 2
+
+    def test_two_workers_resolving_one_cold_bucket(self, hopper, registry):
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with RuntimeServer(
+                hopper, registry, workers=2, max_batch=1, start=False
+            ) as server:
+                futures = [server.submit("gemm", A) for _ in range(2)]
+                passes = pass_execution_count()
+                server.start()
+                results = [f.result(timeout=120) for f in futures]
+                one_compile = pass_execution_count() - passes
+                assert len(server._launches) == 1
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(r.tier for r in results) in (
+            ["compile", "compile"], ["compile", "memory"],
+        )
+        assert results[0].gpu == results[1].gpu
+        api.clear_compile_cache()
+        passes = pass_execution_count()
+        _per_request(hopper, registry.get("gemm"), results[0].bucket)
+        assert one_compile == pass_execution_count() - passes
+
+    def test_breaker_open_degrades_to_the_generic_record(
+        self, hopper, registry
+    ):
+        shape = dict(m=130, n=256, k=128)
+        registered = registry.get("gemm")
+        generic = registered.bucket(shape)
+        serving = registered.bucket(dict(m=128, n=256, k=128))
+        with RuntimeServer(
+            hopper, registry, workers=1,
+            resilience=ResilienceConfig(breaker_cooldown_s=3600.0),
+            specialize=SpecializerConfig(interval_s=3600.0),
+        ) as server:
+            server.warm("gemm", [shape])
+            exact = registered.exact_bucket(shape)
+            forged = Specialization(
+                kernel="gemm", exact=exact, serving=serving,
+                generic=generic, flops_saved=1.0,
+            )
+            server.specializer._active[("gemm", exact)] = forged
+            breaker = server._breaker("compile:gemm")
+            while breaker.allow():
+                breaker.record_failure()
+            result = server.submit("gemm", shape).result(timeout=120)
+            assert result.tier == "memory"
+            assert result.bucket == serving  # what the guard asked for
+            want = server._launches[("gemm", generic)]
+            assert result.build_name == want.build.name == want.warmed
+            assert server.stats().degraded_serves == 1
+            with pytest.raises(BreakerOpen):  # generic batches fail fast
+                server.submit(
+                    "gemm", dict(m=128, n=256, k=64)
+                ).result(timeout=120)
+            # A deopt drops the specialized bucket's record, not a
+            # pinned one and not the generic one.
+            assert ("gemm", serving) in server._launches
+            server.specializer._deopt(("gemm", exact), forged, "test")
+            assert ("gemm", serving) not in server._launches
+            assert ("gemm", generic) in server._launches
+
+
+def count_entries(functions, body):
+    """Entries into ``functions`` while ``body`` runs, on this thread
+    and on every thread started inside it (a profile hook per thread)."""
+    names = {fn.__code__: fn.__qualname__ for fn in functions}
+    counts = dict.fromkeys(names.values(), 0)
+    lock = threading.Lock()
+
+    def hook(frame, event, _arg):
+        if event == "call" and frame.f_code in names:
+            with lock:
+                counts[names[frame.f_code]] += 1
+
+    threading.setprofile(hook)
+    sys.setprofile(hook)
+    try:
+        body(counts)
+    finally:
+        sys.setprofile(None)
+        threading.setprofile(None)
+    return counts
+
+
+class TestWarmRequestsResolveNothing:
+    COUNTED = (
+        compile_key,
+        MappingSpec.fingerprint,
+        MappingSpec._validate,
+        RegisteredKernel.build,
+    )
+
+    def test_fifty_requests_over_five_warm_buckets(self, hopper):
+        buckets = [
+            ("gemm", dict(m=512, n=512, k=256)),
+            ("gemm", dict(m=1024, n=1024, k=512)),
+            ("dual_gemm", dict(m=512, n=512, k=256)),
+            ("flash_attention2", dict(heads=1, seq=512, head_dim=128)),
+            ("flash_attention3", dict(heads=1, seq=512, head_dim=128)),
+        ]
+        marks = {}
+
+        def body(counts):
+            with RuntimeServer(hopper, workers=2) as server:
+                for family, shape in buckets:
+                    server.warm(family, [shape])
+                marks.update(counts)
+                futures = [
+                    server.submit(*buckets[i % 5]) for i in range(50)
+                ]
+                for future in futures:
+                    assert future.result(timeout=120).tier == "memory"
+                assert server.stats().completed == 50
+
+        counts = count_entries(self.COUNTED, body)
+        # One of each per bucket while warming, none per request.
+        assert marks == dict.fromkeys(marks, 5)
+        assert counts == marks
+
+    def test_replaying_a_graph_hashes_nothing(self, hopper):
+        marks = {}
+
+        def body(counts):
+            with RuntimeServer(hopper, workers=2) as server:
+                for _ in range(2):
+                    graph = transformer_block_graph(hopper, streams=2)
+                    marks.update(counts)
+                    result = server.submit_graph(graph).result(timeout=300)
+                    assert result.complete and len(result.results) == 14
+
+        counts = count_entries((compile_key,), body)
+        # ``marks`` was read after the second capture, before its submit.
+        assert counts == marks
+        assert counts["compile_key"] > 0  # the first replay resolved them
