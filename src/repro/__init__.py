@@ -2,8 +2,8 @@
 
 Reproduction of Yadav, Garland, Aiken, Bauer — *Task-Based Tensor
 Computations on Modern GPUs*, PLDI 2025. See README.md for a tour,
-DESIGN.md for the system inventory, and EXPERIMENTS.md for the
-paper-vs-measured results.
+docs/architecture.md for the system inventory, and
+``examples/paper_figures.py`` for the paper-vs-measured results.
 
 Entry points:
 

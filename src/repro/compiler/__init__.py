@@ -13,8 +13,9 @@ them with per-pass wall-time/IR-size instrumentation and a configurable
 4. ``allocate-shared`` — shared-memory interference allocation with WAR
    synchronization edges.
 5. ``warp-specialize`` — warp specialization and software pipelining.
-6. ``lower-schedule`` / ``codegen-cuda`` — the executable schedule for
-   the simulator, and CUDA-like C++ text.
+6. ``lower-schedule`` / ``codegen-cuda`` — one lowering of the final
+   IR, printed as the executable schedule for the simulator and as
+   CUDA-like C++ text.
 
 :func:`repro.compiler.pipeline.compile_program` drives the whole flow.
 It is fronted by a content-keyed **compile cache**

@@ -74,11 +74,11 @@ def allocate_shared(
             aux_edges.add(key)
 
     # Relaxation: drop auxiliary edges (largest footprint pairs first)
-    # until the assignment fits.
+    # until the assignment fits. Equal footprints fall in uid order —
+    # construction order, the same in every compile of one mapping —
+    # never in the iteration order of the set.
     removable = sorted(
-        aux_edges,
-        key=lambda e: sizes[e[0]] + sizes[e[1]],
-        reverse=True,
+        aux_edges, key=lambda e: (-(sizes[e[0]] + sizes[e[1]]), e)
     )
     removed: Set[Tuple[int, int]] = set()
     while True:
@@ -129,7 +129,7 @@ def _edge(a: int, b: int) -> Tuple[int, int]:
 def _footprint(buffer: Buffer) -> int:
     """Bytes of shared memory one thread block needs for this buffer."""
     size = buffer.tensor.size_bytes * buffer.pipeline_depth
-    for extent, proc in getattr(buffer, "replication", ()):
+    for extent, proc in buffer.replication:
         # Warpgroup-replicated buffers need one copy per warpgroup;
         # warp/thread replication of a *shared* buffer is unusual but
         # handled the same way.
@@ -152,32 +152,20 @@ def _live_intervals(
     An access inside a loop body extends liveness across the entire
     loop, since iterations interleave under pipelining.
     """
-    positions: Dict[int, int] = {}
     spans: Dict[int, Tuple[int, int]] = {}
+    loops_of: Dict[int, List[Operation]] = {}
     counter = itertools.count()
 
     def number(block: Block, enclosing: List[Operation]) -> None:
         for op in block.ops:
-            start = next(counter)
-            positions[op.uid] = start
+            loops_of[op.uid] = enclosing
+            start = end = next(counter)
             if isinstance(op, (ForOp, PForOp)):
                 number(op.body, enclosing + [op])
                 end = next(counter)
-            else:
-                end = start
             spans[op.uid] = (start, end)
 
     number(fn.body, [])
-
-    loops_of: Dict[int, List[Operation]] = {}
-
-    def collect(block: Block, enclosing: List[Operation]) -> None:
-        for op in block.ops:
-            loops_of[op.uid] = list(enclosing)
-            if isinstance(op, (ForOp, PForOp)):
-                collect(op.body, enclosing + [op])
-
-    collect(fn.body, [])
 
     wanted = {b.tensor.uid for b in buffers}
     intervals: Dict[int, Tuple[int, int]] = {}
@@ -223,7 +211,7 @@ def _first_fit(
 ) -> Tuple[Dict[int, int], int]:
     """First-fit offsets where edge-connected buffers must not overlap."""
     order = sorted(
-        buffers, key=lambda b: sizes[b.tensor.uid], reverse=True
+        buffers, key=lambda b: (-sizes[b.tensor.uid], b.tensor.uid)
     )
     offsets: Dict[int, int] = {}
     for buffer in order:
@@ -288,11 +276,7 @@ def _insert_war_edges(
             continue
         last = max(last_users, key=lambda op: order[op.uid])
         if last.result is not None:
-            use = (
-                last.result.use_all()
-                if last.result.type
-                else last.result.use()
-            )
+            use = last.result.use_all()
             if use not in writer.preconds:
                 writer.preconds.append(use)
                 added += 1

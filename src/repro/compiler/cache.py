@@ -45,6 +45,12 @@ CACHE_SIZE_ENV = "REPRO_COMPILE_CACHE_SIZE"
 #: Capacity used when the environment variable is unset.
 DEFAULT_CAPACITY = 256
 
+#: Names what this compiler generates. :func:`compile_key` hashes it, so
+#: a persisted tier written by another revision is never read back; bump
+#: it whenever a generated artefact (IR annotations, schedule, CUDA text,
+#: the pickled classes themselves) changes.
+COMPILER_REVISION = "24: one lowering, two printers"
+
 #: Which branch of :meth:`CompileCache.lookup` produced the kernel: the
 #: in-memory LRU, the second tier passed to the lookup, or ``compute``.
 TIER_MEMORY = "memory"
@@ -143,6 +149,7 @@ def compile_key(
     """
     payload = repr(
         (
+            COMPILER_REVISION,
             spec.fingerprint(),
             name,
             tuple(tuple(shape) for shape in arg_shapes),

@@ -1,251 +1,198 @@
 """CUDA C++ text backend (paper section 4.2.6).
 
-Emits a human-readable, CUDA-like C++ rendering of the compiled kernel:
-warp-specialized role dispatch, mbarrier declarations for every
-cross-warp event, TMA copies with transaction barriers, ``wgmma``
-invocations with commit/wait groups, and ``__syncwarp`` / named-barrier
-lowering of broadcast event indices. The text is golden-tested; it is
-not compiled (no CUDA toolchain in this environment) — the executable
-artifact is the simulator schedule, which shares the same lowering
-decisions.
+Prints the lowered kernel (:mod:`repro.compiler.lowering`) as
+human-readable, CUDA-like C++: warp-specialized role dispatch, a barrier
+for every cross-role dependence (the producer arrives, each consumer
+waits for the iteration it needs), TMA copies or ``cp.async`` with its
+commit/wait as the lowering chose, ``wgmma`` invocations with
+commit/wait groups, ``__syncwarp`` / named-barrier lowering of broadcast
+event indices, and the pipelining back-edges: a multi-buffered copy
+waits until the readers of its slot finished ``PIPE`` iterations ago.
+
+This module decides nothing: instruction kinds, roles, dependences,
+slots and the launch shape are read from the same lowered form the
+simulator schedule is printed from, so the text says what was timed.
+``tests/test_cuda_structure.py`` holds it to that — it recovers the
+instruction stream per role, the barrier pairs, the shared-memory map
+and the launch from the *text* and compares them with the schedule of
+the same compile. The text is not compiled (no CUDA toolchain in this
+environment): operands are IR references, not addresses.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, List, Optional
 
-from repro.ir.events import BROADCAST
-from repro.ir.module import IRFunction
-from repro.ir.ops import AllocOp, Block, CallOp, CopyOp, ForOp, PForOp
-from repro.machine.memory import MemoryKind
-from repro.machine.processor import ProcessorKind
+from repro.compiler.lowering import (
+    BLOCK, WARP, LoweredKernel, LoweredOp, LoweredSegment,
+)
+from repro.ir.ops import CallOp
+
+_BARRIER = "__shared__ cuda::barrier<cuda::thread_scope_block>"
+_SYNC = {WARP: "__syncwarp();", BLOCK: "named_barrier_wait();"}
 
 
-def generate_cuda(fn: IRFunction) -> str:
-    """Render the compiled IR as CUDA-like C++ source text."""
-    gen = _CudaGen(fn)
-    return gen.run()
+def generate_cuda(lowered: LoweredKernel) -> str:
+    """Render the lowered kernel as CUDA-like C++ source text."""
+    return _CudaGen(lowered).run()
 
 
 class _CudaGen:
-    def __init__(self, fn: IRFunction):
-        self.fn = fn
+    def __init__(self, kernel: LoweredKernel):
+        self.kernel = kernel
         self.lines: List[str] = []
         self.indent = 0
-        self.barriers: Dict[int, str] = {}
+        #: Per op: the segment it is in, the barrier its peers in the
+        #: other role wait on, and the barrier a pipelined copy waits on
+        #: for its slot (its readers arrive on it when done).
+        self.segment_of: Dict[LoweredOp, LoweredSegment] = {}
+        self.full: Dict[LoweredOp, str] = {}
+        self.free: Dict[LoweredOp, str] = {}
+        for segment in kernel.segments:
+            for op in segment.ops:
+                self.segment_of[op] = segment
+                for dep in op.deps:
+                    if dep.producer.op.role != op.op.role:
+                        self.full.setdefault(
+                            dep.producer, f"bar[{len(self.full)}]"
+                        )
+                if op.war_consumers:
+                    self.free[op] = f"slot_free[{len(self.free)}]"
 
     def emit(self, text: str = "") -> None:
         self.lines.append("  " * self.indent + text if text else "")
 
-    def run(self) -> str:
-        self._prologue()
-        self._device_function()
-        self._host_launcher()
-        return "\n".join(self.lines) + "\n"
+    def block(self, head: str, body, *args) -> None:
+        self.emit(head)
+        self.indent += 1
+        body(*args)
+        self.indent -= 1
 
-    # ------------------------------------------------------------------
-    def _prologue(self) -> None:
+    def run(self) -> str:
+        kernel = self.kernel
+        name = _ident(kernel.name)
+        params = ", ".join(
+            f"{p.dtype.name}_t* {_ident(p.name)}" for p in kernel.params
+        )
         self.emit("// Generated by the Cypress reproduction compiler.")
-        self.emit(f"// kernel: {self.fn.name}  machine: {self.fn.machine.name}")
+        self.emit(f"// kernel: {kernel.name}  machine: {kernel.machine}")
         self.emit("#include <cuda/barrier>")
         self.emit("#include <cute/tensor.hpp>")
         self.emit()
-
-    def _smem_decls(self) -> None:
-        allocation = self.fn.metadata.get("allocation")
-        for buffer in self.fn.buffers_in_memory(MemoryKind.SHARED):
-            dims = ", ".join(map(str, buffer.shape))
-            pipe = (
-                f"[{buffer.pipeline_depth}]"
-                if buffer.pipeline_depth > 1
-                else ""
-            )
-            offset = ""
-            if allocation and buffer.name in allocation.offsets:
-                offset = f"  // smem offset {allocation.offsets[buffer.name]}"
-            self.emit(
-                f"__shared__ {buffer.dtype.name}_t "
-                f"{_ident(buffer.name)}{pipe}[{dims}];{offset}"
-            )
-
-    def _barrier_decls(self, body: Block) -> None:
-        warpspec = self.fn.metadata.get("warpspec")
-        if warpspec is None or not warpspec.enabled:
-            return
-        count = 0
-        for op in body.walk():
-            role = getattr(op, "role", "compute")
-            for use in op.preconds:
-                producer = use.event.producer
-                if producer is None:
-                    continue
-                if getattr(producer, "role", "compute") != role:
-                    if id(use.event) not in self.barriers:
-                        name = f"bar{count}"
-                        self.barriers[id(use.event)] = name
-                        count += 1
-        for name in self.barriers.values():
-            self.emit(
-                f"__shared__ cuda::barrier<cuda::thread_scope_block> {name};"
-            )
-
-    # ------------------------------------------------------------------
-    def _device_function(self) -> None:
-        params = ", ".join(
-            f"{p.dtype.name}_t* {_ident(p.name)}" for p in self.fn.params
-        )
-        self.emit(f"__global__ void {_ident(self.fn.name)}_kernel({params}) {{")
-        self.indent += 1
-        body = self._block_body()
-        self._smem_decls()
-        self._barrier_decls(body)
-        warpspec = self.fn.metadata.get("warpspec")
-        if warpspec is not None and warpspec.enabled:
-            self.emit("if (warp_role() == DMA_WARP) {")
-            self.indent += 1
-            self._emit_block(body, role="dma")
-            self.indent -= 1
-            self.emit("} else {  // compute warpgroups")
-            self.indent += 1
-            self._emit_block(body, role="compute")
-            self.indent -= 1
-            self.emit("}")
-        else:
-            self._emit_block(body, role=None)
-        self.indent -= 1
+        self.block(f"__global__ void {name}_kernel({params}) {{", self._device)
         self.emit("}")
         self.emit()
-
-    def _block_body(self) -> Block:
-        block = self.fn.body
-        while True:
-            grid = [
-                op
-                for op in block.ops
-                if isinstance(op, PForOp) and op.proc is ProcessorKind.BLOCK
-            ]
-            if not grid:
-                return block
-            block = grid[0].body
-
-    def _emit_block(self, block: Block, role) -> None:
-        for op in block.ops:
-            if isinstance(op, AllocOp):
-                continue
-            if isinstance(op, ForOp):
-                self.emit(
-                    f"for (int {op.index.name} = 0; "
-                    f"{op.index.name} < {op.extent}; ++{op.index.name}) {{"
-                )
-                self.indent += 1
-                pipe = getattr(op, "pipeline", 1)
-                if pipe > 1:
-                    self.emit(f"// software pipeline depth {pipe}")
-                self._emit_block(op.body, role)
-                self.indent -= 1
-                self.emit("}")
-                continue
-            op_role = getattr(op, "role", "compute")
-            if role is not None and op_role != role:
-                continue
-            self._emit_waits(op)
-            if isinstance(op, CopyOp):
-                self._emit_copy(op)
-            elif isinstance(op, CallOp):
-                self._emit_call(op)
-            self._emit_arrive(op)
-
-    def _emit_waits(self, op) -> None:
-        for use in op.preconds:
-            name = self.barriers.get(id(use.event))
-            if name is not None:
-                self.emit(f"{name}.arrive_and_wait();")
-            elif use.is_broadcast:
-                procs = {dim.proc for dim in use.broadcast_dims}
-                if ProcessorKind.THREAD in procs and len(procs) == 1:
-                    self.emit("__syncwarp();")
-                else:
-                    self.emit("named_barrier_wait();")
-
-    def _emit_arrive(self, op) -> None:
-        name = self.barriers.get(id(op.result)) if op.result else None
-        if name is not None:
-            self.emit(f"{name}.arrive();  // signal peer warps")
-
-    def _emit_copy(self, op: CopyOp) -> None:
-        src = self.fn.buffers.get(op.src.root.uid)
-        dst = self.fn.buffers.get(op.dst.root.uid)
-        if src is None or dst is None:
-            return
-        if MemoryKind.NONE in (src.memory, dst.memory):
-            self.emit(f"// logical copy {op.src!r} -> {op.dst!r}")
-            return
-        if (
-            src.memory is MemoryKind.GLOBAL
-            and dst.memory is MemoryKind.SHARED
-        ):
-            self.emit("if (elect_one_sync()) {")
-            self.indent += 1
-            self.emit(
-                f"tma_load(&{_ident(dst.name)}"
-                f"[k % {dst.pipeline_depth}], {_ref(op.src)}, "
-                "tx_barrier);"
-            )
-            self.indent -= 1
-            self.emit("}")
-        elif (
-            src.memory is MemoryKind.SHARED
-            and dst.memory is MemoryKind.GLOBAL
-        ):
-            self.emit(
-                f"if (elect_one_sync()) tma_store({_ref(op.dst)}, "
-                f"&{_ident(src.name)}[0]);"
-            )
-        else:
-            self.emit(f"copy({_ref(op.src)}, {_ref(op.dst)});")
-
-    def _emit_call(self, op: CallOp) -> None:
-        args = ", ".join(
-            _ref(a) if hasattr(a, "root") else repr(a) for a in op.args
+        self.emit(f"void {name}({params}) {{")
+        args = ", ".join(_ident(p.name) for p in kernel.params)
+        self.emit(
+            f"  {name}_kernel<<<{kernel.grid}, {kernel.threads_per_cta}>>>"
+            f"({args});"
         )
-        if op.cost_kind in ("wgmma", "mma_sync"):
+        self.emit("}")
+        return "\n".join(self.lines) + "\n"
+
+    # ------------------------------------------------------------------
+    def _device(self) -> None:
+        for buffer in self.kernel.smem:
+            dims = ", ".join(map(str, buffer.shape))
+            depth = buffer.pipeline_depth
+            pipe = f"[{depth}]" if depth > 1 else ""
+            self.emit(
+                f"__shared__ {buffer.dtype.name}_t "
+                f"{_ident(buffer.name)}{pipe}[{dims}];"
+                f"  // smem offset {buffer.smem_offset}"
+            )
+        for name, table in (("bar", self.full), ("slot_free", self.free)):
+            if table:
+                self.emit(f"{_BARRIER} {name}[{len(table)}];")
+        if self.kernel.warpspecialized:
+            self.block("if (warp_role() == DMA_WARP) {", self._role, "dma")
+            self.block("} else {  // compute warpgroups", self._role, "compute")
+            self.emit("}")
+        else:
+            self._role(None)
+
+    def _role(self, role: Optional[str]) -> None:
+        """Every segment, with the operations ``role`` executes."""
+        for number, segment in enumerate(self.kernel.segments):
+            ops = [op for op in segment.ops if role in (None, op.op.role)]
+            if segment.index is None:
+                self.emit(f"// segment {number}")
+                self._ops(ops, segment)
+                continue
+            i = segment.index
+            self.block(
+                f"for (int {i} = 0; {i} < {segment.extent}; ++{i}) {{"
+                f"  // segment {number}, software pipeline depth "
+                f"{segment.pipeline}",
+                self._ops, ops, segment,
+            )
+            self.emit("}")
+
+    def _ops(self, ops: List[LoweredOp], segment: LoweredSegment) -> None:
+        i = segment.index or "0"
+        for op in ops:
+            if op.war_consumers:
+                self.emit(
+                    f"if ({i} >= {op.war_distance}) "
+                    f"{self.free[op]}.wait({i} - {op.war_distance});"
+                )
+            for dep in op.deps:
+                if dep.producer.op.role != op.op.role:
+                    home = self.segment_of[dep.producer]
+                    # A producer in another segment completes once, at
+                    # its last iteration.
+                    when = i if home is segment else home.extent - 1
+                    self.emit(f"{self.full[dep.producer]}.wait({when});")
+                elif dep.sync:
+                    self.emit(_SYNC[dep.sync])
+            if isinstance(op.op, CallOp):
+                self._call(op)
+            else:
+                self._copy(op, segment)
+            if op in self.full:
+                self.emit(f"{self.full[op]}.arrive();")
+            for copy in segment.ops:
+                if op in copy.war_consumers:
+                    self.emit(f"{self.free[copy]}.arrive();")
+
+    def _copy(self, op: LoweredOp, segment: LoweredSegment) -> None:
+        src, dst = _ref(op.op.src), _ref(op.op.dst)
+        slot = (
+            f"[{segment.index} % {op.slots}]"
+            if segment.index and op.slots > 1
+            else ""
+        )
+        if op.kind == "tma_load":
+            self.emit(
+                f"if (elect_one_sync()) tma_load("
+                f"&{_ident(op.op.dst.root.name)}{slot}, {src}, tx_barrier);"
+            )
+        elif op.kind == "cp_async":
+            self.emit(f"cp_async(&{_ident(op.op.dst.root.name)}{slot}, {src});")
+            self.emit("cp_async_commit_group();")
+            self.emit("cp_async_wait_group<0>();")
+        elif op.kind == "tma_store":
+            self.emit(
+                f"if (elect_one_sync()) tma_store("
+                f"{dst}, &{_ident(op.op.src.root.name)});"
+            )
+        elif op.kind == "nop":
+            self.emit(f"// nop: {src} -> {dst}")
+        else:
+            self.emit(f"copy({src}, {dst});  // {op.kind}")
+
+    def _call(self, op: LoweredOp) -> None:
+        args = ", ".join(
+            _ref(a) if hasattr(a, "root") else repr(a) for a in op.op.args
+        )
+        if op.kind in ("wgmma", "mma_sync"):
             self.emit("warpgroup_arrive();")
-            self.emit(f"{op.function}({args});  // -> tensor core")
+            self.emit(f"{op.op.function}({args});  // {op.kind} -> tensor core")
             self.emit("warpgroup_commit_batch();")
             self.emit("warpgroup_wait<0>();")
         else:
-            self.emit(f"{op.function}({args});")
-
-    # ------------------------------------------------------------------
-    def _host_launcher(self) -> None:
-        grid = 1
-        block = self.fn.body
-        while True:
-            loops = [
-                op
-                for op in block.ops
-                if isinstance(op, PForOp) and op.proc is ProcessorKind.BLOCK
-            ]
-            if not loops:
-                break
-            grid *= loops[0].extent
-            block = loops[0].body
-        extents = self.fn.metadata.get("proc_extents", {})
-        warpspec = self.fn.metadata.get("warpspec")
-        threads = 128 * extents.get("warpgroup", 1)
-        if warpspec is not None and warpspec.enabled:
-            threads += 128
-        params = ", ".join(
-            f"{p.dtype.name}_t* {_ident(p.name)}" for p in self.fn.params
-        )
-        args = ", ".join(_ident(p.name) for p in self.fn.params)
-        self.emit(f"void {_ident(self.fn.name)}({params}) {{")
-        self.indent += 1
-        self.emit(
-            f"{_ident(self.fn.name)}_kernel<<<{grid}, {threads}>>>({args});"
-        )
-        self.indent -= 1
-        self.emit("}")
+            self.emit(f"{op.op.function}({args});  // {op.kind}")
 
 
 def _ident(name: str) -> str:

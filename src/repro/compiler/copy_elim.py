@@ -250,8 +250,6 @@ def _previous_event_use(block: Block, removed: Operation) -> Optional[EventUse]:
             previous = op
     if previous is None or previous.result is None:
         return None
-    if previous.result.is_unit:
-        return previous.result.use()
     return previous.result.use_all()
 
 
@@ -404,11 +402,7 @@ def _duplicate_copy(uses: _Uses, block: Block) -> bool:
         for second in block.ops[i + 1 :]:
             if isinstance(second, CopyOp) and _same_copy(first, second):
                 # Users of the duplicate wait on the first copy instead.
-                surviving = (
-                    first.result.use_all()
-                    if first.result.type
-                    else first.result.use()
-                )
+                surviving = first.result.use_all()
                 uses.set_preconds(second, [surviving])
                 _remove(uses, block, second)
                 return True
@@ -450,11 +444,7 @@ def _redundant_load(uses: _Uses, block: Block) -> bool:
                 continue
             # Consumers of the removed load must still wait on the
             # surviving load's completion.
-            surviving = (
-                first.result.use_all()
-                if first.result.type
-                else first.result.use()
-            )
+            surviving = first.result.use_all()
             uses.set_preconds(second, [surviving])
             _remove(uses, block, second)
             _replace_buffer_refs(uses, second_temp, first.dst)
@@ -509,11 +499,7 @@ def _spill_hoist(uses: _Uses, block: Block) -> bool:
             uses.set_preconds(cout, external + [loop.result.use()])
             block.ops.insert(position + 1, cout)
             if cin.result is not None:
-                use = (
-                    cin.result.use_all()
-                    if cin.result.type
-                    else cin.result.use()
-                )
+                use = cin.result.use_all()
                 if use not in loop.preconds:
                     uses.set_preconds(loop, loop.preconds + [use])
             return True
@@ -563,11 +549,7 @@ def _invariant_copy_hoist(uses: _Uses, block: Block) -> bool:
             )
             block.ops.insert(position, cin)
             if cin.result is not None:
-                use = (
-                    cin.result.use_all()
-                    if cin.result.type
-                    else cin.result.use()
-                )
+                use = cin.result.use_all()
                 if use not in loop.preconds:
                     uses.set_preconds(loop, loop.preconds + [use])
             return True

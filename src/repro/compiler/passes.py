@@ -24,8 +24,8 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Type, Union
 
 from repro.compiler.allocation import allocate_shared
 from repro.compiler.codegen_cuda import generate_cuda
-from repro.compiler.codegen_sim import lower_to_schedule
 from repro.compiler.copy_elim import eliminate_copies
+from repro.compiler.lowering import lower, schedule_of
 from repro.compiler.vectorize import vectorize
 from repro.compiler.warpspec import specialize_warps
 from repro.errors import CompileError
@@ -227,30 +227,34 @@ class WarpSpecializePass(Pass):
 
 @register_pass
 class LowerSchedulePass(Pass):
-    """Simulator backend: lower the final IR to a KernelSchedule."""
+    """The one lowering of the final IR, printed as a KernelSchedule."""
 
     name = "lower-schedule"
     mutates_ir = False
 
     def run(self, fn: IRFunction, ctx: PassContext) -> None:
-        ctx.artifacts["schedule"] = lower_to_schedule(
-            fn,
-            ctx.spec.registry,
-            total_flops=ctx.total_flops,
-            unique_dram_bytes=ctx.unique_dram_bytes,
-            use_tma=ctx.options.use_tma,
+        lowered = lower(fn, ctx.spec.registry, ctx.options.use_tma)
+        ctx.artifacts["lowered"] = lowered
+        ctx.artifacts["schedule"] = schedule_of(
+            lowered, ctx.total_flops, ctx.unique_dram_bytes
         )
 
 
 @register_pass
 class CodegenCudaPass(Pass):
-    """CUDA backend: emit the warp-specialized C++ kernel text."""
+    """CUDA backend: print the lowered form as warp-specialized C++."""
 
     name = "codegen-cuda"
     mutates_ir = False
 
     def run(self, fn: IRFunction, ctx: PassContext) -> None:
-        ctx.artifacts["cuda_source"] = generate_cuda(fn)
+        if "lowered" not in ctx.artifacts:
+            raise CompileError(
+                "codegen-cuda prints the lowered form that lower-schedule "
+                "leaves behind; put 'lower-schedule' before it in the pass "
+                "list"
+            )
+        ctx.artifacts["cuda_source"] = generate_cuda(ctx.artifacts["lowered"])
 
 
 #: The Figure-6 pipeline, in order. Dependence analysis runs before the

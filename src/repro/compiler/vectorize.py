@@ -15,9 +15,9 @@ from typing import Dict, List, Tuple
 
 from repro.errors import CompileError
 from repro.ir.events import BROADCAST, Event, EventDim, EventUse
-from repro.ir.module import Buffer, IRFunction
+from repro.ir.module import IRFunction
 from repro.ir.ops import AllocOp, Block, CallOp, CopyOp, ForOp, Operation, PForOp
-from repro.machine.processor import ProcessorKind, is_intra_block
+from repro.machine.processor import is_intra_block
 from repro.sym import Const, ProcIndex, substitute
 from repro.tensors.tensor import TensorRef
 
@@ -80,7 +80,7 @@ def _flatten(block: Block, position: int, loop: PForOp, fn: IRFunction) -> None:
         op.preconds = [
             _adjust_use(use, promoted, point_index) for use in op.preconds
         ]
-    for nested in _blocks_under(loop.body):
+    for nested in loop.body.all_blocks():
         if nested.yield_use is not None:
             nested.yield_use = _adjust_use(
                 nested.yield_use, promoted, point_index
@@ -103,13 +103,14 @@ def _flatten(block: Block, position: int, loop: PForOp, fn: IRFunction) -> None:
     for op in loop.body.walk():
         inside_ops.add(id(op))
         if isinstance(op, AllocOp):
-            _replicate_buffer(op.buffer, loop.extent, proc)
+            op.buffer.replication = (
+                (loop.extent, proc),
+            ) + op.buffer.replication
         for ref in op.tensor_uses():
             buffer = fn.buffers.get(ref.root.uid)
             if buffer is None or buffer.is_argument:
                 continue
             candidates.add(ref.root.uid)
-            _note_level(buffer, proc)
     escaped = set()
     for op in fn.walk():
         if id(op) in inside_ops:
@@ -118,10 +119,7 @@ def _flatten(block: Block, position: int, loop: PForOp, fn: IRFunction) -> None:
             if ref.root.uid in candidates:
                 escaped.add(ref.root.uid)
     for uid in candidates - escaped:
-        buffer = fn.buffers[uid]
-        private = getattr(buffer, "private_levels", set())
-        private.add(proc.value)
-        buffer.private_levels = private
+        fn.buffers[uid].private_levels |= {proc.value}
 
     # Splice the body into the parent block.
     block.ops[position : position + 1] = body_ops
@@ -135,13 +133,6 @@ def _flatten(block: Block, position: int, loop: PForOp, fn: IRFunction) -> None:
             )
         return
     _redirect_loop_event(fn, loop, yield_use)
-
-
-def _blocks_under(block: Block):
-    yield block
-    for op in block.ops:
-        for nested in op.nested_blocks():
-            yield from _blocks_under(nested)
 
 
 def _substitute_op(op: Operation, bindings: Dict[str, object]) -> None:
@@ -198,7 +189,7 @@ def _redirect_loop_event(
 
     for op in fn.walk():
         op.preconds = [rewrite(use) for use in op.preconds]
-    for nested in _blocks_under(fn.body):
+    for nested in fn.body.all_blocks():
         if nested.yield_use is not None:
             nested.yield_use = rewrite(nested.yield_use)
 
@@ -207,18 +198,7 @@ def _event_used(fn: IRFunction, event: Event) -> bool:
     for op in fn.walk():
         if any(use.event is event for use in op.preconds):
             return True
-    for nested in _blocks_under(fn.body):
+    for nested in fn.body.all_blocks():
         if nested.yield_use is not None and nested.yield_use.event is event:
             return True
     return False
-
-
-def _replicate_buffer(buffer: Buffer, extent: int, proc: ProcessorKind) -> None:
-    replication = getattr(buffer, "replication", ())
-    buffer.replication = ((extent, proc),) + tuple(replication)
-
-
-def _note_level(buffer: Buffer, proc: ProcessorKind) -> None:
-    levels = getattr(buffer, "used_at_levels", set())
-    levels.add(proc)
-    buffer.used_at_levels = levels

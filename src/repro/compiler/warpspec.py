@@ -19,11 +19,10 @@ after the consumers of its destination buffer finished iteration
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import List
 
-from repro.errors import CompileError
-from repro.ir.module import Buffer, IRFunction
-from repro.ir.ops import Block, CallOp, CopyOp, ForOp, Operation, PForOp
+from repro.ir.module import IRFunction
+from repro.ir.ops import CallOp, CopyOp, ForOp, Operation
 from repro.machine.memory import MemoryKind
 
 DMA = "dma"
@@ -49,40 +48,24 @@ def specialize_warps(
 ) -> WarpSpecReport:
     """Assign warp roles and pipeline the block-level main loops."""
     report = WarpSpecReport(enabled=enabled, pipeline_depth=pipeline_depth)
-    body = block_body(fn)
+    _, body = fn.grid_and_body()
     for op in body.walk():
         op.role = _role_of(fn, op) if enabled else COMPUTE
         if op.role == DMA:
             report.dma_ops += 1
         else:
             report.compute_ops += 1
-    report.crossing_edges = _count_crossing_edges(body)
+    report.crossing_edges = sum(
+        use.event.producer.role != op.role
+        for op in body.walk()
+        for use in op.preconds
+    )
     for op in body.ops:
         if isinstance(op, ForOp):
             pipelined = _pipeline_loop(fn, op, pipeline_depth)
             report.pipelined_buffers.extend(pipelined)
     fn.metadata["warpspec"] = report
     return report
-
-
-def block_body(fn: IRFunction) -> Block:
-    """The per-thread-block body: inside the grid ``pfor`` nest."""
-    block = fn.body
-    while True:
-        grid_loops = [
-            op
-            for op in block.ops
-            if isinstance(op, PForOp)
-            and op.proc.name == "BLOCK"
-        ]
-        if not grid_loops:
-            return block
-        if len(grid_loops) > 1:
-            raise CompileError(
-                "multiple grid-level parallel loops in one block; "
-                "fuse them in the logical description"
-            )
-        block = grid_loops[0].body
 
 
 def _role_of(fn: IRFunction, op: Operation) -> str:
@@ -104,21 +87,6 @@ def _role_of(fn: IRFunction, op: Operation) -> str:
     return COMPUTE
 
 
-def _count_crossing_edges(body: Block) -> int:
-    producers: Dict[int, str] = {}
-    for op in body.walk():
-        if op.result is not None:
-            producers[id(op.result)] = getattr(op, "role", COMPUTE)
-    crossing = 0
-    for op in body.walk():
-        role = getattr(op, "role", COMPUTE)
-        for use in op.preconds:
-            producer_role = producers.get(id(use.event))
-            if producer_role is not None and producer_role != role:
-                crossing += 1
-    return crossing
-
-
 def _pipeline_loop(
     fn: IRFunction, loop: ForOp, depth: int
 ) -> List[str]:
@@ -127,7 +95,7 @@ def _pipeline_loop(
     pipelined: List[str] = []
     body_ops = list(loop.body.walk())
     for op in body_ops:
-        if not isinstance(op, CopyOp) or getattr(op, "role", None) != DMA:
+        if not isinstance(op, CopyOp) or op.role != DMA:
             continue
         dst = fn.buffers.get(op.dst.root.uid)
         if dst is None or dst.memory is not MemoryKind.SHARED:
@@ -148,5 +116,5 @@ def _pipeline_loop(
         # buffer slot (k mod depth) finished iteration k - depth. These
         # are the dashed backward edges of Figure 12.
         op.war_distance = depth
-        op.war_consumers = [c.uid for c in consumers]
+        op.war_consumers = consumers
     return pipelined

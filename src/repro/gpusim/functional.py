@@ -79,7 +79,7 @@ class _Operand:
         self.shape = buffer.shape
         self.dtype = buffer.dtype.to_numpy()
         self.uid = ref.root.uid
-        levels = sorted(getattr(buffer, "private_levels", ()))
+        levels = sorted(buffer.private_levels)
         self.private = itemgetter(*levels) if levels else None
         self.written = written
 

@@ -92,6 +92,12 @@ class Segment:
         return self.extent > 1
 
 
+def threads_per_cta(n_warpgroups: int, warpspecialized: bool) -> int:
+    """128 threads per compute warpgroup, and as many again for the DMA
+    warpgroup of a warp-specialized kernel."""
+    return 128 * (n_warpgroups + bool(warpspecialized))
+
+
 @dataclass
 class KernelSchedule:
     """A complete per-CTA schedule plus grid-level metadata."""
@@ -123,9 +129,7 @@ class KernelSchedule:
 
     @property
     def threads_per_cta(self) -> int:
-        compute = 128 * self.n_warpgroups
-        dma = 128 if self.warpspecialized else 0
-        return compute + dma
+        return threads_per_cta(self.n_warpgroups, self.warpspecialized)
 
     def instruction_count(self) -> int:
         return sum(len(s.instrs) for s in self.segments)

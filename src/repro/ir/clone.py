@@ -15,7 +15,7 @@ wholesale), so both copies can point at the same ones.
 from __future__ import annotations
 
 import copy
-from typing import Dict
+from typing import Dict, List, Tuple
 
 from repro.errors import IRError
 from repro.ir.events import EventUse
@@ -34,10 +34,10 @@ from repro.ir.ops import (
 def clone_function(fn: IRFunction) -> IRFunction:
     """An independent copy of ``fn`` sharing all immutable leaves.
 
-    Buffers are shallow-copied (passes mutate ``pipeline_depth``,
-    ``smem_offset``, and ``private_levels`` in place); every operation
-    and block is rebuilt so op-attribute rewrites and event-type
-    promotions on one copy never show through to the other. Buffer
+    Buffers are shallow-copied (passes assign their fields, all of
+    immutable values); every operation and block is rebuilt, with its
+    annotations, so op-attribute rewrites and event-type promotions on
+    one copy never show through to the other. Buffer
     identity maps through the wrapped tensor's uid, which both copies
     share, so ``buffer_of`` lookups keep working on either side.
     """
@@ -45,15 +45,15 @@ def clone_function(fn: IRFunction) -> IRFunction:
     out.metadata = dict(fn.metadata)
     buffers: Dict[int, Buffer] = {}
     for uid, buffer in fn.buffers.items():
-        cloned = copy.copy(buffer)
-        private = getattr(buffer, "private_levels", None)
-        if private is not None:
-            cloned.private_levels = set(private)
-        buffers[uid] = cloned
+        buffers[uid] = copy.copy(buffer)
     out.buffers = buffers
     out.params = [buffers[b.tensor.uid] for b in fn.params]
     cloner = _OpCloner(buffers)
     out.body = cloner.clone_block(fn.body)
+    # Write-after-read consumers follow their copy in program order, so
+    # they are remapped once every operation has its clone.
+    for cloned, consumers in cloner.pipelined:
+        cloned.war_consumers = [cloner.ops[c.uid] for c in consumers]
     return out
 
 
@@ -68,6 +68,8 @@ class _OpCloner:
     def __init__(self, buffers: Dict[int, Buffer]):
         self.buffers = buffers
         self.events: Dict[int, object] = {}
+        self.ops: Dict[int, Operation] = {}
+        self.pipelined: List[Tuple[CopyOp, List[Operation]]] = []
 
     def clone_use(self, use: EventUse) -> EventUse:
         event = self.events.get(id(use.event), use.event)
@@ -90,6 +92,8 @@ class _OpCloner:
             cloned.proc = op.proc
         elif isinstance(op, CopyOp):
             cloned = CopyOp(op.src, op.dst, preconds, op.proc)
+            if op.war_consumers:
+                self.pipelined.append((cloned, op.war_consumers))
         elif isinstance(op, CallOp):
             cloned = CallOp(
                 op.function,
@@ -111,6 +115,13 @@ class _OpCloner:
             raise IRError(
                 f"cannot snapshot unknown operation kind {type(op).__name__}"
             )
+        # What the constructor did not set, a pass assigned (role,
+        # pipeline depth, WAR distance): annotations carry over as they
+        # are, and an operation no pass annotated stays bare.
+        if len(vars(op)) > len(vars(cloned)):
+            for name, value in vars(op).items():
+                vars(cloned).setdefault(name, value)
+        self.ops[op.uid] = cloned
         if op.result is not None:
             cloned.result.type = tuple(op.result.type)
             self.events[id(op.result)] = cloned.result

@@ -3,10 +3,10 @@
 from __future__ import annotations
 
 import itertools
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.errors import IRError
-from repro.ir.ops import Block, Operation
+from repro.ir.ops import Block, Operation, PForOp
 from repro.machine.machine import MachineModel
 from repro.machine.memory import MemoryKind
 from repro.machine.processor import ProcessorKind
@@ -33,7 +33,16 @@ class Buffer:
         pipeline_depth: multi-buffering factor added by the pipelining
             transformation (the ``PIPE`` dimension of paper Figure 1b).
         smem_offset: byte offset assigned by the resource allocator.
+        replication: ``(extent, proc)`` per flattened parallel loop the
+            buffer was declared inside (one copy per processor), outermost
+            first; written by vectorization.
+        private_levels: names of the processor levels that each hold
+            their own instance of this buffer (all its references sat in
+            that level's flattened loop); written by vectorization.
     """
+
+    replication: Tuple[Tuple[int, ProcessorKind], ...] = ()
+    private_levels: FrozenSet[str] = frozenset()
 
     def __init__(
         self,
@@ -90,9 +99,10 @@ class Buffer:
     def __repr__(self) -> str:
         dims = "x".join(map(str, self.shape))
         pipe = f" pipe={self.pipeline_depth}" if self.pipeline_depth > 1 else ""
+        offset = "" if self.smem_offset is None else f" +{self.smem_offset}"
         return (
             f"buffer {self.name}#{self.uid} [{dims}:{self.dtype}] "
-            f"@{self.memory.name.lower()}{pipe}"
+            f"@{self.memory.name.lower()}{pipe}{offset}"
         )
 
 
@@ -105,8 +115,6 @@ class IRFunction:
         params: buffers for the kernel's tensor arguments (global memory).
         buffers: every buffer, keyed by the underlying tensor uid.
         body: the top-level block (usually a grid ``pfor`` over blocks).
-        grid_extent: number of thread blocks launched.
-        block_proc: processor level of the per-block body (BLOCK).
     """
 
     def __init__(self, name: str, machine: MachineModel):
@@ -155,6 +163,27 @@ class IRFunction:
     def walk(self):
         """All operations in the function, pre-order."""
         yield from self.body.walk()
+
+    def grid_and_body(self) -> Tuple[int, Block]:
+        """The launch grid and the per-thread-block body: the product of
+        the nested ``pfor`` extents over BLOCK, and the block inside the
+        innermost of them."""
+        grid, block = 1, self.body
+        while True:
+            loops = [
+                op
+                for op in block.ops
+                if isinstance(op, PForOp) and op.proc is ProcessorKind.BLOCK
+            ]
+            if not loops:
+                return grid, block
+            if len(loops) > 1:
+                raise IRError(
+                    "multiple grid-level parallel loops in one block; "
+                    "fuse them in the logical description"
+                )
+            grid *= loops[0].extent
+            block = loops[0].body
 
     def ops_of_type(self, op_type) -> List[Operation]:
         return [op for op in self.walk() if isinstance(op, op_type)]

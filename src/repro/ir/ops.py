@@ -8,7 +8,7 @@ asynchronous operation owns its result :class:`Event`.
 from __future__ import annotations
 
 import itertools
-from typing import Any, Iterator, List, Optional, Tuple
+from typing import Any, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import IRError
 from repro.ir.events import Event, EventType, EventUse
@@ -23,9 +23,14 @@ class Operation:
     """Base class for IR operations.
 
     ``proc`` records the processor level on which the operation executes
-    (filled by dependence analysis); warp specialization and codegen
-    consult it.
+    (filled by dependence analysis). Annotations that later passes
+    assign are declared on the classes with their defaults, so an
+    operation no pass has touched carries (and pickles) nothing extra.
     """
+
+    #: Warp role, ``"dma"`` or ``"compute"``; assigned by warp
+    #: specialization, read by the lowering.
+    role = "compute"
 
     def __init__(
         self,
@@ -79,9 +84,15 @@ class AllocOp(Operation):
 class CopyOp(Operation):
     """``ev = copy(src, dst), preconds`` — an asynchronous data movement.
 
-    The compiler's code generator decides the mechanism (TMA, cp.async,
-    register moves) from the source and destination memories.
+    The lowering decides the mechanism (TMA, cp.async, register moves)
+    from the source and destination memories. Pipelining records the
+    write-after-read back-edges of Figure 12 here: iteration ``k`` of
+    this copy may start only once ``war_consumers`` (operations of the
+    same loop body) finished iteration ``k - war_distance``.
     """
+
+    war_distance = 0
+    war_consumers: Sequence[Operation] = ()
 
     def __init__(
         self,
@@ -161,19 +172,26 @@ class Block:
         """Substitute event ``new`` for ``old`` everywhere in this block."""
         for op in self.walk():
             op.replace_precond_event(old, new)
-        for block in self._all_blocks():
+        for block in self.all_blocks():
             if block.yield_use is not None and block.yield_use.event is old:
                 block.yield_use = block.yield_use.with_event(new)
 
-    def _all_blocks(self) -> Iterator["Block"]:
+    def all_blocks(self) -> Iterator["Block"]:
+        """This block and every block nested in it, pre-order."""
         yield self
         for op in self.ops:
             for block in op.nested_blocks():
-                yield from block._all_blocks()
+                yield from block.all_blocks()
 
 
 class ForOp(Operation):
-    """A sequential loop; its event is the completion of all iterations."""
+    """A sequential loop; its event is the completion of all iterations.
+
+    ``pipeline`` is the software-pipelining depth warp specialization
+    gave the loop (1: iterations do not overlap).
+    """
+
+    pipeline = 1
 
     def __init__(
         self,

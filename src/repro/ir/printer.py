@@ -1,4 +1,12 @@
-"""Textual form of the IR, in the style of the paper's Figure 8b."""
+"""Textual form of the IR, in the style of the paper's Figure 8b.
+
+Annotations print only where a pass moved them off their default —
+``@dma`` on an operation, ``pipe=N`` on a loop, ``war(N: e1,e2)`` on a
+pipelined copy (it waits for those events of iteration ``k - N``),
+``+offset`` on an allocated shared buffer — so the final IR differs from
+the post-copy-elim text by exactly what ``allocate-shared`` and
+``warp-specialize`` decided.
+"""
 
 from __future__ import annotations
 
@@ -18,8 +26,10 @@ def _format_event_decl(op: Operation) -> str:
 
 
 def _format_preconds(op: Operation) -> str:
+    """The precondition set, then the warp role unless it is the default."""
     inner = ", ".join(repr(use) for use in op.preconds)
-    return "{" + inner + "}"
+    role = "" if op.role == "compute" else f" @{op.role}"
+    return "{" + inner + "}" + role
 
 
 def format_op(op: Operation, indent: int = 0) -> str:
@@ -29,9 +39,13 @@ def format_op(op: Operation, indent: int = 0) -> str:
     if isinstance(op, AllocOp):
         return f"{pad}{op.buffer!r}"
     if isinstance(op, CopyOp):
+        war = ""
+        if op.war_distance:
+            events = ",".join(c.result.name for c in op.war_consumers)
+            war = f" war({op.war_distance}: {events})"
         return (
             f"{pad}{decl}copy({op.src!r}, {op.dst!r}), "
-            f"{_format_preconds(op)}"
+            f"{_format_preconds(op)}{war}"
         )
     if isinstance(op, CallOp):
         args = ", ".join(repr(a) for a in op.args)
@@ -43,6 +57,8 @@ def format_op(op: Operation, indent: int = 0) -> str:
     if isinstance(op, (ForOp, PForOp)):
         kind = "pfor" if isinstance(op, PForOp) else "for"
         proc = f" @{op.proc.name.lower()}" if isinstance(op, PForOp) else ""
+        if isinstance(op, ForOp) and op.pipeline > 1:
+            proc = f" pipe={op.pipeline}"
         head = (
             f"{pad}{decl}{kind} {op.index.name} in [0, {op.extent})"
             f"{proc}, {_format_preconds(op)} do"

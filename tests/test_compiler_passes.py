@@ -15,7 +15,7 @@ from repro.compiler.allocation import allocate_shared
 from repro.compiler.copy_elim import eliminate_copies
 from repro.compiler.dependence import DependenceAnalysis
 from repro.compiler.vectorize import vectorize
-from repro.compiler.warpspec import DMA, block_body, specialize_warps
+from repro.compiler.warpspec import DMA, specialize_warps
 from repro.errors import AllocationError, PrivilegeError
 from repro.ir.ops import CallOp, CopyOp, ForOp, PForOp
 from repro.ir.verifier import verify_function
@@ -260,7 +260,7 @@ class TestWarpSpecialization:
         report = specialize_warps(fn, enabled=True, pipeline_depth=3)
         assert report.dma_ops >= 2
         assert report.compute_ops > 0
-        body = block_body(fn)
+        _, body = fn.grid_and_body()
         for op in body.walk():
             if isinstance(op, CopyOp):
                 src = fn.buffers[op.src.root.uid].memory

@@ -222,15 +222,19 @@ class TestAttention:
 
 
 class TestCudaBackend:
-    def test_generates_warpspec_structure(self, hopper):
-        build = build_gemm(
-            hopper, 256, 256, 128, tile_m=128, tile_n=256, tile_k=64
-        )
-        kernel = api.compile_kernel(build)
-        src = kernel.cuda_source
-        assert "__global__" in src
-        assert "DMA_WARP" in src
-        assert "tma_load" in src
-        assert "warpgroup_commit_batch" in src
-        assert "__shared__" in src
-        assert "<<<" in src  # host launcher
+    def test_generates_warpspec_structure(self, hopper, ampere):
+        for machine, bulk_copy, other in (
+            (hopper, "tma_load(", "cp_async("),
+            (ampere, "cp_async(", "tma_load("),
+        ):
+            build = build_gemm(
+                machine, 256, 256, 128, tile_m=128, tile_n=256, tile_k=64
+            )
+            kernel = api.compile_kernel(build)
+            src = kernel.cuda_source
+            assert "__global__" in src
+            assert "DMA_WARP" in src
+            assert bulk_copy in src and other not in src
+            assert "warpgroup_commit_batch" in src
+            assert "__shared__" in src
+            assert "<<<" in src  # host launcher
