@@ -1,4 +1,4 @@
-"""Exploring the mapping space (paper section 5.4), two-stage.
+"""Exploring the mapping space (paper section 5.4): rank, then walk.
 
 What it demonstrates
 --------------------
@@ -6,23 +6,26 @@ The separation of logical description and mapping specification means
 tuning is data, not code: this example sweeps tile shapes, warpgroup
 counts, pipeline depths, and warp specialization for one GEMM size
 without touching the logical program — the exploration the paper calls
-out as impossible in Triton and invasive in CUTLASS. It runs the sweep
-both ways:
+out as impossible in Triton and invasive in CUTLASS. Both runs share
+one flow: the analytic cost model (:mod:`repro.tuner.costmodel`) ranks
+the whole space in microseconds, then ``autotune`` batch-compiles the
+ranking best-first through ``api.compile_many`` (behind the
+content-keyed compile cache) and times each candidate on the simulated
+GPU. The two runs differ only in where the walk stops:
 
-1. **Exhaustive** — every candidate batch-compiled through
-   ``api.compile_many`` (behind the content-keyed compile cache) and
-   timed on the simulated GPU.
-2. **Two-stage** — the analytic cost model
-   (:mod:`repro.tuner.costmodel`) ranks the whole space in
-   microseconds, and only the ``top_k`` survivors are compiled; the
-   report's ``spearman()`` shows how honestly the model ranked.
+1. **Exhaustive** (``top_k`` omitted) — the whole ranking, then the
+   candidates the model rejected, so every mapping carries the
+   compiler's verdict; the report's ``spearman()`` shows how honestly
+   the model ranked.
+2. **Top-k** — the walk stops once ``top_k`` candidates have compiled
+   and simulated; the rest are pruned.
 
 Expected output
 ---------------
 Two ranked mapping tables (columns: mapping label, simulated TFLOP/s,
 predicted TFLOP/s; pruned candidates say ``pruned``), then a closing
 line per mode naming the best mapping and its throughput, and the
-two-stage honesty line (Spearman rank correlation, typically > 0.9,
+honesty line (Spearman rank correlation, typically > 0.9,
 and the search-time ratio).
 
 Run it::
@@ -82,12 +85,12 @@ def _describe(report, mode: str, wall_s: float) -> None:
 
 def main(size: int = SIZE, space: MappingSearchSpace = SEARCH_SPACE,
          top_k: int = 4) -> None:
-    """Run the exhaustive and two-stage sweeps and compare them.
+    """Run the exhaustive and top-k sweeps and compare them.
 
     Args:
         size: square GEMM problem size.
         space: the candidate axes to sweep.
-        top_k: survivors fully evaluated by the two-stage search.
+        top_k: candidates the top-k walk compiles and simulates.
     """
     machine = hopper_machine()
 
@@ -104,14 +107,14 @@ def main(size: int = SIZE, space: MappingSearchSpace = SEARCH_SPACE,
     start = time.perf_counter()
     two_stage = autotune(builder, machine, space, top_k=top_k)
     two_stage_s = time.perf_counter() - start
-    _describe(two_stage, f"two-stage (top_k={top_k})", two_stage_s)
+    _describe(two_stage, f"top-k (top_k={top_k})", two_stage_s)
 
     rho = exhaustive.spearman()
     ratio = exhaustive_s / two_stage_s if two_stage_s else 0.0
     rho_text = f"{rho:.3f}" if rho is not None else "n/a (space too small)"
     print(
         f"cost-model honesty: spearman={rho_text} vs simulation; "
-        f"two-stage search ran {ratio:.1f}x faster"
+        f"top-k search ran {ratio:.1f}x faster"
     )
 
 

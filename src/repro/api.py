@@ -3,8 +3,10 @@
 Compilation flows through the pass-manager pipeline
 (:mod:`repro.compiler.passes`) behind a content-keyed compile cache:
 recompiling an identical kernel instantiation returns the cached
-:class:`CompiledKernel` without executing any pass. ``compile_many``
-batch-compiles builds from a worker pool, and the mapping autotuner in
+:class:`CompiledKernel` without executing any pass. Every compile entry
+point takes its configuration one way, as ``options=``
+(:class:`~repro.compiler.passes.CompileOptions`). ``compile_many``
+batch-compiles builds on a thread pool, and the mapping autotuner in
 :mod:`repro.tuner` sits on top of both.
 
 Typical use::
@@ -51,8 +53,7 @@ Task graphs (multi-kernel programs with inferred dependences)::
 from __future__ import annotations
 
 import enum
-import functools
-from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Mapping, Optional, Union
 
@@ -60,7 +61,11 @@ import numpy as np
 
 from repro.compiler.cache import CacheStats, compile_cache
 from repro.compiler.passes import CompileOptions
-from repro.compiler.pipeline import CompiledKernel, compile_program
+from repro.compiler.pipeline import (
+    CompiledKernel,
+    build_options,
+    compile_program,
+)
 from repro.errors import CypressError
 from repro.gpusim.functional import interpret_function
 from repro.gpusim.gpu import GpuResult, simulate_kernel
@@ -97,18 +102,16 @@ def _coerce_stage(stage: Union[Stage, str]) -> Stage:
 
 def compile_kernel(
     build: KernelBuild,
-    use_tma: Optional[bool] = None,
-    scalar_args: Optional[Dict[str, Any]] = None,
     options: Optional[CompileOptions] = None,
 ) -> CompiledKernel:
     """Compile a kernel build produced by ``repro.kernels.build_*``.
 
-    ``scalar_args`` defaults to the build's own ``scalar_args``; pass a
-    dict to override. ``options`` configures verification, caching, and
-    the pass list (see :class:`~repro.compiler.passes.CompileOptions`).
+    ``options`` configures the copy mechanism, scalar arguments,
+    verification, caching, and the pass list (see
+    :class:`~repro.compiler.passes.CompileOptions`). The build's own
+    ``scalar_args`` fill in only where ``options.scalar_args`` is
+    ``None`` (:func:`~repro.compiler.pipeline.build_options`).
     """
-    if scalar_args is None:
-        scalar_args = build.scalar_args
     return compile_program(
         build.spec,
         build.name,
@@ -116,9 +119,7 @@ def compile_kernel(
         build.arg_dtypes,
         total_flops=build.total_flops,
         unique_dram_bytes=build.unique_dram_bytes,
-        scalar_args=scalar_args,
-        use_tma=use_tma,
-        options=options,
+        options=build_options(build, options),
     )
 
 
@@ -133,79 +134,38 @@ class CompileFailure:
         return f"{self.name}: {self.error}"
 
 
-def _compile_one(
-    build: KernelBuild,
-    use_tma: Optional[bool],
-    options: Optional[CompileOptions],
-    collect: bool,
-) -> Union[CompiledKernel, CompileFailure]:
-    # Module-level (not a closure) so a process pool can pickle the
-    # worker; the builds themselves must also be picklable for that.
-    if not collect:
-        return compile_kernel(build, use_tma=use_tma, options=options)
-    try:
-        return compile_kernel(build, use_tma=use_tma, options=options)
-    except CypressError as error:
-        return CompileFailure(name=build.name, error=error)
-
-
 def compile_many(
     builds: Iterable[KernelBuild],
     *,
     options: Optional[CompileOptions] = None,
-    use_tma: Optional[bool] = None,
-    executor: str = "thread",
-    max_workers: Optional[int] = None,
     raise_on_error: bool = True,
 ) -> List[Union[CompiledKernel, CompileFailure]]:
-    """Batch-compile builds, preserving input order.
+    """Batch-compile builds on a thread pool, preserving input order.
+
+    The threads share the compile cache, so duplicate builds compile
+    once.
 
     Args:
         builds: the kernel builds to compile.
-        options / use_tma: as in :func:`compile_kernel`, applied to all.
-        executor: ``"thread"`` (default; compilation shares the compile
-            cache), ``"process"`` (requires picklable builds), or
-            ``"serial"``.
-        max_workers: pool size; ``None`` uses the pool's default.
+        options: as in :func:`compile_kernel`, applied to all.
         raise_on_error: with the default ``True``, the first
-            :class:`CypressError` aborts the whole batch (the historical
-            behavior). With ``False``, a failing build yields a
-            :class:`CompileFailure` (build name + exception) in its slot
-            and the rest of the batch still compiles — the autotuner
-            relies on this to keep sweeping past infeasible mappings.
+            :class:`CypressError` aborts the whole batch. With
+            ``False``, a failing build yields a :class:`CompileFailure`
+            (build name + exception) in its slot and the rest of the
+            batch still compiles — the autotuner relies on this to keep
+            sweeping past infeasible mappings.
     """
-    builds = list(builds)
-    one = functools.partial(
-        _compile_one,
-        use_tma=use_tma,
-        options=options,
-        collect=not raise_on_error,
-    )
-    if executor == "serial":
-        return [one(build) for build in builds]
-    pool: Executor
-    if executor == "thread":
-        pool = ThreadPoolExecutor(max_workers=max_workers)
-    elif executor == "process":
-        pool = ProcessPoolExecutor(max_workers=max_workers)
-    else:
-        raise CypressError(
-            f"unknown executor {executor!r}; valid executors: 'thread', "
-            "'process', 'serial'"
-        )
-    with pool:
+
+    def one(build: KernelBuild) -> Union[CompiledKernel, CompileFailure]:
         try:
-            return list(pool.map(one, builds))
-        except CypressError:
-            raise
-        except Exception as error:  # e.g. unpicklable builds in a process pool
-            if executor == "process":
-                raise CypressError(
-                    "process-pool compilation failed (kernel builds hold "
-                    "traced task closures and are typically not picklable); "
-                    f"use executor='thread' instead: {error}"
-                ) from error
-            raise
+            return compile_kernel(build, options)
+        except CypressError as error:
+            if raise_on_error:
+                raise
+            return CompileFailure(name=build.name, error=error)
+
+    with ThreadPoolExecutor() as pool:
+        return list(pool.map(one, builds))
 
 
 def run_functional(

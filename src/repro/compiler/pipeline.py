@@ -14,8 +14,9 @@
    per-pass :class:`~repro.compiler.passes.PassTrace` — into a
    :class:`CompiledKernel`.
 
-The legacy keyword arguments (``scalar_args``, ``use_tma``) remain for
-compatibility; new code should pass a
+Everything that parameterizes a compilation besides the instantiation
+itself — copy mechanism, scalar arguments, verification, caching, the
+pass list — arrives one way: a
 :class:`~repro.compiler.passes.CompileOptions`.
 """
 
@@ -70,8 +71,6 @@ def compile_program(
     arg_dtypes: Sequence[DType],
     total_flops: float,
     unique_dram_bytes: float,
-    scalar_args: Optional[Dict[str, Any]] = None,
-    use_tma: Optional[bool] = None,
     options: Optional[CompileOptions] = None,
 ) -> CompiledKernel:
     """Compile a mapped Cypress program for concrete argument shapes.
@@ -86,18 +85,13 @@ def compile_program(
             reporting.
         unique_dram_bytes: compulsory global traffic (the operands'
             footprint), for the HBM roofline.
-        scalar_args: values for non-tensor entrypoint parameters
-            (overrides ``options.scalar_args`` when given).
-        use_tma: force the copy mechanism; defaults to the machine's
-            capability (overrides ``options.use_tma`` when given).
-        options: full compile configuration; see
-            :class:`~repro.compiler.passes.CompileOptions`.
+        options: full compile configuration (defaults to
+            :class:`~repro.compiler.passes.CompileOptions`'s defaults).
     """
     key, compute = compile_step(
         spec, name, arg_shapes, arg_dtypes, total_flops,
-        unique_dram_bytes, scalar_args, use_tma, options,
+        unique_dram_bytes, options,
     )
-    # Folding scalar_args/use_tma never touches the ``cache`` flag.
     if options is not None and not options.cache:
         return compute()
     return compile_cache.get_or_compute(key, compute)
@@ -110,22 +104,21 @@ def compile_step(
     arg_dtypes: Sequence[DType],
     total_flops: float,
     unique_dram_bytes: float,
-    scalar_args: Optional[Dict[str, Any]] = None,
-    use_tma: Optional[bool] = None,
     options: Optional[CompileOptions] = None,
 ) -> Tuple[str, Callable[[], CompiledKernel]]:
     """The one step every kernel acquisition starts with.
 
-    Takes :func:`compile_program`'s arguments, folds the legacy keywords
-    into ``options``, fingerprints the instantiation **once**, and
-    returns ``(key, compute)``: ``compute()`` runs dependence analysis
-    and the pass pipeline for exactly the instantiation ``key`` names.
+    Takes :func:`compile_program`'s arguments, fingerprints the
+    instantiation **once**, and returns ``(key, compute)``:
+    ``compute()`` runs dependence analysis and the pass pipeline for
+    exactly the instantiation ``key`` names.
     The caller either calls it outright or hands both to
     :meth:`CompileCache.lookup <repro.compiler.cache.CompileCache.lookup>`
     — :func:`compile_program` without a second tier, the serving
     runtime's fetch with its own.
     """
-    options = _merge_options(options, scalar_args, use_tma)
+    if options is None:
+        options = CompileOptions()
     key = compile_key(
         spec, name, arg_shapes, arg_dtypes, total_flops,
         unique_dram_bytes, options,
@@ -180,12 +173,27 @@ def compile_step(
     return key, compute
 
 
+def build_options(
+    build, options: Optional[CompileOptions] = None
+) -> CompileOptions:
+    """The options a ``repro.kernels`` build compiles under.
+
+    The caller's ``options.scalar_args`` win; the build's own
+    ``scalar_args`` fill in only when the caller's are ``None``.
+    """
+    if options is None:
+        options = CompileOptions()
+    if options.scalar_args is None and build.scalar_args is not None:
+        options = dataclasses.replace(options, scalar_args=build.scalar_args)
+    return options
+
+
 def build_step(
     build, options: Optional[CompileOptions] = None
 ) -> Tuple[str, Callable[[], CompiledKernel]]:
-    """:func:`compile_step` for a ``repro.kernels`` build, folding the
-    build's ``scalar_args`` into ``options`` exactly the way
-    ``api.compile_kernel(build, options=options)`` does."""
+    """:func:`compile_step` for a ``repro.kernels`` build under
+    :func:`build_options` — the step ``api.compile_kernel(build,
+    options)`` takes."""
     return compile_step(
         build.spec,
         build.name,
@@ -193,8 +201,7 @@ def build_step(
         build.arg_dtypes,
         build.total_flops,
         build.unique_dram_bytes,
-        scalar_args=build.scalar_args,
-        options=options,
+        build_options(build, options),
     )
 
 
@@ -203,24 +210,6 @@ def compile_key_for(build, options: Optional[CompileOptions] = None) -> str:
     the key half of :func:`build_step`, for callers that need it
     without compiling."""
     return build_step(build, options)[0]
-
-
-def _merge_options(
-    options: Optional[CompileOptions],
-    scalar_args: Optional[Dict[str, Any]],
-    use_tma: Optional[bool],
-) -> CompileOptions:
-    """Fold the legacy keyword arguments into a CompileOptions."""
-    if options is None:
-        options = CompileOptions()
-    updates: Dict[str, Any] = {}
-    if scalar_args is not None:
-        updates["scalar_args"] = scalar_args
-    if use_tma is not None:
-        updates["use_tma"] = use_tma
-    if updates:
-        options = dataclasses.replace(options, **updates)
-    return options
 
 
 def _block_instance(spec: MappingSpec) -> Optional[TaskMapping]:

@@ -4,7 +4,7 @@ This package substitutes for the H100 hardware the paper evaluates on.
 The compiler lowers programs into a :class:`KernelSchedule` — per-CTA
 instruction streams for the DMA warp and each compute warpgroup, linked
 by the event dependence graph — and the executor simulates one CTA's
-streams against H100-calibrated resource servers (TMA engine, Tensor
+streams against resource servers at H100 rates (TMA engine, Tensor
 Core, SIMT pipelines, shared-memory bandwidth). The whole-GPU model adds
 grid scheduling: occupancy, waves, launch overhead, DRAM/L2 bandwidth
 roofs, and a deterministic power-throttle model.

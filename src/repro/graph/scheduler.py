@@ -178,14 +178,10 @@ class GraphScheduler:
 
     Args:
         server: the serving runtime nodes are submitted to.
-        cost_model: analytic model for node weights; defaults to a
-            fresh :class:`~repro.tuner.costmodel.AnalyticCostModel`
-            (verdicts are memoized process-wide either way).
     """
 
-    def __init__(self, server: "RuntimeServer", cost_model=None) -> None:
+    def __init__(self, server: "RuntimeServer") -> None:
         self.server = server
-        self.cost_model = cost_model
 
     # ------------------------------------------------------------------
     def priorities(self, graph: TaskGraph, base: int = 0) -> Dict[int, int]:
@@ -196,7 +192,7 @@ class GraphScheduler:
         counts) keeps graph priorities comparable to scalar traffic
         submitted around the graph at ``base``.
         """
-        path = graph.critical_path(self.cost_model)
+        path = graph.critical_path()
         depths = sorted(set(path.values()))
         rank = {depth: index + 1 for index, depth in enumerate(depths)}
         return {uid: base + rank[depth] for uid, depth in path.items()}

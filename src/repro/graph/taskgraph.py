@@ -250,7 +250,7 @@ class TaskGraph:
         #: for hand-constructed graphs, which then cannot carry data).
         self.tensors: Dict[str, Any] = dict(tensors or {})
         #: critical path precomputed by a template replay (or an earlier
-        #: default-model call); ``critical_path()`` serves it directly.
+        #: call); ``critical_path()`` serves it directly.
         self._cached_critical_path: Optional[Dict[int, float]] = None
         self._by_uid = {node.uid: node for node in self.nodes}
         if validate:
@@ -368,7 +368,7 @@ class TaskGraph:
     # ------------------------------------------------------------------
     # Critical path
     # ------------------------------------------------------------------
-    def node_weights(self, cost_model=None) -> Dict[int, float]:
+    def node_weights(self) -> Dict[int, float]:
         """Predicted cycles per node from the analytic cost model.
 
         Infeasible or opaque estimates (``inf`` or non-positive cycles)
@@ -376,7 +376,7 @@ class TaskGraph:
         """
         from repro.tuner.costmodel import AnalyticCostModel
 
-        model = cost_model or AnalyticCostModel()
+        model = AnalyticCostModel()
         weights: Dict[int, float] = {}
         for node in self.nodes:
             estimate = model.score(node.build, self.machine)
@@ -386,35 +386,32 @@ class TaskGraph:
             weights[node.uid] = cycles
         return weights
 
-    def critical_path(self, cost_model=None) -> Dict[int, float]:
+    def critical_path(self) -> Dict[int, float]:
         """Longest path to a sink per node, in predicted cycles.
 
         The scheduler uses these values as priorities: a node gating a
         long chain of downstream work starts before an equally-ready
         node on a short branch.
 
-        Under the default cost model the result is memoized on the
-        graph (and pre-seeded by template replay), so repeated calls —
-        and replayed topologies — skip the cost-model walk entirely.
-        An explicit ``cost_model`` always recomputes.
+        The result is memoized on the graph (and pre-seeded by template
+        replay), so repeated calls — and replayed topologies — skip the
+        cost-model walk entirely.
         """
-        if cost_model is None and self._cached_critical_path is not None:
+        if self._cached_critical_path is not None:
             return dict(self._cached_critical_path)
-        weights = self.node_weights(cost_model)
+        weights = self.node_weights()
         path: Dict[int, float] = {}
         for uid in reversed(self.topological_order()):
             downstream = max(
                 (path[s] for s in self._successors[uid]), default=0.0
             )
             path[uid] = weights[uid] + downstream
-        if cost_model is None:
-            self._cached_critical_path = dict(path)
+        self._cached_critical_path = dict(path)
         return path
 
-    def critical_path_length(self, cost_model=None) -> float:
+    def critical_path_length(self) -> float:
         """Predicted cycles of the longest chain in the graph."""
-        path = self.critical_path(cost_model)
-        return max(path.values(), default=0.0)
+        return max(self.critical_path().values(), default=0.0)
 
     # ------------------------------------------------------------------
     def summary(self) -> str:

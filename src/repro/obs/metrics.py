@@ -479,7 +479,7 @@ def server_metrics(
         disk_ops.set(disk.pruned, "pruned")
         reg.counter(
             "repro_disk_cache_pruned_bytes_total",
-            "Bytes evicted by the disk tier's LRU budget.",
+            "Bytes evicted by the disk tier's LRU size cap.",
         ).set(disk.pruned_bytes)
         reg.gauge(
             "repro_disk_cache_quarantined",

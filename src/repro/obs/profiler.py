@@ -1,7 +1,7 @@
 """Continuous sampling profiler with serving-phase attribution.
 
 ``cProfile`` is useless in a serving process: tracing every call on
-the hot path costs far more than the 1.5x observability budget allows,
+the hot path costs far more than the 1.5x observability cap allows,
 and it cannot run "always on" in production. This module takes the
 standard production alternative — a *sampling* profiler. A background
 thread wakes ``hz`` times per second, snapshots every thread's current
@@ -151,7 +151,7 @@ class ProfilerConfig:
     Attributes:
         hz: sampling frequency; the sampler wakes ``1/hz`` seconds
             apart. 100 Hz costs well under the repo's 1.5x
-            observability budget (``tests/test_ops.py`` gates 200 Hz).
+            observability cap (``tests/test_ops.py`` gates 200 Hz).
         max_stacks: bound on distinct collapsed stack lines kept;
             samples beyond the bound still count toward phase totals
             and are tallied in ``stacks_truncated``.

@@ -3,10 +3,9 @@
 A service-level objective says "``target`` of recent observations must
 be good" — e.g. 99.9% of ticks must see an error rate under the
 threshold. The classic production alerting recipe on top of that is
-the **multi-window burn rate**: the *burn rate* is how fast the error
-budget (``1 - target``) is being consumed (``bad_fraction /
-(1 - target)``; burn 1.0 exhausts the budget exactly at the window's
-end), and an alert fires only when **both** a slow window and a much
+the **multi-window burn rate**: the *burn rate* is how fast the
+allowed bad fraction (``1 - target``) is being used up (``bad_fraction /
+(1 - target)``; burn 1.0 uses it up exactly at the window's end), and an alert fires only when **both** a slow window and a much
 shorter fast window burn hot — the slow window proves the problem is
 sustained, the fast window proves it is still happening, and their
 conjunction makes alerts both quick to fire and quick to resolve
@@ -25,8 +24,8 @@ transitions emit flight-recorder notes and feed
 metrics plus the ``alerts:`` line of ``RuntimeStats.table()``.
 
 The monitor is a :class:`~repro.background.BackgroundLoop`
-subclass with ``idle_only = False`` — watching the error budget only
-while nothing is happening would be a contradiction — and tests drive
+subclass with ``idle_only = False`` — watching the allowed bad fraction
+only while nothing is happening would be a contradiction — and tests drive
 :meth:`SloMonitor.observe` synchronously with injected stats and
 clocks for determinism.
 """
@@ -66,13 +65,13 @@ class Slo:
             submitted over the tick), or ``"shed_rate"`` (shed /
             submitted over the tick).
         target: fraction of ticks that must be good, e.g. ``0.999``.
-        window_s: slow evaluation window; the error budget is
+        window_s: slow evaluation window; the allowed bad time is
             ``(1 - target)`` of this window.
         threshold: a tick is *bad* when its metric value exceeds this.
         fast_fraction: fast window length as a fraction of
             ``window_s`` (the classic recipe pairs 1h with 5m — 1/12).
         page_burn: burn rate at which both windows must run to fire a
-            ``page``; 14.4 exhausts a 0.999 budget ~14x too fast.
+            ``page``; 14.4 uses up a 0.999 allowance ~14x too fast.
         ticket_burn: burn rate for the lower-severity ``ticket``.
         min_samples: ticks a window needs before it may judge; stops
             a single bad first tick from paging an empty server.
@@ -334,8 +333,8 @@ class SloMonitor(BackgroundLoop):
         """Export burn rates and alert counters into ``registry``."""
         burn = registry.gauge(
             "repro_slo_burn_rate",
-            "Slow-window SLO error-budget burn rate (1.0 = budget "
-            "exhausted exactly at window end).",
+            "Slow-window SLO burn rate (1.0 = the allowed bad fraction "
+            "used up exactly at window end).",
             labels=("slo", "window"),
         )
         firing = registry.gauge(

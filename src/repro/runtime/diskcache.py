@@ -14,7 +14,7 @@ corrupt miss; the offending file is **quarantined** to ``<key>.bad``
 (not silently deleted) so operators can postmortem what corrupted it,
 and the caller recompiles, healing the entry via write-through. At most
 ``max_quarantine`` ``.bad`` files are retained, pruned oldest-first
-like the LRU budget. Writes go through a temp file and ``os.replace``
+like the LRU size cap. Writes go through a temp file and ``os.replace``
 so concurrent readers never observe a partial entry.
 """
 
@@ -34,7 +34,7 @@ class DiskCacheStats:
     """Counters for the disk tier since construction or ``clear``.
 
     ``pruned``/``pruned_bytes`` count entries evicted by the
-    ``max_bytes`` LRU budget (least-recently-used by mtime; loads touch
+    ``max_bytes`` LRU cap (least-recently-used by mtime; loads touch
     their entry, so a hot entry survives writers). ``corrupt`` counts
     corrupt *loads* observed; ``corrupt_entries`` is the number of
     quarantined ``.bad`` files currently retained on disk (bounded by
@@ -66,15 +66,15 @@ class DiskCacheTier:
 
     Args:
         path: cache directory (created if missing).
-        max_bytes: optional on-disk budget. Every successful store
+        max_bytes: optional on-disk size cap. Every successful store
             prunes least-recently-used entries (by mtime; loads touch
             their file) until the tier fits — the entry just written is
-            never pruned by its own store, so the budget can be
+            never pruned by its own store, so the cap can be
             exceeded transiently by one entry. ``None`` leaves the tier
             unbounded, the historical behavior.
         max_quarantine: how many corrupt entries to retain as
             ``<key>.bad`` postmortem evidence; older quarantined files
-            are pruned first (mtime order, like the LRU budget).
+            are pruned first (mtime order, like the LRU cap).
 
     Raises:
         ValueError: ``max_bytes`` is not positive, or ``max_quarantine``

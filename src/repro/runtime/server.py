@@ -595,7 +595,7 @@ class RuntimeServer:
         padded to the bucket shape) additionally run the kernel
         functionally and land in ``RuntimeResult.outputs``.
 
-        ``deadline`` is a relative budget in seconds: a request still
+        ``deadline`` is a relative time limit in seconds: a request still
         queued when it elapses fails fast with
         :class:`~repro.runtime.resilience.DeadlineExceeded` at dispatch
         instead of occupying a worker. When the server's

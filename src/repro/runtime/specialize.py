@@ -21,7 +21,7 @@ PyPy-style tracing JITs applied to shapes:
    When ``specialize=False`` the dispatch path pays one ``is None``
    branch and nothing else.
 4. **Deoptimize** — a specialization whose shape goes cold (decayed
-   count under :data:`COLD_THRESHOLD`) or that loses a budget fight
+   count under :data:`COLD_THRESHOLD`) or that loses a capacity fight
    (``max_per_kernel``) is evicted and its counter reset, so it must
    re-earn promotion; traffic instantly falls back to the generic
    bucket, which never left the cache.
@@ -77,10 +77,10 @@ class SpecializerConfig:
         interval_s: poll period between specialization cycles.
         hot_threshold: decayed per-shape hit count at which a shape is
             promoted to an exact-shape specialization.
-        max_per_kernel: specialization budget per kernel family; a new
+        max_per_kernel: specializations allowed per kernel family; a new
             promotion beyond it must evict the coldest active one (and
             only wins the fight when it is strictly hotter).
-        max_promotions_per_cycle: background compile budget per cycle,
+        max_promotions_per_cycle: background compiles allowed per cycle,
             so a burst of novel shapes cannot monopolize the process.
         decay: factor applied to every per-shape hit count each decay
             round (exponential forgetting of stale traffic).
@@ -292,7 +292,7 @@ class ShapeSpecializer(BackgroundLoop):
         """Try to install one specialization; returns 1 on success.
 
         Skips shapes the aligned build cannot beat, fights the
-        per-kernel budget (evicting the coldest active specialization
+        per-kernel cap (evicting the coldest active specialization
         only when this shape is strictly hotter), background-compiles
         the aligned kernel, quarantines the shape on compile failure,
         and abandons the install when the server began shutting down
@@ -314,7 +314,7 @@ class ShapeSpecializer(BackgroundLoop):
             coldest = min(mine, key=lambda k: traffic.get(k, 0.0))
             if traffic.get(coldest, 0.0) >= count:
                 return 0  # not hotter than anything installed
-            self._deopt(coldest, self._active[coldest], reason="budget")
+            self._deopt(coldest, self._active[coldest], reason="capacity")
         tracer = server.tracer
         started = time.perf_counter() if tracer.enabled else 0.0
         # The aligned bucket's own record: defaults, unless this very
@@ -376,7 +376,7 @@ class ShapeSpecializer(BackgroundLoop):
         record of the aligned bucket goes (an in-flight request that
         already passed the guard resolves it again and still serves
         correctly); the counter reset means the shape must re-earn
-        promotion, which stops budget-fight thrash.
+        promotion, which stops capacity-fight thrash.
         """
         with self._lock:
             self._active.pop(key, None)

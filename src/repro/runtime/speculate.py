@@ -56,7 +56,7 @@ class SpeculatorConfig:
 
     Attributes:
         interval_s: poll period between speculation cycles.
-        max_compiles_per_cycle: background compile budget per cycle, so
+        max_compiles_per_cycle: background compiles allowed per cycle, so
             a burst of novel traffic cannot monopolize the process.
         neighbors: also precompile buckets one ladder rung above/below
             each observed bucket (the shifting-traffic guess); with

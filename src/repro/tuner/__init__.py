@@ -4,9 +4,10 @@ The separation of logical program and mapping specification makes the
 search over mappings data: :class:`MappingSearchSpace` declares the
 candidate axes, :class:`AnalyticCostModel` predicts each candidate's
 latency and occupancy straight from the mapping arithmetic (no compiler
-pass executed), and :func:`autotune` runs the two-stage search — rank
-the whole space analytically, then compile and simulate only the top-k
-survivors through the cached pass-manager pipeline.
+pass executed), and :func:`autotune` walks that ranking — compiling and
+simulating candidates best-first through the cached pass-manager
+pipeline until ``top_k`` have succeeded (every candidate when
+``top_k`` is omitted). :func:`rank_candidates` is the ranking alone.
 
     from repro.tuner import MappingSearchSpace, autotune
     report = autotune(
@@ -34,7 +35,6 @@ from repro.tuner.costmodel import (
     AGREEMENT_FACTOR,
     AnalyticCostModel,
     CostEstimate,
-    default_cost_model,
     spearman,
 )
 from repro.tuner.search_space import MappingSearchSpace, wgmma_row_constraint
@@ -49,7 +49,6 @@ __all__ = [
     "TuningReport",
     "TuningResult",
     "autotune",
-    "default_cost_model",
     "rank_candidates",
     "spearman",
     "wgmma_row_constraint",

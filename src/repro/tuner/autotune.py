@@ -1,25 +1,24 @@
-"""The two-stage mapping autotuner.
+"""The mapping autotuner: one ranking, one walk down it.
 
 ``autotune`` turns the paper's "tuning is data, not code" observation
-into a subsystem, and makes the search cheap with a two-stage flow:
+(section 5.4) into enumeration plus a cheap ranking:
 
-1. **Score** every candidate in the :class:`MappingSearchSpace` with the
+1. **Rank** every candidate in the :class:`MappingSearchSpace` with the
    analytic cost model (:mod:`repro.tuner.costmodel`) — microseconds per
    mapping, no compiler pass executed, verdicts memoized process-wide.
-   Cost-model-infeasible mappings (shared-memory overflow, WGMMA granule
-   violations) are recorded as failures without compiling.
-2. **Evaluate** the ``top_k`` best-ranked survivors (and/or as many as
-   fit a wall-clock ``budget``) the expensive way: batch-compile through
+   This is exactly :func:`rank_candidates`' ranking.
+2. **Walk** the ranking best-first: batch-compile through
    ``api.compile_many`` (sharing the content-keyed compile cache across
-   workers) and time each on the simulated GPU.
+   workers) and time each candidate on the simulated GPU until ``top_k``
+   have succeeded. A compile failure does not count toward ``top_k``, so
+   a cost-model blind spot at the top of the ranking walks further down
+   instead of sinking the search. With ``top_k=None`` the walk covers the
+   whole ranking and then the model-infeasible candidates as well, so the
+   exhaustive sweep records the compiler's own verdict on every mapping.
 
-With ``top_k=None`` and ``budget=None`` every candidate is fully
-evaluated (the exhaustive sweep of earlier revisions) — predictions are
-still attached, so the report can always quantify the model's honesty:
-:meth:`TuningReport.spearman` gives the rank correlation between
-predicted and simulated cycles, and the simulated survivors are fed
-back through :meth:`~repro.tuner.costmodel.AnalyticCostModel.observe`
-to calibrate the model's absolute scale.
+Predictions are attached either way, so the report can always quantify
+the model's honesty: :meth:`TuningReport.spearman` gives the rank
+correlation between predicted and simulated cycles.
 
 Infeasible mappings — whichever stage discovers them — are recorded as
 failures rather than aborting the sweep, mirroring how the compiler
@@ -37,16 +36,14 @@ from repro.compiler.passes import CompileOptions
 from repro.errors import CypressError
 from repro.kernels.common import KernelBuild
 from repro.machine.machine import MachineModel
-from repro.tuner.costmodel import (
-    AnalyticCostModel,
-    CostEstimate,
-    default_cost_model,
-    spearman,
-)
+from repro.tuner.costmodel import AnalyticCostModel, spearman
 from repro.tuner.search_space import MappingSearchSpace
 
 #: ``build_fn(machine, **candidate) -> KernelBuild``
 BuildFn = Callable[..., KernelBuild]
+
+#: One built candidate: its index in the search space and its build.
+Job = Tuple[int, KernelBuild]
 
 
 @dataclass
@@ -62,8 +59,8 @@ class TuningResult:
             verdict (``None`` when the model could not score the
             candidate).
         simulated_cycles: the simulator's cycle count, when evaluated.
-        pruned: True when stage 1 ranked this feasible candidate below
-            the ``top_k``/``budget`` cut, so it was never compiled.
+        pruned: True when this feasible candidate ranked below the
+            ``top_k`` cut, so it was never compiled.
     """
 
     candidate: Dict[str, Any]
@@ -108,7 +105,7 @@ class SearchStats:
         candidates: total candidates enumerated from the space.
         scored: candidates the cost model scored.
         compiled: candidates fully compiled + simulated (stage 2).
-        pruned: feasible candidates dropped by ``top_k``/``budget``.
+        pruned: feasible candidates below the ``top_k`` cut.
         score_s: wall-clock seconds spent in stage 1.
         evaluate_s: wall-clock seconds spent in stage 2.
     """
@@ -164,8 +161,8 @@ class TuningReport:
         Returns:
             The Spearman coefficient over candidates carrying both
             numbers, or ``None`` when fewer than two do. This is the
-            honesty metric of the two-stage search: a high value means
-            stage-1 pruning agrees with what full evaluation would have
+            honesty metric of the ranking: a high value means the
+            ``top_k`` cut agrees with what full evaluation would have
             chosen.
         """
         pairs = [
@@ -222,7 +219,7 @@ class RankedCandidate:
     Attributes:
         candidate: the swept parameter dict.
         build: the instantiated :class:`KernelBuild`.
-        predicted_cycles: the cost model's calibrated cycle estimate.
+        predicted_cycles: the cost model's cycle estimate.
     """
 
     candidate: Dict[str, Any]
@@ -235,16 +232,15 @@ def rank_candidates(
     machine: MachineModel,
     space: MappingSearchSpace,
     *,
-    cost_model: Optional[AnalyticCostModel] = None,
     top_k: Optional[int] = None,
 ) -> List[RankedCandidate]:
     """Stage-1-only ranking: score a search space without compiling.
 
     Builds and analytically scores every candidate in ``space``
     (verdicts are memoized process-wide, so repeated rankings cost
-    dictionary lookups) and returns the feasible ones best-first. This
-    is the piece of :func:`autotune` the background speculator runs to
-    pick which mappings to precompile — microseconds per candidate, no
+    dictionary lookups) and returns the feasible ones best-first — the
+    order :func:`autotune` walks. The background speculator runs this
+    to pick which mappings to precompile: microseconds per candidate, no
     compiler pass executed, no simulation.
 
     Args:
@@ -252,8 +248,6 @@ def rank_candidates(
         machine: the machine candidates are mapped to (and scored
             against).
         space: the declarative candidate enumeration.
-        cost_model: defaults to the process-wide
-            :data:`~repro.tuner.costmodel.default_cost_model`.
         top_k: keep only the best ``top_k`` survivors (``None`` keeps
             all).
 
@@ -261,27 +255,15 @@ def rank_candidates(
         Feasible candidates ranked by predicted cycles, best first;
         empty when nothing in the space is feasible.
     """
-    model = cost_model if cost_model is not None else default_cost_model
-    ranked: List[RankedCandidate] = []
-    for candidate in space.as_list():
-        try:
-            build = build_fn(machine, **candidate)
-        except (CypressError, TypeError):
-            continue
-        estimate = model.score(build, machine)
-        if not estimate.feasible:
-            continue
-        ranked.append(
-            RankedCandidate(
-                candidate=candidate,
-                build=build,
-                predicted_cycles=model.calibrated_cycles(estimate),
-            )
+    results, feasible, _ = _rank(build_fn, machine, space)
+    return [
+        RankedCandidate(
+            candidate=results[index].candidate,
+            build=build,
+            predicted_cycles=results[index].predicted_cycles,
         )
-    ranked.sort(key=lambda r: r.predicted_cycles)
-    if top_k is not None:
-        ranked = ranked[:top_k]
-    return ranked
+        for index, build in feasible[:top_k]
+    ]
 
 
 def autotune(
@@ -290,13 +272,7 @@ def autotune(
     space: MappingSearchSpace,
     *,
     options: Optional[CompileOptions] = None,
-    executor: str = "thread",
-    max_workers: Optional[int] = None,
-    simulate_machine: Optional[MachineModel] = None,
-    cost_model: Optional[AnalyticCostModel] = None,
     top_k: Optional[int] = None,
-    budget: Optional[float] = None,
-    calibrate: bool = True,
 ) -> TuningReport:
     """Sweep a mapping search space and rank candidates by throughput.
 
@@ -304,195 +280,123 @@ def autotune(
         build_fn: builder called as ``build_fn(machine, **candidate)``;
             pass a ``functools.partial``/lambda to close over problem
             sizes, e.g. ``lambda m, **p: build_gemm(m, N, N, N, **p)``.
-        machine: the machine candidates are mapped to.
+        machine: the machine candidates are mapped to, scored against
+            and timed on.
         space: the declarative candidate enumeration.
         options: compile options for every candidate (defaults to
             caching on and verify-at-ends — autotuning trusts the
             compiler and wants throughput).
-        executor / max_workers: forwarded to ``api.compile_many``.
-        simulate_machine: machine for timing; defaults to ``machine``.
-        cost_model: the analytic model used for stage-1 ranking and
-            prediction reporting; defaults to the process-wide
-            :data:`~repro.tuner.costmodel.default_cost_model`, so
-            calibration accumulates across sweeps.
-        top_k: fully evaluate only the ``top_k`` cost-model-ranked
-            survivors. ``None`` evaluates every feasible candidate
-            (the exhaustive sweep).
-        budget: wall-clock seconds allowed for stage 2. Survivors are
-            evaluated in predicted-rank order, one compile batch at a
-            time, until the budget is exhausted (at least one batch
-            always runs). ``None`` means unlimited. Whatever the
-            knobs say, evaluation keeps walking down the ranking while
-            *nothing* has compiled successfully, so a cost-model blind
-            spot degrades toward the exhaustive sweep instead of
-            returning a report whose ``best`` raises.
-        calibrate: feed simulated outcomes back into ``cost_model`` so
-            repeated sweeps tighten its absolute scale.
+        top_k: walk the cost-model ranking until this many candidates
+            (at least one) have compiled and simulated; the feasible
+            rest is pruned. ``None`` evaluates every candidate the
+            builder accepts (the exhaustive sweep).
 
     Returns:
         A :class:`TuningReport` with simulated candidates ranked first,
         pruned candidates next (by predicted throughput), failures last.
 
     Raises:
-        CypressError: only for infrastructure failures (e.g. an unknown
-            ``executor``); per-candidate problems are recorded in the
-            report, never raised.
+        Nothing per candidate: builder, cost-model and compiler failures
+        are recorded in the report, never raised.
     """
     if options is None:
         options = CompileOptions(verify="ends")
-    simulate_machine = simulate_machine or machine
-    model = cost_model if cost_model is not None else default_cost_model
-    two_stage = top_k is not None or budget is not None
 
-    candidates = space.as_list()
-    stats = SearchStats(candidates=len(candidates))
-    results: List[TuningResult] = []
-    builds: Dict[int, KernelBuild] = {}
-    estimates: Dict[int, CostEstimate] = {}
-
-    # -- build + stage 1: analytic scoring -----------------------------
     score_start = time.perf_counter()
-    for index, candidate in enumerate(candidates):
-        results.append(TuningResult(candidate=candidate))
+    results, feasible, infeasible = _rank(build_fn, machine, space)
+    stats = SearchStats(
+        candidates=len(results),
+        scored=len(feasible) + len(infeasible),
+        score_s=time.perf_counter() - score_start,
+    )
+
+    evaluate_start = time.perf_counter()
+    walk = feasible if top_k is not None else feasible + infeasible
+    stats.compiled = _walk(walk, results, machine, options, top_k)
+    pruned = feasible[stats.compiled:]
+    for index, _build in pruned:
+        results[index].pruned = True
+    stats.pruned = len(pruned)
+    stats.evaluate_s = time.perf_counter() - evaluate_start
+
+    results.sort(key=_rank_key)
+    return TuningReport(results=results, search=stats)
+
+
+def _rank(
+    build_fn: BuildFn, machine: MachineModel, space: MappingSearchSpace
+) -> Tuple[List[TuningResult], List[Job], List[Job]]:
+    """Stage 1, shared by :func:`rank_candidates` and :func:`autotune`.
+
+    Returns one :class:`TuningResult` per candidate in space order
+    (builder and cost-model failures recorded in ``error``), the
+    model-feasible ``(index, build)`` jobs best-predicted first, and the
+    model-infeasible ones in space order.
+    """
+    model = AnalyticCostModel()
+    results: List[TuningResult] = []
+    feasible: List[Job] = []
+    infeasible: List[Job] = []
+    for index, candidate in enumerate(space.as_list()):
+        result = TuningResult(candidate=candidate)
+        results.append(result)
         try:
             build = build_fn(machine, **candidate)
         except (CypressError, TypeError) as error:
             # TypeError covers builders whose signature lacks a swept
             # axis (e.g. attention builders take q_tile, not tile_m):
             # the mismatch is reported per candidate, not fatal.
-            results[index].error = str(error)
+            result.error = str(error)
             continue
-        results[index].kernel_name = build.name
-        builds[index] = build
-        # Score against the machine stage 2 will *time on*, so the
-        # pruning cut ranks the same quantity the sweep optimizes.
-        estimate = model.score(build, simulate_machine)
-        estimates[index] = estimate
-        stats.scored += 1
+        result.kernel_name = build.name
+        estimate = model.score(build, machine)
         if estimate.feasible:
-            # Raw verdicts get the per-family calibration at reporting
-            # time (the scale the pruning decision actually used).
-            results[index].predicted_cycles = model.calibrated_cycles(
-                estimate
-            )
-            results[index].predicted_tflops = model.calibrated_tflops(
-                estimate
-            )
-        elif two_stage:
-            # Stage 1 rejects without compiling; the exhaustive sweep
-            # still compiles so the compiler's own message is recorded.
-            results[index].error = f"cost model: {estimate.reason}"
-            builds.pop(index)
-    stats.score_s = time.perf_counter() - score_start
-
-    # -- stage 2: compile + simulate down the ranking ------------------
-    ranked = list(builds)
-    if two_stage:
-        ranked.sort(
-            key=lambda i: results[i].predicted_cycles
-            if results[i].predicted_cycles is not None
-            else float("inf")
-        )
-    evaluate_start = time.perf_counter()
-    evaluated = _evaluate(
-        [(i, builds[i]) for i in ranked],
-        results,
-        simulate_machine,
-        options=options,
-        executor=executor,
-        max_workers=max_workers,
-        top_k=top_k if two_stage else None,
-        budget=budget,
-        start=evaluate_start,
-    )
-    for index in ranked:
-        if index not in evaluated:
-            results[index].pruned = True
-    stats.evaluate_s = time.perf_counter() - evaluate_start
-    stats.compiled = len(evaluated)
-    stats.pruned = sum(1 for r in results if r.pruned)
-
-    if calibrate:
-        for index in evaluated:
-            result = results[index]
-            if result.ok and index in estimates:
-                model.observe(estimates[index], result.simulated_cycles)
-
-    results.sort(key=_rank_key)
-    return TuningReport(results=results, search=stats)
+            result.predicted_cycles = estimate.cycles
+            result.predicted_tflops = estimate.tflops
+            feasible.append((index, build))
+        else:
+            result.error = f"cost model: {estimate.reason}"
+            infeasible.append((index, build))
+    feasible.sort(key=lambda job: results[job[0]].predicted_cycles)
+    return results, feasible, infeasible
 
 
-def _evaluate(
-    jobs: List[Tuple[int, KernelBuild]],
+def _walk(
+    jobs: List[Job],
     results: List[TuningResult],
-    simulate_machine: MachineModel,
-    *,
+    machine: MachineModel,
     options: CompileOptions,
-    executor: str,
-    max_workers: Optional[int],
     top_k: Optional[int],
-    budget: Optional[float],
-    start: float,
-) -> List[int]:
-    """Compile + simulate ``jobs`` in rank order under the knobs.
+) -> int:
+    """Stage 2: compile and time ``jobs`` in order until ``top_k`` have
+    succeeded (all of them when ``None``).
 
-    Returns the indices actually evaluated. With neither knob the whole
-    list is one ``compile_many`` batch (the exhaustive sweep's full
-    parallelism). Otherwise batches run down the ranking until
-    ``top_k`` candidates are evaluated and/or the ``budget`` expires —
-    but **never stop while nothing has compiled successfully**: a
-    cost-model blind spot among the top-ranked candidates must degrade
-    toward the exhaustive sweep, not sink the whole search.
+    Each batch asks for exactly the successes still missing, so the walk
+    stops at the ``top_k``-th success. Returns how many jobs were
+    evaluated — always a prefix of ``jobs``.
     """
-    if not jobs:
-        return []
-    evaluated: List[int] = []
-    succeeded = 0
-
-    def run(chunk: List[Tuple[int, KernelBuild]]) -> None:
-        nonlocal succeeded
+    wanted = len(jobs) if top_k is None else max(1, top_k)
+    done = succeeded = 0
+    while done < len(jobs) and succeeded < wanted:
+        batch = jobs[done : done + wanted - succeeded]
         kernels = api.compile_many(
-            [build for _, build in chunk],
+            [build for _index, build in batch],
             options=options,
-            executor=executor,
-            max_workers=max_workers,
             raise_on_error=False,
         )
-        for (index, _build), kernel in zip(chunk, kernels):
-            evaluated.append(index)
+        for (index, _build), kernel in zip(batch, kernels):
+            result = results[index]
             if isinstance(kernel, api.CompileFailure):
-                results[index].error = str(kernel.error)
+                result.error = str(kernel.error)
                 continue
-            gpu = api.simulate(kernel, simulate_machine)
-            results[index].tflops = gpu.tflops
-            results[index].simulated_cycles = gpu.cycles
+            gpu = api.simulate(kernel, machine)
+            # The compiler's verdict replaces the model's.
+            result.error = None
+            result.tflops = gpu.tflops
+            result.simulated_cycles = gpu.cycles
             succeeded += 1
-
-    if top_k is None and budget is None:
-        run(jobs)
-        return evaluated
-
-    width = max_workers or 8
-    queue = list(jobs)
-    while queue:
-        if succeeded > 0:
-            # Compile failures don't count toward the contract: top_k
-            # promises that many candidates fully evaluated, so the
-            # walk refills past rejected ones.
-            if top_k is not None and succeeded >= top_k:
-                break
-            if (
-                budget is not None
-                and evaluated
-                and time.perf_counter() - start >= budget
-            ):
-                break
-        take = width
-        if top_k is not None and succeeded < top_k:
-            take = min(take, top_k - succeeded)
-        run(queue[: max(1, take)])
-        queue = queue[max(1, take):]
-    return evaluated
+        done += len(batch)
+    return done
 
 
 def _rank_key(result: TuningResult) -> Tuple[int, float]:

@@ -23,14 +23,12 @@ the model tracks simulated cycles within :data:`AGREEMENT_FACTOR`
 (absolute) and achieves Spearman rank correlation >= 0.8 against
 simulation across the gemm and attention search spaces
 (``tests/test_costmodel.py`` asserts both; ``python -m bench`` reports
-``tuner.costmodel.spearman`` and ``.pred_err``); ``observe`` feeds
-simulated outcomes back to keep the absolute scale honest.
+``tuner.costmodel.spearman`` and ``.pred_err``).
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Sequence, Tuple
 
@@ -153,86 +151,12 @@ class _LoopModel:
 
 
 class AnalyticCostModel:
-    """Scores mappings analytically; calibrates itself from simulation.
+    """Scores mappings analytically; stateless.
 
-    ``score`` returns **raw** (scale-free) estimates, memoized
-    process-wide in :data:`repro.compiler.cache.score_cache` — the
-    memo survives calibration updates because calibration never enters
-    the verdict. One instance additionally holds per-family
-    multiplicative corrections learned from ``observe`` (a geometric
-    moving average of simulated/predicted cycle ratios); consumers
-    apply them at reporting time via :meth:`calibrated_cycles` /
-    :meth:`calibrated_tflops`, so repeated two-stage sweeps tighten the
-    absolute scale while rank order — what pruning needs — comes from
-    the analytic structure alone.
-
-    Thread-safe: scoring is pure; calibration updates take a lock.
+    ``score`` is a pure function of (build, machine), memoized
+    process-wide in :data:`repro.compiler.cache.score_cache`, so any
+    instance serves any caller.
     """
-
-    #: Calibration EMA weight for each new observation.
-    OBSERVE_WEIGHT = 0.25
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._log_scale: Dict[str, float] = {}
-
-    # ------------------------------------------------------------------
-    # Calibration
-    # ------------------------------------------------------------------
-    def scale_for(self, family: str) -> float:
-        """Current multiplicative calibration for ``family`` (1.0 raw)."""
-        with self._lock:
-            return math.exp(self._log_scale.get(family, 0.0))
-
-    def calibrated_cycles(self, estimate: CostEstimate) -> float:
-        """``estimate.cycles`` with the family's calibration applied."""
-        return estimate.cycles * self.scale_for(estimate.family)
-
-    def calibrated_tflops(self, estimate: CostEstimate) -> float:
-        """``estimate.tflops`` with the family's calibration applied.
-
-        Throughput scales inversely with cycles; the fixed launch
-        overhead is negligible at tuning scales, so the division is an
-        accurate first-order correction.
-        """
-        scale = self.scale_for(estimate.family)
-        return estimate.tflops / scale if scale > 0 else estimate.tflops
-
-    def observe(
-        self,
-        estimate: CostEstimate,
-        simulated_cycles: float,
-    ) -> None:
-        """Feed one simulated outcome back into the calibration.
-
-        Args:
-            estimate: the prediction previously returned by ``score``.
-            simulated_cycles: the simulator's cycle count for the same
-                build.
-
-        Raises:
-            Nothing: degenerate observations (infeasible estimates,
-            non-positive cycles) are ignored rather than raised, so the
-            tuner can feed every survivor back unconditionally.
-        """
-        if not estimate.feasible or simulated_cycles <= 0:
-            return
-        if estimate.cycles <= 0:
-            return
-        # Estimates are raw (scale-free), so the log-ratio is the
-        # *absolute* correction and a bounded EMA toward it is stable
-        # no matter how many observations one sweep feeds in — each
-        # update moves toward the same target rather than compounding.
-        ratio = math.log(simulated_cycles / estimate.cycles)
-        with self._lock:
-            old = self._log_scale.get(estimate.family)
-            if old is None:
-                self._log_scale[estimate.family] = ratio
-            else:
-                self._log_scale[estimate.family] = (
-                    (1.0 - self.OBSERVE_WEIGHT) * old
-                    + self.OBSERVE_WEIGHT * ratio
-                )
 
     # ------------------------------------------------------------------
     # Scoring
@@ -247,9 +171,7 @@ class AnalyticCostModel:
         the build's name, parameters, shapes, and the machine's full
         :class:`~repro.gpusim.roofline.Roofline` (every derived rate
         and limit the model consumes — two machines sharing a name but
-        differing in capability cannot collide). Calibration is *not*
-        part of the key: verdicts are raw, so the memo keeps hitting
-        across calibration updates.
+        differing in capability cannot collide).
 
         Args:
             build: the kernel build being scored.
@@ -288,10 +210,8 @@ class AnalyticCostModel:
                 :data:`~repro.compiler.cache.score_cache`.
 
         Returns:
-            A **raw** (calibration-free) :class:`CostEstimate`;
-            infeasible mappings come back with ``cycles == inf`` and a
-            ``reason`` — never an exception. Apply
-            :meth:`calibrated_cycles` for the scale-corrected number.
+            A :class:`CostEstimate`; infeasible mappings come back with
+            ``cycles == inf`` and a ``reason`` — never an exception.
         """
         if not memoize:
             return self._score_uncached(build, machine)
@@ -641,13 +561,6 @@ class AnalyticCostModel:
             waves=1,
             breakdown={"compute_roof": compute, "memory_roof": memory},
         )
-
-
-#: The process-wide model ``autotune`` uses when no ``cost_model`` is
-#: passed, so calibration feedback accumulates across sweeps (per-bucket
-#: warm-ups, repeated benchmark runs) instead of dying with a throwaway
-#: instance.
-default_cost_model = AnalyticCostModel()
 
 
 def spearman(

@@ -6,6 +6,7 @@ import pytest
 from repro import api
 from repro.api import Stage
 from repro.compiler import CompileOptions
+from repro.compiler.pipeline import compile_key_for
 from repro.errors import CypressError
 from repro.kernels.gemm import build_gemm
 
@@ -70,16 +71,18 @@ class TestScalarArgs:
         return captured
 
     def test_compile_kernel_forwards_scalar_args(self, hopper, monkeypatch):
+        """The caller's ``options.scalar_args`` win over the build's
+        own, in the compile and in the key the cache files it under."""
         captured = self._capture_run(monkeypatch)
         build = build_gemm(
             hopper, 128, 256, 64, tile_m=128, tile_n=256, tile_k=64
         )
-        api.compile_kernel(
-            build,
-            scalar_args={"alpha": 2.0},
-            options=CompileOptions(cache=False),
-        )
+        build.scalar_args = {"beta": 0.5}
+        options = CompileOptions(cache=False, scalar_args={"alpha": 2.0})
+        kernel = api.compile_kernel(build, options=options)
         assert captured["scalar_args"] == {"alpha": 2.0}
+        assert kernel.metadata["cache_key"] == compile_key_for(build, options)
+        assert compile_key_for(build, options) != compile_key_for(build)
 
     def test_build_scalar_args_used_by_default(self, hopper, monkeypatch):
         captured = self._capture_run(monkeypatch)
@@ -136,12 +139,10 @@ class TestCompileManyFailures:
         with pytest.raises(CypressError):
             api.compile_many([self._good(hopper), self._bad(hopper)])
 
-    @pytest.mark.parametrize("executor", ["thread", "serial"])
-    def test_failures_collected_with_name_and_error(self, hopper, executor):
+    def test_failures_collected_with_name_and_error(self, hopper):
         results = api.compile_many(
             [self._good(hopper), self._bad(hopper), self._good(hopper)],
             raise_on_error=False,
-            executor=executor,
         )
         assert results[0].name == "gemm_256x256x128"
         assert results[0] is results[2]  # cache dedupes the good pair

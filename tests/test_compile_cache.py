@@ -69,13 +69,18 @@ class TestCacheMiss:
         )
 
     def test_different_scalar_args_miss(self, hopper):
-        api.compile_kernel(_build(hopper), scalar_args={"alpha": 1.0})
-        api.compile_kernel(_build(hopper), scalar_args={"alpha": 2.0})
+        for alpha in (1.0, 2.0):
+            api.compile_kernel(
+                _build(hopper),
+                options=CompileOptions(scalar_args={"alpha": alpha}),
+            )
         assert api.compile_cache_stats().misses == 2
 
     def test_use_tma_part_of_key(self, hopper):
-        api.compile_kernel(_build(hopper), use_tma=True)
-        api.compile_kernel(_build(hopper), use_tma=False)
+        for use_tma in (True, False):
+            api.compile_kernel(
+                _build(hopper), options=CompileOptions(use_tma=use_tma)
+            )
         assert api.compile_cache_stats().misses == 2
 
     def test_verify_policy_part_of_key(self, hopper):
@@ -176,22 +181,18 @@ class TestCompileMany:
 
     def test_thread_pool_matches_sequential(self, hopper):
         sequential = [
-            api.tflops(kernel, hopper)
-            for kernel in api.compile_many(
-                self._builds(hopper), executor="serial"
-            )
+            api.tflops(api.compile_kernel(build), hopper)
+            for build in self._builds(hopper)
         ]
         api.clear_compile_cache()
         parallel = [
             api.tflops(kernel, hopper)
-            for kernel in api.compile_many(
-                self._builds(hopper), executor="thread", max_workers=4
-            )
+            for kernel in api.compile_many(self._builds(hopper))
         ]
         assert parallel == sequential
 
     def test_order_preserved(self, hopper):
-        kernels = api.compile_many(self._builds(hopper), max_workers=4)
+        kernels = api.compile_many(self._builds(hopper))
         assert len(kernels) == len(self.DEPTHS)
         depths = [kernel.warpspec.pipeline_depth for kernel in kernels]
         assert depths == list(self.DEPTHS)
@@ -200,9 +201,7 @@ class TestCompileMany:
         build = _build(hopper)
         api.compile_kernel(build)  # populate
         executed = pass_execution_count()
-        kernels = api.compile_many(
-            [_build(hopper) for _ in range(6)], max_workers=3
-        )
+        kernels = api.compile_many([_build(hopper) for _ in range(6)])
         assert pass_execution_count() == executed
         assert all(kernel is kernels[0] for kernel in kernels)
 
@@ -211,9 +210,7 @@ class TestCompileMany:
         from repro.compiler import DEFAULT_PIPELINE
 
         executed = pass_execution_count()
-        kernels = api.compile_many(
-            [_build(hopper) for _ in range(8)], max_workers=8
-        )
+        kernels = api.compile_many([_build(hopper) for _ in range(8)])
         assert pass_execution_count() - executed == len(DEFAULT_PIPELINE)
         assert all(kernel is kernels[0] for kernel in kernels)
 
@@ -226,12 +223,6 @@ class TestCompileMany:
         results = api.compile_many([good, bad], raise_on_error=False)
         assert not isinstance(results[0], api.CompileFailure)
         assert isinstance(results[1].error, CypressError)
-
-    def test_unknown_executor_rejected(self, hopper):
-        from repro.errors import CypressError
-
-        with pytest.raises(CypressError, match="executor"):
-            api.compile_many([_build(hopper)], executor="fiber")
 
 
 class TestCapacityControls:

@@ -1,10 +1,10 @@
-"""The analytic cost model and the two-stage autotuner.
+"""The analytic cost model and the autotuner's walk down its ranking.
 
 Covers the edge cases the model must absorb without crashing
 (zero-iteration loops, shared-memory overflow, WGMMA granule
 violations), its documented agreement with the simulator on the seed
-kernels, verdict memoization, calibration, and the two-stage search
-behavior (pruning, budgets, honesty metrics).
+kernels, verdict memoization, and the ``top_k`` walk (pruning, the
+fallback past compile failures, honesty metrics).
 """
 
 import math
@@ -164,35 +164,6 @@ class TestMemoization:
         assert score_cache.stats.misses == misses
         assert score_cache.stats.hits >= 1
 
-    def test_calibration_applies_at_report_not_in_memo(self, hopper):
-        """Verdicts stay raw (memo keeps hitting); calibration shifts
-        only the calibrated_* views."""
-        score_cache.clear()
-        model = AnalyticCostModel()
-        build = _builder(hopper)
-        est = model.score(build, hopper)
-        model.observe(est, est.cycles * 2.0)
-        assert model.score(build, hopper) is est  # memo survives
-        assert model.calibrated_cycles(est) > est.cycles
-        assert model.calibrated_tflops(est) < est.tflops
-
-    def test_calibration_is_stable_under_batched_feedback(self, hopper):
-        """A whole sweep of same-bias observations converges to the
-        bias instead of compounding past it."""
-        model = AnalyticCostModel()
-        est = model.score(_builder(hopper), hopper)
-        for _ in range(50):
-            model.observe(est, est.cycles * 2.0)
-        assert model.scale_for("gemm") == pytest.approx(2.0, rel=0.1)
-
-    def test_observe_ignores_degenerate_samples(self, hopper):
-        model = AnalyticCostModel()
-        est = model.score(
-            build_gemm(hopper, 512, 512, 512, tile_m=192, wgs=2), hopper
-        )
-        model.observe(est, 123.0)  # infeasible estimate: ignored
-        assert model.scale_for("gemm") == 1.0
-
 
 class TestSpearman:
     def test_perfect_and_reversed(self):
@@ -269,15 +240,12 @@ class TestTwoStageAutotune:
         assert report.search.compiled > 2 # walked past the failed cut
         assert calls["n"] >= 2
 
-    def test_budget_stops_after_first_batch(self, hopper):
-        report = autotune(
-            _builder, hopper, SPACE, budget=0.0, max_workers=2
-        )
-        assert report.search.compiled == 2
-        assert report.feasible  # at least one batch always runs
-        assert len(report.pruned) == len(SPACE) - 2
-
-    def test_model_infeasible_candidates_skip_compilation(self, hopper):
+    def test_model_infeasible_candidates_skip_compilation(
+        self, hopper, monkeypatch
+    ):
+        """Under ``top_k`` the model's rejects never reach the compiler;
+        the exhaustive sweep walks on to them after the ranking and
+        records the compiler's own verdict."""
         space = MappingSearchSpace(
             tiles=((128, 128), (192, 128)),
             warpgroups=(2,),
@@ -285,12 +253,29 @@ class TestTwoStageAutotune:
             warpspecialize=(True,),
             constraint=None,  # let the 192-row violation through
         )
+        compiled = []
+        original = api.compile_many
+
+        def spy(builds, **kwargs):
+            builds = list(builds)
+            compiled.extend(build.params["tile_m"] for build in builds)
+            return original(builds, **kwargs)
+
+        monkeypatch.setattr(api, "compile_many", spy)
         report = autotune(_builder, hopper, space, top_k=4)
         assert report.feasible
+        assert compiled == [128]
         assert any(
             r.error and r.error.startswith("cost model:")
             for r in report.failed
         )
+
+        compiled.clear()
+        exhaustive = autotune(_builder, hopper, space)
+        assert compiled == [128, 192]
+        (rejected,) = exhaustive.failed
+        assert rejected.candidate["tile_m"] == 192
+        assert not rejected.error.startswith("cost model:")
 
     def test_pruned_candidates_rank_between_ok_and_failed(self, hopper):
         space = MappingSearchSpace(
@@ -308,11 +293,6 @@ class TestTwoStageAutotune:
         assert kinds == sorted(
             kinds, key=["ok", "pruned", "failed"].index
         )
-
-    def test_calibration_feeds_back_by_default(self, hopper):
-        model = AnalyticCostModel()
-        autotune(_builder, hopper, SPACE, top_k=2, cost_model=model)
-        assert model.scale_for("gemm") != 1.0
 
     def test_summary_renders_predictions_and_pruned(self, hopper):
         report = autotune(_builder, hopper, SPACE, top_k=2)

@@ -1,0 +1,58 @@
+"""Every settable value of the compile, tuning and serving entry points.
+
+Each list below is the literal set of parameters a caller may leave at
+its default (plus ``CompileOptions``' fields). A new keyword, or a new
+option field, fails this test until the list is edited in the same
+change — so adding a knob is a decision a reviewer sees.
+"""
+
+import dataclasses
+import inspect
+
+import pytest
+
+from repro import api
+from repro.compiler.passes import CompileOptions
+from repro.compiler.pipeline import compile_program
+from repro.runtime import RuntimeServer
+from repro.tuner import autotune, rank_candidates
+
+CENSUS = [
+    (autotune, ["options", "top_k"]),
+    (rank_candidates, ["top_k"]),
+    (api.compile_many, ["options", "raise_on_error"]),
+    (api.compile_kernel, ["options"]),
+    (compile_program, ["options"]),
+    (
+        RuntimeServer.__init__,
+        [
+            "registry", "workers", "disk_cache", "max_batch", "speculate",
+            "specialize", "trace", "flight", "resilience", "diag", "start",
+        ],
+    ),
+    (api.serve, ["**options"]),
+]
+
+COMPILE_OPTIONS_FIELDS = ["use_tma", "scalar_args", "verify", "cache", "passes"]
+
+
+def _settable(fn):
+    names = []
+    for param in inspect.signature(fn).parameters.values():
+        if param.kind is param.VAR_KEYWORD:
+            names.append(f"**{param.name}")
+        elif param.default is not param.empty:
+            names.append(param.name)
+    return names
+
+
+@pytest.mark.parametrize(
+    "fn, expected", CENSUS, ids=[fn.__qualname__ for fn, _ in CENSUS]
+)
+def test_keyword_parameters_are_pinned(fn, expected):
+    assert _settable(fn) == expected
+
+
+def test_compile_options_fields_are_pinned():
+    fields = [field.name for field in dataclasses.fields(CompileOptions)]
+    assert fields == COMPILE_OPTIONS_FIELDS

@@ -30,6 +30,7 @@ from repro.frontend import (
     task,
     use_registry,
 )
+from repro.kernels import build_gemm_reduction
 from repro.machine import hopper_machine
 from repro.machine.memory import MemoryKind
 from repro.machine.processor import ProcessorKind
@@ -486,3 +487,32 @@ class TestPrangePrivilegeRegressions:
         spec = _spec_with_top("top_same", reg)
         with pytest.raises(PrivilegeError, match="identically"):
             DependenceAnalysis(spec, "bad").run([(64, 64)], [f16])
+
+    @pytest.mark.parametrize(
+        "row_tiles",
+        [
+            1,
+            2,
+            pytest.param(
+                3,
+                marks=pytest.mark.xfail(
+                    strict=True,
+                    reason="the sampled fallback misses aliasing writes "
+                    "from three row tiles on",
+                ),
+            ),
+        ],
+    )
+    def test_gemm_reduction_column_tiles_alias_y(self, hopper, row_tiles):
+        """Every column tile of a row tile writes the same ``y`` block,
+        so ``gemm_reduction`` must be rejected on any grid with more
+        than one column tile (here four). When the symbolic proof gives
+        up, ``_check_prange_disjoint`` compares only three *joint*
+        iteration points — (0, 0), (1, 1) and (last, last) — and from
+        three row tiles on no two of them share a row tile, so the
+        aliasing pair is never sampled and the mapping compiles."""
+        build = build_gemm_reduction(hopper, 256 * row_tiles, 1024, 256)
+        with pytest.raises(PrivilegeError, match="aliasing writes"):
+            DependenceAnalysis(build.spec, build.name).run(
+                build.arg_shapes, build.arg_dtypes
+            )
