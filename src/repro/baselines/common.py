@@ -2,17 +2,15 @@
 
 from __future__ import annotations
 
-import itertools
 from typing import List, Optional, Tuple
 
 from repro.gpusim.kernel import Instr, KernelSchedule, Segment
 from repro.machine.machine import MachineModel
-
-_uid = itertools.count(10_000_000)  # disjoint from compiler op uids
+from repro.numbering import next_number
 
 
 def fresh_uid() -> int:
-    return next(_uid)
+    return next_number("op")
 
 
 def gemm_like_schedule(

@@ -49,7 +49,7 @@ DEFAULT_CAPACITY = 256
 #: a persisted tier written by another revision is never read back; bump
 #: it whenever a generated artefact (IR annotations, schedule, CUDA text,
 #: the pickled classes themselves) changes.
-COMPILER_REVISION = "24: one lowering, two printers"
+COMPILER_REVISION = "entities numbered per compile"
 
 #: Which branch of :meth:`CompileCache.lookup` produced the kernel: the
 #: in-memory LRU, the second tier passed to the lookup, or ``compute``.

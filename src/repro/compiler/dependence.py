@@ -32,6 +32,7 @@ from repro.ir.module import Buffer, IRFunction
 from repro.ir.ops import AllocOp, Block, CallOp, CopyOp, ForOp, PForOp
 from repro.machine.memory import MemoryKind
 from repro.machine.processor import ProcessorKind, depth_of
+from repro.numbering import next_number
 from repro.sym import Var
 from repro.tensors.dtype import DType
 from repro.tensors.regions import prove_iterations_disjoint
@@ -90,9 +91,6 @@ class _State:
         out = _State()
         out.by_uid = {uid: st.clone() for uid, st in self.by_uid.items()}
         return out
-
-
-_fresh_counter = itertools.count()
 
 
 class DependenceAnalysis:
@@ -164,8 +162,7 @@ class DependenceAnalysis:
         for tensor in trace.local_tensors:
             # Locals have no mapped home; they materialize only through
             # the fresh allocations of callee arguments (NONE memory).
-            buffer = Buffer.from_tensor(tensor, MemoryKind.NONE)
-            fn.adopt_buffer(buffer)
+            fn.adopt_buffer(Buffer(tensor, MemoryKind.NONE))
             privileges[tensor.uid] = Privilege.READ_WRITE
         self._lower_stmts(
             fn, block, state, mapping, trace.statements, privileges
@@ -426,7 +423,7 @@ class DependenceAnalysis:
         fresh: Dict[str, Buffer] = {}
         for name, ref in zip(tensor_params, tensor_args):
             buffer = fn.add_buffer(
-                f"{name}_{variant.variant_name}_{next(_fresh_counter)}",
+                f"{name}_{variant.variant_name}_{next_number('buffer')}",
                 ref.shape,
                 ref.dtype,
                 mems[name],

@@ -42,6 +42,7 @@ from repro.gpusim.kernel import KernelSchedule
 from repro.ir.clone import clone_function
 from repro.ir.module import IRFunction
 from repro.machine.processor import ProcessorKind
+from repro.numbering import fresh_numbering
 from repro.tensors.dtype import DType
 
 
@@ -111,7 +112,8 @@ def compile_step(
     Takes :func:`compile_program`'s arguments, fingerprints the
     instantiation **once**, and returns ``(key, compute)``:
     ``compute()`` runs dependence analysis and the pass pipeline for
-    exactly the instantiation ``key`` names.
+    exactly the instantiation ``key`` names, numbering from zero
+    (:func:`~repro.numbering.fresh_numbering`).
     The caller either calls it outright or hands both to
     :meth:`CompileCache.lookup <repro.compiler.cache.CompileCache.lookup>`
     — :func:`compile_program` without a second tier, the serving
@@ -124,6 +126,7 @@ def compile_step(
         unique_dram_bytes, options,
     )
 
+    @fresh_numbering()
     def compute() -> CompiledKernel:
         analysis = DependenceAnalysis(spec, name)
         fn = analysis.run(arg_shapes, arg_dtypes, options.scalar_args)

@@ -108,7 +108,7 @@ def _pipeline_loop(
             for other in body_ops
             if other is not op
             and any(
-                ref.root.uid == dst.tensor.uid
+                ref.root is dst.tensor
                 for ref in other.tensor_uses()
             )
         ]

@@ -11,7 +11,6 @@ static analysis of the paper possible.
 
 from __future__ import annotations
 
-import itertools
 import threading
 from typing import Any, Dict, Iterator, Optional, Sequence, Tuple, Union
 
@@ -25,6 +24,7 @@ from repro.frontend.stmts import (
     TaskTrace,
 )
 from repro.frontend.task import TaskRegistry, TaskVariant, get_registry
+from repro.numbering import next_number
 from repro.sym import Var
 from repro.tensors.dtype import DType
 from repro.tensors.tensor import LogicalTensor, TensorRef
@@ -32,7 +32,6 @@ from repro.tensors.tensor import LogicalTensor, TensorRef
 # One active trace per *thread*: `api.compile_many` traces kernels from
 # a thread pool, so the tracer state must not be shared across threads.
 _tls = threading.local()
-_loop_counter = itertools.count()
 
 
 def _active_context() -> Optional["TraceContext"]:
@@ -79,7 +78,7 @@ class TraceContext:
                 )
         if any(extent == 0 for extent in extents):
             return  # empty domain: the loop contributes nothing
-        loop_id = next(_loop_counter)
+        loop_id = next_number("loop")
         indices = tuple(
             Var(f"i{loop_id}_{d}") for d in range(len(extents))
         )

@@ -11,12 +11,12 @@ completion (a point-wise dependence), while :data:`BROADCAST` selects
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Tuple, Union
 
 from repro.errors import IRError
 from repro.machine.processor import ProcessorKind
+from repro.numbering import next_number
 from repro.sym import Expr, to_expr
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -65,15 +65,12 @@ def unit_type() -> EventType:
     return ()
 
 
-_event_counter = itertools.count()
-
-
 class Event:
     """An SSA event value produced by one operation."""
 
-    def __init__(self, type_: EventType = (), name: Optional[str] = None):
+    def __init__(self, type_: EventType = ()):
         self.type: EventType = tuple(type_)
-        self.name = name or f"e{next(_event_counter)}"
+        self.name = f"e{next_number('event')}"
         #: Back-reference filled in when an operation adopts this event.
         self.producer: Optional["Operation"] = None
 
@@ -135,10 +132,6 @@ class EventUse:
     def promoted(self, dim: EventDim, index: EventIndex) -> "EventUse":
         """This use with one more leading dimension (vectorization)."""
         return EventUse(self.event, (index,) + self.indices)
-
-    def with_event(self, event: Event) -> "EventUse":
-        """This use's indices applied to a different event of equal rank."""
-        return EventUse(event, self.indices)
 
     def __repr__(self) -> str:
         if not self.indices:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import itertools
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.errors import IRError
@@ -13,8 +12,6 @@ from repro.machine.processor import ProcessorKind
 from repro.tensors.dtype import DType
 from repro.tensors.tensor import LogicalTensor, TensorRef
 
-_buffer_counter = itertools.count()
-
 
 class Buffer:
     """A tensor allocation in the IR.
@@ -22,7 +19,8 @@ class Buffer:
     Dependence analysis creates a fresh buffer per task-argument copy
     (the copy-in/copy-out discipline); later passes remove most of them.
     Each buffer wraps a :class:`LogicalTensor` so the partitioning
-    machinery can build references into it.
+    machinery can build references into it; the tensor is the buffer's
+    identity, and its number is the one the printed IR shows.
 
     Attributes:
         tensor: the underlying logical tensor (identity + shape + dtype).
@@ -46,36 +44,15 @@ class Buffer:
 
     def __init__(
         self,
-        name: str,
-        shape: Sequence[int],
-        dtype: DType,
+        tensor: LogicalTensor,
         memory: MemoryKind,
         is_argument: bool = False,
-        tensor: Optional[LogicalTensor] = None,
     ):
-        if tensor is not None:
-            if tuple(tensor.shape) != tuple(shape) or tensor.dtype != dtype:
-                raise IRError(
-                    f"buffer metadata {tuple(shape)}:{dtype} disagrees with "
-                    f"wrapped tensor {tensor!r}"
-                )
-            self.tensor = tensor
-        else:
-            self.tensor = LogicalTensor(name, shape, dtype)
+        self.tensor = tensor
         self.memory = memory
         self.is_argument = is_argument
         self.pipeline_depth = 1
         self.smem_offset: Optional[int] = None
-        self.uid = next(_buffer_counter)
-
-    @staticmethod
-    def from_tensor(
-        tensor: LogicalTensor, memory: MemoryKind
-    ) -> "Buffer":
-        """Wrap a frontend-created local tensor as an IR buffer."""
-        return Buffer(
-            tensor.name, tensor.shape, tensor.dtype, memory, tensor=tensor
-        )
 
     @property
     def name(self) -> str:
@@ -101,7 +78,7 @@ class Buffer:
         pipe = f" pipe={self.pipeline_depth}" if self.pipeline_depth > 1 else ""
         offset = "" if self.smem_offset is None else f" +{self.smem_offset}"
         return (
-            f"buffer {self.name}#{self.uid} [{dims}:{self.dtype}] "
+            f"buffer {self.name}#{self.tensor.uid} [{dims}:{self.dtype}] "
             f"@{self.memory.name.lower()}{pipe}{offset}"
         )
 
@@ -129,12 +106,10 @@ class IRFunction:
     def add_param(
         self, name: str, shape: Sequence[int], dtype: DType
     ) -> Buffer:
-        buffer = Buffer(
-            name, shape, dtype, MemoryKind.GLOBAL, is_argument=True
-        )
+        tensor = LogicalTensor(name, shape, dtype)
+        buffer = Buffer(tensor, MemoryKind.GLOBAL, is_argument=True)
         self.params.append(buffer)
-        self.buffers[buffer.tensor.uid] = buffer
-        return buffer
+        return self.adopt_buffer(buffer)
 
     def add_buffer(
         self,
@@ -143,9 +118,8 @@ class IRFunction:
         dtype: DType,
         memory: MemoryKind,
     ) -> Buffer:
-        buffer = Buffer(name, shape, dtype, memory)
-        self.buffers[buffer.tensor.uid] = buffer
-        return buffer
+        tensor = LogicalTensor(name, shape, dtype)
+        return self.adopt_buffer(Buffer(tensor, memory))
 
     def adopt_buffer(self, buffer: Buffer) -> Buffer:
         self.buffers[buffer.tensor.uid] = buffer

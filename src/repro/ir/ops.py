@@ -7,16 +7,14 @@ asynchronous operation owns its result :class:`Event`.
 
 from __future__ import annotations
 
-import itertools
 from typing import Any, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import IRError
 from repro.ir.events import Event, EventType, EventUse
 from repro.machine.processor import ProcessorKind
+from repro.numbering import next_number
 from repro.sym import Var
 from repro.tensors.tensor import TensorRef
-
-_op_counter = itertools.count()
 
 
 class Operation:
@@ -37,7 +35,7 @@ class Operation:
         preconds: Optional[List[EventUse]] = None,
         proc: Optional[ProcessorKind] = None,
     ):
-        self.uid = next(_op_counter)
+        self.uid = next_number("op")
         self.preconds: List[EventUse] = list(preconds or [])
         self.result: Optional[Event] = None
         self.proc = proc
@@ -55,13 +53,6 @@ class Operation:
 
     def nested_blocks(self) -> List["Block"]:
         return []
-
-    def replace_precond_event(self, old: Event, new: Event) -> None:
-        """Substitute ``new`` for ``old`` in this op's preconditions."""
-        self.preconds = [
-            use.with_event(new) if use.event is old else use
-            for use in self.preconds
-        ]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         from repro.ir.printer import format_op
@@ -167,14 +158,6 @@ class Block:
             if candidate is op:
                 return i
         raise IRError(f"operation not in block: {op.uid}")
-
-    def replace_event_uses(self, old: Event, new: Event) -> None:
-        """Substitute event ``new`` for ``old`` everywhere in this block."""
-        for op in self.walk():
-            op.replace_precond_event(old, new)
-        for block in self.all_blocks():
-            if block.yield_use is not None and block.yield_use.event is old:
-                block.yield_use = block.yield_use.with_event(new)
 
     def all_blocks(self) -> Iterator["Block"]:
         """This block and every block nested in it, pre-order."""

@@ -118,7 +118,8 @@ class _VerifyState:
                     )
 
     def _check_ref(self, ref, op: Operation) -> None:
-        if ref.root.uid not in self.fn.buffers:
+        buffer = self.fn.buffers.get(ref.root.uid)
+        if buffer is None or buffer.tensor is not ref.root:
             raise VerificationError(
                 f"op {op.uid}: tensor reference {ref!r} does not point "
                 "into a declared buffer"

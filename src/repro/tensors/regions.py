@@ -408,7 +408,7 @@ def prove_iterations_disjoint(
     environments that differ do so in some variable whose axis pushes
     the boxes apart.
     """
-    if ref_a.root != ref_b.root:
+    if ref_a.root is not ref_b.root:
         return True
     active = [name for name, extent in domain if extent > 1]
     if not active:

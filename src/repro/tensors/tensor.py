@@ -11,7 +11,6 @@ which powers both the functional executor and exact aliasing checks.
 
 from __future__ import annotations
 
-import itertools
 from typing import (
     TYPE_CHECKING,
     Iterable,
@@ -24,6 +23,7 @@ from typing import (
 import numpy as np
 
 from repro.errors import TensorError
+from repro.numbering import next_number
 from repro.sym import Expr, evaluate, to_expr, variables
 from repro.tensors.dtype import DType
 from repro.tensors.regions import (
@@ -35,8 +35,6 @@ from repro.tensors.regions import (
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.tensors.partition import Partition
-
-_tensor_counter = itertools.count()
 
 #: Environments one reference memoises its view under. The shipped
 #: kernels stay far below it (a warpgroup fragment has 128 instances);
@@ -53,7 +51,8 @@ class LogicalTensor:
         shape: concrete extents; Cypress compiles statically, so shapes
             are known integers at compile time.
         dtype: element type.
-        uid: unique id distinguishing tensors with equal names.
+        uid: creation number, unique within one :mod:`repro.numbering`
+            (tensors compare by identity).
     """
 
     def __init__(self, name: str, shape: Sequence[int], dtype: DType):
@@ -67,7 +66,7 @@ class LogicalTensor:
         self.name = name
         self.shape: Tuple[int, ...] = tuple(shape)
         self.dtype = dtype
-        self.uid = next(_tensor_counter)
+        self.uid = next_number("tensor")
 
     @property
     def rank(self) -> int:
@@ -94,9 +93,6 @@ class LogicalTensor:
 
     def __hash__(self) -> int:
         return hash(self.uid)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, LogicalTensor) and other.uid == self.uid
 
 
 class TensorRef:
@@ -158,9 +154,6 @@ class TensorRef:
             for expr in index:
                 out |= variables(expr)
         return out
-
-    def is_concrete(self) -> bool:
-        return not self.free_variables()
 
     # ------------------------------------------------------------------
     # Element selection
@@ -308,7 +301,7 @@ class TensorRef:
         partition kinds the algebra cannot describe pay for coordinate
         materialization (a vectorized numpy row intersection).
         """
-        if self.root != other.root:
+        if self.root is not other.root:
             return False
         if self.is_whole or other.is_whole:
             return True

@@ -2,10 +2,12 @@
 belongs to the compiler that wrote it.
 
 The allocator used to break ties between equal-sized tiles in
-set-iteration order, which follows the process-wide uid counters: the
+set-iteration order, which followed process-wide uid counters: the
 same attention mapping got different shared-memory offsets, aliased
 pairs and write-after-read edges depending on what had been compiled
-before it. Both of its sorts now have a total key.
+before it. Both of its sorts now have a total key, and a compile numbers
+its entities from zero, so the CUDA text and the buffer names repeat
+digit for digit.
 """
 
 import itertools
@@ -17,7 +19,6 @@ from repro.kernels import (
     build_flash_attention2, build_flash_attention3, build_gemm,
 )
 from repro.runtime import RuntimeServer, default_registry
-from test_copy_elim_golden import masked
 from test_lowered_form import NO_CACHE
 
 #: 144 mappings, about 120 of which build (the rest exceed shared memory).
@@ -37,10 +38,10 @@ def _observed(machine, builder, params):
     )
     report = kernel.allocation
     return dict(
-        offsets=[(masked(k), v) for k, v in report.offsets.items()],
-        aliased=[tuple(map(masked, pair)) for pair in report.aliased_pairs],
+        offsets=list(report.offsets.items()),
+        aliased=list(report.aliased_pairs),
         war_edges=report.war_edges_added,
-        cuda=masked(kernel.cuda_source),
+        cuda=kernel.cuda_source,
         gpu=api.simulate(kernel, machine),
     )
 
@@ -53,8 +54,7 @@ def test_recompiling_a_mapping_gives_the_same_kernel(hopper):
         except CypressError:
             continue  # not buildable: too much shared memory
         built += 1
-        # Unrelated compiles move every uid counter by a different
-        # amount, which used to reorder the allocator's ties.
+        # Unrelated compiles in between must not change the kernel.
         for _ in range(number % 4):
             api.compile_kernel(
                 build_gemm(hopper, 256, 256, 128), options=NO_CACHE

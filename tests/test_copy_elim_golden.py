@@ -6,14 +6,19 @@
 the number of ops the pass removed and two SHA-256 digests of
 ``print_function(fn)`` taken right after ``copy-elim``:
 
-* ``masked`` — every digit run glued to an identifier replaced by ``#``
-  (uids come from process-wide counters, so two compiles of one
-  instantiation differ in exactly those digits);
+* ``masked`` — every digit run glued to an identifier replaced by ``#``;
 * ``renumbered`` — every such identifier replaced by its masked form
   plus the order in which it first appears, which keeps *which* event a
   precondition names and *which* buffer a reference points into —
   exactly what the pass's index of event users and tensor references
   could get wrong.
+
+The digests were recorded when every uid came from a process-wide
+counter, so two runs of one case differed in exactly those digits.
+Entities are now numbered per compile (:mod:`repro.numbering`); the IR
+here is built outside a compile and still draws process-wide numbers,
+so the masks stay. The recorded digests passing unchanged is the proof
+that per-compile numbering moved only digits.
 
 The second half re-derives the index from ``fn.walk()`` after every
 single rewrite and compares it with the one the pass maintained.

@@ -1,5 +1,8 @@
 """Tests for the event IR: events, ops, printer, verifier."""
 
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import pytest
 
 from repro.errors import IRError, VerificationError
@@ -20,8 +23,9 @@ from repro.ir import (
 from repro.machine import hopper_machine
 from repro.machine.memory import MemoryKind
 from repro.machine.processor import ProcessorKind
+from repro.numbering import fresh_numbering, next_number
 from repro.sym import Const, Var
-from repro.tensors import f16
+from repro.tensors import LogicalTensor, f16
 
 
 def _fn_with_buffers():
@@ -81,6 +85,32 @@ class TestOps:
         assert len(list(block.walk())) == 2
 
 
+class TestNumbering:
+    def test_outside_a_compile_the_numbering_never_restarts(self):
+        before = LogicalTensor("x", (1,), f16).uid
+        with fresh_numbering():
+            assert LogicalTensor("x", (1,), f16).uid == 0
+        assert LogicalTensor("x", (1,), f16).uid > before
+
+    def test_threads_share_one_process_numbering_and_own_fresh_ones(self):
+        def draw(fresh):
+            if not fresh:
+                return [next_number("op") for _ in range(2000)]
+            with fresh_numbering():
+                return [next_number("op") for _ in range(2000)]
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(8) as pool:
+                runs = list(pool.map(draw, [True, False] * 4, timeout=60))
+        finally:
+            sys.setswitchinterval(switch)
+        assert all(run == list(range(2000)) for run in runs[0::2])
+        shared = [n for run in runs[1::2] for n in run]
+        assert len(set(shared)) == len(shared) == 8000
+
+
 class TestVerifier:
     def test_valid_function(self):
         fn, a, b = _fn_with_buffers()
@@ -101,9 +131,19 @@ class TestVerifier:
 
     def test_undeclared_buffer_rejected(self):
         fn, a, b = _fn_with_buffers()
-        rogue = Buffer("rogue", (8, 8), f16, MemoryKind.SHARED)
+        rogue = Buffer(LogicalTensor("rogue", (8, 8), f16), MemoryKind.SHARED)
         fn.body.append(CopyOp(a.ref(), rogue.ref()))
         with pytest.raises(VerificationError):
+            verify_function(fn)
+
+    def test_a_number_from_another_numbering_declares_nothing(self):
+        with fresh_numbering():
+            fn, a, b = _fn_with_buffers()
+        with fresh_numbering():
+            twin = LogicalTensor("A", (8, 8), f16)
+        assert twin.uid == a.tensor.uid and twin != a.tensor
+        fn.body.append(CopyOp(twin.ref(), b.ref()))
+        with pytest.raises(VerificationError, match="declared buffer"):
             verify_function(fn)
 
     def test_out_of_scope_loop_var_rejected(self):
