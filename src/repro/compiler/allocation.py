@@ -39,10 +39,6 @@ class AllocationReport:
     war_edges_added: int
     registers_per_thread: int
 
-    @property
-    def aliasing_count(self) -> int:
-        return len(self.aliased_pairs)
-
 
 def allocate_shared(
     fn: IRFunction, limit_bytes: Optional[int] = None

@@ -31,9 +31,8 @@ from repro.ir.events import EventUse
 from repro.ir.module import Buffer, IRFunction
 from repro.ir.ops import AllocOp, Block, CallOp, CopyOp, ForOp, PForOp
 from repro.machine.memory import MemoryKind
-from repro.machine.processor import ProcessorKind, depth_of
+from repro.machine.processor import ProcessorKind
 from repro.numbering import next_number
-from repro.sym import Var
 from repro.tensors.dtype import DType
 from repro.tensors.regions import prove_iterations_disjoint
 from repro.tensors.tensor import TensorRef
@@ -325,11 +324,17 @@ class DependenceAnalysis:
         Write pairs are first proved disjoint *analytically* over the
         whole iteration domain by the region algebra
         (:func:`repro.tensors.regions.prove_iterations_disjoint` — the
-        affine separating-axis argument); only pairs the proof cannot
-        resolve fall back to sampling iteration pairs (first, second,
-        last), which catches the common off-by-one tiling errors. The
-        fallback's verdicts are those of :meth:`TensorRef.may_alias`,
-        so they can never be weaker than coordinate enumeration.
+        affine separating-axis argument). Pairs the proof cannot resolve
+        fall back to sampling, which is *not* sound: every loop variable
+        takes the same position, and only the joint points (0, …),
+        (1, …) and (last, …) are compared with each other through
+        :meth:`TensorRef.may_alias`. It catches off-by-one tilings but
+        misses writes that alias between iterations differing in one
+        variable only: ``gemm_reduction``'s column tiles all write their
+        row tile of ``y``, and once the grid has three row tiles or more
+        no two sampled points share one, so the kernel compiles (the
+        strict xfail ``test_gemm_reduction_column_tiles_alias_y[3]``
+        pins this miss). ROADMAP items 2b and 4 will fix it.
         """
         writes: List[Tuple[TensorRef, Privilege]] = []
         for inner in stmt.body:

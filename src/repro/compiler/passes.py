@@ -40,13 +40,11 @@ class VerifyPolicy(enum.Enum):
 
     ``EVERY_PASS`` verifies the input IR and the IR after each mutating
     pass (the paper's debug discipline); ``ENDS`` verifies only the
-    input and the final IR; ``NEVER`` skips verification entirely (for
-    trusted autotuning sweeps where throughput matters).
+    input and the final IR (what autotuning sweeps use).
     """
 
     EVERY_PASS = "every-pass"
     ENDS = "ends"
-    NEVER = "never"
 
 
 @dataclass
@@ -335,9 +333,8 @@ class PassManager:
         trace = PassTrace(
             pass_names=self.pass_names, verify_policy=self.verify
         )
-        if self.verify is not VerifyPolicy.NEVER:
-            verify_function(fn)
-            trace.verified_after.append("input")
+        verify_function(fn)
+        trace.verified_after.append("input")
         phases = _phase_tracker()
         for p in self.passes:
             ops_before = _ir_size(fn)

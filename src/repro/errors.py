@@ -21,10 +21,6 @@ class TensorError(CypressError):
     """Illegal tensor construction, indexing, or dtype use."""
 
 
-class LayoutError(TensorError):
-    """Illegal layout algebra operation (shape/stride mismatch)."""
-
-
 class PartitionError(TensorError):
     """Illegal partitioning request (bad block shape, bad index)."""
 

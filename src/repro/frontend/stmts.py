@@ -63,13 +63,6 @@ class LoopStmt(Statement):
     extents: Tuple[int, ...]
     body: List[Statement] = field(default_factory=list)
 
-    @property
-    def trip_count(self) -> int:
-        out = 1
-        for extent in self.extents:
-            out *= extent
-        return out
-
     def __repr__(self) -> str:
         kind = "prange" if self.parallel else "srange"
         idx = ",".join(v.name for v in self.indices)

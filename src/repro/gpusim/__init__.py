@@ -14,7 +14,6 @@ from repro.gpusim.kernel import Instr, KernelSchedule, Segment
 from repro.gpusim.engine import ResourcePool
 from repro.gpusim.executor import CtaResult, simulate_cta
 from repro.gpusim.gpu import GpuResult, simulate_kernel
-from repro.gpusim.barriers import MBarrier
 from repro.gpusim.functional import interpret_function
 from repro.gpusim.roofline import Roofline, roofline
 
@@ -27,7 +26,6 @@ __all__ = [
     "CtaResult",
     "simulate_kernel",
     "GpuResult",
-    "MBarrier",
     "interpret_function",
     "Roofline",
     "roofline",

@@ -11,14 +11,7 @@ generation lowers them onto barriers and instruction ordering, and no
 dynamic dependence tracking survives into generated code.
 """
 
-from repro.ir.events import (
-    BROADCAST,
-    Event,
-    EventDim,
-    EventType,
-    EventUse,
-    unit_type,
-)
+from repro.ir.events import BROADCAST, Event, EventDim, EventType, EventUse
 from repro.ir.ops import (
     AllocOp,
     Block,
@@ -39,7 +32,6 @@ __all__ = [
     "EventDim",
     "EventType",
     "EventUse",
-    "unit_type",
     "Operation",
     "AllocOp",
     "CopyOp",

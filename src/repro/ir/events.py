@@ -61,10 +61,6 @@ class EventDim:
 EventType = Tuple[EventDim, ...]
 
 
-def unit_type() -> EventType:
-    return ()
-
-
 class Event:
     """An SSA event value produced by one operation."""
 

@@ -3,16 +3,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Tuple
 
 from repro.errors import MachineError
 from repro.machine.memory import MemoryKind, MemoryLevel
-from repro.machine.processor import (
-    PROCESSOR_ORDER,
-    ProcessorKind,
-    ProcessorLevel,
-    depth_of,
-)
+from repro.machine.processor import ProcessorKind, ProcessorLevel, depth_of
 
 
 @dataclass(frozen=True)
@@ -70,48 +65,6 @@ class MachineModel:
                 return level
         raise MachineError(f"machine {self.name} has no {kind.name} level")
 
-    def child_of(self, kind: ProcessorKind) -> Optional[ProcessorKind]:
-        """The next level below ``kind`` on this machine, if any."""
-        kinds = [level.kind for level in self.levels]
-        idx = kinds.index(kind)
-        if idx + 1 < len(kinds):
-            return kinds[idx + 1]
-        return None
-
-    def parent_of(self, kind: ProcessorKind) -> Optional[ProcessorKind]:
-        """The next level above ``kind`` on this machine, if any."""
-        kinds = [level.kind for level in self.levels]
-        idx = kinds.index(kind)
-        if idx > 0:
-            return kinds[idx - 1]
-        return None
-
-    def levels_between(
-        self, outer: ProcessorKind, inner: ProcessorKind
-    ) -> Sequence[ProcessorKind]:
-        """Levels strictly between ``outer`` and ``inner`` (exclusive)."""
-        kinds = [level.kind for level in self.levels]
-        i, j = kinds.index(outer), kinds.index(inner)
-        if i > j:
-            raise MachineError(
-                f"{outer.name} is not above {inner.name} on {self.name}"
-            )
-        return kinds[i + 1 : j]
-
-    def threads_per(self, kind: ProcessorKind) -> int:
-        """Number of hardware threads contained in one processor of ``kind``.
-
-        HOST is treated as containing one thread block's worth of threads
-        times the block count, but callers normally ask about BLOCK and
-        below (e.g. 128 threads per warpgroup on Hopper).
-        """
-        kinds = [level.kind for level in self.levels]
-        idx = kinds.index(kind)
-        total = 1
-        for level in self.levels[idx + 1 :]:
-            total *= level.count
-        return total
-
     # ------------------------------------------------------------------
     # Memory queries
     # ------------------------------------------------------------------
@@ -135,14 +88,6 @@ class MachineModel:
             return True
         level = self.memory(mem)
         return depth_of(proc) >= depth_of(level.visible_from)
-
-    def validate_placement(self, mem: MemoryKind, proc: ProcessorKind) -> None:
-        """Raise :class:`MachineError` unless ``proc`` can address ``mem``."""
-        if not self.is_visible(mem, proc):
-            raise MachineError(
-                f"memory {mem.name} is not visible from processor "
-                f"{proc.name} on machine {self.name}"
-            )
 
     def spec(self, key: str) -> float:
         """A numeric spec, raising a helpful error when missing."""
@@ -170,19 +115,3 @@ class MachineModel:
                     f"{mem.visible_from.name.lower()}"
                 )
         return "\n".join(lines)
-
-
-def default_hierarchy_counts() -> Dict[ProcessorKind, int]:
-    """CUDA-mandated child counts: 4 warps/warpgroup, 32 threads/warp."""
-    return {
-        ProcessorKind.HOST: 1,
-        ProcessorKind.BLOCK: 1,
-        ProcessorKind.WARPGROUP: 4,
-        ProcessorKind.WARP: 32,
-        ProcessorKind.THREAD: 1,
-    }
-
-
-def full_processor_order() -> Tuple[ProcessorKind, ...]:
-    """The complete abstract processor order (convenience re-export)."""
-    return PROCESSOR_ORDER

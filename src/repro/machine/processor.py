@@ -39,11 +39,6 @@ def depth_of(kind: ProcessorKind) -> int:
     return PROCESSOR_ORDER.index(kind)
 
 
-def is_deeper(inner: ProcessorKind, outer: ProcessorKind) -> bool:
-    """True when ``inner`` is strictly below ``outer`` in the hierarchy."""
-    return depth_of(inner) > depth_of(outer)
-
-
 def is_intra_block(kind: ProcessorKind) -> bool:
     """True for levels whose parallel loops are implicit on a GPU.
 

@@ -1,8 +1,8 @@
-"""First-class tensors, layouts, and partitioning operators.
+"""First-class tensors and partitioning operators.
 
 This package implements the data side of the Cypress model (paper
-section 3.2): dtypes, a CuTe-style layout algebra with XOR swizzles,
-logical tensors, and the two partitioning operators ``blocks`` and
+section 3.2): dtypes, logical tensors, the region algebra that answers
+overlap questions, and the two partitioning operators ``blocks`` and
 ``mma`` (including the Figure 4 WGMMA output-fragment layout).
 """
 
@@ -17,8 +17,6 @@ from repro.tensors.regions import (
     rows_intersect,
     symbolic_box,
 )
-from repro.tensors.layout import Layout, coalesce, complement, composition
-from repro.tensors.swizzle import Swizzle, bank_conflict_ways
 from repro.tensors.tensor import LogicalTensor, TensorRef
 from repro.tensors.partition import (
     BlocksPartition,
@@ -43,12 +41,6 @@ __all__ = [
     "bf16",
     "f64",
     "i32",
-    "Layout",
-    "coalesce",
-    "complement",
-    "composition",
-    "Swizzle",
-    "bank_conflict_ways",
     "LogicalTensor",
     "TensorRef",
     "Box",

@@ -11,8 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.errors import TensorError
-
 
 @dataclass(frozen=True)
 class DType:
@@ -35,10 +33,6 @@ class DType:
         """The numpy dtype object for stored values."""
         return np.dtype(self.np_dtype)
 
-    def accumulator_dtype(self) -> "DType":
-        """The dtype used for Tensor Core accumulation of this type."""
-        return by_name(self.accumulator)
-
     def __repr__(self) -> str:
         return self.name
 
@@ -48,19 +42,3 @@ bf16 = DType("bf16", 2, "float32", "f32")  # numpy lacks bfloat16; model as f32
 f32 = DType("f32", 4, "float32", "f32")
 f64 = DType("f64", 8, "float64", "f64")
 i32 = DType("i32", 4, "int32", "i32")
-
-_ALL = {dt.name: dt for dt in (f16, bf16, f32, f64, i32)}
-
-
-def by_name(name: str) -> DType:
-    """Look a dtype up by its short name."""
-    if name not in _ALL:
-        raise TensorError(
-            f"unknown dtype {name!r}; known dtypes: {sorted(_ALL)}"
-        )
-    return _ALL[name]
-
-
-def all_dtypes() -> tuple:
-    """All registered dtypes, for property-based tests."""
-    return tuple(_ALL.values())

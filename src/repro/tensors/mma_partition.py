@@ -121,7 +121,6 @@ class MmaPartition(Partition):
         self.atom = atom
         self.proc = proc
         self.operand = operand
-        self.disjoint = operand == "C"
         if operand == "C":
             self._validate_c_shape()
 

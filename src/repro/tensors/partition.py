@@ -30,9 +30,6 @@ class Partition:
     """
 
     kind: str = "abstract"
-    #: True when distinct pieces never share elements (writes through a
-    #: disjoint partition from parallel tasks are race-free).
-    disjoint: bool = True
 
     def __init__(self, source: TensorRef):
         self.source = source
@@ -77,7 +74,11 @@ class Partition:
         decomposition of each index expression. Only partitions whose
         pieces stay dense boxes under affine offsets can implement
         this; the default declines, which sends the ``prange``
-        disjointness check to its sampling fallback.
+        disjointness check to its sampling fallback. That fallback
+        compares only the joint iteration points (0, …), (1, …) and
+        (last, …), so it is not sound: it misses aliasing writes that
+        only iterations differing in one variable share (see
+        ``DependenceAnalysis._check_prange_disjoint``).
         """
         return None
 
@@ -129,7 +130,6 @@ class BlocksPartition(Partition):
     """
 
     kind = "blocks"
-    disjoint = True
 
     def __init__(self, source: TensorRef, block_shape: Sequence[int]):
         super().__init__(source)
@@ -149,12 +149,6 @@ class BlocksPartition(Partition):
     def grid(self) -> Tuple[int, ...]:
         return tuple(
             -(-extent // block)
-            for extent, block in zip(self.source.shape, self.block_shape)
-        )
-
-    def _is_ragged(self) -> bool:
-        return any(
-            extent % block != 0
             for extent, block in zip(self.source.shape, self.block_shape)
         )
 
@@ -224,7 +218,6 @@ class SqueezePartition(Partition):
     """
 
     kind = "squeeze"
-    disjoint = True
 
     def __init__(self, source: TensorRef):
         super().__init__(source)

@@ -288,34 +288,31 @@ class TensorRef:
     # ------------------------------------------------------------------
     # Aliasing
     # ------------------------------------------------------------------
-    def may_alias(
-        self, other: "TensorRef", env: Optional[Mapping[str, int]] = None
-    ) -> bool:
+    def may_alias(self, other: "TensorRef") -> bool:
         """Do two references possibly share elements?
 
-        Exact when both references are concrete under ``env``;
-        references into different root tensors never alias; otherwise
-        conservatively ``True``. The test is symbolic first — both
-        element sets become strided interval boxes
-        (:mod:`repro.tensors.regions`) compared in O(rank) — and only
-        partition kinds the algebra cannot describe pay for coordinate
-        materialization (a vectorized numpy row intersection).
+        Exact when both references are concrete; references into
+        different root tensors never alias; otherwise conservatively
+        ``True``. The test is symbolic first — both element sets become
+        strided interval boxes (:mod:`repro.tensors.regions`) compared
+        in O(rank) — and only partition kinds the algebra cannot
+        describe pay for coordinate materialization (a vectorized numpy
+        row intersection).
         """
         if self.root is not other.root:
             return False
         if self.is_whole or other.is_whole:
             return True
-        env = env or {}
         try:
-            mine_region = region_of(self, env)
-            their_region = region_of(other, env)
+            mine_region = region_of(self, {})
+            their_region = region_of(other, {})
         except KeyError:
             return True  # symbolic index we cannot resolve: be conservative
         if mine_region is not None and their_region is not None:
             return mine_region.intersects(their_region)
         try:
-            mine = self.element_coords(env).reshape(-1, self.root.rank)
-            theirs = other.element_coords(env).reshape(-1, self.root.rank)
+            mine = self.element_coords().reshape(-1, self.root.rank)
+            theirs = other.element_coords().reshape(-1, self.root.rank)
         except KeyError:
             return True
         return rows_intersect(mine, theirs)

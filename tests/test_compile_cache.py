@@ -84,14 +84,15 @@ class TestCacheMiss:
         assert api.compile_cache_stats().misses == 2
 
     def test_verify_policy_part_of_key(self, hopper):
-        # A kernel cached without verification must not serve a caller
-        # asking for the verify-every-pass debug discipline.
-        unverified = api.compile_kernel(
-            _build(hopper), options=CompileOptions(verify="never")
+        # A kernel cached with verification at the ends only must not
+        # serve a caller asking for the verify-every-pass discipline.
+        ends = api.compile_kernel(
+            _build(hopper), options=CompileOptions(verify="ends")
         )
         strict = api.compile_kernel(_build(hopper))
-        assert strict is not unverified
-        assert strict.pass_trace.verified_after  # verification ran
+        assert strict is not ends
+        assert ends.pass_trace.verified_after == ["input", "output"]
+        assert "copy-elim" in strict.pass_trace.verified_after
 
     def test_same_mapping_different_program_misses(self, hopper):
         """Task bodies are part of the fingerprint, not just names."""

@@ -1,47 +1,12 @@
-"""Tests for the GPU simulator: barriers, resources, executor, GPU model."""
+"""Tests for the GPU simulator: resources, executor, GPU model."""
 
 import pytest
 
 from repro.errors import SimulationError
-from repro.gpusim import Instr, KernelSchedule, MBarrier, Segment
-from repro.gpusim.barriers import TxBarrier
+from repro.gpusim import Instr, KernelSchedule, Segment
 from repro.gpusim.engine import Resource, ResourcePool
 from repro.gpusim.executor import simulate_cta
 from repro.gpusim.gpu import occupancy, simulate_kernel
-
-
-class TestMBarrier:
-    def test_phase_flip(self):
-        bar = MBarrier(2)
-        assert not bar.try_wait(0)
-        bar.arrive()
-        assert not bar.try_wait(0)
-        bar.arrive()
-        assert bar.try_wait(0)
-        assert not bar.try_wait(1)
-
-    def test_rearms(self):
-        bar = MBarrier(1)
-        bar.arrive()
-        bar.arrive()
-        assert bar.phase == 2
-
-    def test_over_arrival_rejected(self):
-        bar = MBarrier(1)
-        with pytest.raises(SimulationError):
-            bar.arrive(2)
-
-    def test_tx_barrier_completes_on_bytes(self):
-        bar = MBarrier(1)
-        tx = bar.expect_tx(1024)
-        assert not tx.deliver(512)
-        assert tx.deliver(512)
-        assert bar.try_wait(0)
-
-    def test_tx_overdelivery_rejected(self):
-        tx = TxBarrier(MBarrier(1), 100)
-        with pytest.raises(SimulationError):
-            tx.deliver(200)
 
 
 class TestResources:

@@ -3,21 +3,9 @@
 import pytest
 
 from repro.errors import MachineError
-from repro.machine import (
-    MachineModel,
-    MemoryKind,
-    ProcessorKind,
-    ampere_machine,
-    hopper_machine,
-)
-from repro.machine.machine import default_hierarchy_counts
+from repro.machine import MachineModel, MemoryKind, ProcessorKind
 from repro.machine.memory import MemoryLevel
-from repro.machine.processor import (
-    ProcessorLevel,
-    depth_of,
-    is_deeper,
-    is_intra_block,
-)
+from repro.machine.processor import ProcessorLevel, depth_of, is_intra_block
 
 
 class TestHierarchy:
@@ -25,20 +13,11 @@ class TestHierarchy:
         assert depth_of(ProcessorKind.HOST) < depth_of(ProcessorKind.BLOCK)
         assert depth_of(ProcessorKind.WARP) < depth_of(ProcessorKind.THREAD)
 
-    def test_is_deeper(self):
-        assert is_deeper(ProcessorKind.THREAD, ProcessorKind.WARP)
-        assert not is_deeper(ProcessorKind.HOST, ProcessorKind.BLOCK)
-
     def test_intra_block_levels(self):
         assert is_intra_block(ProcessorKind.WARPGROUP)
         assert is_intra_block(ProcessorKind.THREAD)
         assert not is_intra_block(ProcessorKind.BLOCK)
         assert not is_intra_block(ProcessorKind.HOST)
-
-    def test_default_counts(self):
-        counts = default_hierarchy_counts()
-        assert counts[ProcessorKind.WARPGROUP] == 4
-        assert counts[ProcessorKind.WARP] == 32
 
     def test_bad_level_count(self):
         with pytest.raises(ValueError):
@@ -49,12 +28,6 @@ class TestHopperMachine:
     def test_has_warpgroup_level(self, hopper):
         assert hopper.has_level(ProcessorKind.WARPGROUP)
 
-    def test_threads_per_warpgroup(self, hopper):
-        assert hopper.threads_per(ProcessorKind.WARPGROUP) == 128
-
-    def test_threads_per_warp(self, hopper):
-        assert hopper.threads_per(ProcessorKind.WARP) == 32
-
     def test_memory_visibility(self, hopper):
         assert hopper.is_visible(MemoryKind.GLOBAL, ProcessorKind.HOST)
         assert hopper.is_visible(MemoryKind.SHARED, ProcessorKind.THREAD)
@@ -63,10 +36,6 @@ class TestHopperMachine:
 
     def test_none_memory_visible_everywhere(self, hopper):
         assert hopper.is_visible(MemoryKind.NONE, ProcessorKind.HOST)
-
-    def test_validate_placement_raises(self, hopper):
-        with pytest.raises(MachineError):
-            hopper.validate_placement(MemoryKind.SHARED, ProcessorKind.HOST)
 
     def test_shared_capacity(self, hopper):
         assert hopper.memory(MemoryKind.SHARED).capacity_bytes == 228 * 1024
@@ -78,16 +47,6 @@ class TestHopperMachine:
     def test_missing_spec_raises(self, hopper):
         with pytest.raises(MachineError):
             hopper.spec("nonexistent_spec")
-
-    def test_child_parent_navigation(self, hopper):
-        assert hopper.child_of(ProcessorKind.BLOCK) is (
-            ProcessorKind.WARPGROUP
-        )
-        assert hopper.parent_of(ProcessorKind.WARP) is (
-            ProcessorKind.WARPGROUP
-        )
-        assert hopper.parent_of(ProcessorKind.HOST) is None
-        assert hopper.child_of(ProcessorKind.THREAD) is None
 
     def test_describe_mentions_levels(self, hopper):
         text = hopper.describe()
@@ -105,15 +64,6 @@ class TestAmpereMachine:
 
     def test_no_tma_spec(self, ampere):
         assert "tma_issue_cycles" not in ampere.specs
-
-    def test_levels_between(self, ampere):
-        between = ampere.levels_between(
-            ProcessorKind.HOST, ProcessorKind.WARP
-        )
-        assert list(between) == [
-            ProcessorKind.BLOCK,
-            ProcessorKind.WARPGROUP,
-        ]
 
 
 class TestValidation:

@@ -1,9 +1,10 @@
 """Every settable value of the compile, tuning and serving entry points.
 
 Each list below is the literal set of parameters a caller may leave at
-its default (plus ``CompileOptions``' fields). A new keyword, or a new
-option field, fails this test until the list is edited in the same
-change — so adding a knob is a decision a reviewer sees.
+its default (plus ``CompileOptions``' fields and the values its
+``verify`` field accepts). A new keyword, option field or policy fails
+this test until the list is edited in the same change — so adding a
+knob is a decision a reviewer sees.
 """
 
 import dataclasses
@@ -12,7 +13,7 @@ import inspect
 import pytest
 
 from repro import api
-from repro.compiler.passes import CompileOptions
+from repro.compiler.passes import CompileOptions, VerifyPolicy
 from repro.compiler.pipeline import compile_program
 from repro.runtime import RuntimeServer
 from repro.tuner import autotune, rank_candidates
@@ -35,6 +36,8 @@ CENSUS = [
 
 COMPILE_OPTIONS_FIELDS = ["use_tma", "scalar_args", "verify", "cache", "passes"]
 
+VERIFY_POLICIES = ["every-pass", "ends"]
+
 
 def _settable(fn):
     names = []
@@ -56,3 +59,7 @@ def test_keyword_parameters_are_pinned(fn, expected):
 def test_compile_options_fields_are_pinned():
     fields = [field.name for field in dataclasses.fields(CompileOptions)]
     assert fields == COMPILE_OPTIONS_FIELDS
+
+
+def test_verify_policies_are_pinned():
+    assert [policy.value for policy in VerifyPolicy] == VERIFY_POLICIES

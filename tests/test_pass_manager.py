@@ -156,13 +156,9 @@ class TestVerifyPolicy:
         trace = self._trace(small_build, "ends")
         assert trace.verified_after == ["input", "output"]
 
-    def test_never_skips_verification(self, small_build):
-        trace = self._trace(small_build, VerifyPolicy.NEVER)
-        assert trace.verified_after == []
-
     def test_string_policy_coerced_in_options(self):
-        options = CompileOptions(verify="never")
-        assert options.verify is VerifyPolicy.NEVER
+        options = CompileOptions(verify="ends")
+        assert options.verify is VerifyPolicy.ENDS
         with pytest.raises(ValueError):
             CompileOptions(verify="sometimes")
 
