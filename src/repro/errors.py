@@ -62,19 +62,6 @@ class AllocationError(CompileError):
     """
 
 
-class TransientError(CypressError):
-    """A failure worth retrying: the operation may succeed if repeated.
-
-    The resilience layer (:mod:`repro.runtime.resilience`) treats
-    ``TransientError`` (and ``OSError``) as retryable with seeded
-    exponential backoff; every other exception is considered
-    deterministic and fails fast. Injected faults
-    (:class:`repro.runtime.faults.InjectedFault`) derive from this
-    class so the chaos harness exercises exactly the retry paths real
-    transient failures would take.
-    """
-
-
 class SimulationError(CypressError):
     """The GPU simulator was given an inconsistent schedule."""
 

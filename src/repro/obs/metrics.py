@@ -435,15 +435,6 @@ def server_metrics(
         "Exact-shape specializations currently installed.",
     ).set(stats.specializations_active)
 
-    breaker_state = reg.gauge(
-        "repro_breaker_state",
-        "Per-site breaker state: 0 closed, 1 half-open, 2 open.",
-        labels=("site",),
-    )
-    state_codes = {"closed": 0, "half-open": 1, "open": 2}
-    for site, state in stats.breaker_states.items():
-        breaker_state.set(state_codes.get(state, 2), site)
-
     cache = compile_cache.stats
     reg.counter(
         "repro_compile_cache_hits_total", "In-memory compile-cache hits."

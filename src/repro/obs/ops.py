@@ -14,11 +14,11 @@ Endpoints:
   (validated by :func:`~repro.obs.metrics.validate_prometheus_text`).
 - ``GET /statusz`` — build info, uptime, effective config, the
   schema-versioned ``RuntimeStats.to_json()``, SLO and profiler state.
-- ``GET /healthz`` — liveness; reports ``"degraded"`` while breakers
-  are open or the shed rate exceeds the readiness threshold.
+- ``GET /healthz`` — liveness; reports ``"degraded"`` while the shed
+  rate exceeds the readiness threshold.
 - ``GET /readyz`` — readiness for traffic: started, not closed,
-  warmed, no open breakers, shed rate under threshold; 503 otherwise
-  with the reasons listed.
+  warmed, shed rate under threshold; 503 otherwise with the reasons
+  listed.
 - ``GET /tracez`` — the span ring as a Chrome-trace payload.
 - ``GET /flightz`` — the flight recorder's current buffer as a dump
   payload (no file is written).
@@ -293,42 +293,29 @@ class DiagServer:
         }
         return self._json(200, payload)
 
-    def _health_signals(self) -> Tuple[int, float, object]:
+    def _shed_rate(self) -> float:
         stats = self.runtime.stats()
-        open_breakers = sum(
-            1
-            for state in stats.breaker_states.values()
-            if state == "open"
-        )
-        shed_rate = (
-            stats.shed_requests / stats.requests if stats.requests else 0.0
-        )
-        return open_breakers, shed_rate, stats
+        return stats.shed_requests / stats.requests if stats.requests else 0.0
 
     def _healthz(self) -> Tuple[int, str, bytes]:
-        open_breakers, shed_rate, _ = self._health_signals()
-        degraded = (
-            open_breakers > 0 or shed_rate > self.config.ready_shed_rate
-        )
+        shed_rate = self._shed_rate()
+        degraded = shed_rate > self.config.ready_shed_rate
         return self._json(
             200,
             {
                 "status": "degraded" if degraded else "ok",
-                "breakers_open": open_breakers,
                 "shed_rate": round(shed_rate, 6),
             },
         )
 
     def _readyz(self) -> Tuple[int, str, bytes]:
         runtime = self.runtime
-        open_breakers, shed_rate, stats = self._health_signals()
+        shed_rate = self._shed_rate()
         reasons = []
         if not runtime.started:
             reasons.append("not started")
         if not runtime.warmed:
             reasons.append("no warmed buckets and no completed requests")
-        if open_breakers:
-            reasons.append(f"{open_breakers} circuit breaker(s) open")
         if shed_rate > self.config.ready_shed_rate:
             reasons.append(
                 f"shed rate {shed_rate:.3f} exceeds "

@@ -23,9 +23,8 @@ calls, this package keeps compiled kernels alive and serves them:
   tiered promote/deoptimize loop that counts per-exact-shape traffic,
   promotes hot shapes to tile-aligned specialized kernels served with
   (near-)zero padding, and deoptimizes them when traffic shifts.
-* :mod:`~repro.runtime.resilience` — deadlines, bounded-queue load
-  shedding, seeded retries, and per-site circuit breakers with
-  degraded-mode serving (memory-only, generic-bucket fallback).
+* :mod:`~repro.runtime.resilience` — deadlines and bounded-queue load
+  shedding.
 * :mod:`~repro.runtime.faults` — :class:`FaultPlan`: deterministic,
   seeded fault injection at named sites, driving the chaos soak
   (``tests/test_resilience.py::TestChaosGolden``).
@@ -41,14 +40,7 @@ from repro.runtime.registry import (
     RegisteredKernel,
     default_registry,
 )
-from repro.runtime.resilience import (
-    BreakerOpen,
-    CircuitBreaker,
-    DeadlineExceeded,
-    ResilienceConfig,
-    ResilientTier,
-    RetryPolicy,
-)
+from repro.runtime.resilience import DeadlineExceeded, ResilienceConfig
 from repro.runtime.server import RuntimeResult, RuntimeServer
 from repro.runtime.specialize import (
     ShapeSpecializer,
@@ -65,8 +57,6 @@ from repro.runtime.telemetry import (
 __all__ = [
     "Bucket",
     "BucketPolicy",
-    "BreakerOpen",
-    "CircuitBreaker",
     "DeadlineExceeded",
     "DiskCacheStats",
     "DiskCacheTier",
@@ -77,8 +67,6 @@ __all__ = [
     "KernelServingStats",
     "RegisteredKernel",
     "ResilienceConfig",
-    "ResilientTier",
-    "RetryPolicy",
     "RuntimeResult",
     "RuntimeServer",
     "RuntimeStats",

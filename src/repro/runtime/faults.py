@@ -22,11 +22,11 @@ branch when no plan is installed::
     if plan is not None:
         plan.check("compile", kernel_name)
 
-:class:`InjectedFault` derives from :class:`~repro.errors.
-TransientError`, so injected failures flow through exactly the retry /
-circuit-breaker / degraded-serving paths that real transient failures
-(a flaky disk, a crashed subprocess) would take — the whole point of
-the harness.
+or, around a call, :func:`checked`, which returns the callable itself
+while no plan is installed. An injected failure takes the path any
+failure of that step would take: a failed compile or simulation fails
+its micro-batch's requests, a crashed cycle loop is restarted by its
+supervisor.
 """
 
 from __future__ import annotations
@@ -34,19 +34,16 @@ from __future__ import annotations
 import contextlib
 import random
 import threading
-from typing import Dict, Iterator, Optional
+from typing import Any, Callable, Dict, Iterator, Optional
 
-from repro.errors import CypressError, TransientError
+from repro.errors import CypressError
 
 #: Every fault site the serving stack instruments. ``compile`` fires on
-#: an actual (cache-missing) kernel compilation, ``disk.load`` /
-#: ``disk.store`` on persistent-tier operations, ``worker.execute`` on
-#: a micro-batch's simulate/execute step, and ``loop.cycle`` on each
-#: background-loop cycle (speculator / specializer supervision).
+#: a request's actual (cache-missing) kernel compilation,
+#: ``worker.execute`` on a micro-batch's simulation, and ``loop.cycle``
+#: on each background-loop cycle (speculator / specializer supervision).
 FAULT_SITES = (
     "compile",
-    "disk.load",
-    "disk.store",
     "worker.execute",
     "loop.cycle",
 )
@@ -58,7 +55,7 @@ FAULT_SITES = (
 ACTIVE: Optional["FaultPlan"] = None
 
 
-class InjectedFault(TransientError):
+class InjectedFault(CypressError):
     """The failure a :class:`FaultPlan` injects at a fault site.
 
     Carries the site name and the per-site injection ordinal so test
@@ -128,12 +125,6 @@ class FaultPlan:
             self.inject(site, rate)
         return self
 
-    def rate(self, site: str) -> float:
-        """The configured failure probability of ``site`` (0.0 if
-        unarmed)."""
-        with self._lock:
-            return self._rates.get(site, 0.0)
-
     def check(self, site: str, detail: str = "") -> None:
         """One instrumented operation at ``site``: raise or pass.
 
@@ -186,6 +177,26 @@ class FaultPlan:
                 }
                 for site in FAULT_SITES
             }
+
+
+def checked(
+    site: str, detail: str, fn: Callable[..., Any]
+) -> Callable[..., Any]:
+    """``fn`` behind the ``site`` check of the installed plan.
+
+    Returns ``fn`` itself while no plan is installed, so an
+    uninstrumented call pays one ``is None`` branch; otherwise a wrapper
+    that runs ``ACTIVE.check(site, detail)`` before each call.
+    """
+    plan = ACTIVE
+    if plan is None:
+        return fn
+
+    def call(*args: Any) -> Any:
+        plan.check(site, detail)
+        return fn(*args)
+
+    return call
 
 
 def install(plan: FaultPlan) -> None:

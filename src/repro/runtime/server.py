@@ -24,23 +24,20 @@ from disk — zero passes executed. ``warm`` precompiles buckets ahead of
 traffic and can autotune each bucket's mapping with
 :func:`repro.tuner.autotune` first.
 
-The server composes the :mod:`~repro.runtime.resilience` layer so a
-single node degrades instead of failing: per-request **deadlines**
-(``submit(deadline=...)``) fail fast at dispatch, a **bounded queue**
-sheds load under the configured policy, transient compile/disk
-failures **retry** with seeded backoff, and per-site **circuit
-breakers** cut over to degraded serving — memory-only when the disk
-breaker opens, generic-bucket when a kernel's compile breaker opens.
-``docs/resilience.md`` has the failure taxonomy and guarantees.
+The server bounds its work with the :mod:`~repro.runtime.resilience`
+controls: per-request **deadlines** (``submit(deadline=...)``) fail
+fast at dispatch, and a **bounded queue** sheds load under the
+configured policy. A failed compile or simulation fails its batch's
+requests and nothing else; it is not retried, because both are pure
+functions of the kernel and the machine (``docs/resilience.md``).
 
 A request crosses five stages — **admit** (``submit`` /
 ``submit_prepared``), then on a worker **dispatch**, **obtain**,
 **execute** and **resolve** (``_serve``) — and what cuts across them
 has one owner each: :meth:`RuntimeServer._settle` alone ends a request
-(span, terminal counter, future), :func:`~repro.runtime.resilience.
-guarded_call` is the one breaker / fault-site / retry wrapper, and
-:class:`_Stages` the one source of a batch's profiler phases and stage
-spans (``docs/serving.md`` maps which acts where).
+(span, terminal counter, future), and :class:`_Stages` is the one
+source of a batch's profiler phases and stage spans
+(``docs/serving.md`` maps which acts where).
 """
 
 from __future__ import annotations
@@ -65,17 +62,13 @@ from repro.obs.ops import DiagConfig, DiagServer
 from repro.obs.profiler import PHASES, ContinuousProfiler, ProfilerConfig
 from repro.obs.slo import SloMonitor
 from repro.obs.trace import NULL_TRACER, Tracer
+from repro.runtime import faults
 from repro.runtime.bucketing import Bucket
 from repro.runtime.diskcache import DiskCacheTier
 from repro.runtime.resilience import (
-    BREAKER_OPEN,
     SHED_REJECT_NEW,
-    BreakerOpen,
-    CircuitBreaker,
     DeadlineExceeded,
     ResilienceConfig,
-    ResilientTier,
-    guarded_call,
 )
 from repro.runtime.registry import (
     KernelRegistry,
@@ -337,11 +330,8 @@ class RuntimeServer:
             dumped to disk on :meth:`close` and on worker-loop
             exceptions, for postmortems.
         resilience: a :class:`~repro.runtime.resilience.
-            ResilienceConfig` tuning the queue bound, load-shedding
-            policy, retry backoff, and breaker cooldown. ``None``
-            (the default) arms retries and breakers with conservative
-            defaults while keeping the queue unbounded — the
-            historical behavior, plus self-healing.
+            ResilienceConfig` setting the queue bound and load-shedding
+            policy. ``None`` (the default) keeps the queue unbounded.
         diag: the live ops plane (:mod:`repro.obs.ops`): an embedded
             read-only HTTP listener serving ``/metrics``,
             ``/statusz``, ``/healthz``, ``/readyz``, ``/tracez``,
@@ -404,10 +394,6 @@ class RuntimeServer:
         self._live_graphs: Dict[int, Any] = {}
         self.telemetry = Telemetry()
         self.resilience = resilience or ResilienceConfig()
-        #: Lazily created per-site breakers (``"disk"``,
-        #: ``"compile:<kernel>"``); see :meth:`_breaker`.
-        self.breakers: Dict[str, CircuitBreaker] = {}
-        self._breaker_lock = threading.Lock()
         self.flight: Optional[FlightRecorder] = (
             flight
             if flight is None or isinstance(flight, FlightRecorder)
@@ -431,24 +417,11 @@ class RuntimeServer:
             if specialize
             else None
         )
-        if disk_cache is None:
-            self.disk_tier: Optional[ResilientTier] = None
-        else:
-            raw_tier = (
-                disk_cache
-                if isinstance(disk_cache, DiskCacheTier)
-                else DiskCacheTier(disk_cache)
-            )
-            # The server's disk tier IS the armored wrapper: every
-            # load/store of the one fetch goes through retry + breaker,
-            # and an open disk breaker degrades to memory-only serving.
-            self.disk_tier = ResilientTier(
-                raw_tier,
-                breaker=self._breaker("disk"),
-                retry=self.resilience.retry,
-                on_retry=self._on_retry,
-                on_degraded=self._on_degraded,
-            )
+        self.disk_tier: Optional[DiskCacheTier] = (
+            disk_cache
+            if disk_cache is None or isinstance(disk_cache, DiskCacheTier)
+            else DiskCacheTier(disk_cache)
+        )
         self.profiler = None
         self.slo_monitor = None
         self.diag = None
@@ -897,50 +870,6 @@ class RuntimeServer:
         )
 
     # ------------------------------------------------------------------
-    # Resilience plumbing
-    # ------------------------------------------------------------------
-    def _breaker(self, site: str) -> CircuitBreaker:
-        """The lazily created circuit breaker guarding ``site``
-        (``"disk"``, ``"compile:<kernel>"``)."""
-        with self._breaker_lock:
-            breaker = self.breakers.get(site)
-            if breaker is None:
-                breaker = CircuitBreaker(
-                    site,
-                    cooldown_s=self.resilience.breaker_cooldown_s,
-                    on_transition=self._on_breaker_transition,
-                )
-                self.breakers[site] = breaker
-            return breaker
-
-    def _on_breaker_transition(
-        self, site: str, old: str, new: str
-    ) -> None:
-        # Invoked outside the breaker lock (see CircuitBreaker).
-        if new == BREAKER_OPEN:
-            self.telemetry.count("breaker_trips")
-        tracer = self.tracer
-        if tracer.enabled:
-            now = time.perf_counter()
-            tracer.record(
-                "breaker", "resilience", now, now,
-                args={"site": site, "from": old, "to": new},
-            )
-        if self.flight is not None:
-            self.flight.note(
-                "breaker", {"site": site, "from": old, "to": new}
-            )
-
-    def _on_retry(self, error: BaseException) -> None:
-        # Counts every transient failure the retry machinery absorbs,
-        # including a final failing attempt — so a chaos soak can
-        # assert retries >= injected transient faults.
-        self.telemetry.count("retries")
-
-    def _on_degraded(self, site: str) -> None:
-        self.telemetry.count("degraded_serves")
-
-    # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
     def _launch(
@@ -981,7 +910,7 @@ class RuntimeServer:
             if launch is not None and launch.params is None:
                 del self._launches[(kernel, bucket)]
 
-    def _fetch(self, launch: Launch, guard=None) -> Tuple[Any, Optional[str]]:
+    def _fetch(self, launch: Launch, compute=None) -> Tuple[Any, str]:
         """The server's one kernel-acquisition path: ``(kernel, tier)``.
 
         The record's key is looked up — on every request: recency, the
@@ -992,18 +921,14 @@ class RuntimeServer:
         predate this server), so it is persisted here when the disk
         lacks it: a restart warms from disk whatever this server used.
 
-        ``guard(key, compute)`` sees the key before the lookup and
-        returns the ``compute`` to run when both tiers miss, or ``None``
-        to call the fetch off (``(None, None)``). Only the worker path's
-        guard wraps ``compute``: ``warm`` and the background loops stay
-        outside the compile breaker and the ``compile`` fault stream.
+        ``compute`` replaces the record's own when both tiers miss: the
+        worker path passes it through the ``compile`` fault site, while
+        ``warm`` and the background loops stay outside that stream.
         """
-        key, compute = launch.key, launch.compute
-        if guard is not None:
-            compute = guard(key, compute)
-            if compute is None:
-                return None, None
-        kernel, tier = compile_cache.lookup(key, compute, tier=self.disk_tier)
+        key = launch.key
+        kernel, tier = compile_cache.lookup(
+            key, compute or launch.compute, tier=self.disk_tier
+        )
         if (
             tier == TIER_MEMORY
             and self.disk_tier is not None
@@ -1140,41 +1065,6 @@ class RuntimeServer:
             live.append(request)
         return live
 
-    def _obtain(self, head: _QueuedRequest, batch_size: int):
-        """Resolve the batch's launch record and fetch its kernel with
-        compiles guarded — ``(launch, kernel, tier)`` — degrading a
-        specialized batch to its generic bucket's record when the
-        compile breaker is open (typically memory-cached, so no compile
-        at all); generic batches fail fast instead."""
-        registered = head.kernel
-        name = registered.name
-
-        def guard(key: str, compute) -> Any:
-            # Deferred: only a lookup that missed both tiers runs it, so
-            # the kernel's ``compile:<name>`` breaker, the ``compile``
-            # fault site and the retry loop cost a warm server nothing.
-            return lambda: guarded_call(
-                "compile", name, compute,
-                retry=self.resilience.retry,
-                salt=f"compile:{key}",
-                breaker=self._breaker(f"compile:{name}"),
-                on_retry=self._on_retry,
-            )
-
-        launch = self._launch(registered, head.bucket)
-        try:
-            return (launch, *self._fetch(launch, guard))
-        except BreakerOpen:
-            if not head.specialized:
-                raise
-            generic = registered.bucket(head.shape)
-            if generic == head.bucket:
-                raise
-            launch = self._launch(registered, generic)
-            fetched = self._fetch(launch, guard)
-            self.telemetry.count("degraded_serves", batch_size)
-            return (launch, *fetched)
-
     def _serve(self, batch: List[_QueuedRequest], stages: _Stages) -> None:
         """One popped micro-batch through dispatch, obtain, execute and
         resolve; ``stages`` marks each boundary as it is crossed."""
@@ -1184,21 +1074,20 @@ class RuntimeServer:
         stages.enter("batch")
         self.telemetry.record_batch(len(live))
         head = live[0]
+        name = head.kernel.name
         if self.speculator is not None:
-            self.speculator.note_request(head.kernel.name, head.bucket)
+            self.speculator.note_request(name, head.bucket)
         try:
             stages.enter("compile", head)
-            launch, kernel, tier = self._obtain(head, len(live))
+            launch = self._launch(head.kernel, head.bucket)
+            # The fault site wraps only the compile a lookup that missed
+            # both tiers runs, so a warm request never reaches it.
+            kernel, tier = self._fetch(
+                launch, faults.checked("compile", name, launch.compute)
+            )
             stages.enter("execute", head)
-            # Simulation is deterministic, so a retried transient fault
-            # reproduces bit-identical results — the degraded-output
-            # guarantee TestChaosGolden gates on.
-            gpu = guarded_call(
-                "worker.execute", head.kernel.name,
-                api.simulate, kernel, self.machine,
-                retry=self.resilience.retry,
-                salt=f"execute:{head.kernel.name}",
-                on_retry=self._on_retry,
+            gpu = faults.checked("worker.execute", name, api.simulate)(
+                kernel, self.machine
             )
         except Exception as error:
             for request in live:
@@ -1244,11 +1133,6 @@ class RuntimeServer:
         rates, queue depth, per-kernel throughput, tracing volume)."""
         with self._cv:
             depth = len(self._queue)
-        with self._breaker_lock:
-            breaker_states = {
-                site: breaker.state
-                for site, breaker in self.breakers.items()
-            }
         monitor = self.slo_monitor
         return self.telemetry.snapshot(
             queue_depth=depth,
@@ -1257,7 +1141,6 @@ class RuntimeServer:
             flight_records=(
                 self.flight.recorded if self.flight is not None else 0
             ),
-            breaker_states=breaker_states,
             slo_alerts=(
                 monitor.alert_states() if monitor is not None else None
             ),

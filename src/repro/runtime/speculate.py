@@ -205,8 +205,14 @@ class Speculator(BackgroundLoop):
             return 0
         compiled = 0
         for launch in launches:
+            # A key already attempted, or already in memory, is skipped:
+            # a speculative no-op must not reorder the LRU, which a
+            # lookup's hit would.
+            if launch.key in self._attempted or launch.key in compile_cache:
+                continue
+            self._attempted.add(launch.key)
             try:
-                _kernel, tier = server._fetch(launch, self._first_attempt)
+                _kernel, tier = server._fetch(launch)
             except CypressError:
                 continue  # the key is in _attempted: no retry next cycle
             if tier == TIER_COMPILE:
@@ -220,13 +226,3 @@ class Speculator(BackgroundLoop):
         server.telemetry.count("speculative_compiles", compiled)
         server.telemetry.count("speculation_issued", issued)
         return compiled
-
-    def _first_attempt(self, key: str, compute):
-        """The speculator's guard on the server's fetch: call it off
-        for a key already attempted or already in memory — a
-        speculative no-op must not reorder the LRU, which a lookup's
-        hit would — and leave ``compute`` unguarded otherwise."""
-        if key in self._attempted or key in compile_cache:
-            return None
-        self._attempted.add(key)
-        return compute

@@ -33,7 +33,7 @@ WINDOW = 2048
 
 #: Version of the ``RuntimeStats.to_json()`` schema. Bump on any
 #: renamed/removed key; consumers (``/statusz``, dashboards) key off it.
-STATS_SCHEMA_VERSION = 1
+STATS_SCHEMA_VERSION = 2
 
 
 class CounterSpec(NamedTuple):
@@ -98,10 +98,6 @@ COUNTERS = (
     # Deadline failures; the caller also counts them in ``failed``.
     CounterSpec("timeouts", "resilience", "timeouts", "repro_timeouts_total",
                 "Requests failed fast for missing their deadline."),
-    # Every transient fault seen (compile, disk tier, worker execute),
-    # the final attempt's included: ``retries`` >= faults injected.
-    CounterSpec("retries", "resilience", "retries", "repro_retries_total",
-                "Transient failures absorbed by the retry machinery."),
     # Shed requests are *not* counted in ``failed``: ``shed_requests +
     # completed + failed`` accounts for every admitted submit.
     CounterSpec("shed_requests", "resilience", "shed_requests",
@@ -111,14 +107,6 @@ COUNTERS = (
                 "repro_loop_crashes_total",
                 "Background-loop crashes caught and restarted by "
                 "supervision."),
-    # Memory-only after a disk-breaker trip, or generic-bucket fallback
-    # after a compile-breaker trip.
-    CounterSpec("degraded_serves", "resilience", "degraded_serves",
-                "repro_degraded_serves_total",
-                "Requests served in a degraded mode (breaker open)."),
-    CounterSpec("breaker_trips", "resilience", "breaker_trips",
-                "repro_breaker_trips_total",
-                "Circuit-breaker transitions to open."),
 )
 
 
@@ -184,24 +172,13 @@ class RuntimeStats:
     trace_spans: int = 0
     flight_records: int = 0
     timeouts: int = 0
-    retries: int = 0
     shed_requests: int = 0
     loop_crashes: int = 0
-    degraded_serves: int = 0
-    breaker_trips: int = 0
-    breaker_states: Dict[str, str] = field(default_factory=dict)
     #: Currently-firing SLO alerts (``{slo_name: severity}``) and the
     #: latest slow-window burn rate per objective, from the server's
     #: :class:`~repro.obs.slo.SloMonitor`; empty without one.
     slo_alerts: Dict[str, str] = field(default_factory=dict)
     slo_burn_rates: Dict[str, float] = field(default_factory=dict)
-
-    @property
-    def breakers_open(self) -> int:
-        """Circuit breakers currently not closed (open or half-open)."""
-        return sum(
-            1 for state in self.breaker_states.values() if state != "closed"
-        )
 
     @property
     def speculation_wasted(self) -> int:
@@ -274,9 +251,7 @@ class RuntimeStats:
                 "trace_spans": self.trace_spans,
                 "flight_records": self.flight_records,
             },
-            "resilience": {
-                "breaker_states": dict(sorted(self.breaker_states.items())),
-            },
+            "resilience": {},
             "slo": {
                 "alerts": dict(sorted(self.slo_alerts.items())),
                 "burn_rates": dict(sorted(self.slo_burn_rates.items())),
@@ -341,17 +316,11 @@ class RuntimeStats:
                 f"makespan p50 {self.p50_graph_makespan_s * 1e3:.2f} ms, "
                 f"p95 {self.p95_graph_makespan_s * 1e3:.2f} ms"
             )
-        if (
-            self.timeouts or self.retries or self.shed_requests
-            or self.loop_crashes or self.degraded_serves
-            or self.breaker_trips or self.breakers_open
-        ):
+        if self.timeouts or self.shed_requests or self.loop_crashes:
             lines.append(
-                f"resil.:  {self.timeouts} timeouts, {self.retries} "
-                f"retries, {self.shed_requests} shed, "
-                f"{self.degraded_serves} degraded serves; breakers "
-                f"{self.breaker_trips} trips ({self.breakers_open} "
-                f"open), {self.loop_crashes} loop crashes"
+                f"resil.:  {self.timeouts} timeouts, "
+                f"{self.shed_requests} shed, "
+                f"{self.loop_crashes} loop crashes"
             )
         if self.slo_alerts:
             lines.append(
@@ -523,7 +492,6 @@ class Telemetry:
         trace_enabled: bool = False,
         trace_spans: int = 0,
         flight_records: int = 0,
-        breaker_states: Optional[Dict[str, str]] = None,
         slo_alerts: Optional[Dict[str, str]] = None,
         slo_burn_rates: Optional[Dict[str, float]] = None,
     ) -> RuntimeStats:
@@ -534,8 +502,6 @@ class Telemetry:
             trace_enabled: whether the owning server has a live tracer.
             trace_spans: finished spans the tracer has recorded.
             flight_records: records appended to the flight recorder.
-            breaker_states: site -> circuit-breaker state at snapshot
-                time (the server passes its live breaker registry).
             slo_alerts: currently-firing SLO alerts by objective name.
             slo_burn_rates: slow-window burn rate per objective.
 
@@ -577,7 +543,6 @@ class Telemetry:
                 trace_enabled=trace_enabled,
                 trace_spans=trace_spans,
                 flight_records=flight_records,
-                breaker_states=dict(breaker_states or {}),
                 slo_alerts=dict(slo_alerts or {}),
                 slo_burn_rates=dict(slo_burn_rates or {}),
             )

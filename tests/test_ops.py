@@ -47,7 +47,7 @@ from repro.obs.flight import FlightRecorder
 from repro.runtime import BucketPolicy, KernelRegistry, RuntimeServer
 from repro.runtime import faults
 from repro.runtime.faults import FaultPlan
-from repro.runtime.resilience import BREAKER_OPEN, ResilienceConfig
+from repro.runtime.resilience import ResilienceConfig
 
 GEMM_SHAPE = dict(m=256, n=256, k=128)
 SMALL = dict(tile_m=128, tile_n=256, tile_k=64)
@@ -82,13 +82,13 @@ GOLDEN_SURFACE = Path(__file__).parent / "golden_serving_surface.json"
 
 
 def _key_tree(doc):
-    """``to_json()`` keys, nested; maps keyed by runtime names (breaker
-    sites, SLO names) collapse to ``None`` like any other leaf."""
+    """``to_json()`` keys, nested; maps keyed by runtime names (SLO
+    names) collapse to ``None`` like any other leaf."""
     if not isinstance(doc, dict):
         return None
     return {
         key: None
-        if key in ("breaker_states", "alerts", "burn_rates")
+        if key in ("alerts", "burn_rates")
         else _key_tree(value)
         for key, value in sorted(doc.items())
     }
@@ -168,14 +168,6 @@ def _one_cpu():
         yield
     finally:
         os.sched_setaffinity(0, cpus)
-
-
-def _trip_breaker(server, site="compile:gemm"):
-    breaker = server._breaker(site)
-    for _ in range(breaker.failure_threshold):
-        breaker.record_failure()
-    assert breaker.state == BREAKER_OPEN
-    return breaker
 
 
 # ----------------------------------------------------------------------
@@ -396,29 +388,6 @@ class TestReadiness:
             try:
                 server.warm("gemm", [GEMM_SHAPE])
                 assert server.diag.handle("/readyz")[0] == 200
-            finally:
-                server.diag.stop()
-
-    def test_open_breaker_flips_readyz_and_degrades_healthz(
-        self, hopper, registry
-    ):
-        config = ResilienceConfig(breaker_cooldown_s=600.0)
-        with RuntimeServer(
-            hopper, registry, workers=1, resilience=config, diag=True
-        ) as server:
-            try:
-                server.submit("gemm", GEMM_SHAPE).result(timeout=600)
-                assert server.diag.handle("/readyz")[0] == 200
-                _trip_breaker(server)
-                code, _ctype, body = server.diag.handle("/readyz")
-                assert code == 503
-                reasons = json.loads(body)["reasons"]
-                assert any("breaker" in reason for reason in reasons)
-                code, _ctype, body = server.diag.handle("/healthz")
-                assert code == 200  # alive, just degraded
-                payload = json.loads(body)
-                assert payload["status"] == "degraded"
-                assert payload["breakers_open"] == 1
             finally:
                 server.diag.stop()
 

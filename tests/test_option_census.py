@@ -2,9 +2,10 @@
 
 Each list below is the literal set of parameters a caller may leave at
 its default (plus ``CompileOptions``' fields and the values its
-``verify`` field accepts). A new keyword, option field or policy fails
-this test until the list is edited in the same change — so adding a
-knob is a decision a reviewer sees.
+``verify`` field accepts, ``ResilienceConfig``'s fields, and the fault
+sites a ``FaultPlan`` can arm). A new keyword, option field, policy or
+site fails this test until the list is edited in the same change — so
+adding a knob is a decision a reviewer sees.
 """
 
 import dataclasses
@@ -15,7 +16,7 @@ import pytest
 from repro import api
 from repro.compiler.passes import CompileOptions, VerifyPolicy
 from repro.compiler.pipeline import compile_program
-from repro.runtime import RuntimeServer
+from repro.runtime import FAULT_SITES, ResilienceConfig, RuntimeServer
 from repro.tuner import autotune, rank_candidates
 
 CENSUS = [
@@ -37,6 +38,10 @@ CENSUS = [
 COMPILE_OPTIONS_FIELDS = ["use_tma", "scalar_args", "verify", "cache", "passes"]
 
 VERIFY_POLICIES = ["every-pass", "ends"]
+
+RESILIENCE_CONFIG_FIELDS = ["max_queue", "shed_policy"]
+
+PINNED_FAULT_SITES = ("compile", "worker.execute", "loop.cycle")
 
 
 def _settable(fn):
@@ -63,3 +68,12 @@ def test_compile_options_fields_are_pinned():
 
 def test_verify_policies_are_pinned():
     assert [policy.value for policy in VerifyPolicy] == VERIFY_POLICIES
+
+
+def test_resilience_config_fields_are_pinned():
+    fields = [field.name for field in dataclasses.fields(ResilienceConfig)]
+    assert fields == RESILIENCE_CONFIG_FIELDS
+
+
+def test_fault_sites_are_pinned():
+    assert FAULT_SITES == PINNED_FAULT_SITES

@@ -1,13 +1,12 @@
-"""The resilience layer: faults, retries, breakers, deadlines, shedding.
+"""The resilience layer: faults, deadlines, shedding, supervision.
 
-Unit-tests the primitives (seeded :class:`FaultPlan`, deterministic
-:class:`RetryPolicy` backoff, the :class:`CircuitBreaker` state machine
-under a fake clock, :class:`ResilientTier` degradation) and then the
-server-level behaviors they compose into: per-request deadlines,
-bounded-queue load shedding under both policies, submit-vs-close races,
-compile-breaker degraded serving, background-loop crash supervision,
-and a hypothesis soak proving every future resolves and the telemetry
-counters stay consistent under randomized fault/submit interleavings.
+Unit-tests the seeded :class:`FaultPlan` and then the server-level
+behaviors: per-request deadlines, bounded-queue load shedding under
+both policies, submit-vs-close races, failures that are not retried
+(an injected or deterministic compile failure fails its batch and
+nothing else), background-loop crash supervision, and a hypothesis
+soak proving every future resolves and every failure is accounted for
+under randomized fault/submit interleavings.
 """
 
 import random
@@ -19,34 +18,22 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro import api
-from repro.errors import CypressError, TransientError
+from repro.errors import CypressError
 from repro.kernels import build_gemm
 from repro.runtime import (
     BucketPolicy,
-    DiskCacheTier,
     KernelRegistry,
     RuntimeServer,
 )
 from repro.runtime import faults
 from repro.runtime.faults import FAULT_SITES, FaultPlan, InjectedFault
-from repro.runtime.resilience import (
-    BREAKER_CLOSED,
-    BREAKER_HALF_OPEN,
-    BREAKER_OPEN,
-    BreakerOpen,
-    CircuitBreaker,
-    DeadlineExceeded,
-    ResilienceConfig,
-    ResilientTier,
-    RetryPolicy,
-    call_with_retry,
-)
-from repro.runtime.specialize import Specialization, SpecializerConfig
+from repro.runtime.resilience import DeadlineExceeded, ResilienceConfig
 from repro.runtime.speculate import SpeculatorConfig
 
 SMALL = dict(tile_m=128, tile_n=256, tile_k=64)
-#: A retry policy with sub-millisecond backoff so tests stay fast.
-FAST_RETRY = RetryPolicy(max_attempts=3, base_delay_s=1e-5, max_delay_s=1e-4)
+#: The fault sites on the request path; an injection at either fails
+#: the one micro-batch it fired in.
+REQUEST_SITES = ("compile", "worker.execute")
 
 
 @pytest.fixture(autouse=True)
@@ -91,9 +78,9 @@ class TestFaultPlan:
     def test_unarmed_site_never_fires(self):
         plan = FaultPlan(seed=1).inject("compile", 1.0)
         for _ in range(50):
-            plan.check("disk.load")
-        assert plan.injections("disk.load") == 0
-        assert plan.checks("disk.load") == 50
+            plan.check("worker.execute")
+        assert plan.injections("worker.execute") == 0
+        assert plan.checks("worker.execute") == 50
 
     def test_rate_one_always_fires(self):
         plan = FaultPlan(seed=2).inject("worker.execute", 1.0)
@@ -105,8 +92,8 @@ class TestFaultPlan:
             assert "batch" in str(excinfo.value)
         assert plan.injections() == 3
 
-    def test_injected_fault_is_transient(self):
-        assert issubclass(InjectedFault, TransientError)
+    def test_injected_fault_is_a_cypress_error(self):
+        assert issubclass(InjectedFault, CypressError)
 
     def test_same_seed_same_verdict_sequence(self):
         def verdicts(plan, site, n=200):
@@ -149,7 +136,7 @@ class TestFaultPlan:
         for verdict_expected in expected:
             for _ in range(3):
                 try:
-                    noisy.check("disk.load")
+                    noisy.check("worker.execute")
                 except InjectedFault:
                     pass
             try:
@@ -174,312 +161,26 @@ class TestFaultPlan:
         assert faults.uninstall() is plan
         assert faults.ACTIVE is None
 
+    def test_checked_is_the_callable_itself_while_no_plan_is_installed(
+        self,
+    ):
+        assert faults.checked("compile", "gemm", len) is len
+
+    def test_checked_fires_the_site_before_each_call(self):
+        calls = []
+        plan = FaultPlan(seed=4).inject("compile", 1.0)
+        with faults.active(plan):
+            guarded = faults.checked("compile", "gemm", calls.append)
+            with pytest.raises(InjectedFault, match="gemm"):
+                guarded("first")
+        assert calls == []  # the check runs before the call
+        assert plan.checks("compile") == 1
+
     def test_summary_reports_every_site(self):
         plan = FaultPlan().inject("compile", 0.25)
         summary = plan.summary()
         assert set(summary) == set(FAULT_SITES)
         assert summary["compile"]["rate"] == 0.25
-
-
-# ----------------------------------------------------------------------
-# RetryPolicy / call_with_retry
-# ----------------------------------------------------------------------
-class TestRetryPolicy:
-    def test_validation(self):
-        with pytest.raises(CypressError, match="max_attempts"):
-            RetryPolicy(max_attempts=0)
-        with pytest.raises(CypressError, match="jitter"):
-            RetryPolicy(jitter=1.5)
-
-    def test_backoff_doubles_and_caps(self):
-        policy = RetryPolicy(
-            base_delay_s=0.01, max_delay_s=0.05, jitter=0.0
-        )
-        assert policy.delay_s(1) == 0.01
-        assert policy.delay_s(2) == 0.02
-        assert policy.delay_s(3) == 0.04
-        assert policy.delay_s(4) == 0.05  # capped
-        assert policy.delay_s(10) == 0.05
-
-    def test_jitter_is_deterministic_and_bounded(self):
-        policy = RetryPolicy(base_delay_s=0.01, jitter=0.5, seed=7)
-        a = [policy.delay_s(n, salt="x") for n in range(1, 6)]
-        b = [policy.delay_s(n, salt="x") for n in range(1, 6)]
-        assert a == b  # stateless draws: same seed/salt/retry -> same
-        assert a != [policy.delay_s(n, salt="y") for n in range(1, 6)]
-        for retry, delay in enumerate(a, start=1):
-            raw = min(0.01 * 2 ** (retry - 1), policy.max_delay_s)
-            assert raw * 0.5 <= delay <= raw
-
-    def test_retries_transient_then_succeeds(self):
-        calls = {"n": 0}
-        slept = []
-
-        def flaky():
-            calls["n"] += 1
-            if calls["n"] < 3:
-                raise TransientError("flake")
-            return "ok"
-
-        retried = []
-        result = call_with_retry(
-            flaky,
-            RetryPolicy(
-                max_attempts=3, base_delay_s=0.5, max_delay_s=2.0,
-                jitter=0.0,
-            ),
-            on_retry=retried.append,
-            sleep=slept.append,
-        )
-        assert result == "ok"
-        assert calls["n"] == 3
-        assert slept == [0.5, 1.0]
-        assert len(retried) == 2
-
-    def test_non_transient_raises_immediately(self):
-        calls = {"n": 0}
-
-        def broken():
-            calls["n"] += 1
-            raise ValueError("deterministic bug")
-
-        with pytest.raises(ValueError):
-            call_with_retry(broken, FAST_RETRY, sleep=lambda _s: None)
-        assert calls["n"] == 1
-
-    def test_on_retry_sees_final_failure_too(self):
-        # The retries telemetry counter counts every absorbed transient
-        # fault, including the attempt that exhausts the budget — so a
-        # soak can assert retries >= injected transient faults.
-        retried = []
-
-        def always():
-            raise TransientError("flake")
-
-        with pytest.raises(TransientError):
-            call_with_retry(
-                always,
-                RetryPolicy(max_attempts=3, base_delay_s=0.0),
-                on_retry=retried.append,
-                sleep=lambda _s: None,
-            )
-        assert len(retried) == 3
-
-    def test_oserror_is_transient(self):
-        calls = {"n": 0}
-
-        def flaky_disk():
-            calls["n"] += 1
-            if calls["n"] == 1:
-                raise OSError("EIO")
-            return 42
-
-        assert (
-            call_with_retry(flaky_disk, FAST_RETRY, sleep=lambda _s: None)
-            == 42
-        )
-
-
-# ----------------------------------------------------------------------
-# CircuitBreaker
-# ----------------------------------------------------------------------
-class FakeClock:
-    def __init__(self):
-        self.now = 0.0
-
-    def __call__(self):
-        return self.now
-
-
-class TestCircuitBreaker:
-    def _breaker(self, **kwargs):
-        clock = FakeClock()
-        transitions = []
-        breaker = CircuitBreaker(
-            "disk",
-            failure_threshold=kwargs.pop("failure_threshold", 3),
-            cooldown_s=kwargs.pop("cooldown_s", 10.0),
-            clock=clock,
-            on_transition=lambda site, old, new: transitions.append(
-                (old, new)
-            ),
-        )
-        return breaker, clock, transitions
-
-    def test_threshold_validated(self):
-        with pytest.raises(CypressError, match="failure_threshold"):
-            CircuitBreaker("disk", failure_threshold=0)
-
-    def test_stays_closed_below_threshold(self):
-        breaker, _clock, transitions = self._breaker()
-        breaker.record_failure()
-        breaker.record_failure()
-        assert breaker.state == BREAKER_CLOSED
-        assert breaker.allow()
-        assert transitions == []
-
-    def test_success_resets_consecutive_count(self):
-        breaker, _clock, _transitions = self._breaker()
-        breaker.record_failure()
-        breaker.record_failure()
-        breaker.record_success()
-        breaker.record_failure()
-        breaker.record_failure()
-        assert breaker.state == BREAKER_CLOSED
-
-    def test_trips_open_and_refuses(self):
-        breaker, _clock, transitions = self._breaker()
-        for _ in range(3):
-            breaker.record_failure()
-        assert breaker.state == BREAKER_OPEN
-        assert breaker.trips == 1
-        assert not breaker.allow()
-        assert transitions == [(BREAKER_CLOSED, BREAKER_OPEN)]
-
-    def test_cooldown_admits_single_probe(self):
-        breaker, clock, _transitions = self._breaker()
-        for _ in range(3):
-            breaker.record_failure()
-        clock.now = 9.9
-        assert not breaker.allow()
-        clock.now = 10.1
-        assert breaker.allow()  # the half-open probe
-        assert breaker.state == BREAKER_HALF_OPEN
-        assert not breaker.allow()  # one probe at a time
-
-    def test_probe_success_closes(self):
-        breaker, clock, transitions = self._breaker()
-        for _ in range(3):
-            breaker.record_failure()
-        clock.now = 11.0
-        assert breaker.allow()
-        breaker.record_success()
-        assert breaker.state == BREAKER_CLOSED
-        assert breaker.allow()
-        assert transitions == [
-            (BREAKER_CLOSED, BREAKER_OPEN),
-            (BREAKER_OPEN, BREAKER_HALF_OPEN),
-            (BREAKER_HALF_OPEN, BREAKER_CLOSED),
-        ]
-
-    def test_probe_failure_reopens(self):
-        breaker, clock, _transitions = self._breaker()
-        for _ in range(3):
-            breaker.record_failure()
-        clock.now = 11.0
-        assert breaker.allow()
-        breaker.record_failure()  # the probe failed
-        assert breaker.state == BREAKER_OPEN
-        assert breaker.trips == 2
-        clock.now = 20.9
-        assert not breaker.allow()  # a fresh cooldown from the reopen
-        clock.now = 21.1
-        assert breaker.allow()
-
-
-# ----------------------------------------------------------------------
-# ResilientTier
-# ----------------------------------------------------------------------
-class FlakyTier:
-    """A SecondTier whose load fails ``fail_loads`` times, then works."""
-
-    def __init__(self, fail_loads=0, fail_stores=0):
-        self.fail_loads = fail_loads
-        self.fail_stores = fail_stores
-        self.loads = 0
-        self.stores = {}
-
-    def load(self, key):
-        self.loads += 1
-        if self.loads <= self.fail_loads:
-            raise OSError("flaky disk")
-        return self.stores.get(key)
-
-    def store(self, key, kernel):
-        if self.fail_stores > 0:
-            self.fail_stores -= 1
-            raise OSError("disk full")
-        self.stores[key] = kernel
-
-    def contains(self, key):
-        return key in self.stores
-
-
-class TestResilientTier:
-    def test_delegates_everything_else(self, tmp_path):
-        raw = DiskCacheTier(tmp_path)
-        tier = ResilientTier(raw, retry=FAST_RETRY)
-        tier.store("k", {"v": 1})
-        assert tier.load("k") == {"v": 1}
-        assert tier.contains("k")
-        assert tier.keys() == ["k"]
-        assert tier.path == raw.path
-        assert tier.stats.stores == 1
-        assert len(tier) == 1
-
-    def test_retries_transient_loads(self):
-        raw = FlakyTier(fail_loads=2)
-        raw.stores["k"] = "kernel"
-        retried = []
-        tier = ResilientTier(
-            raw,
-            retry=FAST_RETRY,
-            on_retry=retried.append,
-            sleep=lambda _s: None,
-        )
-        assert tier.load("k") == "kernel"
-        assert raw.loads == 3
-        assert len(retried) == 2
-
-    def test_exhausted_retries_degrade_to_miss(self):
-        raw = FlakyTier(fail_loads=99)
-        breaker = CircuitBreaker("disk", failure_threshold=2)
-        tier = ResilientTier(
-            raw, breaker=breaker, retry=FAST_RETRY, sleep=lambda _s: None
-        )
-        assert tier.load("k") is None  # never raises into the caller
-        assert tier.load("k") is None
-        assert breaker.state == BREAKER_OPEN
-
-    def test_open_breaker_skips_tier_entirely(self):
-        raw = FlakyTier()
-        breaker = CircuitBreaker("disk", failure_threshold=1)
-        breaker.record_failure()
-        degraded = []
-        tier = ResilientTier(
-            raw,
-            breaker=breaker,
-            retry=FAST_RETRY,
-            on_degraded=degraded.append,
-            sleep=lambda _s: None,
-        )
-        assert tier.load("k") is None
-        assert raw.loads == 0  # memory-only: disk untouched
-        assert degraded == ["disk.load"]
-
-    def test_store_failure_swallowed(self):
-        raw = FlakyTier(fail_stores=99)
-        tier = ResilientTier(raw, retry=FAST_RETRY, sleep=lambda _s: None)
-        tier.store("k", "kernel")  # must not raise
-        assert "k" not in raw.stores
-
-    def test_fault_sites_fire_inside_the_armor(self):
-        raw = FlakyTier()
-        raw.stores["k"] = "kernel"
-        retried = []
-        tier = ResilientTier(
-            raw,
-            retry=FAST_RETRY,
-            on_retry=retried.append,
-            sleep=lambda _s: None,
-        )
-        plan = FaultPlan(seed=0).inject("disk.load", 1.0)
-        with faults.active(plan):
-            assert tier.load("k") is None  # every attempt injected
-        assert plan.injections("disk.load") == FAST_RETRY.max_attempts
-        assert len(retried) == FAST_RETRY.max_attempts
-        # Faults off: the same tier serves normally again.
-        assert tier.load("k") == "kernel"
 
 
 # ----------------------------------------------------------------------
@@ -632,100 +333,57 @@ class TestSubmitClose:
 
 
 # ----------------------------------------------------------------------
-# Server: compile breaker + degraded serving
+# Server: a failed compile or simulation fails its batch, once
 # ----------------------------------------------------------------------
-class TestCompileBreaker:
-    def _trip(self, server, site):
-        breaker = server._breaker(site)
-        for _ in range(breaker.failure_threshold):
-            breaker.record_failure()
-        assert breaker.state == BREAKER_OPEN
-        return breaker
-
-    def test_open_breaker_fails_generic_requests_fast(
-        self, hopper, registry
-    ):
-        config = ResilienceConfig(breaker_cooldown_s=600.0)
-        with RuntimeServer(
-            hopper, registry, workers=1, resilience=config
-        ) as server:
-            self._trip(server, "compile:gemm")
-            future = server.submit("gemm", dict(m=128, n=256, k=64))
-            with pytest.raises(BreakerOpen, match="compile:gemm"):
-                future.result(timeout=120)
-            stats = server.stats()
-            assert stats.failed == 1
-            assert stats.breaker_states["compile:gemm"] == "open"
-            assert stats.breakers_open == 1
-            assert stats.breaker_trips == 1
-
-    def test_specialized_request_degrades_to_generic(
-        self, hopper, registry
-    ):
-        config = ResilienceConfig(breaker_cooldown_s=600.0)
-        with RuntimeServer(
-            hopper,
-            registry,
-            workers=1,
-            resilience=config,
-            specialize=SpecializerConfig(interval_s=3600.0),
-        ) as server:
-            shape = dict(m=130, n=256, k=128)
-            registered = server.registry.get("gemm")
-            generic = registered.bucket(shape)
-            serving = registered.bucket(dict(m=128, n=256, k=128))
-            assert serving != generic
-            # Warm the generic bucket, then forge a specialization so
-            # the request serves from the (uncompiled) smaller bucket.
-            server.warm("gemm", [shape])
-            exact = registered.exact_bucket(shape)
-            server.specializer._active[("gemm", exact)] = Specialization(
-                kernel="gemm",
-                exact=exact,
-                serving=serving,
-                generic=generic,
-                flops_saved=1.0,
-            )
-            self._trip(server, "compile:gemm")
-            # The specialized bucket needs a compile, which the open
-            # breaker refuses — the server falls back to the warmed
-            # generic bucket instead of failing.
-            result = server.submit("gemm", shape).result(timeout=120)
-            assert result.tier == "memory"
-            assert result.tflops > 0
-            stats = server.stats()
-            assert stats.degraded_serves == 1
-            assert stats.failed == 0
-
-    def test_breaker_trip_emits_trace_span(self, hopper, registry):
-        with RuntimeServer(
-            hopper, registry, workers=1, trace=True
-        ) as server:
-            self._trip(server, "compile:gemm")
-            spans = [s for s in server.tracer.spans() if s.name == "breaker"]
-            assert spans, "breaker transition should emit a span"
-            assert spans[0].args["site"] == "compile:gemm"
-            assert spans[0].args["to"] == "open"
-
-    def test_transient_compile_faults_are_retried(self, hopper, registry):
-        # With a 100% compile fault rate and max_attempts=2, the first
-        # submit exhausts retries and fails; every absorbed fault is
-        # counted.
-        config = ResilienceConfig(
-            retry=RetryPolicy(max_attempts=2, base_delay_s=1e-5)
-        )
-        plan = FaultPlan(seed=5).inject("compile", 1.0)
+class TestFailuresAreNotRetried:
+    @pytest.mark.parametrize("site", REQUEST_SITES)
+    def test_fault_fails_the_batch_once(self, hopper, registry, site):
+        plan = FaultPlan(seed=5).inject(site, 1.0)
         with faults.active(plan):
-            with RuntimeServer(
-                hopper, registry, workers=1, resilience=config
-            ) as server:
+            with RuntimeServer(hopper, registry, workers=1) as server:
                 future = server.submit("gemm", dict(m=128, n=256, k=64))
                 with pytest.raises(InjectedFault):
                     future.result(timeout=120)
                 stats = server.stats()
-        assert plan.injections("compile") == 2
-        assert stats.retries == 2
+        assert plan.injections(site) == 1  # one attempt, no retry
         assert stats.failed == 1
+        # Nothing of the failure was kept: without the plan the same
+        # bucket serves.
+        with RuntimeServer(hopper, registry, workers=1) as server:
+            assert server.submit(
+                "gemm", dict(m=128, n=256, k=64)
+            ).result(timeout=120).tflops > 0
+
+    def test_deterministic_compile_error_surfaces_on_every_request(
+        self, hopper, registry
+    ):
+        # A compile that fails for its input fails the same way on every
+        # request for it: the eighth caller sees the compiler's error,
+        # not a refusal, and other kernels keep serving.
+        registry.register(
+            "bad_gemm",
+            build_gemm,
+            ("m", "n", "k"),
+            policy=BucketPolicy(ladders={}),
+            defaults=dict(tile_m=192, tile_n=128, tile_k=64),
+        )
+        with RuntimeServer(hopper, registry, workers=1) as server:
+            errors = [
+                server.submit(
+                    "bad_gemm", dict(m=256, n=256, k=128)
+                ).exception(timeout=120)
+                for _ in range(8)
+            ]
+            served = server.submit(
+                "gemm", dict(m=128, n=256, k=64)
+            ).result(timeout=120)
+            stats = server.stats()
+        assert isinstance(errors[0], CypressError)
+        assert [(type(e), str(e)) for e in errors] == [
+            (type(errors[0]), str(errors[0]))
+        ] * 8
+        assert served.tflops > 0
+        assert stats.failed == 8
 
 
 # ----------------------------------------------------------------------
@@ -770,7 +428,22 @@ class TestLoopSupervision:
 # ----------------------------------------------------------------------
 # The hypothesis soak: randomized submits + faults + close
 # ----------------------------------------------------------------------
-RETRY_SITES = ("compile", "disk.load", "disk.store", "worker.execute")
+def _assert_every_failure_has_a_cause(futures, plan):
+    """Each failed future failed for a deadline, for shedding, or for an
+    injected fault — and each injected fault failed exactly one batch,
+    whose requests all carry that one exception object."""
+    injected = set()
+    for future in futures:
+        error = future.exception()
+        if isinstance(error, InjectedFault):
+            injected.add(id(error))
+        elif error is not None:
+            assert isinstance(error, DeadlineExceeded) or "shed" in str(
+                error
+            ), repr(error)
+    assert len(injected) == sum(
+        plan.injections(site) for site in REQUEST_SITES
+    )
 
 
 class TestSoak:
@@ -795,14 +468,9 @@ class TestSoak:
             dict(m=128, n=256, k=128),
         ]
         plan = FaultPlan(seed=seed)
-        for site in RETRY_SITES:
+        for site in REQUEST_SITES:
             plan.inject(site, rate)
-        config = ResilienceConfig(
-            max_queue=8,
-            shed_policy="drop-oldest",
-            retry=RetryPolicy(max_attempts=3, base_delay_s=1e-5,
-                              max_delay_s=1e-4),
-        )
+        config = ResilienceConfig(max_queue=8, shed_policy="drop-oldest")
         tmp = tempfile.TemporaryDirectory()
         try:
             disk = tmp.name if use_disk else None
@@ -848,12 +516,8 @@ class TestSoak:
             == stats.requests
         )
         assert stats.timeouts <= stats.failed
-        # Every injected transient fault at a retried site was absorbed
-        # (and counted) by the retry machinery.
-        injected = sum(plan.injections(site) for site in RETRY_SITES)
-        assert stats.retries == injected
+        _assert_every_failure_has_a_cause(futures, plan)
         if rate == 0.0:
-            assert stats.retries == 0
             assert stats.failed == stats.timeouts
 
 
@@ -866,8 +530,6 @@ TRACE_REQUESTS = 500
 #: Per-site injection rates — every site at >= 10%.
 CHAOS_RATES = {
     "compile": 0.2,
-    "disk.load": 0.2,
-    "disk.store": 0.3,
     "worker.execute": 0.1,
     "loop.cycle": 0.25,
 }
@@ -877,8 +539,8 @@ class TestChaosGolden:
     def test_survivors_match_the_fault_free_run_field_for_field(
         self, hopper, tmp_path
     ):
-        """Resilience may change *where* a kernel came from, never
-        *what* it computes: the same seeded 500-request trace is served
+        """A fault may fail a request, never change what a served one
+        computes: the same seeded 500-request trace is served
         fault-free, then under injection at every site with a disk
         cache and the speculator running."""
         rng = random.Random(TRACE_SEED)
@@ -909,11 +571,6 @@ class TestChaosGolden:
                 workers=4,
                 disk_cache=str(tmp_path),
                 speculate=SpeculatorConfig(interval_s=0.002),
-                resilience=ResilienceConfig(
-                    retry=RetryPolicy(
-                        max_attempts=3, base_delay_s=1e-4, max_delay_s=1e-3
-                    )
-                ),
             )
             futures = [
                 server.submit(kernel, shape) for kernel, shape in trace
@@ -926,14 +583,6 @@ class TestChaosGolden:
                 and time.monotonic() < deadline
             ):
                 time.sleep(0.005)
-            # Traffic drives the disk sites, but their check counts
-            # scale with compiles: top up until each has fired.
-            while (
-                plan.injections("disk.store") < 1
-                or plan.injections("disk.load") < 1
-            ) and time.monotonic() < deadline:
-                server.disk_tier.store("chaos-probe", {"payload": 1})
-                server.disk_tier.load("chaos-probe")
             server.close(drain=True)
         stats = server.stats()
 
@@ -946,8 +595,7 @@ class TestChaosGolden:
             stats.completed + stats.failed + stats.shed_requests
             == stats.requests
         )
-        injected = sum(plan.injections(site) for site in RETRY_SITES)
-        assert stats.retries == injected
+        _assert_every_failure_has_a_cause(futures, plan)
         for site in FAULT_SITES:
             assert plan.injections(site) > 0, site
         assert stats.loop_crashes > 0  # the supervisor earned its keep
