@@ -1,4 +1,4 @@
-"""The supervised background thread every server-owned loop is built on.
+"""The background thread every server-owned loop is built on.
 
 A leaf module: it imports nothing from :mod:`repro.runtime` or
 :mod:`repro.obs` at module top, so the speculator and specializer
@@ -26,14 +26,6 @@ class BackgroundLoop:
     raises is dropped, counted in ``errors``, and the next cycle
     retries. Subclasses implement :meth:`run_once`; tests drive it
     synchronously for determinism instead of waiting on the thread.
-
-    The thread is additionally **supervised**: an exception escaping
-    the cycle loop itself (the ``loop.cycle`` fault site of
-    :mod:`~repro.runtime.faults` fires there, and real bugs land
-    there too) no longer kills the thread silently for the life of the
-    process. The supervisor counts it in ``crashes`` (and the server's
-    ``loop_crashes`` telemetry), waits a capped doubling backoff, and
-    restarts the loop — ``stop()`` always wins over a pending restart.
     """
 
     #: Thread name; subclasses override.
@@ -45,17 +37,10 @@ class BackgroundLoop:
     #: whole point is to run while traffic flows.
     idle_only = True
 
-    #: Crash-restart backoff: first wait, then doubled per consecutive
-    #: crash up to the cap. A healthy cycle resets the ladder.
-    restart_backoff_s = 0.01
-    max_restart_backoff_s = 1.0
-
     def __init__(self, server: "RuntimeServer", interval_s: float) -> None:
         self.server = server
         self.interval_s = interval_s
         self.errors = 0
-        self.crashes = 0
-        self._cycles = 0
         self._stop = threading.Event()
         self._thread: Optional[threading.Thread] = None
 
@@ -83,32 +68,7 @@ class BackgroundLoop:
         return thread is not None and thread.is_alive()
 
     def _run(self) -> None:
-        # The supervisor: restart a crashed cycle loop with capped
-        # doubling backoff instead of dying silently.
-        backoff = self.restart_backoff_s
-        while not self._stop.is_set():
-            cycles_before = self._cycles
-            try:
-                self._cycle_loop()
-                return  # clean stop() — no restart
-            except Exception:
-                self.crashes += 1
-                self.server.telemetry.count("loop_crashes")
-                if self._cycles > cycles_before:
-                    backoff = self.restart_backoff_s  # it made progress
-                if self._stop.wait(backoff):
-                    return
-                backoff = min(backoff * 2, self.max_restart_backoff_s)
-
-    def _cycle_loop(self) -> None:
-        from repro.runtime import faults
-
         while not self._stop.wait(self.interval_s):
-            plan = faults.ACTIVE
-            if plan is not None:
-                # Outside the per-cycle try: an injected fault crashes
-                # the loop body itself, exercising supervision.
-                plan.check("loop.cycle", self.thread_name)
             try:
                 if not self.idle_only or self.server.queue_depth == 0:
                     self.run_once()
@@ -116,7 +76,6 @@ class BackgroundLoop:
                 # Background work must never take serving down; a cycle
                 # that blows up is dropped and the next one retries.
                 self.errors += 1
-            self._cycles += 1
 
     def run_once(self) -> int:
         """One cycle of background work; returns work items done."""

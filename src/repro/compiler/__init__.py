@@ -29,7 +29,6 @@ per-pass :class:`PassTrace` lands in ``CompiledKernel.metadata``.
 from repro.compiler.cache import (
     CacheStats,
     CompileCache,
-    SecondTier,
     compile_cache,
     compile_key,
 )
@@ -44,7 +43,6 @@ from repro.compiler.passes import (
     PassTrace,
     VerifyPolicy,
     build_pass,
-    pass_execution_count,
     register_pass,
 )
 from repro.compiler.pipeline import (
@@ -65,13 +63,11 @@ __all__ = [
     "PassManager",
     "PassRecord",
     "PassTrace",
-    "SecondTier",
     "VerifyPolicy",
     "build_pass",
     "compile_cache",
     "compile_key",
     "compile_key_for",
     "compile_program",
-    "pass_execution_count",
     "register_pass",
 ]

@@ -15,8 +15,8 @@ hits it concurrently from a thread pool. Capacity defaults to the
 and can be changed at runtime with :meth:`CompileCache.resize`.
 
 Below the in-memory LRU a lookup may name a **second tier**: any object
-with ``load(key) -> kernel | None`` and ``store(key, kernel)`` (see
-:class:`SecondTier`), passed as ``tier=`` to :meth:`CompileCache.lookup`.
+with ``load(key) -> kernel | None`` and ``store(key, kernel)``, passed
+as ``tier=`` to :meth:`CompileCache.lookup`.
 The cache holds none of its own: the memory LRU is process-wide, while
 each serving runtime passes its own on-disk tier
 (:class:`repro.runtime.diskcache.DiskCacheTier`) into its lookups, so a
@@ -56,21 +56,6 @@ COMPILER_REVISION = "entities numbered per compile"
 TIER_MEMORY = "memory"
 TIER_DISK = "disk"
 TIER_COMPILE = "compile"
-
-
-class SecondTier:
-    """Structural interface of a second cache tier (duck-typed).
-
-    Implementations must be thread-safe; ``load`` returns ``None`` on a
-    miss (including unreadable/corrupt entries — a second tier must
-    degrade to a recompile, never raise into the compile path).
-    """
-
-    def load(self, key: str) -> Optional[Any]:  # pragma: no cover
-        raise NotImplementedError
-
-    def store(self, key: str, kernel: Any) -> None:  # pragma: no cover
-        raise NotImplementedError
 
 
 @dataclass(repr=False)
@@ -218,7 +203,7 @@ class CompileCache:
                 self.stats.evictions += 1
 
     def lookup(
-        self, key: str, compute, tier: Optional[SecondTier] = None
+        self, key: str, compute, tier: Optional[Any] = None
     ) -> Tuple[Any, str]:
         """Return ``(kernel, answered_by)`` for ``key``, computing it at
         most once across threads.
@@ -231,6 +216,12 @@ class CompileCache:
         batch, first requests for a cold bucket) serialize on a per-key
         lock, one runs ``compute`` and the rest read a memory hit. A
         raising ``compute`` fails its own caller only.
+
+        ``tier`` is duck-typed: ``load(key)`` returns the kernel or
+        ``None`` on a miss, and ``store(key, kernel)`` persists one.
+        Both must be thread-safe, and ``load`` must not raise: an
+        unreadable or corrupt entry is a miss, so a broken tier
+        degrades to a recompile rather than failing the compile path.
         """
         with self._lock:
             if key in self._entries:
@@ -263,7 +254,7 @@ class CompileCache:
                     del self._in_flight[key]
 
     def get_or_compute(
-        self, key: str, compute, tier: Optional[SecondTier] = None
+        self, key: str, compute, tier: Optional[Any] = None
     ) -> Any:
         """:meth:`lookup` without the label."""
         return self.lookup(key, compute, tier)[0]

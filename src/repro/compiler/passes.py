@@ -17,7 +17,6 @@ backends) deposit their reports into ``ctx.artifacts``.
 from __future__ import annotations
 
 import enum
-import threading
 import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Type, Union
@@ -270,36 +269,8 @@ DEFAULT_PIPELINE: Tuple[str, ...] = (
 # ----------------------------------------------------------------------
 # The manager
 # ----------------------------------------------------------------------
-_counter_lock = threading.Lock()
-_pass_executions = 0
-
-
-def pass_execution_count() -> int:
-    """Total passes executed process-wide (cache tests key off this)."""
-    return _pass_executions
-
-
 def _ir_size(fn: IRFunction) -> int:
     return sum(1 for _ in fn.walk())
-
-
-#: Cached handle on the sampling profiler's phase tracker. Resolved on
-#: first PassManager.run: the compiler stack must stay importable
-#: without repro.obs.profiler (which transitively pulls in the
-#: runtime), so the hook binds lazily and degrades to None forever if
-#: the import fails.
-_PHASES = None
-
-
-def _phase_tracker():
-    global _PHASES
-    if _PHASES is None:
-        try:
-            from repro.obs.profiler import PHASES as tracker
-        except Exception:  # pragma: no cover - profiler unavailable
-            tracker = False
-        _PHASES = tracker
-    return _PHASES or None
 
 
 class PassManager:
@@ -329,27 +300,16 @@ class PassManager:
 
     def run(self, fn: IRFunction, ctx: PassContext) -> PassTrace:
         """Execute every pass over ``fn``, returning the trace."""
-        global _pass_executions
         trace = PassTrace(
             pass_names=self.pass_names, verify_policy=self.verify
         )
         verify_function(fn)
         trace.verified_after.append("input")
-        phases = _phase_tracker()
         for p in self.passes:
             ops_before = _ir_size(fn)
             start = time.perf_counter()
-            if phases is not None and phases.enabled:
-                phases.push(f"pass.{p.name}")
-                try:
-                    p.run(fn, ctx)
-                finally:
-                    phases.pop()
-            else:
-                p.run(fn, ctx)
+            p.run(fn, ctx)
             elapsed = time.perf_counter() - start
-            with _counter_lock:
-                _pass_executions += 1
             trace.records.append(
                 PassRecord(
                     name=p.name,

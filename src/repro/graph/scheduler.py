@@ -38,7 +38,6 @@ import numpy as np
 
 from repro.errors import CypressError
 from repro.graph.taskgraph import GraphNode, TaskGraph
-from repro.obs.profiler import PHASES
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle: server imports us
     from repro.runtime.server import RuntimeResult, RuntimeServer
@@ -305,7 +304,7 @@ class GraphScheduler:
             ready, key=lambda n: (-state.priorities[n.uid], n.uid)
         )
         tracer = self.server.tracer
-        with PHASES.phase("graph.node"):
+        with self.server.phases.phase("graph.node"):
             try:
                 requests = []
                 for node in ready:

@@ -12,11 +12,18 @@ enqueue), ``dispatch`` (batch assembly), ``compile`` /
 (simulation + functional replay), ``graph.node`` (graph-scheduler
 wave preparation), or ``idle`` (a registered worker waiting for
 work). Phase attribution rides on a per-thread stack of markers
-(:class:`PhaseTracker`) that the runtime pushes around its hot
-sections — the same single-boolean gating discipline as
-:data:`~repro.obs.trace.NULL_TRACER`: when no profiler is active,
-``PHASES.enabled`` is ``False`` and every instrumentation site is one
-attribute load and a branch.
+(:class:`PhaseTracker`) that the server pushes around its hot
+sections. Each server owns one tracker (``server.phases``) and a
+profiler reads only its own server's, so one server's load never
+shows up in another's profile. The same single-boolean gating
+discipline as :data:`~repro.obs.trace.NULL_TRACER` applies: while no
+profiler runs, ``enabled`` is ``False`` and every instrumentation site
+is one attribute load and a branch.
+
+The compiler marks nothing. A sample whose stack passes through the
+``run`` method of a pass in :data:`~repro.compiler.passes.
+PASS_REGISTRY` is attributed to ``pass.<name>``, which the profiler
+reads off the sampled frames themselves.
 
 Beyond phase counts the profiler keeps bounded per-``(kernel,
 bucket)`` sample counts (which shapes burn the CPU) and bounded
@@ -26,11 +33,10 @@ the aggregate; :meth:`ContinuousProfiler.export_collapsed` writes the
 flamegraph input.
 
 The sampler itself is a :class:`~repro.background.BackgroundLoop`
-subclass, so it inherits the supervised crash-restart semantics of the
-speculator and specializer — a profiler bug can never take serving
-down, and a crashed sampler restarts with capped backoff.
-Unlike those loops it sets ``idle_only = False``: sampling only while
-the queue is empty would be a profiler that never sees load.
+subclass, so a sampling cycle that raises is dropped and counted in
+``errors`` rather than taking serving down. Unlike the speculator and
+specializer it sets ``idle_only = False``: sampling only while the
+queue is empty would be a profiler that never sees load.
 """
 
 from __future__ import annotations
@@ -39,9 +45,11 @@ import contextlib
 import sys
 import threading
 from dataclasses import dataclass
+from types import CodeType
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.background import BackgroundLoop
+from repro.compiler.passes import PASS_REGISTRY
 from repro.errors import CypressError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle: server owns us
@@ -49,39 +57,20 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle: server owns us
 
 
 class PhaseTracker:
-    """Per-thread stacks of serving-phase markers.
+    """Per-thread stacks of one server's serving-phase markers.
 
-    The runtime's hot sections run inside ``with PHASES.phase(name)``,
-    which pushes and pops a marker **only when ``enabled`` is true** —
-    with no profiler running it hands back one shared no-op, so the
-    instrumentation is an attribute load and a branch. The sampler
-    calls :meth:`snapshot` to read the top-of-stack phase of every
-    instrumented thread.
-
-    ``enabled`` is reference-counted via :meth:`activate` /
-    :meth:`deactivate` so two profilers (e.g. a server-owned one plus
-    a test-driven one) compose.
+    The server's hot sections run inside ``with server.phases.phase(
+    name)``, which pushes and pops a marker **only when ``enabled`` is
+    true** — with no profiler running it hands back one shared no-op,
+    so the instrumentation is an attribute load and a branch. The
+    server's profiler sets ``enabled`` and calls :meth:`snapshot` to
+    read the top-of-stack phase of every instrumented thread.
     """
 
     def __init__(self) -> None:
         self.enabled = False
         self._lock = threading.Lock()
-        self._active = 0
         self._stacks: Dict[int, List[Tuple[str, Optional[str]]]] = {}
-
-    def activate(self) -> None:
-        """Turn instrumentation on (reference-counted)."""
-        with self._lock:
-            self._active += 1
-            self.enabled = True
-
-    def deactivate(self) -> None:
-        """Drop one activation; instrumentation stops at zero."""
-        with self._lock:
-            self._active = max(0, self._active - 1)
-            if self._active == 0:
-                self.enabled = False
-                self._stacks.clear()
 
     def push(self, phase: str, detail: Optional[str] = None) -> None:
         """Enter ``phase`` on the calling thread."""
@@ -132,9 +121,6 @@ class PhaseTracker:
 #: What :meth:`PhaseTracker.phase` hands back while no profiler runs.
 _NO_PHASE = contextlib.nullcontext()
 
-#: Process-wide phase tracker.
-PHASES = PhaseTracker()
-
 
 #: Innermost frames kept per collapsed stack, the bound on distinct
 #: ``kernel:bucket`` sample keys, and the collapsed lines included in
@@ -169,20 +155,36 @@ class ProfilerConfig:
             )
 
 
+def _stack_codes(frame) -> List[CodeType]:
+    """The code objects of ``frame`` and its callers, innermost first."""
+    codes = []
+    while frame is not None:
+        # Seen once (CPython 3.11, tier-1): a sampled thread's chain
+        # yielded an object with no ``f_code``; the walk ends there.
+        code = getattr(frame, "f_code", None)
+        if code is None:
+            break
+        codes.append(code)
+        frame = frame.f_back
+    return codes
+
+
 class ContinuousProfiler(BackgroundLoop):
     """Always-on sampling profiler for a running server.
 
     One :meth:`run_once` cycle takes a single
     :func:`sys._current_frames` snapshot and attributes each sampled
-    thread: a thread inside a :data:`PHASES` marker is counted under
-    that phase (and under its ``kernel:bucket`` detail when present),
-    a registered worker with an empty marker stack is ``idle``, and
-    unrelated threads (the main thread, test runners, the sampler
-    itself) are skipped entirely so they cannot dilute attribution.
+    thread: a thread inside one of its server's phase markers is
+    counted under that phase (``pass.<name>`` instead when its stack
+    is inside a registered pass's ``run``), and under the marker's
+    ``kernel:bucket`` detail when present; one of the server's workers
+    with an empty marker stack is ``idle``; every other thread (the
+    main thread, test runners, the sampler itself, another server's
+    workers) is skipped so it cannot dilute attribution.
 
     Tests drive :meth:`run_once` synchronously after :meth:`enable`;
     production uses :meth:`start`, which enables instrumentation and
-    spawns the supervised sampling thread.
+    spawns the sampling thread.
     """
 
     thread_name = "repro-profiler"
@@ -205,15 +207,11 @@ class ContinuousProfiler(BackgroundLoop):
 
     def enable(self) -> None:
         """Arm phase instrumentation without spawning the thread."""
-        if not self._enabled:
-            self._enabled = True
-            PHASES.activate()
+        self._enabled = self.server.phases.enabled = True
 
     def disable(self) -> None:
         """Disarm phase instrumentation (idempotent)."""
-        if self._enabled:
-            self._enabled = False
-            PHASES.deactivate()
+        self._enabled = self.server.phases.enabled = False
 
     def start(self) -> None:
         """Arm instrumentation and spawn the sampling thread."""
@@ -227,8 +225,12 @@ class ContinuousProfiler(BackgroundLoop):
 
     def run_once(self) -> int:
         """Take one sample of every serving thread; returns threads seen."""
-        snapshot = PHASES.snapshot()
+        snapshot = self.server.phases.snapshot()
         worker_ids = self._worker_idents()
+        passes = {
+            cls.run.__code__: f"pass.{name}"
+            for name, cls in PASS_REGISTRY.items()
+        }
         skip = threading.get_ident()
         frames = sys._current_frames()
         counted = 0
@@ -243,12 +245,16 @@ class ContinuousProfiler(BackgroundLoop):
                     phase, detail = "idle", None
                 else:
                     continue  # unrelated thread; do not dilute
+                codes = _stack_codes(frame)
+                phase = next(
+                    (passes[c] for c in codes if c in passes), phase
+                )
                 counted += 1
                 self.samples += 1
                 self._bump(self._phase_counts, phase, None)
                 if detail is not None:
                     self._bump(self._kernel_counts, detail, MAX_KERNELS)
-                self._record_stack(phase, frame)
+                self._record_stack(phase, codes)
         del frames  # frames hold live thread state; drop promptly
         return counted
 
@@ -267,17 +273,11 @@ class ContinuousProfiler(BackgroundLoop):
         counts[key] = counts.get(key, 0) + 1
         return True
 
-    def _record_stack(self, phase: str, frame) -> None:
-        names: List[str] = []
-        while frame is not None and len(names) < MAX_DEPTH:
-            # Seen once (CPython 3.11, tier-1): a sampled thread's chain
-            # yielded an object with no ``f_code``; the walk ends there.
-            code = getattr(frame, "f_code", None)
-            if code is None:
-                break
-            names.append(getattr(code, "co_qualname", code.co_name))
-            frame = frame.f_back
-        names.reverse()
+    def _record_stack(self, phase: str, codes: List[CodeType]) -> None:
+        names = [
+            getattr(code, "co_qualname", code.co_name)
+            for code in reversed(codes[:MAX_DEPTH])
+        ]
         line = ";".join([phase] + names) if names else phase
         if not self._bump(self._stack_counts, line, self.config.max_stacks):
             self.stacks_truncated += 1
@@ -307,7 +307,6 @@ class ContinuousProfiler(BackgroundLoop):
             ],
             "stacks_truncated": truncated,
             "errors": self.errors,
-            "crashes": self.crashes,
         }
 
     def export_collapsed(self, path=None) -> str:

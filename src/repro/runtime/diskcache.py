@@ -1,9 +1,10 @@
 """The persistent compile-cache tier.
 
-:class:`DiskCacheTier` implements the :class:`~repro.compiler.cache.
-SecondTier` interface with one pickle file per compile key under a
-cache directory. Layered beneath the in-memory LRU it makes compiled
-kernels survive process restarts: a restarted server warms from disk
+:class:`DiskCacheTier` is the second tier that :meth:`~repro.
+compiler.cache.CompileCache.lookup` accepts (``load``/``store``), with
+one pickle file per compile key under a cache directory. Layered
+beneath the in-memory LRU it makes compiled kernels survive process
+restarts: a restarted server warms from disk
 (zero passes executed) instead of recompiling, the JIT-warm-up pattern
 long-lived runtimes rely on.
 

@@ -25,8 +25,7 @@ branch when no plan is installed::
 or, around a call, :func:`checked`, which returns the callable itself
 while no plan is installed. An injected failure takes the path any
 failure of that step would take: a failed compile or simulation fails
-its micro-batch's requests, a crashed cycle loop is restarted by its
-supervisor.
+its micro-batch's requests.
 """
 
 from __future__ import annotations
@@ -39,13 +38,11 @@ from typing import Any, Callable, Dict, Iterator, Optional
 from repro.errors import CypressError
 
 #: Every fault site the serving stack instruments. ``compile`` fires on
-#: a request's actual (cache-missing) kernel compilation,
-#: ``worker.execute`` on a micro-batch's simulation, and ``loop.cycle``
-#: on each background-loop cycle (speculator / specializer supervision).
+#: a request's actual (cache-missing) kernel compilation and
+#: ``worker.execute`` on a micro-batch's simulation.
 FAULT_SITES = (
     "compile",
     "worker.execute",
-    "loop.cycle",
 )
 
 #: The currently installed plan, or ``None`` (the common case).

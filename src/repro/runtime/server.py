@@ -59,7 +59,7 @@ from repro.gpusim.gpu import GpuResult
 from repro.machine.machine import MachineModel
 from repro.obs.flight import FlightRecorder
 from repro.obs.ops import DiagConfig, DiagServer
-from repro.obs.profiler import PHASES, ContinuousProfiler, ProfilerConfig
+from repro.obs.profiler import ContinuousProfiler, PhaseTracker, ProfilerConfig
 from repro.obs.slo import SloMonitor
 from repro.obs.trace import NULL_TRACER, Tracer
 from repro.runtime import faults
@@ -175,33 +175,34 @@ class _Stages:
     ``compile``/``pass.*``/``execute`` spans.
 
     A batch's stages are contiguous, so :meth:`enter` crosses each
-    boundary once: it swaps the thread's :data:`PHASES` marker when a
-    profiler runs and stamps the boundary when tracing. Both are
-    decided per batch, at construction (a profiler starting mid-batch
-    leaves no stray marker); while both are off every batch shares the
-    inert :data:`_UNMARKED` and the hot path allocates nothing.
+    boundary once: it swaps the thread's marker on its server's
+    :class:`~repro.obs.profiler.PhaseTracker` when a profiler runs and
+    stamps the boundary when tracing. Both are decided per batch, at
+    construction (a profiler starting mid-batch leaves no stray
+    marker); while both are off every batch shares the inert
+    :data:`_UNMARKED` and the hot path allocates nothing.
     """
 
-    __slots__ = ("tracer", "profiling", "marked", "stamps")
+    __slots__ = ("tracer", "phases", "marked", "stamps")
 
     #: Stages that are profiler phases (``batch`` is bookkeeping
     #: between two of them and stays unattributed).
     PHASED = ("dispatch", "compile", "execute")
 
-    def __init__(self, tracer: Any, profiling: bool) -> None:
+    def __init__(self, tracer: Any, phases: Optional[PhaseTracker]) -> None:
         self.tracer = tracer
-        self.profiling = profiling
+        self.phases = phases  # None: no profiler was running
         self.marked = False
         self.stamps: Dict[str, float] = {}
 
     def enter(self, stage: str, head: Optional[_QueuedRequest] = None) -> None:
         """Cross the boundary into ``stage``; ``head`` names the
         ``kernel:bucket`` the profiler attributes the stage to."""
-        if self.profiling:
+        if self.phases is not None:
             self.leave()
             if stage in self.PHASED:
                 detail = head and f"{head.kernel.name}:{head.bucket.label()}"
-                PHASES.push(stage, detail)
+                self.phases.push(stage, detail)
                 self.marked = True
         if self.tracer.enabled:
             self.stamps[stage] = time.perf_counter()
@@ -209,7 +210,7 @@ class _Stages:
     def leave(self) -> None:
         """Drop the thread's profiler marker (idempotent)."""
         if self.marked:
-            PHASES.pop()
+            self.phases.pop()
             self.marked = False
 
     def served(
@@ -282,7 +283,7 @@ class _Stages:
 
 
 #: What every batch gets while tracing and profiling are both off.
-_UNMARKED = _Stages(NULL_TRACER, profiling=False)
+_UNMARKED = _Stages(NULL_TRACER, phases=None)
 
 
 def _config(value: Any, config_type: type) -> Any:
@@ -393,6 +394,8 @@ class RuntimeServer:
         #: graph's future, so close(drain=False) never strands one.
         self._live_graphs: Dict[int, Any] = {}
         self.telemetry = Telemetry()
+        #: Phase markers of this server's threads, read by its profiler.
+        self.phases = PhaseTracker()
         self.resilience = resilience or ResilienceConfig()
         self.flight: Optional[FlightRecorder] = (
             flight
@@ -652,7 +655,7 @@ class RuntimeServer:
         """
         if not requests:
             return
-        with PHASES.phase("queue"):
+        with self.phases.phase("queue"):
             self._submit_prepared(requests)
 
     def _submit_prepared(self, requests: List[_QueuedRequest]) -> None:
@@ -945,9 +948,10 @@ class RuntimeServer:
                 if not self._queue:
                     return
                 request = heapq.heappop(self._queue)
+                phases = self.phases if self.phases.enabled else None
                 stages = (
-                    _Stages(self.tracer, PHASES.enabled)
-                    if self.tracer.enabled or PHASES.enabled
+                    _Stages(self.tracer, phases)
+                    if self.tracer.enabled or phases is not None
                     else _UNMARKED
                 )
                 stages.enter("dispatch")

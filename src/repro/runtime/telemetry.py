@@ -33,7 +33,7 @@ WINDOW = 2048
 
 #: Version of the ``RuntimeStats.to_json()`` schema. Bump on any
 #: renamed/removed key; consumers (``/statusz``, dashboards) key off it.
-STATS_SCHEMA_VERSION = 2
+STATS_SCHEMA_VERSION = 3
 
 
 class CounterSpec(NamedTuple):
@@ -103,10 +103,6 @@ COUNTERS = (
     CounterSpec("shed_requests", "resilience", "shed_requests",
                 "repro_shed_requests_total",
                 "Queued requests evicted by bounded-queue load shedding."),
-    CounterSpec("loop_crashes", "resilience", "loop_crashes",
-                "repro_loop_crashes_total",
-                "Background-loop crashes caught and restarted by "
-                "supervision."),
 )
 
 
@@ -173,7 +169,6 @@ class RuntimeStats:
     flight_records: int = 0
     timeouts: int = 0
     shed_requests: int = 0
-    loop_crashes: int = 0
     #: Currently-firing SLO alerts (``{slo_name: severity}``) and the
     #: latest slow-window burn rate per objective, from the server's
     #: :class:`~repro.obs.slo.SloMonitor`; empty without one.
@@ -316,11 +311,10 @@ class RuntimeStats:
                 f"makespan p50 {self.p50_graph_makespan_s * 1e3:.2f} ms, "
                 f"p95 {self.p95_graph_makespan_s * 1e3:.2f} ms"
             )
-        if self.timeouts or self.shed_requests or self.loop_crashes:
+        if self.timeouts or self.shed_requests:
             lines.append(
                 f"resil.:  {self.timeouts} timeouts, "
-                f"{self.shed_requests} shed, "
-                f"{self.loop_crashes} loop crashes"
+                f"{self.shed_requests} shed"
             )
         if self.slo_alerts:
             lines.append(

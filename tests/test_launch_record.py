@@ -16,7 +16,7 @@ import threading
 import pytest
 
 from repro import api
-from repro.compiler import CompileOptions, pass_execution_count
+from repro.compiler import CompileOptions
 from repro.compiler.cache import compile_key
 from repro.compiler.pipeline import compile_key_for
 from repro.frontend import MappingSpec, TaskRegistry
@@ -86,11 +86,12 @@ class TestRecordIsTheLaunch:
                 bucket = registered.bucket(shape)
                 server.warm(family, [shape])
                 result = server.submit(family, shape).result(timeout=120)
-                passes = pass_execution_count()
+                misses_before = api.compile_cache_stats().misses
                 build, kernel, gpu = _per_request(hopper, registered, bucket)
                 # The direct path found the served kernel under its own
                 # freshly hashed key: the memoised key is the key.
-                assert pass_execution_count() == passes, (family, shape)
+                misses = api.compile_cache_stats().misses
+                assert misses == misses_before, (family, shape)
                 assert kernel.metadata["cache_key"] == compile_key_for(
                     build, CompileOptions()
                 )
@@ -178,12 +179,12 @@ class TestRecordIsTheLaunch:
             )
             for _ in range(3):
                 for key, shape in (("A", A), ("B", B)):
-                    passes = pass_execution_count()
+                    misses_before = api.compile_cache_stats().misses
                     result = server.submit("gemm", shape).result(timeout=120)
                     # The other bucket evicted this one: the lookup runs
                     # per request and the record's compute recompiles.
                     assert result.tier == "compile"
-                    assert pass_execution_count() > passes
+                    assert api.compile_cache_stats().misses > misses_before
                     assert result.gpu == want[key]
             assert builds == []
             assert len(server._launches) == 2
@@ -196,10 +197,10 @@ class TestRecordIsTheLaunch:
                 hopper, registry, workers=2, max_batch=1, start=False
             ) as server:
                 futures = [server.submit("gemm", A) for _ in range(2)]
-                passes = pass_execution_count()
+                misses_before = api.compile_cache_stats().misses
                 server.start()
                 results = [f.result(timeout=120) for f in futures]
-                one_compile = pass_execution_count() - passes
+                one_compile = api.compile_cache_stats().misses - misses_before
                 assert len(server._launches) == 1
         finally:
             sys.setswitchinterval(interval)
@@ -208,9 +209,9 @@ class TestRecordIsTheLaunch:
         )
         assert results[0].gpu == results[1].gpu
         api.clear_compile_cache()
-        passes = pass_execution_count()
+        misses_before = api.compile_cache_stats().misses
         _per_request(hopper, registry.get("gemm"), results[0].bucket)
-        assert one_compile == pass_execution_count() - passes
+        assert one_compile == api.compile_cache_stats().misses - misses_before
 
     def test_deopt_drops_only_the_specialized_record(
         self, hopper, registry

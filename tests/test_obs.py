@@ -601,9 +601,7 @@ class TestStatsJson:
         }
         assert payload["slo"] == {"alerts": {}, "burn_rates": {}}
         assert payload["runtime"]["requests"] == stats.requests
-        assert payload["resilience"] == {
-            "timeouts": 0, "shed_requests": 0, "loop_crashes": 0,
-        }
+        assert payload["resilience"] == {"timeouts": 0, "shed_requests": 0}
         assert payload["runtime"]["completed"] == 2
         assert payload["tiers"]["counts"] == dict(stats.tier_counts)
         assert payload["obs"]["trace_enabled"] is True

@@ -41,7 +41,7 @@ from repro.obs import (
 )
 from repro.obs.metrics import _format_value
 from repro.obs.ops import ENDPOINTS, PROM_CONTENT_TYPE, DiagConfig, DiagServer
-from repro.obs.profiler import PHASES, ContinuousProfiler, ProfilerConfig
+from repro.obs.profiler import ContinuousProfiler, ProfilerConfig
 from repro.obs.slo import SEVERITY_PAGE, Slo, SloMonitor
 from repro.obs.flight import FlightRecorder
 from repro.runtime import BucketPolicy, KernelRegistry, RuntimeServer
@@ -51,6 +51,7 @@ from repro.runtime.resilience import ResilienceConfig
 
 GEMM_SHAPE = dict(m=256, n=256, k=128)
 SMALL = dict(tile_m=128, tile_n=256, tile_k=64)
+LADDER = tuple(128 * step for step in range(1, 9))
 
 
 @pytest.fixture(autouse=True)
@@ -168,6 +169,32 @@ def _one_cpu():
         yield
     finally:
         os.sched_setaffinity(0, cpus)
+
+
+def _ladder_registry():
+    """A GEMM with eight rungs on the m ladder."""
+    reg = KernelRegistry()
+    reg.register(
+        "gemm",
+        build_gemm,
+        ("m", "n", "k"),
+        policy=BucketPolicy(
+            ladders={"m": LADDER, "n": (256,), "k": (64, 128)}
+        ),
+        defaults=dict(SMALL),
+    )
+    return reg
+
+
+def _cold_backlog(server):
+    """One request per bucket of :func:`_ladder_registry`: sixteen
+    distinct buckets, so the worker chews through sixteen cold compiles
+    back to back while a test samples it."""
+    return [
+        server.submit("gemm", dict(m=m, n=256, k=k))
+        for m in LADDER
+        for k in (64, 128)
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -727,25 +754,14 @@ class TestPhaseTracker:
         assert tracker.snapshot() == {}
         tracker.pop()  # over-pop is harmless
 
-    def test_activation_is_reference_counted(self):
-        from repro.obs.profiler import PhaseTracker
-
-        tracker = PhaseTracker()
-        assert not tracker.enabled
-        tracker.activate()
-        tracker.activate()
-        tracker.deactivate()
-        assert tracker.enabled  # one activation still holds it open
-        tracker.deactivate()
-        assert not tracker.enabled
-
-    def test_global_tracker_off_by_default(self, hopper, registry):
-        assert not PHASES.enabled
+    def test_server_tracker_off_by_default(self, hopper, registry):
         with RuntimeServer(hopper, registry, workers=1) as server:
+            assert not server.phases.enabled
             server.submit("gemm", GEMM_SHAPE).result(timeout=600)
-            # No profiler anywhere: the hot path never marked a phase.
-            assert not PHASES.enabled
-            assert PHASES.snapshot() == {}
+            # No profiler on this server: the hot path never marked a
+            # phase.
+            assert not server.phases.enabled
+            assert server.phases.snapshot() == {}
 
 
 class TestProfiler:
@@ -756,36 +772,18 @@ class TestProfiler:
             ProfilerConfig(max_stacks=0)
 
     def test_compile_heavy_trace_attributes_non_idle(self, hopper):
-        # Eight rungs on the m ladder: every submit below lands in a
-        # *distinct* bucket, so the single worker chews through eight
-        # cold compiles back to back while we sample it.
-        rungs = tuple(128 * step for step in range(1, 9))
-        reg = KernelRegistry()
-        reg.register(
-            "gemm",
-            build_gemm,
-            ("m", "n", "k"),
-            policy=BucketPolicy(
-                ladders={"m": rungs, "n": (256,), "k": (64, 128)}
-            ),
-            defaults=dict(SMALL),
-        )
         # The worker is CPU-bound Python, so this thread samples once
         # per GIL switch interval: at the default 5 ms the 80-200 ms
         # backlog yields 16-40 samples, depending on the host's speed.
         # 0.5 ms makes the count a property of the backlog.
         interval = sys.getswitchinterval()
         with _one_cpu(), RuntimeServer(
-            hopper, reg, workers=1, start=False
+            hopper, _ladder_registry(), workers=1, start=False
         ) as server:
             profiler = ContinuousProfiler(server)
             profiler.enable()
             try:
-                futures = [
-                    server.submit("gemm", dict(m=m, n=256, k=k))
-                    for m in rungs
-                    for k in (64, 128)
-                ]
+                futures = _cold_backlog(server)
                 sys.setswitchinterval(5e-4)
                 server.start()
                 # Sample only while a backlog exists: with one worker
@@ -817,6 +815,43 @@ class TestProfiler:
             } or stack.split(";")[0].startswith("pass.")
         top = {entry["stack"] for entry in report["top_stacks"]}
         assert top  # report carries the hottest lines
+
+    def test_an_idle_servers_profiler_sees_no_other_servers_work(
+        self, hopper
+    ):
+        """One server compiles a cold backlog while another idles in the
+        same process: the idle server's profiler sees only its own idle
+        worker, and the busy server's sees its compiler passes."""
+        interval = sys.getswitchinterval()
+        with _one_cpu(), RuntimeServer(
+            hopper, _ladder_registry(), workers=1
+        ) as idle, RuntimeServer(
+            hopper, _ladder_registry(), workers=1, start=False
+        ) as busy:
+            watcher, own = ContinuousProfiler(idle), ContinuousProfiler(busy)
+            watcher.enable()
+            own.enable()
+            try:
+                futures = _cold_backlog(busy)
+                sys.setswitchinterval(5e-4)
+                busy.start()
+                while busy.queue_depth > 0:
+                    watcher.run_once()
+                    own.run_once()
+                    time.sleep(0.0002)
+                for future in futures:
+                    future.result(timeout=600)
+            finally:
+                sys.setswitchinterval(interval)
+                watcher.disable()
+                own.disable()
+        seen = watcher.report()
+        assert seen["samples"] > 0
+        assert set(seen["phases"]) == {"idle"}
+        assert seen["kernels"] == {}
+        assert any(
+            phase.startswith("pass.") for phase in own.report()["phases"]
+        )
 
     def test_export_collapsed_writes_file(self, hopper, registry, tmp_path):
         with RuntimeServer(hopper, registry, workers=1) as server:
@@ -889,14 +924,14 @@ class TestProfiler:
             finally:
                 server.diag.stop()
         # stop() ran inside close(): instrumentation is disarmed again.
-        assert not PHASES.enabled
+        assert not server.phases.enabled
 
     def test_armed_sampler_stays_within_the_overhead_budget(
         self, hopper, registry
     ):
         """Template-replay capture costs at most 1.5x with a 200 Hz
         sampler armed (2x the production default), measured only over
-        windows in which the sampler really ran; zero crashes. Unarmed
+        windows in which the sampler really ran. Unarmed
         and armed windows alternate, so a change in host speed lands
         on both sides."""
         hz, window_s, wanted, cap = 200.0, 0.1, 5, 30
@@ -950,7 +985,6 @@ class TestProfiler:
                 finally:
                     profiler.stop()
                 cpu_s = time.process_time() - cpu_start
-                assert profiler.crashes == 0
                 # A window counts only if the sampler took at least
                 # half the samples due over the CPU time the process
                 # got (it waits for the GIL behind this thread); one

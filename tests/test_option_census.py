@@ -41,7 +41,7 @@ VERIFY_POLICIES = ["every-pass", "ends"]
 
 RESILIENCE_CONFIG_FIELDS = ["max_queue", "shed_policy"]
 
-PINNED_FAULT_SITES = ("compile", "worker.execute", "loop.cycle")
+PINNED_FAULT_SITES = ("compile", "worker.execute")
 
 
 def _settable(fn):

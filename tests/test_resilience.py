@@ -1,12 +1,12 @@
-"""The resilience layer: faults, deadlines, shedding, supervision.
+"""The resilience layer: faults, deadlines, shedding.
 
 Unit-tests the seeded :class:`FaultPlan` and then the server-level
 behaviors: per-request deadlines, bounded-queue load shedding under
 both policies, submit-vs-close races, failures that are not retried
 (an injected or deterministic compile failure fails its batch and
-nothing else), background-loop crash supervision, and a hypothesis
-soak proving every future resolves and every failure is accounted for
-under randomized fault/submit interleavings.
+nothing else), and a hypothesis soak proving every future resolves
+and every failure is accounted for under randomized fault/submit
+interleavings.
 """
 
 import random
@@ -31,9 +31,6 @@ from repro.runtime.resilience import DeadlineExceeded, ResilienceConfig
 from repro.runtime.speculate import SpeculatorConfig
 
 SMALL = dict(tile_m=128, tile_n=256, tile_k=64)
-#: The fault sites on the request path; an injection at either fails
-#: the one micro-batch it fired in.
-REQUEST_SITES = ("compile", "worker.execute")
 
 
 @pytest.fixture(autouse=True)
@@ -336,7 +333,7 @@ class TestSubmitClose:
 # Server: a failed compile or simulation fails its batch, once
 # ----------------------------------------------------------------------
 class TestFailuresAreNotRetried:
-    @pytest.mark.parametrize("site", REQUEST_SITES)
+    @pytest.mark.parametrize("site", FAULT_SITES)
     def test_fault_fails_the_batch_once(self, hopper, registry, site):
         plan = FaultPlan(seed=5).inject(site, 1.0)
         with faults.active(plan):
@@ -387,45 +384,6 @@ class TestFailuresAreNotRetried:
 
 
 # ----------------------------------------------------------------------
-# Background-loop supervision
-# ----------------------------------------------------------------------
-class TestLoopSupervision:
-    def test_crashed_loop_restarts_and_counts(self, hopper, registry):
-        plan = FaultPlan(seed=3).inject("loop.cycle", 1.0)
-        config = SpeculatorConfig(interval_s=0.001)
-        with faults.active(plan):
-            with RuntimeServer(
-                hopper, registry, workers=1, speculate=config
-            ) as server:
-                speculator = server.speculator
-                deadline = time.monotonic() + 60.0
-                while (
-                    speculator.crashes < 2
-                    and time.monotonic() < deadline
-                ):
-                    time.sleep(0.005)
-                assert speculator.crashes >= 2, "loop was not restarted"
-                # Serving survived every crash.
-                result = server.submit(
-                    "gemm", dict(m=128, n=256, k=64)
-                ).result(timeout=120)
-                assert result.tflops > 0
-                assert server.stats().loop_crashes >= 2
-
-    def test_faults_off_loop_runs_clean(self, hopper, registry):
-        config = SpeculatorConfig(interval_s=0.001)
-        with RuntimeServer(
-            hopper, registry, workers=1, speculate=config
-        ) as server:
-            server.submit("gemm", dict(m=128, n=256, k=64)).result(
-                timeout=120
-            )
-            time.sleep(0.05)
-            assert server.speculator.crashes == 0
-            assert server.stats().loop_crashes == 0
-
-
-# ----------------------------------------------------------------------
 # The hypothesis soak: randomized submits + faults + close
 # ----------------------------------------------------------------------
 def _assert_every_failure_has_a_cause(futures, plan):
@@ -442,7 +400,7 @@ def _assert_every_failure_has_a_cause(futures, plan):
                 error
             ), repr(error)
     assert len(injected) == sum(
-        plan.injections(site) for site in REQUEST_SITES
+        plan.injections(site) for site in FAULT_SITES
     )
 
 
@@ -468,7 +426,7 @@ class TestSoak:
             dict(m=128, n=256, k=128),
         ]
         plan = FaultPlan(seed=seed)
-        for site in REQUEST_SITES:
+        for site in FAULT_SITES:
             plan.inject(site, rate)
         config = ResilienceConfig(max_queue=8, shed_policy="drop-oldest")
         tmp = tempfile.TemporaryDirectory()
@@ -531,7 +489,6 @@ TRACE_REQUESTS = 500
 CHAOS_RATES = {
     "compile": 0.2,
     "worker.execute": 0.1,
-    "loop.cycle": 0.25,
 }
 
 
@@ -575,14 +532,6 @@ class TestChaosGolden:
             futures = [
                 server.submit(kernel, shape) for kernel, shape in trace
             ]
-            # Let the background loop take (and survive) injections
-            # before the drain stops it.
-            deadline = time.monotonic() + 10.0
-            while (
-                plan.injections("loop.cycle") < 2
-                and time.monotonic() < deadline
-            ):
-                time.sleep(0.005)
             server.close(drain=True)
         stats = server.stats()
 
@@ -598,7 +547,6 @@ class TestChaosGolden:
         _assert_every_failure_has_a_cause(futures, plan)
         for site in FAULT_SITES:
             assert plan.injections(site) > 0, site
-        assert stats.loop_crashes > 0  # the supervisor earned its keep
 
         served = 0
         for index, future in enumerate(futures):

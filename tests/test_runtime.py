@@ -16,7 +16,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import api
-from repro.compiler import pass_execution_count
 from repro.errors import CypressError
 from repro.kernels import build_gemm
 from repro.runtime import (
@@ -277,12 +276,12 @@ class TestRoundTrip:
         with RuntimeServer(
             hopper, registry, workers=1, disk_cache=str(disk)
         ) as server:
-            before = pass_execution_count()
+            before = api.compile_cache_stats().misses
             result = server.submit(
                 "gemm", dict(m=128, n=256, k=64)
             ).result(timeout=120)
             assert result.tier == "disk"
-            assert pass_execution_count() == before  # zero passes
+            assert api.compile_cache_stats().misses == before  # zero passes
             assert (
                 result.gpu.tflops == direct[(128, 256, 64)].tflops
             )
@@ -294,7 +293,7 @@ class TestRoundTrip:
                     timeout=120
                 )
             assert server.stats().tier_counts["compile"] == 0
-            assert pass_execution_count() == before
+            assert api.compile_cache_stats().misses == before
 
     def test_cold_vs_warm_restart_equivalence(
         self, hopper, registry, tmp_path
@@ -592,12 +591,12 @@ class TestDiskTier:
             cold = server_a.submit("gemm", shape).result(timeout=120)
             assert cold.tier == "compile"
             api.clear_compile_cache()
-            before = pass_execution_count()
+            before = api.compile_cache_stats().misses
             # Memory is cold, B was constructed last, and the kernel is
             # in A's directory only: A reads it back from there.
             warm = server_a.submit("gemm", shape).result(timeout=120)
             assert warm.tier == "disk"
-            assert pass_execution_count() == before
+            assert api.compile_cache_stats().misses == before
             assert api.compile_cache_stats().second_tier_hits == 1
             assert len(server_a.disk_tier) == 1
             assert len(server_b.disk_tier) == 0
@@ -640,11 +639,11 @@ class TestWarmTuning:
         shape = dict(m=128, n=256, k=64)
         with RuntimeServer(hopper, registry, workers=1) as server:
             first = server.warm("gemm", [shape])
-            before = pass_execution_count()
+            before = api.compile_cache_stats().misses
             second = server.warm("gemm", [shape])
             # The second call skips outright: no recompile, no passes.
             assert second == first
-            assert pass_execution_count() == before
+            assert api.compile_cache_stats().misses == before
 
     def test_warm_retune_skipped_once_params_pinned(
         self, hopper, registry
@@ -662,11 +661,11 @@ class TestWarmTuning:
             server.warm("gemm", [shape])
             # Tuned warm must still tune (params not pinned yet)...
             first = server.warm("gemm", [shape], tune=True, space=space)
-            before = pass_execution_count()
+            before = api.compile_cache_stats().misses
             # ...but a second tuned warm is a pure no-op.
             second = server.warm("gemm", [shape], tune=True, space=space)
             assert second == first
-            assert pass_execution_count() == before
+            assert api.compile_cache_stats().misses == before
 
 
 class TestGraphShutdown:

@@ -26,7 +26,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro import api
-from repro.compiler import pass_execution_count
 from repro.errors import CypressError
 from repro.kernels import build_gemm
 from repro.runtime import (
@@ -254,11 +253,11 @@ class TestGuardServing:
         ) as server:
             _heat(server, HOT_M, 5)
             assert server.specializer.run_once() == 1
-            before = pass_execution_count()
+            before = api.compile_cache_stats().misses
             result = server.submit("gemm", _shape(HOT_M)).result(timeout=120)
             assert result.bucket.as_dict() == _shape(ALIGNED_M)
             assert result.tier == "memory"
-            assert pass_execution_count() == before
+            assert api.compile_cache_stats().misses == before
 
     def test_miss_falls_through_to_generic(self, hopper, registry):
         with RuntimeServer(

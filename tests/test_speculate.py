@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from repro import api
-from repro.compiler import pass_execution_count
 from repro.errors import CypressError
 from repro.kernels import build_gemm
 from repro.runtime import (
@@ -104,13 +103,13 @@ class TestSpeculator:
             )
             compiled = server.speculator.run_once()
             assert compiled > 0  # neighbor buckets were precompiled
-            before = pass_execution_count()
+            before = api.compile_cache_stats().misses
             result = server.submit("gemm", dict(m=200, n=256, k=64)).result(
                 timeout=120
             )
             assert result.bucket.as_dict() == dict(m=256, n=256, k=64)
             assert result.tier == "memory"
-            assert pass_execution_count() == before
+            assert api.compile_cache_stats().misses == before
 
     def test_run_once_is_idempotent(self, hopper, registry):
         with RuntimeServer(
@@ -248,11 +247,11 @@ class TestSharedFetch:
         ) as server:
             server.submit("gemm", shape).result(timeout=120)
             api.clear_compile_cache()
-            before = pass_execution_count()
+            before = api.compile_cache_stats().misses
             # The lookup consults the server's own disk tier: the bucket
             # comes back into memory, and nothing was compiled.
             assert server.speculator.run_once() == 0
-            assert pass_execution_count() == before
+            assert api.compile_cache_stats().misses == before
             stats = server.stats()
             assert stats.speculative_compiles == 0
             assert stats.speculation_issued == 0
