@@ -31,9 +31,10 @@ from repro.gpusim.roofline import roofline, throttle_scale
 from repro.machine.machine import MachineModel
 
 
-@dataclass
+@dataclass(frozen=True)
 class GpuResult:
-    """Timing and throughput of a full kernel launch."""
+    """Timing and throughput of a full kernel launch (read-only: a
+    serving launch record shares one result among all its requests)."""
 
     name: str
     cycles: float

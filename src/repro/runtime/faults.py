@@ -39,7 +39,8 @@ from repro.errors import CypressError
 
 #: Every fault site the serving stack instruments. ``compile`` fires on
 #: a request's actual (cache-missing) kernel compilation and
-#: ``worker.execute`` on a micro-batch's simulation.
+#: ``worker.execute`` on a micro-batch's execute step, once per batch
+#: whether its launch record's timing is simulated or read.
 FAULT_SITES = (
     "compile",
     "worker.execute",

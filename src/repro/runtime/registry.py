@@ -20,6 +20,7 @@ from typing import Any, Callable, Dict, Mapping, Optional, Tuple
 
 from repro.compiler.pipeline import build_step
 from repro.errors import CypressError
+from repro.gpusim.gpu import GpuResult
 from repro.kernels import KERNEL_BUILDERS, KernelBuild
 from repro.machine.machine import MachineModel
 from repro.runtime.bucketing import Bucket, BucketPolicy
@@ -130,7 +131,10 @@ class Launch:
     build_step`), hashed once, here. The key covers every registered
     external, so the record is :attr:`current` only until its task
     registry registers again. ``warmed`` names the compiled kernel once
-    ``warm`` has fetched it."""
+    ``warm`` has fetched it. ``gpu`` is that kernel's simulated timing on
+    the server's machine, a pure function of ``key``: filled by the
+    record's first executed batch (or by ``warm``) and reused by every
+    later one, so it is dropped only with the record."""
 
     params: Optional[Dict[str, Any]]
     build: KernelBuild
@@ -138,6 +142,7 @@ class Launch:
     key: str = field(init=False)
     compute: Callable[[], Any] = field(init=False)
     warmed: Optional[str] = None
+    gpu: Optional[GpuResult] = None
 
     def __post_init__(self) -> None:
         # Read before hashing: a registration racing the hash leaves a

@@ -102,11 +102,13 @@ class RuntimeResult:
     """What a resolved request future carries.
 
     ``gpu`` is the simulated execution of the *bucket* kernel (identical
-    to a direct ``compile_kernel`` + ``simulate`` of the bucket shape);
-    ``outputs`` are the functional results when the request carried
-    inputs. ``tier`` records which cache tier produced the compiled
-    kernel — ``"memory"``, ``"disk"``, or ``"compile"`` — and
-    ``batch_size`` how many requests shared this compile + simulation.
+    to a direct ``compile_kernel`` + ``simulate`` of the bucket shape).
+    It is simulated once per launch record, so one read-only object is
+    shared by every request of the bucket. ``outputs`` are the
+    functional results when the request carried inputs. ``tier``
+    records which cache tier produced the compiled kernel —
+    ``"memory"``, ``"disk"``, or ``"compile"`` — and ``batch_size`` how
+    many requests were served by this batch.
     """
 
     kernel: str
@@ -803,7 +805,8 @@ class RuntimeServer:
 
         Each shape in ``buckets`` is rounded by the kernel's bucket
         policy and compiled ahead of traffic, populating both cache
-        tiers. With ``tune=True`` the kernel's mapping search space (or
+        tiers, and its timing is simulated onto the bucket's launch
+        record. With ``tune=True`` the kernel's mapping search space (or
         ``space``) is swept with :func:`repro.tuner.autotune` first and
         the winning mapping parameters are pinned for that bucket — all
         subsequent requests in the bucket are served by the tuned
@@ -847,7 +850,9 @@ class RuntimeServer:
             else:
                 launch = self._launch(registered, bucket)
             if launch.warmed is None:
-                launch.warmed = self._fetch(launch)[0].name
+                kernel = self._fetch(launch)[0]
+                launch.warmed = kernel.name
+                self._timing(launch, kernel)
             warmed[bucket.label()] = launch.warmed
         return warmed
 
@@ -912,6 +917,15 @@ class RuntimeServer:
             launch = self._launches.get((kernel, bucket))
             if launch is not None and launch.params is None:
                 del self._launches[(kernel, bucket)]
+
+    def _timing(self, launch: Launch, kernel: Any) -> GpuResult:
+        """``launch``'s simulated timing, simulating ``kernel`` only if
+        the record has none yet: the timing is a pure function of the
+        record's key and this server's machine. Racing first batches
+        may both simulate; they store equal results."""
+        if launch.gpu is None:
+            launch.gpu = api.simulate(kernel, self.machine)
+        return launch.gpu
 
     def _fetch(self, launch: Launch, compute=None) -> Tuple[Any, str]:
         """The server's one kernel-acquisition path: ``(kernel, tier)``.
@@ -1090,8 +1104,8 @@ class RuntimeServer:
                 launch, faults.checked("compile", name, launch.compute)
             )
             stages.enter("execute", head)
-            gpu = faults.checked("worker.execute", name, api.simulate)(
-                kernel, self.machine
+            gpu = faults.checked("worker.execute", name, self._timing)(
+                launch, kernel
             )
         except Exception as error:
             for request in live:

@@ -1,18 +1,21 @@
 """The server's per-(kernel, bucket) launch record.
 
 A :class:`~repro.runtime.registry.Launch` is made once per bucket and
-carries the build, its compile key and ``compute``. These tests hold
-the two halves of that bargain: the record *is* the launch a request
-would have resolved for itself (same key, same kernel, same result,
-and the cache lookup still runs per request), and it is replaced or
-dropped exactly when it should be. The last class counts function
+carries the build, its compile key, ``compute`` and, once a batch or
+``warm`` has simulated it, the kernel's timing. These tests hold the
+two halves of that bargain: the record *is* the launch a request would
+have resolved for itself (same key, same kernel, same result, and the
+cache lookup still runs per request), and it is replaced or dropped
+exactly when it should be. The last two classes count function
 entries — not microseconds — so a refactor that puts the per-request
-rebuild back fails here first.
+rebuild or simulation back fails here first.
 """
 
+import dataclasses
 import sys
 import threading
 
+import numpy as np
 import pytest
 
 from repro import api
@@ -21,6 +24,8 @@ from repro.compiler.cache import compile_key
 from repro.compiler.pipeline import compile_key_for
 from repro.frontend import MappingSpec, TaskRegistry
 from repro.frontend.task import ExternalFunction
+from repro.gpusim.functional import interpret_function
+from repro.gpusim.gpu import simulate_kernel
 from repro.kernels import build_gemm, kernel_registry, transformer_block_graph
 from repro.runtime import (
     BucketPolicy,
@@ -68,6 +73,33 @@ def _per_request(machine, registered, bucket, params=None):
     build = registered.build(machine, bucket, params)
     kernel = api.compile_kernel(build)
     return build, kernel, api.simulate(kernel, machine)
+
+
+def _private_tasks():
+    """A copy of the kernel zoo's task registry, and a GEMM builder
+    whose mapping reads it (so a test may register into it)."""
+    tasks = TaskRegistry()
+    tasks.variants.update(kernel_registry.variants)
+    tasks.tasks.update(
+        {name: list(v) for name, v in kernel_registry.tasks.items()}
+    )
+    tasks.externals.update(kernel_registry.externals)
+
+    def private_gemm(machine, m, n, k, **params):
+        build = build_gemm(machine, m, n, k, **params)
+        build.spec = MappingSpec(
+            list(build.spec.by_instance.values()), tasks, machine
+        )
+        return build
+
+    return tasks, private_gemm
+
+
+def _register_later(tasks):
+    def later(x):
+        x[...] = 0
+
+    tasks.register_external(ExternalFunction("later", later, "nop"))
 
 
 def _served_key(server, kernel, shape):
@@ -127,23 +159,7 @@ class TestRecordIsTheLaunch:
             assert len(server._launches) == 1
 
     def test_a_registration_outdates_the_record(self, hopper):
-        tasks = TaskRegistry()
-        tasks.variants.update(kernel_registry.variants)
-        tasks.tasks.update(
-            {name: list(v) for name, v in kernel_registry.tasks.items()}
-        )
-        tasks.externals.update(kernel_registry.externals)
-
-        def private_gemm(machine, m, n, k, **params):
-            build = build_gemm(machine, m, n, k, **params)
-            build.spec = MappingSpec(
-                list(build.spec.by_instance.values()), tasks, machine
-            )
-            return build
-
-        def later(x):
-            x[...] = 0
-
+        tasks, private_gemm = _private_tasks()
         with RuntimeServer(hopper, _registry(private_gemm), workers=1) as server:
             first = server.submit("gemm", A).result(timeout=120)
             key = _served_key(server, "gemm", A)
@@ -151,7 +167,7 @@ class TestRecordIsTheLaunch:
             assert (first.tier, again.tier) == ("compile", "memory")
             assert _served_key(server, "gemm", A) == key
             # The fingerprint covers every registered external.
-            tasks.register_external(ExternalFunction("later", later, "nop"))
+            _register_later(tasks)
             third = server.submit("gemm", A).result(timeout=120)
             assert third.tier == "compile"
             assert _served_key(server, "gemm", A) != key
@@ -315,3 +331,216 @@ class TestWarmRequestsResolveNothing:
         # ``marks`` was read after the second capture, before its submit.
         assert counts == marks
         assert counts["compile_key"] > 0  # the first replay resolved them
+
+
+class TestTimingIsSimulatedOncePerRecord:
+    """A record's timing is simulated on its first executed batch (or in
+    ``warm``) and read by every later one; a replaced or dropped record
+    starts without it. Entries into ``simulate_kernel`` are counted, so
+    calls through ``api.simulate`` count too."""
+
+    def _serve(self, server, n, shape=A, **kwargs):
+        return [
+            server.submit("gemm", shape, **kwargs).result(timeout=120)
+            for _ in range(n)
+        ]
+
+    def test_twenty_warm_requests_simulate_once(self, hopper, registry):
+        registered = registry.get("gemm")
+        _build, _kernel, want = _per_request(
+            hopper, registered, registered.bucket(A)
+        )
+        served = []
+
+        def body(counts):
+            with RuntimeServer(hopper, registry, workers=1) as server:
+                served.extend(self._serve(server, 20))
+
+        counts = count_entries((simulate_kernel,), body)
+        assert counts == {"simulate_kernel": 1}
+        assert [r.tier for r in served] == ["memory"] * 20
+        for result in served:
+            assert dataclasses.asdict(result.gpu) == dataclasses.asdict(want)
+            assert result.gpu is served[0].gpu
+
+    def test_warm_fills_the_record(self, hopper, registry):
+        marks = {}
+        served = []
+
+        def body(counts):
+            with RuntimeServer(hopper, registry, workers=1) as server:
+                server.warm("gemm", [A])
+                marks.update(counts)
+                served.extend(self._serve(server, 20))
+                launch = server._launches[("gemm", served[0].bucket)]
+                assert launch.gpu is served[0].gpu
+
+        counts = count_entries((simulate_kernel,), body)
+        assert marks == {"simulate_kernel": 1}
+        assert counts == marks
+
+    def test_every_served_timing_is_the_direct_one(self, hopper, registry):
+        registered = registry.get("gemm")
+        shapes = [A, B, dict(m=256, n=256, k=64), dict(m=128, n=256, k=128)]
+        with RuntimeServer(hopper, registry, workers=2) as server:
+            futures = [
+                server.submit("gemm", shape)
+                for _ in range(3) for shape in shapes
+            ]
+            results = [f.result(timeout=120) for f in futures]
+        for result in results:
+            build = registered.build(hopper, result.bucket)
+            direct = api.simulate(api.compile_kernel(build), hopper)
+            assert dataclasses.asdict(result.gpu) == dataclasses.asdict(
+                direct
+            )
+
+    def test_a_repin_simulates_the_new_record_once(self, hopper, registry):
+        space = MappingSearchSpace(
+            tiles=((128, 256),), tile_k=(64,), warpgroups=(1, 2),
+            pipeline_depths=(1, 2), warpspecialize=(False,),
+        )
+        registered = registry.get("gemm")
+        bucket = registered.bucket(A)
+        marks = []
+        served = {}
+
+        def body(counts):
+            with RuntimeServer(hopper, registry, workers=1) as server:
+                served["untuned"] = self._serve(server, 2)
+                server.warm("gemm", [A], tune=True, space=space)
+                marks.append(counts["simulate_kernel"])
+                # ``warm`` filled the replaced record: its requests
+                # read it.
+                served["tuned"] = self._serve(server, 5)
+                marks.append(counts["simulate_kernel"])
+                tuned = server._launches[("gemm", bucket)]
+                assert all(r.gpu is tuned.gpu for r in served["tuned"])
+                # The tuning speculator's repin replaces the record
+                # without warming it: the next request simulates it.
+                server._launch(registered, bucket, pin=dict(tuned.params))
+                marks.append(counts["simulate_kernel"])
+                served["repinned"] = self._serve(server, 5)
+
+        counts = count_entries((simulate_kernel,), body)
+        warmed, after_warm, repinned = marks
+        assert after_warm == warmed
+        assert counts["simulate_kernel"] == repinned + 1
+        _build, _kernel, want = _per_request(
+            hopper, registered, bucket, served["tuned"][0].params
+        )
+        assert served["untuned"][0].params is None
+        assert served["tuned"][0].params is not None
+        for name in ("tuned", "repinned"):
+            for result in served[name]:
+                assert dataclasses.asdict(result.gpu) == dataclasses.asdict(
+                    want
+                )
+
+    def _simulations_after(self, server_args, event):
+        """Serve three requests, run ``event(server, bucket)``, serve five
+        more: the results before and after, and the simulations the five
+        ran."""
+        marks = {}
+        served = {}
+
+        def body(counts):
+            with RuntimeServer(*server_args, workers=1) as server:
+                served["before"] = self._serve(server, 3)
+                event(server, served["before"][0].bucket)
+                marks.update(counts)
+                served["after"] = self._serve(server, 5)
+
+        counts = count_entries((simulate_kernel,), body)
+        simulations = counts["simulate_kernel"] - marks["simulate_kernel"]
+        return served["before"], served["after"], simulations
+
+    def test_a_registration_simulates_once_more(self, hopper):
+        tasks, private_gemm = _private_tasks()
+        before, after, simulations = self._simulations_after(
+            (hopper, _registry(private_gemm)),
+            lambda server, bucket: _register_later(tasks),
+        )
+        assert simulations == 1
+        assert after[0].gpu is not before[0].gpu
+        assert after[0].gpu == before[0].gpu
+        assert all(r.gpu is after[0].gpu for r in after)
+
+    def test_a_deopt_forget_simulates_once_more(self, hopper, registry):
+        before, after, simulations = self._simulations_after(
+            (hopper, registry),
+            lambda server, bucket: server._forget("gemm", bucket),
+        )
+        assert simulations == 1
+        assert after[0].gpu is not before[0].gpu
+        assert after[0].gpu == before[0].gpu
+
+    def test_racing_workers_serve_one_timing(self, hopper, registry):
+        registered = registry.get("gemm")
+        want = {
+            registered.bucket(shape): _per_request(
+                hopper, registered, registered.bucket(shape)
+            )[2]
+            for shape in (A, B)
+        }
+        marks = {}
+        served = []
+        launches = {}
+
+        def body(counts):
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                with RuntimeServer(
+                    hopper, registry, workers=4, max_batch=1
+                ) as server:
+                    futures = [
+                        server.submit("gemm", (A, B)[i % 2])
+                        for i in range(40)
+                    ]
+                    served.extend(f.result(timeout=120) for f in futures)
+                    marks.update(counts)
+                    served.extend(self._serve(server, 5, A))
+                    served.extend(self._serve(server, 5, B))
+                    launches.update(
+                        (bucket, server._launches[("gemm", bucket)])
+                        for bucket in want
+                    )
+            finally:
+                sys.setswitchinterval(interval)
+
+        counts = count_entries((simulate_kernel,), body)
+        # Racing first batches may each simulate (at most one per
+        # worker per record); once one has stored, nothing simulates.
+        assert 2 <= marks["simulate_kernel"] <= 8
+        assert counts == marks
+        for result in served:
+            assert result.gpu == want[result.bucket]
+        for result in served[40:]:
+            assert result.gpu is launches[result.bucket].gpu
+
+    def test_data_carrying_requests_interpret_each(self, hopper, registry):
+        rng = np.random.default_rng(3)
+        inputs = {
+            "C": np.zeros((128, 256), np.float16),
+            "A": (rng.standard_normal((128, 64)) * 0.1).astype(np.float16),
+            "B": (rng.standard_normal((64, 256)) * 0.1).astype(np.float16),
+        }
+        served = []
+
+        def body(counts):
+            with RuntimeServer(hopper, registry, workers=1) as server:
+                served.extend(self._serve(server, 4, inputs=inputs))
+
+        counts = count_entries((simulate_kernel, interpret_function), body)
+        assert counts == {"simulate_kernel": 1, "interpret_function": 4}
+        for result in served:
+            np.testing.assert_array_equal(
+                result.outputs["C"], served[0].outputs["C"]
+            )
+
+    def test_a_served_timing_is_read_only(self, hopper, registry):
+        with RuntimeServer(hopper, registry, workers=1) as server:
+            result = server.submit("gemm", A).result(timeout=120)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            result.gpu.cycles = 0.0

@@ -383,6 +383,50 @@ class TestFailuresAreNotRetried:
         assert stats.failed == 8
 
 
+class TestExecuteSiteUnderTheTimingMemo:
+    """A launch record simulates its timing once, yet the
+    ``worker.execute`` site is still checked once per micro-batch, so
+    the injection stream is the same whether the memo hits or misses."""
+
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_one_check_per_micro_batch(self, hopper, registry, warm):
+        shapes = [dict(m=128, n=256, k=64), dict(m=256, n=256, k=64)]
+        plan = FaultPlan(seed=9).inject("worker.execute", 0.0)
+        with faults.active(plan):
+            with RuntimeServer(hopper, registry, workers=1) as server:
+                if warm:  # every batch then hits the memo
+                    server.warm("gemm", shapes)
+                for index in range(12):
+                    server.submit("gemm", shapes[index % 2]).result(
+                        timeout=120
+                    )
+                stats = server.stats()
+        assert stats.batches == stats.completed == 12
+        assert plan.checks("worker.execute") == stats.batches
+
+    def test_a_fault_on_the_first_batch_leaves_the_record_unfilled(
+        self, hopper, registry
+    ):
+        shape = dict(m=128, n=256, k=64)
+        bucket = registry.get("gemm").bucket(shape)
+        direct = api.simulate(
+            api.compile_kernel(build_gemm(hopper, **shape, **SMALL)), hopper
+        )
+        plan = FaultPlan(seed=5).inject("worker.execute", 1.0)
+        with faults.active(plan):
+            with RuntimeServer(hopper, registry, workers=1) as server:
+                with pytest.raises(InjectedFault):
+                    server.submit("gemm", shape).result(timeout=120)
+                launch = server._launches[("gemm", bucket)]
+                assert launch.gpu is None
+                plan.inject("worker.execute", 0.0)
+                served = server.submit("gemm", shape).result(timeout=120)
+                assert server._launches[("gemm", bucket)] is launch
+                assert launch.gpu is served.gpu
+        assert served.gpu == direct
+        assert plan.checks("worker.execute") == 2
+
+
 # ----------------------------------------------------------------------
 # The hypothesis soak: randomized submits + faults + close
 # ----------------------------------------------------------------------
