@@ -7,7 +7,10 @@ by the event dependence graph — and the executor simulates one CTA's
 streams against resource servers at H100 rates (TMA engine, Tensor
 Core, SIMT pipelines, shared-memory bandwidth). The whole-GPU model adds
 grid scheduling: occupancy, waves, launch overhead, DRAM/L2 bandwidth
-roofs, and a deterministic power-throttle model.
+roofs, and a deterministic power-throttle model. That grid arithmetic is
+one launch model (:func:`~repro.gpusim.roofline.occupancy` and
+:func:`~repro.gpusim.roofline.launch`), which the analytic cost model in
+:mod:`repro.tuner.costmodel` ends in as well.
 """
 
 from repro.gpusim.kernel import Instr, KernelSchedule, Segment

@@ -50,10 +50,8 @@ class ResourcePool:
         }
         # All service rates come from the shared roofline derivation so
         # the analytic cost model and the simulator agree on the
-        # hardware's capabilities (repro.gpusim.roofline). strict=False:
-        # the CTA-level engine never touches the HBM roof, so machines
-        # without that spec keep working (historical tolerance).
-        roof = roofline(machine, strict=False)
+        # hardware's capabilities (repro.gpusim.roofline).
+        roof = roofline(machine)
         self._tensor_flops_per_cycle = roof.tensor_flops_per_cycle
         self._simt_flops_per_cycle = roof.simt_flops_per_cycle
         self._sfu_ops_per_cycle = roof.sfu_ops_per_cycle

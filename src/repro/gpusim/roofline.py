@@ -1,20 +1,27 @@
-"""Per-resource roofline numbers derived from a :class:`MachineModel`.
+"""Per-resource roofline numbers and the one launch model.
 
 The discrete-event simulator (:mod:`repro.gpusim.engine`), the
-whole-GPU wave model (:mod:`repro.gpusim.gpu`), and the analytic cost
+whole-GPU model (:mod:`repro.gpusim.gpu`), and the analytic cost
 model (:mod:`repro.tuner.costmodel`) all need the same derived
 quantities: per-SM service rates for each resource, whole-device
 bandwidth in bytes per cycle, latency and issue costs, and occupancy
-limits. :func:`roofline` computes them once from ``machine.specs`` so
-the predictor and the simulator can never disagree about what the
-hardware is capable of — only about how a particular schedule uses it.
+limits. :func:`roofline` computes them once from ``machine.specs``.
+
+Both timing paths then end in the same two calls: :func:`occupancy`
+(CTAs resident per SM) and :func:`launch` (waves, multi-CTA
+contention, the HBM/L2 roofs, the power throttle and the launch
+overhead). The simulator feeds them one simulated CTA, the cost model
+one predicted CTA, so the predictor and the simulator can never
+disagree about what the hardware is capable of or how a grid fills it
+— only about how a particular schedule uses one CTA's resources.
 """
 
 from __future__ import annotations
 
+import math
 import weakref
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Dict, Iterable, Tuple
 
 from repro.machine.machine import MachineModel
 from repro.machine.memory import MemoryKind
@@ -103,8 +110,6 @@ def effective_waves(grid: int, concurrent: int) -> float:
 
     The partial last wave is scaled by its fill fraction, floored at
     0.35 (tail effects), and the whole launch takes at least one wave.
-    Shared by the simulator's grid model and the analytic cost model so
-    the tail arithmetic can never drift apart.
 
     Args:
         grid: CTAs launched.
@@ -125,8 +130,7 @@ def throttle_scale(
     """The deterministic power-throttle clock scale for one launch.
 
     Sustained Tensor Core utilization above the roofline's knee scales
-    the clock linearly toward the floor fraction. Shared by the
-    simulator and the analytic cost model.
+    the clock linearly toward the floor fraction.
 
     Args:
         roof: the machine's derived roofline.
@@ -150,66 +154,161 @@ def throttle_scale(
     return 1.0
 
 
+def occupancy(
+    roof: Roofline, smem_bytes: int, threads: int, regs_per_thread: int
+) -> int:
+    """CTAs resident per SM under shared-memory/register/thread limits.
+
+    Args:
+        roof: the machine's derived roofline.
+        smem_bytes: shared memory per CTA.
+        threads: threads per CTA.
+        regs_per_thread: registers per thread.
+
+    Returns:
+        The occupancy (>= 1: a launch always runs one CTA per SM).
+    """
+    limit = roof.max_ctas_per_sm
+    if smem_bytes > 0:
+        limit = min(limit, roof.smem_capacity_bytes // smem_bytes)
+    if threads > 0:
+        limit = min(limit, roof.max_threads_per_sm // threads)
+    regs = regs_per_thread * threads
+    if regs > 0:
+        limit = min(limit, roof.registers_per_sm // regs)
+    return max(1, limit)
+
+
+@dataclass(frozen=True)
+class LaunchTiming:
+    """One launch on the whole device, as :func:`launch` models it.
+
+    Attributes:
+        waves: full-occupancy waves the grid needs (ceiling).
+        effective_waves: the wave multiplier actually charged (partial
+            tail scaled by its fill, or the persistent grid's ratio).
+        cycles: launch cycles after the roofs and the throttle.
+        clock_scale: the power throttle's clock scale in (0, 1].
+        seconds: wall time including the host launch overhead.
+        tflops: throughput of ``total_flops`` over ``seconds``.
+        hbm_floor / l2_floor: the two bandwidth roofs in cycles.
+    """
+
+    waves: int
+    effective_waves: float
+    cycles: float
+    clock_scale: float
+    seconds: float
+    tflops: float
+    hbm_floor: float
+    l2_floor: float
+
+
+def launch(
+    roof: Roofline,
+    *,
+    grid: int,
+    ctas_per_sm: int,
+    cta_cycles: float,
+    busy: Iterable[float],
+    hbm_bytes: float,
+    l2_bytes: float,
+    total_flops: float,
+    persistent: bool = False,
+) -> LaunchTiming:
+    """Time a grid of identical CTAs on the whole device.
+
+    A wave is limited by the critical path of one CTA and by each SM
+    resource serving all co-resident CTAs. The partial last wave is
+    scaled by its fill fraction (:func:`effective_waves`); a persistent
+    kernel (one CTA per SM consuming logical blocks off a queue) avoids
+    both the tail quantization and the per-CTA start cost. The launch
+    then takes at least its HBM and L2 roofs, is slowed by the
+    deterministic power throttle (:func:`throttle_scale`), and pays the
+    host launch overhead.
+
+    Args:
+        roof: the machine's derived roofline.
+        grid: CTAs launched.
+        ctas_per_sm: the occupancy (:func:`occupancy`).
+        cta_cycles: one CTA's critical path.
+        busy: one CTA's busy cycles on each contended SM resource.
+        hbm_bytes: compulsory DRAM traffic of the whole launch.
+        l2_bytes: total global traffic of the whole launch.
+        total_flops: useful arithmetic of the launch.
+        persistent: whether the grid is persistent.
+
+    Returns:
+        The :class:`LaunchTiming`.
+    """
+    concurrent = roof.sm_count * ctas_per_sm
+    wave_cycles = cta_cycles
+    for resource_busy in busy:
+        wave_cycles = max(wave_cycles, resource_busy * ctas_per_sm)
+    if persistent:
+        waves = max(grid / concurrent, 1.0)
+        start_cycles = 0.0
+    else:
+        waves = effective_waves(grid, int(concurrent))
+        start_cycles = roof.cta_start_cycles
+    hbm_floor = hbm_bytes / roof.hbm_bytes_per_cycle
+    l2_floor = l2_bytes / roof.l2_bytes_per_cycle
+    cycles = max(waves * wave_cycles + start_cycles, hbm_floor, l2_floor)
+    clock_scale = throttle_scale(roof, total_flops, cycles)
+    cycles = cycles / clock_scale
+    seconds = cycles / roof.clock_hz + roof.kernel_launch_us * 1e-6
+    return LaunchTiming(
+        waves=max(1, math.ceil(grid / concurrent)),
+        effective_waves=waves,
+        cycles=cycles,
+        clock_scale=clock_scale,
+        seconds=seconds,
+        tflops=total_flops / seconds / 1e12 if seconds > 0 else 0.0,
+        hbm_floor=hbm_floor,
+        l2_floor=l2_floor,
+    )
+
+
 #: Derived rooflines per live machine object. Machines are frozen
 #: dataclasses (treated as immutable), but their dict fields make them
 #: unhashable, so the cache is keyed by id() with a weak reference
 #: guarding against id reuse after collection.
-_CACHE: Dict[int, Tuple["weakref.ref", Dict[bool, Roofline]]] = {}
+_CACHE: Dict[int, Tuple["weakref.ref", Roofline]] = {}
 
 
-def roofline(machine: MachineModel, *, strict: bool = True) -> Roofline:
+def roofline(machine: MachineModel) -> Roofline:
     """The :class:`Roofline` of ``machine`` (cached per machine object).
 
     Args:
         machine: the machine model to derive rates from. Must define
-            SHARED/GLOBAL memories; missing specs fall back to the
-            simulator's historical defaults.
-        strict: with the default ``True``, missing ``sm_count``,
-            ``clock_ghz``, ``tensor_fp16_tflops``, or
-            ``hbm_bandwidth_tb_s`` specs raise — fabricated rates
-            would make every whole-kernel simulation and cost
-            prediction silently wrong. ``strict=False`` keeps the
-            CTA-level engine's historical tolerance (defaults) for
-            machines that never touch those roofs.
+            SHARED/GLOBAL memories and the ``sm_count``, ``clock_ghz``,
+            ``tensor_fp16_tflops`` and ``hbm_bandwidth_tb_s`` specs —
+            fabricated rates would make every simulation and cost
+            prediction silently wrong. Other missing specs fall back
+            to the simulator's historical defaults.
 
     Returns:
         A frozen :class:`Roofline` with every derived quantity the
         simulator and the analytic cost model consume.
 
     Raises:
-        MachineError: ``strict=True`` and an essential spec is missing.
+        MachineError: an essential spec is missing.
     """
     entry = _CACHE.get(id(machine))
     if entry is not None and entry[0]() is machine:
-        roofs = entry[1]
-    else:
-        roofs = {}
-        key = id(machine)
-        ref = weakref.ref(machine, lambda _r, _k=key: _CACHE.pop(_k, None))
-        _CACHE[key] = (ref, roofs)
-    cached = roofs.get(strict)
-    if cached is None:
-        cached = roofs[strict] = _derive(machine, strict)
-    return cached
+        return entry[1]
+    key = id(machine)
+    ref = weakref.ref(machine, lambda _r, _k=key: _CACHE.pop(_k, None))
+    roof = _derive(machine)
+    _CACHE[key] = (ref, roof)
+    return roof
 
 
-def _derive(machine: MachineModel, strict: bool) -> Roofline:
+def _derive(machine: MachineModel) -> Roofline:
     specs = machine.specs
-    if strict:
-        # Whole-kernel simulation and cost prediction are meaningless
-        # without these; fail loudly (machine.spec names the known
-        # specs) rather than fabricate a roof.
-        for key in (
-            "sm_count",
-            "clock_ghz",
-            "tensor_fp16_tflops",
-            "hbm_bandwidth_tb_s",
-        ):
-            machine.spec(key)
-    sm_count = specs.get("sm_count", 1.0)
-    ghz = specs.get("clock_ghz", 1.0)
-    clock_hz = ghz * 1e9
-    hbm_tb_s = specs.get("hbm_bandwidth_tb_s", 1.0)
+    sm_count = machine.spec("sm_count")
+    clock_hz = machine.spec("clock_ghz") * 1e9
+    hbm_tb_s = machine.spec("hbm_bandwidth_tb_s")
     l2_tb_s = specs.get("l2_bandwidth_tb_s", hbm_tb_s * 3)
     return Roofline(
         sm_count=sm_count,
@@ -245,5 +344,5 @@ def _derive(machine: MachineModel, strict: bool) -> Roofline:
         kernel_launch_us=specs.get("kernel_launch_us", 0.0),
         throttle_knee=specs.get("throttle_knee_utilization", 1.0),
         throttle_floor=specs.get("throttle_floor_fraction", 1.0),
-        tensor_peak_tflops=specs.get("tensor_fp16_tflops", 1.0),
+        tensor_peak_tflops=machine.spec("tensor_fp16_tflops"),
     )

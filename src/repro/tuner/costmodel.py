@@ -13,10 +13,15 @@ the deterministic throttle — without running a single compiler pass.
 
 Infeasible mappings (shared-memory overflow, WGMMA row-granule
 violations) score ``inf`` with a reason instead of raising, mirroring
-how the compiler reports them. Hardware rates come from
-:func:`repro.gpusim.roofline.roofline`, the same derivation the
-simulator uses, so the model and the simulator can only disagree about
-schedule behavior, never about machine capability.
+how the compiler reports them. The model predicts one CTA — its loop,
+prologue, epilogue and per-resource busy time — and hands it to the
+simulator's own launch model (:func:`repro.gpusim.roofline.occupancy`
+and :func:`~repro.gpusim.roofline.launch`) over the rates of
+:func:`~repro.gpusim.roofline.roofline`. The model and the simulator
+can therefore only disagree about how one CTA behaves, never about
+machine capability or how a grid fills the device. One difference is
+in the inputs: the model's L2/HBM roofs count loaded bytes only, while
+the simulator's add the stored bytes.
 
 Accuracy contract: predictions are for *ranking*. On the seed kernels
 the model tracks simulated cycles within :data:`AGREEMENT_FACTOR`
@@ -34,12 +39,7 @@ from typing import Any, Dict, Optional, Sequence, Tuple
 
 from repro.compiler.cache import score_cache
 from repro.frontend.mapping import canonicalize
-from repro.gpusim.roofline import (
-    Roofline,
-    effective_waves,
-    roofline,
-    throttle_scale,
-)
+from repro.gpusim.roofline import Roofline, launch, occupancy, roofline
 from repro.kernels.common import KernelBuild
 from repro.machine.machine import MachineModel
 
@@ -247,7 +247,7 @@ class AnalyticCostModel:
             return model
         if model is None:
             return self._opaque(build, roof)
-        return self._solve(build, machine, roof, family, model)
+        return self._solve(build, roof, family, model)
 
     def _gemm_loop(self, build: KernelBuild):
         params = build.params
@@ -383,7 +383,6 @@ class AnalyticCostModel:
     def _solve(
         self,
         build: KernelBuild,
-        machine: MachineModel,
         roof: Roofline,
         family: str,
         lm: _LoopModel,
@@ -413,16 +412,7 @@ class AnalyticCostModel:
         # -- occupancy --------------------------------------------------
         threads = 128 * wgs + (128 if warpspec else 0)
         regs_per_thread = lm.acc_bytes // max(1, wgs * 128) // 4 + 40
-        occupancy = roof.max_ctas_per_sm
-        if smem > 0:
-            occupancy = min(occupancy, roof.smem_capacity_bytes // smem)
-        occupancy = min(occupancy, roof.max_threads_per_sm // threads)
-        if regs_per_thread * threads > 0:
-            occupancy = min(
-                occupancy,
-                roof.registers_per_sm // (regs_per_thread * threads),
-            )
-        occupancy = max(1, occupancy)
+        ctas_per_sm = occupancy(roof, smem, threads, regs_per_thread)
 
         # -- per-step steady state --------------------------------------
         tensor = lm.tensor_per_step / roof.tensor_flops_per_cycle
@@ -476,7 +466,7 @@ class AnalyticCostModel:
         loop_cycles = lm.steps * step_cycles
         cta_cycles = prologue + fill + loop_cycles + epilogue
 
-        # -- waves and multi-CTA contention -----------------------------
+        # -- the launch (the simulator's grid model, shared) ------------
         tensor_busy = lm.steps * tensor
         dma_busy = (
             lm.steps * dma
@@ -484,46 +474,32 @@ class AnalyticCostModel:
         )
         serial_busy = lm.steps * serial
         stage_busy = lm.stage_bytes / roof.smem_bytes_per_cycle
-        wave_cycles = max(
-            cta_cycles,
-            occupancy * tensor_busy,
-            occupancy * dma_busy,
-            occupancy * serial_busy,
-            occupancy * stage_busy,
-        )
-        concurrent = int(roof.sm_count) * occupancy
-        waves = max(1, math.ceil(lm.grid / concurrent))
-        compute_cycles = (
-            effective_waves(lm.grid, concurrent) * wave_cycles
-            + roof.cta_start_cycles
-        )
-
-        # -- bandwidth roofs -------------------------------------------
-        loaded = lm.grid * (
-            lm.steps * lm.dma_bytes_per_step + lm.prologue_dma_bytes
-        )
-        hbm_floor = build.unique_dram_bytes / roof.hbm_bytes_per_cycle
-        l2_floor = loaded / roof.l2_bytes_per_cycle
-        cycles = max(compute_cycles, hbm_floor, l2_floor)
-
-        # -- throttle (the simulator's deterministic model, shared) -----
-        cycles = cycles / throttle_scale(roof, build.total_flops, cycles)
-        seconds = cycles / roof.clock_hz + roof.kernel_launch_us * 1e-6
-        tflops = (
-            build.total_flops / seconds / 1e12 if seconds > 0 else 0.0
+        # The TMA store is free in the simulator's CTA and its bytes are
+        # left out of these roofs (the simulator counts them).
+        timing = launch(
+            roof,
+            grid=lm.grid,
+            ctas_per_sm=ctas_per_sm,
+            cta_cycles=cta_cycles,
+            busy=(tensor_busy, dma_busy, serial_busy, stage_busy),
+            hbm_bytes=build.unique_dram_bytes,
+            l2_bytes=lm.grid * (
+                lm.steps * lm.dma_bytes_per_step + lm.prologue_dma_bytes
+            ),
+            total_flops=build.total_flops,
         )
         return CostEstimate(
             name=name,
             family=family,
-            cycles=cycles,
-            seconds=seconds,
-            tflops=tflops,
+            cycles=timing.cycles,
+            seconds=timing.seconds,
+            tflops=timing.tflops,
             grid=lm.grid,
             steps=lm.steps,
             smem_bytes=smem,
             regs_per_thread=regs_per_thread,
-            occupancy=occupancy,
-            waves=waves,
+            occupancy=ctas_per_sm,
+            waves=timing.waves,
             breakdown={
                 "tensor": tensor_busy,
                 "dma": dma_busy,
@@ -531,8 +507,8 @@ class AnalyticCostModel:
                 "exposed_latency": lm.steps * exposed,
                 "prologue": prologue,
                 "epilogue": epilogue,
-                "hbm_floor": hbm_floor,
-                "l2_floor": l2_floor,
+                "hbm_floor": timing.hbm_floor,
+                "l2_floor": timing.l2_floor,
             },
         )
 

@@ -6,7 +6,8 @@ from repro.errors import SimulationError
 from repro.gpusim import Instr, KernelSchedule, Segment
 from repro.gpusim.engine import Resource, ResourcePool
 from repro.gpusim.executor import simulate_cta
-from repro.gpusim.gpu import occupancy, simulate_kernel
+from repro.gpusim.gpu import simulate_kernel
+from repro.gpusim.roofline import occupancy, roofline
 
 
 class TestResources:
@@ -209,9 +210,19 @@ class TestExecutor:
 class TestGpuModel:
     def test_occupancy_limited_by_smem(self, hopper):
         schedule = _loop_schedule(True, 3, smem=64 * 1024)
-        assert occupancy(schedule, hopper) >= 2
+        roof = roofline(hopper)
+
+        def ctas_per_sm():
+            return occupancy(
+                roof,
+                schedule.smem_bytes_per_cta,
+                schedule.threads_per_cta,
+                schedule.regs_per_thread,
+            )
+
+        assert ctas_per_sm() >= 2
         schedule.smem_bytes_per_cta = 200 * 1024
-        assert occupancy(schedule, hopper) == 1
+        assert ctas_per_sm() == 1
 
     def test_wave_quantization(self, hopper):
         one_wave = simulate_kernel(_loop_schedule(True, 3, grid=132), hopper)
