@@ -885,13 +885,11 @@ class RuntimeServer:
         registered: RegisteredKernel,
         bucket: Bucket,
         pin: Optional[Dict[str, Any]] = None,
-        repin: bool = True,
     ) -> Launch:
         """The record ``bucket``'s requests are served from — the one
         place the server builds and hashes a launch. Made on first use,
         replaced whole when ``pin`` gives the bucket tuned parameters
-        (``repin=False``: only if it has none) and remade under the same
-        ones once a registration outdates it. A warm request reads it
+        and remade under the same ones once a registration outdates it. A warm request reads it
         without the lock; every write is under it, so racing first uses
         leave one record and never overwrite a pin."""
         memo_key = (registered.name, bucket)
@@ -901,7 +899,7 @@ class RuntimeServer:
         with self._launch_lock:
             launch = self._launches.get(memo_key)
             params = launch.params if launch is not None else None
-            if pin is not None and (repin or params is None):
+            if pin is not None:
                 params = pin
             elif launch is not None and launch.current:
                 return launch

@@ -21,11 +21,9 @@ same compile options — so a speculation hit is indistinguishable from a
 served from the memory tier with zero passes executed, and its results
 are bit-identical to what an on-demand compile would have produced.
 
-With ``tune=True`` the speculator additionally walks the kernel's
-mapping search space through the analytic cost model
-(:func:`repro.tuner.rank_candidates` — stage 1 only, no simulation),
-precompiles the ``top_k`` predicted-best mappings, and pins the winner
-for buckets that have no tuned parameters yet.
+The speculator never chooses a mapping: it precompiles the server's own
+launch record for a bucket, under whatever parameters the record pins
+(``warm(tune=True)`` is the one way a bucket gets tuned parameters).
 
 Effectiveness lands in :class:`~repro.runtime.telemetry.RuntimeStats`:
 ``speculative_compiles`` (kernels built in the background),
@@ -44,7 +42,7 @@ from repro.background import BackgroundLoop
 from repro.compiler.cache import TIER_COMPILE, compile_cache
 from repro.errors import CypressError
 from repro.runtime.bucketing import Bucket
-from repro.runtime.registry import Launch, RegisteredKernel
+from repro.runtime.registry import RegisteredKernel
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle: server owns us
     from repro.runtime.server import RuntimeServer
@@ -61,18 +59,11 @@ class SpeculatorConfig:
         neighbors: also precompile buckets one ladder rung above/below
             each observed bucket (the shifting-traffic guess); with
             ``False`` only observed buckets are kept warm.
-        tune: walk the kernel's mapping search space analytically per
-            candidate bucket, precompile the ``top_k`` predicted-best
-            mappings, and pin the winner for buckets with no tuned
-            parameters yet (stage-1-only tuning — no simulation).
-        top_k: mappings precompiled per bucket when ``tune=True``.
     """
 
     interval_s: float = 0.02
     max_compiles_per_cycle: int = 4
     neighbors: bool = True
-    tune: bool = False
-    top_k: int = 2
 
 
 class Speculator(BackgroundLoop):
@@ -163,66 +154,34 @@ class Speculator(BackgroundLoop):
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _launches_for(
-        self, registered: RegisteredKernel, bucket: Bucket
-    ) -> List[Launch]:
-        """What is worth precompiling for one candidate bucket.
-
-        The head of the list is always the server's own record for the
-        bucket — the launch its requests are served from, so the compile
-        key matches real traffic. ``tune=True`` appends the
-        analytically-ranked top-k mappings and pins the winner when the
-        bucket has no tuned parameters yet.
-        """
-        server = self.server
-        ranked = []
-        if self.config.tune and registered.search_space is not None:
-            from repro.tuner import rank_candidates
-
-            ranked = rank_candidates(
-                registered.candidate_builder(bucket),
-                server.machine,
-                registered.search_space,
-                top_k=self.config.top_k,
-            )
-        pin = registered.tuned_params(ranked[0].candidate) if ranked else None
-        launches = [server._launch(registered, bucket, pin, repin=False)]
-        launches.extend(
-            Launch(registered.tuned_params(survivor.candidate), survivor.build)
-            for survivor in ranked
-        )
-        return launches
-
     def _speculate_bucket(
         self, registered: RegisteredKernel, bucket: Bucket
     ) -> int:
-        """Precompile one candidate bucket; returns compiles executed."""
+        """Precompile the server's own record for one candidate bucket —
+        the launch its requests are served from, so the compile key
+        matches real traffic; returns compiles executed (0 or 1)."""
         server = self.server
         try:
-            launches = self._launches_for(registered, bucket)
+            launch = server._launch(registered, bucket)
         except Exception:
             self.errors += 1
             return 0
-        compiled = 0
-        for launch in launches:
-            # A key already attempted, or already in memory, is skipped:
-            # a speculative no-op must not reorder the LRU, which a
-            # lookup's hit would.
-            if launch.key in self._attempted or launch.key in compile_cache:
-                continue
-            self._attempted.add(launch.key)
-            try:
-                _kernel, tier = server._fetch(launch)
-            except CypressError:
-                continue  # the key is in _attempted: no retry next cycle
-            if tier == TIER_COMPILE:
-                compiled += 1
-        issued = 0
-        if compiled:
-            with self._lock:
-                if (registered.name, bucket) not in self._precompiled:
-                    self._precompiled[(registered.name, bucket)] = False
-                    issued = 1
-        server.telemetry.count("speculative_compiles", compiled)
-        server.telemetry.count("speculation_issued", issued)
-        return compiled
+        # A key already attempted, or already in memory, is skipped: a
+        # speculative no-op must not reorder the LRU, which a lookup's
+        # hit would.
+        if launch.key in self._attempted or launch.key in compile_cache:
+            return 0
+        self._attempted.add(launch.key)
+        try:
+            _kernel, tier = server._fetch(launch)
+        except CypressError:
+            return 0  # the key is in _attempted: no retry next cycle
+        if tier != TIER_COMPILE:
+            return 0
+        with self._lock:
+            issued = (registered.name, bucket) not in self._precompiled
+            if issued:
+                self._precompiled[(registered.name, bucket)] = False
+        server.telemetry.count("speculative_compiles")
+        server.telemetry.count("speculation_issued", int(issued))
+        return 1

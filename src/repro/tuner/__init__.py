@@ -7,7 +7,7 @@ latency and occupancy straight from the mapping arithmetic (no compiler
 pass executed), and :func:`autotune` walks that ranking — compiling and
 simulating candidates best-first through the cached pass-manager
 pipeline until ``top_k`` have succeeded (every candidate when
-``top_k`` is omitted). :func:`rank_candidates` is the ranking alone.
+``top_k`` is omitted).
 
     from repro.tuner import MappingSearchSpace, autotune
     report = autotune(
@@ -24,12 +24,10 @@ See ``docs/tuning.md`` for the full guide.
 """
 
 from repro.tuner.autotune import (
-    RankedCandidate,
     SearchStats,
     TuningReport,
     TuningResult,
     autotune,
-    rank_candidates,
 )
 from repro.tuner.costmodel import (
     AGREEMENT_FACTOR,
@@ -44,12 +42,10 @@ __all__ = [
     "AnalyticCostModel",
     "CostEstimate",
     "MappingSearchSpace",
-    "RankedCandidate",
     "SearchStats",
     "TuningReport",
     "TuningResult",
     "autotune",
-    "rank_candidates",
     "spearman",
     "wgmma_row_constraint",
 ]

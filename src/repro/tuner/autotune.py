@@ -6,7 +6,6 @@
 1. **Rank** every candidate in the :class:`MappingSearchSpace` with the
    analytic cost model (:mod:`repro.tuner.costmodel`) — microseconds per
    mapping, no compiler pass executed, verdicts memoized process-wide.
-   This is exactly :func:`rank_candidates`' ranking.
 2. **Walk** the ranking best-first: batch-compile through
    ``api.compile_many`` (sharing the content-keyed compile cache across
    workers) and time each candidate on the simulated GPU until ``top_k``
@@ -212,60 +211,6 @@ class TuningReport:
         return "\n".join(lines)
 
 
-@dataclass
-class RankedCandidate:
-    """One stage-1 survivor of :func:`rank_candidates`.
-
-    Attributes:
-        candidate: the swept parameter dict.
-        build: the instantiated :class:`KernelBuild`.
-        predicted_cycles: the cost model's cycle estimate.
-    """
-
-    candidate: Dict[str, Any]
-    build: KernelBuild
-    predicted_cycles: float
-
-
-def rank_candidates(
-    build_fn: BuildFn,
-    machine: MachineModel,
-    space: MappingSearchSpace,
-    *,
-    top_k: Optional[int] = None,
-) -> List[RankedCandidate]:
-    """Stage-1-only ranking: score a search space without compiling.
-
-    Builds and analytically scores every candidate in ``space``
-    (verdicts are memoized process-wide, so repeated rankings cost
-    dictionary lookups) and returns the feasible ones best-first — the
-    order :func:`autotune` walks. The background speculator runs this
-    to pick which mappings to precompile: microseconds per candidate, no
-    compiler pass executed, no simulation.
-
-    Args:
-        build_fn: builder called as ``build_fn(machine, **candidate)``.
-        machine: the machine candidates are mapped to (and scored
-            against).
-        space: the declarative candidate enumeration.
-        top_k: keep only the best ``top_k`` survivors (``None`` keeps
-            all).
-
-    Returns:
-        Feasible candidates ranked by predicted cycles, best first;
-        empty when nothing in the space is feasible.
-    """
-    results, feasible, _ = _rank(build_fn, machine, space)
-    return [
-        RankedCandidate(
-            candidate=results[index].candidate,
-            build=build,
-            predicted_cycles=results[index].predicted_cycles,
-        )
-        for index, build in feasible[:top_k]
-    ]
-
-
 def autotune(
     build_fn: BuildFn,
     machine: MachineModel,
@@ -326,7 +271,7 @@ def autotune(
 def _rank(
     build_fn: BuildFn, machine: MachineModel, space: MappingSearchSpace
 ) -> Tuple[List[TuningResult], List[Job], List[Job]]:
-    """Stage 1, shared by :func:`rank_candidates` and :func:`autotune`.
+    """Stage 1 of :func:`autotune`.
 
     Returns one :class:`TuningResult` per candidate in space order
     (builder and cost-model failures recorded in ``error``), the

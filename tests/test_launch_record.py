@@ -416,8 +416,8 @@ class TestTimingIsSimulatedOncePerRecord:
                 marks.append(counts["simulate_kernel"])
                 tuned = server._launches[("gemm", bucket)]
                 assert all(r.gpu is tuned.gpu for r in served["tuned"])
-                # The tuning speculator's repin replaces the record
-                # without warming it: the next request simulates it.
+                # A repin that does not warm (the record is replaced
+                # whole, ``gpu`` empty): the next request simulates it.
                 server._launch(registered, bucket, pin=dict(tuned.params))
                 marks.append(counts["simulate_kernel"])
                 served["repinned"] = self._serve(server, 5)

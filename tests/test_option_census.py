@@ -2,8 +2,9 @@
 
 Each list below is the literal set of parameters a caller may leave at
 its default (plus ``CompileOptions``' fields and the values its
-``verify`` field accepts, ``ResilienceConfig``'s fields, and the fault
-sites a ``FaultPlan`` can arm). A new keyword, option field, policy or
+``verify`` field accepts, the fields of ``ResilienceConfig`` and of the
+speculator, specializer, profiler and diagnostics configs, and the
+fault sites a ``FaultPlan`` can arm). A new keyword, option field, policy or
 site fails this test until the list is edited in the same change — so
 adding a knob is a decision a reviewer sees.
 """
@@ -16,12 +17,19 @@ import pytest
 from repro import api
 from repro.compiler.passes import CompileOptions, VerifyPolicy
 from repro.compiler.pipeline import compile_program
-from repro.runtime import FAULT_SITES, ResilienceConfig, RuntimeServer
-from repro.tuner import autotune, rank_candidates
+from repro.obs import DiagConfig, FlightRecorder, ProfilerConfig, Tracer
+from repro.runtime import (
+    FAULT_SITES,
+    DiskCacheTier,
+    ResilienceConfig,
+    RuntimeServer,
+    SpecializerConfig,
+    SpeculatorConfig,
+)
+from repro.tuner import autotune
 
 CENSUS = [
     (autotune, ["options", "top_k"]),
-    (rank_candidates, ["top_k"]),
     (api.compile_many, ["options", "raise_on_error"]),
     (api.compile_kernel, ["options"]),
     (compile_program, ["options"]),
@@ -33,6 +41,9 @@ CENSUS = [
         ],
     ),
     (api.serve, ["**options"]),
+    (DiskCacheTier.__init__, ["max_bytes", "max_quarantine"]),
+    (FlightRecorder.__init__, ["capacity", "path", "max_dumps"]),
+    (Tracer.__init__, ["capacity", "recorder"]),
 ]
 
 COMPILE_OPTIONS_FIELDS = ["use_tma", "scalar_args", "verify", "cache", "passes"]
@@ -40,6 +51,23 @@ COMPILE_OPTIONS_FIELDS = ["use_tma", "scalar_args", "verify", "cache", "passes"]
 VERIFY_POLICIES = ["every-pass", "ends"]
 
 RESILIENCE_CONFIG_FIELDS = ["max_queue", "shed_policy"]
+
+CONFIG_FIELDS = [
+    (SpeculatorConfig, ["interval_s", "max_compiles_per_cycle", "neighbors"]),
+    (
+        SpecializerConfig,
+        [
+            "interval_s", "hot_threshold", "max_per_kernel",
+            "max_promotions_per_cycle", "decay", "decay_every_cycles",
+            "quarantine_cycles",
+        ],
+    ),
+    (ProfilerConfig, ["hz", "max_stacks"]),
+    (
+        DiagConfig,
+        ["port", "host", "profile", "slos", "slo_tick_s", "ready_shed_rate"],
+    ),
+]
 
 PINNED_FAULT_SITES = ("compile", "worker.execute")
 
@@ -73,6 +101,14 @@ def test_verify_policies_are_pinned():
 def test_resilience_config_fields_are_pinned():
     fields = [field.name for field in dataclasses.fields(ResilienceConfig)]
     assert fields == RESILIENCE_CONFIG_FIELDS
+
+
+@pytest.mark.parametrize(
+    "config, expected", CONFIG_FIELDS,
+    ids=[config.__name__ for config, _ in CONFIG_FIELDS],
+)
+def test_config_fields_are_pinned(config, expected):
+    assert [field.name for field in dataclasses.fields(config)] == expected
 
 
 def test_fault_sites_are_pinned():

@@ -228,7 +228,7 @@ class TestSpeculator:
             def boom(*args, **kwargs):
                 raise CypressError("induced failure")
 
-            speculator._launches_for = boom  # type: ignore[method-assign]
+            server._launch = boom  # type: ignore[method-assign]
             before = speculator.errors
             assert speculator.run_once() == 0
             assert speculator.errors > before
