@@ -42,6 +42,7 @@ from repro.frontend.mapping import canonicalize
 from repro.gpusim.roofline import Roofline, launch, occupancy, roofline
 from repro.kernels.common import KernelBuild
 from repro.machine.machine import MachineModel
+from repro.tuner.search_space import wgmma_rows_fit
 
 #: Shared-memory allocation granule (mirrors the allocator's alignment).
 SMEM_ALIGN = 128
@@ -369,16 +370,14 @@ class AnalyticCostModel:
     def _wgmma_violation(
         name: str, family: str, rows: int, wgs: int
     ) -> Optional[CostEstimate]:
-        if wgs < 1:
-            return _infeasible(name, family, f"invalid warpgroup count {wgs}")
-        if rows % wgs != 0 or (rows // wgs) % 64 != 0:
-            return _infeasible(
-                name,
-                family,
-                f"warpgroup tile of {rows}/{wgs} rows violates the 64-row "
-                "WGMMA granule",
-            )
-        return None
+        if wgmma_rows_fit(rows, wgs):
+            return None
+        return _infeasible(
+            name,
+            family,
+            f"warpgroup tile of {rows}/{wgs} rows violates the 64-row "
+            "WGMMA granule",
+        )
 
     def _solve(
         self,

@@ -16,9 +16,17 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 
+def wgmma_rows_fit(rows: int, wgs: int) -> bool:
+    """Warp-level MMA needs 64-row warpgroup tiles: ``rows`` split
+    evenly over at least one warpgroup, each share a multiple of 64.
+    The search spaces' default constraint and the cost model's
+    feasibility check both apply this one rule."""
+    return wgs >= 1 and rows % wgs == 0 and rows // wgs % 64 == 0
+
+
 def wgmma_row_constraint(candidate: Dict[str, Any]) -> bool:
-    """Warp-level MMA needs 64-row warpgroup tiles (tile_m/wgs % 64 == 0)."""
-    return candidate["tile_m"] // candidate["wgs"] % 64 == 0
+    """:func:`wgmma_rows_fit` over a candidate's ``tile_m`` and ``wgs``."""
+    return wgmma_rows_fit(candidate["tile_m"], candidate["wgs"])
 
 
 @dataclass

@@ -11,13 +11,16 @@ import pytest
 from repro import api
 from repro.errors import CypressError
 from repro.kernels.gemm import build_gemm
+from repro.runtime import default_registry
 from repro.tuner import (
+    AnalyticCostModel,
     MappingSearchSpace,
     TuningReport,
     TuningResult,
     autotune,
     wgmma_row_constraint,
 )
+from repro.tuner.search_space import wgmma_rows_fit
 
 SIZE = 512
 
@@ -66,6 +69,41 @@ class TestSearchSpace:
     def test_wgmma_constraint(self):
         assert wgmma_row_constraint({"tile_m": 128, "wgs": 2})
         assert not wgmma_row_constraint({"tile_m": 128, "wgs": 4})
+
+    def test_one_wgmma_rule_for_the_space_and_the_cost_model(self, hopper):
+        assert not wgmma_rows_fit(128, 0)
+        assert not wgmma_rows_fit(129, 2)  # 129 // 2 = 64, but uneven
+        model = AnalyticCostModel()
+        for rows in (64, 96, 128, 129, 192, 256):
+            for wgs in (0, 1, 2, 3, 4):
+                fits = wgmma_rows_fit(rows, wgs)
+                assert wgmma_row_constraint(
+                    {"tile_m": rows, "wgs": wgs}
+                ) == fits
+                violation = model._wgmma_violation("k", "gemm", rows, wgs)
+                assert (violation is None) == fits, (rows, wgs)
+
+    def test_registered_spaces_yield_the_pinned_candidates(self):
+        """``python -m bench``'s cold compiles draw from these lists by
+        index, so their contents and order are pinned."""
+
+        def expected(tiles):
+            return [
+                dict(tile_m=tile_m, tile_n=tile_n, tile_k=64, wgs=wgs,
+                     pipeline=pipeline, warpspecialize=warpspec)
+                for tile_m, tile_n in tiles
+                for wgs in (1, 2)
+                for pipeline in (1, 2, 3)
+                for warpspec in (True, False)
+            ]
+
+        gemm = expected(((256, 256), (128, 256), (128, 128)))
+        attention = expected(((128, 128), (128, 256)))
+        registry = default_registry()
+        for name in registry.names():
+            space = registry.get(name).search_space
+            want = attention if name.startswith("flash") else gemm
+            assert space.as_list() == want, name
 
 
 class TestAutotune:
