@@ -278,12 +278,6 @@ class GraphScheduler:
                 args={"nodes": len(graph)},
                 start_s=state.started,
             )
-        # Registered so close(drain=False) can fail the graph future
-        # instead of leaving callers blocked on a server that will
-        # never serve the remaining nodes.
-        self.server._live_graphs[id(state)] = (
-            lambda error: self._fail(state, error)
-        )
         self.server.telemetry.count("graphs")
         self.server.telemetry.count("graph_nodes", len(graph))
         if lookup_error is not None:
@@ -446,7 +440,6 @@ class GraphScheduler:
                 for name, tensor in state.graph.tensors.items()
                 if not tensor.is_view
             }
-        self.server._live_graphs.pop(id(state), None)
         self.server.telemetry.record_graph_done(makespan)
         state.execution.future.set_result(
             GraphResult(
@@ -471,7 +464,6 @@ class GraphScheduler:
             self.server.tracer.end(
                 state.span, args={"error": repr(error)}
             )
-        self.server._live_graphs.pop(id(state), None)
         self.server.telemetry.count("graphs_failed")
         state.execution.future.set_exception(error)
 

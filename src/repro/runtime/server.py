@@ -391,10 +391,6 @@ class RuntimeServer:
         #: The one per-(kernel, bucket) table; see :meth:`_launch`.
         self._launches: Dict[Tuple[str, Bucket], Launch] = {}
         self._launch_lock = threading.Lock()
-        #: In-flight submit_graph executions, kept by the scheduler:
-        #: id(state) -> a ``fail(error)`` that idempotently fails the
-        #: graph's future, so close(drain=False) never strands one.
-        self._live_graphs: Dict[int, Any] = {}
         self.telemetry = Telemetry()
         #: Phase markers of this server's threads, read by its profiler.
         self.phases = PhaseTracker()
@@ -491,8 +487,11 @@ class RuntimeServer:
         ``drain=True`` serves everything already queued first;
         ``drain=False`` cancels queued requests (their futures report
         cancellation, and they are counted ``failed`` like every other
-        request that ends without a result) and *fails* any in-flight
-        ``submit_graph`` futures — nothing is left pending. Stops the
+        request that ends without a result), which *fails* any in-flight
+        ``submit_graph`` future — nothing is left pending: a cancelled
+        node fails its graph, and a node a worker already holds settles
+        before that worker is joined, its successors' submit raising
+        "server closed" (``_stopping`` is set under the queue lock). Stops the
         speculator and specializer threads (an in-flight promotion is
         abandoned cleanly).
         """
@@ -521,14 +520,6 @@ class RuntimeServer:
             )
         for thread in self._threads:
             thread.join()
-        if not drain:
-            # Belt and braces against callback-ordering races: any
-            # graph execution still unresolved is failed, not stranded.
-            error = CypressError(
-                "RuntimeServer closed before graph completion"
-            )
-            for fail in list(self._live_graphs.values()):
-                fail(error)
         if self.flight is not None:
             self.flight.note("close", {"drain": drain})
             self.flight.dump(reason="close")

@@ -11,6 +11,10 @@ detection, deterministic topological order — plus end-to-end execution
 through ``api.run_graph`` and ``RuntimeServer.submit_graph``.
 """
 
+import sys
+import time
+from concurrent.futures import wait
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -28,7 +32,7 @@ from repro.graph import (
     TaskGraph,
     infer_edges,
 )
-from repro.runtime import RuntimeServer
+from repro.runtime import FaultPlan, RuntimeServer, faults
 from repro.tensors import partition_by_blocks
 from repro.tensors.regions import ref_region, tensor_region, rows_intersect
 
@@ -586,6 +590,69 @@ def _diamond(machine):
     gb.launch("gemm", square, reads=dict(A=x, B=w2), writes=dict(C=z))
     gb.launch("gemm", square, reads=dict(A=y, B=z), writes=dict(C=u))
     return gb.build()
+
+
+def _chain(machine, length):
+    """``length`` GEMMs, each reading the previous one's output."""
+    gb = GraphBuilder(machine)
+    w = gb.tensor("W", (M, M))
+    prev = gb.tensor("T0", (M, M))
+    square = dict(m=M, n=M, k=M)
+    for index in range(1, length + 1):
+        out = gb.tensor(f"T{index}", (M, M))
+        gb.launch("gemm", square, reads=dict(A=prev, B=w), writes=dict(C=out))
+        prev = out
+    return gb.build()
+
+
+class TestCloseMidGraph:
+    """``close(drain=False)`` while graphs are in flight leaves no graph
+    future pending, with no registry of live graphs: ``close`` sets
+    ``_stopping`` under the queue lock, then cancels every queued node
+    (its done-callback fails the graph). A node a worker already holds
+    settles before ``close`` joins that worker, and its callback's
+    successor submit raises "server closed" (checked under the same
+    lock), which fails the graph too."""
+
+    @pytest.mark.parametrize("fault_rate", [0.0, 0.3])
+    def test_every_graph_future_is_done_when_close_returns(
+        self, hopper, fault_rate
+    ):
+        graph = _chain(hopper, 6)
+        api.compile_graph(graph)  # the compile is not what is raced
+        plan = FaultPlan(seed=11).inject("worker.execute", fault_rate)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        outcomes = set()
+        try:
+            with faults.active(plan):
+                for trial in range(24):
+                    server = RuntimeServer(hopper, workers=2)
+                    executions = [server.submit_graph(graph) for _ in range(3)]
+                    if trial % 2:
+                        # Close the moment a first node is served.
+                        wait([executions[0].node_futures[0]], timeout=60)
+                    else:
+                        time.sleep(trial * 2e-4)
+                    server.close(drain=False)
+                    for execution in executions:
+                        assert execution.future.done(), trial
+                        outcomes.add(_outcome(execution))
+        finally:
+            sys.setswitchinterval(interval)
+        # Some close really did land mid-graph.
+        assert "failed mid-graph" in outcomes
+
+
+def _outcome(execution):
+    if execution.future.exception() is None:
+        return "completed"
+    served = any(
+        future.done() and not future.cancelled()
+        and future.exception() is None
+        for future in execution.node_futures.values()
+    )
+    return "failed mid-graph" if served else "failed"
 
 
 class TestExecution:
