@@ -105,69 +105,11 @@ class Roofline:
         )
 
 
-def effective_waves(grid: int, concurrent: int) -> float:
-    """Non-persistent effective wave count with the partial-tail model.
-
-    The partial last wave is scaled by its fill fraction, floored at
-    0.35 (tail effects), and the whole launch takes at least one wave.
-
-    Args:
-        grid: CTAs launched.
-        concurrent: CTAs resident device-wide (SMs x occupancy).
-
-    Returns:
-        The effective wave multiplier (>= 1.0).
-    """
-    full = grid // concurrent
-    tail = grid - full * concurrent
-    waves = full + (0.0 if tail == 0 else max(0.35, tail / concurrent))
-    return max(waves, 1.0)
-
-
-def throttle_scale(
-    roof: Roofline, total_flops: float, cycles: float
-) -> float:
-    """The deterministic power-throttle clock scale for one launch.
-
-    Sustained Tensor Core utilization above the roofline's knee scales
-    the clock linearly toward the floor fraction.
-
-    Args:
-        roof: the machine's derived roofline.
-        total_flops: useful arithmetic of the launch.
-        cycles: pre-throttle predicted/simulated cycles.
-
-    Returns:
-        The clock scale in (0, 1]; divide cycles by it.
-    """
-    tensor_util = min(
-        1.0,
-        (total_flops / roof.tensor_peak_tflops / 1e12)
-        * roof.clock_hz
-        / max(cycles, 1.0),
-    )
-    if tensor_util > roof.throttle_knee and roof.throttle_knee < 1.0:
-        over = (tensor_util - roof.throttle_knee) / (
-            1.0 - roof.throttle_knee
-        )
-        return 1.0 - (1.0 - roof.throttle_floor) * min(1.0, over)
-    return 1.0
-
-
 def occupancy(
     roof: Roofline, smem_bytes: int, threads: int, regs_per_thread: int
 ) -> int:
-    """CTAs resident per SM under shared-memory/register/thread limits.
-
-    Args:
-        roof: the machine's derived roofline.
-        smem_bytes: shared memory per CTA.
-        threads: threads per CTA.
-        regs_per_thread: registers per thread.
-
-    Returns:
-        The occupancy (>= 1: a launch always runs one CTA per SM).
-    """
+    """CTAs resident per SM under the shared-memory, thread and register
+    limits of one CTA (at least one)."""
     limit = roof.max_ctas_per_sm
     if smem_bytes > 0:
         limit = min(limit, roof.smem_capacity_bytes // smem_bytes)
@@ -181,18 +123,11 @@ def occupancy(
 
 @dataclass(frozen=True)
 class LaunchTiming:
-    """One launch on the whole device, as :func:`launch` models it.
-
-    Attributes:
-        waves: full-occupancy waves the grid needs (ceiling).
-        effective_waves: the wave multiplier actually charged (partial
-            tail scaled by its fill, or the persistent grid's ratio).
-        cycles: launch cycles after the roofs and the throttle.
-        clock_scale: the power throttle's clock scale in (0, 1].
-        seconds: wall time including the host launch overhead.
-        tflops: throughput of ``total_flops`` over ``seconds``.
-        hbm_floor / l2_floor: the two bandwidth roofs in cycles.
-    """
+    """One launch on the whole device, as :func:`launch` models it:
+    the ``waves`` a full-occupancy grid needs, the ``effective_waves``
+    actually charged, the launch ``cycles`` after the roofs and the
+    throttle's ``clock_scale``, wall ``seconds`` with the host launch
+    overhead, ``tflops``, and the two bandwidth roofs in cycles."""
 
     waves: int
     effective_waves: float
@@ -216,16 +151,7 @@ def launch(
     total_flops: float,
     persistent: bool = False,
 ) -> LaunchTiming:
-    """Time a grid of identical CTAs on the whole device.
-
-    A wave is limited by the critical path of one CTA and by each SM
-    resource serving all co-resident CTAs. The partial last wave is
-    scaled by its fill fraction (:func:`effective_waves`); a persistent
-    kernel (one CTA per SM consuming logical blocks off a queue) avoids
-    both the tail quantization and the per-CTA start cost. The launch
-    then takes at least its HBM and L2 roofs, is slowed by the
-    deterministic power throttle (:func:`throttle_scale`), and pays the
-    host launch overhead.
+    """Time ``grid`` identical CTAs at ``ctas_per_sm`` on the device.
 
     Args:
         roof: the machine's derived roofline.
@@ -236,12 +162,13 @@ def launch(
         hbm_bytes: compulsory DRAM traffic of the whole launch.
         l2_bytes: total global traffic of the whole launch.
         total_flops: useful arithmetic of the launch.
-        persistent: whether the grid is persistent.
-
-    Returns:
-        The :class:`LaunchTiming`.
+        persistent: one CTA per SM consuming logical blocks off a
+            queue, which avoids the tail quantization and the per-CTA
+            start cost.
     """
     concurrent = roof.sm_count * ctas_per_sm
+    # A wave is limited by the critical path of one CTA and by each SM
+    # resource serving all co-resident CTAs.
     wave_cycles = cta_cycles
     for resource_busy in busy:
         wave_cycles = max(wave_cycles, resource_busy * ctas_per_sm)
@@ -249,12 +176,29 @@ def launch(
         waves = max(grid / concurrent, 1.0)
         start_cycles = 0.0
     else:
-        waves = effective_waves(grid, int(concurrent))
+        # The partial last wave is scaled by its fill fraction, floored
+        # at 0.35 (tail effects); the launch takes at least one wave.
+        resident = int(concurrent)
+        full, tail = divmod(grid, resident)
+        waves = max(full + (max(0.35, tail / resident) if tail else 0.0), 1.0)
         start_cycles = roof.cta_start_cycles
     hbm_floor = hbm_bytes / roof.hbm_bytes_per_cycle
     l2_floor = l2_bytes / roof.l2_bytes_per_cycle
     cycles = max(waves * wave_cycles + start_cycles, hbm_floor, l2_floor)
-    clock_scale = throttle_scale(roof, total_flops, cycles)
+    # The deterministic power throttle: sustained Tensor Core
+    # utilization above the knee scales the clock linearly toward the
+    # floor fraction.
+    clock_scale = 1.0
+    tensor_util = min(
+        1.0,
+        (total_flops / roof.tensor_peak_tflops / 1e12)
+        * roof.clock_hz
+        / max(cycles, 1.0),
+    )
+    knee = roof.throttle_knee
+    if tensor_util > knee and knee < 1.0:
+        over = min(1.0, (tensor_util - knee) / (1.0 - knee))
+        clock_scale = 1.0 - (1.0 - roof.throttle_floor) * over
     cycles = cycles / clock_scale
     seconds = cycles / roof.clock_hz + roof.kernel_launch_us * 1e-6
     return LaunchTiming(
