@@ -491,9 +491,9 @@ class RuntimeServer:
         ``submit_graph`` future — nothing is left pending: a cancelled
         node fails its graph, and a node a worker already holds settles
         before that worker is joined, its successors' submit raising
-        "server closed" (``_stopping`` is set under the queue lock). Stops the
-        speculator and specializer threads (an in-flight promotion is
-        abandoned cleanly).
+        "server closed" (``_stopping`` is set under the queue lock).
+        Stops the speculator and specializer threads (an in-flight
+        promotion is abandoned cleanly).
         """
         if self._closed:
             return
@@ -880,9 +880,10 @@ class RuntimeServer:
         """The record ``bucket``'s requests are served from — the one
         place the server builds and hashes a launch. Made on first use,
         replaced whole when ``pin`` gives the bucket tuned parameters
-        and remade under the same ones once a registration outdates it. A warm request reads it
-        without the lock; every write is under it, so racing first uses
-        leave one record and never overwrite a pin."""
+        and remade under the same ones once a registration outdates it.
+        A warm request reads it without the lock; every write is under
+        it, so racing first uses leave one record and never overwrite a
+        pin."""
         memo_key = (registered.name, bucket)
         launch = self._launches.get(memo_key)
         if pin is None and launch is not None and launch.current:

@@ -473,8 +473,8 @@ class AnalyticCostModel:
         )
         serial_busy = lm.steps * serial
         stage_busy = lm.stage_bytes / roof.smem_bytes_per_cycle
-        # The TMA store is free in the simulator's CTA and its bytes are
-        # left out of these roofs (the simulator counts them).
+        # The roofs count loaded bytes only; the simulator's add the
+        # stored ones.
         timing = launch(
             roof,
             grid=lm.grid,
