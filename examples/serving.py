@@ -73,7 +73,6 @@ def main(
         # close() writes nothing to disk.
         flight = FlightRecorder()
         diag_config = DiagConfig(
-            profile=True,
             slos=(
                 Slo(
                     "availability",
@@ -183,12 +182,6 @@ def main(
                     body = response.read()
                     if path == "/metrics":
                         summary = f"{len(body.splitlines())} lines"
-                    elif path == "/profilez":
-                        report = json_module.loads(body)
-                        summary = (
-                            f"{report['samples']} samples, "
-                            f"{report['non_idle_ratio']:.0%} non-idle"
-                        )
                     elif path == "/tracez":
                         payload = json_module.loads(body)
                         summary = f"{len(payload['traceEvents'])} events"

@@ -2,8 +2,8 @@
 
 A leaf module: it imports nothing from :mod:`repro.runtime` or
 :mod:`repro.obs` at module top, so the speculator and specializer
-(``runtime``) and the profiler and SLO monitor (``obs``) can all
-subclass :class:`BackgroundLoop` without an import cycle.
+(``runtime``) and the SLO monitor (``obs``) can all subclass
+:class:`BackgroundLoop` without an import cycle.
 """
 
 from __future__ import annotations
@@ -32,9 +32,9 @@ class BackgroundLoop:
     thread_name = "repro-background"
 
     #: Run cycles only while the request queue is idle. Loops that
-    #: *observe* serving rather than compete with it (the sampling
-    #: profiler, the SLO monitor) override this to ``False`` — their
-    #: whole point is to run while traffic flows.
+    #: *observe* serving rather than compete with it (the SLO
+    #: monitor) override this to ``False`` — their whole point is to
+    #: run while traffic flows.
     idle_only = True
 
     def __init__(self, server: "RuntimeServer", interval_s: float) -> None:

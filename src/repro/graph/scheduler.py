@@ -298,47 +298,46 @@ class GraphScheduler:
             ready, key=lambda n: (-state.priorities[n.uid], n.uid)
         )
         tracer = self.server.tracer
-        with self.server.phases.phase("graph.node"):
-            try:
-                requests = []
-                for node in ready:
-                    node_inputs = None
-                    if state.arrays is not None:
-                        with state.lock:
-                            node_inputs = {
-                                param: ref.read(state.arrays[ref.root.uid])
-                                for param, ref in node.refs.items()
-                            }
-                    registered, bucket = state.lookups[node.uid]
-                    request = self.server.prepare_request(
-                        registered,
-                        node.shape,
-                        bucket,
-                        inputs=node_inputs,
-                        priority=state.priorities[node.uid],
+        try:
+            requests = []
+            for node in ready:
+                node_inputs = None
+                if state.arrays is not None:
+                    with state.lock:
+                        node_inputs = {
+                            param: ref.read(state.arrays[ref.root.uid])
+                            for param, ref in node.refs.items()
+                        }
+                registered, bucket = state.lookups[node.uid]
+                request = self.server.prepare_request(
+                    registered,
+                    node.shape,
+                    bucket,
+                    inputs=node_inputs,
+                    priority=state.priorities[node.uid],
+                )
+                if tracer.enabled:
+                    span = tracer.begin(
+                        "node",
+                        "graph",
+                        parent=state.span,
+                        args={
+                            "kernel": node.kernel,
+                            "label": node.label or str(node.uid),
+                            "uid": node.uid,
+                            "priority": state.priorities[node.uid],
+                        },
                     )
-                    if tracer.enabled:
-                        span = tracer.begin(
-                            "node",
-                            "graph",
-                            parent=state.span,
-                            args={
-                                "kernel": node.kernel,
-                                "label": node.label or str(node.uid),
-                                "uid": node.uid,
-                                "priority": state.priorities[node.uid],
-                            },
-                        )
-                        state.node_spans[node.uid] = span
-                        # The per-request root span nests under this node.
-                        request.trace_parent = span
-                    requests.append(request)
-                # One enqueue under one lock for the whole ready set,
-                # instead of a full submit() round-trip per node.
-                self.server.submit_prepared(requests)
-            except Exception as error:
-                self._fail(state, error)
-                return
+                    state.node_spans[node.uid] = span
+                    # The per-request root span nests under this node.
+                    request.trace_parent = span
+                requests.append(request)
+            # One enqueue under one lock for the whole ready set,
+            # instead of a full submit() round-trip per node.
+            self.server.submit_prepared(requests)
+        except Exception as error:
+            self._fail(state, error)
+            return
         for node, request in zip(ready, requests):
             state.execution.node_futures[node.uid] = request.future
             request.future.add_done_callback(

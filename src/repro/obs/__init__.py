@@ -13,9 +13,9 @@ crash". Cooperating subsystems:
   graph-node, template hit/miss, and speculation-cycle spans — and a
   Chrome-trace/Perfetto JSON exporter. A disabled tracer is the no-op
   :data:`NULL_TRACER`; hot paths pay one attribute load and a branch.
-* :mod:`~repro.obs.metrics` — :class:`Counter` / :class:`Gauge` /
-  :class:`Histogram` behind a :class:`MetricsRegistry` with labels and
-  Prometheus text exposition (:meth:`MetricsRegistry.render`);
+* :mod:`~repro.obs.metrics` — :class:`Counter` / :class:`Gauge` behind
+  a :class:`MetricsRegistry` with labels and Prometheus text exposition
+  (:meth:`MetricsRegistry.render`);
   :func:`server_metrics` publishes every runtime, compile-cache, disk,
   graph, and speculation counter into one scrapeable registry, and
   :func:`validate_prometheus_text` is the strict conformance oracle
@@ -26,36 +26,26 @@ crash". Cooperating subsystems:
   postmortems.
 * :mod:`~repro.obs.ops` — the live ops plane: :class:`DiagServer`, a
   stdlib-only embedded HTTP listener serving ``/metrics``,
-  ``/statusz``, ``/healthz``, ``/readyz``, ``/tracez``, ``/flightz``,
-  and ``/profilez`` from a running server.
-* :mod:`~repro.obs.profiler` — :class:`ContinuousProfiler`: an
-  always-on sampling profiler attributing thread samples to serving
-  phases (queue / dispatch / compile / pass.<name> / execute /
-  graph.node / idle) with flamegraph-ready collapsed stacks.
+  ``/statusz``, ``/healthz``, ``/readyz``, ``/tracez`` and ``/flightz``
+  from a running server.
 * :mod:`~repro.obs.slo` — :class:`Slo` / :class:`SloMonitor`:
   declarative objectives with multi-window burn-rate alerting over
   rolling :class:`~repro.runtime.telemetry.RuntimeStats` windows.
 
 See ``docs/observability.md`` for the span taxonomy and metric naming
-convention, and ``docs/ops.md`` for the diagnostics endpoints,
-profiler attribution model, and SLO semantics.
+convention, and ``docs/ops.md`` for the diagnostics endpoints and SLO
+semantics.
 """
 
 from repro.obs.flight import FlightRecorder
 from repro.obs.metrics import (
     Counter,
     Gauge,
-    Histogram,
     MetricsRegistry,
     server_metrics,
     validate_prometheus_text,
 )
 from repro.obs.ops import DiagConfig, DiagServer
-from repro.obs.profiler import (
-    ContinuousProfiler,
-    PhaseTracker,
-    ProfilerConfig,
-)
 from repro.obs.slo import Slo, SloMonitor
 from repro.obs.trace import (
     NULL_TRACER,
@@ -66,18 +56,14 @@ from repro.obs.trace import (
 )
 
 __all__ = [
-    "ContinuousProfiler",
     "Counter",
     "DiagConfig",
     "DiagServer",
     "FlightRecorder",
     "Gauge",
-    "Histogram",
     "MetricsRegistry",
     "NULL_TRACER",
     "NullTracer",
-    "PhaseTracker",
-    "ProfilerConfig",
     "Slo",
     "SloMonitor",
     "Span",

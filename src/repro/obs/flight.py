@@ -65,6 +65,9 @@ class FlightRecorder:
         self.path = path
         self.max_dumps = max_dumps
         self._lock = threading.Lock()
+        #: One dump at a time, so each written file takes the next
+        #: sequence number and a failed write numbers nothing.
+        self._dump_lock = threading.Lock()
         self._records: "deque[Dict[str, Any]]" = deque(maxlen=capacity)
         self._recorded = 0
         self._dumps = 0
@@ -169,6 +172,8 @@ class FlightRecorder:
         place outside trace-export headers wall time appears — and the
         retained/lifetime record counts. Returns ``None`` (without
         writing) when no path was given at construction or call time.
+        A dump counts in :attr:`dumps` only once its file is written;
+        an ``OSError`` from the write propagates and counts nothing.
 
         The destination is always (over)written as the stable "latest"
         dump; a rotated archive copy named
@@ -182,13 +187,15 @@ class FlightRecorder:
         destination = path if path is not None else self.path
         if destination is None:
             return None
-        with self._lock:
-            self._dumps += 1
-            sequence = self._dumps
-        payload = self.payload(reason)
         destination = Path(destination)
-        text = json.dumps(payload, indent=1, default=str) + "\n"
-        destination.write_text(text)
+        with self._dump_lock:
+            payload = self.payload(reason)
+            header = payload["flight_recorder"]
+            header["dumps"] = sequence = header["dumps"] + 1
+            text = json.dumps(payload, indent=1, default=str) + "\n"
+            destination.write_text(text)
+            with self._lock:
+                self._dumps = sequence
         self._rotate(destination, sequence, reason, text)
         return str(destination)
 

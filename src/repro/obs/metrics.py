@@ -1,11 +1,11 @@
 """A unified metrics registry with Prometheus text exposition.
 
-Three instrument kinds — :class:`Counter` (event count), :class:`Gauge`
-(point-in-time), :class:`Histogram` (bucketed distribution) — live in a
-:class:`MetricsRegistry`, each optionally split by labels. The registry
-renders the standard Prometheus text-exposition format
-(:meth:`MetricsRegistry.render`) so the future fleet gateway can serve
-it from a ``/metrics`` endpoint and existing scrapers ingest it as-is.
+Two instrument kinds — :class:`Counter` (event count) and
+:class:`Gauge` (point-in-time) — live in a :class:`MetricsRegistry`,
+each optionally split by labels. The registry renders the standard
+Prometheus text-exposition format (:meth:`MetricsRegistry.render`) so
+the future fleet gateway can serve it from a ``/metrics`` endpoint and
+existing scrapers ingest it as-is.
 
 :func:`server_metrics` is the bridge from the runtime's siloed
 snapshots: it publishes every :class:`~repro.runtime.telemetry.
@@ -30,12 +30,6 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import CypressError
 
-#: Default histogram buckets: request latencies from 100µs to ~16s.
-DEFAULT_BUCKETS = (
-    0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025,
-    0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0,
-)
-
 _LABEL_ESCAPES = str.maketrans(
     {"\\": "\\\\", '"': '\\"', "\n": "\\n"}
 )
@@ -59,21 +53,17 @@ def _format_value(value: float) -> str:
     return str(as_int) if value == as_int else repr(value)
 
 
-def _format_labels(
-    names: Sequence[str], values: Sequence[str], extra: str = ""
-) -> str:
+def _format_labels(names: Sequence[str], values: Sequence[str]) -> str:
     parts = [
         f'{name}="{str(value).translate(_LABEL_ESCAPES)}"'
         for name, value in zip(names, values)
     ]
-    if extra:
-        parts.append(extra)
     return "{" + ",".join(parts) + "}" if parts else ""
 
 
 class _Metric:
     """Shared base: a named family with fixed label names and one
-    child value per label-value tuple."""
+    number per label-value tuple."""
 
     kind = "untyped"
 
@@ -94,7 +84,7 @@ class _Metric:
         self.help = help
         self.label_names = tuple(labels)
         self._lock = threading.Lock()
-        self._children: Dict[Tuple[str, ...], object] = {}
+        self._children: Dict[Tuple[str, ...], float] = {}
 
     def _key(self, label_values: Sequence[str]) -> Tuple[str, ...]:
         values = tuple(str(value) for value in label_values)
@@ -105,14 +95,10 @@ class _Metric:
             )
         return values
 
-    def labelled(self) -> List[Tuple[Tuple[str, ...], object]]:
-        """Snapshot of ``(label values, child)`` pairs, insertion order."""
+    def labelled(self) -> List[Tuple[Tuple[str, ...], float]]:
+        """Snapshot of ``(label values, value)`` pairs, insertion order."""
         with self._lock:
             return list(self._children.items())
-
-
-class _Scalar(_Metric):
-    """A family whose children are single numbers."""
 
     def set(self, value: float, *labels) -> None:
         """Set the child named by ``labels`` to ``value``."""
@@ -132,7 +118,7 @@ class _Scalar(_Metric):
             return float(self._children.get(self._key(labels), 0.0))
 
 
-class Counter(_Scalar):
+class Counter(_Metric):
     """A count that only grows while its owner lives (requests served,
     cache hits).
 
@@ -153,7 +139,7 @@ class Counter(_Scalar):
         super().inc(amount, *labels)
 
 
-class Gauge(_Scalar):
+class Gauge(_Metric):
     """A value that goes up and down (queue depth, cache capacity)."""
 
     kind = "gauge"
@@ -161,66 +147,6 @@ class Gauge(_Scalar):
     def dec(self, amount: float = 1.0, *labels) -> None:
         """Subtract ``amount`` from the child."""
         self.inc(-amount, *labels)
-
-
-class _HistogramChild:
-    __slots__ = ("counts", "total", "count")
-
-    def __init__(self, nbuckets: int) -> None:
-        self.counts = [0] * nbuckets
-        self.total = 0.0
-        self.count = 0
-
-
-class Histogram(_Metric):
-    """A bucketed distribution (latency), Prometheus-style: cumulative
-    ``_bucket{le=...}`` counts plus ``_sum`` and ``_count``.
-
-    Bucket bounds are upper edges in ascending order; an implicit
-    ``+Inf`` bucket catches the tail.
-    """
-
-    kind = "histogram"
-
-    def __init__(
-        self,
-        name: str,
-        help: str,
-        labels: Sequence[str] = (),
-        buckets: Sequence[float] = DEFAULT_BUCKETS,
-    ) -> None:
-        super().__init__(name, help, labels)
-        bounds = tuple(float(bound) for bound in buckets)
-        if not bounds or any(
-            b <= a for a, b in zip(bounds, bounds[1:])
-        ):
-            raise CypressError(
-                f"histogram {name!r} buckets must be ascending and "
-                f"non-empty, got {buckets!r}"
-            )
-        self.buckets = bounds
-
-    def observe(self, value: float, *labels) -> None:
-        """Record one observation of ``value`` for ``labels``."""
-        key = self._key(labels)
-        with self._lock:
-            child = self._children.get(key)
-            if child is None:
-                child = self._children[key] = _HistogramChild(
-                    len(self.buckets)
-                )
-            for index, bound in enumerate(self.buckets):
-                if value <= bound:
-                    child.counts[index] += 1
-                    break
-            child.total += value
-            child.count += 1
-
-    def count(self, *labels) -> int:
-        """Observations recorded for ``labels``."""
-        with self._lock:
-            child = self._children.get(self._key(labels))
-            return child.count if child is not None else 0
 
 
 class MetricsRegistry:
@@ -247,16 +173,6 @@ class MetricsRegistry:
     ) -> Gauge:
         """Register (or fetch) a :class:`Gauge` family."""
         return self._register(Gauge(name, help, labels))
-
-    def histogram(
-        self,
-        name: str,
-        help: str,
-        labels: Sequence[str] = (),
-        buckets: Sequence[float] = DEFAULT_BUCKETS,
-    ) -> Histogram:
-        """Register (or fetch) a :class:`Histogram` family."""
-        return self._register(Histogram(name, help, labels, buckets))
 
     def _register(self, metric: _Metric) -> "_Metric":
         with self._lock:
@@ -289,9 +205,8 @@ class MetricsRegistry:
         """The whole registry in Prometheus text-exposition format.
 
         One ``# HELP`` / ``# TYPE`` header per family followed by its
-        children; histograms expand into cumulative ``_bucket{le=...}``
-        series plus ``_sum`` and ``_count``. Families with no children
-        yet still emit their headers (so a scraper sees the schema
+        children. Families with no children yet still emit their
+        headers (so a scraper sees the schema
         before traffic arrives).
         """
         lines: List[str] = []
@@ -301,37 +216,10 @@ class MetricsRegistry:
             help_text = metric.help.translate(_HELP_ESCAPES)
             lines.append(f"# HELP {metric.name} {help_text}")
             lines.append(f"# TYPE {metric.name} {metric.kind}")
-            for values, child in metric.labelled():
-                if isinstance(metric, Histogram):
-                    self._render_histogram(lines, metric, values, child)
-                else:
-                    labels = _format_labels(metric.label_names, values)
-                    lines.append(
-                        f"{metric.name}{labels} {_format_value(child)}"
-                    )
+            for values, value in metric.labelled():
+                labels = _format_labels(metric.label_names, values)
+                lines.append(f"{metric.name}{labels} {_format_value(value)}")
         return "\n".join(lines) + "\n"
-
-    @staticmethod
-    def _render_histogram(
-        lines: List[str],
-        metric: Histogram,
-        values: Tuple[str, ...],
-        child: _HistogramChild,
-    ) -> None:
-        cumulative = 0
-        for bound, count in zip(metric.buckets, child.counts):
-            cumulative += count
-            labels = _format_labels(
-                metric.label_names, values, f'le="{_format_value(bound)}"'
-            )
-            lines.append(f"{metric.name}_bucket{labels} {cumulative}")
-        labels = _format_labels(metric.label_names, values, 'le="+Inf"')
-        lines.append(f"{metric.name}_bucket{labels} {child.count}")
-        plain = _format_labels(metric.label_names, values)
-        lines.append(
-            f"{metric.name}_sum{plain} {_format_value(child.total)}"
-        )
-        lines.append(f"{metric.name}_count{plain} {child.count}")
 
     def __len__(self) -> int:
         with self._lock:
@@ -499,20 +387,6 @@ def server_metrics(
             "Flight-recorder dump files written (close, crash, manual).",
         ).set(flight.dumps)
 
-    profiler = getattr(server, "profiler", None)
-    if profiler is not None:
-        reg.counter(
-            "repro_profiler_samples_total",
-            "Thread samples attributed by the continuous profiler.",
-        ).set(profiler.samples)
-        phase_samples = reg.counter(
-            "repro_profiler_phase_samples_total",
-            "Profiler samples per serving phase.",
-            labels=("phase",),
-        )
-        for phase, count in profiler.report()["phases"].items():
-            phase_samples.set(count, phase)
-
     monitor = getattr(server, "slo_monitor", None)
     if monitor is not None:
         monitor.publish(reg)
@@ -536,7 +410,9 @@ _LABEL_PAIR = re.compile(
     r'^(?P<name>[a-zA-Z_][a-zA-Z0-9_]*)="(?P<value>(?:[^"\\]|\\.)*)"'
 )
 _VALID_ESCAPES = {"\\\\", '\\"', "\\n"}
-_TYPE_KINDS = {"counter", "gauge", "histogram", "summary", "untyped"}
+#: The kinds this registry renders; a family of any other kind is
+#: rejected rather than accepted unchecked.
+_TYPE_KINDS = {"counter", "gauge", "untyped"}
 
 
 def _parse_label_set(raw: str, where: str) -> Tuple[Tuple[str, str], ...]:
@@ -581,82 +457,6 @@ def _parse_sample_value(raw: str, where: str) -> float:
         raise CypressError(f"{where}: unparsable sample value {raw!r}")
 
 
-def _family_of(sample_name: str, histograms: Set[str]) -> str:
-    for suffix in ("_bucket", "_sum", "_count"):
-        if sample_name.endswith(suffix):
-            base = sample_name[: -len(suffix)]
-            if base in histograms:
-                return base
-    return sample_name
-
-
-def _check_histogram_family(
-    name: str,
-    series: Dict[Tuple[Tuple[str, str], ...], List[Tuple[str, float]]],
-) -> None:
-    # Regroup the family's samples by their non-le label set, then
-    # check each group's bucket/sum/count invariants.
-    groups: Dict[tuple, Dict[str, object]] = {}
-    for labels, samples in series.items():
-        le = dict(labels).get("le")
-        plain = tuple(
-            (k, v) for k, v in labels if k != "le"
-        )
-        group = groups.setdefault(
-            plain, {"buckets": [], "sum": None, "count": None}
-        )
-        for sample_name, value in samples:
-            if sample_name == f"{name}_bucket":
-                if le is None:
-                    raise CypressError(
-                        f"histogram {name}: _bucket sample without le"
-                    )
-                group["buckets"].append((le, value))
-            elif sample_name == f"{name}_sum":
-                group["sum"] = value
-            elif sample_name == f"{name}_count":
-                group["count"] = value
-            else:
-                raise CypressError(
-                    f"histogram {name}: stray sample {sample_name}"
-                )
-    for plain, group in groups.items():
-        buckets = group["buckets"]
-        if not buckets:
-            raise CypressError(
-                f"histogram {name}{dict(plain)}: no _bucket samples"
-            )
-        if group["sum"] is None or group["count"] is None:
-            raise CypressError(
-                f"histogram {name}{dict(plain)}: missing _sum or _count"
-            )
-        bounds = []
-        for le, _ in buckets:
-            bounds.append(
-                math.inf if le == "+Inf" else float(le)
-            )
-        if bounds != sorted(bounds) or len(set(bounds)) != len(bounds):
-            raise CypressError(
-                f"histogram {name}{dict(plain)}: le bounds not "
-                "strictly ascending"
-            )
-        if bounds[-1] != math.inf:
-            raise CypressError(
-                f"histogram {name}{dict(plain)}: missing le=\"+Inf\""
-            )
-        counts = [value for _, value in buckets]
-        if any(b < a for a, b in zip(counts, counts[1:])):
-            raise CypressError(
-                f"histogram {name}{dict(plain)}: bucket counts not "
-                "cumulative"
-            )
-        if counts[-1] != group["count"]:
-            raise CypressError(
-                f"histogram {name}{dict(plain)}: +Inf bucket "
-                f"{counts[-1]} != _count {group['count']}"
-            )
-
-
 def validate_prometheus_text(text: str) -> Dict[str, str]:
     """Strictly validate a Prometheus text-exposition document.
 
@@ -670,10 +470,9 @@ def validate_prometheus_text(text: str) -> Dict[str, str]:
       timestamp), belongs to a family declared by ``# TYPE``, and uses
       only the legal label-value escapes (``\\\\``, ``\\"``, ``\\n``);
     - no duplicate ``(series name, label set)`` sample appears;
+    - every ``# TYPE`` kind is ``counter``, ``gauge`` or ``untyped``
+      (the kinds :class:`MetricsRegistry` renders);
     - counters never carry negative values;
-    - histogram families expose ``_bucket``/``_sum``/``_count`` series
-      with strictly ascending ``le`` bounds ending in ``+Inf``,
-      cumulative bucket counts, and ``+Inf == _count``;
     - the document ends with a newline.
 
     Args:
@@ -693,7 +492,6 @@ def validate_prometheus_text(text: str) -> Dict[str, str]:
     types: Dict[str, str] = {}
     helps: Set[str] = set()
     seen_samples: Set[Tuple[str, tuple]] = set()
-    family_samples: Dict[str, Dict[tuple, List[Tuple[str, float]]]] = {}
     sampled_families: Set[str] = set()
     for number, line in enumerate(text.split("\n")[:-1], start=1):
         where = f"line {number}"
@@ -738,22 +536,12 @@ def validate_prometheus_text(text: str) -> Dict[str, str]:
         sample_name = match.group("name")
         labels = _parse_label_set(match.group("labels") or "", where)
         value = _parse_sample_value(match.group("value"), where)
-        histograms = {
-            name for name, kind in types.items() if kind == "histogram"
-        }
-        family = _family_of(sample_name, histograms)
-        if family not in types:
+        if sample_name not in types:
             raise CypressError(
                 f"{where}: sample {sample_name!r} has no # TYPE"
             )
-        sampled_families.add(family)
-        kind = types[family]
-        if kind != "histogram" and sample_name != family:
-            raise CypressError(
-                f"{where}: sample {sample_name!r} does not match its "
-                f"family {family!r}"
-            )
-        if kind == "counter" and value < 0:
+        sampled_families.add(sample_name)
+        if types[sample_name] == "counter" and value < 0:
             raise CypressError(
                 f"{where}: counter {sample_name} is negative ({value})"
             )
@@ -763,10 +551,4 @@ def validate_prometheus_text(text: str) -> Dict[str, str]:
                 f"{where}: duplicate sample {sample_name}{dict(labels)}"
             )
         seen_samples.add(dedup_key)
-        family_samples.setdefault(family, {}).setdefault(
-            labels, []
-        ).append((sample_name, value))
-    for name, kind in types.items():
-        if kind == "histogram" and name in family_samples:
-            _check_histogram_family(name, family_samples[name])
     return types

@@ -13,7 +13,7 @@ Endpoints:
 - ``GET /metrics`` — Prometheus text exposition of the full registry
   (validated by :func:`~repro.obs.metrics.validate_prometheus_text`).
 - ``GET /statusz`` — build info, uptime, effective config, the
-  schema-versioned ``RuntimeStats.to_json()``, SLO and profiler state.
+  schema-versioned ``RuntimeStats.to_json()`` and SLO state.
 - ``GET /healthz`` — liveness; reports ``"degraded"`` while the shed
   rate exceeds the readiness threshold.
 - ``GET /readyz`` — readiness for traffic: started, not closed,
@@ -22,8 +22,6 @@ Endpoints:
 - ``GET /tracez`` — the span ring as a Chrome-trace payload.
 - ``GET /flightz`` — the flight recorder's current buffer as a dump
   payload (no file is written).
-- ``GET /profilez`` — the sampling profiler's report
-  (``?format=collapsed`` returns flamegraph lines as text).
 
 Every handler runs inside a guard: an endpoint exception becomes a
 500 response and can never touch the serving path, and every request
@@ -40,12 +38,11 @@ import os
 import platform
 import threading
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Optional, Tuple, Union
-from urllib.parse import parse_qs, urlsplit
+from typing import TYPE_CHECKING, Optional, Tuple
+from urllib.parse import urlsplit
 
 from repro.errors import CypressError
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.profiler import ProfilerConfig
 from repro.obs.slo import Slo
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle: server owns us
@@ -66,7 +63,6 @@ ENDPOINTS = (
     "/readyz",
     "/tracez",
     "/flightz",
-    "/profilez",
 )
 
 
@@ -79,8 +75,6 @@ class DiagConfig:
             (read it back from ``DiagServer.address``).
         host: bind address; the default stays loopback-only because
             the plane is unauthenticated.
-        profile: arm the continuous sampling profiler — ``True`` for
-            defaults or a :class:`~repro.obs.profiler.ProfilerConfig`.
         slos: objectives for the :class:`~repro.obs.slo.SloMonitor`;
             empty disables SLO monitoring.
         slo_tick_s: SLO evaluation period.
@@ -90,7 +84,6 @@ class DiagConfig:
 
     port: int = 0
     host: str = "127.0.0.1"
-    profile: Union[bool, ProfilerConfig] = False
     slos: Tuple[Slo, ...] = ()
     slo_tick_s: float = 1.0
     ready_shed_rate: float = 0.5
@@ -116,7 +109,7 @@ class DiagServer:
     Construction is cheap and binds nothing; :meth:`start` binds the
     socket and spawns the serving thread, :meth:`stop` shuts both
     down. All endpoint logic lives in :meth:`handle`, which is pure
-    ``(path, query) -> (code, content_type, body)`` so tests can hit
+    ``path -> (code, content_type, body)`` so tests can hit
     endpoints without a socket.
     """
 
@@ -198,9 +191,7 @@ class DiagServer:
     # ------------------------------------------------------------------
     # Request handling
     # ------------------------------------------------------------------
-    def handle(
-        self, path: str, query: Optional[Dict[str, list]] = None
-    ) -> Tuple[int, str, bytes]:
+    def handle(self, path: str) -> Tuple[int, str, bytes]:
         """Serve one request; never raises.
 
         Returns ``(status_code, content_type, body)``. Endpoint
@@ -209,7 +200,7 @@ class DiagServer:
         """
         endpoint = path if path in ENDPOINTS or path == "/" else "other"
         try:
-            code, ctype, body = self._dispatch(path, query or {})
+            code, ctype, body = self._dispatch(path)
         except Exception as error:  # noqa: BLE001 - the whole point
             code, ctype, body = self._json(
                 500, {"error": f"{type(error).__name__}: {error}"}
@@ -220,9 +211,7 @@ class DiagServer:
             pass
         return code, ctype, body
 
-    def _dispatch(
-        self, path: str, query: Dict[str, list]
-    ) -> Tuple[int, str, bytes]:
+    def _dispatch(self, path: str) -> Tuple[int, str, bytes]:
         if self.runtime.closed:
             return self._json(
                 503, {"error": "server closed", "endpoint": path}
@@ -241,8 +230,6 @@ class DiagServer:
             return self._tracez()
         if path == "/flightz":
             return self._flightz()
-        if path == "/profilez":
-            return self._profilez(query)
         return self._json(404, {"error": f"no such endpoint {path!r}"})
 
     @staticmethod
@@ -260,7 +247,6 @@ class DiagServer:
         runtime = self.runtime
         stats = runtime.stats()
         monitor = runtime.slo_monitor
-        profiler = runtime.profiler
         address = self.address
         payload = {
             "build": {
@@ -278,7 +264,6 @@ class DiagServer:
                 "flight": runtime.flight is not None,
                 "speculate": runtime.speculator is not None,
                 "specialize": runtime.specializer is not None,
-                "profile": profiler is not None,
                 "slos": [slo.name for slo in self.config.slos],
                 "diag": {
                     "host": address[0] if address else self.config.host,
@@ -287,9 +272,6 @@ class DiagServer:
             },
             "stats": stats.to_json(),
             "slo": monitor.describe() if monitor is not None else None,
-            "profiler": (
-                profiler.report() if profiler is not None else None
-            ),
         }
         return self._json(200, payload)
 
@@ -338,18 +320,6 @@ class DiagServer:
             return self._json(503, {"error": "flight recorder disabled"})
         return self._json(200, flight.payload(reason="flightz"))
 
-    def _profilez(
-        self, query: Dict[str, list]
-    ) -> Tuple[int, str, bytes]:
-        profiler = self.runtime.profiler
-        if profiler is None:
-            return self._json(503, {"error": "profiler disabled"})
-        fmt = (query.get("format") or ["report"])[0]
-        if fmt == "collapsed":
-            text = profiler.export_collapsed()
-            return 200, "text/plain; charset=utf-8", text.encode("utf-8")
-        return self._json(200, profiler.report())
-
 
 def _make_handler(diag: DiagServer):
     """Bind a stdlib request handler class to one :class:`DiagServer`."""
@@ -360,10 +330,7 @@ def _make_handler(diag: DiagServer):
         protocol_version = "HTTP/1.1"
 
         def do_GET(self):  # noqa: N802 - stdlib handler contract
-            parts = urlsplit(self.path)
-            code, ctype, body = diag.handle(
-                parts.path, parse_qs(parts.query)
-            )
+            code, ctype, body = diag.handle(urlsplit(self.path).path)
             try:
                 self.send_response(code)
                 self.send_header("Content-Type", ctype)

@@ -36,7 +36,7 @@ A request crosses five stages — **admit** (``submit`` /
 **execute** and **resolve** (``_serve``) — and what cuts across them
 has one owner each: :meth:`RuntimeServer._settle` alone ends a request
 (span, terminal counter, future), and :class:`_Stages` is the one
-source of a batch's profiler phases and stage spans
+source of a batch's stage spans
 (``docs/serving.md`` maps which acts where).
 """
 
@@ -59,7 +59,6 @@ from repro.gpusim.gpu import GpuResult
 from repro.machine.machine import MachineModel
 from repro.obs.flight import FlightRecorder
 from repro.obs.ops import DiagConfig, DiagServer
-from repro.obs.profiler import ContinuousProfiler, PhaseTracker, ProfilerConfig
 from repro.obs.slo import SloMonitor
 from repro.obs.trace import NULL_TRACER, Tracer
 from repro.runtime import faults
@@ -172,48 +171,26 @@ class _QueuedRequest:
 
 
 class _Stages:
-    """One micro-batch's stage marker — the single source of its
-    profiler phases and of its ``queue``/``dispatch``/``batch``/
-    ``compile``/``pass.*``/``execute`` spans.
+    """One micro-batch's stage stamps — the single source of its
+    ``queue``/``dispatch``/``batch``/``compile``/``pass.*``/``execute``
+    spans.
 
     A batch's stages are contiguous, so :meth:`enter` crosses each
-    boundary once: it swaps the thread's marker on its server's
-    :class:`~repro.obs.profiler.PhaseTracker` when a profiler runs and
-    stamps the boundary when tracing. Both are decided per batch, at
-    construction (a profiler starting mid-batch leaves no stray
-    marker); while both are off every batch shares the inert
-    :data:`_UNMARKED` and the hot path allocates nothing.
+    boundary once and stamps it. One is built per batch only while
+    tracing; otherwise every batch shares the inert :data:`_UNMARKED`
+    and the hot path allocates nothing.
     """
 
-    __slots__ = ("tracer", "phases", "marked", "stamps")
+    __slots__ = ("tracer", "stamps")
 
-    #: Stages that are profiler phases (``batch`` is bookkeeping
-    #: between two of them and stays unattributed).
-    PHASED = ("dispatch", "compile", "execute")
-
-    def __init__(self, tracer: Any, phases: Optional[PhaseTracker]) -> None:
+    def __init__(self, tracer: Any) -> None:
         self.tracer = tracer
-        self.phases = phases  # None: no profiler was running
-        self.marked = False
         self.stamps: Dict[str, float] = {}
 
-    def enter(self, stage: str, head: Optional[_QueuedRequest] = None) -> None:
-        """Cross the boundary into ``stage``; ``head`` names the
-        ``kernel:bucket`` the profiler attributes the stage to."""
-        if self.phases is not None:
-            self.leave()
-            if stage in self.PHASED:
-                detail = head and f"{head.kernel.name}:{head.bucket.label()}"
-                self.phases.push(stage, detail)
-                self.marked = True
+    def enter(self, stage: str) -> None:
+        """Cross the boundary into ``stage``."""
         if self.tracer.enabled:
             self.stamps[stage] = time.perf_counter()
-
-    def leave(self) -> None:
-        """Drop the thread's profiler marker (idempotent)."""
-        if self.marked:
-            self.phases.pop()
-            self.marked = False
 
     def served(
         self, live: List[_QueuedRequest], kernel: Any, tier: str
@@ -284,8 +261,8 @@ class _Stages:
             )
 
 
-#: What every batch gets while tracing and profiling are both off.
-_UNMARKED = _Stages(NULL_TRACER, phases=None)
+#: What every batch gets while tracing is off.
+_UNMARKED = _Stages(NULL_TRACER)
 
 
 def _config(value: Any, config_type: type) -> Any:
@@ -337,9 +314,8 @@ class RuntimeServer:
             policy. ``None`` (the default) keeps the queue unbounded.
         diag: the live ops plane (:mod:`repro.obs.ops`): an embedded
             read-only HTTP listener serving ``/metrics``,
-            ``/statusz``, ``/healthz``, ``/readyz``, ``/tracez``,
-            ``/flightz``, and ``/profilez``, plus — when configured —
-            the continuous sampling profiler and the SLO monitor.
+            ``/statusz``, ``/healthz``, ``/readyz``, ``/tracez`` and
+            ``/flightz``, plus — when configured — the SLO monitor.
             Pass ``True`` for a loopback listener on an ephemeral
             port, an ``int`` port, or a :class:`~repro.obs.ops.
             DiagConfig`. The listener stays up after :meth:`close`
@@ -392,8 +368,6 @@ class RuntimeServer:
         self._launches: Dict[Tuple[str, Bucket], Launch] = {}
         self._launch_lock = threading.Lock()
         self.telemetry = Telemetry()
-        #: Phase markers of this server's threads, read by its profiler.
-        self.phases = PhaseTracker()
         self.resilience = resilience or ResilienceConfig()
         self.flight: Optional[FlightRecorder] = (
             flight
@@ -423,7 +397,6 @@ class RuntimeServer:
             if disk_cache is None or isinstance(disk_cache, DiskCacheTier)
             else DiskCacheTier(disk_cache)
         )
-        self.profiler = None
         self.slo_monitor = None
         self.diag = None
         if diag is not None and diag is not False:
@@ -437,10 +410,6 @@ class RuntimeServer:
                 raise CypressError(
                     "diag must be True, a port number, or a DiagConfig; "
                     f"got {diag!r}"
-                )
-            if diag_config.profile:
-                self.profiler = ContinuousProfiler(
-                    self, _config(diag_config.profile, ProfilerConfig)
                 )
             if diag_config.slos:
                 self.slo_monitor = SloMonitor(
@@ -476,9 +445,7 @@ class RuntimeServer:
 
     def _loops(self) -> List[Any]:
         """The background loops this server owns and runs."""
-        owned = (
-            self.speculator, self.specializer, self.profiler, self.slo_monitor
-        )
+        owned = (self.speculator, self.specializer, self.slo_monitor)
         return [loop for loop in owned if loop is not None]
 
     def close(self, drain: bool = True) -> None:
@@ -648,10 +615,6 @@ class RuntimeServer:
         """
         if not requests:
             return
-        with self.phases.phase("queue"):
-            self._submit_prepared(requests)
-
-    def _submit_prepared(self, requests: List[_QueuedRequest]) -> None:
         now = time.perf_counter()
         tracer = self.tracer
         if tracer.enabled:
@@ -952,11 +915,8 @@ class RuntimeServer:
                 if not self._queue:
                     return
                 request = heapq.heappop(self._queue)
-                phases = self.phases if self.phases.enabled else None
                 stages = (
-                    _Stages(self.tracer, phases)
-                    if self.tracer.enabled or phases is not None
-                    else _UNMARKED
+                    _Stages(self.tracer) if self.tracer.enabled else _UNMARKED
                 )
                 stages.enter("dispatch")
                 batch = [request]
@@ -979,8 +939,6 @@ class RuntimeServer:
                 # plumbing) would otherwise kill this worker silently.
                 # Fail whatever is unsettled and leave a black box.
                 self._worker_crash(batch, error)
-            finally:
-                stages.leave()
 
     def _worker_crash(
         self, batch: List[_QueuedRequest], error: Exception
@@ -998,7 +956,12 @@ class RuntimeServer:
                     "requests_failed": failed,
                 },
             )
-            self.flight.dump(reason="worker-exception")
+            try:
+                self.flight.dump(reason="worker-exception")
+            except OSError as dump_error:
+                # Still inside the worker's handler: a dump that cannot
+                # be written must not end the worker too.
+                self.flight.note("dump-failed", {"error": repr(dump_error)})
 
     def _settle(
         self,
@@ -1086,14 +1049,14 @@ class RuntimeServer:
         if self.speculator is not None:
             self.speculator.note_request(name, head.bucket)
         try:
-            stages.enter("compile", head)
+            stages.enter("compile")
             launch = self._launch(head.kernel, head.bucket)
             # The fault site wraps only the compile a lookup that missed
             # both tiers runs, so a warm request never reaches it.
             kernel, tier = self._fetch(
                 launch, faults.checked("compile", name, launch.compute)
             )
-            stages.enter("execute", head)
+            stages.enter("execute")
             gpu = faults.checked("worker.execute", name, self._timing)(
                 launch, kernel
             )

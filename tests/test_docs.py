@@ -1,6 +1,6 @@
 """Documentation contracts: docstring coverage and markdown links.
 
-Part of the tier-1 suite CI's one job runs. It enforces three
+Part of the tier-1 suite CI's one job runs. It enforces four
 invariants so documentation cannot silently regress:
 
 1. every public symbol of ``repro.api``, ``repro.tuner``,
@@ -8,17 +8,21 @@ invariants so documentation cannot silently regress:
    ``repro.runtime.specialize``, ``repro.runtime.resilience``,
    ``repro.runtime.faults``, ``repro.graph``,
    ``repro.graph.template``, ``repro.obs``, ``repro.obs.ops``,
-   ``repro.obs.profiler``, ``repro.obs.slo``, and
-   ``repro.tensors.regions`` (and their public methods) carries a
+   ``repro.obs.slo``, and ``repro.tensors.regions`` (and their public methods) carries a
    non-empty docstring;
 2. every intra-repo markdown link in ``README.md``, ``docs/``, and the
    other root guides resolves to an existing file;
 3. every serving counter in ``repro.runtime.telemetry.COUNTERS`` is
    documented: its field in the ``RuntimeStats`` table of
-   ``docs/serving.md``, its metric family in an ops-facing guide.
+   ``docs/serving.md``, its metric family in an ops-facing guide;
+4. every ``repro_*`` metric family and ``/...z`` diagnostics endpoint
+   that ``README.md`` or a ``docs/`` guide names exists: the family in
+   ``tests/golden_serving_surface.json``, the path in
+   ``repro.obs.ops.ENDPOINTS``.
 """
 
 import inspect
+import json
 import re
 from pathlib import Path
 
@@ -29,7 +33,6 @@ import repro.graph
 import repro.graph.template
 import repro.obs
 import repro.obs.ops
-import repro.obs.profiler
 import repro.obs.slo
 import repro.runtime
 import repro.runtime.faults
@@ -38,6 +41,7 @@ import repro.runtime.specialize
 import repro.runtime.speculate
 import repro.tensors.regions
 import repro.tuner
+from repro.obs.ops import ENDPOINTS
 from repro.runtime.telemetry import COUNTERS
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -54,7 +58,6 @@ PUBLIC_MODULES = (
     repro.graph.template,
     repro.obs,
     repro.obs.ops,
-    repro.obs.profiler,
     repro.obs.slo,
     repro.tensors.regions,
 )
@@ -184,3 +187,33 @@ class TestCounterDocs:
             spec.metric for spec in COUNTERS if f"`{spec.metric}`" not in guides
         ]
         assert not missing, f"undocumented metric families: {missing}"
+
+
+#: A metric family name, and a diagnostics endpoint path (``/...z``)
+#: not preceded by a path segment or a file name.
+_FAMILY = re.compile(r"repro_[a-z0-9_]+")
+_ENDPOINT = re.compile(r"(?<![\w.])/[a-z]+z\b")
+
+
+class TestDocsNameLiveSurface:
+    def test_named_families_and_endpoints_exist(self):
+        golden = json.loads(
+            (REPO_ROOT / "tests" / "golden_serving_surface.json").read_text()
+        )
+        families = {family[0] for family in golden["metric_families"]}
+        guides = [REPO_ROOT / "README.md"]
+        guides += sorted((REPO_ROOT / "docs").glob("*.md"))
+        stale = []
+        for path in guides:
+            text = path.read_text()
+            stale += [
+                f"{path.name}: {name}"
+                for name in _FAMILY.findall(text)
+                if name not in families
+            ]
+            stale += [
+                f"{path.name}: {endpoint}"
+                for endpoint in _ENDPOINT.findall(text)
+                if endpoint not in ENDPOINTS
+            ]
+        assert not stale, f"docs name surface that does not exist: {stale}"

@@ -28,7 +28,6 @@ from repro.obs import (
     Counter,
     FlightRecorder,
     Gauge,
-    Histogram,
     MetricsRegistry,
     Tracer,
     validate_chrome_trace,
@@ -404,20 +403,6 @@ class TestMetrics:
         gauge.dec(2)
         gauge.inc(1)
         assert gauge.value() == 4
-
-    def test_histogram_renders_cumulative_buckets(self):
-        registry = MetricsRegistry()
-        hist = registry.histogram(
-            "latency_seconds", "Latency.", buckets=(0.1, 1.0)
-        )
-        for value in (0.05, 0.5, 5.0):
-            hist.observe(value)
-        text = registry.render()
-        assert '# TYPE latency_seconds histogram' in text
-        assert 'latency_seconds_bucket{le="0.1"} 1' in text
-        assert 'latency_seconds_bucket{le="1"} 2' in text
-        assert 'latency_seconds_bucket{le="+Inf"} 3' in text
-        assert "latency_seconds_count 3" in text
 
     def test_labels_render_and_escape(self):
         registry = MetricsRegistry()

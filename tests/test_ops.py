@@ -1,13 +1,10 @@
-"""The live ops plane: diag endpoints, sampling profiler, SLO alerts.
+"""The live ops plane: diag endpoints and SLO alerts.
 
-Three subsystems under test. The :class:`~repro.obs.ops.DiagServer`
+Two subsystems under test. The :class:`~repro.obs.ops.DiagServer`
 endpoints are exercised both in-process (``handle()`` is pure
 ``path -> (code, content_type, body)``) and over a real socket —
 including hammering ``/metrics`` and ``/statusz`` from threads while a
 live server takes traffic and closes underneath them. The
-:class:`~repro.obs.profiler.ContinuousProfiler` is driven
-synchronously against a compile-heavy backlog of *distinct* buckets
-and must attribute >= 90% of its samples to non-idle phases. The
 :class:`~repro.obs.slo.SloMonitor` replays a seeded failure trace
 through injected stats/clock ticks and must page — and the page must
 be visible everywhere the ops plane promises: ``stats()``, the
@@ -19,8 +16,6 @@ strictly on every fully-populated server here).
 import contextlib
 import dataclasses
 import json
-import os
-import sys
 import threading
 import time
 import urllib.error
@@ -32,7 +27,6 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro import api
 from repro.errors import CypressError
-from repro.graph import GraphBuilder, GraphTemplateCache
 from repro.kernels import build_gemm
 from repro.obs import (
     MetricsRegistry,
@@ -41,7 +35,6 @@ from repro.obs import (
 )
 from repro.obs.metrics import _format_value
 from repro.obs.ops import ENDPOINTS, PROM_CONTENT_TYPE, DiagConfig, DiagServer
-from repro.obs.profiler import ContinuousProfiler, ProfilerConfig
 from repro.obs.slo import SEVERITY_PAGE, Slo, SloMonitor
 from repro.obs.flight import FlightRecorder
 from repro.runtime import BucketPolicy, KernelRegistry, RuntimeServer
@@ -51,7 +44,6 @@ from repro.runtime.resilience import ResilienceConfig
 
 GEMM_SHAPE = dict(m=256, n=256, k=128)
 SMALL = dict(tile_m=128, tile_n=256, tile_k=64)
-LADDER = tuple(128 * step for step in range(1, 9))
 
 
 @pytest.fixture(autouse=True)
@@ -109,7 +101,7 @@ def _fully_populated_server(machine, registry, tmp_path):
         speculate=True,
         specialize=True,
         disk_cache=str(tmp_path / "disk"),
-        diag=DiagConfig(profile=True, slos=(slo,), slo_tick_s=30.0),
+        diag=DiagConfig(slos=(slo,), slo_tick_s=30.0),
     ) as server:
         try:
             yield server
@@ -158,45 +150,6 @@ def _http_get(url, timeout=30.0):
         return error.code, error.headers.get("Content-Type", ""), error.read()
 
 
-@contextlib.contextmanager
-def _one_cpu():
-    """Confine the calling thread, and every thread it starts, to one
-    CPU: a sampler and the thread it samples then wait behind the
-    host's other tenants together, not one at the other's expense."""
-    cpus = os.sched_getaffinity(0)
-    os.sched_setaffinity(0, {min(cpus)})
-    try:
-        yield
-    finally:
-        os.sched_setaffinity(0, cpus)
-
-
-def _ladder_registry():
-    """A GEMM with eight rungs on the m ladder."""
-    reg = KernelRegistry()
-    reg.register(
-        "gemm",
-        build_gemm,
-        ("m", "n", "k"),
-        policy=BucketPolicy(
-            ladders={"m": LADDER, "n": (256,), "k": (64, 128)}
-        ),
-        defaults=dict(SMALL),
-    )
-    return reg
-
-
-def _cold_backlog(server):
-    """One request per bucket of :func:`_ladder_registry`: sixteen
-    distinct buckets, so the worker chews through sixteen cold compiles
-    back to back while a test samples it."""
-    return [
-        server.submit("gemm", dict(m=m, n=256, k=k))
-        for m in LADDER
-        for k in (64, 128)
-    ]
-
-
 # ----------------------------------------------------------------------
 # DiagConfig
 # ----------------------------------------------------------------------
@@ -220,8 +173,7 @@ class TestDiagConfig:
             assert server.diag is not None
             assert server.diag.running
             assert server.diag.address[0] == "127.0.0.1"
-            assert server.profiler is None  # defaults keep both off
-            assert server.slo_monitor is None
+            assert server.slo_monitor is None  # no SLOs by default
             server.diag.stop()
 
     def test_server_rejects_garbage_diag(self, hopper, registry):
@@ -247,7 +199,6 @@ class TestEndpoints:
     @pytest.fixture()
     def server(self, hopper, registry, tmp_path):
         config = DiagConfig(
-            profile=True,
             slos=(Slo("availability", metric="error_rate"),),
             slo_tick_s=30.0,
         )
@@ -324,11 +275,9 @@ class TestEndpoints:
         assert payload["uptime_s"] > 0
         assert payload["config"]["workers"] == 1
         assert payload["config"]["trace"] is True
-        assert payload["config"]["profile"] is True
         assert payload["config"]["slos"] == ["availability"]
         assert payload["stats"]["runtime"]["completed"] >= 1
         assert payload["slo"]["objectives"][0]["name"] == "availability"
-        assert payload["profiler"]["hz"] == 100.0
 
     def test_tracez_round_trips_the_validator(self, server):
         code, _ctype, body = _http_get(server.diag.url("/tracez"))
@@ -346,18 +295,6 @@ class TestEndpoints:
         assert payload["records"]
         assert not (tmp_path / "flight.json").exists()  # nothing written
 
-    def test_profilez_report_and_collapsed(self, server):
-        code, _ctype, body = _http_get(server.diag.url("/profilez"))
-        assert code == 200
-        report = json.loads(body)
-        assert report["enabled"] is True
-        assert report["hz"] == 100.0
-        code, ctype, _body = _http_get(
-            server.diag.url("/profilez?format=collapsed")
-        )
-        assert code == 200
-        assert ctype.startswith("text/plain")
-
     def test_handle_guards_endpoint_exceptions(self, server):
         diag = server.diag
         original = diag._statusz
@@ -371,12 +308,12 @@ class TestEndpoints:
 
 
 class TestEndpointsDisabledSubsystems:
-    def test_tracez_flightz_profilez_503_when_off(self, hopper, registry):
+    def test_tracez_flightz_503_when_off(self, hopper, registry):
         with RuntimeServer(
             hopper, registry, workers=1, diag=True
         ) as server:
             try:
-                for path in ("/tracez", "/flightz", "/profilez"):
+                for path in ("/tracez", "/flightz"):
                     code, _ctype, body = server.diag.handle(path)
                     assert code == 503
                     assert "disabled" in json.loads(body)["error"]
@@ -734,273 +671,6 @@ class TestSlo:
 
 
 # ----------------------------------------------------------------------
-# Continuous profiler
-# ----------------------------------------------------------------------
-class TestPhaseTracker:
-    def test_push_pop_snapshot(self):
-        from repro.obs.profiler import PhaseTracker
-
-        tracker = PhaseTracker()
-        tid = threading.get_ident()
-        assert tracker.current() is None
-        tracker.push("compile", "gemm:b1")
-        tracker.push("pass.vectorize")
-        assert tracker.current() == ("pass.vectorize", None)
-        assert tracker.snapshot() == {tid: ("pass.vectorize", None)}
-        tracker.pop()
-        assert tracker.current() == ("compile", "gemm:b1")
-        tracker.pop()
-        assert tracker.current() is None
-        assert tracker.snapshot() == {}
-        tracker.pop()  # over-pop is harmless
-
-    def test_server_tracker_off_by_default(self, hopper, registry):
-        with RuntimeServer(hopper, registry, workers=1) as server:
-            assert not server.phases.enabled
-            server.submit("gemm", GEMM_SHAPE).result(timeout=600)
-            # No profiler on this server: the hot path never marked a
-            # phase.
-            assert not server.phases.enabled
-            assert server.phases.snapshot() == {}
-
-
-class TestProfiler:
-    def test_config_validation(self):
-        with pytest.raises(CypressError, match="hz"):
-            ProfilerConfig(hz=0.0)
-        with pytest.raises(CypressError, match="max_stacks"):
-            ProfilerConfig(max_stacks=0)
-
-    def test_compile_heavy_trace_attributes_non_idle(self, hopper):
-        # The worker is CPU-bound Python, so this thread samples once
-        # per GIL switch interval: at the default 5 ms the 80-200 ms
-        # backlog yields 16-40 samples, depending on the host's speed.
-        # 0.5 ms makes the count a property of the backlog.
-        interval = sys.getswitchinterval()
-        with _one_cpu(), RuntimeServer(
-            hopper, _ladder_registry(), workers=1, start=False
-        ) as server:
-            profiler = ContinuousProfiler(server)
-            profiler.enable()
-            try:
-                futures = _cold_backlog(server)
-                sys.setswitchinterval(5e-4)
-                server.start()
-                # Sample only while a backlog exists: with one worker
-                # and sixteen cold buckets queued, the worker is doing
-                # attributable work in essentially every sample.
-                while server.queue_depth > 0:
-                    profiler.run_once()
-                    time.sleep(0.0002)
-                for future in futures:
-                    future.result(timeout=600)
-            finally:
-                sys.setswitchinterval(interval)
-                profiler.disable()
-        report = profiler.report()
-        assert report["samples"] >= 20
-        assert report["samples"] == sum(report["phases"].values())
-        assert report["non_idle_ratio"] >= 0.9
-        assert "compile" in report["phases"]
-        kernels = [key for key in report["kernels"] if key.startswith("gemm:")]
-        assert len(kernels) >= 2  # distinct buckets were attributed
-        collapsed = profiler.export_collapsed()
-        assert collapsed.endswith("\n")
-        for line in collapsed.splitlines():
-            stack, count = line.rsplit(" ", 1)
-            assert int(count) >= 1
-            assert stack.split(";")[0] in {
-                "queue", "dispatch", "compile", "execute", "idle",
-                "graph.node",
-            } or stack.split(";")[0].startswith("pass.")
-        top = {entry["stack"] for entry in report["top_stacks"]}
-        assert top  # report carries the hottest lines
-
-    def test_an_idle_servers_profiler_sees_no_other_servers_work(
-        self, hopper
-    ):
-        """One server compiles a cold backlog while another idles in the
-        same process: the idle server's profiler sees only its own idle
-        worker, and the busy server's sees its compiler passes."""
-        interval = sys.getswitchinterval()
-        with _one_cpu(), RuntimeServer(
-            hopper, _ladder_registry(), workers=1
-        ) as idle, RuntimeServer(
-            hopper, _ladder_registry(), workers=1, start=False
-        ) as busy:
-            watcher, own = ContinuousProfiler(idle), ContinuousProfiler(busy)
-            watcher.enable()
-            own.enable()
-            try:
-                futures = _cold_backlog(busy)
-                sys.setswitchinterval(5e-4)
-                busy.start()
-                while busy.queue_depth > 0:
-                    watcher.run_once()
-                    own.run_once()
-                    time.sleep(0.0002)
-                for future in futures:
-                    future.result(timeout=600)
-            finally:
-                sys.setswitchinterval(interval)
-                watcher.disable()
-                own.disable()
-        seen = watcher.report()
-        assert seen["samples"] > 0
-        assert set(seen["phases"]) == {"idle"}
-        assert seen["kernels"] == {}
-        assert any(
-            phase.startswith("pass.") for phase in own.report()["phases"]
-        )
-
-    def test_export_collapsed_writes_file(self, hopper, registry, tmp_path):
-        with RuntimeServer(hopper, registry, workers=1) as server:
-            profiler = ContinuousProfiler(server)
-            profiler.enable()
-            try:
-                futures = [
-                    server.submit("gemm", GEMM_SHAPE) for _ in range(4)
-                ]
-                for _ in range(50):
-                    profiler.run_once()
-                    time.sleep(0.001)
-                for future in futures:
-                    future.result(timeout=600)
-            finally:
-                profiler.disable()
-        path = tmp_path / "profile.collapsed"
-        text = profiler.export_collapsed(path)
-        assert path.read_text() == text
-
-    def test_stack_bound_counts_truncations(self, hopper, registry):
-        config = ProfilerConfig(max_stacks=1)
-        with RuntimeServer(hopper, registry, workers=1, start=False) as server:
-            profiler = ContinuousProfiler(server, config)
-            profiler.enable()
-            try:
-                futures = [
-                    server.submit("gemm", GEMM_SHAPE) for _ in range(4)
-                ]
-                server.start()
-                while server.queue_depth > 0:
-                    profiler.run_once()
-                    time.sleep(0.001)
-                for future in futures:
-                    future.result(timeout=600)
-            finally:
-                profiler.disable()
-        report = profiler.report()
-        if report["samples"] > 1:
-            assert len(report["top_stacks"]) <= 1
-
-    def test_server_owned_profiler_reports_via_metrics(
-        self, hopper, registry
-    ):
-        with RuntimeServer(
-            hopper,
-            registry,
-            workers=1,
-            diag=DiagConfig(profile=ProfilerConfig(hz=200.0)),
-        ) as server:
-            try:
-                futures = [
-                    server.submit("gemm", GEMM_SHAPE) for _ in range(8)
-                ]
-                for future in futures:
-                    future.result(timeout=600)
-                deadline = time.time() + 10.0
-                while (
-                    server.profiler.report()["samples"] == 0
-                    and time.time() < deadline
-                ):
-                    time.sleep(0.01)
-                text = server.metrics().render()
-                families = validate_prometheus_text(text)
-                assert families["repro_profiler_samples_total"] == "counter"
-                assert (
-                    families["repro_profiler_phase_samples_total"]
-                    == "counter"
-                )
-            finally:
-                server.diag.stop()
-        # stop() ran inside close(): instrumentation is disarmed again.
-        assert not server.phases.enabled
-
-    def test_armed_sampler_stays_within_the_overhead_budget(
-        self, hopper, registry
-    ):
-        """Template-replay capture costs at most 1.5x with a 200 Hz
-        sampler armed (2x the production default), measured only over
-        windows in which the sampler really ran. Unarmed
-        and armed windows alternate, so a change in host speed lands
-        on both sides."""
-        hz, window_s, wanted, cap = 200.0, 0.1, 5, 30
-        memo, cache = {}, GraphTemplateCache()
-
-        def replay_s():
-            # A 32-launch RAW gemm chain captured, built and scored:
-            # after the first call every capture is a template hit.
-            start = time.perf_counter()
-            gb = GraphBuilder(hopper, template_cache=cache, build_memo=memo)
-            current = gb.tensor("T0", (256, 256))
-            weight = gb.tensor("W", (256, 256))
-            for index in range(32):
-                nxt = gb.tensor(f"T{index + 1}", (256, 256))
-                gb.launch(
-                    "gemm",
-                    dict(m=256, n=256, k=256),
-                    reads=dict(A=current, B=weight),
-                    writes=dict(C=nxt),
-                )
-                current = nxt
-            graph = gb.build()
-            graph.critical_path()
-            elapsed = time.perf_counter() - start
-            assert len(graph.edges) == 31  # a pure RAW chain
-            return elapsed
-
-        def best_over_window():
-            start = time.perf_counter()
-            best = replay_s()
-            while time.perf_counter() - start < window_s:
-                best = min(best, replay_s())
-            return best
-
-        replay_s()  # the miss that seeds the memo and the template
-        off_s = on_s = float("inf")
-        sampled_windows = 0
-        # On one CPU, time spent waiting behind the host's other
-        # tenants is time ``process_time`` below does not count. An
-        # idle worker gives every tick one thread to attribute.
-        with _one_cpu(), RuntimeServer(
-            hopper, registry, workers=1
-        ) as server:
-            for _ in range(cap):
-                off_s = min(off_s, best_over_window())
-                profiler = ContinuousProfiler(server, ProfilerConfig(hz=hz))
-                cpu_start = time.process_time()
-                profiler.start()
-                try:
-                    armed_s = best_over_window()
-                finally:
-                    profiler.stop()
-                cpu_s = time.process_time() - cpu_start
-                # A window counts only if the sampler took at least
-                # half the samples due over the CPU time the process
-                # got (it waits for the GIL behind this thread); one
-                # in which it starved says nothing about what sampling
-                # costs and is measured again, up to ``cap``.
-                if profiler.samples >= 0.5 * hz * cpu_s:
-                    on_s = min(on_s, armed_s)
-                    sampled_windows += 1
-                    if sampled_windows == wanted:
-                        break
-        assert cache.stats.misses == 1
-        assert sampled_windows == wanted, "the sampler never kept its rate"
-        assert on_s <= 1.5 * off_s
-
-
-# ----------------------------------------------------------------------
 # Flight-recorder dump rotation
 # ----------------------------------------------------------------------
 class TestFlightRotation:
@@ -1055,6 +725,51 @@ class TestFlightRotation:
         )
         assert float(line.split(" ")[1]) == 1.0
 
+    def test_a_dump_that_cannot_be_written_counts_nothing(self, tmp_path):
+        recorder = FlightRecorder(path=str(tmp_path / "missing" / "f.json"))
+        recorder.note("x")
+        with pytest.raises(OSError):
+            recorder.dump()
+        assert recorder.dumps == 0
+
+    def test_a_failed_crash_dump_keeps_the_worker_serving(
+        self, hopper, registry, tmp_path, monkeypatch
+    ):
+        path = tmp_path / "missing" / "flight.json"
+        serve = RuntimeServer._serve
+        calls = []
+
+        def serve_crashing_once(self, batch, stages):
+            calls.append(len(batch))
+            if len(calls) == 1:
+                raise RuntimeError("boom")
+            return serve(self, batch, stages)
+
+        monkeypatch.setattr(RuntimeServer, "_serve", serve_crashing_once)
+        server = RuntimeServer(
+            hopper, registry, workers=1, flight=str(path), start=False
+        )
+        first = server.submit("gemm", GEMM_SHAPE)
+        server.start()
+        (worker,) = server._threads
+        assert isinstance(first.exception(timeout=600), RuntimeError)
+        # The crash handler's dump failed; the same worker serves on.
+        second = server.submit("gemm", GEMM_SHAPE)
+        assert second.result(timeout=60).tflops > 0
+        assert worker.is_alive()
+        # close() still reports its own failed dump, after shutdown.
+        with pytest.raises(OSError):
+            server.close()
+        assert server.closed and not worker.is_alive()
+        assert server.flight.dumps == 0
+        assert not path.exists()
+        events = [
+            record["name"]
+            for record in server.flight.records()
+            if record["kind"] == "event"
+        ]
+        assert events.count("dump-failed") == 1
+
 
 # ----------------------------------------------------------------------
 # Prometheus conformance oracle
@@ -1090,19 +805,6 @@ class TestPrometheusValidator:
         assert sorted(surface) == sorted(golden)
         for part in golden:
             assert surface[part] == golden[part], part
-
-    def test_live_histogram_render_passes(self):
-        registry = MetricsRegistry()
-        latency = registry.histogram(
-            "demo_latency_seconds",
-            "Observed latencies.",
-            labels=("kernel",),
-            buckets=(0.001, 0.01, 0.1, 1.0),
-        )
-        for value in (0.0005, 0.005, 0.05, 0.5, 5.0):
-            latency.observe(value, "gemm")
-        families = validate_prometheus_text(registry.render())
-        assert families == {"demo_latency_seconds": "histogram"}
 
     def test_rejects_missing_trailing_newline(self):
         with pytest.raises(CypressError, match="newline"):
@@ -1144,36 +846,14 @@ class TestPrometheusValidator:
         with pytest.raises(CypressError, match="duplicate sample"):
             validate_prometheus_text("# TYPE a gauge\na 1\na 2\n")
 
-    def test_rejects_non_cumulative_histogram(self):
-        text = (
-            "# TYPE h histogram\n"
-            'h_bucket{le="1"} 5\n'
-            'h_bucket{le="+Inf"} 3\n'
-            "h_sum 4\n"
-            "h_count 3\n"
-        )
-        with pytest.raises(CypressError, match="not cumulative"):
-            validate_prometheus_text(text)
-
-    def test_rejects_histogram_without_inf_bucket(self):
-        text = (
-            "# TYPE h histogram\n"
-            'h_bucket{le="1"} 5\n'
-            "h_sum 4\n"
-            "h_count 5\n"
-        )
-        with pytest.raises(CypressError, match=r"\+Inf"):
-            validate_prometheus_text(text)
-
-    def test_rejects_inf_bucket_count_mismatch(self):
-        text = (
-            "# TYPE h histogram\n"
-            'h_bucket{le="+Inf"} 5\n'
-            "h_sum 4\n"
-            "h_count 7\n"
-        )
-        with pytest.raises(CypressError, match="_count"):
-            validate_prometheus_text(text)
+    def test_rejects_histogram_type_line(self):
+        # The registry renders counters and gauges only; the oracle
+        # refuses the kinds it no longer checks instead of passing them.
+        for kind in ("histogram", "summary"):
+            with pytest.raises(CypressError, match="invalid TYPE kind"):
+                validate_prometheus_text(
+                    f"# TYPE h {kind}\nh_sum 4\nh_count 3\n"
+                )
 
     def test_registry_rejects_digit_leading_names(self):
         registry = MetricsRegistry()

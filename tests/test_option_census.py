@@ -3,7 +3,7 @@
 Each list below is the literal set of parameters a caller may leave at
 its default (plus ``CompileOptions``' fields and the values its
 ``verify`` field accepts, the fields of ``ResilienceConfig`` and of the
-speculator, specializer, profiler and diagnostics configs, and the
+speculator, specializer and diagnostics configs, and the
 fault sites a ``FaultPlan`` can arm). A new keyword, option field, policy or
 site fails this test until the list is edited in the same change — so
 adding a knob is a decision a reviewer sees.
@@ -17,7 +17,7 @@ import pytest
 from repro import api
 from repro.compiler.passes import CompileOptions, VerifyPolicy
 from repro.compiler.pipeline import compile_program
-from repro.obs import DiagConfig, FlightRecorder, ProfilerConfig, Tracer
+from repro.obs import DiagConfig, FlightRecorder, Tracer
 from repro.runtime import (
     FAULT_SITES,
     DiskCacheTier,
@@ -62,11 +62,7 @@ CONFIG_FIELDS = [
             "quarantine_cycles",
         ],
     ),
-    (ProfilerConfig, ["hz", "max_stacks"]),
-    (
-        DiagConfig,
-        ["port", "host", "profile", "slos", "slo_tick_s", "ready_shed_rate"],
-    ),
+    (DiagConfig, ["port", "host", "slos", "slo_tick_s", "ready_shed_rate"]),
 ]
 
 PINNED_FAULT_SITES = ("compile", "worker.execute")

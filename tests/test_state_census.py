@@ -54,7 +54,6 @@ STATE = {
     "obs.metrics._LABEL_ESCAPES": TABLE,
     "obs.metrics._TYPE_KINDS": TABLE,
     "obs.metrics._VALID_ESCAPES": TABLE,
-    "obs.profiler._NO_PHASE": NO_OP,
     "obs.trace.NULL_TRACER": NO_OP,
     "obs.trace._NULL_CONTEXT": NO_OP,
     "runtime.faults.ACTIVE": "test-only fault-injection hook; None in use",
