@@ -25,12 +25,14 @@ from repro.compiler.warpspec import specialize_warps
 from repro.frontend import TaskRegistry, external_function, use_registry
 from repro.gpusim import interpret_function
 from repro.ir.module import IRFunction
-from repro.ir.ops import CallOp
+from repro.ir.ops import CallOp, CopyOp
 from repro.kernels.common import kernel_registry
 from repro.machine.processor import ProcessorKind
 from repro.runtime import default_registry
 from repro.sym import ProcIndex
-from repro.tensors import WGMMA_64x64x16, f16, partition_by_mma
+from repro.tensors import (
+    WGMMA_64x64x16, f16, f32, partition_by_blocks, partition_by_mma,
+)
 
 ATOL = 0.02
 SHAPE = dict(m=256, n=256, k=128)  # the smallest gemm serving bucket
@@ -130,6 +132,41 @@ def test_collective_call_runs_once_on_whole_operands(hopper):
     )
     assert calls == [((64, 64), (64, 64), 2.0)]
     assert (out["C"] == 7).all() and (out["A"] == 3).all()
+
+
+def test_overlapping_instances_run_in_instance_order(hopper):
+    """Processor instances of one op run as if one after another, in
+    index order, whenever they touch each other's elements: when every
+    thread writes the same element the last thread's value stays, and
+    a thread reads what the thread before it wrote in the same op."""
+    registry = TaskRegistry()
+    with use_registry(registry):
+
+        @external_function("inc", cost_kind="simt")
+        def inc(dst, src):
+            dst[...] = src + 1
+
+    thread = ProcIndex("thread")
+    fn = IRFunction("overlap", hopper)
+    x = partition_by_blocks(fn.add_param("X", (32,), f32).ref(), (1,))
+    y = fn.add_param("Y", (1,), f32).ref()
+    scan = partition_by_blocks(fn.add_param("S", (33,), f32).ref(), (1,))
+    # Every thread copies its element of X into the one element of Y.
+    fn.body.ops.append(CopyOp(x[thread], y))
+    # Thread t writes S[t + 1] from S[t]: a running count from S[0].
+    fn.body.ops.append(CallOp(
+        "inc", (scan[thread + 1], scan[thread]),
+        reads=(scan[thread],), writes=(scan[thread + 1],),
+    ))
+    start = np.zeros(33, np.float32)
+    start[0] = 5
+    out = interpret_function(fn, registry, {
+        "X": np.arange(32, dtype=np.float32),
+        "Y": np.zeros(1, np.float32),
+        "S": start,
+    })
+    assert out["Y"].tolist() == [31.0]
+    np.testing.assert_array_equal(out["S"], np.arange(5, 38, dtype=np.float32))
 
 
 def test_racing_first_requests_match_single_threaded_run(hopper):
