@@ -13,7 +13,7 @@ through ``api.run_graph`` and ``RuntimeServer.submit_graph``.
 
 import sys
 import time
-from concurrent.futures import wait
+from concurrent.futures import FIRST_COMPLETED, wait
 
 import numpy as np
 import pytest
@@ -631,7 +631,7 @@ class TestCloseMidGraph:
                     executions = [server.submit_graph(graph) for _ in range(3)]
                     if trial % 2:
                         # Close the moment a first node is served.
-                        wait([executions[0].node_futures[0]], timeout=60)
+                        _wait_for_a_served_node(executions, timeout=60)
                     else:
                         time.sleep(trial * 2e-4)
                     server.close(drain=False)
@@ -642,6 +642,32 @@ class TestCloseMidGraph:
             sys.setswitchinterval(interval)
         # Some close really did land mid-graph.
         assert "failed mid-graph" in outcomes
+
+
+def _wait_for_a_served_node(executions, timeout):
+    """Return once some node future of ``executions`` is done without an
+    exception (a faulted node's future is done too, so waiting for
+    *done* may return before anything was served), once every graph is
+    done, or after ``timeout`` seconds. Successor node futures appear
+    as their predecessors settle, so the set is re-read each round."""
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        futures = [
+            future
+            for execution in executions
+            for future in tuple(execution.node_futures.values())
+        ]
+        if any(
+            future.done() and not future.cancelled()
+            and future.exception() is None
+            for future in futures
+        ):
+            return
+        running = [e.future for e in executions if not e.future.done()]
+        if not running:
+            return
+        pending = [future for future in futures if not future.done()]
+        wait(pending + running, timeout=0.01, return_when=FIRST_COMPLETED)
 
 
 def _outcome(execution):
