@@ -71,6 +71,12 @@ class ExternalFunction:
         name: registry key.
         numpy_impl: ``impl(*arrays_and_scalars) -> None`` mutating the
             output arrays in place (first arguments mirror the task's).
+            It acts on the trailing axes, which have the task
+            argument's shape. Any leading axes are processor instances
+            that the functional executor runs in one call; a read-only
+            array may have size 1 on some of them, for instances that
+            share its elements, and numpy broadcasts it. Reduce over
+            ``axis=-1``, never a fixed leading axis number.
         cost_kind: which simulator resource models this call ("wgmma",
             "simt", "sfu", "smem_copy", "nop", ...); see
             ``gpusim.kernel.INSTR_KINDS``.

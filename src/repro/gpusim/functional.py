@@ -5,27 +5,38 @@ semantics the compiler must preserve: operations run in program order,
 sequential loops iterate, parallel loops iterate sequentially (the
 semantics of ``prange`` are *as if* it were ``srange``), and flattened
 processor dimensions (references containing ``warp_id()`` etc.) are
-enumerated exhaustively. Works on the IR as dependence analysis leaves
-it and at every stage from copy elimination on, the final IR included
-(``Stage.FINAL`` is what ``api.run_functional`` interprets by default):
-storage is keyed by tensor uid, one array per buffer and per instance of
-the processor levels it is private to, so the shared-memory offsets that
-``allocate-shared`` assigns — two buffers in the same bytes — are not
-modelled. Vectorized IR that copy elimination has not yet cleaned is the
-one stage it cannot run.
+enumerated exhaustively, in index order. Works on the IR as dependence
+analysis leaves it and at every stage from copy elimination on, the
+final IR included (``Stage.FINAL`` is what ``api.run_functional``
+interprets by default): each buffer is one flat array, with one slot
+per instance of the processor levels it is private to, so the
+shared-memory offsets that ``allocate-shared`` assigns — two buffers in
+the same bytes — are not modelled. Vectorized IR that copy elimination
+has not yet cleaned is the one stage it cannot run.
 
-Tensor accesses go through :meth:`TensorRef.read`/``write``, which
-resolve each reference to a numpy view once per environment and
-memoise that on the reference; what this module adds is one
-:class:`_OpPlan` per op and request, holding everything about the op
-that does not depend on the processor instance.
+A copy or call whose references name processor levels runs once per
+enclosing-loop environment on a batch of all its instances. Each level
+extent is split into its prime digits (thread 32 → 2·2·2·2·2), and each
+operand becomes one strided view with a leading axis per digit: the
+per-instance offsets that ``regions.view_of`` gives are fitted with one
+stride per digit, and the fit is checked against every instance. A
+read-only operand's stride-0 digits are size-1 axes that numpy
+broadcasts (every thread reading the same ``B`` columns is one copy,
+not one per thread). External implementations act on the trailing
+axes (see :class:`~repro.frontend.task.ExternalFunction`), so one call
+serves the batch. Batching is decided once per op and environment: it
+requires that no instance writes an element another instance reads or
+writes. Where that fails, or where ``view_of`` declines, the instances
+run one at a time, in index order, as batches of one through
+:meth:`TensorRef.read`/``write``. The per-op plans and fitted layouts
+are kept on the interpreted :class:`IRFunction` (dropped when it is
+pickled), so a kernel's later requests only look them up.
 """
 
 from __future__ import annotations
 
 import itertools
-from operator import itemgetter
-from typing import Any, Dict, Mapping, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -42,6 +53,7 @@ from repro.ir.ops import (
     PForOp,
 )
 from repro.tensors.mma_partition import MmaPartition
+from repro.tensors.regions import view_of
 from repro.tensors.tensor import TensorRef
 
 #: The flattened processor levels, outermost first, each with the
@@ -49,6 +61,11 @@ from repro.tensors.tensor import TensorRef
 #: silent. The one table: a reference's free variable is a processor
 #: index to enumerate exactly when it is a key here.
 _PROC_LEVELS = {"block": 1, "warpgroup": 1, "warp": 4, "thread": 32}
+
+#: Environments one op keeps a fitted layout for. The shipped kernels
+#: need a few per op; a large grid interpreted functionally refits the
+#: rest on each visit instead of growing with the grid.
+_LAYOUT_LIMIT = 1024
 
 
 def interpret_function(
@@ -64,62 +81,104 @@ def interpret_function(
 class _Operand:
     """One tensor argument of an op, resolved against its buffer.
 
-    ``key`` names the array a processor instance sees: buffers private
-    to flattened processor levels (per-thread register fragments) get
-    one array per instance of those levels, every other buffer one.
+    A buffer is one flat array: ``slots`` copies of its elements laid
+    end to end, one per instance of the processor levels it is private
+    to (per-thread register fragments), and one for every other buffer.
+    ``places`` gives each private level's weight in the slot number.
     """
 
-    __slots__ = ("ref", "shape", "dtype", "uid", "private", "written")
+    __slots__ = (
+        "pos", "ref", "uid", "shape", "size", "dtype", "slots", "places",
+        "names", "written",
+    )
 
-    def __init__(self, fn: IRFunction, ref: TensorRef, written: bool):
+    def __init__(
+        self,
+        pos: int,
+        fn: IRFunction,
+        ref: TensorRef,
+        written: bool,
+        extents: Mapping[str, int],
+    ):
         buffer = fn.buffers.get(ref.root.uid)
         if buffer is None:
             raise FunctionalError(f"reference {ref!r} has no declared buffer")
+        self.pos = pos
         self.ref = ref
-        self.shape = buffer.shape
-        self.dtype = buffer.dtype.to_numpy()
         self.uid = ref.root.uid
-        levels = sorted(buffer.private_levels)
-        self.private = itemgetter(*levels) if levels else None
+        self.shape = buffer.shape
+        self.size = ref.root.size
+        self.dtype = buffer.dtype.to_numpy()
         self.written = written
+        private = [level for level in _PROC_LEVELS
+                   if level in buffer.private_levels]
+        self.places: List[Tuple[str, int]] = []
+        self.slots = 1
+        for level in reversed(private):
+            self.places.append((level, self.slots))
+            self.slots *= extents[level]
+        self.names = ref.free_variables() | set(private)
 
-    def key(self, bound: Mapping[str, int]) -> Tuple:
-        if self.private is None:
-            return (self.uid,)
-        return (self.uid, self.private(bound))
+    def slot(self, bound: Mapping[str, int]) -> int:
+        return sum(bound[level] * place for level, place in self.places)
+
+    def root(self, flat: np.ndarray, bound: Mapping[str, int]) -> np.ndarray:
+        """The buffer instance ``bound`` sees, shaped as the buffer."""
+        if self.slots == 1:
+            return flat.reshape(self.shape)
+        start = self.slot(bound) * self.size
+        return flat[start:start + self.size].reshape(self.shape)
+
+    def view(self, bound: Mapping[str, int]):
+        """``regions.view_of`` within one slot, or ``None``."""
+        if self.ref.is_whole:
+            return (self.shape, *(slice(0, n) for n in self.shape))
+        try:
+            return view_of(self.ref, bound)
+        except KeyError:
+            return None  # unbound index: the one-at-a-time path raises
 
 
 class _OpPlan:
-    """What one ``CopyOp``/``CallOp`` needs per processor instance.
-
-    Built once per op and request, so the loop over the (up to
-    128-way) flattened processor instances only binds indices, picks
-    arrays and moves data.
+    """Everything about one ``CopyOp``/``CallOp`` that no environment
+    changes, and the layouts fitted per environment.
 
     Attributes:
+        source: what the plan was built from; a pass that rewrites the
+            op or its buffers in place makes it stale.
         args: the op's arguments in order; tensor arguments as
             :class:`_Operand`, anything else as it was.
+        operands: the tensor arguments alone.
         levels: processor levels the references mention, outermost
-            first — the instance space, minus what a loop binds.
-        external: the callee of a ``CallOp``.
+            first, minus the leaders — the instance space, less what a
+            loop binds.
         leaders: levels of a collective call, whose index-0 members
             alone execute it.
+        names: every variable a layout depends on; the layouts are
+            keyed by the values the environment gives them.
+        layouts: environment key -> :class:`_Layout`, or ``None`` when
+            the instances run one at a time.
+        external: the callee of a ``CallOp``.
     """
 
-    __slots__ = ("args", "levels", "external", "leaders")
+    __slots__ = (
+        "source", "args", "operands", "levels", "leaders", "names",
+        "layouts", "external",
+    )
 
     def __init__(
         self,
         fn: IRFunction,
+        source: Tuple,
         args: Tuple[Any, ...],
-        written: set,
+        written: Tuple[bool, ...],
+        extents: Mapping[str, int],
         external: Optional[ExternalFunction] = None,
     ):
+        self.source = source
         self.external = external
-        self.leaders: Tuple[str, ...] = ()
         refs = [a for a in args if isinstance(a, TensorRef)]
-        free = set().union(*(ref.free_variables() for ref in refs))
-        self.levels = tuple(level for level in _PROC_LEVELS if level in free)
+        self.leaders: Tuple[str, ...] = ()
         if external is not None and external.collective:
             # The implementation runs once per collective group on the
             # whole operands: drop the per-warp/thread fragmenting.
@@ -134,11 +193,73 @@ class _OpPlan:
                 for a in args
             )
         self.args = tuple(
-            _Operand(fn, a, a.root.uid in written)
+            _Operand(pos, fn, a, flag, extents)
             if isinstance(a, TensorRef)
             else a
-            for a in args
+            for pos, (a, flag) in enumerate(zip(args, written))
         )
+        self.operands = [a for a in self.args if isinstance(a, _Operand)]
+        free = set().union(*(operand.ref.free_variables()
+                             for operand in self.operands))
+        self.levels = tuple(
+            level for level in _PROC_LEVELS
+            if level in free and level not in self.leaders
+        )
+        self.names = tuple(sorted(
+            set(self.leaders).union(*(o.names for o in self.operands))
+        ))
+        self.layouts: Dict[Tuple, Optional[_Layout]] = {}
+
+
+class _Layout:
+    """All instances of an op at once, for one environment: a batch.
+
+    ``views[pos]`` is ``(offset, shape, strides, value_shape)`` in bytes
+    over the operand's flat array: ``lead`` digit axes, then the
+    ``view_of`` axes. A value read has ``value_shape``: the digit axes,
+    then the reference's shape.
+    """
+
+    __slots__ = ("lead", "views")
+
+    def __init__(self, lead: int, views: List[Optional[Tuple]]):
+        self.lead = lead
+        self.views = views
+
+    def _view(self, storage: "_Interpreter", operand: _Operand) -> np.ndarray:
+        offset, shape, strides, _ = self.views[operand.pos]
+        flat = storage.flat(operand)
+        return np.ndarray(shape, flat.dtype, flat, offset, strides)
+
+    def read(self, storage: "_Interpreter", operand: _Operand) -> np.ndarray:
+        value_shape = self.views[operand.pos][3]
+        return self._view(storage, operand).copy().reshape(value_shape)
+
+    def write(
+        self, storage: "_Interpreter", operand: _Operand, value: np.ndarray
+    ) -> None:
+        view = self._view(storage, operand)
+        lead = self.lead
+        view[...] = value.reshape(value.shape[:lead] + view.shape[lead:])
+
+
+class _Instance:
+    """One instance of an op: a batch of one, through the reference."""
+
+    __slots__ = ("bound",)
+
+    def __init__(self, bound: Mapping[str, int]):
+        self.bound = bound
+
+    def read(self, storage: "_Interpreter", operand: _Operand) -> np.ndarray:
+        root = operand.root(storage.flat(operand), self.bound)
+        return operand.ref.read(root, self.bound)
+
+    def write(
+        self, storage: "_Interpreter", operand: _Operand, value: np.ndarray
+    ) -> None:
+        root = operand.root(storage.flat(operand), self.bound)
+        operand.ref.write(root, value, self.bound)
 
 
 def _as_dtype(array: np.ndarray, dtype: np.dtype) -> np.ndarray:
@@ -152,15 +273,87 @@ def _strip_mma(ref: TensorRef) -> TensorRef:
     return TensorRef(ref.root, tuple(path))
 
 
+def _prime_digits(extent: int) -> List[int]:
+    """``extent``'s prime factors, ascending (``[]`` for 1)."""
+    digits, prime = [], 2
+    while extent > 1:
+        while extent % prime == 0:
+            digits.append(prime)
+            extent //= prime
+        prime += 1
+    return digits
+
+
+def _c_strides(shape: Tuple[int, ...]) -> Tuple[int, ...]:
+    """Element strides of a C-contiguous array of ``shape``."""
+    strides, step = [], 1
+    for extent in reversed(shape):
+        strides.append(step)
+        step *= extent
+    return tuple(reversed(strides))
+
+
+def _fit_strides(offsets: np.ndarray, radices: List[int]):
+    """One stride per digit such that every offset is ``offsets[0]``
+    plus the digit-weighted strides, or ``None`` when no such fit."""
+    strides = []
+    place = offsets.size
+    for radix in radices:
+        place //= radix
+        strides.append(int(offsets[place] - offsets[0]))
+    return strides if np.array_equal(
+        _digit_sum(int(offsets[0]), radices, strides).ravel(), offsets
+    ) else None
+
+
+def _digit_sum(base: int, radices: List[int], strides: List[int]):
+    """``base + Σ stride·digit`` over the digit grid, shaped ``radices``."""
+    total = np.full((1,) * len(radices), base, dtype=np.int64)
+    for axis, (radix, stride) in enumerate(zip(radices, strides)):
+        shape = [1] * len(radices)
+        shape[axis] = radix
+        total = total + (np.arange(radix, dtype=np.int64) * stride).reshape(
+            shape
+        )
+    return np.broadcast_to(total, radices)
+
+
+def _independent(instances: int, accesses) -> bool:
+    """No instance writes an element that another reads or writes.
+
+    ``accesses`` holds ``(elements, written)`` per operand on one flat
+    array, ``elements`` of shape ``(instances, n)``.
+    """
+    low = min(int(elements.min()) for elements, _ in accesses)
+    high = max(int(elements.max()) for elements, _ in accesses)
+    owner = np.full(high - low + 1, -1, dtype=np.int64)
+    who = np.arange(instances, dtype=np.int64)[:, None]
+    for elements, written in accesses:
+        if written:
+            owner[elements - low] = np.broadcast_to(who, elements.shape)
+    for elements, written in accesses:
+        seen = owner[elements - low]
+        clash = seen != who if written else (seen != -1) & (seen != who)
+        if clash.any():
+            return False
+    return True
+
+
 class _Interpreter:
     def __init__(self, fn: IRFunction, registry: TaskRegistry):
         self.fn = fn
         self.registry = registry
-        self.storage: Dict[Tuple, np.ndarray] = {}
+        self.storage: Dict[int, np.ndarray] = {}
         self.proc_extents = {
             **_PROC_LEVELS, **fn.metadata.get("proc_extents", {})
         }
+        self.zeros = dict.fromkeys(_PROC_LEVELS, 0)
         self.plans: Dict[Operation, _OpPlan] = {}
+        # Plans outlive the request on the function; a racing first
+        # request builds an equivalent dict and one of them stays.
+        self.kept: Dict[Operation, _OpPlan] = fn.__dict__.setdefault(
+            "_functional_plans", {}
+        )
 
     # ------------------------------------------------------------------
     def run(self, inputs: Mapping[str, np.ndarray]) -> Dict[str, np.ndarray]:
@@ -170,27 +363,25 @@ class _Interpreter:
                     f"missing input for parameter {param.name!r}"
                 )
             array = np.array(
-                inputs[param.name], dtype=param.dtype.to_numpy()
+                inputs[param.name], dtype=param.dtype.to_numpy(), order="C"
             )
             if tuple(array.shape) != param.shape:
                 raise FunctionalError(
                     f"input {param.name!r} has shape {array.shape}, "
                     f"expected {param.shape}"
                 )
-            self.storage[(param.tensor.uid,)] = array
+            self.storage[param.tensor.uid] = array.reshape(-1)
         self._run_block(self.fn.body, {})
         return {
-            p.name: self.storage[(p.tensor.uid,)] for p in self.fn.params
+            p.name: self.storage[p.tensor.uid].reshape(p.shape)
+            for p in self.fn.params
         }
 
-    def _array_for(
-        self, operand: _Operand, bound: Mapping[str, int]
-    ) -> np.ndarray:
-        key = operand.key(bound)
-        array = self.storage.get(key)
+    def flat(self, operand: _Operand) -> np.ndarray:
+        array = self.storage.get(operand.uid)
         if array is None:
-            array = self.storage[key] = np.zeros(
-                operand.shape, dtype=operand.dtype
+            array = self.storage[operand.uid] = np.zeros(
+                operand.slots * operand.size, dtype=operand.dtype
             )
         return array
 
@@ -206,76 +397,166 @@ class _Interpreter:
                     self._run_block(op.body, inner)
                 continue
             if isinstance(op, (CopyOp, CallOp)):
-                self._run_instances(op, env)
+                self._run_op(op, env)
                 continue
             raise FunctionalError(f"cannot interpret op {op!r}")
 
     # ------------------------------------------------------------------
     def _plan(self, op: Operation) -> _OpPlan:
         plan = self.plans.get(op)
-        if plan is None:
-            if isinstance(op, CopyOp):
-                plan = _OpPlan(
-                    self.fn, (op.src, op.dst), {op.dst.root.uid}
-                )
-            else:
-                plan = _OpPlan(
-                    self.fn,
-                    op.args,
-                    {w.root.uid for w in op.writes},
-                    self.registry.external(op.function),
-                )
-            self.plans[op] = plan
+        if plan is not None:
+            return plan
+        if isinstance(op, CopyOp):
+            args, written, external = (op.src, op.dst), (False, True), None
+        else:
+            args = op.args
+            writes = {w.root.uid for w in op.writes}
+            written = tuple(
+                isinstance(a, TensorRef) and a.root.uid in writes
+                for a in args
+            )
+            external = self.registry.external(op.function)
+        private = tuple(
+            getattr(self.fn.buffers.get(a.root.uid), "private_levels", None)
+            for a in args
+            if isinstance(a, TensorRef)
+        )
+        source = (args, written, external, private,
+                  tuple(self.proc_extents.items()))
+        plan = self.kept.get(op)
+        if plan is None or plan.source != source:
+            plan = self.kept[op] = _OpPlan(
+                self.fn, source, args, written, self.proc_extents, external
+            )
+        self.plans[op] = plan
         return plan
 
-    def _run_instances(self, op: Operation, env: Dict[str, int]) -> None:
-        """Run ``op`` on every flattened processor instance.
-
-        The instances cover the processor indices the op's references
-        mention and no enclosing loop binds. ``bound`` starts with
-        every level at zero, which is also the instance a private
-        buffer is keyed by on levels the op does not fan out over.
-        """
+    def _run_op(self, op: Operation, env: Dict[str, int]) -> None:
+        """Run ``op`` on every processor instance its references
+        mention and no enclosing loop binds: as one batch when a layout
+        fits, else one instance at a time in index order. Levels an op
+        does not fan out over sit at index 0 — also the slot a private
+        buffer is read at on those levels."""
         plan = self._plan(op)
-        levels = [level for level in plan.levels if level not in env]
-        bound = {**dict.fromkeys(_PROC_LEVELS, 0), **env}
-        run = self._copy if plan.external is None else self._call
-
-        def instances():
-            for combo in itertools.product(
-                *(range(self.proc_extents[level]) for level in levels)
-            ):
-                bound.update(zip(levels, combo))
-                yield bound
-
-        for arg in plan.args:
-            if isinstance(arg, _Operand):
-                arg.ref.resolve_views(instances())
-        for instance in instances():
-            run(plan, instance)
-
-    def _copy(self, plan: _OpPlan, bound: Dict[str, int]) -> None:
-        src, dst = plan.args
-        value = src.ref.read(self._array_for(src, bound), bound)
-        dst.ref.write(
-            self._array_for(dst, bound), _as_dtype(value, dst.dtype), bound
-        )
-
-    def _call(self, plan: _OpPlan, bound: Dict[str, int]) -> None:
         # Only the index-0 member of each collective level executes.
-        if any(bound[level] for level in plan.leaders):
+        if plan.leaders and any(env.get(level) for level in plan.leaders):
             return
+        run = self._copy if plan.external is None else self._call
+        bound = {**self.zeros, **env}
+        levels = [level for level in plan.levels if level not in env]
+        if not levels:
+            run(plan, _Instance(bound))
+            return
+        key = tuple([env.get(name) for name in plan.names])
+        try:
+            layout = plan.layouts[key]
+        except KeyError:
+            layout = self._fit(plan, bound, levels)
+            if len(plan.layouts) < _LAYOUT_LIMIT:
+                plan.layouts[key] = layout
+        if layout is not None:
+            run(plan, layout)
+            return
+        for combo in itertools.product(
+            *(range(self.proc_extents[level]) for level in levels)
+        ):
+            bound.update(zip(levels, combo))
+            run(plan, _Instance(bound))
+
+    def _fit(
+        self, plan: _OpPlan, bound: Dict[str, int], levels: List[str]
+    ) -> Optional[_Layout]:
+        """The op's batch layout over ``levels`` (``bound`` holds the
+        environment, and is scratch), or ``None`` when the instances
+        must run one at a time."""
+        digits = {level: _prime_digits(self.proc_extents[level])
+                  for level in levels}
+        radices = [d for level in levels for d in digits[level]]
+        fitted = []
+        for operand in plan.operands:
+            own = [level for level in levels if level in operand.names]
+            offsets = []
+            first = None
+            for combo in itertools.product(
+                *(range(self.proc_extents[level]) for level in own)
+            ):
+                bound.update(zip(own, combo))
+                spec = operand.view(bound)
+                if spec is None:
+                    return None
+                lengths = tuple(s.stop - s.start for s in spec[1:])
+                if first is None:
+                    first = (spec[0], lengths)
+                    strides = _c_strides(spec[0])
+                elif (spec[0], lengths) != first:
+                    return None
+                offsets.append(
+                    operand.slot(bound) * operand.size
+                    + sum(s.start * step for s, step in zip(spec[1:], strides))
+                )
+            own_strides = _fit_strides(
+                np.array(offsets, dtype=np.int64),
+                [d for level in own for d in digits[level]],
+            )
+            if own_strides is None:
+                return None
+            steps = iter(own_strides)
+            digit_strides = [
+                next(steps) if level in own else 0
+                for level in levels
+                for _ in digits[level]
+            ]
+            fitted.append((operand, offsets[0], digit_strides, lengths,
+                           strides))
+        if not self._batchable(radices, fitted):
+            return None
+        views: List[Optional[Tuple]] = [None] * len(plan.args)
+        for operand, offset, digit_strides, lengths, strides in fitted:
+            # A digit no instance moves along is one shared read.
+            lead = tuple(
+                1 if step == 0 and not operand.written else radix
+                for radix, step in zip(radices, digit_strides)
+            )
+            item = operand.dtype.itemsize
+            views[operand.pos] = (
+                offset * item,
+                lead + lengths,
+                tuple(step * item for step in (*digit_strides, *strides)),
+                lead + operand.ref.shape,
+            )
+        return _Layout(len(radices), views)
+
+    @staticmethod
+    def _batchable(radices: List[int], fitted) -> bool:
+        """Instances are independent on every array the op writes."""
+        instances = int(np.prod(radices, dtype=np.int64))
+        written = {operand.uid for operand, *_ in fitted if operand.written}
+        for uid in written:
+            accesses = []
+            for operand, offset, digit_strides, lengths, strides in fitted:
+                if operand.uid != uid:
+                    continue
+                starts = _digit_sum(offset, radices, digit_strides)
+                inner = _digit_sum(0, list(lengths), list(strides))
+                accesses.append((
+                    starts.reshape(instances, 1) + inner.reshape(1, -1),
+                    operand.written,
+                ))
+            if not _independent(instances, accesses):
+                return False
+        return True
+
+    # ------------------------------------------------------------------
+    def _copy(self, plan: _OpPlan, batch) -> None:
+        src, dst = plan.args
+        batch.write(self, dst, _as_dtype(batch.read(self, src), dst.dtype))
+
+    def _call(self, plan: _OpPlan, batch) -> None:
         call_args = [
-            arg.ref.read(self._array_for(arg, bound), bound)
-            if isinstance(arg, _Operand)
-            else arg
+            batch.read(self, arg) if isinstance(arg, _Operand) else arg
             for arg in plan.args
         ]
         plan.external.numpy_impl(*call_args)
         for arg, array in zip(plan.args, call_args):
             if isinstance(arg, _Operand) and arg.written:
-                arg.ref.write(
-                    self._array_for(arg, bound),
-                    _as_dtype(array, arg.dtype),
-                    bound,
-                )
+                batch.write(self, arg, _as_dtype(array, arg.dtype))

@@ -177,6 +177,14 @@ class IRFunction:
     def buffers_in_memory(self, memory: MemoryKind) -> List[Buffer]:
         return [b for b in self.live_buffers() if b.memory is memory]
 
+    def __getstate__(self):
+        """Pickle without the functional interpreter's per-op plans:
+        they are rebuilt on first use and would make a kernel's stored
+        size depend on what it has run."""
+        state = self.__dict__.copy()
+        state.pop("_functional_plans", None)
+        return state
+
     def __repr__(self) -> str:
         from repro.ir.printer import print_function
 

@@ -128,8 +128,8 @@ with use_registry(kernel_registry):
         flops_fn=lambda shapes: _prod(shapes[1]),
     )
     def row_sum_accum(y: np.ndarray, A: np.ndarray) -> None:
-        """y += sum of A along its second axis (GEMM+Reduction leaf)."""
-        y += A.astype(np.float32).sum(axis=1).astype(y.dtype)
+        """y += sum of A along its last axis (GEMM+Reduction leaf)."""
+        y += A.astype(np.float32).sum(axis=-1).astype(y.dtype)
 
     _NEG_INF = -1.0e30
 
@@ -158,11 +158,11 @@ with use_registry(kernel_registry):
         """
         s32 = S.astype(np.float32) * scale
         s32 = np.where(S.astype(np.float32) <= _NEG_INF / 2, -np.inf, s32)
-        m_new = np.maximum(m, s32.max(axis=1, keepdims=True))
+        m_new = np.maximum(m, s32.max(axis=-1, keepdims=True))
         live = m_new > -np.inf
         p = np.where(live, np.exp(s32 - np.where(live, m_new, 0.0)), 0.0)
         rescale = np.where(live, np.exp(m - np.where(live, m_new, 0.0)), 1.0)
-        l[...] = rescale * l + p.sum(axis=1, keepdims=True)
+        l[...] = rescale * l + p.sum(axis=-1, keepdims=True)
         acc *= rescale.astype(acc.dtype)
         m[...] = np.where(live, m_new, m)
         P[...] = p.astype(P.dtype)

@@ -93,7 +93,7 @@ with use_registry(kernel_registry):
     )
     def row_sum_weighted(y: np.ndarray, A: np.ndarray, weight: float) -> None:
         """y += weight * rowsum(A); the GEMM+Reduction leaf."""
-        y += (A.astype(np.float32).sum(axis=1) * weight).astype(y.dtype)
+        y += (A.astype(np.float32).sum(axis=-1) * weight).astype(y.dtype)
 
 
 def build_gemm_reduction(

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from typing import (
     TYPE_CHECKING,
-    Iterable,
     Mapping,
     Optional,
     Sequence,
@@ -37,9 +36,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.tensors.partition import Partition
 
 #: Environments one reference memoises its view under. The shipped
-#: kernels stay far below it (a warpgroup fragment has 128 instances);
-#: a reference indexed by grid *and* thread indices of a large launch
-#: resolves the rest on each access instead of growing with the grid.
+#: kernels stay far below it; a reference indexed by the loop indices
+#: of a large launch resolves the rest on each access instead of
+#: growing with the grid.
 _VIEW_MEMO_LIMIT = 1024
 
 
@@ -178,11 +177,12 @@ class TensorRef:
     def _view_spec(self, env: Optional[Mapping[str, int]]):
         """``(view_shape, *slices)`` reaching this reference's elements.
 
-        The functional executor's hot path: ``regions.view_of`` turns
-        the reference's region — dense ``blocks``/``squeeze`` boxes and
-        strided ``mma`` fragments alike — into a reshape plus basic
-        slices, so reads and writes go through numpy views instead of
-        gather/scatter index arrays. The reference is immutable, so the
+        How the functional executor reaches one instance's elements
+        (dependence-stage IR, and ops it cannot batch):
+        ``regions.view_of`` turns the reference's region — dense
+        ``blocks``/``squeeze`` boxes and strided ``mma`` fragments
+        alike — into a reshape plus basic slices, so reads and writes
+        go through numpy views instead of gather/scatter index arrays. The reference is immutable, so the
         answer depends only on the values ``env`` gives its own free
         variables; it is memoised on those (slice tuples, never index
         arrays). ``None`` sends the caller to ``element_coords``: the
@@ -210,21 +210,6 @@ class TensorRef:
             if len(specs) < _VIEW_MEMO_LIMIT:
                 specs[shared_tuple(key)] = spec
             return spec
-
-    def resolve_views(self, envs: Iterable[Mapping[str, int]]) -> None:
-        """Memoise this reference's view under each of ``envs`` up front.
-
-        For a caller about to ``read``/``write`` under all of them (the
-        functional executor, per processor instance), on a reference
-        that has memoised nothing yet; otherwise a no-op. The memo's
-        tables then grow in one burst rather than between the callers'
-        transient arrays, where each outgrown table left a hole the
-        allocator could not return: 4.4 MB of a 55 MB peak on the
-        ``graph_replay`` benchmark.
-        """
-        if "_view_memo" not in self.__dict__:
-            for env in envs:
-                self._view_spec(env)
 
     def __getstate__(self):
         """Pickle without the memos: they are cheap to rebuild and

@@ -1,13 +1,14 @@
-"""The functional interpreter: collective calls, and its memos — not
-persisted, not stale, not racy.
+"""The functional interpreter: collective calls, instance order,
+batched externals, and its memos — not persisted, not stale, not racy.
 
-``TensorRef`` memoises how each reference resolves to a numpy view,
-per environment, on the reference itself — and references live as long
-as the cached kernel whose IR holds them. These tests pin what that
-must not change: the bytes a kernel pickles to (the disk cache tier
-stores kernels with their references), the result after the IR is
-rewritten under a warm memo, and the result when the first requests
-for one kernel race.
+The interpreter keeps one plan per op, with the layouts it fitted per
+environment, on the interpreted ``IRFunction``, and ``TensorRef``
+memoises how each reference resolves to a numpy view on the reference
+itself — both live as long as the cached kernel whose IR holds them.
+These tests pin what that must not change: the bytes a kernel pickles
+to (the disk cache tier stores kernels with their references), the
+result after the IR is rewritten under a warm memo, and the result
+when the first requests for one kernel race.
 """
 
 import pickle
@@ -167,6 +168,73 @@ def test_overlapping_instances_run_in_instance_order(hopper):
     })
     assert out["Y"].tolist() == [31.0]
     np.testing.assert_array_equal(out["S"], np.arange(5, 38, dtype=np.float32))
+
+
+#: Per external: each argument as one instance sees it — a tensor as
+#: ``(shape, dtype, read_only)``, anything else as the value passed.
+EXTERNAL_ARGS = {
+    "wgmma_f16": (((4, 64), np.float16, False), ((4, 64), np.float16, True),
+                  ((64, 64), np.float16, True)),
+    "wgmma_f16_st": (((4, 64), np.float16, False),
+                     ((4, 64), np.float16, True),
+                     ((64, 64), np.float16, True)),
+    "copy_tile_reg": (((4, 16), np.float16, False),
+                      ((4, 16), np.float32, True)),
+    "zero_frag": (((4, 64), np.float16, False),),
+    "tma_store_tile": (((8, 16), np.float16, False),
+                       ((8, 16), np.float16, True)),
+    "row_sum_accum": (((4,), np.float32, False), ((4, 64), np.float16, True)),
+    "row_sum_weighted": (((4,), np.float32, False),
+                         ((4, 64), np.float16, True), 0.25),
+    "online_softmax_update": (
+        ((4, 1), np.float32, False), ((4, 1), np.float32, False),
+        ((4, 16), np.float32, False), ((4, 16), np.float32, True),
+        ((4, 16), np.float16, False), 0.125,
+    ),
+    "init_softmax_state": (((4, 1), np.float32, False),
+                           ((4, 1), np.float32, False)),
+    "fill_neg_inf": (((4, 16), np.float32, False),),
+    "softmax_finalize": (((4, 16), np.float32, False),
+                         ((4, 1), np.float32, True)),
+}
+#: Arguments that also carry the -inf sentinel: the running max of rows
+#: that have seen no score yet, and masked scores.
+SENTINELS = {"online_softmax_update": (0, 3)}
+
+
+def test_externals_act_on_trailing_axes():
+    """One call on operands stacked along leading instance axes — a
+    read-only operand broadcast along one of them — is bit-identical
+    to one call per instance."""
+    assert set(EXTERNAL_ARGS) == set(kernel_registry.externals)
+    rng = np.random.default_rng(7)
+    lead = (3, 2)
+    for name, spec in EXTERNAL_ARGS.items():
+        impl = kernel_registry.external(name).numpy_impl
+        stacked = []
+        for pos, arg in enumerate(spec):
+            if not isinstance(arg, tuple):
+                stacked.append(arg)
+                continue
+            shape, dtype, read_only = arg
+            # A read-only operand is shared along the last instance axis.
+            outer = lead[:-1] + (1,) if read_only else lead
+            values = rng.standard_normal(outer + shape)
+            if pos in SENTINELS.get(name, ()):
+                values[values > 1.0] = -1.0e30
+            stacked.append(values.astype(dtype))
+        batch = [a.copy() if isinstance(a, np.ndarray) else a for a in stacked]
+        impl(*batch)
+        for index in np.ndindex(*lead):
+            one = [
+                a[tuple(min(i, n - 1) for i, n in zip(index, a.shape))].copy()
+                if isinstance(a, np.ndarray) else a
+                for a in stacked
+            ]
+            impl(*one)
+            for got, want in zip(batch, one):
+                if isinstance(got, np.ndarray) and got.shape[:2] == lead:
+                    assert got[index].tobytes() == want.tobytes(), name
 
 
 def test_racing_first_requests_match_single_threaded_run(hopper):
