@@ -318,24 +318,47 @@ def _digit_sum(base: int, radices: List[int], strides: List[int]):
     return np.broadcast_to(total, radices)
 
 
-def _independent(instances: int, accesses) -> bool:
-    """No instance writes an element that another reads or writes.
-
-    ``accesses`` holds ``(elements, written)`` per operand on one flat
-    array, ``elements`` of shape ``(instances, n)``.
-    """
-    low = min(int(elements.min()) for elements, _ in accesses)
-    high = max(int(elements.max()) for elements, _ in accesses)
-    owner = np.full(high - low + 1, -1, dtype=np.int64)
+def _independent(radices: List[int], fitted) -> bool:
+    """No instance writes an element that another instance reads or
+    writes. ``fitted`` holds ``(operand, offset, digit strides, view
+    lengths, view strides)`` per operand, in elements of its flat
+    array. Instances that share an operand's elements (a stride-0
+    digit) are listed once."""
+    instances = int(np.prod(radices, dtype=np.int64))
     who = np.arange(instances, dtype=np.int64)[:, None]
-    for elements, written in accesses:
-        if written:
-            owner[elements - low] = np.broadcast_to(who, elements.shape)
-    for elements, written in accesses:
-        seen = owner[elements - low]
-        clash = seen != who if written else (seen != -1) & (seen != who)
-        if clash.any():
-            return False
+    for uid in {operand.uid for operand, *_ in fitted if operand.written}:
+        accesses = []
+        for operand, offset, digit_strides, lengths, strides in fitted:
+            if operand.uid != uid:
+                continue
+            shared = 0 in digit_strides
+            if shared and operand.written:
+                return False  # several instances write the same elements
+            moving = [(r, s) for r, s in zip(radices, digit_strides) if s]
+            starts = _digit_sum(offset, [r for r, _ in moving],
+                                [s for _, s in moving])
+            inner = _digit_sum(0, list(lengths), list(strides))
+            accesses.append((
+                starts.reshape(-1, 1) + inner.reshape(1, -1),
+                operand.written,
+                shared,
+            ))
+        low = min(int(elements.min()) for elements, *_ in accesses)
+        high = max(int(elements.max()) for elements, *_ in accesses)
+        owner = np.full(high - low + 1, -1, dtype=np.int64)
+        for elements, written, _ in accesses:
+            if written:
+                owner[elements - low] = np.broadcast_to(who, elements.shape)
+        for elements, written, shared in accesses:
+            seen = owner[elements - low]
+            if written:
+                clash = seen != who
+            elif shared:  # read by several instances: no one may write
+                clash = seen != -1
+            else:
+                clash = (seen != -1) & (seen != who)
+            if clash.any():
+                return False
     return True
 
 
@@ -508,7 +531,7 @@ class _Interpreter:
             ]
             fitted.append((operand, offsets[0], digit_strides, lengths,
                            strides))
-        if not self._batchable(radices, fitted):
+        if not _independent(radices, fitted):
             return None
         views: List[Optional[Tuple]] = [None] * len(plan.args)
         for operand, offset, digit_strides, lengths, strides in fitted:
@@ -525,26 +548,6 @@ class _Interpreter:
                 lead + operand.ref.shape,
             )
         return _Layout(len(radices), views)
-
-    @staticmethod
-    def _batchable(radices: List[int], fitted) -> bool:
-        """Instances are independent on every array the op writes."""
-        instances = int(np.prod(radices, dtype=np.int64))
-        written = {operand.uid for operand, *_ in fitted if operand.written}
-        for uid in written:
-            accesses = []
-            for operand, offset, digit_strides, lengths, strides in fitted:
-                if operand.uid != uid:
-                    continue
-                starts = _digit_sum(offset, radices, digit_strides)
-                inner = _digit_sum(0, list(lengths), list(strides))
-                accesses.append((
-                    starts.reshape(instances, 1) + inner.reshape(1, -1),
-                    operand.written,
-                ))
-            if not _independent(instances, accesses):
-                return False
-        return True
 
     # ------------------------------------------------------------------
     def _copy(self, plan: _OpPlan, batch) -> None:

@@ -182,10 +182,10 @@ class TensorRef:
         ``regions.view_of`` turns the reference's region — dense
         ``blocks``/``squeeze`` boxes and strided ``mma`` fragments
         alike — into a reshape plus basic slices, so reads and writes
-        go through numpy views instead of gather/scatter index arrays. The reference is immutable, so the
-        answer depends only on the values ``env`` gives its own free
-        variables; it is memoised on those (slice tuples, never index
-        arrays). ``None`` sends the caller to ``element_coords``: the
+        go through numpy views instead of gather/scatter index arrays.
+        The reference is immutable, so the answer depends only on the
+        values ``env`` gives its own free variables; it is memoised on
+        those (slice tuples, never index arrays). ``None`` sends the caller to ``element_coords``: the
         region algebra declined, or an index is unbound and the gather
         path raises.
         """

@@ -138,8 +138,10 @@ def test_collective_call_runs_once_on_whole_operands(hopper):
 def test_overlapping_instances_run_in_instance_order(hopper):
     """Processor instances of one op run as if one after another, in
     index order, whenever they touch each other's elements: when every
-    thread writes the same element the last thread's value stays, and
-    a thread reads what the thread before it wrote in the same op."""
+    thread writes the same element the last thread's value stays, a
+    thread reads what the thread before it wrote in the same op, and
+    two threads reading one element see what an earlier thread wrote
+    there."""
     registry = TaskRegistry()
     with use_registry(registry):
 
@@ -159,15 +161,37 @@ def test_overlapping_instances_run_in_instance_order(hopper):
         "inc", (scan[thread + 1], scan[thread]),
         reads=(scan[thread],), writes=(scan[thread + 1],),
     ))
+    # Thread t copies M[t // 2] to M[t]: threads 2k and 2k+1 both read
+    # what thread k wrote, so M[0] spreads to every element.
+    half = partition_by_blocks(fn.add_param("M", (32,), f32).ref(), (1,))
+    fn.body.ops.append(CopyOp(half[thread // 2], half[thread]))
     start = np.zeros(33, np.float32)
     start[0] = 5
     out = interpret_function(fn, registry, {
         "X": np.arange(32, dtype=np.float32),
         "Y": np.zeros(1, np.float32),
         "S": start,
+        "M": np.arange(100, 132, dtype=np.float32),
     })
     assert out["Y"].tolist() == [31.0]
     np.testing.assert_array_equal(out["S"], np.arange(5, 38, dtype=np.float32))
+    np.testing.assert_array_equal(out["M"], np.full(32, 100, np.float32))
+
+
+def test_instance_offsets_off_any_stride_fit_run_one_at_a_time(hopper):
+    """Thread t reads element t*t mod 32: offsets no per-digit stride
+    fits, so the fit is refused and each instance reads its own."""
+    thread = ProcIndex("thread")
+    fn = IRFunction("unstrided", hopper)
+    x = partition_by_blocks(fn.add_param("X", (32,), f32).ref(), (1,))
+    z = partition_by_blocks(fn.add_param("Z", (32,), f32).ref(), (1,))
+    fn.body.ops.append(CopyOp(x[(thread * thread) % 32], z[thread]))
+    out = interpret_function(fn, TaskRegistry(), {
+        "X": np.arange(32, dtype=np.float32),
+        "Z": np.zeros(32, np.float32),
+    })
+    squares = np.arange(32) ** 2 % 32
+    np.testing.assert_array_equal(out["Z"], squares.astype(np.float32))
 
 
 #: Per external: each argument as one instance sees it — a tensor as
