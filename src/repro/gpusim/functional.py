@@ -490,8 +490,8 @@ class _Interpreter:
         self, plan: _OpPlan, bound: Dict[str, int], levels: List[str]
     ) -> Optional[_Layout]:
         """The op's batch layout over ``levels`` (``bound`` holds the
-        environment, and is scratch), or ``None`` when the instances
-        must run one at a time."""
+        environment; its level entries are overwritten), or ``None``
+        when the instances must run one at a time."""
         digits = {level: _prime_digits(self.proc_extents[level])
                   for level in levels}
         radices = [d for level in levels for d in digits[level]]
