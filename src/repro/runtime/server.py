@@ -3,12 +3,15 @@
 :class:`RuntimeServer` turns the one-shot compile/simulate API into a
 long-lived serving layer. Requests name a registered kernel and a shape;
 ``submit`` rounds the shape to a :class:`~repro.runtime.bucketing.
-Bucket`, enqueues the request on a priority queue, and returns a
-:class:`concurrent.futures.Future`. A pool of worker threads drains the
-queue, **micro-batching** same-bucket requests so one compile + one
-simulation serve the whole batch, and resolves each future with a
-:class:`RuntimeResult` (simulated timing, optional functional outputs,
-which cache tier produced the kernel).
+Bucket`, and returns a :class:`concurrent.futures.Future` resolved
+with a :class:`RuntimeResult` (simulated timing, optional functional
+outputs, which cache tier produced the kernel). A request that needs
+no worker — timing-only, its bucket's launch record already timed and
+its kernel resident in memory, nothing queued ahead — is served on the
+submitting thread before ``submit`` returns. Every other request goes
+on a priority queue, which a pool of worker threads drains,
+**micro-batching** same-bucket requests so one compile + one
+simulation serve the whole batch.
 
 Every kernel the server uses — for a request, ``warm``, the speculator
 or the specializer — is resolved once per (kernel, bucket) into a
@@ -32,12 +35,12 @@ requests and nothing else; it is not retried, because both are pure
 functions of the kernel and the machine (``docs/resilience.md``).
 
 A request crosses five stages — **admit** (``submit`` /
-``submit_prepared``), then on a worker **dispatch**, **obtain**,
-**execute** and **resolve** (``_serve``) — and what cuts across them
-has one owner each: :meth:`RuntimeServer._settle` alone ends a request
-(span, terminal counter, future), and :class:`_Stages` is the one
-source of a batch's stage spans
-(``docs/serving.md`` maps which acts where).
+``submit_prepared``), then on a worker or the submitting thread
+**dispatch**, **obtain**, **execute** and **resolve** (``_serve``) —
+and what cuts across them has one owner each:
+:meth:`RuntimeServer._settle` alone ends a request (span, terminal
+counter, future), and :class:`_Stages` is the one source of a batch's
+stage spans (``docs/serving.md`` maps which acts where).
 """
 
 from __future__ import annotations
@@ -178,14 +181,16 @@ class _Stages:
     A batch's stages are contiguous, so :meth:`enter` crosses each
     boundary once and stamps it. One is built per batch only while
     tracing; otherwise every batch shares the inert :data:`_UNMARKED`
-    and the hot path allocates nothing.
+    and the hot path allocates nothing. ``served_by`` names the thread
+    that serves the batch: ``"worker"`` or ``"submitter"``.
     """
 
-    __slots__ = ("tracer", "stamps")
+    __slots__ = ("tracer", "stamps", "served_by")
 
-    def __init__(self, tracer: Any) -> None:
+    def __init__(self, tracer: Any, served_by: str = "worker") -> None:
         self.tracer = tracer
         self.stamps: Dict[str, float] = {}
+        self.served_by = served_by
 
     def enter(self, stage: str) -> None:
         """Cross the boundary into ``stage``."""
@@ -200,10 +205,11 @@ class _Stages:
         Every request gets a ``queue`` child (its own submit time to
         the batch's pop/assembly); the head request additionally owns
         the batch-wide stages — ``dispatch`` (heap pop + same-bucket
-        scan), ``batch`` (micro-batch finalization), and ``compile``
-        (kernel acquisition, with one ``pass.*`` child per compiler
-        pass lifted from the kernel's :class:`~repro.compiler.passes.
-        PassTrace` when the batch actually compiled).
+        scan; ``served_by`` says which thread served the batch),
+        ``batch`` (micro-batch finalization), and ``compile`` (kernel
+        acquisition, with one ``pass.*`` child per compiler pass lifted
+        from the kernel's :class:`~repro.compiler.passes.PassTrace`
+        when the batch actually compiled).
         """
         tracer = self.tracer
         if not tracer.enabled:
@@ -221,7 +227,8 @@ class _Stages:
             )
         tracer.record(
             "dispatch", "serve", popped, assembled,
-            parent=head.span, args={"batch_size": len(live)},
+            parent=head.span,
+            args={"batch_size": len(live), "served_by": self.served_by},
         )
         tracer.record(
             "batch", "serve", assembled, compile_start, parent=head.span
@@ -278,7 +285,10 @@ class RuntimeServer:
         machine: the machine model requests execute on.
         registry: servable kernels; defaults to the full zoo
             (:func:`~repro.runtime.registry.default_registry`).
-        workers: worker threads draining the request queue.
+        workers: worker threads draining the request queue — which
+            bounds the work that can compile, interpret or wait;
+            requests :meth:`submit` serves on the calling thread never
+            enter the queue.
         disk_cache: a directory path or :class:`DiskCacheTier` this
             server consults below the process-wide memory cache and
             writes its kernels through to (``None``: memory only).
@@ -364,6 +374,9 @@ class RuntimeServer:
         self._threads: List[threading.Thread] = []
         self._workers = workers
         self._started = False
+        #: Requests admitted to be served on their submitting thread
+        #: and not yet settled; ``close`` waits for zero (under ``_cv``).
+        self._inline = 0
         #: The one per-(kernel, bucket) table; see :meth:`_launch`.
         self._launches: Dict[Tuple[str, Bucket], Launch] = {}
         self._launch_lock = threading.Lock()
@@ -459,6 +472,8 @@ class RuntimeServer:
         node fails its graph, and a node a worker already holds settles
         before that worker is joined, its successors' submit raising
         "server closed" (``_stopping`` is set under the queue lock).
+        A request being served on its submitting thread is finished, not
+        cancelled: ``close`` returns only once it has settled.
         Stops the speculator and specializer threads (an in-flight
         promotion is abandoned cleanly).
         """
@@ -487,6 +502,8 @@ class RuntimeServer:
             )
         for thread in self._threads:
             thread.join()
+        with self._cv:
+            self._cv.wait_for(lambda: not self._inline)
         if self.flight is not None:
             self.flight.note("close", {"drain": drain})
             self.flight.dump(reason="close")
@@ -522,7 +539,7 @@ class RuntimeServer:
         priority: int = 0,
         deadline: Optional[float] = None,
     ) -> "Future[RuntimeResult]":
-        """Enqueue one request; returns a future of :class:`RuntimeResult`.
+        """Admit one request; returns a future of :class:`RuntimeResult`.
 
         Unknown kernel names and malformed shapes raise immediately in
         the calling thread (the request never enters the queue), as
@@ -530,6 +547,15 @@ class RuntimeServer:
         are served first; ties are FIFO. ``inputs`` (numpy arrays
         padded to the bucket shape) additionally run the kernel
         functionally and land in ``RuntimeResult.outputs``.
+
+        A request no worker would add anything to is served on the
+        calling thread, and its future is done when ``submit`` returns:
+        it carries no ``inputs``, the server is started and not
+        stopping, nothing is queued, and its bucket's launch record is
+        current, holds its timing and names a kernel resident in the
+        memory cache. Everything else is enqueued for the workers. An
+        unexpected exception while serving fails the future (the
+        workers' crash handler); ``submit`` does not raise it.
 
         ``deadline`` is a relative time limit in seconds: a request still
         queued when it elapses fails fast with
@@ -570,8 +596,44 @@ class RuntimeServer:
         request.specialized = specialized
         if deadline is not None:
             request.deadline = time.perf_counter() + deadline
-        self.submit_prepared([request])
+        inline = inputs is None and self._ready(request.batch_key)
+        if self._admit([request], inline):
+            self._serve_inline(request)
         return request.future
+
+    def _ready(self, batch_key: Tuple[str, Bucket]) -> bool:
+        """Whether a bucket's requests need neither compile nor
+        simulation: its launch record is current, holds its timing, and
+        its key is resident in memory (a membership test moves no LRU
+        entry and bumps no counter). Read without a lock: a pin or an
+        eviction landing after the check only makes ``_serve`` simulate
+        or compile on the submitting thread, as a worker would."""
+        launch = self._launches.get(batch_key)
+        return (
+            launch is not None
+            and launch.gpu is not None
+            and launch.current
+            and launch.key in compile_cache
+        )
+
+    def _serve_inline(self, request: _QueuedRequest) -> None:
+        """Serve an admitted request on the submitting thread: the
+        workers' ``_serve`` and crash handler on a batch of one."""
+        stages = (
+            _Stages(self.tracer, "submitter")
+            if self.tracer.enabled
+            else _UNMARKED
+        )
+        stages.enter("dispatch")
+        try:
+            self._serve([request], stages)
+        except Exception as error:
+            self._worker_crash([request], error)
+        finally:
+            with self._cv:
+                self._inline -= 1
+                if self._stopping and not self._inline:
+                    self._cv.notify_all()
 
     def prepare_request(
         self,
@@ -613,8 +675,22 @@ class RuntimeServer:
         longest-queued requests are evicted instead (their futures
         fail, counted as ``shed_requests`` — not as failures).
         """
+        self._admit(requests)
+
+    def _admit(
+        self, requests: List[_QueuedRequest], inline: bool = False
+    ) -> bool:
+        """Admit ``requests`` — the one admission path of both routes —
+        and return whether the caller serves them on its own thread.
+
+        ``inline`` asks to serve one request on the submitting thread;
+        that holds only while the server is started and nothing is
+        queued (checked under the lock that stamps the sequence
+        number), and such a request is counted in ``_inline`` until it
+        settles. Otherwise the requests are enqueued.
+        """
         if not requests:
-            return
+            return False
         now = time.perf_counter()
         tracer = self.tracer
         if tracer.enabled:
@@ -651,7 +727,10 @@ class RuntimeServer:
             # drained the queue would never resolve.
             if self._closed or self._stopping:
                 raise CypressError("server closed")
-            if max_queue is not None:
+            inline = inline and self._started and not self._queue
+            if inline:
+                self._inline += 1
+            elif max_queue is not None:
                 overflow = len(self._queue) + len(requests) - max_queue
                 if overflow > 0:
                     if self.resilience.shed_policy == SHED_REJECT_NEW:
@@ -670,9 +749,11 @@ class RuntimeServer:
             for request in requests:
                 request.sort_key = (request.sort_key[0], next(self._seq))
                 request.submitted_at = now
-                heapq.heappush(self._queue, request)
                 pairs.append(request.batch_key)
-            self._cv.notify(len(requests))
+                if not inline:
+                    heapq.heappush(self._queue, request)
+            if not inline:
+                self._cv.notify(len(requests))
         if shed:
             # Outside the lock: a shed future's done-callback may
             # re-enter submit_prepared. Every victim was admitted
@@ -687,6 +768,7 @@ class RuntimeServer:
                 self._settle(victim, error=error, counter="shed_requests")
         self.telemetry.count("requests", len(requests))
         self.telemetry.record_bucket_traffic(pairs, shapes)
+        return inline
 
     def _unqueue(self, requests: List[_QueuedRequest]) -> None:
         """Take ``requests`` out of the heap (caller holds the lock)."""
@@ -944,7 +1026,8 @@ class RuntimeServer:
         self, batch: List[_QueuedRequest], error: Exception
     ) -> None:
         """Fail a batch's unsettled requests after an unexpected
-        worker-loop exception and dump the flight recorder."""
+        exception escaped ``_serve`` — on a worker or on the submitting
+        thread — and dump the flight recorder."""
         failed = sum(self._settle(request, error=error) for request in batch)
         if self.flight is not None:
             self.flight.note(

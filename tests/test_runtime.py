@@ -23,10 +23,13 @@ from repro.runtime import (
     BucketPolicy,
     DeadlineExceeded,
     DiskCacheTier,
+    FaultPlan,
+    InjectedFault,
     KernelRegistry,
     ResilienceConfig,
     RuntimeServer,
     default_registry,
+    faults,
 )
 from repro.tuner import MappingSearchSpace
 
@@ -427,6 +430,197 @@ class TestConcurrency:
             server.close()
 
 
+def _recording(serve, calls, hold=None):
+    """``RuntimeServer._serve`` that first appends ``(thread ident,
+    batch)`` to ``calls``; ``hold(batch)`` runs next, if given."""
+
+    def recording(self, batch, stages):
+        calls.append((threading.get_ident(), list(batch)))
+        if hold is not None:
+            hold(batch)
+        return serve(self, batch, stages)
+
+    return recording
+
+
+@pytest.fixture()
+def serving_threads(monkeypatch):
+    """Every ``_serve`` call as ``(thread ident, batch)``."""
+    calls = []
+    monkeypatch.setattr(
+        RuntimeServer, "_serve", _recording(RuntimeServer._serve, calls)
+    )
+    return calls
+
+
+def _route(server, calls, future):
+    """``(thread that served future's request, the served_by of its
+    batch's dispatch span)``."""
+    future.result(timeout=120)
+    (ident, head), = [
+        (ident, batch[0])
+        for ident, batch in calls
+        if any(request.future is future for request in batch)
+    ]
+    (dispatch,) = [
+        span for span in server.tracer.spans()
+        if span.name == "dispatch" and span.parent == head.span.sid
+    ]
+    return ident, dispatch.args["served_by"]
+
+
+def _gemm_inputs(seed=7):
+    rng = np.random.default_rng(seed)
+    return {
+        "C": np.zeros((128, 256), np.float16),
+        "A": (rng.standard_normal((128, 64)) * 0.1).astype(np.float16),
+        "B": (rng.standard_normal((64, 256)) * 0.1).astype(np.float16),
+    }
+
+
+class TestInlineRouting:
+    """A warm timing-only request on an idle, started server is served
+    on the thread that submits it; every other request still goes
+    through the queue to a worker."""
+
+    def test_warm_timing_only_request_is_served_by_its_submitter(
+        self, hopper, registry, serving_threads
+    ):
+        with RuntimeServer(hopper, registry, workers=1, trace=True) as server:
+            server.warm("gemm", [SHAPE])
+            future = server.submit("gemm", SHAPE)
+            assert future.done()
+            assert _route(server, serving_threads, future) == (
+                threading.get_ident(), "submitter"
+            )
+            result = future.result()
+            launch = server._launches[("gemm", result.bucket)]
+            assert result.tier == "memory"
+            assert result.batch_size == 1
+            assert result.gpu is launch.gpu
+            stats = server.stats()
+        assert stats.completed == stats.requests == 1
+
+    def _assert_worker_served(self, server, calls, future):
+        ident, served_by = _route(server, calls, future)
+        assert ident != threading.get_ident()
+        assert served_by == "worker"
+
+    def test_a_data_carrying_request_goes_to_a_worker(
+        self, hopper, registry, serving_threads
+    ):
+        with RuntimeServer(hopper, registry, workers=1, trace=True) as server:
+            server.warm("gemm", [SHAPE])
+            future = server.submit("gemm", SHAPE, inputs=_gemm_inputs())
+            self._assert_worker_served(server, serving_threads, future)
+            assert future.result().outputs is not None
+
+    def test_an_unstarted_server_queues(
+        self, hopper, registry, serving_threads
+    ):
+        server = RuntimeServer(
+            hopper, registry, workers=1, trace=True, start=False
+        )
+        try:
+            server.warm("gemm", [SHAPE])
+            future = server.submit("gemm", SHAPE)
+            assert server.queue_depth == 1 and not future.done()
+            server.start()
+            self._assert_worker_served(server, serving_threads, future)
+        finally:
+            server.close()
+
+    def test_a_request_queued_ahead_keeps_the_next_one_queued(
+        self, hopper, registry, monkeypatch
+    ):
+        entered, release = threading.Event(), threading.Event()
+
+        def hold_the_first(batch):
+            if not entered.is_set():  # only the one worker serves here
+                entered.set()
+                release.wait(timeout=60)
+
+        calls = []
+        monkeypatch.setattr(
+            RuntimeServer, "_serve",
+            _recording(RuntimeServer._serve, calls, hold_the_first),
+        )
+        with RuntimeServer(
+            hopper, registry, workers=1, max_batch=1, trace=True
+        ) as server:
+            server.warm("gemm", [SHAPE])
+            try:
+                # The only worker holds a data-carrying request...
+                holding = server.submit("gemm", SHAPE, inputs=_gemm_inputs())
+                assert entered.wait(timeout=60)
+                # ...so the next one waits in the queue...
+                ahead = server.submit("gemm", SHAPE, inputs=_gemm_inputs(8))
+                # ...and a warm timing-only request queues behind it.
+                future = server.submit("gemm", SHAPE)
+                assert server.queue_depth == 2 and not future.done()
+            finally:
+                release.set()
+            for done in (holding, ahead):
+                done.result(timeout=120)
+            self._assert_worker_served(server, calls, future)
+
+    def test_the_first_request_of_a_bucket_goes_to_a_worker(
+        self, hopper, registry, serving_threads
+    ):
+        with RuntimeServer(hopper, registry, workers=1, trace=True) as server:
+            first = server.submit("gemm", SHAPE)
+            self._assert_worker_served(server, serving_threads, first)
+            assert first.result().tier == "compile"
+            # Its batch timed the record: the next one needs no worker.
+            second = server.submit("gemm", SHAPE)
+            assert second.done()
+            assert _route(server, serving_threads, second) == (
+                threading.get_ident(), "submitter"
+            )
+
+    def test_an_evicted_kernel_goes_to_a_worker(
+        self, hopper, registry, serving_threads
+    ):
+        capacity = api.compile_cache_stats().capacity
+        api.resize_compile_cache(1)
+        try:
+            with RuntimeServer(
+                hopper, registry, workers=1, trace=True
+            ) as server:
+                # The second bucket evicts the first one's kernel; the
+                # first record keeps its timing.
+                server.warm("gemm", [SHAPE, dict(m=256, n=256, k=128)])
+                misses = api.compile_cache_stats().misses
+                future = server.submit("gemm", SHAPE)
+                self._assert_worker_served(server, serving_threads, future)
+                assert future.result().tier == "compile"
+                assert api.compile_cache_stats().misses == misses + 1
+        finally:
+            api.resize_compile_cache(capacity)
+
+    def test_graph_nodes_keep_the_queue(
+        self, hopper, registry, serving_threads
+    ):
+        graph = _chain_graph(hopper, registry)
+        with RuntimeServer(hopper, registry, workers=1, trace=True) as server:
+            server.submit_graph(graph).result(timeout=120)
+            # Every node's record is now timed and its kernel resident.
+            del serving_threads[:]
+            result = server.submit_graph(graph).result(timeout=120)
+            assert {r.tier for r in result.results.values()} == {"memory"}
+            assert len(serving_threads) == len(graph)
+            assert threading.get_ident() not in {
+                ident for ident, _batch in serving_threads
+            }
+            dispatches = [
+                span for span in server.tracer.spans()
+                if span.name == "dispatch"
+            ]
+            assert {span.args["served_by"] for span in dispatches} == {
+                "worker"
+            }
+
+
 class TestDiskTier:
     def test_truncated_pickle_falls_back_to_recompile(
         self, hopper, registry, tmp_path
@@ -668,34 +862,35 @@ class TestWarmTuning:
             assert api.compile_cache_stats().misses == before
 
 
+def _chain_graph(hopper, registry):
+    from repro.graph import GraphBuilder
+
+    gb = GraphBuilder(hopper, registry=registry)
+    a = gb.tensor("A", (128, 64))
+    w = gb.tensor("W", (64, 256))
+    mid = gb.tensor("T", (128, 256))
+    w2 = gb.tensor("W2", (256, 256))
+    out = gb.tensor("C", (128, 256))
+    gb.launch(
+        "gemm",
+        dict(m=128, n=256, k=64),
+        reads=dict(A=a, B=w),
+        writes=dict(C=mid),
+    )
+    gb.launch(
+        "gemm",
+        dict(m=128, n=256, k=256),
+        reads=dict(A=mid, B=w2),
+        writes=dict(C=out),
+    )
+    return gb.build()
+
+
 class TestGraphShutdown:
-    def _chain_graph(self, hopper, registry):
-        from repro.graph import GraphBuilder
-
-        gb = GraphBuilder(hopper, registry=registry)
-        a = gb.tensor("A", (128, 64))
-        w = gb.tensor("W", (64, 256))
-        mid = gb.tensor("T", (128, 256))
-        w2 = gb.tensor("W2", (256, 256))
-        out = gb.tensor("C", (128, 256))
-        gb.launch(
-            "gemm",
-            dict(m=128, n=256, k=64),
-            reads=dict(A=a, B=w),
-            writes=dict(C=mid),
-        )
-        gb.launch(
-            "gemm",
-            dict(m=128, n=256, k=256),
-            reads=dict(A=mid, B=w2),
-            writes=dict(C=out),
-        )
-        return gb.build()
-
     def test_close_without_drain_fails_inflight_graph(
         self, hopper, registry
     ):
-        graph = self._chain_graph(hopper, registry)
+        graph = _chain_graph(hopper, registry)
         server = RuntimeServer(hopper, registry, workers=1, start=False)
         execution = server.submit_graph(graph)
         assert not execution.future.done()
@@ -782,12 +977,48 @@ def _cancelled(server, monkeypatch):
     return future
 
 
-def _crashed(server, monkeypatch):
-    def explode(size):
-        raise RuntimeError("boom")
+def _explode(size):
+    raise RuntimeError("boom")
 
-    monkeypatch.setattr(server.telemetry, "record_batch", explode)
+
+def _crashed(server, monkeypatch):
+    monkeypatch.setattr(server.telemetry, "record_batch", _explode)
     return server.submit("gemm", SHAPE)
+
+
+def _submit_inline(server):
+    """A warm timing-only submit on the started server, served before
+    ``submit`` returns."""
+    future = server.submit("gemm", SHAPE)
+    assert future.done()
+    return future
+
+
+def _warm_started(server):
+    server.start()
+    server.warm("gemm", [SHAPE])
+
+
+def _served_inline(server, monkeypatch):
+    _warm_started(server)
+    return _submit_inline(server)
+
+
+def _execute_fault_inline(server, monkeypatch):
+    _warm_started(server)
+    plan = FaultPlan(seed=0).inject("worker.execute", 1.0)
+    with faults.active(plan):
+        future = _submit_inline(server)
+    assert plan.injections("worker.execute") == 1
+    return future
+
+
+def _crashed_inline(server, monkeypatch):
+    _warm_started(server)
+    # An exception escaping ``_serve``: the future fails, ``submit``
+    # does not raise.
+    monkeypatch.setattr(server.telemetry, "record_batch", _explode)
+    return _submit_inline(server)
 
 
 class TestOutcomes:
@@ -813,6 +1044,14 @@ class TestOutcomes:
             pytest.param(_shed, "shed_requests", CypressError, id="shed"),
             pytest.param(_cancelled, "failed", CancelledError, id="cancelled"),
             pytest.param(_crashed, "failed", RuntimeError, id="worker-crash"),
+            pytest.param(_served_inline, "completed", None, id="inline"),
+            pytest.param(
+                _execute_fault_inline, "failed", InjectedFault,
+                id="inline-execute-fault",
+            ),
+            pytest.param(
+                _crashed_inline, "failed", RuntimeError, id="inline-crash"
+            ),
         ],
     )
     def test_every_exit_settles_once(
@@ -864,6 +1103,81 @@ class TestOutcomes:
         assert (
             sum("error" in span.args for span in spans)
             == stats.failed + stats.shed_requests
+        )
+
+    @pytest.mark.parametrize("drain", [True, False])
+    def test_close_racing_inline_submits_settles_every_request(
+        self, hopper, registry, monkeypatch, drain
+    ):
+        """Threads submit warm requests while ``close`` runs. The first
+        inline serve is held until ``close`` has stopped the server and
+        its workers have exited, so one request is in flight on a
+        submitting thread by construction at the point ``close`` could
+        return; every request that entered ``_serve`` is settled when
+        ``close`` returns, and so is every future ``submit`` returned."""
+        import sys
+
+        server = RuntimeServer(hopper, registry, workers=1)
+        server.warm("gemm", [SHAPE])
+        serving, first, held = threading.Event(), threading.Lock(), []
+
+        def hold_the_first_until_close(batch):
+            if first.acquire(blocking=False):
+                held.append((threading.get_ident(), batch[0]))
+                serving.set()
+                with server._cv:
+                    server._cv.wait_for(lambda: server._stopping, timeout=60)
+                for worker in server._threads:
+                    worker.join(timeout=60)
+
+        calls = []
+        monkeypatch.setattr(
+            RuntimeServer, "_serve",
+            _recording(
+                RuntimeServer._serve, calls, hold_the_first_until_close
+            ),
+        )
+        futures, lock = [], threading.Lock()
+
+        def hammer():
+            while True:
+                try:
+                    future = server.submit("gemm", SHAPE)
+                except CypressError:  # closed
+                    return
+                with lock:
+                    futures.append(future)
+
+        threads = [
+            threading.Thread(target=hammer, daemon=True) for _ in range(4)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            assert serving.wait(timeout=60)
+            server.close(drain=drain)
+            entered = [
+                request.future for _ident, batch in list(calls)
+                for request in batch
+            ]
+            stats = server.stats()
+        finally:
+            server.close()  # stops the threads if an assertion failed
+            sys.setswitchinterval(interval)
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+        ((held_by, request),) = held
+        assert held_by in {thread.ident for thread in threads}
+        assert request.future.result().tier == "memory"
+        assert all(future.done() for future in entered)
+        assert all(future.done() for future in futures)
+        assert stats.completed >= 1
+        assert (
+            stats.completed + stats.failed + stats.shed_requests
+            == stats.requests
         )
 
 
