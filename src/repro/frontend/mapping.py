@@ -346,22 +346,7 @@ class MappingSpec:
         the registry (:attr:`TaskRegistry.code_digests`).
         """
         digests = self.registry.code_digests
-        machine = self.machine
-        machine_key = (
-            machine.name,
-            tuple((level.kind.name, level.count) for level in machine.levels),
-            tuple(
-                (
-                    kind.name,
-                    mem.capacity_bytes,
-                    mem.visible_from.name,
-                )
-                for kind, mem in sorted(
-                    machine.memories.items(), key=lambda kv: kv[0].name
-                )
-            ),
-            tuple(sorted(machine.specs.items())),
-        )
+        machine_key = self.machine.content_key()
         instance_keys = tuple(
             self.by_instance[name].content_key()
             for name in sorted(self.by_instance)

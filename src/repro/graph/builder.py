@@ -149,15 +149,15 @@ class GraphBuilder:
             the requested problem; the serving layer buckets per node
             exactly as it does for scalar ``submit``.
         template_cache: where :meth:`build` looks up (and stores)
-            :class:`~repro.graph.template.GraphTemplate` values; the
-            process-wide :data:`~repro.graph.template.template_cache`
-            by default. Pass ``None`` to always run full dependence
-            inference, or a private cache to isolate.
-        build_memo: an external launch-plan memo (exact-shape builds
-            plus validated binding plans) to share across builders
-            re-capturing the same topology (a fresh dict per builder
-            otherwise). Only share across builders on the same
-            ``machine``.
+            :class:`~repro.graph.template.GraphTemplate` values, and
+            where :meth:`launch` looks up (and stores) launch plans —
+            the exact-shape kernel build and its privilege table — so a
+            re-captured launch builds nothing; the process-wide
+            :data:`~repro.graph.template.template_cache` by default.
+            Pass ``None`` to always run full dependence inference and
+            build every plan afresh, or a private cache to isolate.
+            Either way a builder builds each plan at most once, and
+            every launch's bindings are checked against its plan.
         tracer: a :class:`~repro.obs.trace.Tracer` to record one
             ``graph.build`` span per :meth:`build` (tagged template
             hit/miss); the no-op :data:`~repro.obs.trace.NULL_TRACER`
@@ -169,7 +169,6 @@ class GraphBuilder:
         machine: MachineModel,
         registry: Optional[KernelRegistry] = None,
         template_cache: Optional[GraphTemplateCache] = _process_template_cache,
-        build_memo: Optional[Dict[Any, "_LaunchPlan"]] = None,
         tracer=NULL_TRACER,
     ) -> None:
         self.machine = machine
@@ -180,14 +179,13 @@ class GraphBuilder:
         self._by_uid: Dict[int, GraphTensor] = {}
         self._nodes: list = []
         self._manual_edges: list = []
-        self._plan_memo: Dict[Any, "_LaunchPlan"] = (
-            build_memo if build_memo is not None else {}
-        )
+        self._plan_memo: Dict[Any, "_LaunchPlan"] = {}
+        self._machine_key = machine.content_key()
         # Topology fingerprint, folded in incrementally as tensors are
         # declared and launches captured. `_fp_ok` drops to False when a
         # binding's structure cannot be described (unknown partition
         # kinds) — such captures never use the template cache.
-        self._fp_parts: List[Any] = [("machine", machine.name)]
+        self._fp_parts: List[Any] = [("machine", self._machine_key)]
         self._fp_ok = True
         self._regions_resolved = False
 
@@ -452,7 +450,10 @@ class GraphBuilder:
         walking the per-parameter privileges costs far more than the
         rest of launch capture; a topology resubmitted every request
         repeats the exact same (kernel, shape, params) triples, so all
-        of it is validated once and replayed from the memo.
+        of it is done once: this builder's memo is consulted first,
+        then the template cache's plans. A ``build_*`` function is pure
+        in its arguments and a task registry never re-registers a
+        variant name, so a stored plan never goes stale.
         """
         key = (
             registered.name,
@@ -460,6 +461,18 @@ class GraphBuilder:
             canonicalize(params or {}),
         )
         plan = self._plan_memo.get(key)
+        if plan is not None:
+            return plan
+        cache = self.template_cache
+        shared_key = (
+            key,
+            registered.builder,
+            registered.dims,
+            canonicalize(registered.defaults),
+            self._machine_key,
+        )
+        if cache is not None:
+            plan = cache.plan(shared_key)
         if plan is None:
             missing = [d for d in registered.dims if d not in shape]
             extra = sorted(set(shape) - set(registered.dims))
@@ -490,7 +503,9 @@ class GraphBuilder:
                 param_set=frozenset(variant.tensor_params),
                 fp_static=("launch", key[0], key[1], key[2], build.name),
             )
-            self._plan_memo[key] = plan
+            if cache is not None:
+                plan = cache.put_plan(shared_key, plan)
+        self._plan_memo[key] = plan
         return plan
 
     # ------------------------------------------------------------------
@@ -502,7 +517,7 @@ class GraphBuilder:
         Two captures share a fingerprint exactly when they declare the
         same tensors/views and the same launch sequence (kernel, shape,
         params, built kernel, binding structure, privileges, explicit
-        sequencing) on the same machine — everything dependence
+        sequencing) on machines of equal content — everything dependence
         inference and critical-path weighting read, so equal
         fingerprints imply identical edges and priorities. Labels are
         display-only and excluded.

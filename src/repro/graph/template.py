@@ -14,7 +14,8 @@ that dependence inference and scheduling depend on into a topology
 per-launch kernel name, shape, canonicalized mapping parameters, the
 built kernel's name, each binding's owner tensor and partition-path
 structure, privilege direction, and explicit ``after=`` edges, plus
-the machine identity. On ``build()`` the fingerprint is looked up in a
+the machine's content (:meth:`~repro.machine.MachineModel.content_key`,
+not just its name). On ``build()`` the fingerprint is looked up in a
 :class:`GraphTemplateCache`:
 
 * **miss** — regions are resolved, edges inferred, the critical path
@@ -33,9 +34,18 @@ depends on a template hit. Accesses on a replayed graph carry
 ``infer_edges`` on them by hand would be conservative, but the replayed
 ``TaskGraph.edges`` are the exact ones captured at miss time.
 
+The cache also holds the **launch plans** a capture's nodes are built
+from: per ``(kernel, exact shape, params)`` on one machine, the
+exact-shape kernel build and its entrypoint's privilege table (see
+:meth:`GraphTemplateCache.plan`). A re-captured topology therefore
+builds no kernel either — the analysis runs once, as Legion's dynamic
+tracing memoizes it, and each replay only re-checks its bindings
+against the stored plans.
+
 The process-wide :data:`template_cache` is shared by every
 ``GraphBuilder`` by default; pass ``template_cache=None`` to a builder
-to opt out, or a private cache to isolate.
+to opt out (it then shares neither templates nor plans), or a private
+cache to isolate.
 """
 
 from __future__ import annotations
@@ -43,7 +53,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Any, Dict, Hashable, Optional, Tuple
 
 from repro.graph.taskgraph import GraphEdge
 
@@ -90,10 +100,21 @@ class TemplateCacheStats:
 
 
 class GraphTemplateCache:
-    """A bounded, thread-safe LRU of :class:`GraphTemplate` values.
+    """A bounded, thread-safe LRU of :class:`GraphTemplate` values, and
+    beside it one of launch plans.
+
+    A launch plan is what :class:`~repro.graph.builder.GraphBuilder`
+    derives from one ``(kernel, exact shape, params)`` on one machine:
+    the kernel build and its entrypoint's privilege table. Its key
+    names everything the build depends on (the registered builder, its
+    dimensions and defaults, the machine's content, the shape and the
+    params), so a plan is shared by every builder that would build the
+    same thing. :meth:`clear` drops both tables; :attr:`stats` counts
+    template lookups only.
 
     Args:
-        capacity: templates kept; the least recently used is evicted.
+        capacity: templates kept, and plans kept; in each table the
+            least recently used entry is evicted.
     """
 
     def __init__(self, capacity: int = 128) -> None:
@@ -103,6 +124,7 @@ class GraphTemplateCache:
         self.stats = TemplateCacheStats()
         self._lock = threading.Lock()
         self._entries: "OrderedDict[str, GraphTemplate]" = OrderedDict()
+        self._plans: "OrderedDict[Hashable, Any]" = OrderedDict()
 
     def get(
         self, fingerprint: str, node_count: Optional[int] = None
@@ -134,10 +156,31 @@ class GraphTemplateCache:
                 self._entries.popitem(last=False)
                 self.stats.evictions += 1
 
+    def plan(self, key: Hashable) -> Any:
+        """The launch plan stored under ``key`` (LRU-touching it);
+        ``None`` when there is none."""
+        with self._lock:
+            plan = self._plans.get(key)
+            if plan is not None:
+                self._plans.move_to_end(key)
+            return plan
+
+    def put_plan(self, key: Hashable, plan: Any) -> Any:
+        """Store a launch plan unless one is already stored under
+        ``key``, evicting the LRU plan over capacity; returns the stored
+        plan, so builders racing on one key end up sharing one."""
+        with self._lock:
+            stored = self._plans.setdefault(key, plan)
+            self._plans.move_to_end(key)
+            while len(self._plans) > self.capacity:
+                self._plans.popitem(last=False)
+            return stored
+
     def clear(self) -> None:
-        """Drop every template and reset the counters."""
+        """Drop every template and plan, and reset the counters."""
         with self._lock:
             self._entries.clear()
+            self._plans.clear()
             self.stats = TemplateCacheStats()
 
     def __len__(self) -> int:

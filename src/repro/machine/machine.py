@@ -98,6 +98,25 @@ class MachineModel:
             )
         return self.specs[key]
 
+    def content_key(self) -> Tuple:
+        """A repr-stable tuple of everything that describes this machine.
+
+        The name, the processor levels, the memories and the specs, read
+        from their current contents on every call. Two machines with one
+        name but different specs have different keys.
+        """
+        return (
+            self.name,
+            tuple((level.kind.name, level.count) for level in self.levels),
+            tuple(
+                (kind.name, mem.capacity_bytes, mem.visible_from.name)
+                for kind, mem in sorted(
+                    self.memories.items(), key=lambda kv: kv[0].name
+                )
+            ),
+            tuple(sorted(self.specs.items())),
+        )
+
     def describe(self) -> str:
         """A human-readable summary, used by examples and docs."""
         lines = [f"machine {self.name}"]

@@ -41,7 +41,8 @@ STATE = {
     "gpusim.functional._PROC_LEVELS": TABLE,
     "gpusim.roofline._CACHE":
         "weak-keyed memo of derived rooflines, read several times a simulate",
-    "graph.template.template_cache": BENCH + " (template_cache.clear())",
+    "graph.template.template_cache":
+        BENCH + " (template_cache.clear()); holds templates and plans",
     "ir.events.BROADCAST": "the [:] event-index singleton; holds no data",
     "kernels.KERNEL_BUILDERS": IMPORT_TIME,
     "kernels.common.kernel_registry": IMPORT_TIME,
