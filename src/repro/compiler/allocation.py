@@ -21,7 +21,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from repro.errors import AllocationError
 from repro.ir.module import Buffer, IRFunction
-from repro.ir.ops import Block, CallOp, CopyOp, ForOp, Operation, PForOp
+from repro.ir.ops import Block, ForOp, Operation, PForOp
 from repro.machine.memory import MemoryKind
 from repro.machine.processor import ProcessorKind
 
@@ -47,7 +47,7 @@ def allocate_shared(
     if limit_bytes is None:
         limit_bytes = fn.machine.memory(MemoryKind.SHARED).capacity_bytes
     buffers = fn.buffers_in_memory(MemoryKind.SHARED)
-    intervals = _live_intervals(fn, buffers)
+    intervals, last_user, first_writer = _live_intervals(fn, buffers)
     sizes = {b.tensor.uid: _footprint(b) for b in buffers}
 
     minimum = max((sizes[b.tensor.uid] for b in buffers), default=0)
@@ -95,7 +95,7 @@ def allocate_shared(
         buffer.smem_offset = offsets[buffer.tensor.uid]
 
     aliased = _aliased_pairs(buffers, sizes, offsets, separate)
-    war_added = _insert_war_edges(fn, buffers, intervals, aliased)
+    war_added = _insert_war_edges(intervals, last_user, first_writer, aliased)
 
     report = AllocationReport(
         total_bytes=max(
@@ -142,8 +142,11 @@ def _align(size: int) -> int:
 # ----------------------------------------------------------------------
 def _live_intervals(
     fn: IRFunction, buffers: List[Buffer]
-) -> Dict[int, Tuple[int, int]]:
-    """Live interval per buffer over a linearized operation order.
+) -> Tuple[
+    Dict[int, Tuple[int, int]], Dict[int, Operation], Dict[int, Operation]
+]:
+    """Live interval per buffer over a linearized operation order, with
+    each buffer's last user and first writer in that order.
 
     An access inside a loop body extends liveness across the entire
     loop, since iterations interleave under pipelining.
@@ -165,9 +168,15 @@ def _live_intervals(
 
     wanted = {b.tensor.uid for b in buffers}
     intervals: Dict[int, Tuple[int, int]] = {}
+    last_user: Dict[int, Operation] = {}
+    first_writer: Dict[int, Operation] = {}
     for op in fn.walk():
+        for ref in op.writes:
+            if ref.root.uid in wanted:
+                first_writer.setdefault(ref.root.uid, op)
         touched = {ref.root.uid for ref in op.tensor_uses()}
         for uid in touched & wanted:
+            last_user[uid] = op
             # Grid-level parallel loops (one iteration per CTA) do not
             # extend liveness: each CTA has its own shared memory.
             enclosing = [
@@ -190,7 +199,7 @@ def _live_intervals(
                 intervals[uid] = (lo, hi)
     for buffer in buffers:
         intervals.setdefault(buffer.tensor.uid, (0, 0))
-    return intervals
+    return intervals, last_user, first_writer
 
 
 def _overlaps(a: Tuple[int, int], b: Tuple[int, int]) -> bool:
@@ -253,49 +262,28 @@ def _aliased_pairs(
 # Write-after-read synchronization for aliased buffers
 # ----------------------------------------------------------------------
 def _insert_war_edges(
-    fn: IRFunction,
-    buffers: List[Buffer],
     intervals: Dict[int, Tuple[int, int]],
+    last_user: Dict[int, Operation],
+    first_writer: Dict[int, Operation],
     aliased: List[Tuple[int, int]],
 ) -> int:
     added = 0
-    order = {op.uid: i for i, op in enumerate(fn.walk())}
     for ua, ub in aliased:
-        # Earlier-live buffer's last users must complete before the
+        # Earlier-live buffer's last user must complete before the
         # later buffer's first writer starts.
         first, second = (ua, ub)
         if intervals[ub][1] < intervals[ua][0]:
             first, second = (ub, ua)
-        last_users = _users_of(fn, first)
-        writer = _first_writer(fn, second)
-        if writer is None or not last_users:
+        last = last_user.get(first)
+        writer = first_writer.get(second)
+        if writer is None or last is None:
             continue
-        last = max(last_users, key=lambda op: order[op.uid])
         if last.result is not None:
             use = last.result.use_all()
             if use not in writer.preconds:
                 writer.preconds.append(use)
                 added += 1
     return added
-
-
-def _users_of(fn: IRFunction, uid: int) -> List[Operation]:
-    users = []
-    for op in fn.walk():
-        if any(ref.root.uid == uid for ref in op.tensor_uses()):
-            users.append(op)
-    return users
-
-
-def _first_writer(fn: IRFunction, uid: int) -> Optional[Operation]:
-    for op in fn.walk():
-        if isinstance(op, CopyOp) and op.dst.root.uid == uid:
-            return op
-        if isinstance(op, CallOp) and any(
-            w.root.uid == uid for w in op.writes
-        ):
-            return op
-    return None
 
 
 def _register_usage(fn: IRFunction) -> int:

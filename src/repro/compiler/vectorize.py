@@ -11,48 +11,35 @@ synchronizations index with the broadcast operator.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict
 
 from repro.errors import CompileError
 from repro.ir.events import BROADCAST, Event, EventDim, EventUse
 from repro.ir.module import IRFunction
-from repro.ir.ops import AllocOp, Block, CallOp, CopyOp, ForOp, Operation, PForOp
+from repro.ir.ops import AllocOp, Block, Operation, PForOp
 from repro.machine.processor import is_intra_block
-from repro.sym import Const, ProcIndex, substitute
+from repro.sym import ProcIndex, substitute
 from repro.tensors.tensor import TensorRef
 
 
 def vectorize(fn: IRFunction) -> IRFunction:
     """Flatten all intra-block parallel loops, innermost first."""
-    changed = True
-    while changed:
-        changed = _flatten_one(fn.body, fn)
+    _flatten_all(fn.body, fn)
     return fn
 
 
-def _flatten_one(block: Block, fn: IRFunction) -> bool:
-    """Find and flatten one innermost intra-block pfor; True if found."""
+def _flatten_all(block: Block, fn: IRFunction) -> None:
+    """One post-order sweep: flatten the nested blocks' loops, then this
+    block's own intra-block ``pfor``s, first to last."""
     for op in block.ops:
         for nested in op.nested_blocks():
-            if _flatten_one(nested, fn):
-                return True
-    for position, op in enumerate(block.ops):
+            _flatten_all(nested, fn)
+    for op in list(block.ops):
         if isinstance(op, PForOp) and is_intra_block(op.proc):
-            if _contains_intra_block_pfor(op.body):
-                continue  # not innermost; the recursion will reach it
-            _flatten(block, position, op, fn)
-            return True
-    return False
+            _flatten(block, op, fn)
 
 
-def _contains_intra_block_pfor(block: Block) -> bool:
-    for op in block.walk():
-        if isinstance(op, PForOp) and is_intra_block(op.proc):
-            return True
-    return False
-
-
-def _flatten(block: Block, position: int, loop: PForOp, fn: IRFunction) -> None:
+def _flatten(block: Block, loop: PForOp, fn: IRFunction) -> None:
     proc = loop.proc
     extents = fn.metadata.setdefault("proc_extents", {})
     if extents.get(proc.value, loop.extent) != loop.extent:
@@ -122,6 +109,7 @@ def _flatten(block: Block, position: int, loop: PForOp, fn: IRFunction) -> None:
         fn.buffers[uid].private_levels |= {proc.value}
 
     # Splice the body into the parent block.
+    position = block.index_of(loop)
     block.ops[position : position + 1] = body_ops
 
     # Redirect uses of the loop's own event to the promoted yield event.
@@ -143,15 +131,7 @@ def _substitute_op(op: Operation, bindings: Dict[str, object]) -> None:
         )
         return TensorRef(ref.root, path)
 
-    if isinstance(op, CopyOp):
-        op.src = sub_ref(op.src)
-        op.dst = sub_ref(op.dst)
-    elif isinstance(op, CallOp):
-        op.args = tuple(
-            sub_ref(a) if isinstance(a, TensorRef) else a for a in op.args
-        )
-        op.reads = tuple(sub_ref(r) for r in op.reads)
-        op.writes = tuple(sub_ref(w) for w in op.writes)
+    op.map_refs(sub_ref)
     for use in op.preconds:
         use.indices = tuple(
             i if i is BROADCAST else substitute(i, bindings)

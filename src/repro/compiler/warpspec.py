@@ -19,7 +19,7 @@ after the consumers of its destination buffer finished iteration
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List
+from typing import Dict, List
 
 from repro.ir.module import IRFunction
 from repro.ir.ops import CallOp, CopyOp, ForOp, Operation
@@ -93,8 +93,11 @@ def _pipeline_loop(
     """Multi-buffer DMA destinations and record backward dependencies."""
     loop.pipeline = depth
     pipelined: List[str] = []
-    body_ops = list(loop.body.walk())
-    for op in body_ops:
+    users: Dict[int, List[Operation]] = {}
+    for op in loop.body.walk():
+        for uid in {ref.root.uid for ref in op.tensor_uses()}:
+            users.setdefault(uid, []).append(op)
+    for op in loop.body.walk():
         if not isinstance(op, CopyOp) or op.role != DMA:
             continue
         dst = fn.buffers.get(op.dst.root.uid)
@@ -104,13 +107,7 @@ def _pipeline_loop(
             dst.pipeline_depth = depth
             pipelined.append(dst.name)
         consumers = [
-            other
-            for other in body_ops
-            if other is not op
-            and any(
-                ref.root is dst.tensor
-                for ref in other.tensor_uses()
-            )
+            other for other in users[dst.tensor.uid] if other is not op
         ]
         # Iteration k of this copy may start only once the consumers of
         # buffer slot (k mod depth) finished iteration k - depth. These

@@ -7,7 +7,7 @@ asynchronous operation owns its result :class:`Event`.
 
 from __future__ import annotations
 
-from typing import Any, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import IRError
 from repro.ir.events import Event, EventType, EventUse
@@ -30,6 +30,12 @@ class Operation:
     #: specialization, read by the lowering.
     role = "compute"
 
+    #: The references this op reads and writes (shallow: a loop's body
+    #: is not its own access). Every pass that asks who reads or writes
+    #: a tensor asks the ops.
+    reads: Tuple[TensorRef, ...] = ()
+    writes: Tuple[TensorRef, ...] = ()
+
     def __init__(
         self,
         preconds: Optional[List[EventUse]] = None,
@@ -49,10 +55,14 @@ class Operation:
     # -- generic traversal helpers --------------------------------------
     def tensor_uses(self) -> List[TensorRef]:
         """Tensor references read or written by this op (shallow)."""
-        return []
+        return [*self.reads, *self.writes]
 
     def nested_blocks(self) -> List["Block"]:
         return []
+
+    def map_refs(self, rewrite: Callable[[TensorRef], TensorRef]) -> None:
+        """Replace every tensor reference the op holds by ``rewrite(ref)``
+        (shallow, like :attr:`reads` and :attr:`writes`)."""
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         from repro.ir.printer import format_op
@@ -102,8 +112,16 @@ class CopyOp(Operation):
         self.dst = dst
         self.define_event()
 
-    def tensor_uses(self) -> List[TensorRef]:
-        return [self.src, self.dst]
+    @property
+    def reads(self) -> Tuple[TensorRef, ...]:
+        return (self.src,)
+
+    @property
+    def writes(self) -> Tuple[TensorRef, ...]:
+        return (self.dst,)
+
+    def map_refs(self, rewrite: Callable[[TensorRef], TensorRef]) -> None:
+        self.src, self.dst = rewrite(self.src), rewrite(self.dst)
 
 
 class CallOp(Operation):
@@ -129,6 +147,13 @@ class CallOp(Operation):
 
     def tensor_uses(self) -> List[TensorRef]:
         return [a for a in self.args if isinstance(a, TensorRef)]
+
+    def map_refs(self, rewrite: Callable[[TensorRef], TensorRef]) -> None:
+        self.args = tuple(
+            rewrite(a) if isinstance(a, TensorRef) else a for a in self.args
+        )
+        self.reads = tuple(map(rewrite, self.reads))
+        self.writes = tuple(map(rewrite, self.writes))
 
 
 class Block:

@@ -47,21 +47,15 @@ class _VerifyState:
     def _verify_op(self, op: Operation) -> None:
         for use in op.preconds:
             self._check_use(use, f"op {op.uid}")
-        if isinstance(op, CopyOp):
-            self._check_ref(op.src, op)
-            self._check_ref(op.dst, op)
-        elif isinstance(op, CallOp):
-            for ref in op.tensor_uses():
-                self._check_ref(ref, op)
-        elif isinstance(op, (ForOp, PForOp)):
+        for ref in op.tensor_uses():
+            self._check_ref(ref, op)
+        if isinstance(op, (ForOp, PForOp)):
             self.scope_vars.add(op.index.name)
             self._verify_block(op.body, loop_carried=(op,))
             self.scope_vars.discard(op.index.name)
             if isinstance(op, PForOp):
                 self._check_pfor_event(op)
-        elif isinstance(op, AllocOp):
-            pass
-        else:
+        elif not isinstance(op, (AllocOp, CopyOp, CallOp)):
             raise VerificationError(
                 f"unknown operation type {type(op).__name__}"
             )

@@ -120,74 +120,33 @@ def gemm_mappings(
     wgs: int,
     pipeline: int,
     warpspecialize: bool,
-    smem_limit_bytes=None,
-    prefix: str = "",
 ) -> list:
     """The Figure-5b mapping for the GEMM task tree."""
-    g, s, n, r = (
-        MemoryKind.GLOBAL,
-        MemoryKind.SHARED,
-        MemoryKind.NONE,
-        MemoryKind.REGISTER,
-    )
+    g = MemoryKind.GLOBAL
     mappings = [
         TaskMapping(
-            instance=f"{prefix}gemm_host",
+            instance="gemm_host",
             variant="gemm_host",
             proc=ProcessorKind.HOST,
             mems=(g, g, g),
             tunables={"U": tile_m, "V": tile_n},
             entrypoint=True,
-            calls=(f"{prefix}gemm_block",),
+            calls=("gemm_block",),
         ),
         TaskMapping(
-            instance=f"{prefix}gemm_block",
+            instance="gemm_block",
             variant="gemm_block",
             proc=ProcessorKind.BLOCK,
             mems=(g, g, g),
             tunables={"W": tile_k},
-            calls=(
-                f"{prefix}clear_block",
-                f"{prefix}gemm_tile",
-                f"{prefix}copy_store",
-            ),
+            calls=("clear_block", "gemm_tile", "copy_store"),
             warpspecialize=warpspecialize,
             pipeline=pipeline,
-            smem_limit_bytes=smem_limit_bytes,
-        ),
-        TaskMapping(
-            instance=f"{prefix}gemm_tile",
-            variant="gemm_tile",
-            proc=ProcessorKind.BLOCK,
-            mems=(n, s, s),
-            tunables={"WGS": wgs},
-            calls=(f"{prefix}gemm_warpgroup",),
-        ),
-        TaskMapping(
-            instance=f"{prefix}gemm_warpgroup",
-            variant="gemm_inner",
-            proc=ProcessorKind.WARPGROUP,
-            mems=(n, s, s),
-            tunables={"PIECES": 4, "PROC": ProcessorKind.WARP},
-            calls=(f"{prefix}gemm_warp",),
-        ),
-        TaskMapping(
-            instance=f"{prefix}gemm_warp",
-            variant="gemm_inner",
-            proc=ProcessorKind.WARP,
-            mems=(n, s, s),
-            tunables={"PIECES": 32, "PROC": ProcessorKind.THREAD},
-            calls=(f"{prefix}gemm_thread",),
-        ),
-        TaskMapping(
-            instance=f"{prefix}gemm_thread",
-            variant="gemm_thread",
-            proc=ProcessorKind.THREAD,
-            mems=(r, s, s),
         ),
     ]
-    mappings += clear_tree_mappings(machine, wgs, prefix)
-    mappings.append(copy_store_mapping(prefix))
+    mappings += gemm_tile_mappings("gemm", wgs, MemoryKind.NONE)
+    mappings += clear_tree_mappings(machine, wgs)
+    mappings.append(copy_store_mapping())
     return mappings
 
 
@@ -199,8 +158,8 @@ def gemm_tile_mappings(
 ) -> list:
     """Mappings for a tile-rooted gemm/gemm0 sub-tree.
 
-    Used by kernels (like attention) that launch GEMMs from their own
-    block-level task; the returned root instance is
+    Used by every kernel that launches GEMMs from its own block-level
+    task (the GEMM family and attention); the returned root instance is
     ``{prefix}{task_name}_tile``.
     """
     s, n, r = MemoryKind.SHARED, MemoryKind.NONE, MemoryKind.REGISTER

@@ -29,7 +29,7 @@ from repro.kernels.common import (
     kernel_registry,
 )
 from repro.kernels.common import KernelBuild
-from repro.kernels.gemm import gemm_mappings
+from repro.kernels.gemm import gemm_tile_mappings
 
 with use_registry(kernel_registry):
 
@@ -169,11 +169,7 @@ def build_gemm_reduction(
             mems=(g, MemoryKind.SHARED),
         ),
     ]
-    tree = gemm_mappings(
-        machine, tile_m, tile_n, tile_k, wgs, pipeline, warpspecialize
-    )
-    keep = {"gemm_tile", "gemm_warpgroup", "gemm_warp", "gemm_thread"}
-    mappings += [m_ for m_ in tree if m_.instance in keep]
+    mappings += gemm_tile_mappings("gemm", wgs, MemoryKind.NONE)
     mappings += clear_tree_mappings(machine, wgs)
     mappings.append(copy_store_mapping())
     spec = MappingSpec(mappings, kernel_registry, machine)

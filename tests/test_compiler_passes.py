@@ -9,8 +9,11 @@ specialization assigns global<->shared copies to the DMA role with
 multi-buffered destinations.
 """
 
+import itertools
+
 import pytest
 
+from repro.compiler import allocation
 from repro.compiler.allocation import allocate_shared
 from repro.compiler.copy_elim import eliminate_copies
 from repro.compiler.dependence import DependenceAnalysis
@@ -19,6 +22,7 @@ from repro.compiler.warpspec import DMA, specialize_warps
 from repro.errors import AllocationError, PrivilegeError
 from repro.ir.ops import CallOp, CopyOp, ForOp, PForOp
 from repro.ir.verifier import verify_function
+from repro.kernels import KERNEL_BUILDERS
 from repro.kernels.gemm import build_gemm
 from repro.machine.memory import MemoryKind
 from repro.machine.processor import ProcessorKind, is_intra_block
@@ -245,6 +249,80 @@ class TestAllocation:
         fn = self._prepared(small_build)
         with pytest.raises(AllocationError):
             allocate_shared(fn, limit_bytes=1024)
+
+    @pytest.mark.parametrize(
+        "family, shape, pairs",
+        [
+            ("gemm", dict(m=4096, n=4096, k=4096), 0),
+            ("flash_attention3", dict(heads=16, seq=4096, head_dim=128), 1),
+        ],
+    )
+    def test_walks_do_not_grow_with_aliased_pairs(
+        self, machine, monkeypatch, family, shape, pairs
+    ):
+        """Complexity guard: two ``live_buffers`` reads plus the
+        liveness walk, which also finds each buffer's last user and
+        first writer for the WAR edges of every aliased pair."""
+        from repro.ir.module import IRFunction
+
+        fn = self._prepared(KERNEL_BUILDERS[family](machine, **shape))
+        walk = IRFunction.walk
+        calls = []
+        monkeypatch.setattr(
+            IRFunction, "walk", lambda self: calls.append(1) or walk(self)
+        )
+        report = allocate_shared(fn)
+        assert len(report.aliased_pairs) == pairs
+        assert len(calls) == 3
+
+
+#: The default build of every registered family at its 4096 paper point.
+PAPER_4096 = [
+    ("gemm", dict(m=4096, n=4096, k=4096)),
+    ("batched_gemm", dict(batch=4, m=4096, n=4096, k=4096)),
+    ("dual_gemm", dict(m=4096, n=4096, k=4096)),
+    ("gemm_reduction", dict(m=4096, n=4096, k=4096)),
+    ("flash_attention2", dict(heads=16, seq=4096, head_dim=128)),
+    ("flash_attention3", dict(heads=16, seq=4096, head_dim=128)),
+]
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 1: shared memory is allocated before "
+    "warp specialization multi-buffers it, so a pipelined ring runs "
+    "over its neighbour",
+)
+@pytest.mark.parametrize(
+    "family, shape", PAPER_4096, ids=[family for family, _ in PAPER_4096]
+)
+def test_live_shared_buffers_share_no_bytes_unless_aliased(
+    machine, family, shape
+):
+    """Gate 1 of ROADMAP item 1, over the final IR: two shared buffers
+    live at the same time share no byte (``smem_offset`` plus the
+    footprint after ``warp-specialize``) unless the allocator recorded
+    them as an aliased pair."""
+    from repro import api
+
+    fn = api.compile_kernel(KERNEL_BUILDERS[family](machine, **shape)).final_ir
+    buffers = fn.buffers_in_memory(MemoryKind.SHARED)
+    intervals, _, _ = allocation._live_intervals(fn, buffers)
+    aliased = {
+        frozenset(pair) for pair in fn.metadata["allocation"].aliased_pairs
+    }
+    overlapping = []
+    for a, b in itertools.combinations(buffers, 2):
+        if not allocation._overlaps(
+            intervals[a.tensor.uid], intervals[b.tensor.uid]
+        ):
+            continue
+        a_end = a.smem_offset + allocation._footprint(a)
+        b_end = b.smem_offset + allocation._footprint(b)
+        if a.smem_offset < b_end and b.smem_offset < a_end:
+            if frozenset((a.name, b.name)) not in aliased:
+                overlapping.append((a.name, b.name))
+    assert not overlapping
 
 
 class TestWarpSpecialization:

@@ -1,4 +1,5 @@
-"""Every settable value of the compile, tuning and serving entry points.
+"""Every settable value of the compile, tuning and serving entry points,
+and of the compiler passes those run.
 
 Each list below is the literal set of parameters a caller may leave at
 its default (plus ``CompileOptions``' fields and the values its
@@ -15,8 +16,12 @@ import inspect
 import pytest
 
 from repro import api
+from repro.compiler.allocation import allocate_shared
+from repro.compiler.copy_elim import eliminate_copies
 from repro.compiler.passes import CompileOptions, VerifyPolicy
 from repro.compiler.pipeline import compile_program
+from repro.compiler.vectorize import vectorize
+from repro.compiler.warpspec import specialize_warps
 from repro.obs import DiagConfig, FlightRecorder, Tracer
 from repro.runtime import (
     FAULT_SITES,
@@ -33,6 +38,10 @@ CENSUS = [
     (api.compile_many, ["options", "raise_on_error"]),
     (api.compile_kernel, ["options"]),
     (compile_program, ["options"]),
+    (vectorize, []),
+    (eliminate_copies, []),
+    (allocate_shared, ["limit_bytes"]),
+    (specialize_warps, ["enabled", "pipeline_depth"]),
     (
         RuntimeServer.__init__,
         [
