@@ -59,8 +59,8 @@ def main(
     print(f"persistent kernel cache: {cache_dir}")
 
     # A dormant poll interval keeps the demo deterministic: we drive
-    # one specialization cycle explicitly where the background thread
-    # would normally run it during idle time.
+    # one specialization cycle explicitly where the server's maintenance
+    # thread would normally run it during idle time.
     from repro.runtime import SpecializerConfig
 
     diag_config = False

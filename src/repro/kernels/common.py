@@ -226,39 +226,39 @@ with use_registry(kernel_registry):
         call_external("tma_store_tile", dst, src)
 
 
-def clear_tree_mappings(machine, wgs: int, prefix: str = "") -> list:
-    """Task mappings for the clear tree rooted at ``{prefix}clear_block``."""
+def clear_tree_mappings(wgs: int) -> list:
+    """Task mappings for the clear tree rooted at ``clear_block``."""
     from repro.frontend.mapping import TaskMapping
     from repro.machine.memory import MemoryKind
 
     none = MemoryKind.NONE
     return [
         TaskMapping(
-            instance=f"{prefix}clear_block",
+            instance="clear_block",
             variant="clear_block",
             proc=ProcessorKind.BLOCK,
             mems=(none,),
             tunables={"WGS": wgs},
-            calls=(f"{prefix}clear_wg",),
+            calls=("clear_wg",),
         ),
         TaskMapping(
-            instance=f"{prefix}clear_wg",
+            instance="clear_wg",
             variant="clear_inner",
             proc=ProcessorKind.WARPGROUP,
             mems=(none,),
             tunables={"PIECES": 4, "PROC": ProcessorKind.WARP},
-            calls=(f"{prefix}clear_warp",),
+            calls=("clear_warp",),
         ),
         TaskMapping(
-            instance=f"{prefix}clear_warp",
+            instance="clear_warp",
             variant="clear_inner",
             proc=ProcessorKind.WARP,
             mems=(none,),
             tunables={"PIECES": 32, "PROC": ProcessorKind.THREAD},
-            calls=(f"{prefix}clear_thread",),
+            calls=("clear_thread",),
         ),
         TaskMapping(
-            instance=f"{prefix}clear_thread",
+            instance="clear_thread",
             variant="clear_thread",
             proc=ProcessorKind.THREAD,
             mems=(MemoryKind.REGISTER,),
@@ -266,13 +266,13 @@ def clear_tree_mappings(machine, wgs: int, prefix: str = "") -> list:
     ]
 
 
-def copy_store_mapping(prefix: str = "") -> "TaskMapping":
+def copy_store_mapping() -> "TaskMapping":
     """Mapping for the TMA store-out leaf."""
     from repro.frontend.mapping import TaskMapping
     from repro.machine.memory import MemoryKind
 
     return TaskMapping(
-        instance=f"{prefix}copy_store",
+        instance="copy_store",
         variant="copy_store",
         proc=ProcessorKind.BLOCK,
         mems=(MemoryKind.GLOBAL, MemoryKind.SHARED),

@@ -93,7 +93,7 @@ def build_dual_gemm(
         ),
     ]
     mappings += gemm_tile_mappings("gemm", wgs, MemoryKind.NONE)
-    mappings += clear_tree_mappings(machine, wgs)
+    mappings += clear_tree_mappings(wgs)
     mappings.append(copy_store_mapping())
     spec = MappingSpec(mappings, kernel_registry, machine)
     flops = 4.0 * m * n * k  # two GEMMs

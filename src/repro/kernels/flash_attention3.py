@@ -171,7 +171,7 @@ def build_flash_attention3(
     mappings += gemm_tile_mappings("gemm0", wgs, n, prefix="s_")
     mappings += gemm_tile_mappings("gemm", wgs, n, prefix="o_")
     mappings += attention_support_mappings(wgs)
-    mappings += clear_tree_mappings(machine, wgs)
+    mappings += clear_tree_mappings(wgs)
     mappings.append(copy_store_mapping())
     spec = MappingSpec(mappings, kernel_registry, machine)
     flops = 4.0 * heads * seq * seq * head_dim

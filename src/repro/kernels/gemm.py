@@ -145,7 +145,7 @@ def gemm_mappings(
         ),
     ]
     mappings += gemm_tile_mappings("gemm", wgs, MemoryKind.NONE)
-    mappings += clear_tree_mappings(machine, wgs)
+    mappings += clear_tree_mappings(wgs)
     mappings.append(copy_store_mapping())
     return mappings
 

@@ -170,7 +170,7 @@ def build_gemm_reduction(
         ),
     ]
     mappings += gemm_tile_mappings("gemm", wgs, MemoryKind.NONE)
-    mappings += clear_tree_mappings(machine, wgs)
+    mappings += clear_tree_mappings(wgs)
     mappings.append(copy_store_mapping())
     spec = MappingSpec(mappings, kernel_registry, machine)
     flops = 2.0 * m * n * k  # the reduction rides along

@@ -23,11 +23,11 @@ transitions emit flight-recorder notes and feed
 ``repro_slo_burn_rate{slo}`` / ``repro_slo_alerts_total{slo,severity}``
 metrics plus the ``alerts:`` line of ``RuntimeStats.table()``.
 
-The monitor is a :class:`~repro.background.BackgroundLoop`
-subclass with ``idle_only = False`` — watching the allowed bad fraction
-only while nothing is happening would be a contradiction — and tests drive
-:meth:`SloMonitor.observe` synchronously with injected stats and
-clocks for determinism.
+The server's maintenance thread ticks the monitor every ``tick_s``,
+queued requests or not (``idle_only = False``) — watching the allowed
+bad fraction only while nothing is happening would be a contradiction
+— and tests drive :meth:`SloMonitor.observe` synchronously with
+injected stats and clocks for determinism.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ from dataclasses import dataclass
 from time import perf_counter
 from typing import TYPE_CHECKING, Dict, Iterable, Optional, Tuple
 
-from repro.background import BackgroundLoop
 from repro.errors import CypressError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle: server owns us
@@ -128,17 +127,16 @@ class Slo:
         return bad_fraction / max(1.0 - self.target, 1e-12)
 
 
-class SloMonitor(BackgroundLoop):
+class SloMonitor:
     """Evaluates SLO burn rates over a server's rolling telemetry.
 
     Owns one ring of ``(timestamp, bad)`` ticks per objective, sized
     to the slow window. :meth:`observe` is the whole evaluation step
     and takes optional injected stats/clock so tests can replay a
-    seeded traffic trace deterministically; the background thread just
-    calls it on a timer.
+    seeded traffic trace deterministically; the server's maintenance
+    thread just calls it on a timer.
     """
 
-    thread_name = "repro-slo"
     idle_only = False
 
     def __init__(
@@ -155,9 +153,10 @@ class SloMonitor(BackgroundLoop):
             raise CypressError(f"duplicate Slo names: {names}")
         if tick_s <= 0:
             raise CypressError(f"tick_s must be > 0, got {tick_s}")
-        super().__init__(server, interval_s=tick_s)
+        self.server = server
+        self.interval_s = tick_s
+        self.errors = 0
         self.slos = slos
-        self.tick_s = tick_s
         self._lock = threading.Lock()
         self._rings: Dict[str, deque] = {
             slo.name: deque(

@@ -17,12 +17,16 @@ calls, this package keeps compiled kernels alive and serves them:
 * :mod:`~repro.runtime.telemetry` — p50/p95 latency, per-tier hit
   rates, queue depth, per-kernel throughput.
 * :mod:`~repro.runtime.speculate` — :class:`Speculator`: a background
-  thread that precompiles likely-next shape buckets (observed traffic
+  loop that precompiles likely-next shape buckets (observed traffic
   plus ladder neighbors) during idle time, making warm-up continuous.
 * :mod:`~repro.runtime.specialize` — :class:`ShapeSpecializer`: the
   tiered promote/deoptimize loop that counts per-exact-shape traffic,
   promotes hot shapes to tile-aligned specialized kernels served with
   (near-)zero padding, and deoptimizes them when traffic shifts.
+
+Both loops, and the SLO monitor of :mod:`repro.obs.slo`, run on the
+server's one maintenance thread, which exists only while the server has
+one of them; each loop owns the demand it reads.
 * :mod:`~repro.runtime.resilience` — deadlines and bounded-queue load
   shedding.
 * :mod:`~repro.runtime.faults` — :class:`FaultPlan`: deterministic,

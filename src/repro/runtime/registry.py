@@ -277,6 +277,10 @@ def _gemm_flops(shape: Dict[str, int]) -> float:
     return 2.0 * shape["m"] * shape["n"] * shape["k"]
 
 
+def _dual_gemm_flops(shape: Dict[str, int]) -> float:
+    return 2.0 * _gemm_flops(shape)  # two GEMMs share A
+
+
 def _batched_gemm_flops(shape: Dict[str, int]) -> float:
     return 2.0 * shape["batch"] * shape["m"] * shape["n"] * shape["k"]
 
@@ -293,7 +297,11 @@ def default_registry() -> KernelRegistry:
     attn_policy = BucketPolicy(
         ladders={"heads": _HEADS, "seq": _SEQ, "head_dim": (128,)}
     )
-    for name in ("gemm", "dual_gemm", "gemm_reduction"):
+    for name, flops in (
+        ("gemm", _gemm_flops),
+        ("dual_gemm", _dual_gemm_flops),
+        ("gemm_reduction", _gemm_flops),
+    ):
         registry.register(
             name,
             KERNEL_BUILDERS[name],
@@ -301,7 +309,7 @@ def default_registry() -> KernelRegistry:
             policy=gemm_policy,
             search_space=_gemm_space(),
             specialize_align=_GEMM_ALIGN,
-            flops=_gemm_flops,
+            flops=flops,
         )
     registry.register(
         "batched_gemm",

@@ -156,8 +156,8 @@ class _QueuedRequest:
     #: span to nest it under (the graph scheduler's node span).
     span: Any = field(compare=False, default=None)
     trace_parent: Any = field(compare=False, default=None)
-    #: Pre-rounding request shape as a Bucket (only populated when the
-    #: server has a specializer) and whether the specialization guard
+    #: Pre-rounding request shape as a Bucket (set by ``submit`` only
+    #: with a specializer) and whether the specialization guard
     #: hit — a hit serves ``bucket`` = the aligned specialized shape.
     exact_bucket: Any = field(compare=False, default=None)
     specialized: bool = field(compare=False, default=False)
@@ -373,6 +373,10 @@ class RuntimeServer:
         self._closed = False
         self._threads: List[threading.Thread] = []
         self._workers = workers
+        #: The one thread that runs the background loops (``_maintain``)
+        #: and the event ``close`` sets to cut its sleep short.
+        self._maintenance: Optional[threading.Thread] = None
+        self._wake = threading.Event()
         self._started = False
         #: Requests admitted to be served on their submitting thread
         #: and not yet settled; ``close`` waits for zero (under ``_cv``).
@@ -436,7 +440,8 @@ class RuntimeServer:
     # Lifecycle
     # ------------------------------------------------------------------
     def start(self) -> "RuntimeServer":
-        """Spawn the worker pool (idempotent)."""
+        """Spawn the worker pool, and the maintenance thread when the
+        server has a background loop (idempotent)."""
         if self._closed:
             raise CypressError("RuntimeServer is closed")
         if self._started:
@@ -450,16 +455,43 @@ class RuntimeServer:
             )
             thread.start()
             self._threads.append(thread)
-        for loop in self._loops():
-            loop.start()
+        owned = (self.speculator, self.specializer, self.slo_monitor)
+        loops = [loop for loop in owned if loop is not None]
+        if loops:
+            self._maintenance = threading.Thread(
+                target=self._maintain,
+                args=(loops,),
+                name="repro-maintenance",
+                daemon=True,
+            )
+            self._maintenance.start()
         if self.diag is not None:
             self.diag.start()
         return self
 
-    def _loops(self) -> List[Any]:
-        """The background loops this server owns and runs."""
-        owned = (self.speculator, self.specializer, self.slo_monitor)
-        return [loop for loop in owned if loop is not None]
+    def _maintain(
+        self, loops: List[Any], clock=time.perf_counter, wait=None
+    ) -> None:
+        """The maintenance thread, until :meth:`close`: each loop's
+        ``run_once`` runs once its ``interval_s`` has passed since its
+        previous cycle ended (an ``idle_only`` loop skips it while
+        requests are queued), and the thread sleeps until the earliest
+        loop is due. A cycle that raises is counted in that loop's
+        ``errors`` and the next one retries. ``clock`` and ``wait`` let
+        a test drive the schedule without sleeping."""
+        wait = wait or self._wake.wait
+        due = [clock() + loop.interval_s for loop in loops]
+        while not self._closed:
+            for index, loop in enumerate(loops):
+                if self._closed or clock() < due[index]:
+                    continue
+                try:
+                    if not loop.idle_only or self.queue_depth == 0:
+                        loop.run_once()
+                except Exception:
+                    loop.errors += 1
+                due[index] = clock() + loop.interval_s
+            wait(max(0.0, min(due) - clock()))
 
     def close(self, drain: bool = True) -> None:
         """Stop the server.
@@ -474,14 +506,15 @@ class RuntimeServer:
         "server closed" (``_stopping`` is set under the queue lock).
         A request being served on its submitting thread is finished, not
         cancelled: ``close`` returns only once it has settled.
-        Stops the speculator and specializer threads (an in-flight
+        Stops and joins the maintenance thread first (an in-flight
         promotion is abandoned cleanly).
         """
         if self._closed:
             return
         self._closed = True
-        for loop in self._loops():
-            loop.stop()
+        self._wake.set()
+        if self._maintenance is not None:
+            self._maintenance.join()
         # self.diag deliberately keeps serving (every endpoint answers
         # 503 once _closed is set) until diag.stop().
         abandoned: List[_QueuedRequest] = []
@@ -707,19 +740,6 @@ class RuntimeServer:
                     },
                     start_s=now,
                 )
-        shapes = None
-        if self.specializer is not None:
-            # The per-exact-shape demand signal the specializer polls.
-            # Graph-prepared slots skipped submit()'s guard; derive
-            # their exact bucket here.
-            shapes = []
-            for request in requests:
-                exact = request.exact_bucket
-                if exact is None:
-                    exact = request.kernel.exact_bucket(request.shape)
-                    request.exact_bucket = exact
-                shapes.append((request.kernel.name, exact))
-        pairs = []
         shed: List[_QueuedRequest] = []
         max_queue = self.resilience.max_queue
         with self._cv:
@@ -749,7 +769,6 @@ class RuntimeServer:
             for request in requests:
                 request.sort_key = (request.sort_key[0], next(self._seq))
                 request.submitted_at = now
-                pairs.append(request.batch_key)
                 if not inline:
                     heapq.heappush(self._queue, request)
             if not inline:
@@ -767,7 +786,15 @@ class RuntimeServer:
             for victim in shed:
                 self._settle(victim, error=error, counter="shed_requests")
         self.telemetry.count("requests", len(requests))
-        self.telemetry.record_bucket_traffic(pairs, shapes)
+        if self.speculator is not None:
+            self.speculator.record_traffic(r.batch_key for r in requests)
+        if self.specializer is not None:
+            # Graph-prepared slots skipped submit()'s guard.
+            self.specializer.record_traffic(
+                (request.kernel.name, request.exact_bucket
+                 or request.kernel.exact_bucket(request.shape))
+                for request in requests
+            )
         return inline
 
     def _unqueue(self, requests: List[_QueuedRequest]) -> None:

@@ -5,10 +5,10 @@ hot exact shape pays padding waste on every single request. The
 :class:`ShapeSpecializer` closes that gap with the tiering loop of
 PyPy-style tracing JITs applied to shapes:
 
-1. **Count** — every ``submit`` records its *pre-rounding* shape in the
-   telemetry collector's per-``(kernel, exact shape)`` hit counts
-   (:meth:`~repro.runtime.telemetry.Telemetry.shape_traffic`), decayed
-   periodically so the signal tracks *current* traffic.
+1. **Count** — every admitted request records its *pre-rounding*
+   shape in the specializer's own per-``(kernel, exact shape)`` hit
+   counts (:meth:`ShapeSpecializer.traffic`), decayed periodically so
+   the signal tracks *current* traffic.
 2. **Promote** — shapes whose (decayed) hit count crosses
    ``hot_threshold`` are background-compiled at a **tile-aligned
    near-exact shape** through the server's own kernel fetch while the
@@ -40,7 +40,8 @@ to divide evenly.
 
 Promotion failures are counted (``specialize_errors``), the shape is
 quarantined from re-promotion for ``quarantine_cycles`` cycles, and the
-generic bucket keeps serving — the background thread never raises.
+generic bucket keeps serving — a cycle never raises. The server's
+maintenance thread runs the cycles, only while its queue is empty.
 Effectiveness lands in :class:`~repro.runtime.telemetry.RuntimeStats`:
 ``promotions``, ``deopts``, ``specialized_hits``, and
 ``padded_flops_saved`` (the FLOP gap between each hit's generic bucket
@@ -52,11 +53,10 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Dict, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Iterable, Optional, Set, Tuple
 
 import numpy as np
 
-from repro.background import BackgroundLoop
 from repro.runtime.bucketing import Bucket
 from repro.runtime.registry import RegisteredKernel
 
@@ -158,25 +158,31 @@ def fit_inputs(
     return fitted
 
 
-class ShapeSpecializer(BackgroundLoop):
+class ShapeSpecializer:
     """The promote/deoptimize state machine owned by a ``RuntimeServer``.
 
-    The server constructs one when built with ``specialize=`` truthy,
-    starts it alongside the worker pool, and stops it on ``close()``
+    The server constructs one when built with ``specialize=`` truthy
+    and its maintenance thread runs :meth:`run_once` every
+    ``interval_s`` while the request queue is empty, until ``close()``
     (an in-flight promotion is abandoned: the compiled kernel stays in
     the cache, but no guard is installed). Tests drive it
     synchronously with :meth:`run_once` for determinism.
     """
 
-    thread_name = "repro-specializer"
+    #: Cycles run only while the request queue is empty.
+    idle_only = True
 
     def __init__(
         self,
         server: "RuntimeServer",
         config: Optional[SpecializerConfig] = None,
     ) -> None:
+        self.server = server
         self.config = config or SpecializerConfig()
-        super().__init__(server, self.config.interval_s)
+        self.interval_s = self.config.interval_s
+        self.errors = 0
+        #: (kernel, exact Bucket) -> decayed count of admitted requests.
+        self._traffic: Dict[Tuple[str, Bucket], float] = {}
         #: (kernel, exact Bucket) -> installed Specialization. Read
         #: lock-free on the dispatch hot path (atomic dict get);
         #: mutated only by the specializer cycle under ``_lock``.
@@ -206,6 +212,32 @@ class ShapeSpecializer(BackgroundLoop):
             return dict(self._active)
 
     # ------------------------------------------------------------------
+    # The demand signal
+    # ------------------------------------------------------------------
+    def record_traffic(self, shapes: Iterable[Tuple[str, Bucket]]) -> None:
+        """Count one admitted request per ``(kernel, exact shape)``."""
+        with self._lock:
+            traffic = self._traffic
+            for key in shapes:
+                traffic[key] = traffic.get(key, 0.0) + 1.0
+
+    def traffic(self) -> Dict[Tuple[str, Bucket], float]:
+        """A snapshot of the decayed per-``(kernel, exact shape)`` counts."""
+        with self._lock:
+            return dict(self._traffic)
+
+    def decay(self, factor: float) -> None:
+        """Multiply every per-shape count by ``factor`` (0..1) and drop
+        those under 0.5, so a shape that stops being requested goes
+        cold instead of staying hot forever."""
+        with self._lock:
+            self._traffic = {
+                key: count * factor
+                for key, count in self._traffic.items()
+                if count * factor >= 0.5
+            }
+
+    # ------------------------------------------------------------------
     # One specialization cycle
     # ------------------------------------------------------------------
     def run_once(self) -> int:
@@ -216,7 +248,7 @@ class ShapeSpecializer(BackgroundLoop):
         hottest unpromoted shapes (up to ``max_promotions_per_cycle``),
         yielding early when real traffic arrives or the server starts
         shutting down. Exceptions are counted in ``errors`` and never
-        propagate — the loop is driven identically by the background
+        propagate — the loop is driven identically by the maintenance
         thread and by tests.
 
         Returns:
@@ -236,8 +268,8 @@ class ShapeSpecializer(BackgroundLoop):
             self._cycle += 1
             cycle = self._cycle
         if cycle % config.decay_every_cycles == 0:
-            server.telemetry.decay_shape_traffic(config.decay)
-        traffic = server.telemetry.shape_traffic()
+            self.decay(config.decay)
+        traffic = self.traffic()
         for key, spec in list(self._active.items()):
             if traffic.get(key, 0.0) < COLD_THRESHOLD:
                 self._deopt(key, spec, reason="cold")
@@ -261,7 +293,7 @@ class ShapeSpecializer(BackgroundLoop):
             registered = server.registry.get(name)
             if registered.specialize_align is None:
                 continue
-            if self._stop.is_set() or server.queue_depth > 0:
+            if server.closed or server.queue_depth > 0:
                 return promoted
             promoted += self._promote(registered, exact, count, traffic)
         return promoted
@@ -337,7 +369,7 @@ class ShapeSpecializer(BackgroundLoop):
                     },
                 )
             return 0
-        if self._stop.is_set():
+        if server.closed:
             # close() raced the compile: abandon the install cleanly —
             # the kernel stays cached, but no guard goes live.
             return 0
@@ -380,8 +412,8 @@ class ShapeSpecializer(BackgroundLoop):
         """
         with self._lock:
             self._active.pop(key, None)
+            self._traffic.pop(key, None)
         self.server._forget(spec.kernel, spec.serving)
-        self.server.telemetry.drop_shape_traffic(key)
         self.server.telemetry.count("deopts")
         tracer = self.server.tracer
         if tracer.enabled:

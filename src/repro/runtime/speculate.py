@@ -1,9 +1,9 @@
 """Continuous speculative compilation behind the serving runtime.
 
-A :class:`Speculator` is a background thread owned by a
-:class:`~repro.runtime.server.RuntimeServer`. It watches the server's
-per-``(kernel, bucket)`` traffic (recorded by the telemetry collector
-at submit time), guesses which buckets shifting traffic will need next
+A :class:`Speculator` is a background loop run on the maintenance
+thread of a :class:`~repro.runtime.server.RuntimeServer`. It counts the
+server's admitted requests per ``(kernel, bucket)`` in its own table,
+guesses which buckets shifting traffic will need next
 — the observed buckets themselves plus their :meth:`~repro.runtime.
 bucketing.BucketPolicy.neighbors` one ladder rung above and below —
 and precompiles them through the server's own kernel fetch while the
@@ -36,9 +36,8 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Set, Tuple
 
-from repro.background import BackgroundLoop
 from repro.compiler.cache import TIER_COMPILE, compile_cache
 from repro.errors import CypressError
 from repro.runtime.bucketing import Bucket
@@ -66,24 +65,30 @@ class SpeculatorConfig:
     neighbors: bool = True
 
 
-class Speculator(BackgroundLoop):
-    """The background compile thread owned by a ``RuntimeServer``.
+class Speculator:
+    """The background compile loop owned by a ``RuntimeServer``.
 
-    The server constructs one when built with ``speculate=`` truthy,
-    starts it alongside the worker pool, and stops it on ``close()``.
-    Tests drive it synchronously with :meth:`run_once` instead of
-    waiting on the thread.
+    The server constructs one when built with ``speculate=`` truthy and
+    its maintenance thread runs :meth:`run_once` every ``interval_s``
+    while the request queue is empty, until ``close()``. Tests drive
+    it synchronously with :meth:`run_once` instead of waiting on the
+    thread.
     """
 
-    thread_name = "repro-speculator"
+    #: Cycles run only while the request queue is empty.
+    idle_only = True
 
     def __init__(
         self,
         server: "RuntimeServer",
         config: Optional[SpeculatorConfig] = None,
     ) -> None:
+        self.server = server
         self.config = config or SpeculatorConfig()
-        super().__init__(server, self.config.interval_s)
+        self.interval_s = self.config.interval_s
+        self.errors = 0
+        #: Admitted requests per (kernel, bucket), hottest first next cycle.
+        self._traffic: Dict[Tuple[str, Bucket], int] = {}
         # Compile keys already fetched (success or failure): a
         # mapping the compiler rejects must not be retried every cycle.
         self._attempted: Set[str] = set()
@@ -118,7 +123,8 @@ class Speculator(BackgroundLoop):
     def _run_cycle(self) -> int:
         """One cycle's actual work (see :meth:`run_once`)."""
         server = self.server
-        traffic = server.telemetry.bucket_traffic()
+        with self._lock:
+            traffic = dict(self._traffic)
         compiled = 0
         hottest = sorted(traffic.items(), key=lambda kv: (-kv[1], kv[0][0]))
         for (name, bucket), _count in hottest:
@@ -134,12 +140,19 @@ class Speculator(BackgroundLoop):
             if self.config.neighbors:
                 candidates.extend(registered.policy.neighbors(bucket))
             for candidate in candidates:
-                if self._stop.is_set() or server.queue_depth > 0:
+                if server.closed or server.queue_depth > 0:
                     return compiled
                 if compiled >= self.config.max_compiles_per_cycle:
                     return compiled
                 compiled += self._speculate_bucket(registered, candidate)
         return compiled
+
+    def record_traffic(self, pairs: Iterable[Tuple[str, Bucket]]) -> None:
+        """Count one admitted request per ``(kernel, bucket)`` pair."""
+        with self._lock:
+            traffic = self._traffic
+            for pair in pairs:
+                traffic[pair] = traffic.get(pair, 0) + 1
 
     def note_request(self, kernel: str, bucket: Bucket) -> None:
         """Mark real traffic on a bucket; counts a speculation hit the

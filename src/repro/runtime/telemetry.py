@@ -369,8 +369,6 @@ class Telemetry:
         self._tiers: Dict[str, int] = {tier: 0 for tier in TIERS}
         self._kernels: Dict[str, _KernelWindow] = {}
         self._graph_makespans: deque = deque(maxlen=WINDOW)
-        self._bucket_traffic: Dict[tuple, int] = {}
-        self._shape_traffic: Dict[tuple, float] = {}
 
     @property
     def completed_count(self) -> int:
@@ -387,65 +385,6 @@ class Telemetry:
         """
         with self._lock:
             self._counts[field] += amount
-
-    def record_bucket_traffic(
-        self,
-        pairs: Sequence[tuple],
-        shapes: Optional[Sequence[tuple]] = None,
-    ) -> None:
-        """Count one request per ``(kernel, bucket)`` pair in ``pairs``.
-
-        This is the per-bucket demand signal the speculator polls via
-        :meth:`bucket_traffic` to decide which neighbor buckets are
-        worth precompiling. ``shapes`` optionally carries the matching
-        *pre-rounding* ``(kernel, exact shape)`` pairs — the per-shape
-        hit counts the :class:`~repro.runtime.specialize.
-        ShapeSpecializer` polls via :meth:`shape_traffic` to decide
-        which exact shapes are hot enough to promote.
-        """
-        with self._lock:
-            traffic = self._bucket_traffic
-            for pair in pairs:
-                traffic[pair] = traffic.get(pair, 0) + 1
-            if shapes:
-                hits = self._shape_traffic
-                for pair in shapes:
-                    hits[pair] = hits.get(pair, 0.0) + 1.0
-
-    def bucket_traffic(self) -> Dict[tuple, int]:
-        """A snapshot of request counts per ``(kernel, bucket)``."""
-        with self._lock:
-            return dict(self._bucket_traffic)
-
-    def shape_traffic(self) -> Dict[tuple, float]:
-        """A snapshot of (decayed) request counts per ``(kernel,
-        exact shape)`` — the specializer's promotion signal."""
-        with self._lock:
-            return dict(self._shape_traffic)
-
-    def decay_shape_traffic(
-        self, factor: float, drop_below: float = 0.5
-    ) -> None:
-        """Multiply every per-shape hit count by ``factor`` (0..1),
-        dropping entries that decay below ``drop_below``.
-
-        Periodic decay is what lets the specializer react to traffic
-        *shifts*: a shape that stops being requested loses its count
-        exponentially and falls under the deoptimization threshold
-        instead of staying hot forever.
-        """
-        with self._lock:
-            self._shape_traffic = {
-                key: count * factor
-                for key, count in self._shape_traffic.items()
-                if count * factor >= drop_below
-            }
-
-    def drop_shape_traffic(self, key: tuple) -> None:
-        """Forget one shape's hit count (deoptimization resets it so
-        the shape must re-earn promotion)."""
-        with self._lock:
-            self._shape_traffic.pop(key, None)
 
     def record_batch(self, size: int) -> None:
         """Count one micro-batch of ``size`` requests."""

@@ -1,5 +1,7 @@
 """Shared fixtures for the test suite."""
 
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -20,6 +22,16 @@ def hopper():
 @pytest.fixture(scope="session")
 def ampere():
     return ampere_machine()
+
+
+@pytest.fixture()
+def new_threads():
+    """A function naming, sorted, the live threads the test started."""
+    before = set(threading.enumerate())
+    return lambda: sorted(
+        thread.name for thread in threading.enumerate()
+        if thread not in before
+    )
 
 
 @pytest.fixture()

@@ -15,12 +15,15 @@ invariants so documentation cannot silently regress:
 3. every serving counter in ``repro.runtime.telemetry.COUNTERS`` is
    documented: its field in the ``RuntimeStats`` table of
    ``docs/serving.md``, its metric family in an ops-facing guide;
-4. every ``repro_*`` metric family and ``/...z`` diagnostics endpoint
-   that ``README.md`` or a ``docs/`` guide names exists: the family in
+4. every ``repro_*`` metric family, ``/...z`` diagnostics endpoint and
+   backticked dotted ``repro.…`` name that ``README.md`` or a ``docs/``
+   guide names exists: the family in
    ``tests/golden_serving_surface.json``, the path in
-   ``repro.obs.ops.ENDPOINTS``.
+   ``repro.obs.ops.ENDPOINTS``, the name as a module or an attribute
+   of one.
 """
 
+import importlib
 import inspect
 import json
 import re
@@ -194,17 +197,50 @@ class TestCounterDocs:
 _FAMILY = re.compile(r"repro_[a-z0-9_]+")
 _ENDPOINT = re.compile(r"(?<![\w.])/[a-z]+z\b")
 
+#: A code span that is exactly a dotted name under ``repro``.
+_DOTTED = re.compile(r"`(repro(?:\.\w+)+)`")
+
+
+def _guides():
+    return [REPO_ROOT / "README.md"] + sorted((REPO_ROOT / "docs").glob("*.md"))
+
+
+def _resolves(dotted: str) -> bool:
+    """Whether ``dotted`` names a module, or an attribute path below the
+    longest prefix of it that imports."""
+    parts = dotted.split(".")
+    for cut in range(len(parts), 0, -1):
+        try:
+            target = importlib.import_module(".".join(parts[:cut]))
+        except ModuleNotFoundError:
+            continue
+        for attribute in parts[cut:]:
+            if not hasattr(target, attribute):
+                return False
+            target = getattr(target, attribute)
+        return True
+    return False
+
 
 class TestDocsNameLiveSurface:
+    def test_named_modules_and_attributes_exist(self):
+        named = [
+            (path.name, name)
+            for path in _guides()
+            for name in _DOTTED.findall(path.read_text())
+        ]
+        assert named, "no guide names a dotted repro name"
+        stale = [f"{guide}: {name}" for guide, name in named
+                 if not _resolves(name)]
+        assert not stale, f"docs name modules that do not exist: {stale}"
+
     def test_named_families_and_endpoints_exist(self):
         golden = json.loads(
             (REPO_ROOT / "tests" / "golden_serving_surface.json").read_text()
         )
         families = {family[0] for family in golden["metric_families"]}
-        guides = [REPO_ROOT / "README.md"]
-        guides += sorted((REPO_ROOT / "docs").glob("*.md"))
         stale = []
-        for path in guides:
+        for path in _guides():
             text = path.read_text()
             stale += [
                 f"{path.name}: {name}"

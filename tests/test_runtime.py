@@ -8,7 +8,9 @@ after a simulated restart a disk-tier hit that executes zero passes.
 """
 
 import os
+import sys
 import threading
+import time
 from concurrent.futures import CancelledError
 
 import numpy as np
@@ -32,6 +34,7 @@ from repro.runtime import (
     faults,
 )
 from repro.tuner import MappingSearchSpace
+from test_copy_elim_golden import default_buckets
 
 SMALL = dict(tile_m=128, tile_n=256, tile_k=64)
 
@@ -200,6 +203,15 @@ class TestRegistry:
             "gemm",
             "gemm_reduction",
         ]
+
+    def test_registered_flops_match_the_build(self, hopper):
+        reg = default_registry()
+        for family, shape in default_buckets():
+            registered = reg.get(family)
+            build = registered.build(hopper, registered.bucket(shape))
+            assert registered.flops(shape) == build.total_flops, (
+                family, shape,
+            )
 
     def test_duplicate_name_rejected(self, registry):
         with pytest.raises(CypressError, match="already registered"):
@@ -924,6 +936,168 @@ class TestGraphShutdown:
         server.close()  # drain=True serves everything queued
         result = execution.result(timeout=120)
         assert len(result.results) == len(graph)
+
+
+class _Clock:
+    """The maintenance schedule's clock and sleep: ``wait`` advances
+    time instead of sleeping, and closes ``server`` after ``waits``."""
+
+    def __init__(self):
+        self.now = 0.0
+        self.server = None
+        self.waits = 0
+
+    def __call__(self):
+        return self.now
+
+    def wait(self, timeout):
+        self.now += timeout
+        self.waits -= 1
+        if self.waits == 0:
+            self.server.close(drain=False)
+
+
+class _StubLoop:
+    """A background loop whose every cycle takes ``run_s`` on the
+    test's clock and records its ``(start, end)``."""
+
+    def __init__(self, clock, interval_s, run_s, idle_only=True, fail=False):
+        self.clock = clock
+        self.interval_s = interval_s
+        self.run_s = run_s
+        self.idle_only = idle_only
+        self.fail = fail
+        self.errors = 0
+        self.cycles = []
+
+    def run_once(self):
+        start = self.clock.now
+        self.clock.now += self.run_s
+        self.cycles.append((start, self.clock.now))
+        if self.fail:
+            raise CypressError("induced cycle failure")
+        return 0
+
+
+def _maintain(server, *loops, waits=40):
+    """Drive the maintenance thread's body on ``loops`` until ``waits``
+    sleeps have passed; no real time elapses."""
+    clock = loops[0].clock
+    clock.server, clock.waits = server, waits
+    server._maintain(list(loops), clock=clock, wait=clock.wait)
+
+
+class TestMaintenance:
+    """One thread runs the speculator, specializer and SLO monitor."""
+
+    def test_period_runs_from_the_end_of_the_previous_cycle(
+        self, hopper, registry
+    ):
+        server = RuntimeServer(hopper, registry, workers=1, start=False)
+        clock = _Clock()
+        # Each cycle outlasts its period: counting the period from a
+        # cycle's start would start the next one as soon as it ends.
+        fast = _StubLoop(clock, interval_s=0.25, run_s=0.5)
+        slow = _StubLoop(clock, interval_s=1.0, run_s=1.5, idle_only=False)
+        _maintain(server, fast, slow)
+        for loop in (fast, slow):
+            assert len(loop.cycles) >= 3
+            assert loop.cycles[0][0] >= loop.interval_s
+            for (_, ended), (started, _) in zip(
+                loop.cycles, loop.cycles[1:]
+            ):
+                assert started >= ended + loop.interval_s
+
+    def test_idle_only_loops_skip_while_requests_are_queued(
+        self, hopper, registry
+    ):
+        server = RuntimeServer(hopper, registry, workers=1, start=False)
+        server.submit("gemm", dict(m=128, n=256, k=64))
+        assert server.queue_depth == 1
+        clock = _Clock()
+        idle = _StubLoop(clock, interval_s=0.25, run_s=0.5)
+        monitor = _StubLoop(clock, interval_s=0.25, run_s=0.5, idle_only=False)
+        _maintain(server, idle, monitor)
+        assert idle.cycles == []
+        assert len(monitor.cycles) >= 3
+
+    def test_a_failing_cycle_is_counted_and_the_others_run(
+        self, hopper, registry
+    ):
+        server = RuntimeServer(hopper, registry, workers=1, start=False)
+        clock = _Clock()
+        failing = _StubLoop(clock, interval_s=0.25, run_s=0.5, fail=True)
+        healthy = _StubLoop(clock, interval_s=0.25, run_s=0.5)
+        _maintain(server, failing, healthy)
+        assert len(failing.cycles) >= 3
+        assert failing.errors == len(failing.cycles)
+        assert len(healthy.cycles) >= 3
+        assert healthy.errors == 0
+
+    def test_one_thread_runs_every_loop(self, hopper, registry, new_threads):
+        from repro.obs import DiagConfig, Slo
+
+        server = RuntimeServer(
+            hopper,
+            registry,
+            workers=1,
+            speculate=True,
+            specialize=True,
+            diag=DiagConfig(slos=(Slo("availability"),), slo_tick_s=0.01),
+        )
+        try:
+            assert new_threads() == [
+                "repro-diag", "repro-maintenance", "repro-runtime-0",
+            ]
+            # The thread really ticks the monitor: its ring fills.
+            ring = server.slo_monitor._rings["availability"]
+            deadline = time.monotonic() + 30
+            while len(ring) < 2 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert len(ring) >= 2
+        finally:
+            server.close()
+            server.diag.stop()
+        assert new_threads() == []
+
+    def test_demand_counts_every_admitted_request(self, hopper, registry):
+        from repro.runtime import SpecializerConfig, SpeculatorConfig
+
+        server = RuntimeServer(
+            hopper,
+            registry,
+            workers=1,
+            start=False,
+            speculate=SpeculatorConfig(interval_s=60.0),
+            specialize=SpecializerConfig(interval_s=60.0),
+        )
+        shapes = [dict(m=100, n=256, k=64), dict(m=200, n=256, k=64)]
+
+        def submit_many():
+            for index in range(100):
+                server.submit("gemm", shapes[index % 2])
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=submit_many) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(switch)
+        # A lost update under contention would drop a count.
+        assert sum(server.speculator._traffic.values()) == 400
+        assert sorted(server.specializer.traffic().values()) == [200, 200]
+        server.close(drain=False)
+
+    def test_a_server_without_loops_has_no_maintenance_thread(
+        self, hopper, registry, new_threads
+    ):
+        with RuntimeServer(hopper, registry, workers=1):
+            assert new_threads() == ["repro-runtime-0"]
 
 
 class TestTelemetry:

@@ -2,8 +2,8 @@
 
 The specializer is driven synchronously through ``run_once()`` so
 nothing depends on thread timing: traffic is recorded (or injected
-straight into the telemetry collector — the same signal ``submit``
-feeds), a cycle promotes hot shapes to tile-aligned kernels, and the
+straight into the specializer's demand table — the same signal
+admission feeds), a cycle promotes hot shapes to tile-aligned kernels, and the
 dispatch guard serves them until decay or a budget fight deoptimizes
 them back to the generic bucket.
 
@@ -14,7 +14,7 @@ The invariants the hypothesis schedules check are the contract:
 - a deoptimization mid-flight never fails an already-enqueued future;
 - promotion is idempotent and the per-kernel budget is never exceeded;
 - ``promotions - deopts`` always equals the installed-guard count;
-- the background loop never raises (failures are counted and the
+- a specialization cycle never raises (failures are counted and the
   failing shape is quarantined while the generic bucket keeps serving).
 """
 
@@ -91,7 +91,7 @@ def registry():
 
 def _config(**overrides):
     base = dict(
-        interval_s=60.0,  # dormant thread; tests drive run_once()
+        interval_s=60.0,  # dormant loop; tests drive run_once()
         hot_threshold=4,
         max_per_kernel=4,
         max_promotions_per_cycle=4,
@@ -111,9 +111,9 @@ def _heat(server, m, count, **kwargs):
 
 def _inject(server, m, count, kernel="gemm"):
     """Record exact-shape traffic without serving requests — the same
-    collector ``submit`` feeds, so cycles see identical signal."""
+    table admission feeds, so cycles see identical signal."""
     exact = server.registry.get(kernel).exact_bucket(_shape(m))
-    server.telemetry.record_bucket_traffic((), shapes=[(kernel, exact)] * count)
+    server.specializer.record_traffic([(kernel, exact)] * count)
     return exact
 
 
@@ -125,33 +125,41 @@ class TestLifecycle:
             assert result.bucket.as_dict()["m"] == GENERIC_M
             assert server.stats().promotions == 0
 
-    def test_true_starts_thread_and_close_stops(self, hopper, registry):
+    def test_true_starts_thread_and_close_stops(
+        self, hopper, registry, new_threads
+    ):
         server = RuntimeServer(hopper, registry, workers=1, specialize=True)
         assert isinstance(server.specializer, ShapeSpecializer)
-        assert server.specializer.running
+        assert new_threads().count("repro-maintenance") == 1
         server.close()
-        assert not server.specializer.running
+        assert "repro-maintenance" not in new_threads()
 
-    def test_config_object_passes_through(self, hopper, registry):
+    def test_config_object_passes_through(
+        self, hopper, registry, new_threads
+    ):
         config = _config(hot_threshold=2)
         with RuntimeServer(
             hopper, registry, workers=1, start=False, specialize=config
         ) as server:
             assert server.specializer.config is config
-            assert not server.specializer.running
+            assert "repro-maintenance" not in new_threads()
 
-    def test_close_without_start_is_clean(self, hopper, registry):
+    def test_close_without_start_is_clean(
+        self, hopper, registry, new_threads
+    ):
         server = RuntimeServer(
             hopper, registry, workers=1, start=False, specialize=True
         )
         server.close(drain=False)
-        assert not server.specializer.running
+        assert "repro-maintenance" not in new_threads()
 
-    def test_close_drain_false_stops_specializer(self, hopper, registry):
+    def test_close_drain_false_stops_specializer(
+        self, hopper, registry, new_threads
+    ):
         server = RuntimeServer(hopper, registry, workers=1, specialize=True)
-        assert server.specializer.running
+        assert new_threads().count("repro-maintenance") == 1
         server.close(drain=False)
-        assert not server.specializer.running
+        assert "repro-maintenance" not in new_threads()
 
 
 class TestPromotion:
@@ -225,9 +233,7 @@ class TestPromotion:
             hopper, registry, workers=1, start=False, specialize=_config()
         ) as server:
             ghost = Bucket((("m", HOT_M), ("n", 256), ("k", 64)))
-            server.telemetry.record_bucket_traffic(
-                (), shapes=[("ghost", ghost)] * 10
-            )
+            server.specializer.record_traffic([("ghost", ghost)] * 10)
             assert server.specializer.run_once() == 0
             assert server.specializer.errors == 0
 
@@ -338,7 +344,7 @@ class TestDeoptimization:
             assert stats.deopts == 1
             assert stats.specializations_active == 0
             # The counter was reset: the shape must re-earn promotion.
-            assert server.telemetry.shape_traffic() == {}
+            assert server.specializer.traffic() == {}
 
     def test_deopt_falls_back_to_generic(self, hopper, registry):
         with RuntimeServer(
@@ -348,7 +354,7 @@ class TestDeoptimization:
             assert server.specializer.run_once() == 1
             hit = server.submit("gemm", _shape(HOT_M)).result(timeout=120)
             assert hit.bucket.as_dict()["m"] == ALIGNED_M
-            server.telemetry.decay_shape_traffic(0.0)
+            server.specializer.decay(0.0)
             server.specializer.run_once()
             fallback = server.submit("gemm", _shape(HOT_M)).result(
                 timeout=120
@@ -365,7 +371,7 @@ class TestDeoptimization:
             # the specialization out from under it.
             future = server.submit("gemm", _shape(HOT_M))
             assert server.stats().specialized_hits == 1
-            server.telemetry.decay_shape_traffic(0.0)
+            server.specializer.decay(0.0)
             server.specializer.run_once()
             assert server.specializer.active == {}
             server.start()
@@ -453,9 +459,9 @@ class TestFaultInjection:
             hopper, registry, workers=1, start=False, specialize=_config()
         ) as server:
             def boom():
-                raise CypressError("induced telemetry failure")
+                raise CypressError("induced demand-table failure")
 
-            monkeypatch.setattr(server.telemetry, "shape_traffic", boom)
+            monkeypatch.setattr(server.specializer, "traffic", boom)
             assert server.specializer.run_once() == 0
             assert server.specializer.errors == 1
 
@@ -469,7 +475,7 @@ class TestFaultInjection:
             real = server._fetch
 
             def stopping_fetch(build, guard=None):
-                server.specializer.stop()  # close() racing the compile
+                server.close()  # close() racing the compile
                 fetched = real(build, guard)
                 compiles.append(fetched[1])
                 return fetched
@@ -529,7 +535,7 @@ def test_randomized_promote_deopt_schedules(hopper, ops):
             elif op == "cycle":
                 server.specializer.run_once()
             else:
-                server.telemetry.decay_shape_traffic(0.0)
+                server.specializer.decay(0.0)
                 server.specializer.run_once()
             _check_invariants(server, max_per_kernel=1)
 
@@ -572,7 +578,7 @@ def test_concurrent_submits_during_cycles(hopper, seed, decays):
         while any(thread.is_alive() for thread in threads):
             for decay in schedule:
                 if decay:
-                    server.telemetry.decay_shape_traffic(0.0)
+                    server.specializer.decay(0.0)
                 server.specializer.run_once()
                 time.sleep(0.002)
         for thread in threads:

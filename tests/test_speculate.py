@@ -49,7 +49,7 @@ def registry():
 
 def _config(**overrides):
     base = dict(
-        interval_s=60.0,  # dormant thread; tests drive run_once()
+        interval_s=60.0,  # dormant loop; tests drive run_once()
         max_compiles_per_cycle=32,
         neighbors=True,
     )
@@ -191,22 +191,26 @@ class TestSpeculator:
             assert server.queue_depth == 1
             assert server.speculator.run_once() == 0
 
-    def test_thread_lifecycle_follows_server(self, hopper, registry):
+    def test_thread_lifecycle_follows_server(
+        self, hopper, registry, new_threads
+    ):
         server = RuntimeServer(
             hopper, registry, workers=1, speculate=True
         )
         assert isinstance(server.speculator, Speculator)
-        assert server.speculator.running
+        assert new_threads().count("repro-maintenance") == 1
         server.close()
-        assert not server.speculator.running
+        assert "repro-maintenance" not in new_threads()
 
-    def test_close_without_start_stops_cleanly(self, hopper, registry):
+    def test_close_without_start_stops_cleanly(
+        self, hopper, registry, new_threads
+    ):
         server = RuntimeServer(
             hopper, registry, workers=1, start=False, speculate=True
         )
-        assert not server.speculator.running
+        assert "repro-maintenance" not in new_threads()
         server.close(drain=False)
-        assert not server.speculator.running
+        assert "repro-maintenance" not in new_threads()
 
     def test_speculation_disabled_by_default(self, hopper, registry):
         with RuntimeServer(hopper, registry, workers=1) as server:
@@ -267,8 +271,8 @@ class TestSharedFetch:
         with RuntimeServer(
             hopper, registry, workers=1, start=False, speculate=_config()
         ) as server:
-            server.telemetry.record_bucket_traffic(
-                [("gemm", Bucket((("m", 128), ("n", 256), ("k", 64))))], None
+            server.speculator.record_traffic(
+                [("gemm", Bucket((("m", 128), ("n", 256), ("k", 64))))]
             )
             with faults.active(plan):
                 assert server.speculator.run_once() > 0
