@@ -58,9 +58,9 @@ def main(
     cache_dir = tempfile.mkdtemp(prefix="repro-serving-")
     print(f"persistent kernel cache: {cache_dir}")
 
-    # A dormant poll interval keeps the demo deterministic: we drive
-    # one specialization cycle explicitly where the server's maintenance
-    # thread would normally run it during idle time.
+    # Dormant poll intervals keep the demo deterministic: we drive one
+    # specialization cycle and one SLO evaluation explicitly where the
+    # server's maintenance thread would normally run them.
     from repro.runtime import SpecializerConfig
 
     diag_config = False
@@ -81,6 +81,7 @@ def main(
                     window_s=60.0,
                 ),
             ),
+            slo_tick_s=3600.0,
         )
 
     with api.serve(
@@ -173,6 +174,7 @@ def main(
 
             from repro.obs.ops import ENDPOINTS
 
+            server.slo_monitor.run_once()
             host, port = server.diag.address
             print(f"\n--- live ops plane (--diag) on {host}:{port} ---")
             for path in ENDPOINTS:

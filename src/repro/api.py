@@ -21,7 +21,7 @@ Typical use::
     out = api.run_functional(kernel, {"C": C, "A": A, "B": B})
     result = api.simulate(kernel, machine)
     print(result.summary())
-    print(kernel.pass_trace.summary())  # where compile time went
+    print(kernel.pass_trace.records)  # where compile time went, per pass
 
 Batch + tuning::
 
@@ -286,19 +286,6 @@ def simulate(kernel: CompiledKernel, machine: MachineModel) -> GpuResult:
         TFLOP/s, occupancy, waves, and per-resource utilization.
     """
     return simulate_kernel(kernel.schedule, machine)
-
-
-def tflops(kernel: CompiledKernel, machine: MachineModel) -> float:
-    """Convenience: simulated throughput in TFLOP/s.
-
-    Args:
-        kernel: the compiled kernel to time.
-        machine: the machine model to execute on.
-
-    Returns:
-        Simulated TFLOP/s of one launch.
-    """
-    return simulate(kernel, machine).tflops
 
 
 def clear_compile_cache() -> None:

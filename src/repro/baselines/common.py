@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from repro.gpusim.kernel import Instr, KernelSchedule, Segment
 from repro.machine.machine import MachineModel

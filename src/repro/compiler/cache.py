@@ -58,7 +58,7 @@ TIER_DISK = "disk"
 TIER_COMPILE = "compile"
 
 
-@dataclass(repr=False)
+@dataclass
 class CacheStats:
     """Counters since the last ``clear`` plus the current capacity.
 
@@ -74,27 +74,6 @@ class CacheStats:
     second_tier_hits: int = 0
     evictions: int = 0
     capacity: int = 0
-
-    @property
-    def lookups(self) -> int:
-        """Total lookups: hits + misses + second-tier hits."""
-        return self.hits + self.misses + self.second_tier_hits
-
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of lookups served without compiling (0.0–1.0)."""
-        served = self.hits + self.second_tier_hits
-        return served / self.lookups if self.lookups else 0.0
-
-    def __repr__(self) -> str:
-        from repro.util import fmt_percent
-
-        return (
-            f"CacheStats(hits={self.hits}, misses={self.misses}, "
-            f"second_tier_hits={self.second_tier_hits}, "
-            f"evictions={self.evictions}, capacity={self.capacity}, "
-            f"hit_rate={fmt_percent(self.hit_rate)})"
-        )
 
 
 def _capacity_from_env() -> int:
@@ -292,10 +271,6 @@ class ScoreStats:
     hits: int = 0
     misses: int = 0
 
-    @property
-    def lookups(self) -> int:
-        return self.hits + self.misses
-
 
 class ScoreCache:
     """Memoized cost-model verdicts, kept alongside the compile cache.
@@ -346,12 +321,6 @@ class ScoreCache:
             while len(self._entries) > self.capacity:
                 self._entries.popitem(last=False)
         return value
-
-    def clear(self) -> None:
-        """Drop every memoized verdict and reset the counters."""
-        with self._lock:
-            self._entries.clear()
-            self.stats = ScoreStats()
 
     def __len__(self) -> int:
         with self._lock:

@@ -113,25 +113,6 @@ class PassTrace:
     records: List[PassRecord] = field(default_factory=list)
     verified_after: List[str] = field(default_factory=list)
 
-    @property
-    def total_time_s(self) -> float:
-        return sum(record.wall_time_s for record in self.records)
-
-    def summary(self) -> str:
-        """A human-readable per-pass timing/size table."""
-        lines = [f"{'pass':<16} {'time (ms)':>10} {'ops':>12}"]
-        for record in self.records:
-            lines.append(
-                f"{record.name:<16} {1e3 * record.wall_time_s:>10.2f} "
-                f"{record.ops_before:>5} -> {record.ops_after}"
-            )
-        lines.append(
-            f"{'total':<16} {1e3 * self.total_time_s:>10.2f} "
-            f"(verify: {self.verify_policy.value}, "
-            f"{len(self.verified_after)} checks)"
-        )
-        return "\n".join(lines)
-
 
 # ----------------------------------------------------------------------
 # Pass registry

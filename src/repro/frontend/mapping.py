@@ -16,7 +16,7 @@ import hashlib
 import re
 import types
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Optional, Sequence, Tuple
+from typing import Any, Dict, Optional, Sequence, Tuple
 
 from repro.errors import MappingError
 from repro.frontend.task import TaskRegistry, TaskVariant

@@ -93,14 +93,3 @@ class TaskTrace:
     statements: List[Statement]
     local_tensors: List[LogicalTensor]
     tunables_used: Dict[str, Any]
-
-    def walk(self):
-        """Yield every statement, recursing into loop bodies."""
-
-        def _walk(stmts):
-            for stmt in stmts:
-                yield stmt
-                if isinstance(stmt, LoopStmt):
-                    yield from _walk(stmt.body)
-
-        yield from _walk(self.statements)

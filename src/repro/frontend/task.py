@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import contextlib
 import inspect
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import TraceError

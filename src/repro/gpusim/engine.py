@@ -10,7 +10,7 @@ contention and roofline corrections.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict
 
 from repro.errors import SimulationError

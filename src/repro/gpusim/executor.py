@@ -44,11 +44,6 @@ class CtaResult:
     stream_cycles: Dict[str, float]
     dynamic_instructions: int
 
-    def utilization(self, resource: str) -> float:
-        if self.cycles <= 0:
-            return 0.0
-        return min(1.0, self.busy.get(resource, 0.0) / self.cycles)
-
 
 @dataclass
 class _Item:

@@ -12,7 +12,7 @@ simulator.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.errors import SimulationError
 
@@ -130,9 +130,6 @@ class KernelSchedule:
     @property
     def threads_per_cta(self) -> int:
         return threads_per_cta(self.n_warpgroups, self.warpspecialized)
-
-    def instruction_count(self) -> int:
-        return sum(len(s.instrs) for s in self.segments)
 
     def dynamic_instruction_count(self) -> int:
         return sum(len(s.instrs) * s.extent for s in self.segments)

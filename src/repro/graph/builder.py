@@ -244,10 +244,6 @@ class GraphBuilder:
         self._fp_parts.append(("view", name, tuple(shape), of.name))
         return out
 
-    def tensors(self) -> Dict[str, GraphTensor]:
-        """All declared tensors (roots and views), keyed by name."""
-        return dict(self._tensors)
-
     # ------------------------------------------------------------------
     # Launch capture
     # ------------------------------------------------------------------

@@ -149,12 +149,6 @@ class GraphResult:
         report.update({uid: "skipped" for uid in self.skipped})
         return report
 
-    @property
-    def total_sim_s(self) -> float:
-        """Sum of per-node simulated execution times (the serial cost
-        the graph's parallelism amortizes)."""
-        return sum(r.gpu.seconds for r in self.results.values())
-
 
 @dataclass
 class GraphExecution:

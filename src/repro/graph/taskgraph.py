@@ -140,16 +140,6 @@ class GraphNode:
         if not self.label:
             self.label = f"{self.kernel}#{self.uid}"
 
-    @property
-    def reads(self) -> Dict[str, Access]:
-        """Accesses that read, keyed by parameter name."""
-        return {a.param: a for a in self.accesses if a.reads}
-
-    @property
-    def writes(self) -> Dict[str, Access]:
-        """Accesses that write, keyed by parameter name."""
-        return {a.param: a for a in self.accesses if a.writes}
-
 
 def infer_edges(nodes: Sequence[GraphNode]) -> List[GraphEdge]:
     """Infer RAW/WAR/WAW edges between launches from their accesses.
@@ -303,12 +293,6 @@ class TaskGraph:
             n.uid for n in self.nodes if not self._predecessors[n.uid]
         )
 
-    def sinks(self) -> Tuple[int, ...]:
-        """Nodes with no successors, in uid order."""
-        return tuple(
-            n.uid for n in self.nodes if not self._successors[n.uid]
-        )
-
     def __len__(self) -> int:
         return len(self.nodes)
 
@@ -371,8 +355,8 @@ class TaskGraph:
     def node_weights(self) -> Dict[int, float]:
         """Predicted cycles per node from the analytic cost model.
 
-        Infeasible or opaque estimates (``inf`` or non-positive cycles)
-        fall back to weight 1.0 so the critical path stays finite.
+        Infeasible estimates (``inf`` or non-positive cycles) fall back
+        to weight 1.0 so the critical path stays finite.
         """
         from repro.tuner.costmodel import AnalyticCostModel
 
@@ -408,10 +392,6 @@ class TaskGraph:
             path[uid] = weights[uid] + downstream
         self._cached_critical_path = dict(path)
         return path
-
-    def critical_path_length(self) -> float:
-        """Predicted cycles of the longest chain in the graph."""
-        return max(self.critical_path().values(), default=0.0)
 
     # ------------------------------------------------------------------
     def summary(self) -> str:

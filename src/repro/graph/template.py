@@ -93,11 +93,6 @@ class TemplateCacheStats:
         """Total lookups: hits + misses."""
         return self.hits + self.misses
 
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of lookups that replayed a template."""
-        return self.hits / self.lookups if self.lookups else 0.0
-
 
 class GraphTemplateCache:
     """A bounded, thread-safe LRU of :class:`GraphTemplate` values, and

@@ -112,11 +112,6 @@ class EventUse:
         self.indices: Tuple[EventIndex, ...] = tuple(normalized)
 
     @property
-    def is_broadcast(self) -> bool:
-        """True when any dimension is indexed with ``[:]``."""
-        return any(i is BROADCAST for i in self.indices)
-
-    @property
     def broadcast_dims(self) -> Tuple[EventDim, ...]:
         """The event dimensions collapsed by broadcast indexing."""
         return tuple(
@@ -124,10 +119,6 @@ class EventUse:
             for dim, index in zip(self.event.type, self.indices)
             if index is BROADCAST
         )
-
-    def promoted(self, dim: EventDim, index: EventIndex) -> "EventUse":
-        """This use with one more leading dimension (vectorization)."""
-        return EventUse(self.event, (index,) + self.indices)
 
     def __repr__(self) -> str:
         if not self.indices:

@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.errors import IRError
-from repro.ir.ops import Block, Operation, PForOp
+from repro.ir.ops import Block, PForOp
 from repro.machine.machine import MachineModel
 from repro.machine.memory import MemoryKind
 from repro.machine.processor import ProcessorKind
@@ -65,10 +65,6 @@ class Buffer:
     @property
     def dtype(self) -> DType:
         return self.tensor.dtype
-
-    @property
-    def size_bytes(self) -> int:
-        return self.tensor.size_bytes * self.pipeline_depth
 
     def ref(self) -> TensorRef:
         return self.tensor.ref()
@@ -158,9 +154,6 @@ class IRFunction:
                 )
             grid *= loops[0].extent
             block = loops[0].body
-
-    def ops_of_type(self, op_type) -> List[Operation]:
-        return [op for op in self.walk() if isinstance(op, op_type)]
 
     def live_buffers(self) -> List[Buffer]:
         """Buffers actually referenced by some operation (or params)."""

@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Set
 
 from repro.errors import VerificationError
-from repro.ir.events import BROADCAST, Event, EventUse
+from repro.ir.events import BROADCAST, EventUse
 from repro.ir.module import IRFunction
 from repro.ir.ops import AllocOp, Block, CallOp, CopyOp, ForOp, Operation, PForOp
 from repro.machine.processor import ProcessorKind

@@ -18,7 +18,6 @@ from repro.frontend.mapping import MappingSpec, TaskMapping
 from repro.machine.machine import MachineModel
 from repro.machine.memory import MemoryKind
 from repro.machine.processor import ProcessorKind
-from repro.sym import evaluate, cdiv
 from repro.tensors import (
     WGMMA_64x256x16,
     f16,

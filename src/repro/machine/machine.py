@@ -58,13 +58,6 @@ class MachineModel:
         """True when this machine exposes the given processor level."""
         return any(level.kind is kind for level in self.levels)
 
-    def level(self, kind: ProcessorKind) -> ProcessorLevel:
-        """The :class:`ProcessorLevel` for ``kind``."""
-        for level in self.levels:
-            if level.kind is kind:
-                return level
-        raise MachineError(f"machine {self.name} has no {kind.name} level")
-
     # ------------------------------------------------------------------
     # Memory queries
     # ------------------------------------------------------------------

@@ -17,9 +17,9 @@ crash". Cooperating subsystems:
   a :class:`MetricsRegistry` with labels and Prometheus text exposition
   (:meth:`MetricsRegistry.render`);
   :func:`server_metrics` publishes every runtime, compile-cache, disk,
-  graph, and speculation counter into one scrapeable registry, and
-  :func:`validate_prometheus_text` is the strict conformance oracle
-  over the rendered document.
+  graph, and speculation counter into one scrapeable registry. The
+  tests hold the rendered document (and the Chrome trace) to strict
+  conformance oracles in ``tests/exposition.py``.
 * :mod:`~repro.obs.flight` — :class:`FlightRecorder`: a bounded ring
   buffer of recent span/event records the server dumps to disk (with
   bounded rotation) on ``close()`` and on worker-loop exceptions, for
@@ -43,7 +43,6 @@ from repro.obs.metrics import (
     Gauge,
     MetricsRegistry,
     server_metrics,
-    validate_prometheus_text,
 )
 from repro.obs.ops import DiagConfig, DiagServer
 from repro.obs.slo import Slo, SloMonitor
@@ -52,7 +51,6 @@ from repro.obs.trace import (
     NullTracer,
     Span,
     Tracer,
-    validate_chrome_trace,
 )
 
 __all__ = [
@@ -69,6 +67,4 @@ __all__ = [
     "Span",
     "Tracer",
     "server_metrics",
-    "validate_chrome_trace",
-    "validate_prometheus_text",
 ]

@@ -30,7 +30,7 @@ import threading
 import time
 from collections import deque
 from pathlib import Path
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Optional
 
 from repro.errors import CypressError
 
@@ -115,11 +115,6 @@ class FlightRecorder:
         with self._lock:
             self._records.append(record)
             self._recorded += 1
-
-    def records(self) -> List[Dict[str, Any]]:
-        """A snapshot of retained records, oldest first."""
-        with self._lock:
-            return list(self._records)
 
     def __len__(self) -> int:
         with self._lock:

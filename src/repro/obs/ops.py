@@ -11,7 +11,7 @@ daemon thread, speaking only ``GET``, built entirely on the stdlib
 Endpoints:
 
 - ``GET /metrics`` — Prometheus text exposition of the full registry
-  (validated by :func:`~repro.obs.metrics.validate_prometheus_text`).
+  (validated in the tests by ``tests/exposition.py``).
 - ``GET /statusz`` — build info, uptime, effective config, the
   schema-versioned ``RuntimeStats.to_json()`` and SLO state.
 - ``GET /healthz`` — liveness; reports ``"degraded"`` while the shed
@@ -37,7 +37,7 @@ import json
 import os
 import platform
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Tuple
 from urllib.parse import urlsplit
 
@@ -166,12 +166,6 @@ class DiagServer:
             httpd.server_close()
         if thread is not None:
             thread.join()
-
-    @property
-    def running(self) -> bool:
-        """Whether the listener thread is serving."""
-        thread = self._thread
-        return thread is not None and thread.is_alive()
 
     @property
     def address(self) -> Optional[Tuple[str, int]]:

@@ -284,24 +284,12 @@ class SloMonitor:
                 if severity is not None
             }
 
-    def burn_rates(self) -> Dict[str, Dict[str, float]]:
-        """Latest fast/slow burn rate per objective."""
-        with self._lock:
-            return {
-                name: dict(windows) for name, windows in self._burn.items()
-            }
-
     def slow_burn_rates(self) -> Dict[str, float]:
         """Latest slow-window burn rate per objective."""
         with self._lock:
             return {
                 name: windows["slow"] for name, windows in self._burn.items()
             }
-
-    def alerts_fired(self) -> Dict[Tuple[str, str], int]:
-        """Cumulative ``(slo, severity) -> firings`` counters."""
-        with self._lock:
-            return dict(self._alerts_total)
 
     def describe(self) -> Dict[str, object]:
         """``/statusz`` payload: objectives, burn rates, alert state."""

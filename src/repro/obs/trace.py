@@ -138,10 +138,6 @@ class NullTracer:
     def end(self, span, args=None):
         """No-op."""
 
-    def record(self, name, cat, start_s, end_s, parent=None, args=None):
-        """No-op; returns ``None``."""
-        return None
-
     def span(self, name, cat="", args=None):
         """A reusable no-op context manager yielding ``None``."""
         return _NULL_CONTEXT
@@ -339,14 +335,6 @@ class Tracer:
         with self._lock:
             return self._dropped
 
-    def clear(self) -> None:
-        """Drop buffered spans and reset the counters (ids keep
-        counting so parent references never collide across clears)."""
-        with self._lock:
-            self._spans.clear()
-            self._recorded = 0
-            self._dropped = 0
-
     def export_chrome_trace(self, path) -> str:
         """Write the buffered spans as Chrome-trace JSON.
 
@@ -374,7 +362,7 @@ class Tracer:
 
         The same object :meth:`export_chrome_trace` writes to disk —
         the ``/tracez`` diagnostics endpoint serves it directly, and
-        it round-trips through :func:`validate_chrome_trace`.
+        it round-trips through ``tests/exposition.py``'s checker.
         """
         return {
             "traceEvents": [
@@ -437,56 +425,3 @@ class Tracer:
     def __len__(self) -> int:
         with self._lock:
             return len(self._spans)
-
-
-def validate_chrome_trace(payload: Any) -> List[Dict[str, Any]]:
-    """Validate a loaded Chrome-trace document's schema.
-
-    Checks the contract the exporter promises — ``traceEvents`` is a
-    list of complete events, each with ``name``, ``cat``, ``ph ==
-    "X"``, numeric non-negative ``ts``/``dur``, integer ``pid``/``tid``
-    — and returns the event list. The exporter round-trip test (and
-    anything ingesting third-party traces) shares this one checker.
-
-    Args:
-        payload: the parsed JSON document.
-
-    Returns:
-        The validated ``traceEvents`` list.
-
-    Raises:
-        CypressError: any schema violation, naming the first offender.
-    """
-    if not isinstance(payload, dict) or "traceEvents" not in payload:
-        raise CypressError("chrome trace must be an object with traceEvents")
-    events = payload["traceEvents"]
-    if not isinstance(events, list):
-        raise CypressError("traceEvents must be a list")
-    for index, event in enumerate(events):
-        where = f"traceEvents[{index}]"
-        if not isinstance(event, dict):
-            raise CypressError(f"{where} is not an object")
-        for field in ("name", "cat", "ph", "ts", "dur", "pid", "tid"):
-            if field not in event:
-                raise CypressError(f"{where} missing field {field!r}")
-        if event["ph"] != "X":
-            raise CypressError(
-                f"{where} has phase {event['ph']!r}; the exporter only "
-                "emits complete (X) events"
-            )
-        for field in ("ts", "dur"):
-            value = event[field]
-            if not isinstance(value, (int, float)) or value < 0:
-                raise CypressError(
-                    f"{where}.{field} must be a non-negative number, "
-                    f"got {value!r}"
-                )
-        for field in ("pid", "tid"):
-            if not isinstance(event[field], int):
-                raise CypressError(
-                    f"{where}.{field} must be an integer, "
-                    f"got {event[field]!r}"
-                )
-        if not isinstance(event["name"], str) or not event["name"]:
-            raise CypressError(f"{where}.name must be a non-empty string")
-    return events

@@ -32,7 +32,7 @@ from typing import Any, List, Optional
 
 @dataclass
 class DiskCacheStats:
-    """Counters for the disk tier since construction or ``clear``.
+    """Counters for the disk tier since construction.
 
     ``pruned``/``pruned_bytes`` count entries evicted by the
     ``max_bytes`` LRU cap (least-recently-used by mtime; loads touch
@@ -50,16 +50,6 @@ class DiskCacheStats:
     errors: int = 0
     pruned: int = 0
     pruned_bytes: int = 0
-
-    @property
-    def lookups(self) -> int:
-        """Total disk lookups: hits + misses."""
-        return self.hits + self.misses
-
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of disk lookups that loaded successfully."""
-        return self.hits / self.lookups if self.lookups else 0.0
 
 
 class DiskCacheTier:
@@ -220,10 +210,6 @@ class DiskCacheTier:
         with self._lock:
             self.stats.corrupt_entries = retained
 
-    def quarantined_keys(self) -> List[str]:
-        """Compile keys currently quarantined as ``.bad``, sorted."""
-        return sorted(p.stem for p in self.path.glob("*.bad"))
-
     def total_bytes(self) -> int:
         """Bytes currently persisted across every entry (best effort)."""
         total = 0
@@ -273,18 +259,6 @@ class DiskCacheTier:
     def keys(self) -> List[str]:
         """All compile keys currently persisted, sorted."""
         return sorted(p.stem for p in self.path.glob("*.pkl"))
-
-    def clear(self) -> None:
-        """Delete every persisted entry, including quarantined ``.bad``
-        files (best effort)."""
-        for pattern in ("*.pkl", "*.bad"):
-            for entry in self.path.glob(pattern):
-                try:
-                    entry.unlink()
-                except OSError:
-                    pass
-        with self._lock:
-            self.stats = DiskCacheStats()
 
     def __len__(self) -> int:
         return sum(1 for _ in self.path.glob("*.pkl"))

@@ -117,12 +117,6 @@ class FaultPlan:
             self._rates[site] = rate
         return self
 
-    def inject_all(self, rate: float) -> "FaultPlan":
-        """Arm every registered site at ``rate``; returns self."""
-        for site in FAULT_SITES:
-            self.inject(site, rate)
-        return self
-
     def check(self, site: str, detail: str = "") -> None:
         """One instrumented operation at ``site``: raise or pass.
 

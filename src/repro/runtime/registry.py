@@ -229,10 +229,6 @@ class KernelRegistry:
                 f"unknown kernel {name!r}; registered kernels: {known}"
             ) from None
 
-    def names(self):
-        """All registered serving names, sorted."""
-        return sorted(self._kernels)
-
     def __contains__(self, name: str) -> bool:
         return name in self._kernels
 

@@ -803,19 +803,6 @@ class RuntimeServer:
         self._queue = [r for r in self._queue if id(r) not in chosen]
         heapq.heapify(self._queue)
 
-    def submit_many(
-        self,
-        requests: Iterable[Tuple[str, ShapeLike]],
-        *,
-        priority: int = 0,
-    ) -> List["Future[RuntimeResult]"]:
-        """Enqueue a batch of ``(kernel, shape)`` pairs; an empty batch
-        is a no-op returning ``[]``."""
-        return [
-            self.submit(kernel, shape, priority=priority)
-            for kernel, shape in requests
-        ]
-
     def submit_graph(
         self,
         graph,

@@ -204,13 +204,6 @@ class ShapeSpecializer:
         to the generic bucket. One dict probe; safe without a lock."""
         return self._active.get((kernel, exact))
 
-    @property
-    def active(self) -> Dict[Tuple[str, Bucket], Specialization]:
-        """A snapshot of the installed specializations (for tests and
-        dashboards; the guard itself uses the live table)."""
-        with self._lock:
-            return dict(self._active)
-
     # ------------------------------------------------------------------
     # The demand signal
     # ------------------------------------------------------------------

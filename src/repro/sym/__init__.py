@@ -15,7 +15,6 @@ from repro.sym.expr import (
     ProcIndex,
     Var,
     affine_form,
-    cdiv,
     evaluate,
     simplify,
     substitute,
@@ -30,7 +29,6 @@ __all__ = [
     "ProcIndex",
     "Var",
     "affine_form",
-    "cdiv",
     "evaluate",
     "simplify",
     "substitute",

@@ -19,7 +19,6 @@ _OPS: Dict[str, Callable[[int, int], int]] = {
     "*": operator.mul,
     "//": operator.floordiv,
     "%": operator.mod,
-    "cdiv": lambda a, b: -(-a // b),
     "min": min,
     "max": max,
 }
@@ -107,7 +106,7 @@ class BinOp(Expr):
             raise ValueError(f"unknown symbolic operator {self.op!r}")
 
     def __repr__(self) -> str:
-        if self.op in ("cdiv", "min", "max"):
+        if self.op in ("min", "max"):
             return f"{self.op}({self.lhs!r}, {self.rhs!r})"
         return f"({self.lhs!r} {self.op} {self.rhs!r})"
 
@@ -123,11 +122,6 @@ def to_expr(value: IntoExpr) -> Expr:
 
 def _binop(op: str, lhs: IntoExpr, rhs: IntoExpr) -> Expr:
     return simplify(BinOp(op, to_expr(lhs), to_expr(rhs)))
-
-
-def cdiv(a: IntoExpr, b: IntoExpr) -> Expr:
-    """Ceiling division, the `cdiv` of the paper's Figure 5a."""
-    return _binop("cdiv", a, b)
 
 
 def simplify(expr: Expr) -> Expr:
@@ -151,7 +145,7 @@ def simplify(expr: Expr) -> Expr:
             return lhs
         if Const(0) in (lhs, rhs):
             return Const(0)
-    if expr.op in ("//", "cdiv") and rhs == Const(1):
+    if expr.op == "//" and rhs == Const(1):
         return lhs
     if expr.op == "%" and rhs == Const(1):
         return Const(0)
@@ -204,7 +198,7 @@ def affine_form(expr: IntoExpr) -> "Optional[Tuple[int, Dict[str, int]]]":
     Returns ``(constant, {name: coeff})`` when the expression is an
     affine combination of variables (and processor indices, keyed by
     their level name) with integer coefficients; ``None`` when any
-    non-affine operator (``//``, ``%``, ``min``, ``max``, ``cdiv`` over
+    non-affine operator (``//``, ``%``, ``min``, ``max`` over
     symbolic operands, or a product of two symbolic terms) appears. The
     region algebra uses this to reason about partition indices without
     enumerating iteration environments.
@@ -234,7 +228,7 @@ def affine_form(expr: IntoExpr) -> "Optional[Tuple[int, Dict[str, int]]]":
         if not lv:  # constant * symbolic
             return lc * rc, {n: c * lc for n, c in rv.items() if c * lc}
         return None
-    return None  # //, %, cdiv, min, max are not affine
+    return None  # //, %, min, max are not affine
 
 
 def _merge_coeffs(

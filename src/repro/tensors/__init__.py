@@ -28,8 +28,6 @@ from repro.tensors.partition import (
 from repro.tensors.mma_partition import (
     MmaAtom,
     MmaPartition,
-    WGMMA_64x64x16,
-    WGMMA_64x128x16,
     WGMMA_64x256x16,
     partition_by_mma,
 )
@@ -58,8 +56,6 @@ __all__ = [
     "squeeze",
     "MmaAtom",
     "MmaPartition",
-    "WGMMA_64x64x16",
-    "WGMMA_64x128x16",
     "WGMMA_64x256x16",
     "partition_by_mma",
 ]

@@ -52,25 +52,8 @@ class MmaAtom:
         if self.k != 16:
             raise PartitionError("FP16 wgmma atoms have K == 16")
 
-    @property
-    def name(self) -> str:
-        return f"WGMMA_{self.m}x{self.n}x{self.k}"
-
-    @property
-    def flops(self) -> int:
-        """FLOPs of one atom invocation (multiply + add)."""
-        return 2 * self.m * self.n * self.k
-
     def __repr__(self) -> str:
-        return self.name
-
-
-def WGMMA_64x64x16() -> MmaAtom:
-    return MmaAtom(64, 64, 16)
-
-
-def WGMMA_64x128x16() -> MmaAtom:
-    return MmaAtom(64, 128, 16)
+        return f"WGMMA_{self.m}x{self.n}x{self.k}"
 
 
 def WGMMA_64x256x16() -> MmaAtom:

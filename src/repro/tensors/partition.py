@@ -9,8 +9,7 @@ operator lives in :mod:`repro.tensors.mma_partition`.
 
 from __future__ import annotations
 
-import itertools
-from typing import Iterator, Sequence, Tuple, Union
+from typing import Sequence, Tuple, Union
 
 import numpy as np
 
@@ -103,18 +102,6 @@ class Partition:
         return TensorRef(
             self.source.root, self.source.path + ((self, exprs),)
         )
-
-    def pieces(self) -> Iterator[TensorRef]:
-        """All pieces, in row-major grid order (concrete indices)."""
-        for index in itertools.product(*(range(n) for n in self.grid)):
-            yield self[index]
-
-    @property
-    def num_pieces(self) -> int:
-        out = 1
-        for extent in self.grid:
-            out *= extent
-        return out
 
     def __repr__(self) -> str:
         grid = "x".join(map(str, self.grid))

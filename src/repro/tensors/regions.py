@@ -76,11 +76,6 @@ class Dim:
         """The largest coordinate in the set (inclusive)."""
         return self.lo + self.step * (self.count - 1) + self.span - 1
 
-    @property
-    def size(self) -> int:
-        """Number of coordinates in the set."""
-        return self.count * self.span
-
     def values(self) -> np.ndarray:
         """Every coordinate, ascending (bounded by the root extent)."""
         base = self.lo + self.step * np.arange(self.count)
@@ -159,14 +154,6 @@ class Box:
         """Number of root-tensor axes the box spans."""
         return len(self.dims)
 
-    @property
-    def size(self) -> int:
-        """Number of element coordinates in the box."""
-        out = 1
-        for dim in self.dims:
-            out *= dim.size
-        return out
-
     def intersects(self, other: "Box") -> bool:
         """Boxes are products, so they meet iff every axis meets."""
         if self.rank != other.rank:
@@ -183,13 +170,6 @@ class Box:
             )
         return all(a.contains(b) for a, b in zip(self.dims, other.dims))
 
-    def coords(self) -> np.ndarray:
-        """All element coordinates, shape ``(size, rank)`` (tests only)."""
-        grids = np.meshgrid(
-            *[dim.values() for dim in self.dims], indexing="ij"
-        )
-        return np.stack(grids, axis=-1).reshape(-1, self.rank)
-
 
 @dataclass(frozen=True)
 class Region:
@@ -202,10 +182,6 @@ class Region:
         return any(
             a.intersects(b) for a in self.boxes for b in other.boxes
         )
-
-    def disjoint(self, other: "Region") -> bool:
-        """Negation of :meth:`intersects`."""
-        return not self.intersects(other)
 
     def contains(self, other: "Region") -> bool:
         """Sufficient containment: every box fits inside one of ours."""

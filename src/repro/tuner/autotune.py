@@ -139,21 +139,6 @@ class TuningReport:
             "autotune found no feasible mapping in the search space"
         )
 
-    @property
-    def feasible(self) -> List[TuningResult]:
-        """Fully evaluated candidates, best first."""
-        return [r for r in self.results if r.ok]
-
-    @property
-    def failed(self) -> List[TuningResult]:
-        """Candidates that could not be built, scored, or compiled."""
-        return [r for r in self.results if not r.ok and not r.pruned]
-
-    @property
-    def pruned(self) -> List[TuningResult]:
-        """Feasible candidates stage 1 ranked below the cut."""
-        return [r for r in self.results if r.pruned]
-
     def spearman(self) -> Optional[float]:
         """Rank correlation between predicted and simulated cycles.
 
@@ -173,18 +158,6 @@ class TuningReport:
         if len(pairs) < 2:
             return None
         return spearman([p for p, _ in pairs], [s for _, s in pairs])
-
-    def prediction_error(self) -> Optional[float]:
-        """Mean absolute relative error of predicted vs simulated cycles
-        over the evaluated candidates (``None`` without samples)."""
-        errs = [
-            abs(r.simulated_cycles / r.predicted_cycles - 1.0)
-            for r in self.results
-            if r.predicted_cycles and r.simulated_cycles
-        ]
-        if not errs:
-            return None
-        return sum(errs) / len(errs)
 
     def summary(self) -> str:
         """A ranked table in the style of the paper's exploration."""

@@ -38,6 +38,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Sequence, Tuple
 
 from repro.compiler.cache import score_cache
+from repro.errors import CypressError
 from repro.frontend.mapping import canonicalize
 from repro.gpusim.roofline import Roofline, launch, occupancy, roofline
 from repro.kernels.common import KernelBuild
@@ -77,7 +78,7 @@ class CostEstimate:
     Attributes:
         name: the scored build's kernel name.
         family: which analytic sub-model produced the estimate
-            (``"gemm"``, ``"attention"``, or ``"opaque"``).
+            (``"gemm"`` or ``"attention"``).
         cycles: predicted kernel cycles; ``inf`` for infeasible
             mappings (see ``reason``).
         seconds: predicted wall time including launch overhead.
@@ -231,24 +232,22 @@ class AnalyticCostModel:
             return "attention"
         if "tile_m" in params:
             return "gemm"
-        return "opaque"
+        raise CypressError(
+            f"{build.name}: the cost model scores builds with a tile_m "
+            f"(gemm) or q_tile (attention) parameter, got {sorted(params)}"
+        )
 
     def _score_uncached(
         self, build: KernelBuild, machine: MachineModel
     ) -> CostEstimate:
-        roof = roofline(machine)
         family = self._family(build)
         if family == "attention":
             model = self._attention_loop(build)
-        elif family == "gemm":
-            model = self._gemm_loop(build)
         else:
-            model = None
+            model = self._gemm_loop(build)
         if isinstance(model, CostEstimate):  # infeasibility short-circuit
             return model
-        if model is None:
-            return self._opaque(build, roof)
-        return self._solve(build, roof, family, model)
+        return self._solve(build, roofline(machine), family, model)
 
     def _gemm_loop(self, build: KernelBuild):
         params = build.params
@@ -509,32 +508,6 @@ class AnalyticCostModel:
                 "hbm_floor": timing.hbm_floor,
                 "l2_floor": timing.l2_floor,
             },
-        )
-
-    def _opaque(self, build: KernelBuild, roof: Roofline) -> CostEstimate:
-        """Pure-roofline fallback for builds without recognized params."""
-        device_flops_per_cycle = (
-            roof.tensor_flops_per_cycle * roof.sm_count
-        )
-        compute = build.total_flops / device_flops_per_cycle
-        memory = build.unique_dram_bytes / roof.hbm_bytes_per_cycle
-        cycles = max(compute, memory, 1.0)
-        seconds = cycles / roof.clock_hz + roof.kernel_launch_us * 1e-6
-        return CostEstimate(
-            name=build.name,
-            family="opaque",
-            cycles=cycles,
-            seconds=seconds,
-            tflops=(
-                build.total_flops / seconds / 1e12 if seconds > 0 else 0.0
-            ),
-            grid=int(roof.sm_count),
-            steps=0,
-            smem_bytes=0,
-            regs_per_thread=0,
-            occupancy=1,
-            waves=1,
-            breakdown={"compute_roof": compute, "memory_roof": memory},
         )
 
 

@@ -39,7 +39,10 @@ class TestCacheHit:
     def test_hit_preserves_simulated_result(self, hopper):
         first = api.compile_kernel(_build(hopper))
         second = api.compile_kernel(_build(hopper))
-        assert api.tflops(second, hopper) == api.tflops(first, hopper)
+        assert (
+            api.simulate(second, hopper).tflops
+            == api.simulate(first, hopper).tflops
+        )
 
 
 class TestCacheMiss:
@@ -148,14 +151,16 @@ class TestCacheControl:
         second = api.compile_kernel(_build(hopper), options=options)
         assert second is not first
         assert second.pass_trace is not first.pass_trace  # passes reran
-        assert api.compile_cache_stats().lookups == 0
+        stats = api.compile_cache_stats()
+        assert stats.hits + stats.misses + stats.second_tier_hits == 0
 
     def test_clear_resets_entries_and_stats(self, hopper):
         api.compile_kernel(_build(hopper))
         assert len(compile_cache) == 1
         api.clear_compile_cache()
         assert len(compile_cache) == 0
-        assert api.compile_cache_stats().lookups == 0
+        stats = api.compile_cache_stats()
+        assert stats.hits + stats.misses + stats.second_tier_hits == 0
 
     def test_lru_eviction_bounds_entries(self, hopper):
         from repro.compiler.cache import CompileCache
@@ -179,12 +184,12 @@ class TestCompileMany:
 
     def test_thread_pool_matches_sequential(self, hopper):
         sequential = [
-            api.tflops(api.compile_kernel(build), hopper)
+            api.simulate(api.compile_kernel(build), hopper).tflops
             for build in self._builds(hopper)
         ]
         api.clear_compile_cache()
         parallel = [
-            api.tflops(kernel, hopper)
+            api.simulate(kernel, hopper).tflops
             for kernel in api.compile_many(self._builds(hopper))
         ]
         assert parallel == sequential

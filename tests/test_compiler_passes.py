@@ -19,13 +19,17 @@ from repro.compiler.copy_elim import eliminate_copies
 from repro.compiler.dependence import DependenceAnalysis
 from repro.compiler.vectorize import vectorize
 from repro.compiler.warpspec import DMA, specialize_warps
-from repro.errors import AllocationError, PrivilegeError
+from repro.errors import AllocationError, CompileError, PrivilegeError
+from repro.ir.events import BROADCAST
+from repro.ir.module import IRFunction
 from repro.ir.ops import CallOp, CopyOp, ForOp, PForOp
 from repro.ir.verifier import verify_function
 from repro.kernels import KERNEL_BUILDERS
 from repro.kernels.gemm import build_gemm
 from repro.machine.memory import MemoryKind
 from repro.machine.processor import ProcessorKind, is_intra_block
+from repro.sym import Var
+from repro.tensors import f16
 
 
 @pytest.fixture(scope="module")
@@ -40,6 +44,10 @@ def small_build(machine):
     return build_gemm(
         machine, 256, 256, 128, tile_m=128, tile_n=256, tile_k=64
     )
+
+
+def _ops(fn, op_type):
+    return [op for op in fn.walk() if isinstance(op, op_type)]
 
 
 def _dependence_ir(build):
@@ -63,18 +71,18 @@ class TestDependenceAnalysis:
 
     def test_copy_in_copy_out_discipline(self, small_build):
         fn = _dependence_ir(small_build)
-        copies = fn.ops_of_type(CopyOp)
+        copies = _ops(fn, CopyOp)
         # every launch introduced fresh-allocation copies
         assert len(copies) > 10
 
     def test_k_loop_present(self, small_build):
         fn = _dependence_ir(small_build)
-        loops = fn.ops_of_type(ForOp)
+        loops = _ops(fn, ForOp)
         assert any(loop.extent == 2 for loop in loops)  # K / 64
 
     def test_wgmma_leaf_reached(self, small_build):
         fn = _dependence_ir(small_build)
-        calls = fn.ops_of_type(CallOp)
+        calls = _ops(fn, CallOp)
         assert any(c.function == "wgmma_f16" for c in calls)
 
     def test_broadcast_preconditions_after_pfor(self, small_build):
@@ -82,7 +90,7 @@ class TestDependenceAnalysis:
         found = False
         for op in fn.walk():
             for use in op.preconds:
-                if use.is_broadcast:
+                if BROADCAST in use.indices:
                     found = True
         assert found, "pfor completions must be consumed via broadcast"
 
@@ -135,8 +143,6 @@ class TestDependenceAnalysis:
             reg,
             machine,
         )
-        from repro.tensors import f16
-
         with pytest.raises(PrivilegeError):
             DependenceAnalysis(spec, "bad").run([(64, 64)], [f16])
 
@@ -168,6 +174,35 @@ class TestVectorize:
         ]
         assert promoted, "thread-level ops must have 3-d event arrays"
 
+    def test_a_used_event_of_a_pfor_that_yields_nothing_is_rejected(
+        self, machine
+    ):
+        fn = IRFunction("no_yield", machine)
+        a = fn.add_param("A", (8, 8), f16)
+        b = fn.add_buffer("B", (8, 8), f16, MemoryKind.SHARED)
+        loop = PForOp(Var("i"), 4, ProcessorKind.WARP)
+        loop.body.append(CopyOp(a.ref(), b.ref()))
+        fn.body.append(loop)
+        fn.body.append(
+            CopyOp(b.ref(), a.ref(), preconds=[loop.result.use_all()])
+        )
+        with pytest.raises(
+            CompileError, match="pfor over WARP yields nothing but its event"
+        ):
+            vectorize(fn)
+
+    def test_an_unused_event_of_a_pfor_that_yields_nothing_is_dropped(
+        self, machine
+    ):
+        fn = IRFunction("no_yield", machine)
+        a = fn.add_param("A", (8, 8), f16)
+        b = fn.add_buffer("B", (8, 8), f16, MemoryKind.SHARED)
+        loop = PForOp(Var("i"), 4, ProcessorKind.WARP)
+        loop.body.append(CopyOp(a.ref(), b.ref()))
+        fn.body.append(loop)
+        vectorize(fn)
+        assert [type(op) for op in fn.body.ops] == [CopyOp]
+
 
 class TestCopyElimination:
     def _final(self, build):
@@ -179,7 +214,7 @@ class TestCopyElimination:
 
     def test_no_global_to_global_copies(self, small_build):
         fn = self._final(small_build)
-        for op in fn.ops_of_type(CopyOp):
+        for op in _ops(fn, CopyOp):
             src = fn.buffers[op.src.root.uid].memory
             dst = fn.buffers[op.dst.root.uid].memory
             assert not (
@@ -188,7 +223,7 @@ class TestCopyElimination:
 
     def test_tma_loads_remain_in_loop(self, small_build):
         fn = self._final(small_build)
-        loops = fn.ops_of_type(ForOp)
+        loops = _ops(fn, ForOp)
         k_loop = loops[0]
         tma = [
             op
@@ -202,7 +237,7 @@ class TestCopyElimination:
     def test_accumulator_hoisted_out_of_loop(self, small_build):
         """Spill hoisting must move the register round trip out."""
         fn = self._final(small_build)
-        k_loop = fn.ops_of_type(ForOp)[0]
+        k_loop = _ops(fn, ForOp)[0]
         for op in k_loop.body.ops:
             if isinstance(op, CopyOp):
                 src = fn.buffers[op.src.root.uid].memory
@@ -213,9 +248,9 @@ class TestCopyElimination:
 
     def test_copy_count_reduced(self, small_build):
         before = _dependence_ir(small_build)
-        n_before = len(before.ops_of_type(CopyOp))
+        n_before = len(_ops(before, CopyOp))
         fn = self._final(small_build)
-        n_after = len(fn.ops_of_type(CopyOp))
+        n_after = len(_ops(fn, CopyOp))
         assert n_after < n_before / 2
 
 
@@ -241,9 +276,13 @@ class TestAllocation:
         named = {b.name: b for b in buffers}
         a_name = next(n for n in offsets if n.startswith("A_gemm"))
         b_name = next(n for n in offsets if n.startswith("B_gemm"))
-        a0, a1 = offsets[a_name], offsets[a_name] + named[a_name].size_bytes
+        size = {
+            name: named[name].tensor.size_bytes * named[name].pipeline_depth
+            for name in (a_name, b_name)
+        }
+        a0, a1 = offsets[a_name], offsets[a_name] + size[a_name]
         b0 = offsets[b_name]
-        assert b0 >= a1 or b0 + named[b_name].size_bytes <= a0
+        assert b0 >= a1 or b0 + size[b_name] <= a0
 
     def test_impossible_allocation_raises(self, small_build):
         fn = self._prepared(small_build)
@@ -263,8 +302,6 @@ class TestAllocation:
         """Complexity guard: two ``live_buffers`` reads plus the
         liveness walk, which also finds each buffer's last user and
         first writer for the WAR edges of every aliased pair."""
-        from repro.ir.module import IRFunction
-
         fn = self._prepared(KERNEL_BUILDERS[family](machine, **shape))
         walk = IRFunction.walk
         calls = []
@@ -356,7 +393,7 @@ class TestWarpSpecialization:
     def test_backward_war_edges_recorded(self, small_build):
         fn = self._prepared(small_build)
         specialize_warps(fn, enabled=True, pipeline_depth=3)
-        k_loop = fn.ops_of_type(ForOp)[0]
+        k_loop = _ops(fn, ForOp)[0]
         dma_copies = [
             op
             for op in k_loop.body.ops

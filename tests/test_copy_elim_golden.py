@@ -93,7 +93,7 @@ def default_buckets():
     bucket ladders: rung ``i`` of every dimension (a shorter ladder stays
     on its last rung), for every ``i`` the longest ladder has."""
     registry = default_registry()
-    for family in registry.names():
+    for family in sorted(KERNEL_BUILDERS):
         registered = registry.get(family)
         ladders = [registered.policy.ladders[dim] for dim in registered.dims]
         for rung in range(max(len(ladder) for ladder in ladders)):

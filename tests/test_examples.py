@@ -9,12 +9,13 @@ both here and in ``tests/test_docs.py``.
 """
 
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
-import pytest
-
 from repro.tuner import MappingSearchSpace
+
+from exposition import validate_chrome_trace
 
 EXAMPLES_DIR = Path(__file__).resolve().parent.parent / "examples"
 
@@ -29,39 +30,60 @@ def _load_example(name: str):
     return module
 
 
-@pytest.fixture(scope="module")
-def tiny_space():
-    return MappingSearchSpace(
-        tiles=((128, 128),),
-        tile_k=(64,),
-        warpgroups=(1, 2),
-        pipeline_depths=(1,),
-        warpspecialize=(False,),
-    )
+TINY_SPACE = MappingSearchSpace(
+    tiles=((128, 128),),
+    tile_k=(64,),
+    warpgroups=(1, 2),
+    pipeline_depths=(1,),
+    warpspecialize=(False,),
+)
 
 
-def test_quickstart_runs_tiny(capsys):
-    example = _load_example("quickstart")
-    example.main(check_shape=(256, 256, 128), sim_sizes=(512,))
+def tiny_configurations(tmp_path):
+    """Each tiny in-process run below: name -> (example, ``main`` keywords)."""
+    return {
+        "quickstart": (
+            "quickstart", dict(check_shape=(256, 256, 128), sim_sizes=(512,)),
+        ),
+        "mapping_tuning": (
+            "mapping_tuning", dict(size=512, space=TINY_SPACE, top_k=1),
+        ),
+        "transformer_block": ("transformer_block", dict(
+            seq=256, d_model=256, heads=2, d_ff=512,
+            streams=1, workers=2, repeats=1,
+        )),
+        "serving_trace": ("serving", dict(
+            trace_path=str(tmp_path / "trace.json"), requests=10, tune=False,
+        )),
+        "serving_specialize": (
+            "serving", dict(requests=10, tune=False, specialize=True),
+        ),
+        "serving_diag": ("serving", dict(requests=10, tune=False, diag=True)),
+        "paper_figures": ("paper_figures", dict(tiny=True)),
+    }
+
+
+def run_tiny(run, tmp_path):
+    example, kwargs = tiny_configurations(tmp_path)[run]
+    _load_example(example).main(**kwargs)
+
+
+def test_quickstart_runs_tiny(capsys, tmp_path):
+    run_tiny("quickstart", tmp_path)
     out = capsys.readouterr().out
     assert "max |error| vs numpy" in out
     assert "TFLOP/s" in out
 
 
-def test_mapping_tuning_runs_tiny(capsys, tiny_space):
-    example = _load_example("mapping_tuning")
-    example.main(size=512, space=tiny_space, top_k=1)
+def test_mapping_tuning_runs_tiny(capsys, tmp_path):
+    run_tiny("mapping_tuning", tmp_path)
     out = capsys.readouterr().out
     assert "best mapping" in out
     assert "spearman" in out
 
 
-def test_transformer_block_runs_tiny(capsys):
-    example = _load_example("transformer_block")
-    example.main(
-        seq=256, d_model=256, heads=2, d_ff=512,
-        streams=1, workers=2, repeats=1,
-    )
+def test_transformer_block_runs_tiny(capsys, tmp_path):
+    run_tiny("transformer_block", tmp_path)
     out = capsys.readouterr().out
     assert "task graph: 7 nodes" in out
     assert "max |error| vs numpy reference" in out
@@ -69,13 +91,8 @@ def test_transformer_block_runs_tiny(capsys):
 
 
 def test_serving_trace_flag_runs_tiny(capsys, tmp_path):
-    import json
-
-    from repro.obs import validate_chrome_trace
-
-    example = _load_example("serving")
+    run_tiny("serving_trace", tmp_path)
     out_path = tmp_path / "trace.json"
-    example.main(trace_path=str(out_path), requests=10, tune=False)
     out = capsys.readouterr().out
     assert "obs:" in out  # the stats table's tracing line
     assert f"spans to {out_path}" in out
@@ -84,9 +101,8 @@ def test_serving_trace_flag_runs_tiny(capsys, tmp_path):
     assert any(event["name"] == "execute" for event in events)
 
 
-def test_serving_specialize_flag_runs_tiny(capsys):
-    example = _load_example("serving")
-    example.main(requests=10, tune=False, specialize=True)
+def test_serving_specialize_flag_runs_tiny(capsys, tmp_path):
+    run_tiny("serving_specialize", tmp_path)
     out = capsys.readouterr().out
     assert "specializer promoted 1 shape(s)" in out
     # The hot m=1100 shape moves off its padded m=2048 generic bucket
@@ -96,9 +112,18 @@ def test_serving_specialize_flag_runs_tiny(capsys):
     assert "specialz.:" in out  # the stats table's specialization line
 
 
-def test_paper_figures_runs_tiny(capsys):
-    example = _load_example("paper_figures")
-    example.main(tiny=True)
+def test_serving_diag_flag_runs_tiny(capsys, tmp_path):
+    from repro.obs.ops import ENDPOINTS
+
+    run_tiny("serving_diag", tmp_path)
+    out = capsys.readouterr().out
+    assert "--- live ops plane (--diag) on 127.0.0.1:" in out
+    for path in ENDPOINTS:
+        assert f"GET {path:<10} 200" in out
+
+
+def test_paper_figures_runs_tiny(capsys, tmp_path):
+    run_tiny("paper_figures", tmp_path)
     out = capsys.readouterr().out
     titles = [
         line for line in out.splitlines() if line.startswith("=== ")

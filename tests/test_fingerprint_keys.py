@@ -77,6 +77,7 @@ _KEYS_SCRIPT = """
 import json, sys
 sys.path.insert(0, {tests!r})
 from repro.compiler.pipeline import compile_key_for
+from repro.kernels import KERNEL_BUILDERS
 from repro.machine import hopper_machine
 from repro.runtime import default_registry
 from test_fingerprint_keys import make_spec
@@ -84,7 +85,7 @@ from test_fingerprint_keys import make_spec
 machine = hopper_machine()
 registry = default_registry()
 keys = {{}}
-for family in registry.names():
+for family in sorted(KERNEL_BUILDERS):
     registered = registry.get(family)
     shape = {{d: registered.policy.ladders[d][0] for d in registered.dims}}
     build = registered.build(machine, registered.bucket(shape))

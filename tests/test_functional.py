@@ -32,7 +32,7 @@ from repro.machine.processor import ProcessorKind
 from repro.runtime import default_registry
 from repro.sym import ProcIndex
 from repro.tensors import (
-    WGMMA_64x64x16, f16, f32, partition_by_blocks, partition_by_mma,
+    MmaAtom, f16, f32, partition_by_blocks, partition_by_mma,
 )
 
 ATOL = 0.02
@@ -114,7 +114,7 @@ def test_collective_call_runs_once_on_whole_operands(hopper):
             c += a * scale
 
     fn = IRFunction("collective", hopper)
-    atom = WGMMA_64x64x16()
+    atom = MmaAtom(64, 64, 16)
 
     def fragment(buffer):
         warp = partition_by_mma(buffer.ref(), atom, ProcessorKind.WARP, "C")

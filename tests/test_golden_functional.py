@@ -20,6 +20,7 @@ import numpy as np
 
 from repro import api
 from repro.machine import hopper_machine
+from repro.kernels import KERNEL_BUILDERS
 from repro.runtime import default_registry
 
 GOLDEN = Path(__file__).with_name("golden_functional.json")
@@ -42,7 +43,7 @@ def smallest_builds(machine):
     (an exact shape, so attention is not padded)."""
     registry = default_registry()
     out = []
-    for family in registry.names():
+    for family in sorted(KERNEL_BUILDERS):
         registered = registry.get(family)
         shape = {
             dim: registered.policy.ladders[dim][0] for dim in registered.dims

@@ -110,7 +110,7 @@ def compute_digests():
     model = AnalyticCostModel()
     registry = default_registry()
     out = {}
-    for family in registry.names():
+    for family in sorted(KERNEL_BUILDERS):
         registered = registry.get(family)
         candidates = registered.search_space.as_list()
         for bucket in ladder_shapes(registered):

@@ -186,7 +186,6 @@ class TestEdgeInference:
         assert len(graph) == 1
         assert graph.edges == ()
         assert graph.roots() == (0,)
-        assert graph.sinks() == (0,)
         assert graph.topological_order() == [0]
 
     def test_disconnected_components(self, hopper):
@@ -419,7 +418,6 @@ class TestTaskGraph:
         weights = graph.node_weights()
         assert path[1] == pytest.approx(weights[1])
         assert path[0] == pytest.approx(weights[0] + weights[1])
-        assert graph.critical_path_length() == pytest.approx(path[0])
 
     def test_scheduler_priorities_rank_critical_path(self, hopper):
         graph = _two_nodes(hopper)
@@ -553,7 +551,9 @@ class TestRegionQueries:
     def test_tensor_region_covers_everything(self):
         region = tensor_region((4, 6))
         assert region.contains(tensor_region((4, 6)))
-        assert region.boxes[0].size == 24
+        assert [(dim.count, dim.span) for dim in region.boxes[0].dims] == [
+            (1, 4), (1, 6),
+        ]
 
     def test_ref_region_accepts_logical_tensor(self, hopper):
         from repro.tensors.tensor import LogicalTensor
@@ -738,7 +738,7 @@ class TestExecution:
         with RuntimeServer(hopper, workers=2) as server:
             result = server.submit_graph(graph).result(timeout=600)
         assert result.outputs is None
-        assert result.total_sim_s > 0
+        assert all(r.gpu.seconds > 0 for r in result.results.values())
 
     def test_submit_graph_unaligned_inputs_rejected(self, hopper):
         gb = GraphBuilder(hopper)

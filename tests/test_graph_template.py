@@ -98,9 +98,6 @@ class TestReplayEquivalence:
         assert replay.edges == first.edges == fresh.edges
         assert replay.critical_path() == fresh.critical_path()
         assert replay.topological_order() == fresh.topological_order()
-        assert (
-            replay.critical_path_length() == fresh.critical_path_length()
-        )
 
     def test_replay_produces_identical_run_outputs(self, hopper):
         plan = (2, 2, True)
@@ -383,7 +380,6 @@ class TestTemplateCache:
         assert cache.get("c") is not None
         assert cache.get("a") is None
         assert cache.stats.hits == 1 and cache.stats.misses == 1
-        assert cache.stats.hit_rate == 0.5
 
     def test_get_touch_protects_hot_entry(self):
         cache = GraphTemplateCache(capacity=2)
@@ -406,7 +402,6 @@ class TestTemplateCache:
         cache.clear()
         assert len(cache) == 0
         assert cache.stats.lookups == 0
-        assert cache.stats.hit_rate == 0.0
 
     def test_plans_are_bounded_shared_and_cleared(self):
         cache = GraphTemplateCache(capacity=2)

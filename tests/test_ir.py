@@ -44,9 +44,9 @@ class TestEvents:
     def test_array_event_indexing(self):
         e = Event((EventDim(4, ProcessorKind.WARP),))
         use = e.use(Const(2))
-        assert not use.is_broadcast
+        assert BROADCAST not in use.indices
         all_use = e.use_all()
-        assert all_use.is_broadcast
+        assert all_use.indices == (BROADCAST,)
         assert all_use.broadcast_dims[0].proc is ProcessorKind.WARP
 
     def test_index_arity_checked(self):

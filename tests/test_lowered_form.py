@@ -128,7 +128,7 @@ def schedule_form(schedule):
 def digest(schedule):
     text = json.dumps(schedule_form(schedule), sort_keys=True)
     return dict(
-        instrs=schedule.instruction_count(),
+        instrs=sum(len(segment.instrs) for segment in schedule.segments),
         sha=hashlib.sha256(text.encode()).hexdigest(),
     )
 

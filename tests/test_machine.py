@@ -59,7 +59,10 @@ class TestAmpereMachine:
         # Pre-Hopper GPUs have no hardware warpgroups; the level exists
         # purely as a logical grouping so Hopper-shaped task trees can
         # be retargeted (see machine/ampere.py).
-        level = ampere.level(ProcessorKind.WARPGROUP)
+        (level,) = [
+            level for level in ampere.levels
+            if level.kind is ProcessorKind.WARPGROUP
+        ]
         assert "logical" in level.description
 
     def test_no_tma_spec(self, ampere):

@@ -1,15 +1,17 @@
 """Tests for the mma partitioning operator (paper Figure 4)."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import PartitionError
+from repro.kernels.common import kernel_registry
 from repro.machine.processor import ProcessorKind
 from repro.tensors import (
     LogicalTensor,
-    WGMMA_64x64x16,
-    WGMMA_64x128x16,
+    MmaAtom,
     WGMMA_64x256x16,
     f16,
     partition_by_mma,
@@ -18,23 +20,28 @@ from repro.tensors import (
 ATOM = WGMMA_64x256x16()
 
 
+def _pieces(partition):
+    """Every piece of ``partition``, in row-major grid order."""
+    for index in itertools.product(*(range(n) for n in partition.grid)):
+        yield partition[index]
+
+
 class TestAtoms:
     def test_flops(self):
-        assert ATOM.flops == 2 * 64 * 256 * 16
+        # One atom invocation, as the wgmma leaf that executes it counts it.
+        wgmma = kernel_registry.external("wgmma_f16")
+        c, a, b = (ATOM.m, ATOM.n), (ATOM.m, ATOM.k), (ATOM.k, ATOM.n)
+        assert wgmma.flops_fn([c, a, b]) == 2 * 64 * 256 * 16
 
     def test_name(self):
-        assert WGMMA_64x128x16().name == "WGMMA_64x128x16"
+        assert repr(MmaAtom(64, 128, 16)) == "WGMMA_64x128x16"
 
     def test_bad_m(self):
         with pytest.raises(PartitionError):
-            from repro.tensors.mma_partition import MmaAtom
-
             MmaAtom(32, 64, 16)
 
     def test_bad_n(self):
         with pytest.raises(PartitionError):
-            from repro.tensors.mma_partition import MmaAtom
-
             MmaAtom(64, 60, 16)
 
 
@@ -63,7 +70,7 @@ class TestCOperand:
         c = LogicalTensor("C", (16, 256), f16)
         p = partition_by_mma(c, ATOM, ProcessorKind.THREAD, "C")
         seen = set()
-        for piece in p.pieces():
+        for piece in _pieces(p):
             for coord in piece.element_coords().reshape(-1, 2):
                 key = tuple(coord.tolist())
                 assert key not in seen
@@ -156,11 +163,11 @@ def test_thread_c_partition_always_covers(groups, col_groups):
     rows, cols = 16 * groups, 8 * col_groups
     c = LogicalTensor("C", (rows, cols), f16)
     p = partition_by_mma(
-        c, WGMMA_64x64x16(), ProcessorKind.THREAD, "C"
+        c, MmaAtom(64, 64, 16), ProcessorKind.THREAD, "C"
     )
     total = 0
     seen = set()
-    for piece in p.pieces():
+    for piece in _pieces(p):
         coords = piece.element_coords().reshape(-1, 2)
         total += len(coords)
         seen.update(map(tuple, coords.tolist()))

@@ -30,10 +30,11 @@ from repro.obs import (
     Gauge,
     MetricsRegistry,
     Tracer,
-    validate_chrome_trace,
 )
 from repro.runtime import RuntimeServer, SpeculatorConfig
 from repro.runtime.telemetry import STATS_SCHEMA_VERSION
+
+from exposition import validate_chrome_trace
 
 GEMM_SHAPE = dict(m=256, n=256, k=128)
 
@@ -392,17 +393,17 @@ class TestMetrics:
         counter = Counter("jobs_total", "Jobs.")
         counter.inc()
         counter.inc(4)
-        assert counter.value() == 5
+        assert counter.labelled() == [((), 5.0)]
         with pytest.raises(CypressError):
             counter.inc(-1)
-        assert counter.value() == 5
+        assert counter.labelled() == [((), 5.0)]
 
     def test_gauge_moves_both_ways(self):
         gauge = Gauge("depth", "Queue depth.")
         gauge.set(5)
-        gauge.dec(2)
+        gauge.inc(-2)
         gauge.inc(1)
-        assert gauge.value() == 4
+        assert gauge.labelled() == [((), 4.0)]
 
     def test_labels_render_and_escape(self):
         registry = MetricsRegistry()
@@ -485,11 +486,10 @@ class TestMetrics:
         with RuntimeServer(hopper, workers=1) as server:
             server.submit("gemm", GEMM_SHAPE).result(timeout=600)
             registry = server.metrics()
-            before = registry.get("repro_requests_total").value()
+            assert "\nrepro_requests_total 1\n" in registry.render()
             server.submit("gemm", GEMM_SHAPE).result(timeout=600)
             assert server.metrics(registry) is registry
-            after = registry.get("repro_requests_total").value()
-        assert (before, after) == (1, 2)
+            assert "\nrepro_requests_total 2\n" in registry.render()
 
 
 # ----------------------------------------------------------------------
@@ -504,7 +504,7 @@ class TestFlightRecorder:
             recorder.note(f"e{index}")
         assert len(recorder) == 3
         assert recorder.recorded == 7
-        assert [r["name"] for r in recorder.records()] == [
+        assert [r["name"] for r in recorder.payload()["records"]] == [
             "e4", "e5", "e6",
         ]
 

@@ -28,11 +28,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro import api
 from repro.errors import CypressError
 from repro.kernels import build_gemm
-from repro.obs import (
-    MetricsRegistry,
-    validate_chrome_trace,
-    validate_prometheus_text,
-)
+from repro.obs import MetricsRegistry
 from repro.obs.metrics import _format_value
 from repro.obs.ops import ENDPOINTS, PROM_CONTENT_TYPE, DiagConfig, DiagServer
 from repro.obs.slo import SEVERITY_PAGE, Slo, SloMonitor
@@ -41,6 +37,8 @@ from repro.runtime import BucketPolicy, KernelRegistry, RuntimeServer
 from repro.runtime import faults
 from repro.runtime.faults import FaultPlan
 from repro.runtime.resilience import ResilienceConfig
+
+from exposition import validate_chrome_trace, validate_prometheus_text
 
 GEMM_SHAPE = dict(m=256, n=256, k=128)
 SMALL = dict(tile_m=128, tile_n=256, tile_k=64)
@@ -137,6 +135,16 @@ def _serving_surface(machine, registry, tmp_path):
     }
 
 
+def _burn(monitor, name):
+    """The fast and slow burn rates ``/statusz`` reports for one SLO."""
+    (burn,) = [
+        objective["burn"]
+        for objective in monitor.describe()["objectives"]
+        if objective["name"] == name
+    ]
+    return burn
+
+
 def _http_get(url, timeout=30.0):
     """GET ``url``; returns (status, content_type, body bytes)."""
     try:
@@ -171,7 +179,7 @@ class TestDiagConfig:
             hopper, registry, workers=1, diag=True
         ) as server:
             assert server.diag is not None
-            assert server.diag.running
+            assert server.diag.address is not None
             assert server.diag.address[0] == "127.0.0.1"
             assert server.slo_monitor is None  # no SLOs by default
             server.diag.stop()
@@ -188,7 +196,7 @@ class TestDiagConfig:
             hopper, registry=registry, workers=1, diag=0
         ) as server:
             assert server.diag is not None
-            assert server.diag.running
+            assert server.diag.address is not None
             server.diag.stop()
 
 
@@ -403,14 +411,15 @@ class TestLifecycle:
         try:
             server.submit("gemm", GEMM_SHAPE).result(timeout=600)
             server.close()
-            assert server.diag.running  # listener survives close()
+            # The listener survives close().
+            assert server.diag.address is not None
             for path in ENDPOINTS + ("/",):
                 code, _ctype, body = _http_get(server.diag.url(path))
                 assert code == 503, f"{path} -> {code}"
                 assert json.loads(body)["error"] == "server closed"
         finally:
             server.diag.stop()
-        assert not server.diag.running
+        assert server.diag.address is None
 
     def test_stop_is_idempotent_and_start_rebinds(self, hopper, registry):
         server = RuntimeServer(
@@ -426,7 +435,7 @@ class TestLifecycle:
         assert diag.address == first
         diag.stop()
         diag.stop()
-        assert not diag.running
+        assert diag.address is None
         server.close()
 
     def test_hammered_endpoints_survive_live_traffic_and_close(
@@ -532,9 +541,7 @@ class TestSlo:
         base = time.perf_counter() + 1e6
         monitor.observe(stats=bad, now=base)  # one bad tick: no alert
         assert monitor.alert_states() == {}
-        assert monitor.burn_rates()["latency"] == {
-            "fast": 0.0, "slow": 0.0,
-        }
+        assert _burn(monitor, "latency") == {"fast": 0.0, "slow": 0.0}
         server.close()
 
     def test_seeded_failure_trace_pages_end_to_end(
@@ -577,12 +584,11 @@ class TestSlo:
             assert monitor.alert_states() == {
                 "availability": SEVERITY_PAGE
             }
-            burns = monitor.burn_rates()["availability"]
+            burns = _burn(monitor, "availability")
             assert burns["fast"] >= slo.page_burn
             assert burns["slow"] >= slo.page_burn
-            assert monitor.alerts_fired()[
-                ("availability", SEVERITY_PAGE)
-            ] == 1
+            alerts_total = monitor.describe()["alerts_total"]
+            assert alerts_total[f"availability:{SEVERITY_PAGE}"] == 1
 
             # 2. The stats snapshot and its table.
             stats = server.stats()
@@ -598,7 +604,7 @@ class TestSlo:
             # 3. The flight recorder note.
             notes = [
                 record
-                for record in server.flight.records()
+                for record in server.flight.payload()["records"]
                 if record["kind"] == "event"
                 and record["name"] == "slo-alert"
             ]
@@ -640,7 +646,7 @@ class TestSlo:
             assert server.stats().slo_alerts == {}
             resolved = [
                 record
-                for record in server.flight.records()
+                for record in server.flight.payload()["records"]
                 if record["kind"] == "event"
                 and record["name"] == "slo-alert"
                 and record["args"]["severity"] == "resolved"
@@ -765,7 +771,7 @@ class TestFlightRotation:
         assert not path.exists()
         events = [
             record["name"]
-            for record in server.flight.records()
+            for record in server.flight.payload()["records"]
             if record["kind"] == "event"
         ]
         assert events.count("dump-failed") == 1

@@ -121,18 +121,10 @@ class TestInstrumentation:
             assert record.wall_time_s >= 0
             assert record.ops_before > 0
             assert record.ops_after > 0
-        assert trace.total_time_s > 0
+        assert sum(record.wall_time_s for record in trace.records) > 0
         # copy elimination must shrink the IR; the trace shows it.
         elim = next(r for r in trace.records if r.name == "copy-elim")
         assert elim.ops_after < elim.ops_before
-
-    def test_summary_renders_every_pass(self, small_build):
-        kernel = api.compile_kernel(
-            small_build, options=CompileOptions(cache=False)
-        )
-        summary = kernel.pass_trace.summary()
-        for name in DEFAULT_PIPELINE:
-            assert name in summary
 
 
 class TestVerifyPolicy:

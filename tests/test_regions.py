@@ -38,7 +38,7 @@ from repro.sym import ProcIndex, Var, to_expr
 from repro.tensors import (
     Dim,
     LogicalTensor,
-    WGMMA_64x64x16,
+    MmaAtom,
     f16,
     partition_by_blocks,
     partition_by_mma,
@@ -52,6 +52,13 @@ from repro.tensors.regions import rows_intersect, view_of
 def _coord_set(ref, env=None):
     """The enumeration oracle: element coordinates as a set of tuples."""
     coords = ref.element_coords(env).reshape(-1, ref.root.rank)
+    return {tuple(row) for row in coords.tolist()}
+
+
+def _box_coord_set(box):
+    """A box's element coordinates as a set of tuples."""
+    grids = np.meshgrid(*[dim.values() for dim in box.dims], indexing="ij")
+    coords = np.stack(grids, axis=-1).reshape(-1, box.rank)
     return {tuple(row) for row in coords.tolist()}
 
 
@@ -136,9 +143,7 @@ class TestRegionOf:
             region = region_of(ref)
             assert region is not None
             (box,) = region.boxes
-            assert {tuple(r) for r in box.coords().tolist()} == _coord_set(
-                ref
-            )
+            assert _box_coord_set(box) == _coord_set(ref)
 
     @given(refs=blocks_refs())
     @settings(max_examples=200, deadline=None)
@@ -171,23 +176,21 @@ class TestMmaRegions:
     )
     def test_fragment_regions_cover_exactly(self, operand, proc):
         root = LogicalTensor("c", (64, 64), f16)
-        part = partition_by_mma(root, WGMMA_64x64x16(), proc, operand)
+        part = partition_by_mma(root, MmaAtom(64, 64, 16), proc, operand)
         for which in range(part.grid[0]):
             ref = part[which]
             region = region_of(ref)
             assert region is not None, (operand, proc, which)
             (box,) = region.boxes
-            assert {
-                tuple(r) for r in box.coords().tolist()
-            } == _coord_set(ref)
+            assert _box_coord_set(box) == _coord_set(ref)
 
     def test_c_thread_fragments_disjoint_and_a_overlapping(self):
         root = LogicalTensor("c", (64, 64), f16)
         c = partition_by_mma(
-            root, WGMMA_64x64x16(), ProcessorKind.THREAD, "C"
+            root, MmaAtom(64, 64, 16), ProcessorKind.THREAD, "C"
         )
         a = partition_by_mma(
-            root, WGMMA_64x64x16(), ProcessorKind.THREAD, "A"
+            root, MmaAtom(64, 64, 16), ProcessorKind.THREAD, "A"
         )
         for t in range(1, 32):
             assert not c[0].may_alias(c[t])
@@ -197,7 +200,7 @@ class TestMmaRegions:
     def test_verdicts_match_oracle_across_threads(self):
         root = LogicalTensor("c", (64, 64), f16)
         part = partition_by_mma(
-            root, WGMMA_64x64x16(), ProcessorKind.THREAD, "C"
+            root, MmaAtom(64, 64, 16), ProcessorKind.THREAD, "C"
         )
         blocks = partition_by_blocks(root, (8, 8))
         for t in (0, 1, 5, 31):
@@ -240,7 +243,7 @@ def mma_refs(draw):
         tiles = (1, 1)
     for level in nesting.split("+"):
         proc = ProcessorKind[level.upper()]
-        part = partition_by_mma(ref, WGMMA_64x64x16(), proc, operand)
+        part = partition_by_mma(ref, MmaAtom(64, 64, 16), proc, operand)
         env[level] = draw(st.integers(0, part.grid[0] - 1))
         ref = part[ProcIndex(level)]
     if draw(st.booleans()):

@@ -60,6 +60,12 @@ def registry():
 # ----------------------------------------------------------------------
 # FaultPlan
 # ----------------------------------------------------------------------
+def _every_site(plan, rate):
+    for site in FAULT_SITES:
+        plan.inject(site, rate)
+    return plan
+
+
 class TestFaultPlan:
     def test_unknown_site_rejected(self):
         plan = FaultPlan()
@@ -104,12 +110,12 @@ class TestFaultPlan:
             return out
 
         for site in FAULT_SITES:
-            a = FaultPlan(seed=42).inject_all(0.3)
-            b = FaultPlan(seed=42).inject_all(0.3)
+            a = _every_site(FaultPlan(seed=42), 0.3)
+            b = _every_site(FaultPlan(seed=42), 0.3)
             assert verdicts(a, site) == verdicts(b, site)
         # And a different seed diverges (overwhelmingly likely).
-        c = FaultPlan(seed=43).inject_all(0.3)
-        d = FaultPlan(seed=42).inject_all(0.3)
+        c = _every_site(FaultPlan(seed=43), 0.3)
+        d = _every_site(FaultPlan(seed=42), 0.3)
         assert verdicts(c, "compile") != verdicts(d, "compile")
 
     def test_sites_are_independent_streams(self):
@@ -126,8 +132,8 @@ class TestFaultPlan:
                     out.append(True)
             return out
 
-        solo = FaultPlan(seed=9).inject_all(0.4)
-        noisy = FaultPlan(seed=9).inject_all(0.4)
+        solo = _every_site(FaultPlan(seed=9), 0.4)
+        noisy = _every_site(FaultPlan(seed=9), 0.4)
         expected = compile_verdicts(solo)
         got = []
         for verdict_expected in expected:

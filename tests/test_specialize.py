@@ -183,7 +183,7 @@ class TestPromotion:
         ) as server:
             _inject(server, HOT_M, 3)  # hot_threshold is 4
             assert server.specializer.run_once() == 0
-            assert server.specializer.active == {}
+            assert server.specializer._active == {}
 
     def test_promotion_is_idempotent(self, hopper, registry):
         with RuntimeServer(
@@ -214,7 +214,7 @@ class TestPromotion:
             # would be removed, so promotion can never help.
             _inject(server, 900, 10)
             assert server.specializer.run_once() == 0
-            assert server.specializer.active == {}
+            assert server.specializer._active == {}
 
     def test_kernel_without_granules_skipped(self, hopper):
         with RuntimeServer(
@@ -226,7 +226,7 @@ class TestPromotion:
         ) as server:
             _inject(server, HOT_M, 10)
             assert server.specializer.run_once() == 0
-            assert server.specializer.active == {}
+            assert server.specializer._active == {}
 
     def test_unregistered_traffic_ignored(self, hopper, registry):
         with RuntimeServer(
@@ -249,7 +249,7 @@ class TestPromotion:
             _inject(server, 700, 5)  # generic 1024, aligned 768
             assert server.specializer.run_once() == 1
             assert server.specializer.run_once() == 1
-            assert len(server.specializer.active) == 2
+            assert len(server.specializer._active) == 2
 
 
 class TestGuardServing:
@@ -373,7 +373,7 @@ class TestDeoptimization:
             assert server.stats().specialized_hits == 1
             server.specializer.decay(0.0)
             server.specializer.run_once()
-            assert server.specializer.active == {}
+            assert server.specializer._active == {}
             server.start()
             result = future.result(timeout=120)
             # The kernel stayed cached, so the in-flight request still
@@ -434,7 +434,7 @@ class TestFaultInjection:
             stats = server.stats()
             assert stats.specialize_errors == 1
             assert stats.promotions == 0
-            assert server.specializer.active == {}
+            assert server.specializer._active == {}
             # A handled promotion failure is not a loop crash.
             assert server.specializer.errors == 0
             result = server.submit("gemm", _shape(HOT_M)).result(timeout=120)
@@ -484,7 +484,7 @@ class TestFaultInjection:
             _inject(server, HOT_M, 6)
             assert server.specializer.run_once() == 0
             assert compiles == ["compile"]  # the compile did run...
-            assert server.specializer.active == {}  # ...no guard went live
+            assert server.specializer._active == {}  # ...no guard went live
             assert server.stats().promotions == 0
 
 
@@ -505,7 +505,7 @@ _schedule = st.lists(
 
 
 def _check_invariants(server, max_per_kernel):
-    active = server.specializer.active
+    active = server.specializer._active
     assert len(active) <= max_per_kernel
     stats = server.stats()
     assert stats.promotions - stats.deopts == len(active)

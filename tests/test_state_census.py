@@ -53,8 +53,6 @@ STATE = {
     "numbering._tls": "the numbering of the compile running on this thread",
     "obs.metrics._HELP_ESCAPES": TABLE,
     "obs.metrics._LABEL_ESCAPES": TABLE,
-    "obs.metrics._TYPE_KINDS": TABLE,
-    "obs.metrics._VALID_ESCAPES": TABLE,
     "obs.trace.NULL_TRACER": NO_OP,
     "obs.trace._NULL_CONTEXT": NO_OP,
     "runtime.faults.ACTIVE": "test-only fault-injection hook; None in use",

@@ -7,7 +7,6 @@ from repro.sym import (
     BinOp,
     Const,
     Var,
-    cdiv,
     evaluate,
     simplify,
     substitute,
@@ -54,10 +53,6 @@ class TestArithmetic:
         assert evaluate(1 + k, {"k": 4}) == 5
         assert evaluate(10 - k, {"k": 4}) == 6
 
-    def test_cdiv(self):
-        assert cdiv(10, 3) == Const(4)
-        assert cdiv(9, 3) == Const(3)
-
     def test_mod_expression(self):
         k = Var("k")
         expr = (k + 1) % 3
@@ -94,14 +89,6 @@ class TestVariables:
 
     def test_const_has_none(self):
         assert variables(Const(7)) == set()
-
-
-@given(
-    a=st.integers(min_value=0, max_value=1000),
-    b=st.integers(min_value=1, max_value=100),
-)
-def test_cdiv_matches_ceil(a, b):
-    assert evaluate(cdiv(Var("a"), b), {"a": a}) == -(-a // b)
 
 
 @given(
