@@ -26,11 +26,12 @@ not one per thread). External implementations act on the trailing
 axes (see :class:`~repro.frontend.task.ExternalFunction`), so one call
 serves the batch. Batching is decided once per op and environment: it
 requires that no instance writes an element another instance reads or
-writes. Where that fails, or where ``view_of`` declines, the instances
-run one at a time, in index order, as batches of one through
-:meth:`TensorRef.read`/``write``. The per-op plans and fitted layouts
-are kept on the interpreted :class:`IRFunction` (dropped when it is
-pickled), so a kernel's later requests only look them up.
+writes. Where that fails, or where a reference names an index the
+environment leaves unbound, the instances run one at a time, in index
+order, as batches of one through :meth:`TensorRef.read`/``write``. The
+per-op plans and fitted layouts are kept on the interpreted
+:class:`IRFunction` (dropped when it is pickled), so a kernel's later
+requests only look them up.
 """
 
 from __future__ import annotations
@@ -130,7 +131,8 @@ class _Operand:
         return flat[start:start + self.size].reshape(self.shape)
 
     def view(self, bound: Mapping[str, int]):
-        """``regions.view_of`` within one slot, or ``None``."""
+        """``regions.view_of`` within one slot, or ``None`` when
+        ``bound`` leaves an index of the reference unbound."""
         if self.ref.is_whole:
             return (self.shape, *(slice(0, n) for n in self.shape))
         try:

@@ -20,9 +20,9 @@ Privileges are **not** part of the launch call's authority: the
 own entrypoint task declaration, so a caller cannot under-declare a
 write and break the inferred ordering. Regions come from the bound
 references through the symbolic region algebra
-(:mod:`repro.tensors.regions`); bindings the algebra cannot describe —
-reshape views, unsupported partition kinds — degrade to conservative
-edges rather than being rejected.
+(:mod:`repro.tensors.regions`); a binding whose region is unknown at
+capture — a piece of a reshape view, or a symbolically indexed piece —
+degrades to conservative edges rather than being rejected.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ from repro.runtime.bucketing import Bucket
 from repro.runtime.registry import KernelRegistry, default_registry
 from repro.tensors.dtype import DType, f16
 from repro.tensors.partition import BlocksPartition, SqueezePartition
-from repro.tensors.regions import ref_region, tensor_region
+from repro.tensors.regions import region_of, tensor_region
 from repro.tensors.tensor import LogicalTensor, TensorRef
 
 
@@ -386,7 +386,10 @@ class GraphBuilder:
             # whole-view binding is exactly the whole base; anything
             # narrower is conservative.
             return tensor_region(root.shape) if ref.is_whole else None
-        return ref_region(ref)
+        try:
+            return region_of(ref)
+        except KeyError:
+            return None  # a symbolic index: conservative edges
 
     def _resolve_regions(self) -> None:
         """Fill every captured access's deferred region (idempotent)."""

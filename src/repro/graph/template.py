@@ -22,7 +22,7 @@ not just its name). On ``build()`` the fingerprint is looked up in a
   computed once, and the template stored;
 * **hit** — the precomputed edges and critical path are replayed onto
   the freshly captured nodes with **zero region-algebra work**: no
-  ``ref_region``, no ``infer_edges``, no cycle re-validation, no
+  ``region_of``, no ``infer_edges``, no cycle re-validation, no
   cost-model walk.
 
 The fingerprint covers everything edge inference reads, so structural

@@ -14,7 +14,6 @@ from repro.tensors.regions import (
     SymDim,
     prove_iterations_disjoint,
     region_of,
-    rows_intersect,
     symbolic_box,
 )
 from repro.tensors.tensor import LogicalTensor, TensorRef
@@ -47,7 +46,6 @@ __all__ = [
     "SymDim",
     "prove_iterations_disjoint",
     "region_of",
-    "rows_intersect",
     "symbolic_box",
     "Partition",
     "BlocksPartition",

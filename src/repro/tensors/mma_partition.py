@@ -16,11 +16,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence, Tuple
 
-import numpy as np
-
 from repro.errors import PartitionError
 from repro.machine.processor import ProcessorKind
 from repro.tensors.partition import IntoIndex, Partition
+from repro.tensors.regions import Dim
 from repro.tensors.tensor import LogicalTensor, TensorRef
 
 WARPS_PER_WARPGROUP = 4
@@ -101,30 +100,44 @@ class MmaPartition(Partition):
             raise PartitionError(
                 f"mma partitioning requires a rank-2 tensor, got {source!r}"
             )
+        if any(
+            isinstance(partition, MmaPartition)
+            and partition.proc is ProcessorKind.THREAD
+            for partition, _ in source.path
+        ):
+            raise PartitionError(
+                f"{source!r} is already a thread's fragment; it cannot be "
+                f"mma-partitioned again"
+            )
         self.atom = atom
         self.proc = proc
         self.operand = operand
-        if operand == "C":
-            self._validate_c_shape()
+        self._validate_shape()
 
-    def _validate_c_shape(self) -> None:
+    def _validate_shape(self) -> None:
+        """The pieces must cover the source: every row and column in
+        exactly the pieces the Figure-4 pattern assigns it to."""
         rows, cols = self.source.shape
         if self.proc is ProcessorKind.WARP:
-            if rows % (WARPS_PER_WARPGROUP * 2 * ROW_GROUP) != 0:
-                raise PartitionError(
-                    f"warp-level mma C partition needs rows divisible by "
-                    f"{WARPS_PER_WARPGROUP * 2 * ROW_GROUP}, got {rows}"
-                )
+            need = {
+                "A": (WARPS_PER_WARPGROUP, 1),
+                "B": (1, 1),
+                "C": (WARPS_PER_WARPGROUP * 2 * ROW_GROUP, 1),
+            }[self.operand]
         else:
-            if rows % (2 * ROW_GROUP) != 0:
+            need = {
+                "A": (ROW_GROUP, 1),
+                "B": (1, COL_GROUP),
+                "C": (2 * ROW_GROUP, COL_GROUP),
+            }[self.operand]
+        for axis, extent, divisor in zip(
+            ("rows", "columns"), (rows, cols), need
+        ):
+            if extent % divisor:
                 raise PartitionError(
-                    f"thread-level mma C partition needs rows divisible by "
-                    f"{2 * ROW_GROUP}, got {rows}"
-                )
-            if cols % COL_GROUP != 0:
-                raise PartitionError(
-                    f"thread-level mma C partition needs columns divisible "
-                    f"by {COL_GROUP}, got {cols}"
+                    f"{self.proc.name.lower()}-level mma {self.operand} "
+                    f"partition needs {axis} divisible by {divisor}, got "
+                    f"{extent}"
                 )
 
     # ------------------------------------------------------------------
@@ -152,42 +165,15 @@ class MmaPartition(Partition):
         # group (the T_i cells of Figure 4).
         return (rows // ROW_GROUP, 2 * (cols // COL_GROUP))
 
-    def map_coords(
-        self, coords: np.ndarray, index: Tuple[int, ...]
-    ) -> np.ndarray:
-        (which,) = index
-        t = which
-        if self.operand == "B":
-            if self.proc is ProcessorKind.WARP:
-                return coords  # replicated across warps
-            out = np.empty_like(coords)
-            out[..., 0] = coords[..., 0]
-            out[..., 1] = _fragment_col(coords[..., 1], t)
-            return out
-        if self.proc is ProcessorKind.WARP:
-            rows_per_warp = self.source.shape[0] // WARPS_PER_WARPGROUP
-            out = coords.copy()
-            out[..., 0] = coords[..., 0] + which * rows_per_warp
-            return out
-        out = np.empty_like(coords)
-        out[..., 0] = _fragment_row(coords[..., 0], t)
-        if self.operand == "A":
-            out[..., 1] = coords[..., 1]
-        else:
-            out[..., 1] = _fragment_col(coords[..., 1], t)
-        return out
-
     def map_dims(self, dims, index):
         """Fragment pieces as strided boxes of the Figure-4 pattern.
 
         Warp-level pieces are dense row bands (or replicated views);
-        thread-level fragments are period-8 strided rows/columns.
-        Incoming dimensions that are not dense (a fragment further
-        partitioned into non-contiguous pieces) are declined, sending
-        aliasing checks to the materialized fallback.
+        thread-level fragments are period-8 strided rows/columns. A
+        piece of a fragment is a box only while it keeps the fragment's
+        column pairs whole; ``BlocksPartition`` asks for this when it
+        is built, and gets the ``PartitionError``.
         """
-        from repro.tensors.regions import Dim
-
         (thread,) = index
         rows_dim, cols_dim = dims
         if self.proc is ProcessorKind.WARP:
@@ -196,8 +182,6 @@ class MmaPartition(Partition):
             rows_per_warp = self.source.shape[0] // WARPS_PER_WARPGROUP
             return (rows_dim.shifted(thread * rows_per_warp), cols_dim)
         if self.operand in ("A", "C"):
-            if not rows_dim.is_dense:
-                return None
             rows = Dim(
                 ROW_GROUP * rows_dim.lo + thread // 4,
                 ROW_GROUP,
@@ -207,12 +191,11 @@ class MmaPartition(Partition):
         else:
             rows = rows_dim
         if self.operand in ("B", "C"):
-            if (
-                not cols_dim.is_dense
-                or cols_dim.lo % 2
-                or cols_dim.span % 2
-            ):
-                return None
+            if cols_dim.lo % 2 or cols_dim.span % 2:
+                raise PartitionError(
+                    f"a piece of {self!r} splits a column pair of its "
+                    f"fragment"
+                )
             cols = Dim(
                 COL_GROUP * (cols_dim.lo // 2) + 2 * (thread % 4),
                 COL_GROUP,
@@ -228,16 +211,6 @@ class MmaPartition(Partition):
             f"mma({self.source!r}, {self.atom}, {self.proc.name}, "
             f"{self.operand!r})"
         )
-
-
-def _fragment_row(i: np.ndarray, thread: int) -> np.ndarray:
-    """Source row of a thread's fragment row ``i`` (Figure 4 pattern)."""
-    return i * ROW_GROUP + (thread // 4)
-
-
-def _fragment_col(j: np.ndarray, thread: int) -> np.ndarray:
-    """Source column of a thread's fragment column ``j`` (Figure 4)."""
-    return (j // 2) * COL_GROUP + 2 * (thread % 4) + (j % 2)
 
 
 def partition_by_mma(

@@ -2,8 +2,10 @@
 
 Partitions decompose a tensor into pieces, each of which is again a
 tensor with a compacted origin-based coordinate system (paper section
-3.2). This module defines the abstract :class:`Partition` protocol and
-the ``blocks`` (tiling) operator; the architecture-mandated ``mma``
+3.2). Every piece is a strided interval box of the source
+(:mod:`repro.tensors.regions`), and a partition says which one. This
+module defines the abstract :class:`Partition` protocol, the ``blocks``
+(tiling) operator and ``squeeze``; the architecture-mandated ``mma``
 operator lives in :mod:`repro.tensors.mma_partition`.
 """
 
@@ -11,10 +13,9 @@ from __future__ import annotations
 
 from typing import Sequence, Tuple, Union
 
-import numpy as np
-
 from repro.errors import PartitionError
 from repro.sym import Const, Expr, to_expr
+from repro.tensors.regions import Dim, SymDim, identity_dims
 from repro.tensors.tensor import LogicalTensor, TensorRef
 
 IntoIndex = Union[int, Expr]
@@ -24,8 +25,8 @@ class Partition:
     """Abstract base for partitioning operators.
 
     A partition knows its source reference, how many pieces it has along
-    each partition dimension (``grid``), the shape of a piece, and how to
-    map piece-local coordinates back into source coordinates.
+    each partition dimension (``grid``), the shape of a piece, and which
+    box of the source a piece is (``map_dims``).
     """
 
     kind: str = "abstract"
@@ -41,16 +42,6 @@ class Partition:
         """Shape of the piece at ``index`` (which may be symbolic)."""
         raise NotImplementedError
 
-    def map_coords(
-        self, coords: np.ndarray, index: Tuple[int, ...]
-    ) -> np.ndarray:
-        """Map piece-local coordinates to source-ref coordinates.
-
-        ``coords`` has shape ``(..., piece_rank)``; the result has shape
-        ``(..., source_rank)``.
-        """
-        raise NotImplementedError
-
     # ------------------------------------------------------------------
     # Region algebra (repro.tensors.regions)
     # ------------------------------------------------------------------
@@ -58,12 +49,10 @@ class Partition:
         """Map piece-space interval dims to source-space dims.
 
         ``dims`` is one :class:`~repro.tensors.regions.Dim` per piece
-        axis; ``index`` is the concrete piece index. Partitions whose
-        pieces cannot be expressed as strided interval boxes return
-        ``None`` (the default), which makes aliasing checks fall back
-        to vectorized coordinate materialization.
+        axis; ``index`` is the concrete piece index. Every partition
+        kind maps every box its pieces can hold to a box of the source.
         """
-        return None
+        raise NotImplementedError
 
     def map_symbolic_dims(self, dims, index):
         """Map affine piece bounds to source bounds, or ``None``.
@@ -131,6 +120,20 @@ class BlocksPartition(Partition):
                     f"illegal block shape {tuple(block_shape)}"
                 )
         self.block_shape = tuple(block_shape)
+        if any(partition.kind == "mma" for partition, _ in source.path):
+            # Pieces of an mma fragment must keep its column pairs
+            # whole, or they are no boxes: map the first, second and
+            # last piece of every axis up the path (between them they
+            # have every offset and extent parity a piece can have) and
+            # let ``MmaPartition.map_dims`` raise on a split pair.
+            for k in (0, 1, None):
+                index = tuple(
+                    g - 1 if k is None else min(k, g - 1) for g in self.grid
+                )
+                dims = identity_dims(self.piece_shape(index))
+                dims = self.map_dims(dims, index)
+                for partition, outer in reversed(source.path):
+                    dims = partition.map_dims(dims, (0,) * len(outer))
 
     @property
     def grid(self) -> Tuple[int, ...]:
@@ -157,14 +160,6 @@ class BlocksPartition(Partition):
                 shape.append(block)
         return tuple(shape)
 
-    def map_coords(
-        self, coords: np.ndarray, index: Tuple[int, ...]
-    ) -> np.ndarray:
-        offsets = np.array(
-            [i * b for i, b in zip(index, self.block_shape)], dtype=coords.dtype
-        )
-        return coords + offsets
-
     def map_dims(self, dims, index):
         """Blocks pieces translate: shift every axis by ``index*block``."""
         return tuple(
@@ -174,8 +169,6 @@ class BlocksPartition(Partition):
 
     def map_symbolic_dims(self, dims, index):
         """Affine translation: add ``block * index`` to each axis bound."""
-        from repro.tensors.regions import SymDim
-
         out = []
         for dim, (const, coeffs), block in zip(
             dims, index, self.block_shape
@@ -225,19 +218,8 @@ class SqueezePartition(Partition):
     def piece_shape(self, index: Sequence[IntoIndex]) -> Tuple[int, ...]:
         return tuple(self.source.shape[axis] for axis in self.kept)
 
-    def map_coords(
-        self, coords: np.ndarray, index: Tuple[int, ...]
-    ) -> np.ndarray:
-        out_shape = coords.shape[:-1] + (self.source.rank,)
-        out = np.zeros(out_shape, dtype=coords.dtype)
-        for piece_axis, source_axis in enumerate(self.kept):
-            out[..., source_axis] = coords[..., piece_axis]
-        return out
-
     def map_dims(self, dims, index):
         """Re-insert the squeezed unit axes at coordinate zero."""
-        from repro.tensors.regions import Dim
-
         by_axis = dict(zip(self.kept, dims))
         return tuple(
             by_axis.get(axis, Dim(0, 1, 1, 1))
@@ -246,8 +228,6 @@ class SqueezePartition(Partition):
 
     def map_symbolic_dims(self, dims, index):
         """Unit axes pin to zero; kept axes pass bounds through."""
-        from repro.tensors.regions import SymDim
-
         by_axis = dict(zip(self.kept, dims))
         return tuple(
             by_axis.get(axis, SymDim(0, {}, 1))

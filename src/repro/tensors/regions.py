@@ -1,26 +1,25 @@
-"""Symbolic region algebra for tensor aliasing (dependence analysis).
+"""Symbolic region algebra: which elements a reference touches.
 
-The paper proves ``prange`` write-disjointness from the structure of
-the tensor partition tree (Legion-style privilege checking). This
-module gives the reproduction the same power without materializing
-element coordinates: the element set of a :class:`TensorRef` is
-represented as a union of *strided interval boxes* — per root dimension
-a :class:`Dim` ``(lo, step, count, span)`` describing the integer set
-``{lo + step*i + j | 0 <= i < count, 0 <= j < span}``. Partition
-operators map boxes structurally (``blocks`` pieces are dense boxes,
+A reference's elements are its region. The paper proves ``prange``
+write-disjointness from the structure of the tensor partition tree
+(Legion-style privilege checking); this module gives the reproduction
+the same power without enumerating elements: the element set of a
+:class:`TensorRef` is a *strided interval box* — per root dimension a
+:class:`Dim` ``(lo, step, count, span)`` describing the integer set
+``{lo + step*i + j | 0 <= i < count, 0 <= j < span}``. Every partition
+operator maps boxes structurally (``blocks`` pieces are dense boxes,
 ``squeeze`` re-inserts unit dimensions, ``mma`` fragments are strided
-rows/columns of the Figure-4 pattern), so disjointness and containment
-of two references are O(rank) arithmetic tests instead of
-O(elements) set operations.
+rows/columns of the Figure-4 pattern), and a partition whose pieces
+would not be boxes is rejected when it is built, so disjointness and
+containment of two references are O(rank) arithmetic tests.
 
 Three entry points:
 
 * :func:`region_of` — the concrete region of a reference under an
-  index environment, or ``None`` when a partition kind cannot be
-  described (callers fall back to coordinate materialization);
+  index environment;
 * :func:`view_of` — the same region as a numpy reshape plus basic
-  slices, which is how the functional executor reads and writes a
-  reference's elements without building coordinate arrays;
+  slices, which is how every read and write of a reference reaches
+  its elements;
 * :func:`prove_iterations_disjoint` — an affine proof, over *all*
   pairs of distinct loop iterations at once, that two write references
   can never overlap; on success the dependence analysis skips
@@ -35,6 +34,7 @@ from typing import Mapping, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
+from repro.errors import TensorError
 from repro.sym import affine_form, evaluate
 
 
@@ -207,41 +207,18 @@ def tensor_region(shape: Sequence[int]) -> Region:
     return Region((Box(identity_dims(shape)),))
 
 
-def ref_region(ref, env: Optional[Mapping[str, int]] = None) -> Optional[Region]:
-    """The root-coordinate region of a reference, or ``None``.
-
-    The public counterpart of :func:`region_of` that also accepts a
-    :class:`~repro.tensors.tensor.LogicalTensor` (meaning the whole
-    tensor) and never raises on unbound symbolic indices — those return
-    ``None`` so callers fall back to a conservative verdict, the
-    contract inter-launch dependence inference relies on.
-    """
-    if not hasattr(ref, "path"):  # a LogicalTensor: the whole tensor
-        return tensor_region(ref.shape)
-    try:
-        return region_of(ref, env)
-    except KeyError:
-        return None
-
-
-def region_of(
-    ref, env: Optional[Mapping[str, int]] = None
-) -> Optional[Region]:
-    """The root-coordinate region of a reference, or ``None``.
+def region_of(ref, env: Optional[Mapping[str, int]] = None) -> Region:
+    """The root-coordinate region of a reference.
 
     Walks the partition path inner-to-outer, asking each partition to
     map interval dimensions structurally (``Partition.map_dims``).
-    Returns ``None`` when some partition kind cannot express its pieces
-    as boxes — callers then fall back to coordinate materialization.
     Raises ``KeyError`` when a symbolic index is unbound by ``env``.
     """
     env = env or {}
-    dims: Optional[Tuple[Dim, ...]] = identity_dims(ref.shape)
+    dims = identity_dims(ref.shape)
     for partition, index in reversed(ref.path):
         concrete = tuple(evaluate(e, env) for e in index)
         dims = partition.map_dims(dims, concrete)
-        if dims is None:
-            return None
     return Region((Box(dims),))
 
 
@@ -264,10 +241,8 @@ def _shared_slice(start: int, stop: int) -> slice:
     return slice(start, stop)
 
 
-def view_of(
-    ref, env: Optional[Mapping[str, int]] = None
-) -> Optional[ViewSpec]:
-    """The reference's elements as ``(view_shape, *slices)``, or ``None``.
+def view_of(ref, env: Optional[Mapping[str, int]] = None) -> ViewSpec:
+    """The reference's elements as ``(view_shape, *slices)``.
 
     ``root_array.reshape(spec[0])[spec[1:]]`` is a numpy *view* holding
     exactly the reference's elements in sub-tensor order (reshape it to
@@ -276,28 +251,30 @@ def view_of(
     ``[lo // step : lo // step + count, lo % step : lo % step + span]``;
     a dense axis is the ``count == 1`` case and needs no split.
 
-    Returns ``None`` — callers gather through ``element_coords`` — when
-    :func:`region_of` declines, when a step does not divide its root
-    extent or an interval straddles a period boundary, and when the
-    region leaves the root's bounds (the gather path raises there).
-    Raises ``KeyError`` when a symbolic index is unbound by ``env``.
+    Raises :class:`~repro.errors.TensorError` when the region is not a
+    view of its root: it leaves the root's bounds (an index out of
+    range), or a step does not divide its root extent. Raises
+    ``KeyError`` when a symbolic index is unbound by ``env``.
     """
-    region = region_of(ref, env)
-    if region is None:
-        return None
-    (box,) = region.boxes
+    (box,) = region_of(ref, env).boxes
     view_shape = []
     slices = []
     for dim, extent in zip(box.dims, ref.root.shape):
         if dim.lo < 0 or dim.hi >= extent:
-            return None
+            raise TensorError(
+                f"{ref!r} under {dict(env or {})} reaches "
+                f"[{dim.lo}, {dim.hi}] outside extent {extent} of its root"
+            )
         if dim.is_dense:
             view_shape.append(extent)
             slices.append(_shared_slice(dim.lo, dim.lo + dim.span))
             continue
         period, offset = divmod(dim.lo, dim.step)
         if extent % dim.step or offset + dim.span > dim.step:
-            return None
+            raise TensorError(
+                f"{ref!r} under {dict(env or {})} is no strided view of "
+                f"its root: period {dim.step}, root extent {extent}"
+            )
         view_shape += [extent // dim.step, dim.step]
         slices += [
             _shared_slice(period, period + dim.count),
@@ -415,18 +392,3 @@ def _separates(da: SymDim, db: SymDim, var: str, active: Set[str]) -> bool:
         name == var or name not in active for name in da.coeffs
     )
 
-
-def rows_intersect(a: np.ndarray, b: np.ndarray) -> bool:
-    """Do two ``(n, rank)`` coordinate arrays share a row?
-
-    The vectorized fallback for partition kinds the algebra cannot
-    describe: both arrays are viewed as contiguous void records and
-    intersected with ``np.intersect1d`` — no Python tuple sets, no
-    ``tolist``.
-    """
-    a = np.ascontiguousarray(a, dtype=np.int64)
-    b = np.ascontiguousarray(b, dtype=np.int64)
-    if a.size == 0 or b.size == 0:
-        return False
-    void = np.dtype((np.void, a.dtype.itemsize * a.shape[1]))
-    return np.intersect1d(a.view(void).ravel(), b.view(void).ravel()).size > 0

@@ -4,33 +4,23 @@ A :class:`LogicalTensor` is a named multi-dimensional array with no
 physical placement — placement comes from the mapping specification. A
 :class:`TensorRef` denotes either a whole tensor or a sub-tensor reached
 through a chain of partition indexings; sub-tensors get a compacted,
-origin-based coordinate system (paper section 3.2). References know how
-to select their elements out of a numpy realization of the root tensor,
-which powers both the functional executor and exact aliasing checks.
+origin-based coordinate system (paper section 3.2). A reference's
+elements are its region (:mod:`repro.tensors.regions`): reads and
+writes reach them as a numpy view of the root array, and aliasing
+checks intersect two regions.
 """
 
 from __future__ import annotations
 
-from typing import (
-    TYPE_CHECKING,
-    Mapping,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import TYPE_CHECKING, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import TensorError
 from repro.numbering import next_number
-from repro.sym import Expr, evaluate, to_expr, variables
+from repro.sym import Expr, to_expr, variables
 from repro.tensors.dtype import DType
-from repro.tensors.regions import (
-    region_of,
-    rows_intersect,
-    shared_tuple,
-    view_of,
-)
+from repro.tensors.regions import region_of, shared_tuple, view_of
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.tensors.partition import Partition
@@ -66,10 +56,6 @@ class LogicalTensor:
         self.shape: Tuple[int, ...] = tuple(shape)
         self.dtype = dtype
         self.uid = next_number("tensor")
-
-    @property
-    def rank(self) -> int:
-        return len(self.shape)
 
     @property
     def size(self) -> int:
@@ -157,23 +143,6 @@ class TensorRef:
     # ------------------------------------------------------------------
     # Element selection
     # ------------------------------------------------------------------
-    def element_coords(
-        self, env: Optional[Mapping[str, int]] = None
-    ) -> np.ndarray:
-        """Root-tensor coordinates of every element, in sub-tensor order.
-
-        Returns an integer array of shape ``(*self.shape, root.rank)``.
-        Used by the functional executor and by exact aliasing checks.
-        Requires all symbolic indices to be bound by ``env``.
-        """
-        env = env or {}
-        coords = _identity_coords(self.shape)
-        # Walk the path inner-to-outer mapping sub coordinates up.
-        for partition, index in reversed(self.path):
-            concrete = tuple(evaluate(e, env) for e in index)
-            coords = partition.map_coords(coords, concrete)
-        return coords
-
     def _view_spec(self, env: Optional[Mapping[str, int]]):
         """``(view_shape, *slices)`` reaching this reference's elements.
 
@@ -182,12 +151,10 @@ class TensorRef:
         ``regions.view_of`` turns the reference's region — dense
         ``blocks``/``squeeze`` boxes and strided ``mma`` fragments
         alike — into a reshape plus basic slices, so reads and writes
-        go through numpy views instead of gather/scatter index arrays.
-        The reference is immutable, so the answer depends only on the
-        values ``env`` gives its own free variables; it is memoised on
-        those (slice tuples, never index arrays). ``None`` sends the caller to ``element_coords``: the
-        region algebra declined, or an index is unbound and the gather
-        path raises.
+        go through numpy views. The reference is immutable, so the
+        answer depends only on the values ``env`` gives its own free
+        variables; it is memoised on those (slice tuples, never index
+        arrays). Raises ``KeyError`` when ``env`` leaves one unbound.
         """
         memo = self.__dict__.get("_view_memo")
         if memo is None:
@@ -199,10 +166,7 @@ class TensorRef:
             )
         names, specs = memo
         env = env or {}
-        try:
-            key = tuple([env[name] for name in names])
-        except KeyError:
-            return None  # unbound index: let the gather path raise
+        key = tuple([env[name] for name in names])
         try:
             return specs[key]
         except KeyError:
@@ -222,18 +186,13 @@ class TensorRef:
     def read(
         self, root_array: np.ndarray, env: Optional[Mapping[str, int]] = None
     ) -> np.ndarray:
-        """Gather this reference's elements from ``root_array``."""
+        """A copy of this reference's elements of ``root_array``."""
         self._check_array(root_array)
         if self.is_whole:
             return root_array.copy()
         spec = self._view_spec(env)
-        if spec is not None:
-            view = root_array.reshape(spec[0])[spec[1:]]
-            return view.copy().reshape(self.shape)
-        coords = self.element_coords(env)
-        flat = coords.reshape(-1, self.root.rank)
-        values = root_array[tuple(flat.T)]
-        return values.reshape(self.shape)
+        view = root_array.reshape(spec[0])[spec[1:]]
+        return view.copy().reshape(self.shape)
 
     def write(
         self,
@@ -241,7 +200,7 @@ class TensorRef:
         value: np.ndarray,
         env: Optional[Mapping[str, int]] = None,
     ) -> None:
-        """Scatter ``value`` into ``root_array`` at this reference."""
+        """Store ``value`` into ``root_array`` at this reference."""
         self._check_array(root_array)
         value = np.asarray(value)
         if tuple(value.shape) != self.shape:
@@ -253,15 +212,10 @@ class TensorRef:
             root_array[...] = value
             return
         spec = self._view_spec(env)
-        if spec is not None:
-            # Splitting an axis never copies, whatever the strides, so
-            # the assignment lands in ``root_array`` itself.
-            view = root_array.reshape(spec[0])[spec[1:]]
-            view[...] = value.reshape(view.shape)
-            return
-        coords = self.element_coords(env)
-        flat = coords.reshape(-1, self.root.rank)
-        root_array[tuple(flat.T)] = value.reshape(-1)
+        # Splitting an axis never copies, whatever the strides, so the
+        # assignment lands in ``root_array`` itself.
+        view = root_array.reshape(spec[0])[spec[1:]]
+        view[...] = value.reshape(view.shape)
 
     def _check_array(self, root_array: np.ndarray) -> None:
         if tuple(root_array.shape) != self.root.shape:
@@ -278,29 +232,17 @@ class TensorRef:
 
         Exact when both references are concrete; references into
         different root tensors never alias; otherwise conservatively
-        ``True``. The test is symbolic first — both element sets become
-        strided interval boxes (:mod:`repro.tensors.regions`) compared
-        in O(rank) — and only partition kinds the algebra cannot
-        describe pay for coordinate materialization (a vectorized numpy
-        row intersection).
+        ``True``. Both element sets are strided interval boxes
+        (:mod:`repro.tensors.regions`), compared in O(rank).
         """
         if self.root is not other.root:
             return False
         if self.is_whole or other.is_whole:
             return True
         try:
-            mine_region = region_of(self, {})
-            their_region = region_of(other, {})
+            return region_of(self, {}).intersects(region_of(other, {}))
         except KeyError:
             return True  # symbolic index we cannot resolve: be conservative
-        if mine_region is not None and their_region is not None:
-            return mine_region.intersects(their_region)
-        try:
-            mine = self.element_coords().reshape(-1, self.root.rank)
-            theirs = other.element_coords().reshape(-1, self.root.rank)
-        except KeyError:
-            return True
-        return rows_intersect(mine, theirs)
 
     def __repr__(self) -> str:
         if self.is_whole:
@@ -311,8 +253,3 @@ class TensorRef:
             parts.append(f"{partition.kind}[{idx}]")
         return f"{self.root!r}.{'.'.join(parts)}"
 
-
-def _identity_coords(shape: Tuple[int, ...]) -> np.ndarray:
-    """Array of shape ``(*shape, rank)`` holding each element's coords."""
-    grids = np.meshgrid(*[np.arange(n) for n in shape], indexing="ij")
-    return np.stack(grids, axis=-1)

@@ -7,6 +7,7 @@ in isolation.
 
 import pytest
 
+from element_oracle import element_coords
 from repro.compiler.copy_elim import eliminate_copies
 from repro.ir import CallOp, CopyOp, ForOp, IRFunction
 from repro.ir.verifier import verify_function
@@ -111,7 +112,7 @@ class TestForwarding:
         assert ref.root.uid == a.tensor.uid
         assert ref.shape == (4, 8)
         # element mapping survived the recomposition
-        coords = ref.element_coords()
+        coords = element_coords(ref)
         assert coords[0, 0, 0] == 4
 
 

@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from element_oracle import coord_set
 from repro import api
 from repro.errors import CypressError
 from repro.graph import (
@@ -34,7 +35,7 @@ from repro.graph import (
 )
 from repro.runtime import FaultPlan, RuntimeServer, faults
 from repro.tensors import partition_by_blocks
-from repro.tensors.regions import ref_region, tensor_region, rows_intersect
+from repro.tensors.regions import tensor_region
 
 M, N, K = 256, 256, 128
 GEMM_SHAPE = dict(m=M, n=N, k=K)
@@ -466,7 +467,7 @@ def _launch_plans(draw):
 
 
 def _brute_force_conflicts(graph):
-    """All ordered conflicting pairs by coordinate materialization."""
+    """All ordered conflicting pairs by element enumeration."""
     conflicts = set()
     for earlier in graph.nodes:
         for later in graph.nodes:
@@ -480,13 +481,7 @@ def _brute_force_conflicts(graph):
                     theirs = later.refs[b.param]
                     if mine.root != theirs.root:
                         continue
-                    rows_a = mine.element_coords({}).reshape(
-                        -1, mine.root.rank
-                    )
-                    rows_b = theirs.element_coords({}).reshape(
-                        -1, theirs.root.rank
-                    )
-                    if rows_intersect(rows_a, rows_b):
+                    if coord_set(mine) & coord_set(theirs):
                         conflicts.add((earlier.uid, later.uid))
     return conflicts
 
@@ -556,21 +551,20 @@ class TestRegionQueries:
         ]
 
     def test_ref_region_accepts_logical_tensor(self, hopper):
-        from repro.tensors.tensor import LogicalTensor
-        from repro.tensors import f16
+        # A whole-tensor binding touches the whole tensor.
+        gb = _builder(hopper)
+        tensor = gb.tensor("T", (8, 8))
+        assert gb._region_for(tensor, tensor.ref()) == tensor_region((8, 8))
 
-        tensor = LogicalTensor("T", (8, 8), f16)
-        assert ref_region(tensor) == tensor_region((8, 8))
-        assert ref_region(tensor.ref()) == tensor_region((8, 8))
-
-    def test_ref_region_unbound_symbol_is_none(self):
-        from repro.tensors.tensor import LogicalTensor
-        from repro.tensors import f16
+    def test_ref_region_unbound_symbol_is_none(self, hopper):
+        # A symbolically indexed binding has no region at capture: its
+        # edges are conservative.
         from repro.sym import Var
 
-        tensor = LogicalTensor("T", (8, 8), f16)
+        gb = _builder(hopper)
+        tensor = gb.tensor("T", (8, 8))
         piece = partition_by_blocks(tensor.ref(), (4, 4))[Var("i"), 0]
-        assert ref_region(piece) is None
+        assert gb._region_for(tensor, piece) is None
 
 
 # ----------------------------------------------------------------------

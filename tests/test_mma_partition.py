@@ -1,4 +1,9 @@
-"""Tests for the mma partitioning operator (paper Figure 4)."""
+"""Tests for the mma partitioning operator (paper Figure 4).
+
+Element sets are read from ``element_oracle``, which enumerates them
+with Figure 4's formulas, independently of the region algebra the
+partition itself answers with.
+"""
 
 import itertools
 
@@ -6,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from element_oracle import coord_rows, coord_set, element_coords
 from repro.errors import PartitionError
 from repro.kernels.common import kernel_registry
 from repro.machine.processor import ProcessorKind
@@ -14,6 +20,7 @@ from repro.tensors import (
     MmaAtom,
     WGMMA_64x256x16,
     f16,
+    partition_by_blocks,
     partition_by_mma,
 )
 
@@ -51,7 +58,7 @@ class TestCOperand:
         p = partition_by_mma(c, ATOM, ProcessorKind.WARP, "C")
         assert p.grid == (4,)
         assert p[0].shape == (16, 256)
-        coords = p[2].element_coords()
+        coords = element_coords(p[2])
         assert coords[0, 0, 0] == 32  # warp 2 starts at row 32
 
     def test_thread_level_figure4_pattern(self):
@@ -61,7 +68,7 @@ class TestCOperand:
         assert p[0].shape == (2, 64)
         # Thread 5 holds rows 1 and 9; columns 2, 3 of each 8-column
         # group (t // 4 == 1, t % 4 == 1).
-        coords = p[5].element_coords()
+        coords = element_coords(p[5])
         assert coords[0, 0, 0] == 1 and coords[1, 0, 0] == 9
         assert coords[0, 0, 1] == 2 and coords[0, 1, 1] == 3
         assert coords[0, 2, 1] == 10  # next 8-column group
@@ -71,7 +78,7 @@ class TestCOperand:
         p = partition_by_mma(c, ATOM, ProcessorKind.THREAD, "C")
         seen = set()
         for piece in _pieces(p):
-            for coord in piece.element_coords().reshape(-1, 2):
+            for coord in coord_rows(piece):
                 key = tuple(coord.tolist())
                 assert key not in seen
                 seen.add(key)
@@ -81,7 +88,7 @@ class TestCOperand:
         c = LogicalTensor("C", (64, 256), f16)
         warp = partition_by_mma(c, ATOM, ProcessorKind.WARP, "C")
         thread = partition_by_mma(warp[1], ATOM, ProcessorKind.THREAD, "C")
-        coords = thread[0].element_coords()
+        coords = element_coords(thread[0])
         assert coords[0, 0, 0] == 16  # warp 1, thread 0, first row
 
     def test_bad_row_count(self):
@@ -111,9 +118,9 @@ class TestABOperands:
         ap = partition_by_mma(a, ATOM, ProcessorKind.THREAD, "A")
         bp = partition_by_mma(b, ATOM, ProcessorKind.THREAD, "B")
         for t in (0, 5, 17, 31):
-            c_coords = cp[t].element_coords()
-            a_coords = ap[t].element_coords()
-            b_coords = bp[t].element_coords()
+            c_coords = element_coords(cp[t])
+            a_coords = element_coords(ap[t])
+            b_coords = element_coords(bp[t])
             assert set(c_coords[..., 0].ravel()) == set(
                 a_coords[..., 0].ravel()
             )
@@ -168,8 +175,71 @@ def test_thread_c_partition_always_covers(groups, col_groups):
     total = 0
     seen = set()
     for piece in _pieces(p):
-        coords = piece.element_coords().reshape(-1, 2)
+        coords = coord_rows(piece)
         total += len(coords)
         seen.update(map(tuple, coords.tolist()))
     assert total == rows * cols
     assert len(seen) == rows * cols
+
+
+class TestSourcesThePatternCovers:
+    """A partition that builds has pieces covering every element of
+    its source; any other source is rejected when partitioned."""
+
+    @pytest.mark.parametrize(
+        "shape, proc, operand",
+        [
+            ((65, 16), ProcessorKind.THREAD, "A"),  # rows % 8
+            ((16, 70), ProcessorKind.THREAD, "B"),  # columns % 8
+            ((66, 16), ProcessorKind.WARP, "A"),  # rows % 4
+        ],
+    )
+    def test_ragged_sources_are_rejected(self, shape, proc, operand):
+        source = LogicalTensor("S", shape, f16)
+        with pytest.raises(PartitionError, match="divisible by"):
+            partition_by_mma(source, MmaAtom(64, 64, 16), proc, operand)
+
+    @pytest.mark.parametrize("operand", ["A", "B", "C"])
+    @pytest.mark.parametrize(
+        "proc", [ProcessorKind.WARP, ProcessorKind.THREAD]
+    )
+    def test_a_fragment_is_not_partitioned_again(self, proc, operand):
+        c = LogicalTensor("C", (64, 64), f16)
+        fragment = partition_by_mma(
+            c, MmaAtom(64, 64, 16), ProcessorKind.THREAD, "C"
+        )[0]
+        tile = partition_by_blocks(fragment, (8, 16))[0, 0]
+        for source in (fragment, tile):
+            with pytest.raises(PartitionError, match="fragment"):
+                partition_by_mma(source, MmaAtom(64, 64, 16), proc, operand)
+
+    # Extents near multiples of 8, where the divisibility rules bite.
+    near_8 = st.builds(
+        lambda k, d: 8 * k + d, st.integers(1, 8), st.sampled_from([0, 1, 4])
+    )
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        rows=near_8,
+        cols=near_8,
+        proc=st.sampled_from([ProcessorKind.WARP, ProcessorKind.THREAD]),
+        operand=st.sampled_from(["A", "B", "C"]),
+    )
+    def test_pieces_cover_their_source(self, rows, cols, proc, operand):
+        source = LogicalTensor("S", (rows, cols), f16)
+        try:
+            part = partition_by_mma(
+                source, MmaAtom(64, 64, 16), proc, operand
+            )
+        except PartitionError:
+            return
+        covered = set().union(*(coord_set(piece) for piece in _pieces(part)))
+        assert covered == coord_set(source.ref())
+
+    def test_aligned_sources_build(self):
+        # The coverage property above is not vacuous: every level and
+        # operand builds on a source the pattern divides.
+        source = LogicalTensor("S", (64, 64), f16)
+        for proc in (ProcessorKind.WARP, ProcessorKind.THREAD):
+            for operand in "ABC":
+                partition_by_mma(source, MmaAtom(64, 64, 16), proc, operand)

@@ -1,13 +1,12 @@
 """Property tests for the symbolic region algebra.
 
 The acceptance contract of :mod:`repro.tensors.regions` is *verdict
-equivalence*: on every reference the algebra can describe, its
-aliasing/disjointness answers must equal the coordinate-enumeration
-oracle's (and never be weaker — everything enumeration flags as
-aliasing, the algebra flags too). These tests check that contract on
-randomized partition trees, the strided 1-D set arithmetic against
-brute force, the symbolic all-iterations proof against exhaustive
-iteration pairs, and the ``PrivilegeError`` regressions for
+equivalence*: on every reference that can be built, its element set,
+views and aliasing/disjointness answers must equal the brute-force
+enumeration oracle's (``element_oracle``). These tests check that
+contract on randomized partition trees, the strided 1-D set arithmetic
+against brute force, the symbolic all-iterations proof against
+exhaustive iteration pairs, and the ``PrivilegeError`` regressions for
 overlapping tile writes.
 """
 
@@ -15,8 +14,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from element_oracle import coord_rows, coord_set
 from repro.compiler.dependence import DependenceAnalysis
-from repro.errors import PrivilegeError
+from repro.errors import PartitionError, PrivilegeError, TensorError
 from repro.frontend import (
     Inner,
     Leaf,
@@ -46,13 +46,6 @@ from repro.tensors import (
     region_of,
     squeeze,
 )
-from repro.tensors.regions import rows_intersect, view_of
-
-
-def _coord_set(ref, env=None):
-    """The enumeration oracle: element coordinates as a set of tuples."""
-    coords = ref.element_coords(env).reshape(-1, ref.root.rank)
-    return {tuple(row) for row in coords.tolist()}
 
 
 def _box_coord_set(box):
@@ -63,10 +56,10 @@ def _box_coord_set(box):
 
 
 def _oracle_alias(a, b, env=None):
-    """The pre-algebra ``may_alias``: materialize and intersect sets."""
+    """``may_alias`` by brute force: enumerate and intersect sets."""
     if a.root != b.root:
         return False
-    return bool(_coord_set(a, env) & _coord_set(b, env))
+    return bool(coord_set(a, env) & coord_set(b, env))
 
 
 # ----------------------------------------------------------------------
@@ -140,33 +133,14 @@ class TestRegionOf:
     @settings(max_examples=200, deadline=None)
     def test_region_covers_exactly(self, refs):
         for ref in refs:
-            region = region_of(ref)
-            assert region is not None
-            (box,) = region.boxes
-            assert _box_coord_set(box) == _coord_set(ref)
+            (box,) = region_of(ref).boxes
+            assert _box_coord_set(box) == coord_set(ref)
 
     @given(refs=blocks_refs())
     @settings(max_examples=200, deadline=None)
     def test_verdict_equals_enumeration_oracle(self, refs):
         a, b = refs
         assert a.may_alias(b) == _oracle_alias(a, b)
-
-    def test_unsupported_partition_falls_back(self):
-        from repro.tensors import BlocksPartition
-
-        class OpaquePartition(BlocksPartition):
-            kind = "opaque"
-
-            def map_dims(self, dims, index):
-                return None
-
-        root = LogicalTensor("t", (8,), f16)
-        part = OpaquePartition(root.ref(), (4,))
-        assert region_of(part[0]) is None
-        # may_alias still answers exactly through the vectorized
-        # materialized fallback.
-        assert not part[0].may_alias(part[1])
-        assert part[0].may_alias(part[0])
 
 
 class TestMmaRegions:
@@ -179,10 +153,8 @@ class TestMmaRegions:
         part = partition_by_mma(root, MmaAtom(64, 64, 16), proc, operand)
         for which in range(part.grid[0]):
             ref = part[which]
-            region = region_of(ref)
-            assert region is not None, (operand, proc, which)
-            (box,) = region.boxes
-            assert _box_coord_set(box) == _coord_set(ref)
+            (box,) = region_of(ref).boxes
+            assert _box_coord_set(box) == coord_set(ref), (proc, which)
 
     def test_c_thread_fragments_disjoint_and_a_overlapping(self):
         root = LogicalTensor("c", (64, 64), f16)
@@ -214,21 +186,18 @@ class TestMmaRegions:
 # ----------------------------------------------------------------------
 @st.composite
 def mma_refs(draw):
-    """An ``mma`` fragment reference, its environment, and whether every
-    strided axis divides its root extent (so the view path applies).
+    """An ``mma`` fragment reference and its environment.
 
     The fragment is a WARP piece, a THREAD piece, or a THREAD piece of a
     WARP piece, optionally of a symbolically indexed ``blocks`` tile and
-    optionally cut once more by a concrete ``blocks`` piece.
+    optionally cut once more by a concrete ``blocks`` piece. Sources the
+    Figure-4 pattern does not cover are rejected when partitioned
+    (``tests/test_mma_partition.py``), so the extents are aligned.
     """
     operand = draw(st.sampled_from(["A", "B", "C"]))
     nesting = draw(st.sampled_from(["warp", "thread", "warp+thread"]))
-    # C validates its shape; A and B also take extents the period-8
-    # pattern does not divide.
-    ragged = operand != "C" and draw(st.booleans())
-    extra = st.integers(1, 7) if ragged else st.just(0)
-    rows = 64 * draw(st.integers(1, 2)) + draw(extra)
-    cols = 8 * draw(st.integers(1, 4)) + draw(extra)
+    rows = 64 * draw(st.integers(1, 2))
+    cols = 8 * draw(st.integers(1, 4))
     env = {}
     if draw(st.booleans()):
         grid = (draw(st.integers(1, 3)), draw(st.integers(1, 3)))
@@ -236,11 +205,9 @@ def mma_refs(draw):
         env = {"i": draw(st.integers(0, grid[0] - 1)),
                "j": draw(st.integers(0, grid[1] - 1))}
         ref = partition_by_blocks(root, (rows, cols))[Var("i"), Var("j")]
-        tiles = grid
     else:
         root = LogicalTensor("t", (rows, cols), f16)
         ref = root.ref()
-        tiles = (1, 1)
     for level in nesting.split("+"):
         proc = ProcessorKind[level.upper()]
         part = partition_by_mma(ref, MmaAtom(64, 64, 16), proc, operand)
@@ -252,23 +219,18 @@ def mma_refs(draw):
             block = (block[0], 2 * -(-block[1] // 2))  # whole column pairs
         part = partition_by_blocks(ref, block)
         ref = part[tuple(draw(st.integers(0, g - 1)) for g in part.grid)]
-    strided_rows = "thread" in nesting and operand in ("A", "C")
-    strided_cols = "thread" in nesting and operand in ("B", "C")
-    divisible = not (
-        (strided_rows and ref.shape[0] > 1 and (tiles[0] * rows) % 8)
-        or (strided_cols and ref.shape[1] > 2 and (tiles[1] * cols) % 8)
-    )
-    return ref, env, divisible
+    return ref, env
 
 
 def _assert_matches_gather_scatter(ref, env=None):
-    """``read``/``write`` against the ``element_coords`` oracle, element
-    for element and in sub-tensor order, on a non-contiguous array."""
+    """``read``/``write`` against gather/scatter at the oracle's
+    coordinates, element for element and in sub-tensor order, on a
+    non-contiguous array."""
     rng = np.random.default_rng(0)
     root_array = np.asfortranarray(
         rng.standard_normal(ref.root.shape).astype(np.float32)
     )
-    coords = ref.element_coords(env).reshape(-1, ref.root.rank)
+    coords = coord_rows(ref, env)
     expected = root_array[tuple(coords.T)].reshape(ref.shape)
     assert np.array_equal(ref.read(root_array, env), expected)
 
@@ -285,47 +247,38 @@ class TestDenseSliceFastPath:
     @settings(max_examples=100, deadline=None)
     def test_read_write_equal_gather_scatter(self, refs):
         ref, _ = refs
-        assert ref.is_whole or view_of(ref) is not None
         _assert_matches_gather_scatter(ref)
 
     @given(case=mma_refs())
     @settings(max_examples=150)
     def test_mma_fragment_views_equal_gather_scatter(self, case):
-        ref, env, divisible = case
-        # A step that divides its root extent is a reshape plus basic
-        # slices; otherwise the algebra declines and read/write gather.
-        assert (view_of(ref, env) is not None) == divisible
+        ref, env = case
         _assert_matches_gather_scatter(ref, env)
 
-    def test_declined_reference_round_trips_through_gather(self):
-        from repro.tensors import BlocksPartition
+    @pytest.mark.parametrize("operand", ["B", "C"])
+    def test_blocks_splitting_a_column_pair_is_rejected(self, operand):
+        # A thread's fragment columns come in pairs 8 apart; a piece
+        # holding one column of a pair and the next pair is no box.
+        root = LogicalTensor("t", (64, 64), f16)
+        fragment = partition_by_mma(
+            root, MmaAtom(64, 64, 16), ProcessorKind.THREAD, operand
+        )[3]
+        rows = fragment.shape[0]
+        with pytest.raises(PartitionError, match="column pair"):
+            partition_by_blocks(fragment, (rows, 3))
+        pieces = partition_by_blocks(fragment, (rows, 4))
+        _assert_matches_gather_scatter(pieces[0, 1])
 
-        class OpaquePartition(BlocksPartition):
-            kind = "opaque"
-
-            def map_dims(self, dims, index):
-                return None
-
-        root = LogicalTensor("t", (8, 6), f16)
-        ref = OpaquePartition(root.ref(), (4, 3))[Var("i"), 1]
-        assert region_of(ref, {"i": 1}) is None
-        assert view_of(ref, {"i": 1}) is None
-        _assert_matches_gather_scatter(ref, {"i": 1})
-        with pytest.raises(KeyError):
-            ref.read(np.zeros((8, 6), np.float16), {})
-
-
-class TestRowsIntersect:
-    @given(
-        a=st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6))),
-        b=st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6))),
-    )
-    @settings(max_examples=200, deadline=None)
-    def test_matches_set_intersection(self, a, b):
-        expected = bool(set(a) & set(b))
-        a_arr = np.array(a, dtype=np.int64).reshape(-1, 2)
-        b_arr = np.array(b, dtype=np.int64).reshape(-1, 2)
-        assert rows_intersect(a_arr, b_arr) == expected
+    def test_period_that_does_not_divide_the_root_is_rejected(self):
+        # Every row is in bounds, but the fragment's rows repeat every
+        # 8 of a 76-row root: no reshape of the root holds it as a view.
+        root = LogicalTensor("t", (76, 8), f16)
+        tile = partition_by_blocks(root, (16, 8))[1, 0]
+        fragment = partition_by_mma(
+            tile, MmaAtom(64, 64, 16), ProcessorKind.THREAD, "A"
+        )[0]
+        with pytest.raises(TensorError, match="period 8, root extent 76"):
+            fragment.read(np.zeros((76, 8), np.float32))
 
 
 # ----------------------------------------------------------------------
@@ -366,7 +319,7 @@ class TestProveIterationsDisjoint:
             for v2 in range(extent):
                 if v1 == v2:
                     continue
-                shared = _coord_set(ref_a, {name: v1}) & _coord_set(
+                shared = coord_set(ref_a, {name: v1}) & coord_set(
                     ref_b, {name: v2}
                 )
                 assert not shared, (ref_a, ref_b, v1, v2)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from element_oracle import coord_rows
 from repro.errors import PartitionError, TensorError
 from repro.sym import Var
 from repro.tensors import LogicalTensor, f16, f32, partition_by_blocks
@@ -21,7 +22,7 @@ def _pieces(partition):
 class TestLogicalTensor:
     def test_properties(self):
         t = LogicalTensor("A", (4, 8), f16)
-        assert t.rank == 2
+        assert len(t.shape) == 2
         assert t.size == 32
         assert t.size_bytes == 64
 
@@ -86,6 +87,28 @@ class TestBlocksPartition:
         p = partition_by_blocks(t, (8, 8))
         with pytest.raises(PartitionError):
             p[4, 0]
+
+    @pytest.mark.parametrize("i", [-1, 2])
+    def test_symbolic_index_out_of_range(self, i):
+        # Bound only at access time, so the partition cannot check it.
+        t = LogicalTensor("A", (8,), f32)
+        ref = partition_by_blocks(t, (4,))[Var("i")]
+        arr = np.arange(8, dtype=np.float32)
+        for access in (
+            lambda: ref.read(arr, {"i": i}),
+            lambda: ref.write(arr, np.zeros(4, np.float32), {"i": i}),
+        ):
+            with pytest.raises(TensorError) as caught:
+                access()
+            assert repr(ref) in str(caught.value)
+            assert f"{{'i': {i}}}" in str(caught.value)
+        assert np.array_equal(arr, np.arange(8, dtype=np.float32))
+
+    def test_unbound_index_raises_key_error(self):
+        t = LogicalTensor("A", (8,), f32)
+        ref = partition_by_blocks(t, (4,))[Var("i")]
+        with pytest.raises(KeyError):
+            ref.read(np.zeros(8, np.float32), {})
 
     def test_wrong_arity(self):
         t = LogicalTensor("A", (32, 32), f16)
@@ -157,7 +180,7 @@ def test_blocks_partition_covers_exactly(rows, cols, block_r, block_c):
     p = partition_by_blocks(t, (block_r, block_c))
     seen = {}
     for piece in _pieces(p):
-        for coord in piece.element_coords().reshape(-1, 2):
+        for coord in coord_rows(piece):
             key = tuple(coord.tolist())
             assert key not in seen
             seen[key] = True
