@@ -28,7 +28,6 @@ degrades to conservative edges rather than being rejected.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import CypressError
@@ -137,6 +136,25 @@ class _LaunchPlan:
         self.fp_static = fp_static
 
 
+class _SharedZoo(KernelRegistry):
+    """The zoo registry every :class:`GraphBuilder` given none shares:
+    built once, and read-only, since a kernel registered on it would
+    reach every other builder."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self._kernels = default_registry()._kernels
+
+    def register(self, name: str, *args: Any, **kwargs: Any) -> Any:
+        raise CypressError(
+            f"cannot register {name!r} on the zoo registry GraphBuilders "
+            "share; pass GraphBuilder(registry=...) a registry of your own"
+        )
+
+
+_ZOO = _SharedZoo()
+
+
 class GraphBuilder:
     """Records kernel launches and builds a :class:`TaskGraph`.
 
@@ -144,7 +162,8 @@ class GraphBuilder:
         machine: the machine launches will compile for (kernel builds
             need it; the graph inherits it for cost-model weighting).
         registry: servable kernels to launch; defaults to the full zoo
-            (:func:`~repro.runtime.registry.default_registry`). Launch
+            (:func:`~repro.runtime.registry.default_registry`), one
+            read-only registry every such builder shares. Launch
             shapes are *not* bucket-rounded here — the graph captures
             the requested problem; the serving layer buckets per node
             exactly as it does for scalar ``submit``.
@@ -173,7 +192,7 @@ class GraphBuilder:
     ) -> None:
         self.machine = machine
         self.tracer = tracer
-        self.registry = registry if registry is not None else default_registry()
+        self.registry = registry if registry is not None else _ZOO
         self.template_cache = template_cache
         self._tensors: Dict[str, GraphTensor] = {}
         self._by_uid: Dict[int, GraphTensor] = {}
@@ -510,21 +529,21 @@ class GraphBuilder:
     # ------------------------------------------------------------------
     # Graph construction
     # ------------------------------------------------------------------
-    def fingerprint(self) -> Optional[str]:
-        """The capture's topology digest, or ``None`` when untemplatable.
+    def fingerprint(self) -> Optional[Tuple[Any, ...]]:
+        """The capture's topology key, or ``None`` when untemplatable.
 
-        Two captures share a fingerprint exactly when they declare the
-        same tensors/views and the same launch sequence (kernel, shape,
-        params, built kernel, binding structure, privileges, explicit
-        sequencing) on machines of equal content — everything dependence
-        inference and critical-path weighting read, so equal
-        fingerprints imply identical edges and priorities. Labels are
-        display-only and excluded.
+        The key is the tuple of the parts folded in while capturing, so
+        the template cache hashes and compares it directly. Two captures
+        share a key exactly when they declare the same tensors/views and
+        the same launch sequence (kernel, shape, params, built kernel,
+        binding structure, privileges, explicit sequencing) on machines
+        of equal content — everything dependence inference and
+        critical-path weighting read, so equal keys imply identical
+        edges and priorities. Labels are display-only and excluded.
         """
         if not self._fp_ok:
             return None
-        digest = hashlib.sha256(repr(self._fp_parts).encode())
-        return digest.hexdigest()
+        return tuple(self._fp_parts)
 
     def build(self) -> TaskGraph:
         """Infer dependence edges and return the captured graph.
@@ -559,7 +578,7 @@ class GraphBuilder:
         cache = self.template_cache
         fingerprint = self.fingerprint() if cache is not None else None
         if fingerprint is not None:
-            template = cache.get(fingerprint, node_count=len(self._nodes))
+            template = cache.get(fingerprint)
             if template is not None:
                 graph = TaskGraph(
                     self._nodes,
@@ -580,7 +599,6 @@ class GraphBuilder:
                 fingerprint,
                 GraphTemplate(
                     fingerprint=fingerprint,
-                    node_count=len(self._nodes),
                     edges=graph.edges,
                     critical_path=dict(graph.critical_path()),
                 ),

@@ -2,14 +2,24 @@
 
 :class:`GraphScheduler` turns a :class:`~repro.graph.taskgraph.
 TaskGraph` into traffic for an existing :class:`~repro.runtime.server.
-RuntimeServer`: every node goes through the ordinary ``submit`` path —
-per-node shape bucketing, the priority queue, micro-batching of
+RuntimeServer`: every node goes through the server's one admission
+path — per-node shape bucketing, the priority queue, micro-batching of
 same-bucket requests, both compile-cache tiers — so a graph costs the
 server nothing it was not already built to do. Ready nodes (all
 predecessors resolved) are submitted immediately and concurrently;
 their ``priority`` is the node's **critical path** — the cost-model
 predicted cycles of the longest chain it gates — so when workers are
 scarce the launch blocking the most downstream work runs first.
+
+Each execution keeps one ready **worklist**. A settling node appends
+the successors it readies, and whichever thread finds no one draining
+it drains it: each drained ready set is admitted at once, and the
+nodes ``submit`` would serve on its calling thread (timing-only, bucket
+warm, nothing queued) are served right there, one micro-batch per
+bucket; the rest go to the workers. A re-submitted warm graph is
+therefore served entirely by the thread that calls ``execute``, with
+no queue hand-off, and a chain of any length costs that thread a loop
+iteration per ready set rather than a stack frame per node.
 
 With ``inputs=`` the graph also carries data: node arguments are
 gathered from shared root arrays through the bound references before
@@ -277,21 +287,49 @@ class GraphScheduler:
         if lookup_error is not None:
             self._fail(state, lookup_error)
             return execution
-        ready = [graph.node(uid) for uid in graph.roots()]
-        self._submit_ready(state, ready)
+        state.ready = [graph.node(uid) for uid in graph.roots()]
+        state.draining = True
+        self._drain(state)
         return execution
 
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
+    def _drain(self, state: "_ExecutionState") -> None:
+        """Submit the execution's ready worklist until it is empty.
+
+        Only the thread that set ``state.draining`` runs this. A node
+        that settles meanwhile — on a worker, or inline inside this very
+        loop — appends the successors it readies to the worklist and
+        returns, so a chain served inline costs one loop iteration per
+        ready set, never a stack frame per node. The flag is cleared
+        under the lock that finds the list empty, so a node readied
+        after that starts its own drain: no ready node is lost."""
+        while True:
+            with state.lock:
+                ready, state.ready = state.ready, []
+                if not ready or state.failed:
+                    state.draining = False
+                    return
+            self._submit_ready(state, ready)
+
     def _submit_ready(
         self, state: "_ExecutionState", ready: List[GraphNode]
     ) -> None:
+        """Admit one drained ready set under one admission.
+
+        A node ``submit`` would serve on its calling thread (timing-only,
+        its bucket warm, nothing queued) is served on this thread, its
+        same-bucket peers in one micro-batch of up to ``max_batch``;
+        every other node is enqueued for the workers."""
         # Highest critical path first; uid breaks ties for determinism.
         ready = sorted(
             ready, key=lambda n: (-state.priorities[n.uid], n.uid)
         )
-        tracer = self.server.tracer
+        server = self.server
+        tracer = server.tracer
+        queued: List[Any] = []
+        groups: Dict[Any, List[Any]] = {}
         try:
             requests = []
             for node in ready:
@@ -303,7 +341,7 @@ class GraphScheduler:
                             for param, ref in node.refs.items()
                         }
                 registered, bucket = state.lookups[node.uid]
-                request = self.server.prepare_request(
+                request = server.prepare_request(
                     registered,
                     node.shape,
                     bucket,
@@ -325,18 +363,33 @@ class GraphScheduler:
                     state.node_spans[node.uid] = span
                     # The per-request root span nests under this node.
                     request.trace_parent = span
+                if node_inputs is None and server._ready(request.batch_key):
+                    groups.setdefault(request.batch_key, []).append(request)
+                else:
+                    queued.append(request)
                 requests.append(request)
-            # One enqueue under one lock for the whole ready set,
-            # instead of a full submit() round-trip per node.
-            self.server.submit_prepared(requests)
+            inline = [r for group in groups.values() for r in group]
+            here = server._admit(queued, inline)
         except Exception as error:
             self._fail(state, error)
             return
+        if tracer.enabled:
+            for request in queued:
+                request.trace_parent.args["served_by"] = "worker"
+            for request in inline:
+                request.trace_parent.args["served_by"] = (
+                    "submitter" if here else "worker"
+                )
         for node, request in zip(ready, requests):
             state.execution.node_futures[node.uid] = request.future
             request.future.add_done_callback(
                 lambda f, node=node: self._on_node_done(state, node, f)
             )
+        if here:
+            size = server.max_batch
+            for group in groups.values():
+                for start in range(0, len(group), size):
+                    server._serve_inline(group[start:start + size])
 
     def _on_node_done(
         self, state: "_ExecutionState", node: GraphNode, future: Future
@@ -346,9 +399,9 @@ class GraphScheduler:
             f"graph node {node.label!r} was cancelled "
             "(server shutting down?)"
         )
-        # The request's own span already closed inside the worker
-        # (before the future was touched), so closing the node span
-        # here keeps children inside their parent.
+        # The request's own span already closed (before the future was
+        # touched), so closing the node span here keeps children inside
+        # their parent.
         self.server.tracer.end(
             state.node_spans.pop(node.uid, None),
             args={"error": repr(error)} if error is not None else None,
@@ -360,7 +413,6 @@ class GraphScheduler:
             self._on_node_failed(state, node, error)
             return
         result = future.result()
-        newly_ready: List[GraphNode] = []
         with state.lock:
             if state.failed:
                 return
@@ -375,10 +427,13 @@ class GraphScheduler:
                     continue
                 state.remaining[succ] -= 1
                 if state.remaining[succ] == 0:
-                    newly_ready.append(state.graph.node(succ))
+                    state.ready.append(state.graph.node(succ))
+            drain = bool(state.ready) and not state.draining
+            if drain:
+                state.draining = True
             done = state.settled() == len(state.graph)
-        if newly_ready:
-            self._submit_ready(state, newly_ready)
+        if drain:
+            self._drain(state)
         if done:
             self._finish(state)
 
@@ -473,6 +528,10 @@ class _ExecutionState:
     lookups: Dict[int, Any] = field(default_factory=dict)
     lock: threading.Lock = field(default_factory=threading.Lock)
     failed: bool = False
+    #: The ready worklist: nodes whose predecessors all succeeded, not
+    #: yet submitted, and whether a thread is draining it (``_drain``).
+    ready: List[GraphNode] = field(default_factory=list)
+    draining: bool = False
     results: Dict[int, Any] = field(default_factory=dict)
     remaining: Dict[int, int] = field(default_factory=dict)
     #: Per-node execution failures and the cone they swallowed

@@ -15,7 +15,10 @@ per-launch kernel name, shape, canonicalized mapping parameters, the
 built kernel's name, each binding's owner tensor and partition-path
 structure, privilege direction, and explicit ``after=`` edges, plus
 the machine's content (:meth:`~repro.machine.MachineModel.content_key`,
-not just its name). On ``build()`` the fingerprint is looked up in a
+not just its name). The fingerprint is the tuple of those parts, not
+a digest of them: the cache hashes and compares it as a dict key, so
+two captures hit one template exactly when their parts are equal. On
+``build()`` the fingerprint is looked up in a
 :class:`GraphTemplateCache`:
 
 * **miss** — regions are resolved, edges inferred, the critical path
@@ -63,10 +66,8 @@ class GraphTemplate:
     """The replayable part of one captured topology.
 
     Attributes:
-        fingerprint: the structural digest this template is keyed on.
-        node_count: number of launches in the topology (sanity check —
-            a fingerprint hit with a different count is a collision and
-            is treated as a miss).
+        fingerprint: the structural key this template is stored under
+            (:meth:`~repro.graph.builder.GraphBuilder.fingerprint`).
         edges: the inferred (plus manual) dependence edges, exactly as
             ``build()`` produced them on the miss that created this
             template.
@@ -74,8 +75,7 @@ class GraphTemplate:
             default analytic cost model — the scheduler's priorities.
     """
 
-    fingerprint: str
-    node_count: int
+    fingerprint: Hashable
     edges: Tuple[GraphEdge, ...]
     critical_path: Dict[int, float]
 
@@ -118,31 +118,23 @@ class GraphTemplateCache:
         self.capacity = capacity
         self.stats = TemplateCacheStats()
         self._lock = threading.Lock()
-        self._entries: "OrderedDict[str, GraphTemplate]" = OrderedDict()
+        self._entries: "OrderedDict[Hashable, GraphTemplate]" = OrderedDict()
         self._plans: "OrderedDict[Hashable, Any]" = OrderedDict()
 
-    def get(
-        self, fingerprint: str, node_count: Optional[int] = None
-    ) -> Optional[GraphTemplate]:
-        """Look up a template (LRU-touching it); ``None`` on miss.
-
-        Args:
-            fingerprint: the topology digest.
-            node_count: when given, a stored template with a different
-                launch count is treated as a miss (collision guard).
-        """
+    def get(self, fingerprint: Hashable) -> Optional[GraphTemplate]:
+        """Look up a template by its topology key (LRU-touching it);
+        ``None`` on miss. Keys compare by equality, so a hit is never a
+        collision."""
         with self._lock:
             template = self._entries.get(fingerprint)
-            if template is not None and (
-                node_count is None or template.node_count == node_count
-            ):
+            if template is not None:
                 self._entries.move_to_end(fingerprint)
                 self.stats.hits += 1
                 return template
             self.stats.misses += 1
             return None
 
-    def put(self, fingerprint: str, template: GraphTemplate) -> None:
+    def put(self, fingerprint: Hashable, template: GraphTemplate) -> None:
         """Store a template, evicting the LRU entry over capacity."""
         with self._lock:
             self._entries[fingerprint] = template
@@ -182,7 +174,7 @@ class GraphTemplateCache:
         with self._lock:
             return len(self._entries)
 
-    def __contains__(self, fingerprint: str) -> bool:
+    def __contains__(self, fingerprint: Hashable) -> bool:
         with self._lock:
             return fingerprint in self._entries
 

@@ -8,10 +8,12 @@ with a :class:`RuntimeResult` (simulated timing, optional functional
 outputs, which cache tier produced the kernel). A request that needs
 no worker — timing-only, its bucket's launch record already timed and
 its kernel resident in memory, nothing queued ahead — is served on the
-submitting thread before ``submit`` returns. Every other request goes
-on a priority queue, which a pool of worker threads drains,
-**micro-batching** same-bucket requests so one compile + one
-simulation serve the whole batch.
+submitting thread before ``submit`` returns; a graph node that needs
+none is served, micro-batched with its same-bucket peers, by the
+thread that readied it. Every other request goes on a priority
+queue, which a pool of worker threads drains, **micro-batching**
+same-bucket requests so one compile + one simulation serve the whole
+batch.
 
 Every kernel the server uses — for a request, ``warm``, the speculator
 or the specializer — is resolved once per (kernel, bucket) into a
@@ -34,8 +36,8 @@ configured policy. A failed compile or simulation fails its batch's
 requests and nothing else; it is not retried, because both are pure
 functions of the kernel and the machine (``docs/resilience.md``).
 
-A request crosses five stages — **admit** (``submit`` /
-``submit_prepared``), then on a worker or the submitting thread
+A request crosses five stages — **admit** (``_admit``, from ``submit``
+or the graph scheduler), then on a worker or the admitting thread
 **dispatch**, **obtain**, **execute** and **resolve** (``_serve``) —
 and what cuts across them has one owner each:
 :meth:`RuntimeServer._settle` alone ends a request (span, terminal
@@ -504,8 +506,9 @@ class RuntimeServer:
         node fails its graph, and a node a worker already holds settles
         before that worker is joined, its successors' submit raising
         "server closed" (``_stopping`` is set under the queue lock).
-        A request being served on its submitting thread is finished, not
-        cancelled: ``close`` returns only once it has settled.
+        A request being served on the thread that admitted it is
+        finished, not cancelled: ``close`` returns only once it has
+        settled.
         Stops and joins the maintenance thread first (an in-flight
         promotion is abandoned cleanly).
         """
@@ -629,9 +632,11 @@ class RuntimeServer:
         request.specialized = specialized
         if deadline is not None:
             request.deadline = time.perf_counter() + deadline
-        inline = inputs is None and self._ready(request.batch_key)
-        if self._admit([request], inline):
-            self._serve_inline(request)
+        if inputs is None and self._ready(request.batch_key):
+            if self._admit([], [request]):
+                self._serve_inline([request])
+        else:
+            self._admit([request])
         return request.future
 
     def _ready(self, batch_key: Tuple[str, Bucket]) -> bool:
@@ -649,9 +654,10 @@ class RuntimeServer:
             and launch.key in compile_cache
         )
 
-    def _serve_inline(self, request: _QueuedRequest) -> None:
-        """Serve an admitted request on the submitting thread: the
-        workers' ``_serve`` and crash handler on a batch of one."""
+    def _serve_inline(self, batch: List[_QueuedRequest]) -> None:
+        """Serve a micro-batch admitted to its admitting thread on that
+        thread: the workers' ``_serve`` and crash handler, then the
+        batch leaves the ``_inline`` count."""
         stages = (
             _Stages(self.tracer, "submitter")
             if self.tracer.enabled
@@ -659,12 +665,12 @@ class RuntimeServer:
         )
         stages.enter("dispatch")
         try:
-            self._serve([request], stages)
+            self._serve(batch, stages)
         except Exception as error:
-            self._worker_crash([request], error)
+            self._worker_crash(batch, error)
         finally:
             with self._cv:
-                self._inline -= 1
+                self._inline -= len(batch)
                 if self._stopping and not self._inline:
                     self._cv.notify_all()
 
@@ -677,13 +683,13 @@ class RuntimeServer:
         inputs: Optional[Mapping[str, np.ndarray]] = None,
         priority: int = 0,
     ) -> _QueuedRequest:
-        """Build a queue slot without enqueuing it (the fast lane).
+        """Build a queue slot without admitting it (the fast lane).
 
         The graph scheduler resolves ``(registered, bucket)`` once per
-        node at ``execute()`` time and preallocates these slots, so
-        enqueueing a ready node later costs no registry lookup, shape
-        coercion, or bucket rounding. The slot's sequence number and
-        submit timestamp are stamped by :meth:`submit_prepared`.
+        node at ``execute()`` time, so admitting a ready node later
+        costs no registry lookup, shape coercion, or bucket rounding.
+        The slot's sequence number and submit timestamp are stamped by
+        :meth:`_admit`.
         """
         return _QueuedRequest(
             sort_key=(-priority, 0),
@@ -696,32 +702,30 @@ class RuntimeServer:
             batch_key=(registered.name, bucket),
         )
 
-    def submit_prepared(self, requests: List[_QueuedRequest]) -> None:
-        """Enqueue preallocated slots in one batched queue operation.
+    def _admit(
+        self,
+        queued: Sequence[_QueuedRequest],
+        inline: Sequence[_QueuedRequest] = (),
+    ) -> bool:
+        """Admit ``queued`` and ``inline`` — the one admission path of
+        ``submit`` and the graph scheduler — and return whether the
+        caller serves ``inline`` on its own thread.
 
-        One lock acquisition covers the whole batch: sequence numbers
-        and submit timestamps are stamped, every slot is pushed, and
-        waiting workers are notified once per slot. Raises
-        :class:`CypressError` (before touching the queue) when the
-        server is closed, or when the bounded queue is full under the
-        ``"reject-new"`` shed policy; under ``"drop-oldest"`` the
+        That holds only while the server is started and nothing is
+        queued (checked under the lock that stamps the sequence
+        numbers); ``inline`` is then counted in ``_inline`` until the
+        caller's :meth:`_serve_inline` calls settle it. Otherwise
+        ``inline`` is enqueued with ``queued``, all under one lock
+        acquisition that notifies one waiting worker per enqueued
+        request.
+
+        Raises :class:`CypressError` (before touching the queue) when
+        the server is closed, or when the bounded queue is full under
+        the ``"reject-new"`` shed policy; under ``"drop-oldest"`` the
         longest-queued requests are evicted instead (their futures
         fail, counted as ``shed_requests`` — not as failures).
         """
-        self._admit(requests)
-
-    def _admit(
-        self, requests: List[_QueuedRequest], inline: bool = False
-    ) -> bool:
-        """Admit ``requests`` — the one admission path of both routes —
-        and return whether the caller serves them on its own thread.
-
-        ``inline`` asks to serve one request on the submitting thread;
-        that holds only while the server is started and nothing is
-        queued (checked under the lock that stamps the sequence
-        number), and such a request is counted in ``_inline`` until it
-        settles. Otherwise the requests are enqueued.
-        """
+        requests = [*queued, *inline]
         if not requests:
             return False
         now = time.perf_counter()
@@ -747,11 +751,11 @@ class RuntimeServer:
             # drained the queue would never resolve.
             if self._closed or self._stopping:
                 raise CypressError("server closed")
-            inline = inline and self._started and not self._queue
-            if inline:
-                self._inline += 1
-            elif max_queue is not None:
-                overflow = len(self._queue) + len(requests) - max_queue
+            here = bool(inline) and self._started and not self._queue
+            if not here:
+                queued = requests
+            if queued and max_queue is not None:
+                overflow = len(self._queue) + len(queued) - max_queue
                 if overflow > 0:
                     if self.resilience.shed_policy == SHED_REJECT_NEW:
                         # Before the submit is counted: a rejected request is
@@ -766,16 +770,18 @@ class RuntimeServer:
                         self._queue, key=lambda r: r.sort_key[1]
                     )[:overflow]
                     self._unqueue(shed)
+            if here:
+                self._inline += len(inline)
             for request in requests:
                 request.sort_key = (request.sort_key[0], next(self._seq))
                 request.submitted_at = now
-                if not inline:
-                    heapq.heappush(self._queue, request)
-            if not inline:
-                self._cv.notify(len(requests))
+            for request in queued:
+                heapq.heappush(self._queue, request)
+            if queued:
+                self._cv.notify(len(queued))
         if shed:
             # Outside the lock: a shed future's done-callback may
-            # re-enter submit_prepared. Every victim was admitted
+            # re-enter the server. Every victim was admitted
             # (counted submitted) and will never complete or fail:
             # settling it as shed keeps shed + completed + failed
             # accounting for every admitted request.
@@ -795,7 +801,7 @@ class RuntimeServer:
                  or request.kernel.exact_bucket(request.shape))
                 for request in requests
             )
-        return inline
+        return here
 
     def _unqueue(self, requests: List[_QueuedRequest]) -> None:
         """Take ``requests`` out of the heap (caller holds the lock)."""
@@ -812,11 +818,15 @@ class RuntimeServer:
     ):
         """Execute a :class:`~repro.graph.TaskGraph` on this server.
 
-        Every node goes through the ordinary ``submit`` path — shape
+        Every node goes through the ordinary admission path — shape
         bucketing, the priority queue, micro-batching with any other
-        traffic — but is only enqueued once its inferred dependences
+        traffic — but is only admitted once its inferred dependences
         resolve; ready nodes run concurrently across the worker pool,
-        prioritized by cost-model critical path. Per-graph counters
+        prioritized by cost-model critical path. A ready node that
+        ``submit`` would serve on its calling thread (timing-only, its
+        bucket warm, nothing queued) is served by the thread that
+        readied it instead, in one micro-batch with its same-bucket
+        peers — so a warm graph may be done when this returns. Per-graph counters
         land in :meth:`stats` (``graphs``, ``graph_nodes``, makespan
         percentiles).
 

@@ -12,6 +12,7 @@ through ``api.run_graph`` and ``RuntimeServer.submit_graph``.
 """
 
 import sys
+import threading
 import time
 from concurrent.futures import FIRST_COMPLETED, wait
 
@@ -636,6 +637,220 @@ class TestCloseMidGraph:
             sys.setswitchinterval(interval)
         # Some close really did land mid-graph.
         assert "failed mid-graph" in outcomes
+
+
+class TestReadyWorklist:
+    """Each execution drains one ready worklist: a node that settles
+    appends the successors it readies, and a thread drains the list only
+    when no other thread is. Inline serving therefore never recurses —
+    whatever the graph's depth or width — worker threads that settle a
+    node drain the list too, and a ``close`` that lands mid-drain fails
+    the graph instead of hanging it."""
+
+    SQUARE = dict(m=M, n=M, k=M)
+
+    @pytest.fixture()
+    def default_recursion_limit(self):
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(1000)
+        yield
+        sys.setrecursionlimit(limit)
+
+    def _served_on_return(self, hopper, graph):
+        """Submit ``graph`` to a warm two-worker server and return its
+        result, asserting the submitting thread served every node before
+        ``submit_graph`` returned."""
+        with RuntimeServer(hopper, workers=2) as server:
+            server.warm("gemm", [self.SQUARE])
+            execution = server.submit_graph(graph)
+            assert execution.future.done()
+            result = execution.result()
+        assert len(result.results) == len(graph)
+        assert {r.tier for r in result.results.values()} == {"memory"}
+        return result
+
+    def test_a_long_chain_never_recurses(
+        self, hopper, default_recursion_limit
+    ):
+        gb = GraphBuilder(hopper, template_cache=None)
+        w = gb.tensor("W", (M, M))
+        prev = gb.tensor("T0", (M, M))
+        for index in range(10_000):
+            out = gb.tensor(f"T{index + 1}", (M, M))
+            gb.launch(
+                "gemm", self.SQUARE, reads=dict(A=prev, B=w),
+                writes=dict(C=out),
+            )
+            prev = out
+        result = self._served_on_return(hopper, gb.build())
+        assert {r.batch_size for r in result.results.values()} == {1}
+
+    def test_a_wide_fan_out_is_served_in_micro_batches(
+        self, hopper, default_recursion_limit
+    ):
+        gb = GraphBuilder(hopper, template_cache=None)
+        w = gb.tensor("W", (M, M))
+        x = gb.tensor("X", (M, M))
+        gb.launch(
+            "gemm", self.SQUARE, reads=dict(A=gb.tensor("S", (M, M)), B=w),
+            writes=dict(C=x),
+        )
+        for index in range(1_000):
+            gb.launch(
+                "gemm", self.SQUARE, reads=dict(A=x, B=w),
+                writes=dict(C=gb.tensor(f"Y{index}", (M, M))),
+            )
+        result = self._served_on_return(hopper, gb.build())
+        sizes = [result.results[uid].batch_size for uid in range(1, 1_001)]
+        # One ready set of 1,000 same-bucket nodes: full micro-batches.
+        assert set(sizes) == {8}
+
+    def test_workers_drain_the_worklist_too(self, hopper):
+        # Warm nodes alternate with nodes of buckets the server has never
+        # timed: a worker serves each cold node, and its settle readies
+        # the next warm node, which that worker then serves inline.
+        warm = self.SQUARE
+        colds = [dict(m=M, n=M, k=2 * M), dict(m=M, n=M, k=4 * M)]
+        gb = GraphBuilder(hopper)
+        previous = ()
+        for shape in (warm, colds[0], warm, colds[1], warm):
+            index = len(gb)
+            node = gb.launch(
+                "gemm", shape,
+                reads=dict(
+                    A=gb.tensor(f"A{index}", (shape["m"], shape["k"])),
+                    B=gb.tensor(f"B{index}", (shape["k"], shape["n"])),
+                ),
+                writes=dict(C=gb.tensor(f"C{index}", (M, M))),
+                after=previous,
+            )
+            previous = (node,)
+        graph = gb.build()
+        with RuntimeServer(hopper, workers=2, trace=True) as server:
+            server.warm("gemm", [warm])
+            result = server.submit_graph(graph).result(timeout=120)
+            spans = server.tracer.spans()
+        assert len(result.results) == len(graph)
+        served = {}
+        for node_span in spans:
+            if node_span.name != "node":
+                continue
+            (request,) = [s for s in spans if s.parent == node_span.sid]
+            (dispatch,) = [
+                s for s in spans
+                if s.parent == request.sid and s.name == "dispatch"
+            ]
+            assert dispatch.args["served_by"] == node_span.args["served_by"]
+            served[node_span.args["uid"]] = (
+                dispatch.tid == threading.get_ident(),
+                dispatch.args["served_by"],
+            )
+        assert served == {
+            0: (True, "submitter"),
+            1: (False, "worker"),
+            2: (False, "submitter"),
+            3: (False, "worker"),
+            4: (False, "submitter"),
+        }
+
+    def test_concurrent_graphs_lose_no_ready_node(self, hopper, rng):
+        # Four submitters, more workers than cores and a tiny switch
+        # interval: nodes settle on workers while submitters drain, and
+        # a warm node is served inline or queued depending on what is
+        # queued at its admission. A lost worklist append hangs a graph.
+        gb = GraphBuilder(hopper)
+        w = gb.tensor("W", (M, M))
+        x = gb.tensor("X", (M, M))
+        gb.launch(
+            "gemm", self.SQUARE, reads=dict(A=gb.tensor("S", (M, M)), B=w),
+            writes=dict(C=x),
+        )
+        middles = [
+            gb.launch(
+                "gemm", self.SQUARE, reads=dict(A=x, B=w),
+                writes=dict(C=gb.tensor(f"Y{index}", (M, M))),
+            )
+            for index in range(6)
+        ]
+        gb.launch(
+            "gemm", self.SQUARE, reads=dict(A=x, B=w),
+            writes=dict(C=gb.tensor("Z", (M, M))), after=middles,
+        )
+        graph = gb.build()
+        inputs = {
+            name: (rng.standard_normal((M, M)) * 0.05).astype(np.float16)
+            for name in ("S", "W")
+        }
+        outcomes, lock = [], threading.Lock()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with RuntimeServer(hopper, workers=4) as server:
+                server.warm("gemm", [self.SQUARE])
+
+                def submitter(index):
+                    for trial in range(5):
+                        data = inputs if (index + trial) % 3 == 0 else None
+                        result = server.submit_graph(
+                            graph, inputs=data
+                        ).result(timeout=60)
+                        with lock:
+                            outcomes.append(len(result.results))
+
+                threads = [
+                    threading.Thread(target=submitter, args=(index,))
+                    for index in range(4)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=120)
+                assert not any(thread.is_alive() for thread in threads)
+                stats = server.stats()
+        finally:
+            sys.setswitchinterval(interval)
+        assert outcomes == [len(graph)] * 20
+        assert stats.completed == stats.requests == 20 * len(graph)
+
+    @pytest.mark.parametrize("drain", [True, False])
+    def test_close_during_a_drain_fails_the_graph(
+        self, hopper, monkeypatch, drain
+    ):
+        graph = _chain(hopper, 6)
+        server = RuntimeServer(hopper, workers=2)
+        server.warm("gemm", [self.SQUARE])
+        closer = threading.Thread(
+            target=server.close, kwargs=dict(drain=drain), daemon=True
+        )
+        serve = RuntimeServer._serve
+
+        def close_during_the_second(self, batch, stages):
+            if len(calls) == 1:
+                # Mid-drain: close from another thread, and serve this
+                # batch only once close has stopped the server.
+                closer.start()
+                with server._cv:
+                    assert server._cv.wait_for(
+                        lambda: server._stopping, timeout=30
+                    )
+            calls.append(batch)
+            return serve(self, batch, stages)
+
+        calls = []
+        monkeypatch.setattr(RuntimeServer, "_serve", close_during_the_second)
+        try:
+            execution = server.submit_graph(graph)
+            error = execution.future.exception(timeout=30)
+        finally:
+            closer.join(timeout=30)
+            server.close()
+        assert not closer.is_alive()
+        assert isinstance(error, CypressError) and "closed" in str(error)
+        # The batch in flight when close landed was finished, not cut.
+        assert len(calls) == 2
+        assert all(r.future.done() for batch in calls for r in batch)
+        stats = server.stats()
+        assert stats.completed == stats.requests == 2
 
 
 def _wait_for_a_served_node(executions, timeout):

@@ -54,6 +54,11 @@ _PLANS = st.tuples(
 
 
 def _capture(machine, plan, cache) -> TaskGraph:
+    return _record(machine, plan, cache).build()
+
+
+def _record(machine, plan, cache) -> GraphBuilder:
+    """The builder of one topology plan, its launches captured."""
     depth, fanout, use_piece = plan
     gb = GraphBuilder(machine, template_cache=cache)
     current = gb.tensor("T0", (M, K))
@@ -81,7 +86,7 @@ def _capture(machine, plan, cache) -> TaskGraph:
             reads=dict(A=source, B=weight),
             writes=dict(C=out),
         )
-    return gb.build()
+    return gb
 
 
 class TestReplayEquivalence:
@@ -201,9 +206,36 @@ class TestFingerprint:
             grid = (2, 2)
 
         ref = TensorRef(big.tensor, ((_Opaque(), (0, 0)),))
-        key = gb._ref_key(big, ref)  # a kind the digest cannot describe
+        key = gb._ref_key(big, ref)  # a kind the key cannot describe
         assert key[0] == "S"
         assert gb.fingerprint() is None
+
+    @settings(max_examples=25, deadline=None)
+    @given(first=_PLANS, second=_PLANS)
+    def test_two_captures_hit_one_template_iff_their_parts_are_equal(
+        self, hopper, first, second
+    ):
+        cache = GraphTemplateCache()
+        builders = [_record(hopper, plan, cache) for plan in (first, second)]
+        keys = [gb.fingerprint() for gb in builders]
+        # The key is the parts themselves, compared exactly.
+        assert keys == [tuple(gb._fp_parts) for gb in builders]
+        for gb in builders:
+            gb.build()
+        same = keys[0] == keys[1]
+        assert cache.stats.hits == int(same)
+        assert len(cache) == (1 if same else 2)
+
+    def test_an_untemplatable_capture_never_consults_the_cache(
+        self, hopper
+    ):
+        cache = GraphTemplateCache()
+        for _ in range(2):
+            gb = _record(hopper, (1, 0, False), cache)
+            gb._fp_ok = False  # as an undescribable binding leaves it
+            assert gb.fingerprint() is None
+            gb.build()
+        assert cache.stats.lookups == 0 and len(cache) == 0
 
 
 def _half_speed(machine):
@@ -299,6 +331,16 @@ class TestPlanReplay:
         second = _chain(hopper, default_registry())
         assert second.nodes[0].build is first.nodes[0].build
 
+    def test_builders_without_a_registry_share_one_read_only_zoo(
+        self, hopper
+    ):
+        first, second = GraphBuilder(hopper), GraphBuilder(hopper)
+        assert first.registry is second.registry
+        assert len(first.registry) == len(default_registry())
+        with pytest.raises(CypressError, match="cannot register 'mine'"):
+            first.registry.register("mine", KERNEL_BUILDERS["gemm"], ("m",))
+        assert "mine" not in second.registry
+
     def test_different_builders_under_one_name_do_not_share_a_plan(
         self, hopper
     ):
@@ -367,7 +409,7 @@ class TestPlanReplay:
 class TestTemplateCache:
     def _template(self, tag: str) -> GraphTemplate:
         return GraphTemplate(
-            fingerprint=tag, node_count=1, edges=(), critical_path={0: 1.0}
+            fingerprint=tag, edges=(), critical_path={0: 1.0}
         )
 
     def test_lru_eviction_and_counters(self):
@@ -388,12 +430,6 @@ class TestTemplateCache:
         cache.get("a")  # now the hot entry
         cache.put("c", self._template("c"))
         assert "a" in cache and "b" not in cache
-
-    def test_node_count_mismatch_is_a_miss(self):
-        cache = GraphTemplateCache()
-        cache.put("a", self._template("a"))
-        assert cache.get("a", node_count=2) is None
-        assert cache.get("a", node_count=1) is not None
 
     def test_clear_resets_everything(self):
         cache = GraphTemplateCache()

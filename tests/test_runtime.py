@@ -607,7 +607,7 @@ class TestInlineRouting:
         finally:
             api.resize_compile_cache(capacity)
 
-    def test_graph_nodes_keep_the_queue(
+    def test_a_warm_graph_is_served_by_its_submitter(
         self, hopper, registry, serving_threads
     ):
         graph = _chain_graph(hopper, registry)
@@ -615,19 +615,72 @@ class TestInlineRouting:
             server.submit_graph(graph).result(timeout=120)
             # Every node's record is now timed and its kernel resident.
             del serving_threads[:]
-            result = server.submit_graph(graph).result(timeout=120)
+            execution = server.submit_graph(graph)
+            assert execution.future.done()
+            result = execution.result()
             assert {r.tier for r in result.results.values()} == {"memory"}
             assert len(serving_threads) == len(graph)
-            assert threading.get_ident() not in {
-                ident for ident, _batch in serving_threads
+            for future in execution.node_futures.values():
+                assert _route(server, serving_threads, future) == (
+                    threading.get_ident(), "submitter"
+                )
+            assert _node_served_by(server) == {
+                node.uid: "submitter" for node in graph.nodes
             }
-            dispatches = [
-                span for span in server.tracer.spans()
-                if span.name == "dispatch"
-            ]
-            assert {span.args["served_by"] for span in dispatches} == {
-                "worker"
+
+    def test_a_cold_node_of_a_warm_graph_goes_to_a_worker(
+        self, hopper, registry, serving_threads
+    ):
+        graph = _chain_graph(hopper, registry)
+        head, tail = graph.nodes
+        with RuntimeServer(hopper, registry, workers=1, trace=True) as server:
+            server.warm("gemm", [head.shape])
+            execution = server.submit_graph(graph)
+            execution.result(timeout=120)
+            futures = execution.node_futures
+            assert _route(server, serving_threads, futures[head.uid]) == (
+                threading.get_ident(), "submitter"
+            )
+            self._assert_worker_served(
+                server, serving_threads, futures[tail.uid]
+            )
+            assert _node_served_by(server) == {
+                head.uid: "submitter", tail.uid: "worker"
             }
+
+    def test_a_data_carrying_graph_goes_to_workers(
+        self, hopper, registry, serving_threads
+    ):
+        graph = _chain_graph(hopper, registry)
+        rng = np.random.default_rng(3)
+        inputs = {
+            name: (rng.standard_normal(shape) * 0.1).astype(np.float16)
+            for name, shape in (
+                ("A", (128, 64)), ("W", (64, 256)), ("W2", (256, 256))
+            )
+        }
+        with RuntimeServer(hopper, registry, workers=1, trace=True) as server:
+            server.submit_graph(graph).result(timeout=120)  # warm both
+            execution = server.submit_graph(graph, inputs=inputs)
+            assert execution.result(timeout=120).outputs is not None
+            for future in execution.node_futures.values():
+                self._assert_worker_served(server, serving_threads, future)
+            assert set(_node_served_by(server).values()) == {"worker"}
+
+
+def _node_served_by(server):
+    """``served_by`` of each ``node`` span of the graph ``server`` began
+    last, by node uid."""
+    spans = server.tracer.spans()
+    graph = max(
+        (span for span in spans if span.name == "graph"),
+        key=lambda span: span.start_s,
+    )
+    return {
+        span.args["uid"]: span.args["served_by"]
+        for span in spans
+        if span.name == "node" and span.parent == graph.sid
+    }
 
 
 def _quarantined(directory):

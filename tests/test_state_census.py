@@ -41,6 +41,8 @@ STATE = {
     "gpusim.functional._PROC_LEVELS": TABLE,
     "gpusim.roofline._CACHE":
         "weak-keyed memo of derived rooflines, read several times a simulate",
+    "graph.builder._ZOO":
+        "the zoo registry GraphBuilders given none share; register raises",
     "graph.template.template_cache":
         BENCH + " (template_cache.clear()); holds templates and plans",
     "ir.events.BROADCAST": "the [:] event-index singleton; holds no data",
