@@ -286,17 +286,21 @@ class PassManager:
         )
         verify_function(fn)
         trace.verified_after.append("input")
+        # Nothing but a pass changes the IR, so the IR is counted once per
+        # pass boundary: a pass's ``ops_before`` is its predecessor's
+        # ``ops_after``.
+        ops = _ir_size(fn)
         for p in self.passes:
-            ops_before = _ir_size(fn)
             start = time.perf_counter()
             p.run(fn, ctx)
             elapsed = time.perf_counter() - start
+            ops_before, ops = ops, _ir_size(fn)
             trace.records.append(
                 PassRecord(
                     name=p.name,
                     wall_time_s=elapsed,
                     ops_before=ops_before,
-                    ops_after=_ir_size(fn),
+                    ops_after=ops,
                     started_at_s=start,
                 )
             )

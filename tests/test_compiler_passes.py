@@ -203,6 +203,37 @@ class TestVectorize:
         vectorize(fn)
         assert [type(op) for op in fn.body.ops] == [CopyOp]
 
+    def test_whole_function_walks_do_not_grow_with_flattened_pfors(
+        self, machine, monkeypatch
+    ):
+        """Complexity guard: the pass builds its use index from one
+        ``IRFunction.walk``, however many ``pfor``s it flattens; a walk
+        per flattened loop would make the pass quadratic in them."""
+        programs = {}
+        for family, shape in (
+            ("gemm", dict(m=4096, n=4096, k=4096)),
+            ("flash_attention3", dict(heads=16, seq=4096, head_dim=128)),
+        ):
+            fn = _dependence_ir(KERNEL_BUILDERS[family](machine, **shape))
+            pfors = sum(
+                isinstance(op, PForOp) and is_intra_block(op.proc)
+                for op in fn.walk()
+            )
+            programs[family] = fn, pfors
+        assert len({pfors for _, pfors in programs.values()}) == 2
+
+        walk = IRFunction.walk
+        calls = []
+        monkeypatch.setattr(
+            IRFunction, "walk", lambda self: calls.append(1) or walk(self)
+        )
+        walks = {}
+        for family, (fn, _) in programs.items():
+            calls.clear()
+            vectorize(fn)
+            walks[family] = len(calls)
+        assert walks == {"gemm": 1, "flash_attention3": 1}
+
 
 class TestCopyElimination:
     def _final(self, build):

@@ -212,17 +212,18 @@ def _snapshot(uses):
 
 @pytest.fixture()
 def checked_rewrites(monkeypatch):
-    """Every rewrite is followed by the self-check; yields their count."""
-    apply_once = copy_elim._apply_once
+    """Every rewrite step is followed by the self-check; yields, per
+    step, whether it rewrote."""
+    rewrite = copy_elim._rewrite
     rewrites = []
 
-    def checked(uses):
-        changed = apply_once(uses)
+    def checked(uses, pattern, block, start):
+        resume = rewrite(uses, pattern, block, start)
         assert _snapshot(uses) == _snapshot(copy_elim._Uses(uses.fn))
-        rewrites.append(changed)
-        return changed
+        rewrites.append(resume is not None)
+        return resume
 
-    monkeypatch.setattr(copy_elim, "_apply_once", checked)
+    monkeypatch.setattr(copy_elim, "_rewrite", checked)
     return rewrites
 
 

@@ -126,6 +126,26 @@ class TestInstrumentation:
         elim = next(r for r in trace.records if r.name == "copy-elim")
         assert elim.ops_after < elim.ops_before
 
+    def test_ir_counted_once_per_pass_boundary(self, small_build, monkeypatch):
+        """Six passes have seven boundaries; each pass's ``ops_before``
+        is its predecessor's ``ops_after`` and every count is exact."""
+        from repro.compiler import passes
+
+        counts = []
+
+        def counted(fn):
+            counts.append(sum(1 for _ in fn.walk()))
+            return counts[-1]
+
+        monkeypatch.setattr(passes, "_ir_size", counted)
+        fn = _dependence_ir(small_build)
+        ctx = _context(small_build, CompileOptions(cache=False))
+        trace = PassManager().run(fn, ctx)
+        assert len(counts) == len(DEFAULT_PIPELINE) + 1
+        assert [r.ops_before for r in trace.records] == counts[:-1]
+        assert [r.ops_after for r in trace.records] == counts[1:]
+        assert counts[-1] == sum(1 for _ in fn.walk())
+
 
 class TestVerifyPolicy:
     def _trace(self, small_build, verify):
