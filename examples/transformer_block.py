@@ -17,11 +17,15 @@ Expected output
 ---------------
 The graph summary (7 nodes per stream; RAW edges from projections into
 attention and down the MLP chain), the functional error vs numpy
-(~1e-3 relative, f16 storage between kernels), then serial vs graph
-wall times with the graph speedup — above 1x for one stream (the
-projection branches batch and overlap) and near the worker count for
-multiple streams — and the server's stats table with its ``graphs:``
-line.
+(~2e-3 relative, f16 storage between kernels), then serial vs graph
+wall times and their ratio, and the server's stats table with its
+``graphs:`` line. Both timed paths take well under 1 ms: every node is
+a warm, timing-only request served on the thread that submits (or
+readies) it, so there is little to overlap, and on a 2-CPU host the
+ratio reads below 1x: about ``0.75x``–``0.95x`` for the default two
+streams on four workers, ``0.5x``–``0.8x`` for
+``main(streams=1, workers=2)``. The whole script takes 1–2 s, most of
+it the functional check.
 
 Run it::
 

@@ -32,11 +32,29 @@ order, as batches of one through :meth:`TensorRef.read`/``write``. The
 per-op plans and fitted layouts are kept on the interpreted
 :class:`IRFunction` (dropped when it is pickled), so a kernel's later
 requests only look them up.
+
+A batch moves data in machine words where it can: when a view's
+innermost axis is a contiguous run whose bytes a ``uint64`` or
+``uint32`` tiles (a fragment's column pair of two f16 is one 4-byte
+word), that axis is read and written as words and the bytes are
+reinterpreted as the operand's dtype; a copy of one dtype moves both
+sides in the same word, as one ``np.copyto`` with no intermediate where
+the source's strides allow. A batched call whose operands hold at
+least ``2**14`` elements is split along its leading digit into at most
+one part per CPU this process may run on: the calling thread runs the
+first part and helper threads the others, which the interpretation
+starts at its first split and joins before it returns. Parts write
+disjoint elements and read none that another part writes (the batching
+condition), and externals act on trailing axes, so every output byte
+is the unsplit one.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+import os
+from concurrent.futures import ThreadPoolExecutor, wait
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
@@ -67,6 +85,14 @@ _PROC_LEVELS = {"block": 1, "warpgroup": 1, "warp": 4, "thread": 32}
 #: need a few per op; a large grid interpreted functionally refits the
 #: rest on each visit instead of growing with the grid.
 _LAYOUT_LIMIT = 1024
+
+#: Batched calls whose operands hold this many elements or more are
+#: split across the CPUs; below it a helper's hand-off costs more than
+#: the part it would run.
+_SPLIT_ELEMENTS = 1 << 14
+
+#: Machine words a contiguous run of elements moves in, widest first.
+_WORDS = (np.dtype(np.uint64), np.dtype(np.uint32))
 
 
 def interpret_function(
@@ -216,33 +242,84 @@ class _OpPlan:
 class _Layout:
     """All instances of an op at once, for one environment: a batch.
 
-    ``views[pos]`` is ``(offset, shape, strides, value_shape)`` in bytes
-    over the operand's flat array: ``lead`` digit axes, then the
-    ``view_of`` axes. A value read has ``value_shape``: the digit axes,
-    then the reference's shape.
+    ``views[pos]`` is ``(offset, shape, strides, dtype)`` in bytes over
+    the operand's flat array: ``lead`` digit axes, then the ``view_of``
+    axes. Where the innermost view axis is a contiguous run whose bytes
+    machine words tile, ``dtype`` is that word (``uint32``/``uint64``)
+    and the run is an axis of words: a Figure-4 column pair moves as
+    one word. ``shapes[pos]`` is the shape of a value read: the digit
+    axes, then the reference's shape.
     """
 
-    __slots__ = ("lead", "views")
+    __slots__ = ("lead", "views", "shapes", "elements")
 
-    def __init__(self, lead: int, views: List[Optional[Tuple]]):
+    def __init__(
+        self, lead: int, views: List[Optional[Tuple]],
+        shapes: List[Optional[Tuple[int, ...]]],
+    ):
         self.lead = lead
         self.views = views
+        self.shapes = shapes
+        self.elements = sum(math.prod(s) for s in shapes if s is not None)
 
-    def _view(self, storage: "_Interpreter", operand: _Operand) -> np.ndarray:
-        offset, shape, strides, _ = self.views[operand.pos]
-        flat = storage.flat(operand)
-        return np.ndarray(shape, flat.dtype, flat, offset, strides)
+    def _array(self, storage: "_Interpreter", operand: _Operand) -> np.ndarray:
+        offset, shape, strides, dtype = self.views[operand.pos]
+        return np.ndarray(shape, dtype, storage.flat(operand), offset, strides)
 
     def read(self, storage: "_Interpreter", operand: _Operand) -> np.ndarray:
-        value_shape = self.views[operand.pos][3]
-        return self._view(storage, operand).copy().reshape(value_shape)
+        array = self._array(storage, operand).copy()
+        if array.dtype != operand.dtype:  # words: reinterpret the bytes
+            array = array.reshape(array.shape[:self.lead] + (-1,)).view(
+                operand.dtype
+            )
+        return array.reshape(self.shapes[operand.pos])
 
     def write(
         self, storage: "_Interpreter", operand: _Operand, value: np.ndarray
     ) -> None:
-        view = self._view(storage, operand)
+        target = self._array(storage, operand)
         lead = self.lead
-        view[...] = value.reshape(value.shape[:lead] + view.shape[lead:])
+        if target.dtype != operand.dtype:  # words: reinterpret the bytes
+            value = np.ascontiguousarray(value)
+            value = value.reshape(value.shape[:lead] + (-1,)).view(
+                target.dtype
+            )
+        target[...] = value.reshape(value.shape[:lead] + target.shape[lead:])
+
+    def copy(
+        self, storage: "_Interpreter", src: _Operand, dst: _Operand
+    ) -> None:
+        """``dst = src`` on every instance, for operands of one dtype
+        whose views move the same unit (element or word). The source
+        is reshaped to the destination's view lengths, a view wherever
+        its strides allow, so most copies build no intermediate array."""
+        source = self._array(storage, src)
+        target = self._array(storage, dst)
+        lead = self.lead
+        np.copyto(
+            target, source.reshape(source.shape[:lead] + target.shape[lead:])
+        )
+
+    def split(self, parts: int) -> List["_Layout"]:
+        """The batch cut along its leading digit into at most ``parts``
+        batches of consecutive instances. An operand broadcast along
+        that digit is read whole by every part."""
+        radix = max(shape[0] for shape in self.shapes if shape is not None)
+        parts = min(parts, radix)
+        bounds = [radix * k // parts for k in range(parts + 1)]
+        out = []
+        for low, high in zip(bounds, bounds[1:]):
+            views, shapes = [], []
+            for view, shape in zip(self.views, self.shapes):
+                if view is not None and shape[0] > 1:
+                    offset, lengths, strides, dtype = view
+                    view = (offset + low * strides[0],
+                            (high - low,) + lengths[1:], strides, dtype)
+                    shape = (high - low,) + shape[1:]
+                views.append(view)
+                shapes.append(shape)
+            out.append(_Layout(self.lead, views, shapes))
+        return out
 
 
 class _Instance:
@@ -262,6 +339,14 @@ class _Instance:
     ) -> None:
         root = operand.root(storage.flat(operand), self.bound)
         operand.ref.write(root, value, self.bound)
+
+
+def _cpu_count() -> int:
+    """CPUs this process may run on: the parts a large call splits into."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
 
 
 def _as_dtype(array: np.ndarray, dtype: np.dtype) -> np.ndarray:
@@ -373,6 +458,9 @@ class _Interpreter:
             **_PROC_LEVELS, **fn.metadata.get("proc_extents", {})
         }
         self.zeros = dict.fromkeys(_PROC_LEVELS, 0)
+        self.cpus = _cpu_count()
+        # Started by the first split, joined before ``run`` returns.
+        self.helpers: Optional[ThreadPoolExecutor] = None
         self.plans: Dict[Operation, _OpPlan] = {}
         # Plans outlive the request on the function; a racing first
         # request builds an equivalent dict and one of them stays.
@@ -396,7 +484,12 @@ class _Interpreter:
                     f"expected {param.shape}"
                 )
             self.storage[param.tensor.uid] = array.reshape(-1)
-        self._run_block(self.fn.body, {})
+        try:
+            self._run_block(self.fn.body, {})
+        finally:
+            if self.helpers is not None:
+                self.helpers.shutdown()
+                self.helpers = None
         return {
             p.name: self.storage[p.tensor.uid].reshape(p.shape)
             for p in self.fn.params
@@ -480,7 +573,11 @@ class _Interpreter:
             if len(plan.layouts) < _LAYOUT_LIMIT:
                 plan.layouts[key] = layout
         if layout is not None:
-            run(plan, layout)
+            if (plan.external is not None and self.cpus > 1
+                    and layout.lead and layout.elements >= _SPLIT_ELEMENTS):
+                self._split(plan, layout)
+            else:
+                run(plan, layout)
             return
         for combo in itertools.product(
             *(range(self.proc_extents[level]) for level in levels)
@@ -535,7 +632,16 @@ class _Interpreter:
                            strides))
         if not _independent(radices, fitted):
             return None
+        # A copy of one dtype moves both sides in the same unit, so it
+        # needs no intermediate (``_Layout.copy``).
+        runs = {operand.pos: lengths[-1] * operand.dtype.itemsize
+                for operand, _, _, lengths, _ in fitted}
+        if plan.external is None and len(
+            {operand.dtype for operand in plan.operands}
+        ) == 1:
+            runs = dict.fromkeys(runs, math.gcd(*runs.values()))
         views: List[Optional[Tuple]] = [None] * len(plan.args)
+        shapes: List[Optional[Tuple[int, ...]]] = [None] * len(plan.args)
         for operand, offset, digit_strides, lengths, strides in fitted:
             # A digit no instance moves along is one shared read.
             lead = tuple(
@@ -543,17 +649,50 @@ class _Interpreter:
                 for radix, step in zip(radices, digit_strides)
             )
             item = operand.dtype.itemsize
-            views[operand.pos] = (
-                offset * item,
-                lead + lengths,
-                tuple(step * item for step in (*digit_strides, *strides)),
-                lead + operand.ref.shape,
+            shape = lead + lengths
+            byte_strides = tuple(
+                step * item for step in (*digit_strides, *strides)
             )
-        return _Layout(len(radices), views)
+            # The innermost view axis is contiguous (``_c_strides``).
+            word = next(
+                (w for w in _WORDS if runs[operand.pos] % w.itemsize == 0),
+                operand.dtype,
+            )
+            if word != operand.dtype:
+                shape = shape[:-1] + (lengths[-1] * item // word.itemsize,)
+                byte_strides = byte_strides[:-1] + (word.itemsize,)
+            views[operand.pos] = (offset * item, shape, byte_strides, word)
+            shapes[operand.pos] = lead + operand.ref.shape
+        return _Layout(len(radices), views, shapes)
+
+    def _split(self, plan: _OpPlan, layout: _Layout) -> None:
+        """Run a batched call as one part per CPU along its leading
+        digit: the calling thread runs the first part, helper threads
+        the others, and the op ends when every part has. Sound because
+        no instance writes what another reads or writes (``_fit``) and
+        externals act on trailing axes; every byte is the unsplit one."""
+        first, *rest = layout.split(self.cpus)
+        for operand in plan.operands:
+            self.flat(operand)  # allocated here, not raced in the parts
+        if self.helpers is None:
+            self.helpers = ThreadPoolExecutor(
+                self.cpus - 1, thread_name_prefix="repro-functional"
+            )
+        pending = [self.helpers.submit(self._call, plan, part)
+                   for part in rest]
+        try:
+            self._call(plan, first)
+        finally:
+            wait(pending)  # no part outlives the op
+        for future in pending:
+            future.result()
 
     # ------------------------------------------------------------------
     def _copy(self, plan: _OpPlan, batch) -> None:
         src, dst = plan.args
+        if isinstance(batch, _Layout) and src.dtype == dst.dtype:
+            batch.copy(self, src, dst)
+            return
         batch.write(self, dst, _as_dtype(batch.read(self, src), dst.dtype))
 
     def _call(self, plan: _OpPlan, batch) -> None:

@@ -1,5 +1,6 @@
 """The functional interpreter: collective calls, instance order,
-batched externals, and its memos — not persisted, not stale, not racy.
+batched externals, how batches move data (machine words, calls split
+across CPUs), and its memos — not persisted, not stale, not racy.
 
 The interpreter keeps one plan per op, with the layouts it fitted per
 environment, on the interpreted ``IRFunction``, and ``TensorRef``
@@ -16,6 +17,7 @@ import sys
 import threading
 
 import numpy as np
+from hypothesis import given, settings, strategies as st
 
 from repro import api
 from repro.compiler import CompileOptions
@@ -24,7 +26,7 @@ from repro.compiler.dependence import DependenceAnalysis
 from repro.compiler.vectorize import vectorize
 from repro.compiler.warpspec import specialize_warps
 from repro.frontend import TaskRegistry, external_function, use_registry
-from repro.gpusim import interpret_function
+from repro.gpusim import functional, interpret_function
 from repro.ir.module import IRFunction
 from repro.ir.ops import CallOp, CopyOp
 from repro.kernels.common import kernel_registry
@@ -261,10 +263,147 @@ def test_externals_act_on_trailing_axes():
                     assert got[index].tobytes() == want.tobytes(), name
 
 
-def test_racing_first_requests_match_single_threaded_run(hopper):
+def test_fragment_pairs_move_as_words_and_wgmma_splits(hopper, monkeypatch):
+    """On the smallest gemm bucket every operand whose innermost run is
+    a Figure-4 column pair of f16 moves as one 4-byte word per pair,
+    each K tile's ``wgmma_f16`` batch runs in two parts, and no helper
+    thread outlives the interpretation."""
+    monkeypatch.setattr(functional, "_cpu_count", lambda: 2)
+    split = []
+    unspied = functional._Interpreter._split
+
+    def spy(self, plan, layout):
+        split.append((plan.external.name, len(layout.split(self.cpus))))
+        unspied(self, plan, layout)
+
+    monkeypatch.setattr(functional._Interpreter, "_split", spy)
+    kernel = _fresh_kernel(hopper)
+    baseline = threading.active_count()
+    api.run_functional(kernel, _gemm_inputs())
+    assert threading.active_count() == baseline
+    assert split == [("wgmma_f16", 2)] * 2
+
+    zeros = dict.fromkeys(functional._PROC_LEVELS, 0)
+    pairs = []
+    for plan in kernel.final_ir.__dict__["_functional_plans"].values():
+        for key, layout in plan.layouts.items():
+            assert layout is not None
+            bound = {**zeros, **{
+                name: value for name, value in zip(plan.names, key)
+                if value is not None
+            }}
+            for operand in plan.operands:
+                spec = operand.view(bound)
+                if spec[-1].stop - spec[-1].start == 2:
+                    assert operand.dtype == np.float16
+                    strides, dtype = layout.views[operand.pos][2:]
+                    pairs.append((dtype, strides[-1]))
+    # Cacc in each of the three register copies, and wgmma's B fragment.
+    assert pairs == [(np.dtype(np.uint32), 4)] * 4
+
+
+@st.composite
+def _fragment_moves(draw):
+    """A copy or call moving an ``mma`` fragment (WARP, THREAD or a
+    THREAD piece of a WARP piece) of f16 or f32 to the same fragment of
+    another tensor or to dense rows, one row block per instance."""
+    operand = draw(st.sampled_from(["A", "B", "C"]))
+    nesting = draw(st.sampled_from(["warp", "thread", "warp+thread"]))
+    dtype = draw(st.sampled_from([f16, f32]))
+    shape = (64 * draw(st.integers(1, 2)), 8 * draw(st.integers(1, 4)))
+    return (operand, nesting.split("+"), dtype, shape,
+            draw(st.sampled_from(["fragment", "rows"])),
+            draw(st.sampled_from(["copy", "call"])),
+            draw(st.integers(0, 2**32 - 1)))
+
+
+#: Bit patterns that an arithmetic round trip would not keep: NaNs with
+#: payloads (quiet and signalling), -0.0, subnormals, infinities.
+SPECIAL_BITS = {
+    np.float16: (0x7C01, 0xFE37, 0x8000, 0x0001, 0x83FF, 0xFC00),
+    np.float32: (0x7F800001, 0xFFC12345, 0x80000000, 0x00000001,
+                 0x807FFFFF, 0xFF800000),
+}
+
+
+@given(case=_fragment_moves())
+@settings(max_examples=60)
+def test_batched_fragment_moves_keep_every_bit(hopper, case):
+    """A batched copy or call of fragments leaves the bytes that moving
+    one instance at a time through the references leaves."""
+    operand, levels, dtype, shape, target, kind, seed = case
+    registry = TaskRegistry()
+    with use_registry(registry):
+
+        @external_function("move", cost_kind="simt")
+        def move(dst, src):
+            dst[...] = src
+
+    fn = IRFunction("fragments", hopper)
+    atom = MmaAtom(64, 64, 16)
+    src = fn.add_param("X", shape, dtype).ref()
+    grid = 1
+    for level in levels:
+        part = partition_by_mma(
+            src, atom, ProcessorKind[level.upper()], operand
+        )
+        grid *= part.grid[0]
+        src = part[ProcIndex(level)]
+    rows, cols = src.shape
+    if target == "fragment":
+        dst = fn.add_param("Y", shape, dtype).ref()
+        for level in levels:
+            dst = partition_by_mma(
+                dst, atom, ProcessorKind[level.upper()], operand
+            )[ProcIndex(level)]
+    else:
+        instance = ProcIndex(levels[0])
+        if len(levels) == 2:
+            instance = instance * 32 + ProcIndex(levels[1])
+        dst = partition_by_blocks(
+            fn.add_param("Y", (grid * rows, cols), dtype).ref(), (rows, cols)
+        )[instance, 0]
+    if kind == "copy":
+        fn.body.ops.append(CopyOp(src, dst))
+    else:
+        fn.body.ops.append(
+            CallOp("move", (dst, src), reads=(src,), writes=(dst,))
+        )
+
+    rng = np.random.default_rng(seed)
+    np_dtype = dtype.to_numpy()
+    bits = np.dtype(f"u{np_dtype.itemsize}")
+    inputs = {}
+    for param in fn.params:
+        array = rng.integers(0, np.iinfo(bits).max, param.shape,
+                             dtype=bits, endpoint=True)
+        flat = array.reshape(-1)
+        flat[rng.integers(0, flat.size, 16)] = rng.choice(
+            np.array(SPECIAL_BITS[np_dtype.type], dtype=bits), 16
+        )
+        inputs[param.name] = array.view(np_dtype)
+    want = inputs["Y"].copy()
+    for combo in np.ndindex(*[4 if level == "warp" else 32
+                              for level in levels]):
+        env = dict(zip(levels, combo))
+        dst.write(want, src.read(inputs["X"], env), env)
+
+    got = interpret_function(fn, registry, inputs)
+    assert got["X"].tobytes() == inputs["X"].tobytes()
+    assert got["Y"].tobytes() == want.tobytes()
+    if target == "rows":  # independent instances: one batch
+        (plan,) = fn.__dict__["_functional_plans"].values()
+        assert None not in plan.layouts.values()
+
+
+def test_racing_first_requests_match_single_threaded_run(
+    hopper, monkeypatch
+):
     """More workers than cores, every request the first to interpret its
     kernel as far as it can tell, and a switch interval short enough to
-    interleave them inside the memo's check-then-fill."""
+    interleave them inside the memo's check-then-fill. Each request
+    splits its large calls in two, whatever the host's CPU count."""
+    monkeypatch.setattr(functional, "_cpu_count", lambda: 2)
     requests = [_gemm_inputs(seed) for seed in range(4)]
     reference = _fresh_kernel(hopper)
     want = [api.run_functional(reference, inputs)["C"] for inputs in requests]

@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from element_oracle import coord_set
+from element_oracle import coord_rows
 from repro import api
 from repro.errors import CypressError
 from repro.graph import (
@@ -467,8 +467,22 @@ def _launch_plans(draw):
     return plans
 
 
+def _flat_elements(ref):
+    """The reference's elements as sorted flat indices into its root."""
+    rows = coord_rows(ref)
+    return np.unique(np.ravel_multi_index(tuple(rows.T), ref.root.shape))
+
+
 def _brute_force_conflicts(graph):
     """All ordered conflicting pairs by element enumeration."""
+    elements = {}
+
+    def flat(node, param):
+        key = (node.uid, param)
+        if key not in elements:
+            elements[key] = _flat_elements(node.refs[param])
+        return elements[key]
+
     conflicts = set()
     for earlier in graph.nodes:
         for later in graph.nodes:
@@ -482,7 +496,10 @@ def _brute_force_conflicts(graph):
                     theirs = later.refs[b.param]
                     if mine.root != theirs.root:
                         continue
-                    if coord_set(mine) & coord_set(theirs):
+                    if np.intersect1d(
+                        flat(earlier, a.param), flat(later, b.param),
+                        assume_unique=True,
+                    ).size:
                         conflicts.add((earlier.uid, later.uid))
     return conflicts
 
