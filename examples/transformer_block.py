@@ -22,7 +22,7 @@ wall times and their ratio, and the server's stats table with its
 ``graphs:`` line. Both timed paths take well under 1 ms: every node is
 a warm, timing-only request served on the thread that submits (or
 readies) it, so there is little to overlap, and on a 2-CPU host the
-ratio reads below 1x: about ``0.75x``–``0.95x`` for the default two
+ratio reads below 1x: about ``0.6x``–``0.95x`` for the default two
 streams on four workers, ``0.5x``–``0.8x`` for
 ``main(streams=1, workers=2)``. The whole script takes 1–2 s, most of
 it the functional check.

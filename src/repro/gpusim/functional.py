@@ -39,22 +39,16 @@ innermost axis is a contiguous run whose bytes a ``uint64`` or
 word), that axis is read and written as words and the bytes are
 reinterpreted as the operand's dtype; a copy of one dtype moves both
 sides in the same word, as one ``np.copyto`` with no intermediate where
-the source's strides allow. A batched call whose operands hold at
-least ``2**14`` elements is split along its leading digit into at most
-one part per CPU this process may run on: the calling thread runs the
-first part and helper threads the others, which the interpretation
-starts at its first split and joins before it returns. Parts write
-disjoint elements and read none that another part writes (the batching
-condition), and externals act on trailing axes, so every output byte
-is the unsplit one.
+the source's strides allow. An interpretation runs wholly on its
+caller's thread: a batch is not split across threads, which helps one
+request on an idle host but costs more than it saves once concurrent
+requests fill the cores.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor, wait
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
@@ -85,11 +79,6 @@ _PROC_LEVELS = {"block": 1, "warpgroup": 1, "warp": 4, "thread": 32}
 #: need a few per op; a large grid interpreted functionally refits the
 #: rest on each visit instead of growing with the grid.
 _LAYOUT_LIMIT = 1024
-
-#: Batched calls whose operands hold this many elements or more are
-#: split across the CPUs; below it a helper's hand-off costs more than
-#: the part it would run.
-_SPLIT_ELEMENTS = 1 << 14
 
 #: Machine words a contiguous run of elements moves in, widest first.
 _WORDS = (np.dtype(np.uint64), np.dtype(np.uint32))
@@ -251,7 +240,7 @@ class _Layout:
     axes, then the reference's shape.
     """
 
-    __slots__ = ("lead", "views", "shapes", "elements")
+    __slots__ = ("lead", "views", "shapes")
 
     def __init__(
         self, lead: int, views: List[Optional[Tuple]],
@@ -260,7 +249,6 @@ class _Layout:
         self.lead = lead
         self.views = views
         self.shapes = shapes
-        self.elements = sum(math.prod(s) for s in shapes if s is not None)
 
     def _array(self, storage: "_Interpreter", operand: _Operand) -> np.ndarray:
         offset, shape, strides, dtype = self.views[operand.pos]
@@ -300,27 +288,6 @@ class _Layout:
             target, source.reshape(source.shape[:lead] + target.shape[lead:])
         )
 
-    def split(self, parts: int) -> List["_Layout"]:
-        """The batch cut along its leading digit into at most ``parts``
-        batches of consecutive instances. An operand broadcast along
-        that digit is read whole by every part."""
-        radix = max(shape[0] for shape in self.shapes if shape is not None)
-        parts = min(parts, radix)
-        bounds = [radix * k // parts for k in range(parts + 1)]
-        out = []
-        for low, high in zip(bounds, bounds[1:]):
-            views, shapes = [], []
-            for view, shape in zip(self.views, self.shapes):
-                if view is not None and shape[0] > 1:
-                    offset, lengths, strides, dtype = view
-                    view = (offset + low * strides[0],
-                            (high - low,) + lengths[1:], strides, dtype)
-                    shape = (high - low,) + shape[1:]
-                views.append(view)
-                shapes.append(shape)
-            out.append(_Layout(self.lead, views, shapes))
-        return out
-
 
 class _Instance:
     """One instance of an op: a batch of one, through the reference."""
@@ -339,14 +306,6 @@ class _Instance:
     ) -> None:
         root = operand.root(storage.flat(operand), self.bound)
         operand.ref.write(root, value, self.bound)
-
-
-def _cpu_count() -> int:
-    """CPUs this process may run on: the parts a large call splits into."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
 
 
 def _as_dtype(array: np.ndarray, dtype: np.dtype) -> np.ndarray:
@@ -458,9 +417,6 @@ class _Interpreter:
             **_PROC_LEVELS, **fn.metadata.get("proc_extents", {})
         }
         self.zeros = dict.fromkeys(_PROC_LEVELS, 0)
-        self.cpus = _cpu_count()
-        # Started by the first split, joined before ``run`` returns.
-        self.helpers: Optional[ThreadPoolExecutor] = None
         self.plans: Dict[Operation, _OpPlan] = {}
         # Plans outlive the request on the function; a racing first
         # request builds an equivalent dict and one of them stays.
@@ -484,12 +440,7 @@ class _Interpreter:
                     f"expected {param.shape}"
                 )
             self.storage[param.tensor.uid] = array.reshape(-1)
-        try:
-            self._run_block(self.fn.body, {})
-        finally:
-            if self.helpers is not None:
-                self.helpers.shutdown()
-                self.helpers = None
+        self._run_block(self.fn.body, {})
         return {
             p.name: self.storage[p.tensor.uid].reshape(p.shape)
             for p in self.fn.params
@@ -573,11 +524,7 @@ class _Interpreter:
             if len(plan.layouts) < _LAYOUT_LIMIT:
                 plan.layouts[key] = layout
         if layout is not None:
-            if (plan.external is not None and self.cpus > 1
-                    and layout.lead and layout.elements >= _SPLIT_ELEMENTS):
-                self._split(plan, layout)
-            else:
-                run(plan, layout)
+            run(plan, layout)
             return
         for combo in itertools.product(
             *(range(self.proc_extents[level]) for level in levels)
@@ -664,28 +611,6 @@ class _Interpreter:
             views[operand.pos] = (offset * item, shape, byte_strides, word)
             shapes[operand.pos] = lead + operand.ref.shape
         return _Layout(len(radices), views, shapes)
-
-    def _split(self, plan: _OpPlan, layout: _Layout) -> None:
-        """Run a batched call as one part per CPU along its leading
-        digit: the calling thread runs the first part, helper threads
-        the others, and the op ends when every part has. Sound because
-        no instance writes what another reads or writes (``_fit``) and
-        externals act on trailing axes; every byte is the unsplit one."""
-        first, *rest = layout.split(self.cpus)
-        for operand in plan.operands:
-            self.flat(operand)  # allocated here, not raced in the parts
-        if self.helpers is None:
-            self.helpers = ThreadPoolExecutor(
-                self.cpus - 1, thread_name_prefix="repro-functional"
-            )
-        pending = [self.helpers.submit(self._call, plan, part)
-                   for part in rest]
-        try:
-            self._call(plan, first)
-        finally:
-            wait(pending)  # no part outlives the op
-        for future in pending:
-            future.result()
 
     # ------------------------------------------------------------------
     def _copy(self, plan: _OpPlan, batch) -> None:

@@ -1,6 +1,6 @@
 """The functional interpreter: collective calls, instance order,
-batched externals, how batches move data (machine words, calls split
-across CPUs), and its memos — not persisted, not stale, not racy.
+batched externals, how batches move data (machine words), and its
+memos — not persisted, not stale, not racy.
 
 The interpreter keeps one plan per op, with the layouts it fitted per
 environment, on the interpreted ``IRFunction``, and ``TensorRef``
@@ -263,25 +263,11 @@ def test_externals_act_on_trailing_axes():
                     assert got[index].tobytes() == want.tobytes(), name
 
 
-def test_fragment_pairs_move_as_words_and_wgmma_splits(hopper, monkeypatch):
+def test_fragment_pairs_move_as_words(hopper):
     """On the smallest gemm bucket every operand whose innermost run is
-    a Figure-4 column pair of f16 moves as one 4-byte word per pair,
-    each K tile's ``wgmma_f16`` batch runs in two parts, and no helper
-    thread outlives the interpretation."""
-    monkeypatch.setattr(functional, "_cpu_count", lambda: 2)
-    split = []
-    unspied = functional._Interpreter._split
-
-    def spy(self, plan, layout):
-        split.append((plan.external.name, len(layout.split(self.cpus))))
-        unspied(self, plan, layout)
-
-    monkeypatch.setattr(functional._Interpreter, "_split", spy)
+    a Figure-4 column pair of f16 moves as one 4-byte word per pair."""
     kernel = _fresh_kernel(hopper)
-    baseline = threading.active_count()
     api.run_functional(kernel, _gemm_inputs())
-    assert threading.active_count() == baseline
-    assert split == [("wgmma_f16", 2)] * 2
 
     zeros = dict.fromkeys(functional._PROC_LEVELS, 0)
     pairs = []
@@ -396,14 +382,10 @@ def test_batched_fragment_moves_keep_every_bit(hopper, case):
         assert None not in plan.layouts.values()
 
 
-def test_racing_first_requests_match_single_threaded_run(
-    hopper, monkeypatch
-):
+def test_racing_first_requests_match_single_threaded_run(hopper):
     """More workers than cores, every request the first to interpret its
     kernel as far as it can tell, and a switch interval short enough to
-    interleave them inside the memo's check-then-fill. Each request
-    splits its large calls in two, whatever the host's CPU count."""
-    monkeypatch.setattr(functional, "_cpu_count", lambda: 2)
+    interleave them inside the memo's check-then-fill."""
     requests = [_gemm_inputs(seed) for seed in range(4)]
     reference = _fresh_kernel(hopper)
     want = [api.run_functional(reference, inputs)["C"] for inputs in requests]

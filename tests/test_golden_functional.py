@@ -7,9 +7,6 @@ the Hopper model, interpreted at ``Stage.DEPENDENCE`` and at
 ``Stage.FINAL``, on seeded inputs. A change to how the interpreter
 moves data (views, batching, storage) must leave every digest as it
 is; the numpy references elsewhere only hold outputs to a tolerance.
-The digests hold whether large batched calls are split across CPUs or
-not, so they are also checked with the interpreter's CPU count pinned
-to 1 (no split) and to 2 (split), whatever the host has.
 
 Re-record only on a deliberate change to what a kernel computes:
 ``PYTHONPATH=src python tests/test_golden_functional.py``.
@@ -20,10 +17,8 @@ import json
 from pathlib import Path
 
 import numpy as np
-import pytest
 
 from repro import api
-from repro.gpusim import functional
 from repro.machine import hopper_machine
 from repro.kernels import KERNEL_BUILDERS
 from repro.runtime import default_registry
@@ -92,15 +87,6 @@ def test_functional_outputs_match_the_recorded_digests():
     golden = json.loads(GOLDEN.read_text())
     got = compute_digests()
     assert sorted(got) == sorted(golden)
-    wrong = sorted(k for k in golden if got[k] != golden[k])
-    assert not wrong, f"{len(wrong)} of {len(golden)} differ: {wrong}"
-
-
-@pytest.mark.parametrize("cpus", [1, 2])
-def test_digests_hold_split_and_unsplit(monkeypatch, cpus):
-    monkeypatch.setattr(functional, "_cpu_count", lambda: cpus)
-    golden = json.loads(GOLDEN.read_text())
-    got = compute_digests()
     wrong = sorted(k for k in golden if got[k] != golden[k])
     assert not wrong, f"{len(wrong)} of {len(golden)} differ: {wrong}"
 
