@@ -10,8 +10,8 @@ read/write regions (``repro.tensors.regions``), never declared. The
 graph is executed three ways: functionally against a numpy oracle
 (`api.run_graph`), serially (one ``submit`` at a time, the
 hand-ordered baseline), and as `server.submit_graph`, where the three
-independent projection branches overlap across the worker pool under
-cost-model critical-path priorities. See ``docs/graphs.md``.
+independent projection branches overlap across the worker pool. See
+``docs/graphs.md``.
 
 Expected output
 ---------------

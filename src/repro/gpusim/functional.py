@@ -14,17 +14,18 @@ shared-memory offsets that ``allocate-shared`` assigns — two buffers in
 the same bytes — are not modelled. Vectorized IR that copy elimination
 has not yet cleaned is the one stage it cannot run.
 
-A copy or call whose references name processor levels runs once per
-enclosing-loop environment on a batch of all its instances. Each level
-extent is split into its prime digits (thread 32 → 2·2·2·2·2), and each
-operand becomes one strided view with a leading axis per digit: the
-per-instance offsets that ``regions.view_of`` gives are fitted with one
-stride per digit, and the fit is checked against every instance. A
-read-only operand's stride-0 digits are size-1 axes that numpy
-broadcasts (every thread reading the same ``B`` columns is one copy,
-not one per thread). External implementations act on the trailing
-axes (see :class:`~repro.frontend.task.ExternalFunction`), so one call
-serves the batch. Batching is decided once per op and environment: it
+A copy or call whose references name processor levels, or that writes
+a buffer private to them, runs once per enclosing-loop environment on a
+batch of all its instances. Each level extent is split into its prime
+digits (thread 32 → 2·2·2·2·2), and each operand becomes one strided
+view with a leading axis per digit: the per-instance offsets that
+``regions.view_of`` gives are fitted with one stride per digit, and the
+fit is checked against every instance. A read-only operand's stride-0
+digits are size-1 axes that numpy broadcasts (every thread reading
+the same ``B`` columns is one copy, not one per thread). External
+implementations act on the trailing axes (see
+:class:`~repro.frontend.task.ExternalFunction`), so one call serves the
+batch. Batching is decided once per op and environment: it
 requires that no instance writes an element another instance reads or
 writes. Where that fails, or where a reference names an index the
 environment leaves unbound, the instances run one at a time, in index
@@ -166,9 +167,9 @@ class _OpPlan:
         args: the op's arguments in order; tensor arguments as
             :class:`_Operand`, anything else as it was.
         operands: the tensor arguments alone.
-        levels: processor levels the references mention, outermost
-            first, minus the leaders — the instance space, less what a
-            loop binds.
+        levels: processor levels the references mention or a written
+            buffer is private to, outermost first, minus the leaders —
+            the instance space, less what a loop binds.
         leaders: levels of a collective call, whose index-0 members
             alone execute it.
         names: every variable a layout depends on; the layouts are
@@ -218,6 +219,10 @@ class _OpPlan:
         self.operands = [a for a in self.args if isinstance(a, _Operand)]
         free = set().union(*(operand.ref.free_variables()
                              for operand in self.operands))
+        # Every instance writes its own slot of a private buffer, named
+        # in the reference or not.
+        free.update(level for operand in self.operands if operand.written
+                    for level, _ in operand.places)
         self.levels = tuple(
             level for level in _PROC_LEVELS
             if level in free and level not in self.leaders
@@ -501,10 +506,10 @@ class _Interpreter:
         return plan
 
     def _run_op(self, op: Operation, env: Dict[str, int]) -> None:
-        """Run ``op`` on every processor instance its references
-        mention and no enclosing loop binds: as one batch when a layout
-        fits, else one instance at a time in index order. Levels an op
-        does not fan out over sit at index 0 — also the slot a private
+        """Run ``op`` on every processor instance of its plan's levels
+        that no enclosing loop binds: as one batch when a layout fits,
+        else one instance at a time in index order. Levels an op does
+        not fan out over sit at index 0 — also the slot a private
         buffer is read at on those levels."""
         plan = self._plan(op)
         # Only the index-0 member of each collective level executes.

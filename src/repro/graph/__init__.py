@@ -12,16 +12,15 @@ analysis to whole programs:
 * :mod:`~repro.graph.taskgraph` — :class:`TaskGraph`: RAW/WAR/WAW
   edges *inferred* by intersecting access regions through the symbolic
   region algebra (conservative fallback when a binding is not
-  box-describable), deterministic topological order, cycle detection,
-  cost-model critical paths.
+  box-describable), deterministic topological order, cycle detection.
 * :mod:`~repro.graph.scheduler` — :class:`GraphScheduler`: executes
   ready nodes concurrently on a :class:`~repro.runtime.RuntimeServer`
-  (bucketing and micro-batching preserved), longest-critical-path
-  first, with optional producer->consumer dataflow.
+  (bucketing and micro-batching preserved), with optional
+  producer->consumer dataflow.
 * :mod:`~repro.graph.template` — :class:`GraphTemplate` /
   :class:`GraphTemplateCache`: a resubmitted topology replays its
-  stored edges and critical path from a structural fingerprint with
-  zero region-algebra work per launch.
+  stored edges from a structural fingerprint with zero region-algebra
+  work per launch.
 
 Entry points: :func:`repro.api.compile_graph` /
 :func:`repro.api.run_graph` for one-shot use,

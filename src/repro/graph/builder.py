@@ -537,9 +537,9 @@ class GraphBuilder:
         share a key exactly when they declare the same tensors/views and
         the same launch sequence (kernel, shape, params, built kernel,
         binding structure, privileges, explicit sequencing) on machines
-        of equal content — everything dependence inference and
-        critical-path weighting read, so equal keys imply identical
-        edges and priorities. Labels are display-only and excluded.
+        of equal content — everything dependence inference reads, so
+        equal keys imply identical edges. Labels are display-only and
+        excluded.
         """
         if not self._fp_ok:
             return None
@@ -550,11 +550,11 @@ class GraphBuilder:
 
         With a template cache attached (the default), a capture whose
         :meth:`fingerprint` was built before replays the stored edges
-        and critical path with zero region-algebra work: no region
-        resolution, no dependence inference, no cycle re-validation, no
-        cost-model walk. Replayed graphs carry ``region=None`` accesses
-        — the regions were never computed. On a miss the full pipeline
-        runs and its result is stored for the next capture.
+        with zero region-algebra work: no region resolution, no
+        dependence inference, no cycle re-validation. Replayed graphs
+        carry ``region=None`` accesses — the regions were never
+        computed. On a miss the full pipeline runs and its result is
+        stored for the next capture.
 
         Raises:
             CypressError: no launches were captured, or explicit
@@ -583,25 +583,17 @@ class GraphBuilder:
                 graph = TaskGraph(
                     self._nodes,
                     template.edges,
-                    self.machine,
                     tensors=self._tensors,
                     validate=False,
                 )
-                graph._cached_critical_path = dict(template.critical_path)
                 return graph, True
         self._resolve_regions()
         edges = list(self._manual_edges) + infer_edges(self._nodes)
-        graph = TaskGraph(
-            self._nodes, edges, self.machine, tensors=self._tensors
-        )
+        graph = TaskGraph(self._nodes, edges, tensors=self._tensors)
         if fingerprint is not None:
             cache.put(
                 fingerprint,
-                GraphTemplate(
-                    fingerprint=fingerprint,
-                    edges=graph.edges,
-                    critical_path=dict(graph.critical_path()),
-                ),
+                GraphTemplate(fingerprint=fingerprint, edges=graph.edges),
             )
         return graph, False
 

@@ -1,4 +1,4 @@
-"""Critical-path execution of task graphs on the serving runtime.
+"""Execution of task graphs on the serving runtime.
 
 :class:`GraphScheduler` turns a :class:`~repro.graph.taskgraph.
 TaskGraph` into traffic for an existing :class:`~repro.runtime.server.
@@ -6,10 +6,8 @@ RuntimeServer`: every node goes through the server's one admission
 path — per-node shape bucketing, the priority queue, micro-batching of
 same-bucket requests, both compile-cache tiers — so a graph costs the
 server nothing it was not already built to do. Ready nodes (all
-predecessors resolved) are submitted immediately and concurrently;
-their ``priority`` is the node's **critical path** — the cost-model
-predicted cycles of the longest chain it gates — so when workers are
-scarce the launch blocking the most downstream work runs first.
+predecessors resolved) are submitted immediately and concurrently, in
+uid order, at the default priority.
 
 Each execution keeps one ready **worklist**. A settling node appends
 the successors it readies, and whichever thread finds no one draining
@@ -177,7 +175,7 @@ class GraphExecution:
 
 class GraphScheduler:
     """Executes task graphs on a :class:`~repro.runtime.server.
-    RuntimeServer` worker pool, critical path first.
+    RuntimeServer` worker pool.
 
     Args:
         server: the serving runtime nodes are submitted to.
@@ -187,25 +185,11 @@ class GraphScheduler:
         self.server = server
 
     # ------------------------------------------------------------------
-    def priorities(self, graph: TaskGraph, base: int = 0) -> Dict[int, int]:
-        """Integer submit priorities from the cost-model critical path.
-
-        Nodes are densely ranked by longest-path-to-sink: the deepest
-        node gets the highest priority. Ranking (instead of raw cycle
-        counts) keeps graph priorities comparable to scalar traffic
-        submitted around the graph at ``base``.
-        """
-        path = graph.critical_path()
-        depths = sorted(set(path.values()))
-        rank = {depth: index + 1 for index, depth in enumerate(depths)}
-        return {uid: base + rank[depth] for uid, depth in path.items()}
-
     def execute(
         self,
         graph: TaskGraph,
         *,
         inputs: Optional[Mapping[str, np.ndarray]] = None,
-        priority: int = 0,
     ) -> GraphExecution:
         """Submit a graph; returns immediately with a
         :class:`GraphExecution`.
@@ -217,8 +201,6 @@ class GraphScheduler:
                 ``GraphResult.outputs`` holds the final root arrays.
                 Requires every node's shape to already equal its
                 serving bucket.
-            priority: base priority; node priorities stack their
-                critical-path rank on top.
 
         Returns:
             The execution handle. Its ``future`` resolves to a
@@ -270,7 +252,6 @@ class GraphScheduler:
             graph=graph,
             execution=execution,
             arrays=arrays,
-            priorities=self.priorities(graph, base=priority),
             started=time.perf_counter(),
             lookups=lookups,
         )
@@ -322,10 +303,7 @@ class GraphScheduler:
         its bucket warm, nothing queued) is served on this thread, its
         same-bucket peers in one micro-batch of up to ``max_batch``;
         every other node is enqueued for the workers."""
-        # Highest critical path first; uid breaks ties for determinism.
-        ready = sorted(
-            ready, key=lambda n: (-state.priorities[n.uid], n.uid)
-        )
+        ready = sorted(ready, key=lambda n: n.uid)
         server = self.server
         tracer = server.tracer
         queued: List[Any] = []
@@ -346,7 +324,6 @@ class GraphScheduler:
                     node.shape,
                     bucket,
                     inputs=node_inputs,
-                    priority=state.priorities[node.uid],
                 )
                 if tracer.enabled:
                     span = tracer.begin(
@@ -357,7 +334,6 @@ class GraphScheduler:
                             "kernel": node.kernel,
                             "label": node.label or str(node.uid),
                             "uid": node.uid,
-                            "priority": state.priorities[node.uid],
                         },
                     )
                     state.node_spans[node.uid] = span
@@ -523,7 +499,6 @@ class _ExecutionState:
     graph: TaskGraph
     execution: GraphExecution
     arrays: Optional[Dict[int, np.ndarray]]
-    priorities: Dict[int, int]
     started: float
     lookups: Dict[int, Any] = field(default_factory=dict)
     lock: threading.Lock = field(default_factory=threading.Lock)

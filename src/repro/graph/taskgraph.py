@@ -19,21 +19,16 @@ linear in the number of launches. Partition chains the region algebra
 cannot describe (and reshape views, whose element correspondence is not
 box-shaped) get ``region=None`` accesses and fall back to conservative
 edges: ordered whenever privileges conflict, marked ``exact=False``.
-
-Scheduling order comes from :meth:`TaskGraph.critical_path`: each node
-is weighted by the analytic cost model's predicted cycles and
-prioritized by its longest path to a sink, so the scheduler starts the
-launches that gate the most downstream work first.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import CypressError
 from repro.kernels.common import KernelBuild
-from repro.machine.machine import MachineModel
 from repro.tensors.regions import Region
 
 #: Edge kinds: true dataflow, anti, output, and user-sequenced edges.
@@ -121,8 +116,8 @@ class GraphNode:
         uid: dense launch index (program order).
         kernel: registered serving name (``"gemm"``, ...).
         shape: the launch's named shape dimensions.
-        build: the exact-shape :class:`KernelBuild` (privileges, arg
-            shapes, cost-model inputs; functional execution runs it).
+        build: the exact-shape :class:`KernelBuild` (privileges and
+            arg shapes; functional execution runs it).
         accesses: one :class:`Access` per entrypoint tensor parameter.
         refs: parameter name -> bound tensor reference.
         label: display name (defaults to ``kernel#uid``).
@@ -229,19 +224,14 @@ class TaskGraph:
         self,
         nodes: Sequence[GraphNode],
         edges: Iterable[GraphEdge],
-        machine: MachineModel,
         tensors: Optional[Mapping[str, Any]] = None,
         validate: bool = True,
     ) -> None:
         self.nodes: Tuple[GraphNode, ...] = tuple(nodes)
         self.edges: Tuple[GraphEdge, ...] = tuple(edges)
-        self.machine = machine
         #: name -> GraphTensor for functional execution (may be empty
         #: for hand-constructed graphs, which then cannot carry data).
         self.tensors: Dict[str, Any] = dict(tensors or {})
-        #: critical path precomputed by a template replay (or an earlier
-        #: call); ``critical_path()`` serves it directly.
-        self._cached_critical_path: Optional[Dict[int, float]] = None
         self._by_uid = {node.uid: node for node in self.nodes}
         if validate:
             if len(self._by_uid) != len(self.nodes):
@@ -299,37 +289,24 @@ class TaskGraph:
     # ------------------------------------------------------------------
     # Ordering
     # ------------------------------------------------------------------
-    def topological_order(
-        self, priorities: Optional[Mapping[int, float]] = None
-    ) -> List[int]:
-        """A deterministic topological order of the node uids.
-
-        Among simultaneously-ready nodes the highest ``priorities``
-        value goes first; ties (and the default, no priorities) fall
-        back to uid order, so equal-priority schedules are reproducible
-        run to run.
+    def topological_order(self) -> List[int]:
+        """A deterministic topological order of the node uids: among
+        simultaneously-ready nodes the lowest uid goes first.
 
         Raises:
             CypressError: the graph contains a dependence cycle (the
                 message names the nodes involved).
         """
-        import heapq
-
         indegree = {uid: len(self._predecessors[uid]) for uid in self._by_uid}
-        ready = [
-            self._sort_key(uid, priorities)
-            for uid in sorted(indegree)
-            if indegree[uid] == 0
-        ]
-        heapq.heapify(ready)
+        ready = sorted(uid for uid, degree in indegree.items() if not degree)
         order: List[int] = []
         while ready:
-            _, uid = heapq.heappop(ready)
+            uid = heapq.heappop(ready)
             order.append(uid)
             for succ in self._successors[uid]:
                 indegree[succ] -= 1
                 if indegree[succ] == 0:
-                    heapq.heappush(ready, self._sort_key(succ, priorities))
+                    heapq.heappush(ready, succ)
         if len(order) != len(self.nodes):
             stuck = sorted(
                 self._by_uid[uid].label
@@ -341,57 +318,6 @@ class TaskGraph:
                 f"{', '.join(stuck)}"
             )
         return order
-
-    @staticmethod
-    def _sort_key(
-        uid: int, priorities: Optional[Mapping[int, float]]
-    ) -> Tuple[float, int]:
-        weight = -priorities[uid] if priorities else 0.0
-        return (weight, uid)
-
-    # ------------------------------------------------------------------
-    # Critical path
-    # ------------------------------------------------------------------
-    def node_weights(self) -> Dict[int, float]:
-        """Predicted cycles per node from the analytic cost model.
-
-        Infeasible estimates (``inf`` or non-positive cycles) fall back
-        to weight 1.0 so the critical path stays finite.
-        """
-        from repro.tuner.costmodel import AnalyticCostModel
-
-        model = AnalyticCostModel()
-        weights: Dict[int, float] = {}
-        for node in self.nodes:
-            estimate = model.score(node.build, self.machine)
-            cycles = float(estimate.cycles)
-            if not (cycles > 0.0) or cycles == float("inf"):
-                cycles = 1.0
-            weights[node.uid] = cycles
-        return weights
-
-    def critical_path(self) -> Dict[int, float]:
-        """Longest path to a sink per node, in predicted cycles.
-
-        The scheduler uses these values as priorities: a node gating a
-        long chain of downstream work starts before an equally-ready
-        node on a short branch.
-
-        The result is memoized on the graph (and pre-seeded by template
-        replay), so repeated calls — and replayed topologies — skip the
-        cost-model walk entirely.
-        """
-        if self._cached_critical_path is not None:
-            return dict(self._cached_critical_path)
-        weights = self.node_weights()
-        path: Dict[int, float] = {}
-        for uid in reversed(self.topological_order()):
-            downstream = max(
-                (path[s] for s in self._successors[uid]), default=0.0
-            )
-            path[uid] = weights[uid] + downstream
-        self._cached_critical_path = dict(path)
-        return path
 
     # ------------------------------------------------------------------
     def summary(self) -> str:

@@ -2,14 +2,13 @@
 
 Capturing a task graph is cheap but not free: every launch resolves
 its bindings through the symbolic region algebra, and ``build()`` runs
-dependence inference plus a cost-model critical path. For a topology
-resubmitted every request — the transformer block in a serving loop —
-that work is pure waste: the structure is identical each time, so the
-edges and priorities are too.
+dependence inference. For a topology resubmitted every request — the
+transformer block in a serving loop — that work is pure waste: the
+structure is identical each time, so the edges are too.
 
 A :class:`GraphTemplate` caches exactly that. While capturing,
 :class:`~repro.graph.builder.GraphBuilder` folds every structural fact
-that dependence inference and scheduling depend on into a topology
+that dependence inference depends on into a topology
 **fingerprint**: tensor declarations (name, shape, dtype, view base),
 per-launch kernel name, shape, canonicalized mapping parameters, the
 built kernel's name, each binding's owner tensor and partition-path
@@ -21,12 +20,11 @@ two captures hit one template exactly when their parts are equal. On
 ``build()`` the fingerprint is looked up in a
 :class:`GraphTemplateCache`:
 
-* **miss** — regions are resolved, edges inferred, the critical path
-  computed once, and the template stored;
-* **hit** — the precomputed edges and critical path are replayed onto
-  the freshly captured nodes with **zero region-algebra work**: no
-  ``region_of``, no ``infer_edges``, no cycle re-validation, no
-  cost-model walk.
+* **miss** — regions are resolved, edges inferred, and the template
+  stored;
+* **hit** — the stored edges are replayed onto the freshly captured
+  nodes with **zero region-algebra work**: no ``region_of``, no
+  ``infer_edges``, no cycle re-validation.
 
 The fingerprint covers everything edge inference reads, so structural
 equality implies identical edges; bindings whose structure the
@@ -56,7 +54,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Dict, Hashable, Optional, Tuple
+from typing import Any, Hashable, Optional, Tuple
 
 from repro.graph.taskgraph import GraphEdge
 
@@ -71,13 +69,10 @@ class GraphTemplate:
         edges: the inferred (plus manual) dependence edges, exactly as
             ``build()`` produced them on the miss that created this
             template.
-        critical_path: longest-path-to-sink per node uid under the
-            default analytic cost model — the scheduler's priorities.
     """
 
     fingerprint: Hashable
     edges: Tuple[GraphEdge, ...]
-    critical_path: Dict[int, float]
 
 
 @dataclass

@@ -11,7 +11,7 @@ calls, this package keeps compiled kernels alive and serves them:
   ``submit`` returning futures, a priority-queue worker pool,
   micro-batching of same-bucket requests, tuner-backed warm-up, and
   ``submit_graph`` for :mod:`repro.graph` task graphs (ready nodes
-  overlap across the pool, critical path first).
+  overlap across the pool).
 * :mod:`~repro.runtime.diskcache` — the persistent compile-cache tier
   beneath the in-memory LRU; restarts warm from disk.
 * :mod:`~repro.runtime.telemetry` — p50/p95 latency, per-tier hit

@@ -814,15 +814,14 @@ class RuntimeServer:
         graph,
         *,
         inputs: Optional[Mapping[str, np.ndarray]] = None,
-        priority: int = 0,
     ):
         """Execute a :class:`~repro.graph.TaskGraph` on this server.
 
         Every node goes through the ordinary admission path — shape
-        bucketing, the priority queue, micro-batching with any other
-        traffic — but is only admitted once its inferred dependences
-        resolve; ready nodes run concurrently across the worker pool,
-        prioritized by cost-model critical path. A ready node that
+        bucketing, the queue at the default priority, micro-batching
+        with any other traffic — but is only admitted once its inferred
+        dependences resolve; ready nodes are admitted in uid order and
+        run concurrently across the worker pool. A ready node that
         ``submit`` would serve on its calling thread (timing-only, its
         bucket warm, nothing queued) is served by the thread that
         readied it instead, in one micro-batch with its same-bucket
@@ -835,8 +834,6 @@ class RuntimeServer:
                 :meth:`repro.graph.GraphBuilder.build`.
             inputs: optional root arrays (name -> array) to flow
                 through the graph; requires bucket-aligned node shapes.
-            priority: base priority under the per-node critical-path
-                rank.
 
         Returns:
             A :class:`~repro.graph.GraphExecution`; its ``future``
@@ -846,9 +843,7 @@ class RuntimeServer:
         """
         from repro.graph.scheduler import GraphScheduler
 
-        return GraphScheduler(self).execute(
-            graph, inputs=inputs, priority=priority
-        )
+        return GraphScheduler(self).execute(graph, inputs=inputs)
 
     # ------------------------------------------------------------------
     # Warm-up

@@ -30,6 +30,7 @@ from repro.gpusim import functional, interpret_function
 from repro.ir.module import IRFunction
 from repro.ir.ops import CallOp, CopyOp
 from repro.kernels.common import kernel_registry
+from repro.machine.memory import MemoryKind
 from repro.machine.processor import ProcessorKind
 from repro.runtime import default_registry
 from repro.sym import ProcIndex
@@ -135,6 +136,52 @@ def test_collective_call_runs_once_on_whole_operands(hopper):
     )
     assert calls == [((64, 64), (64, 64), 2.0)]
     assert (out["C"] == 7).all() and (out["A"] == 3).all()
+
+
+def test_writes_to_a_private_buffer_reach_every_instance(hopper):
+    """An op that writes a thread-private buffer without naming
+    ``thread_id()`` runs on every thread's copy, not once at thread 0."""
+    registry = TaskRegistry()
+    with use_registry(registry):
+
+        @external_function("fill7", cost_kind="simt")
+        def fill7(r):
+            r[...] = 7
+
+    thread = ProcIndex("thread")
+    fn = IRFunction("private", hopper)
+    x = partition_by_blocks(fn.add_param("X", (32,), f32).ref(), (1,))
+    y = partition_by_blocks(fn.add_param("Y", (32,), f32).ref(), (1,))
+    buffer = fn.add_buffer("R", (1,), f32, MemoryKind.REGISTER)
+    buffer.private_levels = frozenset({"thread"})
+    r = buffer.ref()
+    fn.body.ops.append(CopyOp(x[thread], r))
+    fn.body.ops.append(CallOp("fill7", (r,), reads=(), writes=(r,)))
+    fn.body.ops.append(CopyOp(r, y[thread]))
+    out = interpret_function(fn, registry, {
+        "X": np.arange(32, dtype=np.float32),
+        "Y": np.zeros(32, np.float32),
+    })
+    assert out["Y"].tolist() == [7.0] * 32
+
+
+def test_gemm_clears_every_register_fragment_in_one_batch(hopper):
+    """The gemm's ``zero_frag`` writes a register fragment private to
+    warpgroup, warp and thread: all 256 copies are cleared by one
+    batched call, not by a loop over instances."""
+    kernel = _fresh_kernel(hopper)
+    api.run_functional(kernel, _gemm_inputs())
+    plans = kernel.final_ir.__dict__["_functional_plans"]
+    (clear,) = [
+        plan for op, plan in plans.items()
+        if isinstance(op, CallOp) and op.function == "zero_frag"
+    ]
+    assert clear.levels == ("warpgroup", "warp", "thread")
+    layouts = list(clear.layouts.values())
+    assert layouts and all(layout is not None for layout in layouts)
+    (operand,) = clear.operands
+    lead = layouts[0].views[operand.pos][1][:layouts[0].lead]
+    assert int(np.prod(lead)) == operand.slots == 256
 
 
 def test_overlapping_instances_run_in_instance_order(hopper):

@@ -30,7 +30,6 @@ from repro.graph import (
     WAW,
     GraphBuilder,
     GraphEdge,
-    GraphScheduler,
     TaskGraph,
     infer_edges,
 )
@@ -354,7 +353,7 @@ class TestEdgeInference:
 
 
 # ----------------------------------------------------------------------
-# Graph structure: cycles, determinism, critical path
+# Graph structure: cycles, determinism
 # ----------------------------------------------------------------------
 def _two_nodes(machine):
     gb = GraphBuilder(machine)
@@ -374,73 +373,36 @@ class TestTaskGraph:
             TaskGraph(
                 graph.nodes,
                 [GraphEdge(0, 1, SEQ), GraphEdge(1, 0, SEQ)],
-                hopper,
             )
 
     def test_self_cycle_raises(self, hopper):
         graph = _two_nodes(hopper)
         with pytest.raises(CypressError, match="cycle"):
-            TaskGraph(graph.nodes, [GraphEdge(0, 0, SEQ)], hopper)
+            TaskGraph(graph.nodes, [GraphEdge(0, 0, SEQ)])
 
     def test_unknown_edge_endpoint_raises(self, hopper):
         graph = _two_nodes(hopper)
         with pytest.raises(CypressError, match="unknown node"):
-            TaskGraph(graph.nodes, [GraphEdge(0, 7, SEQ)], hopper)
+            TaskGraph(graph.nodes, [GraphEdge(0, 7, SEQ)])
 
-    def test_topological_order_deterministic_under_ties(self, hopper):
+    def test_topological_order_is_uid_order_among_ready(self, hopper):
         graph = _two_nodes(hopper)
-        # Equal (absent) priorities: uid order, stable across calls.
         assert graph.topological_order() == [0, 1]
-        assert graph.topological_order({0: 1.0, 1: 1.0}) == [0, 1]
-        # A higher-priority node overtakes within readiness.
-        assert graph.topological_order({0: 1.0, 1: 2.0}) == [1, 0]
+        # Ready nodes go in uid order, whatever order the graph lists.
+        listed = TaskGraph(tuple(reversed(graph.nodes)), [])
+        assert listed.topological_order() == [0, 1]
 
     def test_topological_order_respects_edges(self, hopper):
         graph = _two_nodes(hopper)
-        sequenced = TaskGraph(
-            graph.nodes, [GraphEdge(1, 0, SEQ)], hopper
-        )
-        # Priority cannot override a dependence.
-        assert sequenced.topological_order({0: 5.0, 1: 0.0}) == [1, 0]
-
-    def test_critical_path_sums_along_chain(self, hopper):
-        gb = GraphBuilder(hopper)
-        a = gb.tensor("A", (M, K))
-        b = gb.tensor("B", (K, N))
-        c = gb.tensor("C", (M, N))
-        _gemm(gb, a, b, c)
-        gb.launch(
-            "gemm",
-            dict(m=M, n=N, k=N),
-            reads=dict(A=c, B=gb.tensor("D", (M, N))),
-            writes=dict(C=gb.tensor("E", (M, N))),
-        )
-        graph = gb.build()
-        path = graph.critical_path()
-        weights = graph.node_weights()
-        assert path[1] == pytest.approx(weights[1])
-        assert path[0] == pytest.approx(weights[0] + weights[1])
-
-    def test_scheduler_priorities_rank_critical_path(self, hopper):
-        graph = _two_nodes(hopper)
-        sequenced = TaskGraph(
-            list(graph.nodes), [GraphEdge(0, 1, SEQ)], hopper
-        )
-        server = RuntimeServer(hopper, workers=1, start=False)
-        try:
-            priorities = GraphScheduler(server).priorities(
-                sequenced, base=10
-            )
-        finally:
-            server.close()
-        assert priorities[0] > priorities[1] > 10
+        sequenced = TaskGraph(graph.nodes, [GraphEdge(1, 0, SEQ)])
+        # A dependence overrides uid order.
+        assert sequenced.topological_order() == [1, 0]
 
     def test_summary_mentions_conservative(self, hopper):
         graph = _two_nodes(hopper)
         tagged = TaskGraph(
             graph.nodes,
             [GraphEdge(0, 1, RAW, tensor="C", exact=False)],
-            hopper,
         )
         assert "conservative" in tagged.summary()
         assert "RAW on C" in tagged.summary()
@@ -1098,6 +1060,45 @@ class TestExecution:
         reference = transformer_block_reference(inputs, heads=2)
         error = np.abs(out["Y"].astype(np.float32) - reference).max()
         assert error < 5e-3 * max(np.abs(reference).max(), 1e-9) + 1e-4
+
+    @pytest.mark.parametrize("carry_data", [False, True])
+    def test_graphs_never_call_the_cost_model(
+        self, hopper, monkeypatch, carry_data
+    ):
+        """Capture, template replay and execution score no launch: on a
+        template miss and a hit, on a cold and a warm server."""
+        from repro.graph import template_cache
+        from repro.kernels import (
+            transformer_block_graph,
+            transformer_block_inputs,
+        )
+        from repro.tuner import AnalyticCostModel
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the graph layer called the cost model")
+
+        monkeypatch.setattr(AnalyticCostModel, "score", refuse)
+        dims = dict(seq=256, d_model=256, d_ff=256)
+        inputs = transformer_block_inputs(**dims) if carry_data else None
+
+        def run(server):
+            graph = transformer_block_graph(hopper, heads=2, **dims)
+            result = server.submit_graph(graph, inputs=inputs)
+            assert result.result(timeout=600).complete
+
+        api.clear_compile_cache()
+        template_cache.clear()
+        with RuntimeServer(hopper, workers=2) as server:
+            run(server)  # cold server, template miss
+            run(server)  # warm server, template hit
+            template_cache.clear()
+            run(server)  # warm server, template miss
+        api.clear_compile_cache()
+        with RuntimeServer(hopper, workers=2) as server:
+            run(server)  # cold server, template hit
+        assert template_cache.stats.misses == 1
+        assert template_cache.stats.hits == 1
+        template_cache.clear()
 
     def test_transformer_block_streams_are_independent(self, hopper):
         from repro.kernels import transformer_block_graph

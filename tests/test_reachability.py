@@ -11,6 +11,8 @@ reach no longer grows back unnoticed.
 The compiler core — the layers a compile runs through — imports nothing
 from the layers built on it (:data:`CORE`, :data:`UPPER`), counting
 imports inside functions, so a compile loads no serving or ops module.
+The graph layer imports nothing from the tuner (:data:`GRAPH`): it
+schedules without a cost model.
 
 No module imports a name it never uses (:func:`unused_imports`; a name
 used only in a string annotation counts as used).
@@ -62,6 +64,11 @@ UPPER = ("repro.obs", "repro.runtime", "repro.graph", "repro.tuner",
 #: ``bench`` imports ``transformer_block_graph`` from ``repro.kernels``;
 #: it builds its graph with a function-level ``GraphBuilder`` import.
 ALLOWED_UP = {("kernels/transformer_block.py", "repro.graph")}
+#: The graph layer and what it may not import.
+GRAPH = (("graph",), ("repro.tuner",))
+#: Every layering rule: packages under ``src/repro``, what they may not
+#: import.
+LAYERING = ((CORE, UPPER), GRAPH)
 
 
 def _top_level_names(path):
@@ -109,23 +116,24 @@ def _imported(node):
     return []
 
 
-def upward_imports(root=ROOT):
-    """``path:line`` of each core import of a layer above the core."""
+def forbidden_imports(root=ROOT, rules=LAYERING):
+    """``path:line`` of each import a layering rule in ``rules`` forbids."""
     package = root / "src" / "repro"
     found = []
     for module in sorted(package.rglob("*.py")):
         rel = module.relative_to(package).as_posix()
-        if rel.split("/")[0] not in CORE:
-            continue
-        for node in ast.walk(ast.parse(module.read_text())):
-            upper = {
-                layer
-                for name in _imported(node)
-                for layer in UPPER
-                if name == layer or name.startswith(layer + ".")
-            }
-            if upper - {layer for path, layer in ALLOWED_UP if path == rel}:
-                found.append(f"{rel}:{node.lineno}")
+        for packages, forbidden in rules:
+            if rel.split("/")[0] not in packages:
+                continue
+            for node in ast.walk(ast.parse(module.read_text())):
+                layers = {
+                    layer
+                    for name in _imported(node)
+                    for layer in forbidden
+                    if name == layer or name.startswith(layer + ".")
+                }
+                if layers - {layer for path, layer in ALLOWED_UP if path == rel}:
+                    found.append(f"{rel}:{node.lineno}")
     return found
 
 
@@ -395,7 +403,11 @@ def test_every_module_is_mentioned_from_outside_itself():
 
 
 def test_the_compiler_core_imports_no_layer_above_it():
-    assert upward_imports() == []
+    assert forbidden_imports(rules=[(CORE, UPPER)]) == []
+
+
+def test_the_graph_layer_imports_no_tuner():
+    assert forbidden_imports(rules=[GRAPH]) == []
 
 
 def test_a_compile_loads_no_serving_or_ops_module():
@@ -452,6 +464,6 @@ if __name__ == "__main__":
     if args[:1] == ["--functions"]:
         sys.exit(function_census(Path(args[1] if len(args) > 1 else ROOT).resolve()))
     checkout = Path(args[0]) if args else ROOT
-    for name in (unreached_modules(checkout) + upward_imports(checkout)
+    for name in (unreached_modules(checkout) + forbidden_imports(checkout)
                  + unused_imports(checkout)):
         print(name)
