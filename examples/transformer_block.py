@@ -21,11 +21,15 @@ attention and down the MLP chain), the functional error vs numpy
 wall times and their ratio, and the server's stats table with its
 ``graphs:`` line. Both timed paths take well under 1 ms: every node is
 a warm, timing-only request served on the thread that submits (or
-readies) it, so there is little to overlap, and on a 2-CPU host the
-ratio reads below 1x: about ``0.6x``–``0.95x`` for the default two
-streams on four workers, ``0.5x``–``0.8x`` for
-``main(streams=1, workers=2)``. The whole script takes 1–2 s, most of
-it the functional check.
+readies) it, so there is little to overlap. The graph wins by serving
+each ready set's same-bucket nodes as one micro-batch and settling
+them without a future callback; the serial loop pays one admission
+and one batch per node. Each side is the best of three single runs,
+so on a 2-CPU host the ratio reads about ``0.9x``–``1.3x`` for the
+default two streams on four workers and ``0.8x``–``1.1x`` for
+``main(streams=1, workers=2)``, where a block's five ready sets leave
+little to batch. The whole script takes 1–2 s, most of it the
+functional check.
 
 Run it::
 

@@ -27,7 +27,6 @@ degrades to conservative edges rather than being rejected.
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import CypressError
@@ -159,8 +158,9 @@ class GraphBuilder:
     """Records kernel launches and builds a :class:`TaskGraph`.
 
     Args:
-        machine: the machine launches will compile for (kernel builds
-            need it; the graph inherits it for cost-model weighting).
+        machine: the machine launches will compile for. Kernel builds
+            need it, and its content (``content_key()``, read once per
+            builder) keys this builder's launch plans and fingerprint.
         registry: servable kernels to launch; defaults to the full zoo
             (:func:`~repro.runtime.registry.default_registry`), one
             read-only registry every such builder shares. Launch
@@ -197,8 +197,9 @@ class GraphBuilder:
         self._tensors: Dict[str, GraphTensor] = {}
         self._by_uid: Dict[int, GraphTensor] = {}
         self._nodes: list = []
-        self._manual_edges: list = []
         self._plan_memo: Dict[Any, "_LaunchPlan"] = {}
+        #: Registered name -> the template cache's scope token for it.
+        self._scopes: Dict[str, Any] = {}
         self._machine_key = machine.content_key()
         # Topology fingerprint, folded in incrementally as tensors are
         # declared and launches captured. `_fp_ok` drops to False when a
@@ -206,7 +207,15 @@ class GraphBuilder:
         # kinds) — such captures never use the template cache.
         self._fp_parts: List[Any] = [("machine", self._machine_key)]
         self._fp_ok = True
-        self._regions_resolved = False
+        # What only a template miss reads is kept in its cheapest form:
+        # per node, the plan it was captured from (its accesses are
+        # built from it when read, through ``GraphNode.source``) and
+        # the uids its ``after=`` names (SEQ edges, built by build()).
+        # `_resolved` counts the nodes given region-resolved accesses.
+        self._node_plans: List[_LaunchPlan] = []
+        self._after: List[Tuple[int, ...]] = []
+        self._resolved = 0
+        self._source = self._accesses_of
 
     # ------------------------------------------------------------------
     # Tensor declaration
@@ -308,33 +317,32 @@ class GraphBuilder:
         registered = self.registry.get(kernel)
         shape = dict(shape)
         plan = self._plan_for(registered, shape, params)
-        build = plan.build
-        bindings: Dict[str, Tuple[Any, bool]] = {}
-        for mapping, is_write in ((reads or {}, False), (writes or {}, True)):
-            for param, bound in mapping.items():
-                if param in bindings:
-                    raise CypressError(
-                        f"parameter {param!r} of {kernel!r} is bound twice"
-                    )
-                bindings[param] = (bound, is_write)
-        accesses = []
-        refs: Dict[str, TensorRef] = {}
-        fp_bindings: List[Any] = []
-        if set(bindings) != plan.param_set:
+        reads = reads or {}
+        writes = writes or {}
+        for param in writes:
+            if param in reads:
+                raise CypressError(
+                    f"parameter {param!r} of {kernel!r} is bound twice"
+                )
+        bound_params = reads.keys() | writes.keys()
+        if bound_params != plan.param_set:
             raise CypressError(
                 f"kernel {kernel!r} entrypoint takes tensor parameters "
                 f"{sorted(plan.param_set)}; got bindings for "
-                f"{sorted(bindings)}"
+                f"{sorted(bound_params)}"
             )
+        refs: Dict[str, TensorRef] = {}
+        fp_bindings: List[Any] = []
         by_uid = self._by_uid
-        for param, p_reads, p_writes, p_value, arg_shape in plan.entries:
-            bound, declared_write = bindings[param]
-            if p_writes != declared_write:
+        for param, _, p_writes, p_value, arg_shape in plan.entries:
+            declared = writes if p_writes else reads
+            if param not in declared:
                 expected = "writes" if p_writes else "reads"
                 raise CypressError(
                     f"parameter {param!r} of {kernel!r} takes privilege "
                     f"{p_value!r}; bind it under {expected}="
                 )
+            bound = declared[param]
             ref = bound.ref() if isinstance(bound, GraphTensor) else bound
             if not isinstance(ref, TensorRef):
                 raise CypressError(
@@ -354,18 +362,6 @@ class GraphBuilder:
                     f"{tuple(ref.shape)}"
                 )
             refs[param] = ref
-            # Region deferred to build() — None until a template miss
-            # forces resolution (see _resolve_regions).
-            accesses.append(
-                Access(
-                    param=param,
-                    tensor=owner.root().name,
-                    root_uid=owner.root().tensor.uid,
-                    region=None,
-                    reads=p_reads,
-                    writes=p_writes,
-                )
-            )
             fp_bindings.append(
                 (param, p_writes, self._ref_key(owner, ref))
             )
@@ -373,10 +369,10 @@ class GraphBuilder:
             uid=len(self._nodes),
             kernel=kernel,
             shape=shape,
-            build=build,
-            accesses=tuple(accesses),
+            build=plan.build,
             refs=refs,
             label=label,
+            source=self._source,
         )
         for earlier in after:
             if (
@@ -388,13 +384,11 @@ class GraphBuilder:
                     "after= must name launches captured earlier on this "
                     "builder"
                 )
-            self._manual_edges.append(
-                GraphEdge(src=earlier.uid, dst=node.uid, kind=SEQ)
-            )
-        self._fp_parts.append(
-            (plan.fp_static, tuple(fp_bindings), tuple(e.uid for e in after))
-        )
+        sequenced = tuple(earlier.uid for earlier in after) if after else ()
+        self._fp_parts.append((plan.fp_static, tuple(fp_bindings), sequenced))
         self._nodes.append(node)
+        self._node_plans.append(plan)
+        self._after.append(sequenced)
         return node
 
     def _region_for(self, owner: GraphTensor, ref: TensorRef):
@@ -410,22 +404,36 @@ class GraphBuilder:
         except KeyError:
             return None  # a symbolic index: conservative edges
 
-    def _resolve_regions(self) -> None:
-        """Fill every captured access's deferred region (idempotent)."""
-        if self._regions_resolved:
-            return
-        for node in self._nodes:
-            node.accesses = tuple(
-                dataclasses.replace(
-                    access,
-                    region=self._region_for(
-                        self._by_uid[node.refs[access.param].root.uid],
-                        node.refs[access.param],
-                    ),
+    def _accesses_of(
+        self, node: GraphNode, regions: bool = False
+    ) -> Tuple[Access, ...]:
+        """One access per entrypoint tensor parameter of ``node``, in
+        root coordinates; each region is resolved only with
+        ``regions`` (``None`` otherwise: conservative)."""
+        accesses = []
+        entries = self._node_plans[node.uid].entries
+        for param, p_reads, p_writes, _, _ in entries:
+            ref = node.refs[param]
+            owner = self._by_uid[ref.root.uid]
+            root = owner.root()
+            accesses.append(
+                Access(
+                    param=param,
+                    tensor=root.name,
+                    root_uid=root.tensor.uid,
+                    region=self._region_for(owner, ref) if regions else None,
+                    reads=p_reads,
+                    writes=p_writes,
                 )
-                for access in node.accesses
             )
-        self._regions_resolved = True
+        return tuple(accesses)
+
+    def _resolve_accesses(self) -> None:
+        """Give each node captured since the last call its accesses with
+        their regions resolved: what dependence inference reads."""
+        for node in self._nodes[self._resolved:]:
+            node.accesses = self._accesses_of(node, regions=True)
+        self._resolved = len(self._nodes)
 
     def _ref_key(self, owner: GraphTensor, ref: TensorRef) -> Any:
         """A structural digest of one binding, for the fingerprint.
@@ -437,6 +445,8 @@ class GraphBuilder:
         disables templating for this capture (``_fp_ok=False``) —
         never a correctness risk, only a missed fast path.
         """
+        if not ref.path:
+            return (owner.name, ())
         steps: List[Any] = []
         for partition, index in ref.path:
             if isinstance(partition, BlocksPartition):
@@ -472,24 +482,35 @@ class GraphBuilder:
         then the template cache's plans. A ``build_*`` function is pure
         in its arguments and a task registry never re-registers a
         variant name, so a stored plan never goes stale.
+
+        A shared plan's key is ``(scope, launch key)``: the scope is the
+        cache's token for what the build depends on beyond the launch
+        (the registered builder, its dimensions and defaults, the
+        machine's content), resolved once per kernel per builder, so a
+        launch hashes and compares neither the defaults nor the
+        machine's content tuple.
         """
         key = (
             registered.name,
             tuple(sorted(shape.items())),
-            canonicalize(params or {}),
+            canonicalize(params) if params else (),
         )
         plan = self._plan_memo.get(key)
         if plan is not None:
             return plan
         cache = self.template_cache
-        shared_key = (
-            key,
-            registered.builder,
-            registered.dims,
-            canonicalize(registered.defaults),
-            self._machine_key,
-        )
         if cache is not None:
+            scope = self._scopes.get(registered.name)
+            if scope is None:
+                scope = self._scopes[registered.name] = cache.scope(
+                    (
+                        registered.builder,
+                        registered.dims,
+                        canonicalize(registered.defaults),
+                        self._machine_key,
+                    )
+                )
+            shared_key = (scope, key)
             plan = cache.plan(shared_key)
         if plan is None:
             missing = [d for d in registered.dims if d not in shape]
@@ -587,8 +608,13 @@ class GraphBuilder:
                     validate=False,
                 )
                 return graph, True
-        self._resolve_regions()
-        edges = list(self._manual_edges) + infer_edges(self._nodes)
+        self._resolve_accesses()
+        edges = [
+            GraphEdge(src=src, dst=dst, kind=SEQ)
+            for dst, sources in enumerate(self._after)
+            for src in sources
+        ]
+        edges += infer_edges(self._nodes)
         graph = TaskGraph(self._nodes, edges, tensors=self._tensors)
         if fingerprint is not None:
             cache.put(

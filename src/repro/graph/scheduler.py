@@ -14,10 +14,14 @@ the successors it readies, and whichever thread finds no one draining
 it drains it: each drained ready set is admitted at once, and the
 nodes ``submit`` would serve on its calling thread (timing-only, bucket
 warm, nothing queued) are served right there, one micro-batch per
-bucket; the rest go to the workers. A re-submitted warm graph is
-therefore served entirely by the thread that calls ``execute``, with
-no queue hand-off, and a chain of any length costs that thread a loop
-iteration per ready set rather than a stack frame per node.
+bucket; the rest go to the workers. The nodes served right there are
+settled as soon as their set is served, under one lock, from the
+outcomes the server's ``_settle`` hands back on their requests; only
+worker-served nodes settle through a done-callback on their futures.
+A re-submitted warm graph is therefore served entirely by the thread
+that calls ``execute``, with no queue hand-off and no callback, and a
+chain of any length costs that thread a loop iteration per ready set
+rather than a stack frame per node.
 
 With ``inputs=`` the graph also carries data: node arguments are
 gathered from shared root arrays through the bound references before
@@ -38,7 +42,7 @@ from __future__ import annotations
 
 import threading
 import time
-from concurrent.futures import Future
+from concurrent.futures import CancelledError, Future
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional
 
@@ -280,7 +284,7 @@ class GraphScheduler:
         """Submit the execution's ready worklist until it is empty.
 
         Only the thread that set ``state.draining`` runs this. A node
-        that settles meanwhile — on a worker, or inline inside this very
+        that settles meanwhile — on a worker, or served by this very
         loop — appends the successors it readies to the worklist and
         returns, so a chain served inline costs one loop iteration per
         ready set, never a stack frame per node. The flag is cleared
@@ -301,21 +305,32 @@ class GraphScheduler:
 
         A node ``submit`` would serve on its calling thread (timing-only,
         its bucket warm, nothing queued) is served on this thread, its
-        same-bucket peers in one micro-batch of up to ``max_batch``;
-        every other node is enqueued for the workers."""
-        ready = sorted(ready, key=lambda n: n.uid)
+        same-bucket peers in one micro-batch of up to ``max_batch``, and
+        settled as soon as the set is served, from the outcomes
+        ``RuntimeServer._settle`` left on its requests: no callback and
+        no future round trip. Every other node is enqueued for the
+        workers and settles through its future's done-callback."""
+        ready.sort(key=lambda node: node.uid)
         server = self.server
         tracer = server.tracer
+        arrays = state.arrays
+        # The nodes this thread may serve and their requests; the nodes
+        # left to the workers and theirs. Both in uid order.
+        local: List[GraphNode] = []
+        inline: List[Any] = []
+        remote: List[GraphNode] = []
         queued: List[Any] = []
+        # Inline requests by batch key, and the keys found not ready:
+        # each key's readiness is read once per ready set.
         groups: Dict[Any, List[Any]] = {}
+        cold: set = set()
         try:
-            requests = []
             for node in ready:
                 node_inputs = None
-                if state.arrays is not None:
+                if arrays is not None:
                     with state.lock:
                         node_inputs = {
-                            param: ref.read(state.arrays[ref.root.uid])
+                            param: ref.read(arrays[ref.root.uid])
                             for param, ref in node.refs.items()
                         }
                 registered, bucket = state.lookups[node.uid]
@@ -339,12 +354,19 @@ class GraphScheduler:
                     state.node_spans[node.uid] = span
                     # The per-request root span nests under this node.
                     request.trace_parent = span
-                if node_inputs is None and server._ready(request.batch_key):
-                    groups.setdefault(request.batch_key, []).append(request)
+                key = request.batch_key
+                group = groups.get(key)
+                if group is not None:
+                    group.append(request)
+                elif arrays is None and key not in cold and server._ready(key):
+                    groups[key] = [request]
                 else:
+                    cold.add(key)
+                    remote.append(node)
                     queued.append(request)
-                requests.append(request)
-            inline = [r for group in groups.values() for r in group]
+                    continue
+                local.append(node)
+                inline.append(request)
             here = server._admit(queued, inline)
         except Exception as error:
             self._fail(state, error)
@@ -356,90 +378,110 @@ class GraphScheduler:
                 request.trace_parent.args["served_by"] = (
                     "submitter" if here else "worker"
                 )
-        for node, request in zip(ready, requests):
-            state.execution.node_futures[node.uid] = request.future
+        node_futures = state.execution.node_futures
+        if not here:
+            remote += local
+            queued += inline
+        for node, request in zip(remote, queued):
+            node_futures[node.uid] = request.future
             request.future.add_done_callback(
                 lambda f, node=node: self._on_node_done(state, node, f)
             )
-        if here:
-            size = server.max_batch
-            for group in groups.values():
-                for start in range(0, len(group), size):
-                    server._serve_inline(group[start:start + size])
+        if not here:
+            return
+        for node, request in zip(local, inline):
+            node_futures[node.uid] = request.future
+        size = server.max_batch
+        for group in groups.values():
+            for start in range(0, len(group), size):
+                server._serve_inline(group[start:start + size])
+        self._settle_nodes(state, local, [r.outcome for r in inline])
 
     def _on_node_done(
         self, state: "_ExecutionState", node: GraphNode, future: Future
     ) -> None:
-        cancelled = future.cancelled()
-        error = future.exception() if not cancelled else CypressError(
-            f"graph node {node.label!r} was cancelled "
-            "(server shutting down?)"
-        )
-        # The request's own span already closed (before the future was
-        # touched), so closing the node span here keeps children inside
-        # their parent.
-        self.server.tracer.end(
-            state.node_spans.pop(node.uid, None),
-            args={"error": repr(error)} if error is not None else None,
-        )
-        if cancelled:
-            self._fail(state, error)
+        """Settle a worker-served node from its future."""
+        if future.cancelled():
+            outcome: Any = CancelledError()
+        else:
+            outcome = future.exception()
+            if outcome is None:
+                outcome = future.result()
+        self._settle_nodes(state, [node], [outcome])
+
+    def _settle_nodes(
+        self,
+        state: "_ExecutionState",
+        nodes: List[GraphNode],
+        outcomes: List[Any],
+    ) -> None:
+        """Record settled nodes under one ``state.lock``.
+
+        Each node comes with its request's outcome at the same
+        position: a ``RuntimeResult`` or the exception that failed it.
+        A success stores its result, scatters the outputs it wrote, and
+        appends the successors it readies to the worklist. A failure
+        takes down only its dependent cone: every transitive successor
+        is marked skipped (those nodes' predecessor counts can never
+        reach zero, so without this the graph would hang), and none of
+        them was ever submitted, so nothing in flight is cancelled. A
+        cancelled node fails the whole graph. The thread that grows an
+        idle worklist drains it, and the one that settles the last node
+        finishes the graph."""
+        cancelled = None
+        for node, outcome in zip(nodes, outcomes):
+            error = outcome if isinstance(outcome, BaseException) else None
+            if isinstance(error, CancelledError):
+                error = CypressError(
+                    f"graph node {node.label!r} was cancelled "
+                    "(server shutting down?)"
+                )
+                cancelled = cancelled or error
+            if state.node_spans:
+                # The request's own span closed before its outcome was
+                # handed back, so closing the node span here keeps
+                # children inside their parent.
+                self.server.tracer.end(
+                    state.node_spans.pop(node.uid, None),
+                    args={"error": repr(error)} if error is not None else None,
+                )
+        if cancelled is not None:
+            self._fail(state, cancelled)
             return
-        if error is not None:
-            self._on_node_failed(state, node, error)
-            return
-        result = future.result()
+        graph = state.graph
+        remaining, skipped = state.remaining, state.skipped
         with state.lock:
             if state.failed:
                 return
-            state.results[node.uid] = result
-            if state.arrays is not None and result.outputs:
-                for param, value in result.outputs.items():
-                    ref = node.refs.get(param)
-                    if ref is not None:
-                        ref.write(state.arrays[ref.root.uid], value)
-            for succ in state.graph.successors(node.uid):
-                if succ in state.skipped:
+            for node, outcome in zip(nodes, outcomes):
+                if isinstance(outcome, BaseException):
+                    state.node_errors[node.uid] = outcome
+                    stack = list(graph.successors(node.uid))
+                    while stack:
+                        uid = stack.pop()
+                        if uid in skipped:
+                            continue
+                        skipped[uid] = node.uid
+                        stack.extend(graph.successors(uid))
                     continue
-                state.remaining[succ] -= 1
-                if state.remaining[succ] == 0:
-                    state.ready.append(state.graph.node(succ))
+                state.results[node.uid] = outcome
+                if state.arrays is not None and outcome.outputs:
+                    for param, value in outcome.outputs.items():
+                        ref = node.refs.get(param)
+                        if ref is not None:
+                            ref.write(state.arrays[ref.root.uid], value)
+                for succ in graph.successors(node.uid):
+                    if succ in skipped:
+                        continue
+                    remaining[succ] -= 1
+                    if not remaining[succ]:
+                        state.ready.append(graph.node(succ))
             drain = bool(state.ready) and not state.draining
             if drain:
                 state.draining = True
-            done = state.settled() == len(state.graph)
+            done = state.settled() == len(graph)
         if drain:
             self._drain(state)
-        if done:
-            self._finish(state)
-
-    def _on_node_failed(
-        self,
-        state: "_ExecutionState",
-        node: GraphNode,
-        error: BaseException,
-    ) -> None:
-        """Partial-failure semantics: a failed node takes down only its
-        dependent cone; independent subgraphs keep executing.
-
-        The cone (every transitive successor) is marked skipped — those
-        nodes' predecessor counts can never reach zero, so without this
-        the graph would hang instead of completing. Cone nodes were
-        never submitted, so there is nothing in flight to cancel.
-        """
-        done = False
-        with state.lock:
-            if state.failed:
-                return
-            state.node_errors[node.uid] = error
-            stack = list(state.graph.successors(node.uid))
-            while stack:
-                uid = stack.pop()
-                if uid in state.skipped:
-                    continue
-                state.skipped[uid] = node.uid
-                stack.extend(state.graph.successors(uid))
-            done = state.settled() == len(state.graph)
         if done:
             self._finish(state)
 

@@ -25,7 +25,17 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.errors import CypressError
 from repro.kernels.common import KernelBuild
@@ -118,22 +128,41 @@ class GraphNode:
         shape: the launch's named shape dimensions.
         build: the exact-shape :class:`KernelBuild` (privileges and
             arg shapes; functional execution runs it).
-        accesses: one :class:`Access` per entrypoint tensor parameter.
         refs: parameter name -> bound tensor reference.
         label: display name (defaults to ``kernel#uid``).
+        accesses: one :class:`Access` per entrypoint tensor parameter
+            (a property). ``source(node)`` builds them on first read,
+            since only dependence inference needs them and a graph
+            replayed from a template never runs it.
     """
 
     uid: int
     kernel: str
     shape: Dict[str, int]
     build: KernelBuild
-    accesses: Tuple[Access, ...]
     refs: Dict[str, Any] = field(default_factory=dict)
     label: str = ""
+    source: Optional[Callable[["GraphNode"], Tuple[Access, ...]]] = field(
+        default=None, repr=False, compare=False
+    )
+    _accesses: Optional[Tuple[Access, ...]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if not self.label:
             self.label = f"{self.kernel}#{self.uid}"
+
+    @property
+    def accesses(self) -> Tuple[Access, ...]:
+        """The node's accesses, built by ``source`` on first read."""
+        if self._accesses is None:
+            self._accesses = self.source(self)
+        return self._accesses
+
+    @accesses.setter
+    def accesses(self, value: Tuple[Access, ...]) -> None:
+        self._accesses = value
 
 
 def infer_edges(nodes: Sequence[GraphNode]) -> List[GraphEdge]:

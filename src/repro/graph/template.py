@@ -113,30 +113,61 @@ class GraphTemplateCache:
         self.capacity = capacity
         self.stats = TemplateCacheStats()
         self._lock = threading.Lock()
-        self._entries: "OrderedDict[Hashable, GraphTemplate]" = OrderedDict()
+        #: key hash -> (key, template), least recently used first.
+        self._entries: "OrderedDict[int, Tuple[Hashable, GraphTemplate]]" = (
+            OrderedDict()
+        )
         self._plans: "OrderedDict[Hashable, Any]" = OrderedDict()
+        self._scopes: "OrderedDict[Hashable, object]" = OrderedDict()
 
     def get(self, fingerprint: Hashable) -> Optional[GraphTemplate]:
         """Look up a template by its topology key (LRU-touching it);
         ``None`` on miss. Keys compare by equality, so a hit is never a
-        collision."""
+        collision.
+
+        The table is indexed by the key's hash, so a lookup hashes the
+        key once and compares it with the stored key once; a key whose
+        hash equals a stored key's replaces that entry when stored."""
+        code = hash(fingerprint)
         with self._lock:
-            template = self._entries.get(fingerprint)
-            if template is not None:
-                self._entries.move_to_end(fingerprint)
+            entry = self._entries.get(code)
+            if entry is not None and entry[0] == fingerprint:
+                self._entries.move_to_end(code)
                 self.stats.hits += 1
-                return template
+                return entry[1]
             self.stats.misses += 1
             return None
 
     def put(self, fingerprint: Hashable, template: GraphTemplate) -> None:
         """Store a template, evicting the LRU entry over capacity."""
+        code = hash(fingerprint)
         with self._lock:
-            self._entries[fingerprint] = template
-            self._entries.move_to_end(fingerprint)
+            self._entries[code] = (fingerprint, template)
+            self._entries.move_to_end(code)
             while len(self._entries) > self.capacity:
                 self._entries.popitem(last=False)
                 self.stats.evictions += 1
+
+    def scope(self, parts: Hashable) -> object:
+        """The token standing for ``parts`` at the head of plan keys.
+
+        A builder resolves what its plans depend on beyond the launch
+        itself (the registered builder, its dimensions and defaults,
+        the machine's content) to a token once per kernel, so its plan
+        keys hash and compare the token, by identity, instead of those
+        parts. Equal parts get the one token while it is kept (the
+        least recently used of ``capacity`` tokens is dropped, after
+        which equal parts get a new one and rebuild their plans).
+        """
+        with self._lock:
+            token = self._scopes.get(parts)
+            if token is None:
+                token = self._scopes[parts] = object()
+                while len(self._scopes) > self.capacity:
+                    self._scopes.popitem(last=False)
+            else:
+                self._scopes.move_to_end(parts)
+            return token
 
     def plan(self, key: Hashable) -> Any:
         """The launch plan stored under ``key`` (LRU-touching it);
@@ -159,10 +190,12 @@ class GraphTemplateCache:
             return stored
 
     def clear(self) -> None:
-        """Drop every template and plan, and reset the counters."""
+        """Drop every template, plan and scope token, and reset the
+        counters."""
         with self._lock:
             self._entries.clear()
             self._plans.clear()
+            self._scopes.clear()
             self.stats = TemplateCacheStats()
 
     def __len__(self) -> int:
@@ -170,8 +203,10 @@ class GraphTemplateCache:
             return len(self._entries)
 
     def __contains__(self, fingerprint: Hashable) -> bool:
+        code = hash(fingerprint)
         with self._lock:
-            return fingerprint in self._entries
+            entry = self._entries.get(code)
+            return entry is not None and entry[0] == fingerprint
 
 
 #: The process-wide template cache every ``GraphBuilder`` shares by

@@ -24,18 +24,28 @@ def _numbering() -> Dict[str, Iterator[int]]:
 
 
 _process = _numbering()
-_tls = threading.local()
+
+
+class _Current(threading.local):
+    """A thread's current numbering: the process-wide one (the class
+    default, read without a failed per-thread lookup) until
+    :func:`fresh_numbering` sets the thread's own."""
+
+    numbering = _process
+
+
+_tls = _Current()
 
 
 def next_number(kind: str) -> int:
     """The next number of ``kind`` in this thread's current numbering."""
-    return next(getattr(_tls, "numbering", _process)[kind])
+    return next(_tls.numbering[kind])
 
 
 @contextmanager
 def fresh_numbering() -> Iterator[None]:
     """Number every entity this thread creates inside from zero."""
-    outer = getattr(_tls, "numbering", _process)
+    outer = _tls.numbering
     _tls.numbering = _numbering()
     try:
         yield

@@ -102,6 +102,10 @@ class BucketPolicy:
                 f"shape dimension {name!r} must be a positive integer, "
                 f"got {value!r}"
             )
+        return self._round(name, value)
+
+    def _round(self, name: str, value: int) -> int:
+        """:meth:`round_dim` of an already validated ``value``."""
         rungs = self.ladders.get(name)
         if rungs is None:
             return _round_pow2(value, self.floor)
@@ -168,21 +172,39 @@ class BucketPolicy:
         return tuple(out)
 
     def bucket(self, shape: Mapping[str, int], dims: Sequence[str]) -> Bucket:
-        """Round ``shape`` (one extent per name in ``dims``) to a bucket."""
-        missing = [name for name in dims if name not in shape]
-        if missing:
-            raise CypressError(
-                f"request shape is missing dimension(s) "
-                f"{', '.join(repr(m) for m in missing)}; expected "
-                f"{tuple(dims)}"
-            )
-        unknown = set(shape) - set(dims)
-        if unknown:
+        """Round ``shape`` (one extent per name in ``dims``) to a bucket.
+
+        One validating pass, run in full on every call (every request
+        and every graph node goes through it): the dimension names are
+        compared as one set, and an extent of exact type ``int`` that
+        is positive rounds without :meth:`round_dim`'s checks; any
+        other extent (``True``, ``512.0``, ``0``, an ``int`` subclass)
+        goes through :meth:`round_dim`, which rounds or raises.
+
+        Raises:
+            CypressError: a dimension of ``dims`` is missing, ``shape``
+                names one outside ``dims``, or an extent is not a
+                positive integer.
+        """
+        if shape.keys() != set(dims):
+            missing = [name for name in dims if name not in shape]
+            if missing:
+                raise CypressError(
+                    f"request shape is missing dimension(s) "
+                    f"{', '.join(repr(m) for m in missing)}; expected "
+                    f"{tuple(dims)}"
+                )
+            unknown = set(shape) - set(dims)
             raise CypressError(
                 f"request shape has unknown dimension(s) "
                 f"{', '.join(repr(u) for u in sorted(unknown))}; expected "
                 f"{tuple(dims)}"
             )
-        return Bucket(
-            tuple((name, self.round_dim(name, shape[name])) for name in dims)
-        )
+        extents = []
+        for name in dims:
+            value = shape[name]
+            if type(value) is int and value > 0:
+                extents.append((name, self._round(name, value)))
+            else:
+                extents.append((name, self.round_dim(name, value)))
+        return Bucket(tuple(extents))

@@ -173,6 +173,10 @@ class _QueuedRequest:
     #: once :meth:`RuntimeServer._settle` has ended it — which is what
     #: makes settling exactly-once even from the crash handler.
     stage: int = field(compare=False, default=_QUEUED)
+    #: What ``_settle`` ended the request with: its ``RuntimeResult``
+    #: or the exception its future holds. The thread that served the
+    #: request inline reads it here instead of through the future.
+    outcome: Any = field(compare=False, default=None)
 
 
 class _Stages:
@@ -689,7 +693,11 @@ class RuntimeServer:
         node at ``execute()`` time, so admitting a ready node later
         costs no registry lookup, shape coercion, or bucket rounding.
         The slot's sequence number and submit timestamp are stamped by
-        :meth:`_admit`.
+        :meth:`_admit`. When ``_admit`` leaves a slot to its caller,
+        the caller serves it with :meth:`_serve_inline` and, once that
+        returns, reads its outcome from ``slot.outcome``, where
+        :meth:`_settle` put it; no callback is attached to its future.
+        A slot the workers serve is followed through its future.
         """
         return _QueuedRequest(
             sort_key=(-priority, 0),
@@ -1081,17 +1089,20 @@ class RuntimeServer:
         or by its holder while it queued) — only this code closes its
         ``request`` span, bumps its terminal counter and touches its
         future, so ``completed + failed + shed_requests == requests``
-        is a property of this one function. Returns whether this call
-        settled it (only the crash handler re-offers settled requests).
+        is a property of this one function. It also hands the outcome
+        back on ``request.outcome``, where the graph scheduler reads the
+        nodes it served inline. Returns whether this call settled it
+        (only the crash handler re-offers settled requests).
         """
         if request.stage == _SETTLED:
             return False
         claimed = request.stage == _CLAIMED
         request.stage = _SETTLED
+        request.outcome = result if error is None else error
         future, span = request.future, request.span
-        # The root span closes before the future is touched: a graph
-        # node's done-callback runs synchronously inside that call and
-        # closes this span's parent.
+        # The root span closes before the future is touched: a
+        # worker-served graph node's done-callback runs synchronously
+        # inside that call and closes this span's parent.
         if error is None:
             self.telemetry.record_result(
                 result.kernel, result.latency_s, result.tier, result.gpu.tflops

@@ -14,7 +14,7 @@ through ``api.run_graph`` and ``RuntimeServer.submit_graph``.
 import sys
 import threading
 import time
-from concurrent.futures import FIRST_COMPLETED, wait
+from concurrent.futures import FIRST_COMPLETED, Future, wait
 
 import numpy as np
 import pytest
@@ -830,6 +830,126 @@ class TestReadyWorklist:
         assert all(r.future.done() for batch in calls for r in batch)
         stats = server.stats()
         assert stats.completed == stats.requests == 2
+
+
+class TestInlineSettle:
+    """A node the draining thread serves itself is settled from the
+    outcome ``RuntimeServer._settle`` leaves on its request, with no
+    done-callback on its future; only worker-served nodes are followed
+    through their futures."""
+
+    SQUARE = dict(m=M, n=M, k=M)
+
+    @pytest.fixture()
+    def callbacks(self, monkeypatch):
+        """Every future ``add_done_callback`` is called on meanwhile."""
+        spied = []
+        attach = Future.add_done_callback
+
+        def spy(future, fn):
+            spied.append(future)
+            return attach(future, fn)
+
+        monkeypatch.setattr(Future, "add_done_callback", spy)
+        return spied
+
+    @staticmethod
+    def _with_callbacks(execution, callbacks):
+        """Uids of the nodes whose futures got a done-callback."""
+        return sorted(
+            uid
+            for uid, future in execution.node_futures.items()
+            if any(spied is future for spied in callbacks)
+        )
+
+    def test_a_warm_graph_attaches_no_callback(self, hopper, callbacks):
+        from repro.kernels import transformer_block_graph
+
+        graph = transformer_block_graph(
+            hopper, seq=256, d_model=256, heads=2, d_ff=512
+        )
+        with RuntimeServer(hopper, workers=2) as server:
+            # Cold: the workers serve the roots, through their futures.
+            cold = server.submit_graph(graph)
+            assert cold.result(timeout=600).complete
+            assert self._with_callbacks(cold, callbacks)[:3] == [0, 1, 2]
+            warm = server.submit_graph(graph)
+            assert warm.future.done()
+            result = warm.result()
+        assert result.complete
+        assert {r.tier for r in result.results.values()} == {"memory"}
+        assert len(warm.node_futures) == len(graph)
+        assert self._with_callbacks(warm, callbacks) == []
+
+    def test_worker_served_nodes_keep_their_callback(
+        self, hopper, callbacks
+    ):
+        # The alternating graph of TestReadyWorklist: nodes 1 and 3 are
+        # of buckets the server has never timed, so workers serve them;
+        # the warm nodes are served by the thread that readies them.
+        warm = self.SQUARE
+        colds = [dict(m=M, n=M, k=2 * M), dict(m=M, n=M, k=4 * M)]
+        gb = GraphBuilder(hopper)
+        previous = ()
+        for shape in (warm, colds[0], warm, colds[1], warm):
+            index = len(gb)
+            node = gb.launch(
+                "gemm", shape,
+                reads=dict(
+                    A=gb.tensor(f"A{index}", (shape["m"], shape["k"])),
+                    B=gb.tensor(f"B{index}", (shape["k"], shape["n"])),
+                ),
+                writes=dict(C=gb.tensor(f"C{index}", (M, M))),
+                after=previous,
+            )
+            previous = (node,)
+        graph = gb.build()
+        with RuntimeServer(hopper, workers=2) as server:
+            server.warm("gemm", [warm])
+            execution = server.submit_graph(graph)
+            result = execution.result(timeout=120)
+        assert len(result.results) == len(graph)
+        assert self._with_callbacks(execution, callbacks) == [1, 3]
+
+
+class TestBucketValidation:
+    """Bucketing stays one full validating pass on every request and
+    every graph node: each malformed shape right after a served request
+    of the equal-valued (or any) good shape still raises."""
+
+    BAD = [
+        ("True", dict(m=1, n=N, k=K), dict(m=True, n=N, k=K)),
+        ("float", dict(m=512, n=N, k=K), dict(m=512.0, n=N, k=K)),
+        ("zero", dict(m=M, n=N, k=K), dict(m=0, n=N, k=K)),
+        ("negative", dict(m=M, n=N, k=K), dict(m=-1, n=N, k=K)),
+        ("missing", dict(m=M, n=N, k=K), dict(m=M, n=N)),
+        ("unknown", dict(m=M, n=N, k=K), dict(m=M, n=N, k=K, zz=1)),
+    ]
+    IDS = [case[0] for case in BAD]
+
+    @pytest.mark.parametrize("name, good, bad", BAD, ids=IDS)
+    def test_submit_still_raises(self, hopper, name, good, bad):
+        with RuntimeServer(hopper, workers=2) as server:
+            for _ in range(2):  # the second one is served on this thread
+                server.submit("gemm", good).result(timeout=600)
+            with pytest.raises(CypressError):
+                server.submit("gemm", bad)
+
+    @pytest.mark.parametrize("name, good, bad", BAD, ids=IDS)
+    def test_submit_graph_still_raises(self, hopper, name, good, bad):
+        gb = GraphBuilder(hopper)
+        _gemm(gb, gb.tensor("A", (M, K)), gb.tensor("B", (K, N)),
+              gb.tensor("C", (M, N)))
+        graph = gb.build()
+        (node,) = graph.nodes
+        with RuntimeServer(hopper, workers=2) as server:
+            node.shape = dict(good)
+            for _ in range(2):  # the second one is served on this thread
+                assert server.submit_graph(graph).result(timeout=600).complete
+            node.shape = dict(bad)
+            with pytest.raises(CypressError):
+                server.submit_graph(graph).result(timeout=600)
+            assert server.stats().graphs_failed == 1
 
 
 def _wait_for_a_served_node(executions, timeout):
