@@ -131,9 +131,7 @@ def main(
             seq = random.choice((200, 256, 400, 512))
             futures.append(
                 server.submit(
-                    "flash_attention2",
-                    dict(heads=2, seq=seq, head_dim=128),
-                    priority=1,  # attention jumps the queue
+                    "flash_attention2", dict(heads=2, seq=seq, head_dim=128)
                 )
             )
         results = [future.result(timeout=600) for future in futures]

@@ -308,7 +308,9 @@ class GraphBuilder:
             The captured :class:`GraphNode` (usable in ``after=``).
 
         Raises:
-            CypressError: unknown kernel, malformed shape, a binding
+            CypressError: unknown kernel, malformed shape (an extent
+                not a positive ``int``, a missing or unknown
+                dimension), a binding
                 for an unknown parameter, a missing/extra binding, a
                 privilege-direction mismatch, a shape mismatch between
                 the bound reference and the kernel argument, or a
@@ -316,6 +318,14 @@ class GraphBuilder:
         """
         registered = self.registry.get(kernel)
         shape = dict(shape)
+        for name, value in shape.items():
+            # Before the plan memo: ``512.0 == 512`` would otherwise
+            # find, or leave, a plan under the other extent's key.
+            if type(value) is not int or value < 1:
+                raise CypressError(
+                    f"shape dimension {name!r} must be a positive "
+                    f"integer, got {value!r}"
+                )
         plan = self._plan_for(registered, shape, params)
         reads = reads or {}
         writes = writes or {}

@@ -3,25 +3,24 @@
 :class:`GraphScheduler` turns a :class:`~repro.graph.taskgraph.
 TaskGraph` into traffic for an existing :class:`~repro.runtime.server.
 RuntimeServer`: every node goes through the server's one admission
-path — per-node shape bucketing, the priority queue, micro-batching of
-same-bucket requests, both compile-cache tiers — so a graph costs the
-server nothing it was not already built to do. Ready nodes (all
-predecessors resolved) are submitted immediately and concurrently, in
-uid order, at the default priority.
+path, :meth:`~repro.runtime.server.RuntimeServer.admit` — per-node
+shape bucketing, the FIFO queue, micro-batching of same-bucket
+requests, both compile-cache tiers — so a graph costs the server
+nothing it was not already built to do. Ready nodes (all predecessors
+resolved) are admitted immediately and concurrently, in uid order.
 
 Each execution keeps one ready **worklist**. A settling node appends
 the successors it readies, and whichever thread finds no one draining
-it drains it: each drained ready set is admitted at once, and the
-nodes ``submit`` would serve on its calling thread (timing-only, bucket
-warm, nothing queued) are served right there, one micro-batch per
-bucket; the rest go to the workers. The nodes served right there are
-settled as soon as their set is served, under one lock, from the
-outcomes the server's ``_settle`` hands back on their requests; only
-worker-served nodes settle through a done-callback on their futures.
-A re-submitted warm graph is therefore served entirely by the thread
-that calls ``execute``, with no queue hand-off and no callback, and a
-chain of any length costs that thread a loop iteration per ready set
-rather than a stack frame per node.
+it drains it: each drained ready set is admitted with one ``admit``
+call, which serves the nodes ``submit`` would serve on its calling
+thread (timing-only, bucket warm, nothing queued) right there, one
+micro-batch per bucket, and leaves the rest to the workers. Every node
+settles one way: its slot's ``on_settle`` hook, which the server's
+``_settle`` calls last whichever way and on whichever thread the
+node's request ends. A re-submitted warm graph is therefore served
+entirely by the thread that calls ``execute``, with no queue hand-off
+and no future callback, and a chain of any length costs that thread a
+loop iteration per ready set rather than a stack frame per node.
 
 With ``inputs=`` the graph also carries data: node arguments are
 gathered from shared root arrays through the bound references before
@@ -44,6 +43,7 @@ import threading
 import time
 from concurrent.futures import CancelledError, Future
 from dataclasses import dataclass, field
+from functools import partial
 from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional
 
 import numpy as np
@@ -220,8 +220,8 @@ class GraphScheduler:
         """
         if not len(graph):
             raise CypressError("cannot execute an empty task graph")
-        # One registry lookup + bucketing per node, up front; the
-        # submit fast lane reuses these instead of re-deriving them on
+        # One registry lookup + bucketing per node, up front; admitting
+        # a ready node reuses these instead of re-deriving them on
         # every launch. A lookup failure (unknown kernel) resolves the
         # graph future instead of raising, matching per-node submit.
         lookups: Dict[int, Any] = {}
@@ -301,29 +301,16 @@ class GraphScheduler:
     def _submit_ready(
         self, state: "_ExecutionState", ready: List[GraphNode]
     ) -> None:
-        """Admit one drained ready set under one admission.
-
-        A node ``submit`` would serve on its calling thread (timing-only,
-        its bucket warm, nothing queued) is served on this thread, its
-        same-bucket peers in one micro-batch of up to ``max_batch``, and
-        settled as soon as the set is served, from the outcomes
-        ``RuntimeServer._settle`` left on its requests: no callback and
-        no future round trip. Every other node is enqueued for the
-        workers and settles through its future's done-callback."""
+        """Admit one drained ready set, in uid order, with one
+        :meth:`RuntimeServer.admit` call, which serves here the nodes
+        ``submit`` would serve on its calling thread and enqueues the
+        rest. Each node's slot carries the hook its request's settle
+        calls, however and on whichever thread it ends."""
         ready.sort(key=lambda node: node.uid)
         server = self.server
         tracer = server.tracer
         arrays = state.arrays
-        # The nodes this thread may serve and their requests; the nodes
-        # left to the workers and theirs. Both in uid order.
-        local: List[GraphNode] = []
-        inline: List[Any] = []
-        remote: List[GraphNode] = []
-        queued: List[Any] = []
-        # Inline requests by batch key, and the keys found not ready:
-        # each key's readiness is read once per ready set.
-        groups: Dict[Any, List[Any]] = {}
-        cold: set = set()
+        requests = []
         try:
             for node in ready:
                 node_inputs = None
@@ -340,6 +327,7 @@ class GraphScheduler:
                     bucket,
                     inputs=node_inputs,
                 )
+                request.on_settle = partial(self._settle_node, state, node)
                 if tracer.enabled:
                     span = tracer.begin(
                         "node",
@@ -354,108 +342,61 @@ class GraphScheduler:
                     state.node_spans[node.uid] = span
                     # The per-request root span nests under this node.
                     request.trace_parent = span
-                key = request.batch_key
-                group = groups.get(key)
-                if group is not None:
-                    group.append(request)
-                elif arrays is None and key not in cold and server._ready(key):
-                    groups[key] = [request]
-                else:
-                    cold.add(key)
-                    remote.append(node)
-                    queued.append(request)
-                    continue
-                local.append(node)
-                inline.append(request)
-            here = server._admit(queued, inline)
+                requests.append(request)
+            server.admit(requests)
         except Exception as error:
             self._fail(state, error)
             return
-        if tracer.enabled:
-            for request in queued:
-                request.trace_parent.args["served_by"] = "worker"
-            for request in inline:
-                request.trace_parent.args["served_by"] = (
-                    "submitter" if here else "worker"
-                )
         node_futures = state.execution.node_futures
-        if not here:
-            remote += local
-            queued += inline
-        for node, request in zip(remote, queued):
+        for node, request in zip(ready, requests):
             node_futures[node.uid] = request.future
-            request.future.add_done_callback(
-                lambda f, node=node: self._on_node_done(state, node, f)
-            )
-        if not here:
-            return
-        for node, request in zip(local, inline):
-            node_futures[node.uid] = request.future
-        size = server.max_batch
-        for group in groups.values():
-            for start in range(0, len(group), size):
-                server._serve_inline(group[start:start + size])
-        self._settle_nodes(state, local, [r.outcome for r in inline])
 
-    def _on_node_done(
-        self, state: "_ExecutionState", node: GraphNode, future: Future
+    def _settle_node(
+        self, state: "_ExecutionState", node: GraphNode, outcome: Any
     ) -> None:
-        """Settle a worker-served node from its future."""
-        if future.cancelled():
-            outcome: Any = CancelledError()
-        else:
-            outcome = future.exception()
-            if outcome is None:
-                outcome = future.result()
-        self._settle_nodes(state, [node], [outcome])
+        """Record a settled node: the ``on_settle`` hook
+        ``RuntimeServer._settle`` calls last for every ending of the
+        node's request (served, failed, past its deadline, shed,
+        cancelled, caught in a worker crash), on whichever thread ended
+        it.
 
-    def _settle_nodes(
-        self,
-        state: "_ExecutionState",
-        nodes: List[GraphNode],
-        outcomes: List[Any],
-    ) -> None:
-        """Record settled nodes under one ``state.lock``.
-
-        Each node comes with its request's outcome at the same
-        position: a ``RuntimeResult`` or the exception that failed it.
-        A success stores its result, scatters the outputs it wrote, and
-        appends the successors it readies to the worklist. A failure
-        takes down only its dependent cone: every transitive successor
-        is marked skipped (those nodes' predecessor counts can never
-        reach zero, so without this the graph would hang), and none of
-        them was ever submitted, so nothing in flight is cancelled. A
-        cancelled node fails the whole graph. The thread that grows an
-        idle worklist drains it, and the one that settles the last node
-        finishes the graph."""
-        cancelled = None
-        for node, outcome in zip(nodes, outcomes):
+        ``outcome`` is a ``RuntimeResult`` or the exception that failed
+        the request. A success stores its result, scatters the outputs
+        it wrote, and appends the successors it readies to the
+        worklist. A failure takes down only its dependent cone: every
+        transitive successor is marked skipped (those nodes' predecessor
+        counts can never reach zero, so without this the graph would
+        hang), and none of them was ever submitted, so nothing in flight
+        is cancelled. A cancelled node fails the whole graph. The thread
+        that grows an idle worklist drains it, and the one that settles
+        the last node finishes the graph. Nothing raises into the
+        server: a failure here fails the graph."""
+        try:
             error = outcome if isinstance(outcome, BaseException) else None
-            if isinstance(error, CancelledError):
-                error = CypressError(
-                    f"graph node {node.label!r} was cancelled "
-                    "(server shutting down?)"
-                )
-                cancelled = cancelled or error
             if state.node_spans:
-                # The request's own span closed before its outcome was
-                # handed back, so closing the node span here keeps
-                # children inside their parent.
+                # The request's own span closed before the hook ran, so
+                # closing the node span here keeps children inside
+                # their parent.
                 self.server.tracer.end(
                     state.node_spans.pop(node.uid, None),
                     args={"error": repr(error)} if error is not None else None,
                 )
-        if cancelled is not None:
-            self._fail(state, cancelled)
-            return
-        graph = state.graph
-        remaining, skipped = state.remaining, state.skipped
-        with state.lock:
-            if state.failed:
+            if isinstance(error, CancelledError):
+                self._fail(
+                    state,
+                    CypressError(
+                        f"graph node {node.label!r} was cancelled "
+                        "(server shutting down?)"
+                    ),
+                )
                 return
-            for node, outcome in zip(nodes, outcomes):
-                if isinstance(outcome, BaseException):
-                    state.node_errors[node.uid] = outcome
+            graph = state.graph
+            remaining, skipped = state.remaining, state.skipped
+            with state.lock:
+                if state.failed:
+                    return
+                if error is not None:
+                    state.node_errors[node.uid] = error
                     stack = list(graph.successors(node.uid))
                     while stack:
                         uid = stack.pop()
@@ -463,27 +404,29 @@ class GraphScheduler:
                             continue
                         skipped[uid] = node.uid
                         stack.extend(graph.successors(uid))
-                    continue
-                state.results[node.uid] = outcome
-                if state.arrays is not None and outcome.outputs:
-                    for param, value in outcome.outputs.items():
-                        ref = node.refs.get(param)
-                        if ref is not None:
-                            ref.write(state.arrays[ref.root.uid], value)
-                for succ in graph.successors(node.uid):
-                    if succ in skipped:
-                        continue
-                    remaining[succ] -= 1
-                    if not remaining[succ]:
-                        state.ready.append(graph.node(succ))
-            drain = bool(state.ready) and not state.draining
+                else:
+                    state.results[node.uid] = outcome
+                    if state.arrays is not None and outcome.outputs:
+                        for param, value in outcome.outputs.items():
+                            ref = node.refs.get(param)
+                            if ref is not None:
+                                ref.write(state.arrays[ref.root.uid], value)
+                    for succ in graph.successors(node.uid):
+                        if succ in skipped:
+                            continue
+                        remaining[succ] -= 1
+                        if not remaining[succ]:
+                            state.ready.append(graph.node(succ))
+                drain = bool(state.ready) and not state.draining
+                if drain:
+                    state.draining = True
+                done = state.settled() == len(graph)
             if drain:
-                state.draining = True
-            done = state.settled() == len(graph)
-        if drain:
-            self._drain(state)
-        if done:
-            self._finish(state)
+                self._drain(state)
+            if done:
+                self._finish(state)
+        except Exception as failure:
+            self._fail(state, failure)
 
     def _finish(self, state: "_ExecutionState") -> None:
         if state.node_errors and not state.results:

@@ -251,7 +251,7 @@ def server_metrics(
         reg.counter(spec.metric, spec.help).set(getattr(stats, spec.field))
 
     reg.gauge(
-        "repro_queue_depth", "Requests waiting in the priority queue."
+        "repro_queue_depth", "Requests waiting in the queue."
     ).set(stats.queue_depth)
     reg.gauge(
         "repro_uptime_seconds", "Server uptime at snapshot time."

@@ -8,7 +8,7 @@ calls, this package keeps compiled kernels alive and serves them:
 * :mod:`~repro.runtime.bucketing` — shape bucketing, so a bounded set
   of compiled kernels serves unbounded request shapes.
 * :mod:`~repro.runtime.server` — :class:`RuntimeServer`: async
-  ``submit`` returning futures, a priority-queue worker pool,
+  ``submit`` returning futures, a FIFO-queue worker pool,
   micro-batching of same-bucket requests, tuner-backed warm-up, and
   ``submit_graph`` for :mod:`repro.graph` task graphs (ready nodes
   overlap across the pool).

@@ -5,15 +5,16 @@ long-lived serving layer. Requests name a registered kernel and a shape;
 ``submit`` rounds the shape to a :class:`~repro.runtime.bucketing.
 Bucket`, and returns a :class:`concurrent.futures.Future` resolved
 with a :class:`RuntimeResult` (simulated timing, optional functional
-outputs, which cache tier produced the kernel). A request that needs
-no worker — timing-only, its bucket's launch record already timed and
-its kernel resident in memory, nothing queued ahead — is served on the
-submitting thread before ``submit`` returns; a graph node that needs
-none is served, micro-batched with its same-bucket peers, by the
-thread that readied it. Every other request goes on a priority
-queue, which a pool of worker threads drains, **micro-batching**
-same-bucket requests so one compile + one simulation serve the whole
-batch.
+outputs, which cache tier produced the kernel). ``submit`` and the
+graph scheduler hand their prepared requests to one admission method,
+:meth:`RuntimeServer.admit`, which makes the one serve-here-or-queue
+decision: a request that needs no worker — timing-only, its bucket's
+launch record already timed and its kernel resident in memory, nothing
+queued ahead — is served, micro-batched with its same-bucket peers, by
+the admitting thread before ``admit`` returns. Every other request goes
+on a FIFO queue, which a pool of worker threads drains,
+**micro-batching** same-bucket requests so one compile + one simulation
+serve the whole batch.
 
 Every kernel the server uses — for a request, ``warm``, the speculator
 or the specializer — is resolved once per (kernel, bucket) into a
@@ -36,24 +37,24 @@ configured policy. A failed compile or simulation fails its batch's
 requests and nothing else; it is not retried, because both are pure
 functions of the kernel and the machine (``docs/resilience.md``).
 
-A request crosses five stages — **admit** (``_admit``, from ``submit``
-or the graph scheduler), then on a worker or the admitting thread
-**dispatch**, **obtain**, **execute** and **resolve** (``_serve``) —
-and what cuts across them has one owner each:
+A request crosses five stages — **admit** (:meth:`RuntimeServer.admit`,
+from ``submit`` or the graph scheduler), then on a worker or the
+admitting thread **dispatch**, **obtain**, **execute** and **resolve**
+(``_serve``) — and what cuts across them has one owner each:
 :meth:`RuntimeServer._settle` alone ends a request (span, terminal
-counter, future), and :class:`_Stages` is the one source of a batch's
-stage spans (``docs/serving.md`` maps which acts where).
+counter, future, and last the slot's ``on_settle`` hook, through which
+every graph node settles), and :class:`_Stages` is the one source of a
+batch's stage spans (``docs/serving.md`` maps which acts where).
 """
 
 from __future__ import annotations
 
-import heapq
-import itertools
 import threading
 import time
+from collections import deque
 from concurrent.futures import CancelledError, Future
-from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -135,48 +136,49 @@ class RuntimeResult:
 _QUEUED, _CLAIMED, _SETTLED = range(3)
 
 
-@dataclass(order=True, slots=True)
+@dataclass(slots=True)
 class _QueuedRequest:
-    """A heap entry; higher ``priority`` values are served first.
+    """One request's slot in the FIFO queue.
 
     Allocation-light by design: ``__slots__``, a precomputed
-    ``batch_key``, and a mutable ``sort_key``/``submitted_at`` so the
-    graph scheduler can preallocate one slot per node at ``execute()``
-    and stamp it at enqueue time instead of constructing requests (and
-    re-validating shapes) on the submit hot path.
+    ``batch_key``, and a mutable ``submitted_at`` so the graph
+    scheduler can build one slot per ready node from the lookups it
+    made at ``execute()`` and have it stamped at admission instead of
+    constructing requests (and re-validating shapes) on the submit hot
+    path.
     """
 
-    sort_key: Tuple[int, int]
-    kernel: RegisteredKernel = field(compare=False)
-    shape: Dict[str, int] = field(compare=False)
-    bucket: Bucket = field(compare=False)
-    inputs: Optional[Mapping[str, np.ndarray]] = field(compare=False)
-    future: "Future[RuntimeResult]" = field(compare=False)
-    submitted_at: float = field(compare=False)
-    batch_key: Tuple[str, Bucket] = field(compare=False)
+    kernel: RegisteredKernel
+    shape: Dict[str, int]
+    bucket: Bucket
+    inputs: Optional[Mapping[str, np.ndarray]]
+    future: "Future[RuntimeResult]"
+    submitted_at: float
+    batch_key: Tuple[str, Bucket]
     #: Root "request" span (None when tracing is off) and the parent
     #: span to nest it under (the graph scheduler's node span).
-    span: Any = field(compare=False, default=None)
-    trace_parent: Any = field(compare=False, default=None)
+    span: Any = None
+    trace_parent: Any = None
     #: Pre-rounding request shape as a Bucket (set by ``submit`` only
     #: with a specializer) and whether the specialization guard
     #: hit — a hit serves ``bucket`` = the aligned specialized shape.
-    exact_bucket: Any = field(compare=False, default=None)
-    specialized: bool = field(compare=False, default=False)
+    exact_bucket: Any = None
+    specialized: bool = False
     #: Absolute ``perf_counter`` deadline (None = no deadline). Checked
     #: at batch dispatch: an expired request fails fast with
     #: :class:`~repro.runtime.resilience.DeadlineExceeded` instead of
     #: occupying a worker.
-    deadline: Optional[float] = field(compare=False, default=None)
+    deadline: Optional[float] = None
     #: ``_QUEUED`` until a worker claims the future at dispatch
     #: (``_CLAIMED``: its holder can no longer cancel it), ``_SETTLED``
     #: once :meth:`RuntimeServer._settle` has ended it — which is what
     #: makes settling exactly-once even from the crash handler.
-    stage: int = field(compare=False, default=_QUEUED)
-    #: What ``_settle`` ended the request with: its ``RuntimeResult``
-    #: or the exception its future holds. The thread that served the
-    #: request inline reads it here instead of through the future.
-    outcome: Any = field(compare=False, default=None)
+    stage: int = _QUEUED
+    #: Called last by :meth:`RuntimeServer._settle` with what it ended
+    #: the request with — its ``RuntimeResult`` or the exception its
+    #: future holds — however the request ends. The graph scheduler
+    #: settles its nodes through it; it must not raise.
+    on_settle: Optional[Callable[[Any], None]] = None
 
 
 class _Stages:
@@ -210,7 +212,7 @@ class _Stages:
 
         Every request gets a ``queue`` child (its own submit time to
         the batch's pop/assembly); the head request additionally owns
-        the batch-wide stages — ``dispatch`` (heap pop + same-bucket
+        the batch-wide stages — ``dispatch`` (queue pop + same-bucket
         scan; ``served_by`` says which thread served the batch),
         ``batch`` (micro-batch finalization), and ``compile`` (kernel
         acquisition, with one ``pass.*`` child per compiler pass lifted
@@ -372,8 +374,7 @@ class RuntimeServer:
         self.machine = machine
         self.registry = registry if registry is not None else default_registry()
         self.max_batch = max_batch
-        self._seq = itertools.count()
-        self._queue: List[_QueuedRequest] = []
+        self._queue: deque[_QueuedRequest] = deque()
         self._cv = threading.Condition()
         self._stopping = False
         self._closed = False
@@ -524,15 +525,16 @@ class RuntimeServer:
             self._maintenance.join()
         # self.diag deliberately keeps serving (every endpoint answers
         # 503 once _closed is set) until diag.stop().
-        abandoned: List[_QueuedRequest] = []
+        abandoned: Iterable[_QueuedRequest] = ()
         with self._cv:
             self._stopping = True
             if not drain or not self._started:
                 # Told not to drain, or never started: no worker will
                 # serve what is queued.
-                abandoned, self._queue = self._queue, []
+                abandoned, self._queue = self._queue, deque()
             self._cv.notify_all()
-        # Outside the lock: a done-callback may re-enter the server.
+        # Outside the lock: settling a request may re-enter the server
+        # (a graph node's hook admits its successors).
         for request in abandoned:
             self._settle(
                 request,
@@ -576,26 +578,26 @@ class RuntimeServer:
         shape: ShapeLike,
         *,
         inputs: Optional[Mapping[str, np.ndarray]] = None,
-        priority: int = 0,
         deadline: Optional[float] = None,
     ) -> "Future[RuntimeResult]":
         """Admit one request; returns a future of :class:`RuntimeResult`.
 
         Unknown kernel names and malformed shapes raise immediately in
         the calling thread (the request never enters the queue), as
-        does submitting to a closed server. Higher ``priority`` values
-        are served first; ties are FIFO. ``inputs`` (numpy arrays
-        padded to the bucket shape) additionally run the kernel
-        functionally and land in ``RuntimeResult.outputs``.
+        does submitting to a closed server. The queue is FIFO.
+        ``inputs`` (numpy arrays padded to the bucket shape)
+        additionally run the kernel functionally and land in
+        ``RuntimeResult.outputs``.
 
         A request no worker would add anything to is served on the
         calling thread, and its future is done when ``submit`` returns:
         it carries no ``inputs``, the server is started and not
         stopping, nothing is queued, and its bucket's launch record is
         current, holds its timing and names a kernel resident in the
-        memory cache. Everything else is enqueued for the workers. An
-        unexpected exception while serving fails the future (the
-        workers' crash handler); ``submit`` does not raise it.
+        memory cache (:meth:`admit` decides). Everything else is
+        enqueued for the workers. An unexpected exception while serving
+        fails the future (the workers' crash handler); ``submit`` does
+        not raise it.
 
         ``deadline`` is a relative time limit in seconds: a request still
         queued when it elapses fails fast with
@@ -630,33 +632,32 @@ class RuntimeServer:
                 self.telemetry.count("specialized_hits")
                 self.telemetry.count("padded_flops_saved", entry.flops_saved)
         request = self.prepare_request(
-            registered, shape_dict, bucket, inputs=inputs, priority=priority
+            registered, shape_dict, bucket, inputs=inputs
         )
         request.exact_bucket = exact
         request.specialized = specialized
         if deadline is not None:
             request.deadline = time.perf_counter() + deadline
-        if inputs is None and self._ready(request.batch_key):
-            if self._admit([], [request]):
-                self._serve_inline([request])
-        else:
-            self._admit([request])
+        self.admit([request])
         return request.future
 
-    def _ready(self, batch_key: Tuple[str, Bucket]) -> bool:
-        """Whether a bucket's requests need neither compile nor
-        simulation: its launch record is current, holds its timing, and
+    def _ready(self, batch_key: Tuple[str, Bucket]) -> Optional[Launch]:
+        """A bucket's launch record if its requests need neither compile
+        nor simulation — the record is current, holds its timing, and
         its key is resident in memory (a membership test moves no LRU
-        entry and bumps no counter). Read without a lock: a pin or an
-        eviction landing after the check only makes ``_serve`` simulate
-        or compile on the submitting thread, as a worker would."""
+        entry and bumps no counter) — else ``None``. Read without a
+        lock: a pin or an eviction landing after the check only makes
+        ``_serve`` simulate or compile on the admitting thread, as a
+        worker would."""
         launch = self._launches.get(batch_key)
-        return (
+        if (
             launch is not None
             and launch.gpu is not None
             and launch.current
             and launch.key in compile_cache
-        )
+        ):
+            return launch
+        return None
 
     def _serve_inline(self, batch: List[_QueuedRequest]) -> None:
         """Serve a micro-batch admitted to its admitting thread on that
@@ -685,22 +686,18 @@ class RuntimeServer:
         bucket: Bucket,
         *,
         inputs: Optional[Mapping[str, np.ndarray]] = None,
-        priority: int = 0,
     ) -> _QueuedRequest:
-        """Build a queue slot without admitting it (the fast lane).
+        """Build a queue slot without admitting it.
 
         The graph scheduler resolves ``(registered, bucket)`` once per
         node at ``execute()`` time, so admitting a ready node later
         costs no registry lookup, shape coercion, or bucket rounding.
-        The slot's sequence number and submit timestamp are stamped by
-        :meth:`_admit`. When ``_admit`` leaves a slot to its caller,
-        the caller serves it with :meth:`_serve_inline` and, once that
-        returns, reads its outcome from ``slot.outcome``, where
-        :meth:`_settle` put it; no callback is attached to its future.
-        A slot the workers serve is followed through its future.
+        The slot's submit timestamp is stamped by :meth:`admit`. A
+        caller that must learn how the slot ends sets its
+        ``on_settle``, which :meth:`_settle` calls last whichever way
+        the request ends; no callback is attached to its future.
         """
         return _QueuedRequest(
-            sort_key=(-priority, 0),
             kernel=registered,
             shape=shape,
             bucket=bucket,
@@ -710,32 +707,50 @@ class RuntimeServer:
             batch_key=(registered.name, bucket),
         )
 
-    def _admit(
-        self,
-        queued: Sequence[_QueuedRequest],
-        inline: Sequence[_QueuedRequest] = (),
-    ) -> bool:
-        """Admit ``queued`` and ``inline`` — the one admission path of
-        ``submit`` and the graph scheduler — and return whether the
-        caller serves ``inline`` on its own thread.
+    def admit(self, requests: Sequence[_QueuedRequest]) -> None:
+        """Admit prepared slots — one from ``submit``, a ready set from
+        the graph scheduler — and serve here those no worker would add
+        anything to: the one serve-here-or-queue decision.
 
-        That holds only while the server is started and nothing is
-        queued (checked under the lock that stamps the sequence
-        numbers); ``inline`` is then counted in ``_inline`` until the
-        caller's :meth:`_serve_inline` calls settle it. Otherwise
-        ``inline`` is enqueued with ``queued``, all under one lock
-        acquisition that notifies one waiting worker per enqueued
-        request.
+        A timing-only request whose bucket is :meth:`_ready` is grouped
+        with its same-bucket peers; every other request (data-carrying,
+        or of a bucket that needs a compile or a simulation) is
+        enqueued, in the given order. The groups are served on the
+        calling thread, in micro-batches of up to ``max_batch``, only
+        while the server is started and nothing is queued (checked
+        under the lock that enqueues; they are counted in ``_inline``
+        until :meth:`_serve_inline` settles them); otherwise they are
+        enqueued too. The whole admission takes one lock acquisition,
+        which notifies one waiting worker per enqueued request. While
+        tracing, each request's ``trace_parent`` span (a graph node's)
+        gets ``served_by``: ``"submitter"`` or ``"worker"``.
 
         Raises :class:`CypressError` (before touching the queue) when
         the server is closed, or when the bounded queue is full under
         the ``"reject-new"`` shed policy; under ``"drop-oldest"`` the
-        longest-queued requests are evicted instead (their futures
-        fail, counted as ``shed_requests`` — not as failures).
+        longest-queued requests — the head of the queue — are evicted
+        instead (their futures fail, counted as ``shed_requests`` — not
+        as failures).
         """
-        requests = [*queued, *inline]
-        if not requests:
-            return False
+        queued: Sequence[_QueuedRequest] = []
+        # The timing-only requests of ready buckets, as the micro-batches
+        # this thread would serve: up to ``max_batch`` per launch record
+        # (by its id: one record per bucket, and an int hashes cheaply).
+        batches: List[List[_QueuedRequest]] = []
+        filling: Dict[int, List[_QueuedRequest]] = {}
+        for request in requests:
+            launch = None
+            if request.inputs is None:
+                launch = self._ready(request.batch_key)
+            if launch is None:
+                queued.append(request)
+                continue
+            batch = filling.get(id(launch))
+            if batch is None or len(batch) == self.max_batch:
+                batch = filling[id(launch)] = []
+                batches.append(batch)
+            batch.append(request)
+        inline = len(requests) - len(queued)
         now = time.perf_counter()
         tracer = self.tracer
         if tracer.enabled:
@@ -752,6 +767,8 @@ class RuntimeServer:
                     },
                     start_s=now,
                 )
+                if request.trace_parent is not None:
+                    request.trace_parent.args["served_by"] = "worker"
         shed: List[_QueuedRequest] = []
         max_queue = self.resilience.max_queue
         with self._cv:
@@ -759,7 +776,7 @@ class RuntimeServer:
             # drained the queue would never resolve.
             if self._closed or self._stopping:
                 raise CypressError("server closed")
-            here = bool(inline) and self._started and not self._queue
+            here = inline > 0 and self._started and not self._queue
             if not here:
                 queued = requests
             if queued and max_queue is not None:
@@ -772,24 +789,22 @@ class RuntimeServer:
                             f"queue full ({max_queue} requests); "
                             "submit rejected (shed policy 'reject-new')"
                         )
-                    # drop-oldest: evict the longest-queued entries
-                    # (lowest sequence number) to admit the new ones.
-                    shed = sorted(
-                        self._queue, key=lambda r: r.sort_key[1]
-                    )[:overflow]
-                    self._unqueue(shed)
+                    # drop-oldest: evict the head of the queue to admit
+                    # the new ones.
+                    shed = [
+                        self._queue.popleft()
+                        for _ in range(min(overflow, len(self._queue)))
+                    ]
             if here:
-                self._inline += len(inline)
+                self._inline += inline
             for request in requests:
-                request.sort_key = (request.sort_key[0], next(self._seq))
                 request.submitted_at = now
-            for request in queued:
-                heapq.heappush(self._queue, request)
             if queued:
+                self._queue.extend(queued)
                 self._cv.notify(len(queued))
         if shed:
-            # Outside the lock: a shed future's done-callback may
-            # re-enter the server. Every victim was admitted
+            # Outside the lock: settling a shed request may re-enter
+            # the server. Every victim was admitted
             # (counted submitted) and will never complete or fail:
             # settling it as shed keeps shed + completed + failed
             # accounting for every admitted request.
@@ -809,13 +824,14 @@ class RuntimeServer:
                  or request.kernel.exact_bucket(request.shape))
                 for request in requests
             )
-        return here
-
-    def _unqueue(self, requests: List[_QueuedRequest]) -> None:
-        """Take ``requests`` out of the heap (caller holds the lock)."""
-        chosen = set(map(id, requests))
-        self._queue = [r for r in self._queue if id(r) not in chosen]
-        heapq.heapify(self._queue)
+        if not here:
+            return
+        for batch in batches:
+            if tracer.enabled:
+                for request in batch:
+                    if request.trace_parent is not None:
+                        request.trace_parent.args["served_by"] = "submitter"
+            self._serve_inline(batch)
 
     def submit_graph(
         self,
@@ -826,16 +842,16 @@ class RuntimeServer:
         """Execute a :class:`~repro.graph.TaskGraph` on this server.
 
         Every node goes through the ordinary admission path — shape
-        bucketing, the queue at the default priority, micro-batching
-        with any other traffic — but is only admitted once its inferred
-        dependences resolve; ready nodes are admitted in uid order and
-        run concurrently across the worker pool. A ready node that
+        bucketing, :meth:`admit`, the FIFO queue, micro-batching with
+        any other traffic — but is only admitted once its inferred
+        dependences resolve; each ready set is admitted in uid order
+        and runs concurrently across the worker pool. A ready node that
         ``submit`` would serve on its calling thread (timing-only, its
         bucket warm, nothing queued) is served by the thread that
         readied it instead, in one micro-batch with its same-bucket
-        peers — so a warm graph may be done when this returns. Per-graph counters
-        land in :meth:`stats` (``graphs``, ``graph_nodes``, makespan
-        percentiles).
+        peers — so a warm graph may be done when this returns.
+        Per-graph counters land in :meth:`stats` (``graphs``,
+        ``graph_nodes``, makespan percentiles).
 
         Args:
             graph: a dependence-inferred DAG from
@@ -1023,22 +1039,23 @@ class RuntimeServer:
                     self._cv.wait()
                 if not self._queue:
                     return
-                request = heapq.heappop(self._queue)
+                request = self._queue.popleft()
                 stages = (
                     _Stages(self.tracer) if self.tracer.enabled else _UNMARKED
                 )
                 stages.enter("dispatch")
                 batch = [request]
                 if self.max_batch > 1 and self._queue:
-                    same = sorted(
-                        (
-                            other
-                            for other in self._queue
-                            if other.batch_key == request.batch_key
-                        )
-                    )[: self.max_batch - 1]
+                    same = [
+                        other
+                        for other in self._queue
+                        if other.batch_key == request.batch_key
+                    ][: self.max_batch - 1]
                     if same:
-                        self._unqueue(same)
+                        taken = set(map(id, same))
+                        self._queue = deque(
+                            r for r in self._queue if id(r) not in taken
+                        )
                         batch.extend(same)
             try:
                 self._serve(batch, stages)
@@ -1089,20 +1106,16 @@ class RuntimeServer:
         or by its holder while it queued) — only this code closes its
         ``request`` span, bumps its terminal counter and touches its
         future, so ``completed + failed + shed_requests == requests``
-        is a property of this one function. It also hands the outcome
-        back on ``request.outcome``, where the graph scheduler reads the
-        nodes it served inline. Returns whether this call settled it
-        (only the crash handler re-offers settled requests).
+        is a property of this one function. Last, it hands the outcome
+        to the slot's ``on_settle`` hook, the one way a graph node
+        settles. Returns whether this call settled it (only the crash
+        handler re-offers settled requests).
         """
         if request.stage == _SETTLED:
             return False
         claimed = request.stage == _CLAIMED
         request.stage = _SETTLED
-        request.outcome = result if error is None else error
         future, span = request.future, request.span
-        # The root span closes before the future is touched: a
-        # worker-served graph node's done-callback runs synchronously
-        # inside that call and closes this span's parent.
         if error is None:
             self.telemetry.record_result(
                 result.kernel, result.latency_s, result.tier, result.gpu.tflops
@@ -1111,14 +1124,16 @@ class RuntimeServer:
                 served = {"tier": result.tier, "batch_size": result.batch_size}
                 self.tracer.end(span, args=served)
             future.set_result(result)
-            return True
-        self.telemetry.count(counter)
-        if span is not None:
-            self.tracer.end(span, args={"error": repr(error)})
-        if isinstance(error, CancelledError):
-            future.cancel()
-        elif claimed or future.set_running_or_notify_cancel():
-            future.set_exception(error)
+        else:
+            self.telemetry.count(counter)
+            if span is not None:
+                self.tracer.end(span, args={"error": repr(error)})
+            if isinstance(error, CancelledError):
+                future.cancel()
+            elif claimed or future.set_running_or_notify_cancel():
+                future.set_exception(error)
+        if request.on_settle is not None:
+            request.on_settle(result if error is None else error)
         return True
 
     def _dispatch(self, batch: List[_QueuedRequest]) -> List[_QueuedRequest]:

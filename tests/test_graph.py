@@ -582,11 +582,11 @@ def _chain(machine, length):
 class TestCloseMidGraph:
     """``close(drain=False)`` while graphs are in flight leaves no graph
     future pending, with no registry of live graphs: ``close`` sets
-    ``_stopping`` under the queue lock, then cancels every queued node
-    (its done-callback fails the graph). A node a worker already holds
-    settles before ``close`` joins that worker, and its callback's
-    successor submit raises "server closed" (checked under the same
-    lock), which fails the graph too."""
+    ``_stopping`` under the queue lock, then settles every queued node
+    as cancelled (its settle hook fails the graph). A node a worker
+    already holds settles before ``close`` joins that worker, and its
+    hook's admission of the successors raises "server closed" (checked
+    under the same lock), which fails the graph too."""
 
     @pytest.mark.parametrize("fault_rate", [0.0, 0.3])
     def test_every_graph_future_is_done_when_close_returns(
@@ -832,17 +832,16 @@ class TestReadyWorklist:
         assert stats.completed == stats.requests == 2
 
 
-class TestInlineSettle:
-    """A node the draining thread serves itself is settled from the
-    outcome ``RuntimeServer._settle`` leaves on its request, with no
-    done-callback on its future; only worker-served nodes are followed
-    through their futures."""
+class TestOneSettlePath:
+    """Every node settles through the hook ``RuntimeServer._settle``
+    calls last, whether the draining thread or a worker served it: no
+    node future gets a done-callback."""
 
     SQUARE = dict(m=M, n=M, k=M)
 
-    @pytest.fixture()
-    def callbacks(self, monkeypatch):
-        """Every future ``add_done_callback`` is called on meanwhile."""
+    def test_no_node_future_gets_a_done_callback(self, hopper, monkeypatch):
+        from repro.kernels import transformer_block_graph
+
         spied = []
         attach = Future.add_done_callback
 
@@ -851,39 +850,6 @@ class TestInlineSettle:
             return attach(future, fn)
 
         monkeypatch.setattr(Future, "add_done_callback", spy)
-        return spied
-
-    @staticmethod
-    def _with_callbacks(execution, callbacks):
-        """Uids of the nodes whose futures got a done-callback."""
-        return sorted(
-            uid
-            for uid, future in execution.node_futures.items()
-            if any(spied is future for spied in callbacks)
-        )
-
-    def test_a_warm_graph_attaches_no_callback(self, hopper, callbacks):
-        from repro.kernels import transformer_block_graph
-
-        graph = transformer_block_graph(
-            hopper, seq=256, d_model=256, heads=2, d_ff=512
-        )
-        with RuntimeServer(hopper, workers=2) as server:
-            # Cold: the workers serve the roots, through their futures.
-            cold = server.submit_graph(graph)
-            assert cold.result(timeout=600).complete
-            assert self._with_callbacks(cold, callbacks)[:3] == [0, 1, 2]
-            warm = server.submit_graph(graph)
-            assert warm.future.done()
-            result = warm.result()
-        assert result.complete
-        assert {r.tier for r in result.results.values()} == {"memory"}
-        assert len(warm.node_futures) == len(graph)
-        assert self._with_callbacks(warm, callbacks) == []
-
-    def test_worker_served_nodes_keep_their_callback(
-        self, hopper, callbacks
-    ):
         # The alternating graph of TestReadyWorklist: nodes 1 and 3 are
         # of buckets the server has never timed, so workers serve them;
         # the warm nodes are served by the thread that readies them.
@@ -903,13 +869,46 @@ class TestInlineSettle:
                 after=previous,
             )
             previous = (node,)
-        graph = gb.build()
+        block = transformer_block_graph(
+            hopper, seq=256, d_model=256, heads=2, d_ff=512
+        )
+        executions = []
         with RuntimeServer(hopper, workers=2) as server:
             server.warm("gemm", [warm])
-            execution = server.submit_graph(graph)
-            result = execution.result(timeout=120)
-        assert len(result.results) == len(graph)
-        assert self._with_callbacks(execution, callbacks) == [1, 3]
+            executions.append(server.submit_graph(gb.build()))
+            assert executions[-1].result(timeout=120).complete
+            # Cold, the workers serve the block's roots; warm, the
+            # thread that calls submit_graph serves every node.
+            executions.append(server.submit_graph(block))
+            assert executions[-1].result(timeout=600).complete
+            executions.append(server.submit_graph(block))
+            assert executions[-1].future.done()
+            result = executions[-1].result()
+        assert {r.tier for r in result.results.values()} == {"memory"}
+        for execution in executions:
+            futures = execution.node_futures
+            assert len(futures) == len(execution.graph)
+            assert all(future.done() for future in futures.values())
+            assert not [
+                uid for uid, future in futures.items()
+                if any(spied_future is future for spied_future in spied)
+            ]
+
+    def test_a_failing_settle_fails_the_graph_not_the_server(
+        self, hopper, monkeypatch
+    ):
+        from repro.graph.scheduler import GraphScheduler
+
+        def finish_fails(self, state):
+            raise RuntimeError("finishing failed")
+
+        monkeypatch.setattr(GraphScheduler, "_finish", finish_fails)
+        with RuntimeServer(hopper, workers=2) as server:
+            execution = server.submit_graph(_chain(hopper, 3))
+            error = execution.future.exception(timeout=30)
+            stats = server.stats()
+        assert isinstance(error, RuntimeError)
+        assert stats.completed == stats.requests == 3
 
 
 class TestBucketValidation:

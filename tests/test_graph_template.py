@@ -281,6 +281,21 @@ def _chain(machine, registry=None, cache=template_cache, depth=2):
     return gb.build()
 
 
+def _launch_square(gb, extent, side=512):
+    """One ``gemm`` launch of ``m=extent`` on fresh ``side``-square
+    tensors of ``gb``."""
+    index = f"{len(gb)}_{extent!r}"
+    return gb.launch(
+        "gemm",
+        dict(m=extent, n=side, k=side),
+        reads=dict(
+            A=gb.tensor(f"A{index}", (side, side)),
+            B=gb.tensor(f"B{index}", (side, side)),
+        ),
+        writes=dict(C=gb.tensor(f"C{index}", (side, side))),
+    )
+
+
 class TestMachineContent:
     def test_a_same_name_machine_of_other_content_misses_the_template(
         self, hopper
@@ -305,6 +320,23 @@ class TestPlanReplay:
         second = _chain(hopper, registry)
         assert len(calls) == 1
         assert second.nodes[0].build is first.nodes[0].build
+
+    def test_an_extent_not_a_positive_int_never_reaches_the_memo(
+        self, hopper
+    ):
+        # 512.0 == 512 and they hash alike: a plan memo consulted before
+        # the check would serve, or store, one under the other's key.
+        with pytest.raises(CypressError, match="positive integer"):
+            _launch_square(GraphBuilder(hopper), 512.0)
+        gb = GraphBuilder(hopper)
+        assert _launch_square(gb, 512).build.name == "gemm_512x512x512"
+        for bad in (512.0, True, 0, -512):
+            with pytest.raises(CypressError, match="positive integer"):
+                _launch_square(gb, bad)
+            with pytest.raises(CypressError, match="positive integer"):
+                _launch_square(GraphBuilder(hopper), bad)
+        again = _launch_square(GraphBuilder(hopper), 512)
+        assert again.build.name == "gemm_512x512x512"
 
     def test_without_a_cache_every_capture_builds(self, hopper):
         registry, calls = _counting_registry()

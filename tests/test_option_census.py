@@ -49,6 +49,8 @@ CENSUS = [
             "specialize", "trace", "flight", "resilience", "diag", "start",
         ],
     ),
+    (RuntimeServer.submit, ["inputs", "deadline"]),
+    (RuntimeServer.submit_graph, ["inputs"]),
     (api.serve, ["**options"]),
     (DiskCacheTier.__init__, ["max_bytes", "max_quarantine"]),
     (FlightRecorder.__init__, ["capacity", "path", "max_dumps"]),

@@ -417,24 +417,26 @@ class TestConcurrency:
         finally:
             server.close()
 
-    def test_priority_orders_service(self, hopper, registry):
+    def test_queue_serves_in_submission_order(self, hopper, registry):
         order = []
         server = RuntimeServer(
             hopper, registry, workers=1, max_batch=1, start=False
         )
         try:
-            low = server.submit(
-                "gemm", dict(m=128, n=256, k=64), priority=0
-            )
-            high = server.submit(
-                "gemm", dict(m=256, n=256, k=64), priority=10
-            )
-            low.add_done_callback(lambda f: order.append("low"))
-            high.add_done_callback(lambda f: order.append("high"))
+            shapes = {
+                "first": dict(m=256, n=256, k=64),
+                "second": dict(m=128, n=256, k=64),
+                "third": dict(m=256, n=128, k=64),
+            }
+            futures = [
+                server.submit("gemm", shape) for shape in shapes.values()
+            ]
+            for name, future in zip(shapes, futures):
+                future.add_done_callback(lambda f, n=name: order.append(n))
             server.start()
-            low.result(timeout=120)
-            high.result(timeout=120)
-            assert order == ["high", "low"]
+            for future in futures:
+                future.result(timeout=120)
+            assert order == ["first", "second", "third"]
         finally:
             server.close()
 
