@@ -320,8 +320,9 @@ def serve(machine: MachineModel, **options: Any) -> "RuntimeServer":
     a context manager. :class:`~repro.runtime.RuntimeServer` documents
     every keyword — ``registry``, ``workers``, ``disk_cache``,
     ``max_batch``, ``speculate``, ``specialize``, ``trace``,
-    ``flight``, ``resilience``, ``diag`` — and ``docs/serving.md``,
-    ``docs/resilience.md`` and ``docs/ops.md`` are the guides.
+    ``flight``, ``resilience``, ``diag``, ``faults`` — and
+    ``docs/serving.md``, ``docs/resilience.md`` and ``docs/ops.md``
+    are the guides.
     """
     from repro.runtime import RuntimeServer
 

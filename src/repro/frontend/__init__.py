@@ -1,6 +1,7 @@
 """The Cypress embedded DSL (paper section 3, Figures 3 and 5).
 
-Programs are written as Python functions decorated with :func:`task`.
+Programs are written as Python functions decorated with a registry's
+:meth:`~TaskRegistry.task`.
 Inner variants may create tensors, partition them, and launch sub-tasks
 (inline, via :func:`srange`, or via :func:`prange`); leaf variants invoke
 registered external functions. Mapping specifications bind the task tree
@@ -13,10 +14,6 @@ from repro.frontend.task import (
     Leaf,
     TaskRegistry,
     TaskVariant,
-    external_function,
-    get_registry,
-    task,
-    use_registry,
 )
 from repro.frontend.context import (
     call_external,
@@ -43,10 +40,6 @@ __all__ = [
     "Leaf",
     "TaskRegistry",
     "TaskVariant",
-    "task",
-    "use_registry",
-    "get_registry",
-    "external_function",
     "launch",
     "srange",
     "prange",

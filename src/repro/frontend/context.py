@@ -23,7 +23,7 @@ from repro.frontend.stmts import (
     Statement,
     TaskTrace,
 )
-from repro.frontend.task import TaskRegistry, TaskVariant, get_registry
+from repro.frontend.task import TaskRegistry, TaskVariant
 from repro.numbering import next_number
 from repro.sym import Var
 from repro.tensors.dtype import DType
@@ -213,8 +213,8 @@ def call_external(function: str, *args: Any) -> None:
 def trace_variant(
     variant: TaskVariant,
     args: Sequence[Any],
-    tunables: Optional[Dict[str, Any]] = None,
-    registry: Optional[TaskRegistry] = None,
+    tunables: Optional[Dict[str, Any]],
+    registry: TaskRegistry,
 ) -> TaskTrace:
     """Trace one task variant applied to concrete argument references.
 
@@ -225,7 +225,6 @@ def trace_variant(
         tunables: tunable bindings from the mapping specification.
         registry: the task registry for launch resolution.
     """
-    registry = registry or get_registry()
     if len(args) != len(variant.params):
         raise TraceError(
             f"variant {variant.variant_name!r} takes "

@@ -11,7 +11,6 @@ for the arbitrary CUDA C++ a leaf may call.
 
 from __future__ import annotations
 
-import contextlib
 import inspect
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
@@ -98,7 +97,12 @@ class ExternalFunction:
 
 
 class TaskRegistry:
-    """All tasks, variants, and external functions of a program."""
+    """All tasks, variants, and external functions of a program.
+
+    A program is recorded into the registry it is declared with:
+    ``@registry.task(...)`` and ``@registry.external_function(...)``
+    register into ``registry`` and nowhere else.
+    """
 
     def __init__(self) -> None:
         self.variants: Dict[str, TaskVariant] = {}
@@ -161,98 +165,76 @@ class TaskRegistry:
             )
         return self.externals[name]
 
+    # -- decorators ----------------------------------------------------
+    def task(
+        self,
+        task_name: str,
+        kind: str,
+        reads: Sequence[str] = (),
+        writes: Sequence[str] = (),
+    ) -> Callable[[Callable], TaskVariant]:
+        """Declare a task variant in this registry (the ``@task`` of the
+        paper's Figure 5a).
 
-_DEFAULT_REGISTRY = TaskRegistry()
-_ACTIVE_REGISTRY = _DEFAULT_REGISTRY
-
-
-def get_registry() -> TaskRegistry:
-    """The registry new ``@task`` definitions are recorded into."""
-    return _ACTIVE_REGISTRY
-
-
-@contextlib.contextmanager
-def use_registry(registry: TaskRegistry):
-    """Temporarily direct ``@task`` registrations into ``registry``.
-
-    Tests use this to build isolated programs without polluting the
-    global kernel zoo.
-    """
-    global _ACTIVE_REGISTRY
-    previous = _ACTIVE_REGISTRY
-    _ACTIVE_REGISTRY = registry
-    try:
-        yield registry
-    finally:
-        _ACTIVE_REGISTRY = previous
-
-
-def task(
-    task_name: str,
-    kind: str,
-    reads: Sequence[str] = (),
-    writes: Sequence[str] = (),
-    registry: Optional[TaskRegistry] = None,
-) -> Callable[[Callable], TaskVariant]:
-    """Declare a task variant (the ``@task`` of the paper's Figure 5a).
-
-    Args:
-        task_name: the task being implemented; several variants may share
-            this name.
-        kind: ``Inner`` or ``Leaf``.
-        reads: names of parameters read by this variant.
-        writes: names of parameters written by this variant.
-        registry: target registry; defaults to the active one.
-    """
-    if kind not in (Inner, Leaf):
-        raise TraceError(f"task kind must be Inner or Leaf, got {kind!r}")
-
-    def decorate(fn: Callable) -> TaskVariant:
-        params = tuple(inspect.signature(fn).parameters)
-        tensor_names = set(reads) | set(writes)
-        unknown = tensor_names - set(params)
-        if unknown:
+        Args:
+            task_name: the task being implemented; several variants may
+                share this name.
+            kind: ``Inner`` or ``Leaf``.
+            reads: names of parameters read by this variant.
+            writes: names of parameters written by this variant.
+        """
+        if kind not in (Inner, Leaf):
             raise TraceError(
-                f"privileges name unknown parameters {sorted(unknown)} on "
-                f"variant {fn.__name__!r}"
+                f"task kind must be Inner or Leaf, got {kind!r}"
             )
-        privileges = {
-            name: Privilege.combine(name in set(reads), name in set(writes))
-            for name in params
-            if name in tensor_names
-        }
-        variant = TaskVariant(
-            task_name=task_name,
-            variant_name=fn.__name__,
-            kind=kind,
-            fn=fn,
-            params=params,
-            privileges=privileges,
-        )
-        (registry or get_registry()).register_variant(variant)
-        return variant
 
-    return decorate
+        def decorate(fn: Callable) -> TaskVariant:
+            params = tuple(inspect.signature(fn).parameters)
+            tensor_names = set(reads) | set(writes)
+            unknown = tensor_names - set(params)
+            if unknown:
+                raise TraceError(
+                    f"privileges name unknown parameters {sorted(unknown)} "
+                    f"on variant {fn.__name__!r}"
+                )
+            privileges = {
+                name: Privilege.combine(
+                    name in set(reads), name in set(writes)
+                )
+                for name in params
+                if name in tensor_names
+            }
+            variant = TaskVariant(
+                task_name=task_name,
+                variant_name=fn.__name__,
+                kind=kind,
+                fn=fn,
+                params=params,
+                privileges=privileges,
+            )
+            self.register_variant(variant)
+            return variant
 
+        return decorate
 
-def external_function(
-    name: str,
-    cost_kind: str,
-    flops_fn: Optional[Callable] = None,
-    collective: bool = False,
-    registry: Optional[TaskRegistry] = None,
-) -> Callable[[Callable], ExternalFunction]:
-    """Register a numpy implementation callable from leaf tasks."""
+    def external_function(
+        self,
+        name: str,
+        cost_kind: str,
+        flops_fn: Optional[Callable] = None,
+        collective: bool = False,
+    ) -> Callable[[Callable], ExternalFunction]:
+        """Register a numpy implementation callable from leaf tasks."""
 
-    def decorate(fn: Callable) -> ExternalFunction:
-        ext = ExternalFunction(
-            name=name,
-            numpy_impl=fn,
-            cost_kind=cost_kind,
-            flops_fn=flops_fn,
-            collective=collective,
-        )
-        (registry or get_registry()).register_external(ext)
-        return ext
+        def decorate(fn: Callable) -> ExternalFunction:
+            ext = ExternalFunction(
+                name=name,
+                numpy_impl=fn,
+                cost_kind=cost_kind,
+                flops_fn=flops_fn,
+                collective=collective,
+            )
+            self.register_external(ext)
+            return ext
 
-    return decorate
+        return decorate

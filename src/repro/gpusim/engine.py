@@ -14,8 +14,7 @@ from dataclasses import dataclass
 from typing import Dict
 
 from repro.errors import SimulationError
-from repro.gpusim.roofline import roofline
-from repro.machine.machine import MachineModel
+from repro.gpusim.roofline import Roofline
 
 
 @dataclass
@@ -40,10 +39,11 @@ class Resource:
 
 
 class ResourcePool:
-    """The per-SM resources one CTA contends for, plus service models."""
+    """The per-SM resources one CTA contends for, plus service models
+    at the rates of ``roof`` (a machine's
+    :func:`~repro.gpusim.roofline.roofline`)."""
 
-    def __init__(self, machine: MachineModel):
-        self.machine = machine
+    def __init__(self, roof: Roofline):
         self.resources: Dict[str, Resource] = {
             name: Resource(name)
             for name in ("tma", "tensor", "simt", "sfu", "smem", "lsu")
@@ -51,7 +51,6 @@ class ResourcePool:
         # All service rates come from the shared roofline derivation so
         # the analytic cost model and the simulator agree on the
         # hardware's capabilities (repro.gpusim.roofline).
-        roof = roofline(machine)
         self._tensor_flops_per_cycle = roof.tensor_flops_per_cycle
         self._simt_flops_per_cycle = roof.simt_flops_per_cycle
         self._sfu_ops_per_cycle = roof.sfu_ops_per_cycle

@@ -32,7 +32,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.errors import SimulationError
 from repro.gpusim.engine import ResourcePool
 from repro.gpusim.kernel import Instr, KernelSchedule, Segment
-from repro.machine.machine import MachineModel
+from repro.gpusim.roofline import Roofline
 
 
 @dataclass
@@ -58,11 +58,10 @@ class _Item:
 _Key = Tuple[int, int, int]
 
 
-def simulate_cta(
-    schedule: KernelSchedule, machine: MachineModel
-) -> CtaResult:
-    """Simulate one CTA of ``schedule`` on ``machine``."""
-    pool = ResourcePool(machine)
+def simulate_cta(schedule: KernelSchedule, roof: Roofline) -> CtaResult:
+    """Simulate one CTA of ``schedule`` at the rates of ``roof`` (a
+    machine's :func:`~repro.gpusim.roofline.roofline`)."""
+    pool = ResourcePool(roof)
     streams = _build_streams(schedule)
     # Instances of each dynamic instruction still to issue, the latest
     # finish among those that have, and — once none is left — the time

@@ -55,8 +55,8 @@ def simulate_kernel(
     schedule: KernelSchedule, machine: MachineModel
 ) -> GpuResult:
     """Simulate a kernel launch; returns timing and TFLOP/s."""
-    cta = simulate_cta(schedule, machine)
     roof = roofline(machine)
+    cta = simulate_cta(schedule, roof)
     ctas_per_sm = occupancy(
         roof,
         schedule.smem_bytes_per_cta,

@@ -5,7 +5,7 @@ whole-GPU model (:mod:`repro.gpusim.gpu`), and the analytic cost
 model (:mod:`repro.tuner.costmodel`) all need the same derived
 quantities: per-SM service rates for each resource, whole-device
 bandwidth in bytes per cycle, latency and issue costs, and occupancy
-limits. :func:`roofline` computes them once from ``machine.specs``.
+limits. :func:`roofline` derives them from ``machine.specs``.
 
 Both timing paths then end in the same two calls: :func:`occupancy`
 (CTAs resident per SM) and :func:`launch` (waves, multi-CTA
@@ -19,9 +19,8 @@ disagree about what the hardware is capable of or how a grid fills it
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass
-from typing import Dict, Iterable, Tuple
+from typing import Iterable
 
 from repro.machine.machine import MachineModel
 from repro.machine.memory import MemoryKind
@@ -213,15 +212,11 @@ def launch(
     )
 
 
-#: Derived rooflines per live machine object. Machines are frozen
-#: dataclasses (treated as immutable), but their dict fields make them
-#: unhashable, so the cache is keyed by id() with a weak reference
-#: guarding against id reuse after collection.
-_CACHE: Dict[int, Tuple["weakref.ref", Roofline]] = {}
-
-
 def roofline(machine: MachineModel) -> Roofline:
-    """The :class:`Roofline` of ``machine`` (cached per machine object).
+    """The :class:`Roofline` of ``machine``, derived from its current
+    ``specs`` on every call (no memo: a machine whose specs change in
+    place reads its new rates, as its ``content_key`` does). A caller
+    that needs it several times derives it once and hands it down.
 
     Args:
         machine: the machine model to derive rates from. Must define
@@ -238,17 +233,6 @@ def roofline(machine: MachineModel) -> Roofline:
     Raises:
         MachineError: an essential spec is missing.
     """
-    entry = _CACHE.get(id(machine))
-    if entry is not None and entry[0]() is machine:
-        return entry[1]
-    key = id(machine)
-    ref = weakref.ref(machine, lambda _r, _k=key: _CACHE.pop(_k, None))
-    roof = _derive(machine)
-    _CACHE[key] = (ref, roof)
-    return roof
-
-
-def _derive(machine: MachineModel) -> Roofline:
     specs = machine.specs
     sm_count = machine.spec("sm_count")
     clock_hz = machine.spec("clock_ghz") * 1e9

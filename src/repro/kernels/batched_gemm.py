@@ -8,8 +8,7 @@ the Figure 5 GEMM, demonstrating task-variant reuse across kernels.
 
 from __future__ import annotations
 
-from repro.frontend import Inner, task, use_registry
-from repro.frontend import launch, prange, tunable
+from repro.frontend import Inner, launch, prange, tunable
 from repro.frontend.mapping import MappingSpec, TaskMapping
 from repro.machine.machine import MachineModel
 from repro.machine.memory import MemoryKind
@@ -20,24 +19,23 @@ from repro.kernels.common import kernel_registry
 from repro.kernels.common import KernelBuild
 from repro.kernels.gemm import gemm_mappings
 
-with use_registry(kernel_registry):
 
-    @task("bgemm", Inner, reads=["A", "B"], writes=["C"])
-    def bgemm_host(C, A, B):
-        u, v = tunable("U"), tunable("V")
-        batch, m, n = C.shape
-        k = A.shape[2]
-        cp = partition_by_blocks(C, (1, u, v))
-        ap = partition_by_blocks(A, (1, u, k))
-        bp = partition_by_blocks(B, (1, k, v))
-        for idx in prange(batch, -(-m // u), -(-n // v)):
-            b, i, j = idx
-            launch(
-                "gemm",
-                squeeze(cp[b, i, j]),
-                squeeze(ap[b, i, 0]),
-                squeeze(bp[b, 0, j]),
-            )
+@kernel_registry.task("bgemm", Inner, reads=["A", "B"], writes=["C"])
+def bgemm_host(C, A, B):
+    u, v = tunable("U"), tunable("V")
+    batch, m, n = C.shape
+    k = A.shape[2]
+    cp = partition_by_blocks(C, (1, u, v))
+    ap = partition_by_blocks(A, (1, u, k))
+    bp = partition_by_blocks(B, (1, k, v))
+    for idx in prange(batch, -(-m // u), -(-n // v)):
+        b, i, j = idx
+        launch(
+            "gemm",
+            squeeze(cp[b, i, j]),
+            squeeze(ap[b, i, 0]),
+            squeeze(bp[b, 0, j]),
+        )
 
 
 def build_batched_gemm(

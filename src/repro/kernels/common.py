@@ -16,7 +16,6 @@ import numpy as np
 
 from repro.frontend.mapping import MappingSpec
 from repro.frontend.task import TaskRegistry
-from repro.frontend import external_function, task, use_registry
 from repro.frontend import Inner, Leaf, call_external, launch, prange, tunable
 from repro.machine.processor import ProcessorKind
 from repro.tensors import (
@@ -66,88 +65,97 @@ def _prod(shape) -> int:
     return out
 
 
-with use_registry(kernel_registry):
-    # ------------------------------------------------------------------
-    # External leaf functions
-    # ------------------------------------------------------------------
-    @external_function(
-        "wgmma_f16",
-        cost_kind="wgmma",
-        flops_fn=lambda shapes: 2 * _prod(shapes[0]) * shapes[1][-1],
-    )
-    def wgmma_f16(C: np.ndarray, A: np.ndarray, B: np.ndarray) -> None:
-        """Warpgroup MMA: C += A @ B with FP32 accumulation.
+# ------------------------------------------------------------------
+# External leaf functions
+# ------------------------------------------------------------------
+# Two docstrings below keep a deeper indent on their continuation
+# lines: a docstring is a constant of its function's code, which every
+# compile key hashes (MappingSpec.fingerprint), so re-indenting one
+# would move every key.
+@kernel_registry.external_function(
+    "wgmma_f16",
+    cost_kind="wgmma",
+    flops_fn=lambda shapes: 2 * _prod(shapes[0]) * shapes[1][-1],
+)
+def wgmma_f16(C: np.ndarray, A: np.ndarray, B: np.ndarray) -> None:
+    """Warpgroup MMA: C += A @ B with FP32 accumulation.
 
         Called per thread on co-aligned fragments: C holds the thread's
         Figure-4 output elements, A the matching rows (all K), B the
         matching columns (all K).
         """
-        acc = A.astype(np.float32) @ B.astype(np.float32)
-        C += acc.astype(C.dtype)
+    acc = A.astype(np.float32) @ B.astype(np.float32)
+    C += acc.astype(C.dtype)
 
-    @external_function(
-        "wgmma_f16_st",
-        cost_kind="wgmma",
-        flops_fn=lambda shapes: 2 * _prod(shapes[0]) * shapes[1][-1],
-    )
-    def wgmma_f16_st(C: np.ndarray, A: np.ndarray, B: np.ndarray) -> None:
-        """Warpgroup MMA, overwriting: C = A @ B (FP32 accumulate)."""
-        acc = A.astype(np.float32) @ B.astype(np.float32)
-        C[...] = acc.astype(C.dtype)
 
-    @external_function(
-        "copy_tile_reg",
-        cost_kind="simt",
-        flops_fn=lambda shapes: _prod(shapes[0]) // 4,
-    )
-    def copy_tile_reg(dst: np.ndarray, src: np.ndarray) -> None:
-        """Register-to-register tile copy (Flash Attention 3's S copy)."""
-        dst[...] = src.astype(dst.dtype)
+@kernel_registry.external_function(
+    "wgmma_f16_st",
+    cost_kind="wgmma",
+    flops_fn=lambda shapes: 2 * _prod(shapes[0]) * shapes[1][-1],
+)
+def wgmma_f16_st(C: np.ndarray, A: np.ndarray, B: np.ndarray) -> None:
+    """Warpgroup MMA, overwriting: C = A @ B (FP32 accumulate)."""
+    acc = A.astype(np.float32) @ B.astype(np.float32)
+    C[...] = acc.astype(C.dtype)
 
-    @external_function(
-        "zero_frag",
-        cost_kind="simt",
-        flops_fn=lambda shapes: _prod(shapes[0]),
-    )
-    def zero_frag(C: np.ndarray) -> None:
-        """Zero-initialize a register fragment."""
-        C[...] = 0
 
-    @external_function(
-        "tma_store_tile",
-        cost_kind="tma_store",
-        flops_fn=lambda shapes: 0,
-    )
-    def tma_store_tile(dst: np.ndarray, src: np.ndarray) -> None:
-        """TMA bulk store of a staged shared-memory tile."""
-        dst[...] = src.astype(dst.dtype)
+@kernel_registry.external_function(
+    "copy_tile_reg",
+    cost_kind="simt",
+    flops_fn=lambda shapes: _prod(shapes[0]) // 4,
+)
+def copy_tile_reg(dst: np.ndarray, src: np.ndarray) -> None:
+    """Register-to-register tile copy (Flash Attention 3's S copy)."""
+    dst[...] = src.astype(dst.dtype)
 
-    @external_function(
-        "row_sum_accum",
-        cost_kind="simt",
-        flops_fn=lambda shapes: _prod(shapes[1]),
-    )
-    def row_sum_accum(y: np.ndarray, A: np.ndarray) -> None:
-        """y += sum of A along its last axis (GEMM+Reduction leaf)."""
-        y += A.astype(np.float32).sum(axis=-1).astype(y.dtype)
 
-    _NEG_INF = -1.0e30
+@kernel_registry.external_function(
+    "zero_frag",
+    cost_kind="simt",
+    flops_fn=lambda shapes: _prod(shapes[0]),
+)
+def zero_frag(C: np.ndarray) -> None:
+    """Zero-initialize a register fragment."""
+    C[...] = 0
 
-    @external_function(
-        "online_softmax_update",
-        cost_kind="sfu",
-        # One exp per score element dominates; reductions ride along.
-        flops_fn=lambda shapes: 2 * _prod(shapes[3]),
-    )
-    def online_softmax_update(
-        m: np.ndarray,
-        l: np.ndarray,
-        acc: np.ndarray,
-        S: np.ndarray,
-        P: np.ndarray,
-        scale: float,
-    ) -> None:
-        """One online-softmax step of Flash Attention.
+
+@kernel_registry.external_function(
+    "tma_store_tile",
+    cost_kind="tma_store",
+    flops_fn=lambda shapes: 0,
+)
+def tma_store_tile(dst: np.ndarray, src: np.ndarray) -> None:
+    """TMA bulk store of a staged shared-memory tile."""
+    dst[...] = src.astype(dst.dtype)
+
+
+@kernel_registry.external_function(
+    "row_sum_accum",
+    cost_kind="simt",
+    flops_fn=lambda shapes: _prod(shapes[1]),
+)
+def row_sum_accum(y: np.ndarray, A: np.ndarray) -> None:
+    """y += sum of A along its last axis (GEMM+Reduction leaf)."""
+    y += A.astype(np.float32).sum(axis=-1).astype(y.dtype)
+
+_NEG_INF = -1.0e30
+
+
+@kernel_registry.external_function(
+    "online_softmax_update",
+    cost_kind="sfu",
+    # One exp per score element dominates; reductions ride along.
+    flops_fn=lambda shapes: 2 * _prod(shapes[3]),
+)
+def online_softmax_update(
+    m: np.ndarray,
+    l: np.ndarray,
+    acc: np.ndarray,
+    S: np.ndarray,
+    P: np.ndarray,
+    scale: float,
+) -> None:
+    """One online-softmax step of Flash Attention.
 
         Updates the running row max ``m`` and row sum ``l`` with the
         scaled score tile ``S``, rescales the output accumulator ``acc``
@@ -156,74 +164,79 @@ with use_registry(kernel_registry):
         makes the Flash-Attention-3 software-pipeline prologue (an
         all-sentinel score buffer) a no-op.
         """
-        s32 = S.astype(np.float32) * scale
-        s32 = np.where(S.astype(np.float32) <= _NEG_INF / 2, -np.inf, s32)
-        m_new = np.maximum(m, s32.max(axis=-1, keepdims=True))
-        live = m_new > -np.inf
-        p = np.where(live, np.exp(s32 - np.where(live, m_new, 0.0)), 0.0)
-        rescale = np.where(live, np.exp(m - np.where(live, m_new, 0.0)), 1.0)
-        l[...] = rescale * l + p.sum(axis=-1, keepdims=True)
-        acc *= rescale.astype(acc.dtype)
-        m[...] = np.where(live, m_new, m)
-        P[...] = p.astype(P.dtype)
+    s32 = S.astype(np.float32) * scale
+    s32 = np.where(S.astype(np.float32) <= _NEG_INF / 2, -np.inf, s32)
+    m_new = np.maximum(m, s32.max(axis=-1, keepdims=True))
+    live = m_new > -np.inf
+    p = np.where(live, np.exp(s32 - np.where(live, m_new, 0.0)), 0.0)
+    rescale = np.where(live, np.exp(m - np.where(live, m_new, 0.0)), 1.0)
+    l[...] = rescale * l + p.sum(axis=-1, keepdims=True)
+    acc *= rescale.astype(acc.dtype)
+    m[...] = np.where(live, m_new, m)
+    P[...] = p.astype(P.dtype)
 
-    @external_function(
-        "init_softmax_state",
-        cost_kind="simt",
-        flops_fn=lambda shapes: _prod(shapes[0]),
-    )
-    def init_softmax_state(m: np.ndarray, l: np.ndarray) -> None:
-        """Initialize the online-softmax running max and sum."""
-        m[...] = _NEG_INF
-        l[...] = 0.0
 
-    @external_function(
-        "fill_neg_inf",
-        cost_kind="simt",
-        flops_fn=lambda shapes: _prod(shapes[0]) // 4,
-    )
-    def fill_neg_inf(S: np.ndarray) -> None:
-        """Fill a score buffer with the -inf sentinel (FA3 prologue)."""
-        S[...] = _NEG_INF
+@kernel_registry.external_function(
+    "init_softmax_state",
+    cost_kind="simt",
+    flops_fn=lambda shapes: _prod(shapes[0]),
+)
+def init_softmax_state(m: np.ndarray, l: np.ndarray) -> None:
+    """Initialize the online-softmax running max and sum."""
+    m[...] = _NEG_INF
+    l[...] = 0.0
 
-    @external_function(
-        "softmax_finalize",
-        cost_kind="simt",
-        flops_fn=lambda shapes: 2 * _prod(shapes[0]),
-    )
-    def softmax_finalize(acc: np.ndarray, l: np.ndarray) -> None:
-        """Divide the attention accumulator by the softmax row sums."""
-        acc /= np.maximum(l, 1e-20).astype(acc.dtype)
 
-    # ------------------------------------------------------------------
-    # The `clear` task tree (zero an accumulator, Figure 8a)
-    # ------------------------------------------------------------------
-    @task("clear", Inner, writes=["C"])
-    def clear_block(C):
-        wgs = tunable("WGS")
-        m, n = C.shape
-        pieces = partition_by_blocks(C, (m // wgs, n))
-        for i in prange(wgs):
-            launch("clear", pieces[i, 0])
+@kernel_registry.external_function(
+    "fill_neg_inf",
+    cost_kind="simt",
+    flops_fn=lambda shapes: _prod(shapes[0]) // 4,
+)
+def fill_neg_inf(S: np.ndarray) -> None:
+    """Fill a score buffer with the -inf sentinel (FA3 prologue)."""
+    S[...] = _NEG_INF
 
-    @task("clear", Inner, writes=["C"])
-    def clear_inner(C):
-        pieces_count = tunable("PIECES")
-        proc = tunable("PROC")
-        pieces = partition_by_mma(C, WGMMA_64x256x16(), proc, "C")
-        for i in prange(pieces_count):
-            launch("clear", pieces[i])
 
-    @task("clear", Leaf, writes=["C"])
-    def clear_thread(C):
-        call_external("zero_frag", C)
+@kernel_registry.external_function(
+    "softmax_finalize",
+    cost_kind="simt",
+    flops_fn=lambda shapes: 2 * _prod(shapes[0]),
+)
+def softmax_finalize(acc: np.ndarray, l: np.ndarray) -> None:
+    """Divide the attention accumulator by the softmax row sums."""
+    acc /= np.maximum(l, 1e-20).astype(acc.dtype)
 
-    # ------------------------------------------------------------------
-    # The `copy` task (accumulator -> global through smem + TMA store)
-    # ------------------------------------------------------------------
-    @task("copy", Leaf, reads=["src"], writes=["dst"])
-    def copy_store(dst, src):
-        call_external("tma_store_tile", dst, src)
+# ------------------------------------------------------------------
+# The `clear` task tree (zero an accumulator, Figure 8a)
+# ------------------------------------------------------------------
+@kernel_registry.task("clear", Inner, writes=["C"])
+def clear_block(C):
+    wgs = tunable("WGS")
+    m, n = C.shape
+    pieces = partition_by_blocks(C, (m // wgs, n))
+    for i in prange(wgs):
+        launch("clear", pieces[i, 0])
+
+
+@kernel_registry.task("clear", Inner, writes=["C"])
+def clear_inner(C):
+    pieces_count = tunable("PIECES")
+    proc = tunable("PROC")
+    pieces = partition_by_mma(C, WGMMA_64x256x16(), proc, "C")
+    for i in prange(pieces_count):
+        launch("clear", pieces[i])
+
+
+@kernel_registry.task("clear", Leaf, writes=["C"])
+def clear_thread(C):
+    call_external("zero_frag", C)
+
+# ------------------------------------------------------------------
+# The `copy` task (accumulator -> global through smem + TMA store)
+# ------------------------------------------------------------------
+@kernel_registry.task("copy", Leaf, reads=["src"], writes=["dst"])
+def copy_store(dst, src):
+    call_external("tma_store_tile", dst, src)
 
 
 def clear_tree_mappings(wgs: int) -> list:

@@ -11,8 +11,7 @@ that Cypress sustains GEMM-level throughput here while Triton loses
 
 from __future__ import annotations
 
-from repro.frontend import Inner, task, use_registry
-from repro.frontend import launch, make_tensor, prange, srange, tunable
+from repro.frontend import Inner, launch, make_tensor, prange, srange, tunable
 from repro.frontend.mapping import MappingSpec, TaskMapping
 from repro.machine.machine import MachineModel
 from repro.machine.memory import MemoryKind
@@ -26,35 +25,39 @@ from repro.kernels.common import (
 from repro.kernels.common import KernelBuild
 from repro.kernels.gemm import gemm_tile_mappings
 
-with use_registry(kernel_registry):
 
-    @task("dual_gemm", Inner, reads=["A", "B1", "B2"], writes=["C"])
-    def dual_gemm_host(C, A, B1, B2):
-        u, v = tunable("U"), tunable("V")
-        m, n, k = C.shape[0], C.shape[1], A.shape[1]
-        cp = partition_by_blocks(C, (u, v))
-        ap = partition_by_blocks(A, (u, k))
-        b1p = partition_by_blocks(B1, (k, v))
-        b2p = partition_by_blocks(B2, (k, v))
-        for ij in prange(-(-m // u), -(-n // v)):
-            i, j = ij
-            launch(
-                "dual_gemm", cp[i, j], ap[i, 0], b1p[0, j], b2p[0, j]
-            )
+@kernel_registry.task(
+    "dual_gemm", Inner, reads=["A", "B1", "B2"], writes=["C"]
+)
+def dual_gemm_host(C, A, B1, B2):
+    u, v = tunable("U"), tunable("V")
+    m, n, k = C.shape[0], C.shape[1], A.shape[1]
+    cp = partition_by_blocks(C, (u, v))
+    ap = partition_by_blocks(A, (u, k))
+    b1p = partition_by_blocks(B1, (k, v))
+    b2p = partition_by_blocks(B2, (k, v))
+    for ij in prange(-(-m // u), -(-n // v)):
+        i, j = ij
+        launch(
+            "dual_gemm", cp[i, j], ap[i, 0], b1p[0, j], b2p[0, j]
+        )
 
-    @task("dual_gemm", Inner, reads=["A", "B1", "B2"], writes=["C"])
-    def dual_gemm_block(C, A, B1, B2):
-        w = tunable("W")
-        m, n, k = C.shape[0], C.shape[1], A.shape[1]
-        ap = partition_by_blocks(A, (m, w))
-        b1p = partition_by_blocks(B1, (w, n))
-        b2p = partition_by_blocks(B2, (w, n))
-        acc = make_tensor((m, n), f16, name="Cacc")
-        launch("clear", acc)
-        for kk in srange(-(-k // w)):
-            launch("gemm", acc, ap[0, kk], b1p[kk, 0])
-            launch("gemm", acc, ap[0, kk], b2p[kk, 0])
-        launch("copy", C, acc)
+
+@kernel_registry.task(
+    "dual_gemm", Inner, reads=["A", "B1", "B2"], writes=["C"]
+)
+def dual_gemm_block(C, A, B1, B2):
+    w = tunable("W")
+    m, n, k = C.shape[0], C.shape[1], A.shape[1]
+    ap = partition_by_blocks(A, (m, w))
+    b1p = partition_by_blocks(B1, (w, n))
+    b2p = partition_by_blocks(B2, (w, n))
+    acc = make_tensor((m, n), f16, name="Cacc")
+    launch("clear", acc)
+    for kk in srange(-(-k // w)):
+        launch("gemm", acc, ap[0, kk], b1p[kk, 0])
+        launch("gemm", acc, ap[0, kk], b2p[kk, 0])
+    launch("copy", C, acc)
 
 
 def build_dual_gemm(

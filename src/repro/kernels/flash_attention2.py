@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 
-from repro.frontend import Inner, Leaf, task, use_registry
+from repro.frontend import Inner, Leaf
 from repro.frontend import call_external, launch, make_tensor, prange, srange
 from repro.frontend import tunable
 from repro.frontend.mapping import MappingSpec, TaskMapping
@@ -34,66 +34,69 @@ from repro.kernels.common import (
 from repro.kernels.common import KernelBuild
 from repro.kernels.gemm import gemm_tile_mappings
 
-with use_registry(kernel_registry):
 
-    @task("attn2", Inner, reads=["Q", "KT", "V"], writes=["O"])
-    def attn2_host(O, Q, KT, V):
-        qt = tunable("QT")
-        heads, seq, d = O.shape
-        op = partition_by_blocks(O, (1, qt, d))
-        qp = partition_by_blocks(Q, (1, qt, d))
-        ktp = partition_by_blocks(KT, (1, d, seq))
-        vp = partition_by_blocks(V, (1, seq, d))
-        for hi in prange(heads, seq // qt):
-            h, i = hi
-            launch(
-                "attn2",
-                squeeze(op[h, i, 0]),
-                squeeze(qp[h, i, 0]),
-                squeeze(ktp[h, 0, 0]),
-                squeeze(vp[h, 0, 0]),
-            )
+@kernel_registry.task("attn2", Inner, reads=["Q", "KT", "V"], writes=["O"])
+def attn2_host(O, Q, KT, V):
+    qt = tunable("QT")
+    heads, seq, d = O.shape
+    op = partition_by_blocks(O, (1, qt, d))
+    qp = partition_by_blocks(Q, (1, qt, d))
+    ktp = partition_by_blocks(KT, (1, d, seq))
+    vp = partition_by_blocks(V, (1, seq, d))
+    for hi in prange(heads, seq // qt):
+        h, i = hi
+        launch(
+            "attn2",
+            squeeze(op[h, i, 0]),
+            squeeze(qp[h, i, 0]),
+            squeeze(ktp[h, 0, 0]),
+            squeeze(vp[h, 0, 0]),
+        )
 
-    @task("attn2", Inner, reads=["Q", "KT", "V"], writes=["O"])
-    def attn2_block(O, Q, KT, V):
-        kv = tunable("KV")
-        qt, d = Q.shape
-        seq = KT.shape[1]
-        scale = 1.0 / math.sqrt(d)
-        ktp = partition_by_blocks(KT, (d, kv))
-        vp = partition_by_blocks(V, (kv, d))
-        acc = make_tensor((qt, d), f32, name="Oacc")
-        scores = make_tensor((qt, kv), f32, name="S")
-        probs = make_tensor((qt, kv), f16, name="P")
-        row_max = make_tensor((qt, 1), f32, name="mrow")
-        row_sum = make_tensor((qt, 1), f32, name="lrow")
-        launch("clear", acc)
-        launch("init_softmax", row_max, row_sum)
-        for kk in srange(seq // kv):
-            launch("gemm0", scores, Q, ktp[0, kk], to="s_gemm0_tile")
-            launch(
-                "softmax_step", row_max, row_sum, acc, scores, probs, scale
-            )
-            launch("gemm", acc, probs, vp[kk, 0], to="o_gemm_tile")
-        launch("softmax_fin", acc, row_sum)
-        launch("copy", O, acc)
 
-    @task(
-        "softmax_step",
-        Leaf,
-        reads=["m", "l", "acc", "S"],
-        writes=["m", "l", "acc", "P"],
-    )
-    def softmax_step_leaf(m, l, acc, S, P, scale):
-        call_external("online_softmax_update", m, l, acc, S, P, scale)
+@kernel_registry.task("attn2", Inner, reads=["Q", "KT", "V"], writes=["O"])
+def attn2_block(O, Q, KT, V):
+    kv = tunable("KV")
+    qt, d = Q.shape
+    seq = KT.shape[1]
+    scale = 1.0 / math.sqrt(d)
+    ktp = partition_by_blocks(KT, (d, kv))
+    vp = partition_by_blocks(V, (kv, d))
+    acc = make_tensor((qt, d), f32, name="Oacc")
+    scores = make_tensor((qt, kv), f32, name="S")
+    probs = make_tensor((qt, kv), f16, name="P")
+    row_max = make_tensor((qt, 1), f32, name="mrow")
+    row_sum = make_tensor((qt, 1), f32, name="lrow")
+    launch("clear", acc)
+    launch("init_softmax", row_max, row_sum)
+    for kk in srange(seq // kv):
+        launch("gemm0", scores, Q, ktp[0, kk], to="s_gemm0_tile")
+        launch(
+            "softmax_step", row_max, row_sum, acc, scores, probs, scale
+        )
+        launch("gemm", acc, probs, vp[kk, 0], to="o_gemm_tile")
+    launch("softmax_fin", acc, row_sum)
+    launch("copy", O, acc)
 
-    @task("init_softmax", Leaf, writes=["m", "l"])
-    def init_softmax_leaf(m, l):
-        call_external("init_softmax_state", m, l)
 
-    @task("softmax_fin", Leaf, reads=["acc", "l"], writes=["acc"])
-    def softmax_fin_leaf(acc, l):
-        call_external("softmax_finalize", acc, l)
+@kernel_registry.task(
+    "softmax_step",
+    Leaf,
+    reads=["m", "l", "acc", "S"],
+    writes=["m", "l", "acc", "P"],
+)
+def softmax_step_leaf(m, l, acc, S, P, scale):
+    call_external("online_softmax_update", m, l, acc, S, P, scale)
+
+
+@kernel_registry.task("init_softmax", Leaf, writes=["m", "l"])
+def init_softmax_leaf(m, l):
+    call_external("init_softmax_state", m, l)
+
+
+@kernel_registry.task("softmax_fin", Leaf, reads=["acc", "l"], writes=["acc"])
+def softmax_fin_leaf(acc, l):
+    call_external("softmax_finalize", acc, l)
 
 
 def attention_support_mappings(wgs: int) -> list:

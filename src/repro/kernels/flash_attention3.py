@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 
-from repro.frontend import Inner, Leaf, task, use_registry
+from repro.frontend import Inner, Leaf
 from repro.frontend import call_external, launch, make_tensor, prange, srange
 from repro.frontend import tunable
 from repro.frontend.mapping import MappingSpec, TaskMapping
@@ -35,80 +35,82 @@ from repro.kernels.flash_attention2 import attention_support_mappings
 from repro.kernels.common import KernelBuild
 from repro.kernels.gemm import gemm_tile_mappings
 
-with use_registry(kernel_registry):
 
-    @task("attn3", Inner, reads=["Q", "KT", "V"], writes=["O"])
-    def attn3_host(O, Q, KT, V):
-        qt = tunable("QT")
-        heads, seq, d = O.shape
-        op = partition_by_blocks(O, (1, qt, d))
-        qp = partition_by_blocks(Q, (1, qt, d))
-        ktp = partition_by_blocks(KT, (1, d, seq))
-        vp = partition_by_blocks(V, (1, seq, d))
-        for hi in prange(heads, seq // qt):
-            h, i = hi
-            launch(
-                "attn3",
-                squeeze(op[h, i, 0]),
-                squeeze(qp[h, i, 0]),
-                squeeze(ktp[h, 0, 0]),
-                squeeze(vp[h, 0, 0]),
-            )
-
-    @task("attn3", Inner, reads=["Q", "KT", "V"], writes=["O"])
-    def attn3_block(O, Q, KT, V):
-        kv = tunable("KV")
-        qt, d = Q.shape
-        seq = KT.shape[1]
-        tiles = seq // kv
-        scale = 1.0 / math.sqrt(d)
-        ktp = partition_by_blocks(KT, (d, kv))
-        vp = partition_by_blocks(V, (kv, d))
-        acc = make_tensor((qt, d), f32, name="Oacc")
-        scores = make_tensor((qt, kv), f32, name="S")
-        scores_prev = make_tensor((qt, kv), f32, name="S_prev")
-        probs = make_tensor((qt, kv), f16, name="P")
-        row_max = make_tensor((qt, 1), f32, name="mrow")
-        row_sum = make_tensor((qt, 1), f32, name="lrow")
-        launch("clear", acc)
-        launch("init_softmax", row_max, row_sum)
-        launch("fill_sentinel", scores_prev)
-        for kk in srange(tiles):
-            # Compute this tile's scores asynchronously...
-            launch("gemm0", scores, Q, ktp[0, kk], to="s_gemm0_tile")
-            # ...while the softmax and output GEMM drain the *previous*
-            # tile out of the copied score buffer.
-            launch(
-                "softmax_step",
-                row_max,
-                row_sum,
-                acc,
-                scores_prev,
-                probs,
-                scale,
-            )
-            launch(
-                "gemm", acc, probs, vp[(kk + tiles - 1) % tiles, 0],
-                to="o_gemm_tile",
-            )
-            # Refresh the copy for the next iteration (the FA3 paper's
-            # extra register copy of the first GEMM's accumulator).
-            launch("copy_scores", scores_prev, scores)
-        # Epilogue: drain the last tile.
+@kernel_registry.task("attn3", Inner, reads=["Q", "KT", "V"], writes=["O"])
+def attn3_host(O, Q, KT, V):
+    qt = tunable("QT")
+    heads, seq, d = O.shape
+    op = partition_by_blocks(O, (1, qt, d))
+    qp = partition_by_blocks(Q, (1, qt, d))
+    ktp = partition_by_blocks(KT, (1, d, seq))
+    vp = partition_by_blocks(V, (1, seq, d))
+    for hi in prange(heads, seq // qt):
+        h, i = hi
         launch(
-            "softmax_step", row_max, row_sum, acc, scores_prev, probs, scale
+            "attn3",
+            squeeze(op[h, i, 0]),
+            squeeze(qp[h, i, 0]),
+            squeeze(ktp[h, 0, 0]),
+            squeeze(vp[h, 0, 0]),
         )
-        launch("gemm", acc, probs, vp[tiles - 1, 0], to="o_gemm_tile")
-        launch("softmax_fin", acc, row_sum)
-        launch("copy", O, acc)
 
-    @task("copy_scores", Leaf, reads=["src"], writes=["dst"])
-    def copy_scores_leaf(dst, src):
-        call_external("copy_tile_reg", dst, src)
 
-    @task("fill_sentinel", Leaf, writes=["S"])
-    def fill_sentinel_leaf(S):
-        call_external("fill_neg_inf", S)
+@kernel_registry.task("attn3", Inner, reads=["Q", "KT", "V"], writes=["O"])
+def attn3_block(O, Q, KT, V):
+    kv = tunable("KV")
+    qt, d = Q.shape
+    seq = KT.shape[1]
+    tiles = seq // kv
+    scale = 1.0 / math.sqrt(d)
+    ktp = partition_by_blocks(KT, (d, kv))
+    vp = partition_by_blocks(V, (kv, d))
+    acc = make_tensor((qt, d), f32, name="Oacc")
+    scores = make_tensor((qt, kv), f32, name="S")
+    scores_prev = make_tensor((qt, kv), f32, name="S_prev")
+    probs = make_tensor((qt, kv), f16, name="P")
+    row_max = make_tensor((qt, 1), f32, name="mrow")
+    row_sum = make_tensor((qt, 1), f32, name="lrow")
+    launch("clear", acc)
+    launch("init_softmax", row_max, row_sum)
+    launch("fill_sentinel", scores_prev)
+    for kk in srange(tiles):
+        # Compute this tile's scores asynchronously...
+        launch("gemm0", scores, Q, ktp[0, kk], to="s_gemm0_tile")
+        # ...while the softmax and output GEMM drain the *previous*
+        # tile out of the copied score buffer.
+        launch(
+            "softmax_step",
+            row_max,
+            row_sum,
+            acc,
+            scores_prev,
+            probs,
+            scale,
+        )
+        launch(
+            "gemm", acc, probs, vp[(kk + tiles - 1) % tiles, 0],
+            to="o_gemm_tile",
+        )
+        # Refresh the copy for the next iteration (the FA3 paper's
+        # extra register copy of the first GEMM's accumulator).
+        launch("copy_scores", scores_prev, scores)
+    # Epilogue: drain the last tile.
+    launch(
+        "softmax_step", row_max, row_sum, acc, scores_prev, probs, scale
+    )
+    launch("gemm", acc, probs, vp[tiles - 1, 0], to="o_gemm_tile")
+    launch("softmax_fin", acc, row_sum)
+    launch("copy", O, acc)
+
+
+@kernel_registry.task("copy_scores", Leaf, reads=["src"], writes=["dst"])
+def copy_scores_leaf(dst, src):
+    call_external("copy_tile_reg", dst, src)
+
+
+@kernel_registry.task("fill_sentinel", Leaf, writes=["S"])
+def fill_sentinel_leaf(S):
+    call_external("fill_neg_inf", S)
 
 
 def build_flash_attention3(

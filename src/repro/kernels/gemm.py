@@ -11,7 +11,7 @@ the Tensor Core.
 
 from __future__ import annotations
 
-from repro.frontend import Inner, Leaf, task, use_registry
+from repro.frontend import Inner, Leaf
 from repro.frontend import call_external, launch, make_tensor, prange, srange
 from repro.frontend import tunable
 from repro.frontend.mapping import MappingSpec, TaskMapping
@@ -32,79 +32,83 @@ from repro.kernels.common import (
 )
 
 
-with use_registry(kernel_registry):
+@kernel_registry.task("gemm", Inner, reads=["A", "B"], writes=["C"])
+def gemm_host(C, A, B):
+    u, v = tunable("U"), tunable("V")
+    m, n, k = C.shape[0], C.shape[1], A.shape[1]
+    cp = partition_by_blocks(C, (u, v))
+    ap = partition_by_blocks(A, (u, k))
+    bp = partition_by_blocks(B, (k, v))
+    for ij in prange(_cdiv(m, u), _cdiv(n, v)):
+        i, j = ij
+        launch("gemm", cp[i, j], ap[i, 0], bp[0, j])
 
-    @task("gemm", Inner, reads=["A", "B"], writes=["C"])
-    def gemm_host(C, A, B):
-        u, v = tunable("U"), tunable("V")
-        m, n, k = C.shape[0], C.shape[1], A.shape[1]
-        cp = partition_by_blocks(C, (u, v))
-        ap = partition_by_blocks(A, (u, k))
-        bp = partition_by_blocks(B, (k, v))
-        for ij in prange(_cdiv(m, u), _cdiv(n, v)):
-            i, j = ij
-            launch("gemm", cp[i, j], ap[i, 0], bp[0, j])
 
-    @task("gemm", Inner, reads=["A", "B"], writes=["C"])
-    def gemm_block(C, A, B):
-        w = tunable("W")
-        m, n, k = C.shape[0], C.shape[1], A.shape[1]
-        ap = partition_by_blocks(A, (m, w))
-        bp = partition_by_blocks(B, (w, n))
-        acc = make_tensor((m, n), f16, name="Cacc")
-        launch("clear", acc)
-        for kk in srange(_cdiv(k, w)):
-            launch("gemm", acc, ap[0, kk], bp[kk, 0])
-        launch("copy", C, acc)
+@kernel_registry.task("gemm", Inner, reads=["A", "B"], writes=["C"])
+def gemm_block(C, A, B):
+    w = tunable("W")
+    m, n, k = C.shape[0], C.shape[1], A.shape[1]
+    ap = partition_by_blocks(A, (m, w))
+    bp = partition_by_blocks(B, (w, n))
+    acc = make_tensor((m, n), f16, name="Cacc")
+    launch("clear", acc)
+    for kk in srange(_cdiv(k, w)):
+        launch("gemm", acc, ap[0, kk], bp[kk, 0])
+    launch("copy", C, acc)
 
-    @task("gemm", Inner, reads=["A", "B", "C"], writes=["C"])
-    def gemm_tile(C, A, B):
-        wgs = tunable("WGS")
-        m, n = C.shape
-        cp = partition_by_blocks(C, (m // wgs, n))
-        ap = partition_by_blocks(A, (m // wgs, A.shape[1]))
-        for i in prange(wgs):
-            launch("gemm", cp[i, 0], ap[i, 0], B)
 
-    @task("gemm", Inner, reads=["A", "B", "C"], writes=["C"])
-    def gemm_inner(C, A, B):
-        pieces_count = tunable("PIECES")
-        proc = tunable("PROC")
-        cp = partition_by_mma(C, WGMMA_64x256x16(), proc, "C")
-        ap = partition_by_mma(A, WGMMA_64x256x16(), proc, "A")
-        bp = partition_by_mma(B, WGMMA_64x256x16(), proc, "B")
-        for i in prange(pieces_count):
-            launch("gemm", cp[i], ap[i], bp[i])
+@kernel_registry.task("gemm", Inner, reads=["A", "B", "C"], writes=["C"])
+def gemm_tile(C, A, B):
+    wgs = tunable("WGS")
+    m, n = C.shape
+    cp = partition_by_blocks(C, (m // wgs, n))
+    ap = partition_by_blocks(A, (m // wgs, A.shape[1]))
+    for i in prange(wgs):
+        launch("gemm", cp[i, 0], ap[i, 0], B)
 
-    @task("gemm", Leaf, reads=["A", "B", "C"], writes=["C"])
-    def gemm_thread(C, A, B):
-        call_external("wgmma_f16", C, A, B)
 
-    # A non-accumulating variant tree (`gemm0`: C = A x B, overwriting)
-    # used by kernels that compute fresh score tiles each iteration,
-    # like the first GEMM of Flash Attention.
-    @task("gemm0", Inner, reads=["A", "B"], writes=["C"])
-    def gemm0_tile(C, A, B):
-        wgs = tunable("WGS")
-        m, n = C.shape
-        cp = partition_by_blocks(C, (m // wgs, n))
-        ap = partition_by_blocks(A, (m // wgs, A.shape[1]))
-        for i in prange(wgs):
-            launch("gemm0", cp[i, 0], ap[i, 0], B)
+@kernel_registry.task("gemm", Inner, reads=["A", "B", "C"], writes=["C"])
+def gemm_inner(C, A, B):
+    pieces_count = tunable("PIECES")
+    proc = tunable("PROC")
+    cp = partition_by_mma(C, WGMMA_64x256x16(), proc, "C")
+    ap = partition_by_mma(A, WGMMA_64x256x16(), proc, "A")
+    bp = partition_by_mma(B, WGMMA_64x256x16(), proc, "B")
+    for i in prange(pieces_count):
+        launch("gemm", cp[i], ap[i], bp[i])
 
-    @task("gemm0", Inner, reads=["A", "B"], writes=["C"])
-    def gemm0_inner(C, A, B):
-        pieces_count = tunable("PIECES")
-        proc = tunable("PROC")
-        cp = partition_by_mma(C, WGMMA_64x256x16(), proc, "C")
-        ap = partition_by_mma(A, WGMMA_64x256x16(), proc, "A")
-        bp = partition_by_mma(B, WGMMA_64x256x16(), proc, "B")
-        for i in prange(pieces_count):
-            launch("gemm0", cp[i], ap[i], bp[i])
 
-    @task("gemm0", Leaf, reads=["A", "B"], writes=["C"])
-    def gemm0_thread(C, A, B):
-        call_external("wgmma_f16_st", C, A, B)
+@kernel_registry.task("gemm", Leaf, reads=["A", "B", "C"], writes=["C"])
+def gemm_thread(C, A, B):
+    call_external("wgmma_f16", C, A, B)
+
+# A non-accumulating variant tree (`gemm0`: C = A x B, overwriting)
+# used by kernels that compute fresh score tiles each iteration,
+# like the first GEMM of Flash Attention.
+@kernel_registry.task("gemm0", Inner, reads=["A", "B"], writes=["C"])
+def gemm0_tile(C, A, B):
+    wgs = tunable("WGS")
+    m, n = C.shape
+    cp = partition_by_blocks(C, (m // wgs, n))
+    ap = partition_by_blocks(A, (m // wgs, A.shape[1]))
+    for i in prange(wgs):
+        launch("gemm0", cp[i, 0], ap[i, 0], B)
+
+
+@kernel_registry.task("gemm0", Inner, reads=["A", "B"], writes=["C"])
+def gemm0_inner(C, A, B):
+    pieces_count = tunable("PIECES")
+    proc = tunable("PROC")
+    cp = partition_by_mma(C, WGMMA_64x256x16(), proc, "C")
+    ap = partition_by_mma(A, WGMMA_64x256x16(), proc, "A")
+    bp = partition_by_mma(B, WGMMA_64x256x16(), proc, "B")
+    for i in prange(pieces_count):
+        launch("gemm0", cp[i], ap[i], bp[i])
+
+
+@kernel_registry.task("gemm0", Leaf, reads=["A", "B"], writes=["C"])
+def gemm0_thread(C, A, B):
+    call_external("wgmma_f16_st", C, A, B)
 
 
 def _cdiv(a: int, b: int) -> int:

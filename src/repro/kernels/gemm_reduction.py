@@ -15,7 +15,9 @@ behaviour without touching the logical description.
 
 from __future__ import annotations
 
-from repro.frontend import Inner, Leaf, task, use_registry
+import numpy as np
+
+from repro.frontend import Inner, Leaf
 from repro.frontend import call_external, launch, make_tensor, prange, srange
 from repro.frontend import tunable
 from repro.frontend.mapping import MappingSpec, TaskMapping
@@ -31,69 +33,67 @@ from repro.kernels.common import (
 from repro.kernels.common import KernelBuild
 from repro.kernels.gemm import gemm_tile_mappings
 
-with use_registry(kernel_registry):
 
-    @task("gemm_red", Inner, reads=["A", "B"], writes=["C", "y"])
-    def gemm_red_host(C, y, A, B):
-        u, v = tunable("U"), tunable("V")
-        m, n, k = C.shape[0], C.shape[1], A.shape[1]
-        cp = partition_by_blocks(C, (u, v))
-        yp = partition_by_blocks(y, (u,))
-        ap = partition_by_blocks(A, (u, k))
-        bp = partition_by_blocks(B, (k, v))
-        for ij in prange(-(-m // u), -(-n // v)):
-            i, j = ij
-            launch("gemm_red", cp[i, j], yp[i], ap[i, 0], bp[0, j])
+@kernel_registry.task("gemm_red", Inner, reads=["A", "B"], writes=["C", "y"])
+def gemm_red_host(C, y, A, B):
+    u, v = tunable("U"), tunable("V")
+    m, n, k = C.shape[0], C.shape[1], A.shape[1]
+    cp = partition_by_blocks(C, (u, v))
+    yp = partition_by_blocks(y, (u,))
+    ap = partition_by_blocks(A, (u, k))
+    bp = partition_by_blocks(B, (k, v))
+    for ij in prange(-(-m // u), -(-n // v)):
+        i, j = ij
+        launch("gemm_red", cp[i, j], yp[i], ap[i, 0], bp[0, j])
 
-    @task("gemm_red", Inner, reads=["A", "B"], writes=["C", "y"])
-    def gemm_red_block(C, y, A, B):
-        w = tunable("W")
-        # Every column tile of the grid recomputes the row sums of its
-        # row panel; weighting by the number of column tiles keeps the
-        # total correct without inter-CTA atomics.
-        n_tiles = tunable("NT")
-        m, n, k = C.shape[0], C.shape[1], A.shape[1]
-        ap = partition_by_blocks(A, (m, w))
-        bp = partition_by_blocks(B, (w, n))
-        acc = make_tensor((m, n), f16, name="Cacc")
-        yacc = make_tensor((m,), f32, name="yacc")
-        launch("clear", acc)
-        launch("clear_vec", yacc)
-        for kk in srange(-(-k // w)):
-            launch("gemm", acc, ap[0, kk], bp[kk, 0])
-            launch("row_sum", yacc, ap[0, kk], 1.0 / n_tiles)
-        launch("copy", C, acc)
-        launch("copy_vec", y, yacc)
 
-    @task("clear_vec", Leaf, writes=["v"])
-    def clear_vec_leaf(v):
-        call_external("zero_frag", v)
+@kernel_registry.task("gemm_red", Inner, reads=["A", "B"], writes=["C", "y"])
+def gemm_red_block(C, y, A, B):
+    w = tunable("W")
+    # Every column tile of the grid recomputes the row sums of its
+    # row panel; weighting by the number of column tiles keeps the
+    # total correct without inter-CTA atomics.
+    n_tiles = tunable("NT")
+    m, n, k = C.shape[0], C.shape[1], A.shape[1]
+    ap = partition_by_blocks(A, (m, w))
+    bp = partition_by_blocks(B, (w, n))
+    acc = make_tensor((m, n), f16, name="Cacc")
+    yacc = make_tensor((m,), f32, name="yacc")
+    launch("clear", acc)
+    launch("clear_vec", yacc)
+    for kk in srange(-(-k // w)):
+        launch("gemm", acc, ap[0, kk], bp[kk, 0])
+        launch("row_sum", yacc, ap[0, kk], 1.0 / n_tiles)
+    launch("copy", C, acc)
+    launch("copy_vec", y, yacc)
 
-    @task("row_sum", Leaf, reads=["A", "y"], writes=["y"])
-    def row_sum_leaf(y, A, weight):
-        call_external("row_sum_weighted", y, A, weight)
 
-    @task("copy_vec", Leaf, reads=["src"], writes=["dst"])
-    def copy_vec_leaf(dst, src):
-        call_external("tma_store_tile", dst, src)
+@kernel_registry.task("clear_vec", Leaf, writes=["v"])
+def clear_vec_leaf(v):
+    call_external("zero_frag", v)
+
+
+@kernel_registry.task("row_sum", Leaf, reads=["A", "y"], writes=["y"])
+def row_sum_leaf(y, A, weight):
+    call_external("row_sum_weighted", y, A, weight)
+
+
+@kernel_registry.task("copy_vec", Leaf, reads=["src"], writes=["dst"])
+def copy_vec_leaf(dst, src):
+    call_external("tma_store_tile", dst, src)
 
 
 # The y rows are recomputed by every column tile of the grid; weighting
 # by 1/n_tiles keeps the total correct without inter-CTA atomics.
-from repro.frontend import external_function  # noqa: E402
-import numpy as np  # noqa: E402
-
-with use_registry(kernel_registry):
-
-    @external_function(
-        "row_sum_weighted",
-        cost_kind="simt",
-        flops_fn=lambda shapes: 2
-        * (shapes[1][0] * shapes[1][1] if len(shapes) > 1 else 0),
-    )
-    def row_sum_weighted(y: np.ndarray, A: np.ndarray, weight: float) -> None:
-        """y += weight * rowsum(A); the GEMM+Reduction leaf."""
-        y += (A.astype(np.float32).sum(axis=-1) * weight).astype(y.dtype)
+@kernel_registry.external_function(
+    "row_sum_weighted",
+    cost_kind="simt",
+    flops_fn=lambda shapes: 2
+    * (shapes[1][0] * shapes[1][1] if len(shapes) > 1 else 0),
+)
+def row_sum_weighted(y: np.ndarray, A: np.ndarray, weight: float) -> None:
+    """y += weight * rowsum(A); the GEMM+Reduction leaf."""
+    y += (A.astype(np.float32).sum(axis=-1) * weight).astype(y.dtype)
 
 
 def build_gemm_reduction(

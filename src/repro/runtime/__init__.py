@@ -30,7 +30,8 @@ one of them; each loop owns the demand it reads.
 * :mod:`~repro.runtime.resilience` — deadlines and bounded-queue load
   shedding.
 * :mod:`~repro.runtime.faults` — :class:`FaultPlan`: deterministic,
-  seeded fault injection at named sites, driving the chaos soak
+  seeded fault injection at named sites of the one server it is handed
+  to (``faults=``), driving the chaos soak
   (``tests/test_resilience.py::TestChaosGolden``).
 
 Entry points: :class:`RuntimeServer` here, or :func:`repro.api.serve`.

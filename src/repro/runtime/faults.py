@@ -2,38 +2,29 @@
 
 A :class:`FaultPlan` is a seeded chaos harness: it registers failure
 rates for a fixed set of named **fault sites** (:data:`FAULT_SITES`)
-and, once installed via :func:`install`, makes each site raise
-:class:`InjectedFault` with the configured probability. Every site
-draws from its own ``random.Random`` seeded by ``(seed, site)``, so
-the *sequence of verdicts at one site* is a pure function of the plan
-seed — independent of how checks at different sites interleave across
-threads. That is what makes the chaos soak
+and makes each site raise :class:`InjectedFault` with the configured
+probability. Every site draws from its own ``random.Random`` seeded by
+``(seed, site)``, so the *sequence of verdicts at one site* is a pure
+function of the plan seed — independent of how checks at different
+sites interleave across threads. That is what makes the chaos soak
 (``tests/test_resilience.py::TestChaosGolden``) reproducible enough to
 gate in tier-1.
 
-The hook follows the same zero-cost-when-off discipline as tracing
-(:data:`~repro.obs.trace.NULL_TRACER`): instrumented code reads the
-module-level :data:`ACTIVE` plan and pays exactly one ``is None``
-branch when no plan is installed::
-
-    from repro.runtime import faults
-
-    plan = faults.ACTIVE
-    if plan is not None:
-        plan.check("compile", kernel_name)
-
-or, around a call, :func:`checked`, which returns the callable itself
-while no plan is installed. An injected failure takes the path any
+A plan reaches only the server it is handed to
+(``RuntimeServer(machine, faults=plan)``). The server keeps the
+zero-cost-when-off discipline of tracing
+(:data:`~repro.obs.trace.NULL_TRACER`): with no plan it pays one
+``is None`` branch per micro-batch; with one, it calls each step
+through :meth:`FaultPlan.wrap`. An injected failure takes the path any
 failure of that step would take: a failed compile or simulation fails
 its micro-batch's requests.
 """
 
 from __future__ import annotations
 
-import contextlib
 import random
 import threading
-from typing import Any, Callable, Dict, Iterator, Optional
+from typing import Any, Callable, Dict, Optional
 
 from repro.errors import CypressError
 
@@ -45,12 +36,6 @@ FAULT_SITES = (
     "compile",
     "worker.execute",
 )
-
-#: The currently installed plan, or ``None`` (the common case).
-#: Instrumented code reads this once per operation; ``None`` costs a
-#: single branch. Use :func:`install` / :func:`uninstall` (or the
-#: :func:`active` context manager) rather than assigning directly.
-ACTIVE: Optional["FaultPlan"] = None
 
 
 class InjectedFault(CypressError):
@@ -78,10 +63,10 @@ class FaultPlan:
             ``(seed, site)`` so per-site sequences are deterministic
             regardless of cross-site interleaving.
 
-    Use :meth:`inject` to arm sites, then :func:`install` the plan (or
-    wrap the experiment in :func:`active`). Sites with no configured
-    rate never fire. :meth:`checks` / :meth:`injections` expose per-site
-    counters for soak-test assertions.
+    Use :meth:`inject` to arm sites, then hand the plan to a server
+    (``faults=``). Sites with no configured rate never fire.
+    :meth:`checks` / :meth:`injections` expose per-site counters for
+    soak-test assertions.
     """
 
     def __init__(self, seed: int = 0) -> None:
@@ -98,17 +83,27 @@ class FaultPlan:
             site: 0 for site in FAULT_SITES
         }
 
-    def inject(self, site: str, rate: float) -> "FaultPlan":
-        """Arm ``site`` to fail with probability ``rate``; returns self.
+    @staticmethod
+    def _site(site: str) -> str:
+        """``site`` itself, if it is one of :data:`FAULT_SITES`.
 
         Raises:
-            CypressError: unknown site or a rate outside [0, 1].
+            CypressError: unknown site.
         """
         if site not in FAULT_SITES:
             raise CypressError(
                 f"unknown fault site {site!r}; registered sites are "
                 f"{FAULT_SITES}"
             )
+        return site
+
+    def inject(self, site: str, rate: float) -> "FaultPlan":
+        """Arm ``site`` to fail with probability ``rate``; returns self.
+
+        Raises:
+            CypressError: unknown site or a rate outside [0, 1].
+        """
+        self._site(site)
         if not 0.0 <= rate <= 1.0:
             raise CypressError(
                 f"fault rate must be in [0, 1], got {rate!r}"
@@ -128,11 +123,7 @@ class FaultPlan:
             CypressError: unknown site (instrumentation bug).
             InjectedFault: the seeded draw landed under the rate.
         """
-        if site not in FAULT_SITES:
-            raise CypressError(
-                f"unknown fault site {site!r}; registered sites are "
-                f"{FAULT_SITES}"
-            )
+        self._site(site)
         with self._lock:
             self._checks[site] += 1
             rate = self._rates.get(site, 0.0)
@@ -144,18 +135,38 @@ class FaultPlan:
             ordinal = self._injections[site]
         raise InjectedFault(site, ordinal, detail)
 
+    def wrap(
+        self, site: str, detail: str, fn: Callable[..., Any]
+    ) -> Callable[..., Any]:
+        """``fn`` behind this plan's ``site`` check: a callable that
+        runs :meth:`check` (``site``, ``detail``) before each call."""
+
+        def call(*args: Any) -> Any:
+            self.check(site, detail)
+            return fn(*args)
+
+        return call
+
     def checks(self, site: Optional[str] = None) -> int:
-        """Instrumented operations seen — at ``site``, or in total."""
+        """Instrumented operations seen — at ``site``, or in total.
+
+        Raises:
+            CypressError: unknown site.
+        """
         with self._lock:
             if site is not None:
-                return self._checks[site]
+                return self._checks[self._site(site)]
             return sum(self._checks.values())
 
     def injections(self, site: Optional[str] = None) -> int:
-        """Faults injected so far — at ``site``, or in total."""
+        """Faults injected so far — at ``site``, or in total.
+
+        Raises:
+            CypressError: unknown site.
+        """
         with self._lock:
             if site is not None:
-                return self._injections[site]
+                return self._injections[self._site(site)]
             return sum(self._injections.values())
 
     def summary(self) -> Dict[str, Dict[str, float]]:
@@ -170,48 +181,3 @@ class FaultPlan:
                 for site in FAULT_SITES
             }
 
-
-def checked(
-    site: str, detail: str, fn: Callable[..., Any]
-) -> Callable[..., Any]:
-    """``fn`` behind the ``site`` check of the installed plan.
-
-    Returns ``fn`` itself while no plan is installed, so an
-    uninstrumented call pays one ``is None`` branch; otherwise a wrapper
-    that runs ``ACTIVE.check(site, detail)`` before each call.
-    """
-    plan = ACTIVE
-    if plan is None:
-        return fn
-
-    def call(*args: Any) -> Any:
-        plan.check(site, detail)
-        return fn(*args)
-
-    return call
-
-
-def install(plan: FaultPlan) -> None:
-    """Make ``plan`` the process-wide active plan (see :data:`ACTIVE`)."""
-    global ACTIVE
-    ACTIVE = plan
-
-
-def uninstall() -> Optional[FaultPlan]:
-    """Deactivate fault injection; returns the plan that was active."""
-    global ACTIVE
-    plan, ACTIVE = ACTIVE, None
-    return plan
-
-
-@contextlib.contextmanager
-def active(plan: FaultPlan) -> Iterator[FaultPlan]:
-    """Context manager: install ``plan`` for the block, then restore
-    whatever was active before (usually ``None``)."""
-    global ACTIVE
-    previous = ACTIVE
-    ACTIVE = plan
-    try:
-        yield plan
-    finally:
-        ACTIVE = previous

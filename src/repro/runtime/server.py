@@ -67,9 +67,9 @@ from repro.obs.flight import FlightRecorder
 from repro.obs.ops import DiagConfig, DiagServer
 from repro.obs.slo import SloMonitor
 from repro.obs.trace import NULL_TRACER, Tracer
-from repro.runtime import faults
 from repro.runtime.bucketing import Bucket
 from repro.runtime.diskcache import DiskCacheTier
+from repro.runtime.faults import FaultPlan
 from repro.runtime.resilience import (
     SHED_REJECT_NEW,
     DeadlineExceeded,
@@ -339,6 +339,10 @@ class RuntimeServer:
             DiagConfig`. The listener stays up after :meth:`close`
             answering 503 (orchestrators see the terminal state, not
             connection-refused); stop it with ``server.diag.stop()``.
+        faults: a :class:`~repro.runtime.faults.FaultPlan` whose
+            ``compile`` and ``worker.execute`` sites this server's
+            micro-batches pass through (chaos testing). ``None`` (the
+            default) costs one branch per micro-batch.
         start: spawn workers immediately; ``start=False`` lets tests and
             batch loaders enqueue before serving begins (call
             :meth:`start`).
@@ -365,6 +369,7 @@ class RuntimeServer:
         flight: Union[None, str, FlightRecorder] = None,
         resilience: Optional[ResilienceConfig] = None,
         diag: Union[None, bool, int, DiagConfig] = None,
+        faults: Optional[FaultPlan] = None,
         start: bool = True,
     ) -> None:
         if workers < 1:
@@ -374,6 +379,7 @@ class RuntimeServer:
         self.machine = machine
         self.registry = registry if registry is not None else default_registry()
         self.max_batch = max_batch
+        self.faults = faults
         self._queue: deque[_QueuedRequest] = deque()
         self._cv = threading.Condition()
         self._stopping = False
@@ -1016,9 +1022,10 @@ class RuntimeServer:
         predate this server), so it is persisted here when the disk
         lacks it: a restart warms from disk whatever this server used.
 
-        ``compute`` replaces the record's own when both tiers miss: the
-        worker path passes it through the ``compile`` fault site, while
-        ``warm`` and the background loops stay outside that stream.
+        ``compute`` replaces the record's own when both tiers miss:
+        ``_serve`` passes it through the server's ``compile`` fault site
+        when it has a plan, while ``warm`` and the background loops stay
+        outside that stream.
         """
         key = launch.key
         kernel, tier = compile_cache.lookup(
@@ -1179,15 +1186,16 @@ class RuntimeServer:
         try:
             stages.enter("compile")
             launch = self._launch(head.kernel, head.bucket)
-            # The fault site wraps only the compile a lookup that missed
-            # both tiers runs, so a warm request never reaches it.
-            kernel, tier = self._fetch(
-                launch, faults.checked("compile", name, launch.compute)
-            )
+            compute, timing = launch.compute, self._timing
+            if self.faults is not None:
+                # The compile site wraps only the compile a lookup that
+                # missed both tiers runs, so a warm request never
+                # reaches it.
+                compute = self.faults.wrap("compile", name, compute)
+                timing = self.faults.wrap("worker.execute", name, timing)
+            kernel, tier = self._fetch(launch, compute)
             stages.enter("execute")
-            gpu = faults.checked("worker.execute", name, self._timing)(
-                launch, kernel
-            )
+            gpu = timing(launch, kernel)
         except Exception as error:
             for request in live:
                 self._settle(request, error=error)

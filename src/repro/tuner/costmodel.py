@@ -164,7 +164,7 @@ class AnalyticCostModel:
     # Scoring
     # ------------------------------------------------------------------
     def score_key(
-        self, build: KernelBuild, machine: MachineModel
+        self, build: KernelBuild, machine: MachineModel, roof: Roofline
     ) -> Tuple[Any, ...]:
         """The memoization key for ``score(build, machine)``.
 
@@ -178,6 +178,7 @@ class AnalyticCostModel:
         Args:
             build: the kernel build being scored.
             machine: the target machine.
+            roof: ``roofline(machine)``, derived once by the caller.
 
         Returns:
             A hashable tuple suitable for
@@ -190,7 +191,7 @@ class AnalyticCostModel:
             float(build.total_flops),
             float(build.unique_dram_bytes),
             machine.name,
-            roofline(machine),
+            roof,
             self._family(build),
         )
 
@@ -215,11 +216,12 @@ class AnalyticCostModel:
             A :class:`CostEstimate`; infeasible mappings come back with
             ``cycles == inf`` and a ``reason`` — never an exception.
         """
+        roof = roofline(machine)
         if not memoize:
-            return self._score_uncached(build, machine)
+            return self._score_uncached(build, roof)
         return score_cache.get_or_score(
-            self.score_key(build, machine),
-            lambda: self._score_uncached(build, machine),
+            self.score_key(build, machine, roof),
+            lambda: self._score_uncached(build, roof),
         )
 
     # ------------------------------------------------------------------
@@ -238,7 +240,7 @@ class AnalyticCostModel:
         )
 
     def _score_uncached(
-        self, build: KernelBuild, machine: MachineModel
+        self, build: KernelBuild, roof: Roofline
     ) -> CostEstimate:
         family = self._family(build)
         if family == "attention":
@@ -247,7 +249,7 @@ class AnalyticCostModel:
             model = self._gemm_loop(build)
         if isinstance(model, CostEstimate):  # infeasibility short-circuit
             return model
-        return self._solve(build, roofline(machine), family, model)
+        return self._solve(build, roof, family, model)
 
     def _gemm_loop(self, build: KernelBuild):
         params = build.params

@@ -99,7 +99,7 @@ class TestCacheMiss:
         """Task bodies are part of the fingerprint, not just names."""
         from repro.frontend import (
             Inner, Leaf, MappingSpec, TaskMapping, TaskRegistry,
-            call_external, external_function, launch, task, use_registry,
+            call_external, launch,
         )
         from repro.machine.memory import MemoryKind
         from repro.machine.processor import ProcessorKind
@@ -107,18 +107,18 @@ class TestCacheMiss:
 
         def make_spec(fill_value):
             reg = TaskRegistry()
-            with use_registry(reg):
-                @external_function("fill", cost_kind="simt")
-                def fill(x):
-                    x[...] = fill_value
 
-                @task("writer", Leaf, writes=["x"])
-                def writer_leaf(x):
-                    call_external("fill", x)
+            @reg.external_function("fill", cost_kind="simt")
+            def fill(x):
+                x[...] = fill_value
 
-                @task("prog", Inner, writes=["x"])
-                def prog_host(x):
-                    launch("writer", x)
+            @reg.task("writer", Leaf, writes=["x"])
+            def writer_leaf(x):
+                call_external("fill", x)
+
+            @reg.task("prog", Inner, writes=["x"])
+            def prog_host(x):
+                launch("writer", x)
 
             return MappingSpec(
                 [

@@ -103,25 +103,22 @@ class TestDependenceAnalysis:
             TaskMapping,
             TaskRegistry,
             call_external,
-            external_function,
             launch,
-            task,
-            use_registry,
         )
 
         reg = TaskRegistry()
-        with use_registry(reg):
-            @external_function("w", cost_kind="simt")
-            def w(x):
-                x[...] = 0
 
-            @task("writer", Leaf, writes=["x"])
-            def writer_leaf(x):
-                call_external("w", x)
+        @reg.external_function("w", cost_kind="simt")
+        def w(x):
+            x[...] = 0
 
-            @task("reader", Inner, reads=["x"])
-            def reader_inner(x):
-                launch("writer", x)
+        @reg.task("writer", Leaf, writes=["x"])
+        def writer_leaf(x):
+            call_external("w", x)
+
+        @reg.task("reader", Inner, reads=["x"])
+        def reader_inner(x):
+            launch("writer", x)
 
         spec = MappingSpec(
             [

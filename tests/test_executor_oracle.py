@@ -20,6 +20,7 @@ from repro.gpusim import Instr, KernelSchedule, Segment
 from repro.gpusim.engine import ResourcePool
 from repro.gpusim.executor import simulate_cta
 from repro.gpusim.kernel import INSTR_KINDS
+from repro.gpusim.roofline import roofline
 from repro.kernels import KERNEL_BUILDERS
 
 from test_copy_elim_golden import cases
@@ -62,9 +63,9 @@ def _reference_streams(schedule):
     return streams
 
 
-def reference_cta(schedule, machine):
+def reference_cta(schedule, roof):
     """``(cycles, busy, stream_cycles, dynamic_instructions)``."""
-    pool = ResourcePool(machine)
+    pool = ResourcePool(roof)
     streams = _reference_streams(schedule)
     expected, counts, completion = {}, {}, {}
     for items in streams.values():
@@ -130,9 +131,9 @@ def reference_cta(schedule, machine):
     return cycles, pool.busy_times(), clock, dynamic
 
 
-def _outcome(simulate, schedule, machine):
+def _outcome(simulate, schedule, roof):
     try:
-        result = simulate(schedule, machine)
+        result = simulate(schedule, roof)
     except SimulationError:
         return SimulationError
     if simulate is simulate_cta:
@@ -144,8 +145,9 @@ def _outcome(simulate, schedule, machine):
 
 
 def assert_agrees(schedule, machine):
-    want = _outcome(reference_cta, schedule, machine)
-    assert _outcome(simulate_cta, schedule, machine) == want
+    roof = roofline(machine)
+    want = _outcome(reference_cta, schedule, roof)
+    assert _outcome(simulate_cta, schedule, roof) == want
     return want
 
 

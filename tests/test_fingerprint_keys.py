@@ -21,7 +21,7 @@ import pytest
 from repro.errors import MappingError
 from repro.frontend import (
     Inner, Leaf, MappingSpec, TaskMapping, TaskRegistry,
-    call_external, external_function, launch, task, use_registry,
+    call_external, launch,
 )
 from repro.frontend.mapping import canonicalize
 from repro.machine.memory import MemoryKind
@@ -39,20 +39,20 @@ def make_spec(machine, helper=scale, bound=3, captured=None, kinds=("a", "b")):
     a partial of it, and ``captured``."""
     reg = TaskRegistry()
     twice = functools.partial(helper, factor=bound)
-    with use_registry(reg):
-        @external_function("fill", cost_kind="simt")
-        def fill(x):
-            helper(x, 1)
-            twice(x)
-            return captured, "a" in {"a", "b", "c"}, kinds
 
-        @task("writer", Leaf, writes=["x"])
-        def writer_leaf(x):
-            call_external("fill", x)
+    @reg.external_function("fill", cost_kind="simt")
+    def fill(x):
+        helper(x, 1)
+        twice(x)
+        return captured, "a" in {"a", "b", "c"}, kinds
 
-        @task("prog", Inner, writes=["x"])
-        def prog_host(x):
-            launch("writer", x)
+    @reg.task("writer", Leaf, writes=["x"])
+    def writer_leaf(x):
+        call_external("fill", x)
+
+    @reg.task("prog", Inner, writes=["x"])
+    def prog_host(x):
+        launch("writer", x)
 
     return MappingSpec(
         [

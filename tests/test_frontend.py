@@ -14,15 +14,12 @@ from repro.frontend import (
     TaskMapping,
     TaskRegistry,
     call_external,
-    external_function,
     launch,
     make_tensor,
     prange,
     srange,
-    task,
     trace_variant,
     tunable,
-    use_registry,
 )
 from repro.frontend.privileges import Privilege
 from repro.frontend.stmts import LaunchStmt, LoopStmt
@@ -35,14 +32,14 @@ from repro.tensors import LogicalTensor, f16
 @pytest.fixture()
 def registry():
     reg = TaskRegistry()
-    with use_registry(reg):
-        @external_function("noop", cost_kind="simt")
-        def noop(x):
-            pass
 
-        @task("leafy", Leaf, reads=["x"], writes=["x"])
-        def leafy_impl(x):
-            call_external("noop", x)
+    @reg.external_function("noop", cost_kind="simt")
+    def noop(x):
+        pass
+
+    @reg.task("leafy", Leaf, reads=["x"], writes=["x"])
+    def leafy_impl(x):
+        call_external("noop", x)
 
     return reg
 
@@ -72,37 +69,33 @@ class TestTaskRegistration:
         assert v.is_leaf
 
     def test_signature_mismatch_rejected(self, registry):
-        with use_registry(registry):
-            with pytest.raises(TraceError):
-                @task("leafy", Inner, writes=["y"])
-                def other_variant(y, z):
-                    pass
+        with pytest.raises(TraceError):
+            @registry.task("leafy", Inner, writes=["y"])
+            def other_variant(y, z):
+                pass
 
     def test_unknown_privilege_param(self, registry):
-        with use_registry(registry):
-            with pytest.raises(TraceError):
-                @task("bad", Leaf, reads=["nope"])
-                def bad_variant(x):
-                    pass
+        with pytest.raises(TraceError):
+            @registry.task("bad", Leaf, reads=["nope"])
+            def bad_variant(x):
+                pass
 
     def test_unknown_variant_lookup(self, registry):
         with pytest.raises(TraceError):
             registry.variant("missing")
 
     def test_duplicate_external(self, registry):
-        with use_registry(registry):
-            with pytest.raises(TraceError):
-                @external_function("noop", cost_kind="simt")
-                def noop2(x):
-                    pass
+        with pytest.raises(TraceError):
+            @registry.external_function("noop", cost_kind="simt")
+            def noop2(x):
+                pass
 
 
 class TestTracer:
     def test_trace_records_launch(self, registry):
-        with use_registry(registry):
-            @task("top", Inner, writes=["x"])
-            def top_impl(x):
-                launch("leafy", x)
+        @registry.task("top", Inner, writes=["x"])
+        def top_impl(x):
+            launch("leafy", x)
 
         t = LogicalTensor("x", (8, 8), f16)
         trace = trace_variant(registry.variant("top_impl"), [t], {}, registry)
@@ -110,13 +103,12 @@ class TestTracer:
         assert isinstance(trace.statements[0], LaunchStmt)
 
     def test_trace_records_loops(self, registry):
-        with use_registry(registry):
-            @task("loopy", Inner, writes=["x"])
-            def loopy_impl(x):
-                for _ in srange(4):
-                    launch("leafy", x)
-                for _ in prange(2, 3):
-                    launch("leafy", x)
+        @registry.task("loopy", Inner, writes=["x"])
+        def loopy_impl(x):
+            for _ in srange(4):
+                launch("leafy", x)
+            for _ in prange(2, 3):
+                launch("leafy", x)
 
         t = LogicalTensor("x", (8, 8), f16)
         trace = trace_variant(
@@ -128,11 +120,10 @@ class TestTracer:
         assert loops[1].parallel and loops[1].extents == (2, 3)
 
     def test_empty_loop_elided(self, registry):
-        with use_registry(registry):
-            @task("empty", Inner, writes=["x"])
-            def empty_impl(x):
-                for _ in srange(0):
-                    launch("leafy", x)
+        @registry.task("empty", Inner, writes=["x"])
+        def empty_impl(x):
+            for _ in srange(0):
+                launch("leafy", x)
 
         t = LogicalTensor("x", (8, 8), f16)
         trace = trace_variant(
@@ -141,20 +132,18 @@ class TestTracer:
         assert trace.statements == []
 
     def test_unbound_tunable(self, registry):
-        with use_registry(registry):
-            @task("tuny", Inner, writes=["x"])
-            def tuny_impl(x):
-                tunable("MISSING")
+        @registry.task("tuny", Inner, writes=["x"])
+        def tuny_impl(x):
+            tunable("MISSING")
 
         t = LogicalTensor("x", (8, 8), f16)
         with pytest.raises(TunableError):
             trace_variant(registry.variant("tuny_impl"), [t], {}, registry)
 
     def test_leaf_cannot_launch(self, registry):
-        with use_registry(registry):
-            @task("badleaf", Leaf, writes=["x"])
-            def badleaf_impl(x):
-                launch("leafy", x)
+        @registry.task("badleaf", Leaf, writes=["x"])
+        def badleaf_impl(x):
+            launch("leafy", x)
 
         t = LogicalTensor("x", (8, 8), f16)
         with pytest.raises(TraceError):
@@ -163,10 +152,9 @@ class TestTracer:
             )
 
     def test_inner_cannot_call_external(self, registry):
-        with use_registry(registry):
-            @task("badinner", Inner, writes=["x"])
-            def badinner_impl(x):
-                call_external("noop", x)
+        @registry.task("badinner", Inner, writes=["x"])
+        def badinner_impl(x):
+            call_external("noop", x)
 
         t = LogicalTensor("x", (8, 8), f16)
         with pytest.raises(TraceError):
@@ -184,11 +172,10 @@ class TestTracer:
             trace_variant(registry.variant("leafy_impl"), [t, t], {}, registry)
 
     def test_make_tensor_recorded(self, registry):
-        with use_registry(registry):
-            @task("alloc", Inner, writes=["x"])
-            def alloc_impl(x):
-                tmp = make_tensor((4, 4), f16, name="tmp")
-                launch("leafy", tmp)
+        @registry.task("alloc", Inner, writes=["x"])
+        def alloc_impl(x):
+            tmp = make_tensor((4, 4), f16, name="tmp")
+            launch("leafy", tmp)
 
         t = LogicalTensor("x", (8, 8), f16)
         trace = trace_variant(
@@ -211,10 +198,10 @@ class TestMappingValidation:
 
     def test_valid_spec(self, registry):
         machine = hopper_machine()
-        with use_registry(registry):
-            @task("root", Inner, writes=["x"])
-            def root_impl(x):
-                launch("leafy", x)
+
+        @registry.task("root", Inner, writes=["x"])
+        def root_impl(x):
+            launch("leafy", x)
 
         spec = MappingSpec(
             [
@@ -266,14 +253,14 @@ class TestMappingValidation:
 
     def test_cycle_detected(self, registry):
         machine = hopper_machine()
-        with use_registry(registry):
-            @task("a_task", Inner, writes=["x"])
-            def a_impl(x):
-                launch("b_task", x)
 
-            @task("b_task", Inner, writes=["x"])
-            def b_impl(x):
-                launch("a_task", x)
+        @registry.task("a_task", Inner, writes=["x"])
+        def a_impl(x):
+            launch("b_task", x)
+
+        @registry.task("b_task", Inner, writes=["x"])
+        def b_impl(x):
+            launch("a_task", x)
 
         with pytest.raises(MappingError):
             MappingSpec(
@@ -300,10 +287,10 @@ class TestMappingValidation:
 
     def test_child_cannot_be_shallower(self, registry):
         machine = hopper_machine()
-        with use_registry(registry):
-            @task("deep2", Inner, writes=["x"])
-            def deep2_impl(x):
-                launch("leafy", x)
+
+        @registry.task("deep2", Inner, writes=["x"])
+        def deep2_impl(x):
+            launch("leafy", x)
 
         with pytest.raises(MappingError):
             MappingSpec(

@@ -25,7 +25,7 @@ from repro.compiler.copy_elim import eliminate_copies
 from repro.compiler.dependence import DependenceAnalysis
 from repro.compiler.vectorize import vectorize
 from repro.compiler.warpspec import specialize_warps
-from repro.frontend import TaskRegistry, external_function, use_registry
+from repro.frontend import TaskRegistry
 from repro.gpusim import functional, interpret_function
 from repro.ir.module import IRFunction
 from repro.ir.ops import CallOp, CopyOp
@@ -109,12 +109,11 @@ def test_collective_call_runs_once_on_whole_operands(hopper):
     group: only the index-0 member of each ``mma`` level executes it."""
     calls = []
     registry = TaskRegistry()
-    with use_registry(registry):
 
-        @external_function("bump", cost_kind="wgmma", collective=True)
-        def bump(c, a, scale):
-            calls.append((c.shape, a.shape, scale))
-            c += a * scale
+    @registry.external_function("bump", cost_kind="wgmma", collective=True)
+    def bump(c, a, scale):
+        calls.append((c.shape, a.shape, scale))
+        c += a * scale
 
     fn = IRFunction("collective", hopper)
     atom = MmaAtom(64, 64, 16)
@@ -142,11 +141,10 @@ def test_writes_to_a_private_buffer_reach_every_instance(hopper):
     """An op that writes a thread-private buffer without naming
     ``thread_id()`` runs on every thread's copy, not once at thread 0."""
     registry = TaskRegistry()
-    with use_registry(registry):
 
-        @external_function("fill7", cost_kind="simt")
-        def fill7(r):
-            r[...] = 7
+    @registry.external_function("fill7", cost_kind="simt")
+    def fill7(r):
+        r[...] = 7
 
     thread = ProcIndex("thread")
     fn = IRFunction("private", hopper)
@@ -192,11 +190,10 @@ def test_overlapping_instances_run_in_instance_order(hopper):
     two threads reading one element see what an earlier thread wrote
     there."""
     registry = TaskRegistry()
-    with use_registry(registry):
 
-        @external_function("inc", cost_kind="simt")
-        def inc(dst, src):
-            dst[...] = src + 1
+    @registry.external_function("inc", cost_kind="simt")
+    def inc(dst, src):
+        dst[...] = src + 1
 
     thread = ProcIndex("thread")
     fn = IRFunction("overlap", hopper)
@@ -366,11 +363,10 @@ def test_batched_fragment_moves_keep_every_bit(hopper, case):
     one instance at a time through the references leaves."""
     operand, levels, dtype, shape, target, kind, seed = case
     registry = TaskRegistry()
-    with use_registry(registry):
 
-        @external_function("move", cost_kind="simt")
-        def move(dst, src):
-            dst[...] = src
+    @registry.external_function("move", cost_kind="simt")
+    def move(dst, src):
+        dst[...] = src
 
     fn = IRFunction("fragments", hopper)
     atom = MmaAtom(64, 64, 16)

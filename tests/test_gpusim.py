@@ -2,12 +2,16 @@
 
 import pytest
 
+from repro import api
 from repro.errors import SimulationError
 from repro.gpusim import Instr, KernelSchedule, Segment
 from repro.gpusim.engine import Resource, ResourcePool
 from repro.gpusim.executor import simulate_cta
 from repro.gpusim.gpu import simulate_kernel
 from repro.gpusim.roofline import occupancy, roofline
+from repro.kernels import build_gemm
+from repro.machine import hopper_machine
+from repro.tuner import AnalyticCostModel
 
 
 class TestResources:
@@ -19,20 +23,20 @@ class TestResources:
         assert res.busy == 25.0
 
     def test_pool_models(self, hopper):
-        pool = ResourcePool(hopper)
+        pool = ResourcePool(roofline(hopper))
         # wgmma on the tensor core: flops / per-cycle throughput
         instr = Instr(uid=1, kind="wgmma", flops=378500.0)
         finish = pool.completion("wgmma", 0.0, instr)
         assert finish == pytest.approx(100.0, rel=0.01)
 
     def test_tma_includes_latency(self, hopper):
-        pool = ResourcePool(hopper)
+        pool = ResourcePool(roofline(hopper))
         instr = Instr(uid=1, kind="tma_load", bytes_moved=4096)
         finish = pool.completion("tma_load", 0.0, instr)
         assert finish > hopper.specs["tma_latency_cycles"]
 
     def test_nop_is_free(self, hopper):
-        pool = ResourcePool(hopper)
+        pool = ResourcePool(roofline(hopper))
         instr = Instr(uid=1, kind="nop")
         assert pool.completion("nop", 42.0, instr) == 42.0
 
@@ -63,17 +67,19 @@ def _loop_schedule(
 
 class TestExecutor:
     def test_pipelining_overlaps_copy_and_compute(self, hopper):
-        serial = simulate_cta(_loop_schedule(True, pipeline=1), hopper)
-        pipelined = simulate_cta(_loop_schedule(True, pipeline=3), hopper)
+        roof = roofline(hopper)
+        serial = simulate_cta(_loop_schedule(True, pipeline=1), roof)
+        pipelined = simulate_cta(_loop_schedule(True, pipeline=3), roof)
         assert pipelined.cycles < serial.cycles * 0.75
 
     def test_warpspec_at_least_as_fast(self, hopper):
-        single = simulate_cta(_loop_schedule(False, pipeline=3), hopper)
-        ws = simulate_cta(_loop_schedule(True, pipeline=3), hopper)
+        roof = roofline(hopper)
+        single = simulate_cta(_loop_schedule(False, pipeline=3), roof)
+        ws = simulate_cta(_loop_schedule(True, pipeline=3), roof)
         assert ws.cycles <= single.cycles * 1.05
 
     def test_busy_accounting(self, hopper):
-        result = simulate_cta(_loop_schedule(True, 3), hopper)
+        result = simulate_cta(_loop_schedule(True, 3), roofline(hopper))
         assert result.busy["tensor"] > 0
         assert result.busy["tma"] > 0
         assert result.busy["tensor"] <= result.cycles
@@ -89,7 +95,7 @@ class TestExecutor:
             total_flops=1.0, unique_dram_bytes=1.0,
         )
         with pytest.raises(SimulationError, match="wg0 .*uid 1.* uid 2"):
-            simulate_cta(schedule, hopper)
+            simulate_cta(schedule, roofline(hopper))
 
     def test_deadlock_names_every_blocked_stream(self, hopper):
         load = Instr(uid=7, kind="tma_load", role="dma", bytes_moved=64,
@@ -104,7 +110,7 @@ class TestExecutor:
             total_flops=1.0, unique_dram_bytes=1.0,
         )
         with pytest.raises(SimulationError) as caught:
-            simulate_cta(schedule, hopper)
+            simulate_cta(schedule, roofline(hopper))
         message = str(caught.value)
         assert message.startswith("schedule deadlocked")
         assert (
@@ -125,7 +131,7 @@ class TestExecutor:
             total_flops=1.0, unique_dram_bytes=1.0,
         )
         with pytest.raises(SimulationError, match="unknown uid 99"):
-            simulate_cta(schedule, hopper)
+            simulate_cta(schedule, roofline(hopper))
 
     @pytest.mark.parametrize(
         "family, shape",
@@ -173,7 +179,7 @@ class TestExecutor:
             executor, "_deps_ready",
             lambda *args: calls.append(1) or resolve(*args),
         )
-        result = simulate_cta(kernel.schedule, hopper)
+        result = simulate_cta(kernel.schedule, roofline(hopper))
         assert result.dynamic_instructions == 1927
         assert result.dynamic_instructions <= len(calls)
         assert len(calls) <= 2 * result.dynamic_instructions
@@ -188,7 +194,7 @@ class TestExecutor:
             smem_bytes_per_cta=0, regs_per_thread=32,
             total_flops=1.0, unique_dram_bytes=1.0,
         )
-        result = simulate_cta(schedule, hopper)
+        result = simulate_cta(schedule, roofline(hopper))
         assert result.cycles > 0
 
     def test_duplicate_uid_rejected(self):
@@ -259,3 +265,26 @@ class TestGpuModel:
     def test_summary_mentions_tflops(self, hopper):
         result = simulate_kernel(_loop_schedule(True, 3), hopper)
         assert "TFLOP/s" in result.summary()
+
+
+class TestRooflineFollowsTheMachine:
+    """Rates are derived from a machine's current specs, as its compile
+    key is: a machine whose specs change in place simulates and scores
+    like a fresh machine with those specs, after a run that read the
+    old ones."""
+
+    def test_specs_mutated_in_place(self):
+        machine = hopper_machine()
+        build = build_gemm(machine, 1024, 1024, 1024)
+        kernel = api.compile_kernel(build)
+        model = AnalyticCostModel()
+        before = api.simulate(kernel, machine)
+        model.score(build, machine)  # memoized under the old specs
+        machine.specs["clock_ghz"] /= 2
+        fresh = hopper_machine()
+        fresh.specs["clock_ghz"] = machine.specs["clock_ghz"]
+        after = api.simulate(kernel, machine)
+        assert after == api.simulate(kernel, fresh)
+        assert after.tflops < before.tflops
+        assert model.score(build, machine) == model.score(build, fresh)
+

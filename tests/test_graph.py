@@ -33,7 +33,7 @@ from repro.graph import (
     TaskGraph,
     infer_edges,
 )
-from repro.runtime import FaultPlan, RuntimeServer, faults
+from repro.runtime import FaultPlan, RuntimeServer
 from repro.tensors import partition_by_blocks
 from repro.tensors.regions import tensor_region
 
@@ -599,19 +599,18 @@ class TestCloseMidGraph:
         sys.setswitchinterval(1e-6)
         outcomes = set()
         try:
-            with faults.active(plan):
-                for trial in range(24):
-                    server = RuntimeServer(hopper, workers=2)
-                    executions = [server.submit_graph(graph) for _ in range(3)]
-                    if trial % 2:
-                        # Close the moment a first node is served.
-                        _wait_for_a_served_node(executions, timeout=60)
-                    else:
-                        time.sleep(trial * 2e-4)
-                    server.close(drain=False)
-                    for execution in executions:
-                        assert execution.future.done(), trial
-                        outcomes.add(_outcome(execution))
+            for trial in range(24):
+                server = RuntimeServer(hopper, workers=2, faults=plan)
+                executions = [server.submit_graph(graph) for _ in range(3)]
+                if trial % 2:
+                    # Close the moment a first node is served.
+                    _wait_for_a_served_node(executions, timeout=60)
+                else:
+                    time.sleep(trial * 2e-4)
+                server.close(drain=False)
+                for execution in executions:
+                    assert execution.future.done(), trial
+                    outcomes.add(_outcome(execution))
         finally:
             sys.setswitchinterval(interval)
         # Some close really did land mid-graph.

@@ -34,8 +34,6 @@ from repro.obs.ops import ENDPOINTS, PROM_CONTENT_TYPE, DiagConfig, DiagServer
 from repro.obs.slo import SEVERITY_PAGE, Slo, SloMonitor
 from repro.obs.flight import FlightRecorder
 from repro.runtime import BucketPolicy, KernelRegistry, RuntimeServer
-from repro.runtime import faults
-from repro.runtime.faults import FaultPlan
 from repro.runtime.resilience import ResilienceConfig
 
 from exposition import validate_chrome_trace, validate_prometheus_text
@@ -47,9 +45,7 @@ SMALL = dict(tile_m=128, tile_n=256, tile_k=64)
 @pytest.fixture(autouse=True)
 def fresh_cache():
     api.clear_compile_cache()
-    assert faults.ACTIVE is None
     yield
-    faults.uninstall()
     api.clear_compile_cache()
 
 

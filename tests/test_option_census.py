@@ -46,7 +46,8 @@ CENSUS = [
         RuntimeServer.__init__,
         [
             "registry", "workers", "disk_cache", "max_batch", "speculate",
-            "specialize", "trace", "flight", "resilience", "diag", "start",
+            "specialize", "trace", "flight", "resilience", "diag", "faults",
+            "start",
         ],
     ),
     (RuntimeServer.submit, ["inputs", "deadline"]),

@@ -24,11 +24,8 @@ from repro.frontend import (
     TaskMapping,
     TaskRegistry,
     call_external,
-    external_function,
     launch,
     prange,
-    task,
-    use_registry,
 )
 from repro.kernels import build_gemm_reduction
 from repro.machine import hopper_machine
@@ -389,14 +386,14 @@ def _spec_with_top(top_variant_name, registry):
 
 def _registry_with_writer():
     reg = TaskRegistry()
-    with use_registry(reg):
-        @external_function("zero", cost_kind="simt")
-        def zero(x):
-            x[...] = 0
 
-        @task("writer", Leaf, writes=["x"])
-        def writer_leaf(x):
-            call_external("zero", x)
+    @reg.external_function("zero", cost_kind="simt")
+    def zero(x):
+        x[...] = 0
+
+    @reg.task("writer", Leaf, writes=["x"])
+    def writer_leaf(x):
+        call_external("zero", x)
 
     return reg
 
@@ -404,12 +401,12 @@ def _registry_with_writer():
 class TestPrangePrivilegeRegressions:
     def test_disjoint_tiles_compile(self):
         reg = _registry_with_writer()
-        with use_registry(reg):
-            @task("top", Inner, writes=["x"])
-            def top_ok(x):
-                p = partition_by_blocks(x, (16, 64))
-                for i in prange(4):
-                    launch("writer", p[i, 0])
+
+        @reg.task("top", Inner, writes=["x"])
+        def top_ok(x):
+            p = partition_by_blocks(x, (16, 64))
+            for i in prange(4):
+                launch("writer", p[i, 0])
 
         spec = _spec_with_top("top_ok", reg)
         fn = DependenceAnalysis(spec, "ok").run([(64, 64)], [f16])
@@ -417,15 +414,15 @@ class TestPrangePrivilegeRegressions:
 
     def test_off_by_one_overlapping_tiles_raise(self):
         reg = _registry_with_writer()
-        with use_registry(reg):
-            @task("top", Inner, writes=["x"])
-            def top_overlap(x):
-                # The classic off-by-one: each iteration also writes its
-                # left neighbor's tile, so iteration i and i+1 collide.
-                p = partition_by_blocks(x, (16, 64))
-                for i in prange(2):
-                    launch("writer", p[i, 0])
-                    launch("writer", p[i - 1, 0])
+
+        @reg.task("top", Inner, writes=["x"])
+        def top_overlap(x):
+            # The classic off-by-one: each iteration also writes its
+            # left neighbor's tile, so iteration i and i+1 collide.
+            p = partition_by_blocks(x, (16, 64))
+            for i in prange(2):
+                launch("writer", p[i, 0])
+                launch("writer", p[i - 1, 0])
 
         spec = _spec_with_top("top_overlap", reg)
         with pytest.raises(PrivilegeError, match="aliasing writes"):
@@ -433,12 +430,12 @@ class TestPrangePrivilegeRegressions:
 
     def test_identical_writes_every_iteration_raise(self):
         reg = _registry_with_writer()
-        with use_registry(reg):
-            @task("top", Inner, writes=["x"])
-            def top_same(x):
-                p = partition_by_blocks(x, (16, 64))
-                for _ in prange(4):
-                    launch("writer", p[0, 0])
+
+        @reg.task("top", Inner, writes=["x"])
+        def top_same(x):
+            p = partition_by_blocks(x, (16, 64))
+            for _ in prange(4):
+                launch("writer", p[0, 0])
 
         spec = _spec_with_top("top_same", reg)
         with pytest.raises(PrivilegeError, match="identically"):

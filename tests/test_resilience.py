@@ -25,7 +25,6 @@ from repro.runtime import (
     KernelRegistry,
     RuntimeServer,
 )
-from repro.runtime import faults
 from repro.runtime.faults import FAULT_SITES, FaultPlan, InjectedFault
 from repro.runtime.resilience import DeadlineExceeded, ResilienceConfig
 from repro.runtime.speculate import SpeculatorConfig
@@ -36,9 +35,7 @@ SMALL = dict(tile_m=128, tile_n=256, tile_k=64)
 @pytest.fixture(autouse=True)
 def fresh_cache():
     api.clear_compile_cache()
-    assert faults.ACTIVE is None  # a leaked plan would poison every test
     yield
-    faults.uninstall()
     api.clear_compile_cache()
 
 
@@ -67,12 +64,19 @@ def _every_site(plan, rate):
 
 
 class TestFaultPlan:
-    def test_unknown_site_rejected(self):
-        plan = FaultPlan()
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda plan: plan.inject("nope", 0.5),
+            lambda plan: plan.check("nope"),
+            lambda plan: plan.checks("compil"),
+            lambda plan: plan.injections("compil"),
+        ],
+        ids=["inject", "check", "checks", "injections"],
+    )
+    def test_unknown_site_rejected(self, call):
         with pytest.raises(CypressError, match="unknown fault site"):
-            plan.inject("nope", 0.5)
-        with pytest.raises(CypressError, match="unknown fault site"):
-            plan.check("nope")
+            call(FaultPlan(1))
 
     def test_rate_validated(self):
         with pytest.raises(CypressError, match="rate"):
@@ -149,35 +153,36 @@ class TestFaultPlan:
                 got.append(True)
         assert got == expected
 
-    def test_active_context_manager_restores(self):
-        assert faults.ACTIVE is None
-        plan = FaultPlan()
-        with faults.active(plan) as installed:
-            assert installed is plan
-            assert faults.ACTIVE is plan
-        assert faults.ACTIVE is None
-
-    def test_install_uninstall(self):
-        plan = FaultPlan()
-        faults.install(plan)
-        assert faults.ACTIVE is plan
-        assert faults.uninstall() is plan
-        assert faults.ACTIVE is None
-
-    def test_checked_is_the_callable_itself_while_no_plan_is_installed(
-        self,
-    ):
-        assert faults.checked("compile", "gemm", len) is len
-
-    def test_checked_fires_the_site_before_each_call(self):
+    def test_wrap_fires_the_site_before_each_call(self):
         calls = []
         plan = FaultPlan(seed=4).inject("compile", 1.0)
-        with faults.active(plan):
-            guarded = faults.checked("compile", "gemm", calls.append)
-            with pytest.raises(InjectedFault, match="gemm"):
-                guarded("first")
+        guarded = plan.wrap("compile", "gemm", calls.append)
+        with pytest.raises(InjectedFault, match="gemm"):
+            guarded("first")
         assert calls == []  # the check runs before the call
         assert plan.checks("compile") == 1
+
+    def test_two_servers_do_not_share_a_plan(self, hopper, registry):
+        shape = dict(m=128, n=256, k=64)
+        plan = _every_site(FaultPlan(seed=6), 1.0)
+        with RuntimeServer(
+            hopper, registry, workers=1, faults=plan
+        ) as chaotic, RuntimeServer(hopper, registry, workers=1) as plain:
+            assert chaotic.faults is plan and plain.faults is None
+            with pytest.raises(InjectedFault):
+                chaotic.submit("gemm", shape).result(timeout=120)
+            checks = plan.checks()
+            for _ in range(3):
+                assert plain.submit("gemm", shape).result(
+                    timeout=120
+                ).tflops > 0
+            with pytest.raises(InjectedFault):
+                chaotic.submit("gemm", shape).result(timeout=120)
+        # The plain server's batches — a compile miss, then warm ones —
+        # never reached the plan; each chaotic batch checked one site.
+        assert checks == 1
+        assert plan.checks() == 2
+        assert plan.injections() == 2
 
     def test_summary_reports_every_site(self):
         plan = FaultPlan().inject("compile", 0.25)
@@ -342,12 +347,11 @@ class TestFailuresAreNotRetried:
     @pytest.mark.parametrize("site", FAULT_SITES)
     def test_fault_fails_the_batch_once(self, hopper, registry, site):
         plan = FaultPlan(seed=5).inject(site, 1.0)
-        with faults.active(plan):
-            with RuntimeServer(hopper, registry, workers=1) as server:
-                future = server.submit("gemm", dict(m=128, n=256, k=64))
-                with pytest.raises(InjectedFault):
-                    future.result(timeout=120)
-                stats = server.stats()
+        with RuntimeServer(hopper, registry, workers=1, faults=plan) as server:
+            future = server.submit("gemm", dict(m=128, n=256, k=64))
+            with pytest.raises(InjectedFault):
+                future.result(timeout=120)
+            stats = server.stats()
         assert plan.injections(site) == 1  # one attempt, no retry
         assert stats.failed == 1
         # Nothing of the failure was kept: without the plan the same
@@ -398,15 +402,14 @@ class TestExecuteSiteUnderTheTimingMemo:
     def test_one_check_per_micro_batch(self, hopper, registry, warm):
         shapes = [dict(m=128, n=256, k=64), dict(m=256, n=256, k=64)]
         plan = FaultPlan(seed=9).inject("worker.execute", 0.0)
-        with faults.active(plan):
-            with RuntimeServer(hopper, registry, workers=1) as server:
-                if warm:  # every batch then hits the memo
-                    server.warm("gemm", shapes)
-                for index in range(12):
-                    server.submit("gemm", shapes[index % 2]).result(
-                        timeout=120
-                    )
-                stats = server.stats()
+        with RuntimeServer(hopper, registry, workers=1, faults=plan) as server:
+            if warm:  # every batch then hits the memo
+                server.warm("gemm", shapes)
+            for index in range(12):
+                server.submit("gemm", shapes[index % 2]).result(
+                    timeout=120
+                )
+            stats = server.stats()
         assert stats.batches == stats.completed == 12
         assert plan.checks("worker.execute") == stats.batches
 
@@ -419,16 +422,15 @@ class TestExecuteSiteUnderTheTimingMemo:
             api.compile_kernel(build_gemm(hopper, **shape, **SMALL)), hopper
         )
         plan = FaultPlan(seed=5).inject("worker.execute", 1.0)
-        with faults.active(plan):
-            with RuntimeServer(hopper, registry, workers=1) as server:
-                with pytest.raises(InjectedFault):
-                    server.submit("gemm", shape).result(timeout=120)
-                launch = server._launches[("gemm", bucket)]
-                assert launch.gpu is None
-                plan.inject("worker.execute", 0.0)
-                served = server.submit("gemm", shape).result(timeout=120)
-                assert server._launches[("gemm", bucket)] is launch
-                assert launch.gpu is served.gpu
+        with RuntimeServer(hopper, registry, workers=1, faults=plan) as server:
+            with pytest.raises(InjectedFault):
+                server.submit("gemm", shape).result(timeout=120)
+            launch = server._launches[("gemm", bucket)]
+            assert launch.gpu is None
+            plan.inject("worker.execute", 0.0)
+            served = server.submit("gemm", shape).result(timeout=120)
+            assert server._launches[("gemm", bucket)] is launch
+            assert launch.gpu is served.gpu
         assert served.gpu == direct
         assert plan.checks("worker.execute") == 2
 
@@ -483,32 +485,32 @@ class TestSoak:
         try:
             disk = tmp.name if use_disk else None
             futures = []
-            with faults.active(plan):
-                server = RuntimeServer(
-                    hopper,
-                    registry,
-                    workers=2,
-                    disk_cache=disk,
-                    resilience=config,
+            server = RuntimeServer(
+                hopper,
+                registry,
+                workers=2,
+                disk_cache=disk,
+                resilience=config,
+                faults=plan,
+            )
+            for index in range(n_requests):
+                shape = shapes[
+                    data.draw(
+                        st.integers(0, len(shapes) - 1),
+                        label=f"shape[{index}]",
+                    )
+                ]
+                deadline = (
+                    0.0
+                    if data.draw(
+                        st.booleans(), label=f"expired[{index}]"
+                    )
+                    else None
                 )
-                for index in range(n_requests):
-                    shape = shapes[
-                        data.draw(
-                            st.integers(0, len(shapes) - 1),
-                            label=f"shape[{index}]",
-                        )
-                    ]
-                    deadline = (
-                        0.0
-                        if data.draw(
-                            st.booleans(), label=f"expired[{index}]"
-                        )
-                        else None
-                    )
-                    futures.append(
-                        server.submit("gemm", shape, deadline=deadline)
-                    )
-                server.close(drain=True)
+                futures.append(
+                    server.submit("gemm", shape, deadline=deadline)
+                )
+            server.close(drain=True)
             stats = server.stats()
         finally:
             tmp.cleanup()
@@ -572,20 +574,18 @@ class TestChaosGolden:
         plan = FaultPlan(seed=CHAOS_SEED)
         for site, rate in CHAOS_RATES.items():
             plan.inject(site, rate)
-        with faults.active(plan):
-            server = api.serve(
-                hopper,
-                workers=4,
-                disk_cache=str(tmp_path),
-                speculate=SpeculatorConfig(interval_s=0.002),
-            )
-            futures = [
-                server.submit(kernel, shape) for kernel, shape in trace
-            ]
-            server.close(drain=True)
+        server = api.serve(
+            hopper,
+            workers=4,
+            disk_cache=str(tmp_path),
+            speculate=SpeculatorConfig(interval_s=0.002),
+            faults=plan,
+        )
+        futures = [
+            server.submit(kernel, shape) for kernel, shape in trace
+        ]
+        server.close(drain=True)
         stats = server.stats()
-
-        assert faults.ACTIVE is None
 
         # Zero hangs: the drain returned and every future is settled.
         assert all(future.done() for future in futures)

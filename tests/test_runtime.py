@@ -31,7 +31,6 @@ from repro.runtime import (
     ResilienceConfig,
     RuntimeServer,
     default_registry,
-    faults,
 )
 from repro.tuner import MappingSearchSpace
 from test_copy_elim_golden import default_buckets
@@ -1225,8 +1224,8 @@ def _served_inline(server, monkeypatch):
 def _execute_fault_inline(server, monkeypatch):
     _warm_started(server)
     plan = FaultPlan(seed=0).inject("worker.execute", 1.0)
-    with faults.active(plan):
-        future = _submit_inline(server)
+    monkeypatch.setattr(server, "faults", plan)
+    future = _submit_inline(server)
     assert plan.injections("worker.execute") == 1
     return future
 

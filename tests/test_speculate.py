@@ -265,17 +265,17 @@ class TestSharedFetch:
     def test_background_compiles_skip_the_fault_stream(
         self, hopper, registry
     ):
-        from repro.runtime import FaultPlan, faults
+        from repro.runtime import FaultPlan
 
         plan = FaultPlan(seed=0).inject("compile", 1.0)
         with RuntimeServer(
-            hopper, registry, workers=1, start=False, speculate=_config()
+            hopper, registry, workers=1, start=False, speculate=_config(),
+            faults=plan,
         ) as server:
             server.speculator.record_traffic(
                 [("gemm", Bucket((("m", 128), ("n", 256), ("k", 64))))]
             )
-            with faults.active(plan):
-                assert server.speculator.run_once() > 0
+            assert server.speculator.run_once() > 0
             # The armed fault site is not on the background path: chaos
             # draws stay the request path's.
             assert plan.injections("compile") == 0

@@ -1,7 +1,8 @@
 """Every piece of process-wide state under ``src/repro``, with its reason.
 
-A module-level name counts as state when a ``global`` statement rebinds
-it, or when, after import, it holds a mutable object. These do not
+No module rebinds a module-level name after import: no ``global``
+statement is left under ``src/repro``. A module-level name counts as
+state when, after import, it holds a mutable object. These do not
 count as mutable: a class, a function or a module; a str, bytes,
 number, bool or ``None``; a tuple or frozenset; an enum member; a
 compiled pattern; an instance of a frozen dataclass; a ``typing``
@@ -35,12 +36,7 @@ STATE = {
     "compiler.codegen_cuda._SYNC": TABLE,
     "compiler.passes.PASS_REGISTRY": IMPORT_TIME,
     "frontend.context._tls": "the task-tree trace running on this thread",
-    "frontend.task._ACTIVE_REGISTRY":
-        "where @task records, rebound only by the use_registry context",
-    "frontend.task._DEFAULT_REGISTRY": IMPORT_TIME,
     "gpusim.functional._PROC_LEVELS": TABLE,
-    "gpusim.roofline._CACHE":
-        "weak-keyed memo of derived rooflines, read several times a simulate",
     "graph.builder._ZOO":
         "the zoo registry GraphBuilders given none share; register raises",
     "graph.template.template_cache":
@@ -50,14 +46,15 @@ STATE = {
     "kernels.common.kernel_registry": IMPORT_TIME,
     "machine.ampere.A100_SPECS": TABLE,
     "machine.hopper.H100_SPECS": TABLE,
-    "numbering._process":
-        "numbers IR built outside a compile (hand-built IR in tests)",
+    "numbering._process": (
+        "numbers IR built outside a compile: graph capture, baseline "
+        "schedules, hand-built IR in tests"
+    ),
     "numbering._tls": "the numbering of the compile running on this thread",
     "obs.metrics._HELP_ESCAPES": TABLE,
     "obs.metrics._LABEL_ESCAPES": TABLE,
     "obs.trace.NULL_TRACER": NO_OP,
     "obs.trace._NULL_CONTEXT": NO_OP,
-    "runtime.faults.ACTIVE": "test-only fault-injection hook; None in use",
     "runtime.registry._ATTN_ALIGN": TABLE,
     "runtime.registry._GEMM_ALIGN": TABLE,
     "runtime.server._UNMARKED": NO_OP,
@@ -93,8 +90,8 @@ def _immutable(value):
 
 
 def _module_names(tree):
-    """Top-level assigned names, and the names ``global`` rebinds."""
-    assigned, rebound = set(), set()
+    """Top-level assigned names."""
+    assigned = set()
     for node in tree.body:
         if isinstance(node, ast.Assign):
             assigned.update(
@@ -104,10 +101,7 @@ def _module_names(tree):
             node.target, ast.Name
         ):
             assigned.add(node.target.id)
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Global):
-            rebound.update(node.names)
-    return assigned, rebound
+    return assigned
 
 
 def process_state():
@@ -118,11 +112,10 @@ def process_state():
         if parts[-1] == "__init__":
             parts = parts[:-1]
         module = importlib.import_module(".".join(("repro",) + parts))
-        assigned, rebound = _module_names(ast.parse(path.read_text()))
-        for name in assigned | rebound:
+        for name in _module_names(ast.parse(path.read_text())):
             if name.startswith("__") and name.endswith("__"):
                 continue
-            if name in rebound or not _immutable(getattr(module, name)):
+            if not _immutable(getattr(module, name)):
                 found.add(".".join(parts + (name,)))
     return found
 
@@ -132,3 +125,16 @@ def test_every_piece_of_state_is_pinned_with_a_reason():
     assert sorted(found - set(STATE)) == [], "new state: pin it with a reason"
     assert sorted(set(STATE) - found) == [], "gone: drop it from STATE"
 
+
+def test_no_module_rebinds_a_global():
+    """No ``global`` statement under ``src/repro``: a module-level name
+    is bound once, at import, and what changes is held by an object."""
+    rebinding = sorted(
+        str(path.relative_to(PACKAGE))
+        for path in PACKAGE.rglob("*.py")
+        if any(
+            isinstance(node, ast.Global)
+            for node in ast.walk(ast.parse(path.read_text()))
+        )
+    )
+    assert rebinding == []
