@@ -34,8 +34,8 @@ Serving (the long-lived layer over all of the above)::
 
     with api.serve(machine, disk_cache=".repro-cache") as server:
         server.warm("gemm", [dict(m=4096, n=4096, k=4096)], tune=True)
-        future = server.submit("gemm", dict(m=4000, n=4000, k=4000))
-        print(future.result().gpu.summary())
+        handle = server.submit("gemm", dict(m=4000, n=4000, k=4000))
+        print(handle.result().gpu.summary())
         print(server.stats().table())
 
 Task graphs (multi-kernel programs with inferred dependences)::

@@ -159,6 +159,16 @@ class CompileCache:
             self.stats.misses += 1
             return None
 
+    def resident(self, key: str) -> Optional[Any]:
+        """The kernel under ``key`` if it is in memory — a hit, counted
+        and moved to the recent end as :meth:`lookup`'s memory branch
+        does — else ``None``, counting nothing: a caller that misses
+        goes on to :meth:`lookup`, which counts whatever answers."""
+        with self._lock:
+            if key in self._entries:
+                return self._hit_locked(key)
+            return None
+
     def put(self, key: str, kernel: Any) -> None:
         with self._lock:
             self._put_locked(key, kernel)

@@ -19,7 +19,7 @@ settles one way: its slot's ``on_settle`` hook, which the server's
 ``_settle`` calls last whichever way and on whichever thread the
 node's request ends. A re-submitted warm graph is therefore served
 entirely by the thread that calls ``execute``, with no queue hand-off
-and no future callback, and a chain of any length costs that thread a
+and no done-callback, and a chain of any length costs that thread a
 loop iteration per ready set rather than a stack frame per node.
 
 With ``inputs=`` the graph also carries data: node arguments are
@@ -34,14 +34,14 @@ Failure is **partial**: a node that fails at execution takes down only
 its dependent cone (transitive successors are marked skipped — they
 could never run), while independent subgraphs complete normally;
 :class:`GraphResult` reports the per-node outcomes. Only a graph in
-which no node succeeded fails its future outright.
+which no node succeeded fails its handle outright.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from concurrent.futures import CancelledError, Future
+from concurrent.futures import CancelledError
 from dataclasses import dataclass, field
 from functools import partial
 from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional
@@ -50,6 +50,7 @@ import numpy as np
 
 from repro.errors import CypressError
 from repro.graph.taskgraph import GraphNode, TaskGraph
+from repro.runtime.handle import RequestHandle, running_handle
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle: server imports us
     from repro.runtime.server import RuntimeResult, RuntimeServer
@@ -118,14 +119,14 @@ def materialize_root_arrays(
 
 @dataclass
 class GraphResult:
-    """What a resolved graph future carries.
+    """What a resolved graph handle carries.
 
     A graph completes even when some nodes fail: a node-execution
     failure takes down only its **dependent cone** (the transitive
     successors, which could never run), while independent subgraphs
     keep executing to completion. ``failed`` and ``skipped`` report
     that partial outcome per node; a graph in which *no* node succeeded
-    fails its future outright instead.
+    fails its handle outright instead.
 
     Attributes:
         graph: the executed graph.
@@ -164,12 +165,14 @@ class GraphResult:
 
 @dataclass
 class GraphExecution:
-    """A handle on one in-flight graph: the completion future plus the
-    per-node futures as they are submitted."""
+    """One in-flight graph: its completion handle (``future``, a
+    :class:`~repro.runtime.handle.RequestHandle` resolving to a
+    :class:`GraphResult`) plus, per node uid, the handle of the node's
+    request — its queue slot — as it is submitted."""
 
     graph: TaskGraph
-    future: "Future[GraphResult]"
-    node_futures: Dict[int, Future] = field(default_factory=dict)
+    future: RequestHandle
+    node_futures: Dict[int, RequestHandle] = field(default_factory=dict)
 
     def result(self, timeout: Optional[float] = None) -> GraphResult:
         """Block for graph completion (convenience for
@@ -223,7 +226,7 @@ class GraphScheduler:
         # One registry lookup + bucketing per node, up front; admitting
         # a ready node reuses these instead of re-deriving them on
         # every launch. A lookup failure (unknown kernel) resolves the
-        # graph future instead of raising, matching per-node submit.
+        # graph handle instead of raising, matching per-node submit.
         lookups: Dict[int, Any] = {}
         lookup_error: Optional[Exception] = None
         try:
@@ -250,8 +253,7 @@ class GraphScheduler:
                         "dependent launch is not semantics-preserving)"
                     )
             arrays = materialize_root_arrays(graph, inputs)
-        execution = GraphExecution(graph=graph, future=Future())
-        execution.future.set_running_or_notify_cancel()
+        execution = GraphExecution(graph=graph, future=running_handle())
         state = _ExecutionState(
             graph=graph,
             execution=execution,
@@ -349,7 +351,7 @@ class GraphScheduler:
             return
         node_futures = state.execution.node_futures
         for node, request in zip(ready, requests):
-            node_futures[node.uid] = request.future
+            node_futures[node.uid] = request
 
     def _settle_node(
         self, state: "_ExecutionState", node: GraphNode, outcome: Any
@@ -395,6 +397,7 @@ class GraphScheduler:
             with state.lock:
                 if state.failed:
                     return
+                state.unsettled -= 1
                 if error is not None:
                     state.node_errors[node.uid] = error
                     stack = list(graph.successors(node.uid))
@@ -403,6 +406,7 @@ class GraphScheduler:
                         if uid in skipped:
                             continue
                         skipped[uid] = node.uid
+                        state.unsettled -= 1
                         stack.extend(graph.successors(uid))
                 else:
                     state.results[node.uid] = outcome
@@ -420,7 +424,7 @@ class GraphScheduler:
                 drain = bool(state.ready) and not state.draining
                 if drain:
                     state.draining = True
-                done = state.settled() == len(graph)
+                done = not state.unsettled
             if drain:
                 self._drain(state)
             if done:
@@ -450,7 +454,7 @@ class GraphScheduler:
                 if not tensor.is_view
             }
         self.server.telemetry.record_graph_done(makespan)
-        state.execution.future.set_result(
+        state.execution.future._resolve(
             GraphResult(
                 graph=state.graph,
                 results=state.results,
@@ -458,7 +462,8 @@ class GraphScheduler:
                 outputs=outputs,
                 failed=state.node_errors,
                 skipped=state.skipped,
-            )
+            ),
+            None,
         )
 
     def _fail(self, state: "_ExecutionState", error: BaseException) -> None:
@@ -474,7 +479,7 @@ class GraphScheduler:
                 state.span, args={"error": repr(error)}
             )
         self.server.telemetry.count("graphs_failed")
-        state.execution.future.set_exception(error)
+        state.execution.future._resolve(None, error)
 
 
 @dataclass
@@ -494,6 +499,9 @@ class _ExecutionState:
     draining: bool = False
     results: Dict[int, Any] = field(default_factory=dict)
     remaining: Dict[int, int] = field(default_factory=dict)
+    #: Nodes without a final outcome (ok, failed, or skipped); the graph
+    #: completes when it reaches zero. Counted down under ``lock``.
+    unsettled: int = 0
     #: Per-node execution failures and the cone they swallowed
     #: (skipped uid -> failed ancestor uid).
     node_errors: Dict[int, BaseException] = field(default_factory=dict)
@@ -503,14 +511,9 @@ class _ExecutionState:
     span: Any = None
     node_spans: Dict[int, Any] = field(default_factory=dict)
 
-    def settled(self) -> int:
-        """Nodes with a final outcome (ok, failed, or skipped); the
-        graph completes when this reaches ``len(graph)``. Caller holds
-        ``lock``."""
-        return len(self.results) + len(self.node_errors) + len(self.skipped)
-
     def __post_init__(self) -> None:
         self.remaining = {
             node.uid: len(self.graph.predecessors(node.uid))
             for node in self.graph.nodes
         }
+        self.unsettled = len(self.remaining)

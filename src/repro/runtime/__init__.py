@@ -8,7 +8,8 @@ calls, this package keeps compiled kernels alive and serves them:
 * :mod:`~repro.runtime.bucketing` — shape bucketing, so a bounded set
   of compiled kernels serves unbounded request shapes.
 * :mod:`~repro.runtime.server` — :class:`RuntimeServer`: async
-  ``submit`` returning futures, a FIFO-queue worker pool,
+  ``submit`` returning a :class:`RequestHandle` (the request's own
+  queue slot; :mod:`~repro.runtime.handle`), a FIFO-queue worker pool,
   micro-batching of same-bucket requests, tuner-backed warm-up, and
   ``submit_graph`` for :mod:`repro.graph` task graphs (ready nodes
   overlap across the pool).
@@ -40,6 +41,7 @@ Entry points: :class:`RuntimeServer` here, or :func:`repro.api.serve`.
 from repro.runtime.bucketing import Bucket, BucketPolicy
 from repro.runtime.diskcache import DiskCacheStats, DiskCacheTier
 from repro.runtime.faults import FAULT_SITES, FaultPlan, InjectedFault
+from repro.runtime.handle import RequestHandle
 from repro.runtime.registry import (
     KernelRegistry,
     RegisteredKernel,
@@ -71,6 +73,7 @@ __all__ = [
     "KernelRegistry",
     "KernelServingStats",
     "RegisteredKernel",
+    "RequestHandle",
     "ResilienceConfig",
     "RuntimeResult",
     "RuntimeServer",

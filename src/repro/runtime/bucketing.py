@@ -24,11 +24,39 @@ from typing import Dict, Mapping, Sequence, Tuple
 from repro.errors import CypressError
 
 
-@dataclass(frozen=True)
 class Bucket:
-    """One rounded shape: an ordered tuple of (dimension, extent)."""
+    """One rounded shape: an ordered tuple of (dimension, extent).
 
-    dims: Tuple[Tuple[str, int], ...]
+    Immutable and hashed once: every request probes the server's
+    per-bucket tables with it, so the hash of ``dims`` is kept. A
+    string's hash differs between interpreters (``PYTHONHASHSEED``), so
+    a bucket pickles to its ``dims`` alone and rehashes when loaded.
+    """
+
+    __slots__ = ("dims", "_hash")
+
+    def __init__(self, dims: Tuple[Tuple[str, int], ...]) -> None:
+        object.__setattr__(self, "dims", dims)
+        object.__setattr__(self, "_hash", hash(dims))
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"Bucket is immutable; cannot set {name!r}")
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not Bucket:
+            return NotImplemented
+        return self is other or (
+            self._hash == other._hash and self.dims == other.dims
+        )
+
+    def __reduce__(self):
+        return (Bucket, (self.dims,))
+
+    def __repr__(self) -> str:
+        return f"Bucket(dims={self.dims!r})"
 
     def as_dict(self) -> Dict[str, int]:
         """The bucket shape as ``{dimension: extent}``."""

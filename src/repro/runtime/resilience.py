@@ -9,7 +9,7 @@ accepts in two ways (see ``docs/resilience.md``):
 * **Admission control** — a bounded queue
   (:attr:`ResilienceConfig.max_queue`) sheds load under overload:
   ``"reject-new"`` refuses the incoming submit, ``"drop-oldest"``
-  evicts the longest-queued request and fails its future.
+  evicts the longest-queued request and fails its handle.
 
 Nothing on the request path is retried: compiling and simulating are
 pure functions of the kernel and the machine, so a failure would only
@@ -53,7 +53,7 @@ class ResilienceConfig:
             unbounded.
         shed_policy: what to do when the bound is hit —
             ``"reject-new"`` raises at submit, ``"drop-oldest"`` evicts
-            the longest-queued request (its future fails) to admit the
+            the longest-queued request (its handle fails) to admit the
             new one.
     """
 

@@ -3,26 +3,31 @@
 :class:`RuntimeServer` turns the one-shot compile/simulate API into a
 long-lived serving layer. Requests name a registered kernel and a shape;
 ``submit`` rounds the shape to a :class:`~repro.runtime.bucketing.
-Bucket`, and returns a :class:`concurrent.futures.Future` resolved
-with a :class:`RuntimeResult` (simulated timing, optional functional
-outputs, which cache tier produced the kernel). ``submit`` and the
-graph scheduler hand their prepared requests to one admission method,
-:meth:`RuntimeServer.admit`, which makes the one serve-here-or-queue
-decision: a request that needs no worker — timing-only, its bucket's
-launch record already timed and its kernel resident in memory, nothing
-queued ahead — is served, micro-batched with its same-bucket peers, by
-the admitting thread before ``admit`` returns. Every other request goes
-on a FIFO queue, which a pool of worker threads drains,
-**micro-batching** same-bucket requests so one compile + one simulation
-serve the whole batch.
+Bucket` and returns the request's own queue slot as a
+:class:`~repro.runtime.handle.RequestHandle` — ``result()``,
+``exception()``, ``done()``, ``cancel()``, ``add_done_callback()`` —
+that resolves to a :class:`RuntimeResult` (simulated timing, optional
+functional outputs, which cache tier produced the kernel). ``submit``
+and the graph scheduler hand their prepared requests to one admission
+method, :meth:`RuntimeServer.admit`, which makes the one
+serve-here-or-queue decision: a request that needs no worker —
+timing-only, its bucket's launch record already timed and its kernel
+resident in memory, nothing queued ahead — is served, micro-batched
+with its same-bucket peers, by the admitting thread before ``admit``
+returns, with the record and kernel its one cache probe found, and
+without a lock on its handle, which no other thread has seen yet. Every
+other request goes on a FIFO queue, which a pool of worker threads
+drains, **micro-batching** same-bucket requests so one compile + one
+simulation serve the whole batch.
 
 Every kernel the server uses — for a request, ``warm``, the speculator
 or the specializer — is resolved once per (kernel, bucket) into a
 :class:`~repro.runtime.registry.Launch` record (build, compile key,
-``compute``; :meth:`RuntimeServer._launch`) and then comes, on every
-request, from one fetch (:meth:`RuntimeServer._fetch`) of that key
-through the content-keyed :class:`~repro.compiler.cache.CompileCache`,
-whose lookup names the tier that answered. The memory LRU is
+``compute``; :meth:`RuntimeServer._launch`). A worker's batch then
+takes its kernel from one fetch (:meth:`RuntimeServer._fetch`) of that
+key through the content-keyed :class:`~repro.compiler.cache.
+CompileCache`, whose lookup names the tier that answered; an inline
+batch from the memory probe ``admit`` made. The memory LRU is
 process-wide; each server consults its own disk tier: the
 :class:`~repro.runtime.diskcache.DiskCacheTier` of its ``disk_cache``
 directory goes into its own lookups only, so a restarted server warms
@@ -41,10 +46,10 @@ A request crosses five stages — **admit** (:meth:`RuntimeServer.admit`,
 from ``submit`` or the graph scheduler), then on a worker or the
 admitting thread **dispatch**, **obtain**, **execute** and **resolve**
 (``_serve``) — and what cuts across them has one owner each:
-:meth:`RuntimeServer._settle` alone ends a request (span, terminal
-counter, future, and last the slot's ``on_settle`` hook, through which
-every graph node settles), and :class:`_Stages` is the one source of a
-batch's stage spans (``docs/serving.md`` maps which acts where).
+:meth:`RuntimeServer._settle` alone ends a request (one telemetry
+update, span, handle, and last the slot's ``on_settle`` hook, through
+which every graph node settles), and :class:`_Stages` is the one source
+of a batch's stage spans (``docs/serving.md`` maps which acts where).
 """
 
 from __future__ import annotations
@@ -52,9 +57,10 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
-from concurrent.futures import CancelledError, Future
+from collections.abc import Mapping
+from concurrent.futures import CancelledError
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -70,6 +76,7 @@ from repro.obs.trace import NULL_TRACER, Tracer
 from repro.runtime.bucketing import Bucket
 from repro.runtime.diskcache import DiskCacheTier
 from repro.runtime.faults import FaultPlan
+from repro.runtime.handle import _SETTLED, RequestHandle
 from repro.runtime.resilience import (
     SHED_REJECT_NEW,
     DeadlineExceeded,
@@ -104,7 +111,7 @@ WARM_TOP_K = 4
 
 @dataclass
 class RuntimeResult:
-    """What a resolved request future carries.
+    """What a resolved request handle carries.
 
     ``gpu`` is the simulated execution of the *bucket* kernel (identical
     to a direct ``compile_kernel`` + ``simulate`` of the bucket shape).
@@ -133,52 +140,61 @@ class RuntimeResult:
         return self.gpu.tflops
 
 
-_QUEUED, _CLAIMED, _SETTLED = range(3)
-
-
-@dataclass(slots=True)
-class _QueuedRequest:
-    """One request's slot in the FIFO queue.
+class _QueuedRequest(RequestHandle):
+    """One request's slot in the FIFO queue, and the handle ``submit``
+    returns for it: the slot is the request's outcome, so a request
+    allocates one object.
 
     Allocation-light by design: ``__slots__``, a precomputed
     ``batch_key``, and a mutable ``submitted_at`` so the graph
     scheduler can build one slot per ready node from the lookups it
     made at ``execute()`` and have it stamped at admission instead of
     constructing requests (and re-validating shapes) on the submit hot
-    path.
+    path. Its handle state (``stage``, ``lock``) follows
+    :mod:`repro.runtime.handle`: :meth:`RuntimeServer.admit` gives a
+    slot its lock when it enqueues it, so a slot without one is one
+    its admitting thread serves.
     """
 
-    kernel: RegisteredKernel
-    shape: Dict[str, int]
-    bucket: Bucket
-    inputs: Optional[Mapping[str, np.ndarray]]
-    future: "Future[RuntimeResult]"
-    submitted_at: float
-    batch_key: Tuple[str, Bucket]
-    #: Root "request" span (None when tracing is off) and the parent
-    #: span to nest it under (the graph scheduler's node span).
-    span: Any = None
-    trace_parent: Any = None
-    #: Pre-rounding request shape as a Bucket (set by ``submit`` only
-    #: with a specializer) and whether the specialization guard
-    #: hit — a hit serves ``bucket`` = the aligned specialized shape.
-    exact_bucket: Any = None
-    specialized: bool = False
-    #: Absolute ``perf_counter`` deadline (None = no deadline). Checked
-    #: at batch dispatch: an expired request fails fast with
-    #: :class:`~repro.runtime.resilience.DeadlineExceeded` instead of
-    #: occupying a worker.
-    deadline: Optional[float] = None
-    #: ``_QUEUED`` until a worker claims the future at dispatch
-    #: (``_CLAIMED``: its holder can no longer cancel it), ``_SETTLED``
-    #: once :meth:`RuntimeServer._settle` has ended it — which is what
-    #: makes settling exactly-once even from the crash handler.
-    stage: int = _QUEUED
-    #: Called last by :meth:`RuntimeServer._settle` with what it ended
-    #: the request with — its ``RuntimeResult`` or the exception its
-    #: future holds — however the request ends. The graph scheduler
-    #: settles its nodes through it; it must not raise.
-    on_settle: Optional[Callable[[Any], None]] = None
+    __slots__ = (
+        "kernel", "shape", "bucket", "inputs", "submitted_at", "batch_key",
+        "span", "trace_parent", "exact_bucket", "specialized", "deadline",
+        "on_settle",
+    )
+
+    def __init__(
+        self,
+        kernel: RegisteredKernel,
+        shape: Dict[str, int],
+        bucket: Bucket,
+        inputs: Optional[Mapping[str, np.ndarray]] = None,
+    ) -> None:
+        RequestHandle.__init__(self)
+        self.kernel = kernel
+        self.shape = shape
+        self.bucket = bucket
+        self.inputs = inputs
+        self.submitted_at = 0.0
+        self.batch_key: Tuple[str, Bucket] = (kernel.name, bucket)
+        #: Root "request" span (None when tracing is off) and the parent
+        #: span to nest it under (the graph scheduler's node span).
+        self.span: Any = None
+        self.trace_parent: Any = None
+        #: Pre-rounding request shape as a Bucket (set by ``submit`` only
+        #: with a specializer) and whether the specialization guard
+        #: hit — a hit serves ``bucket`` = the aligned specialized shape.
+        self.exact_bucket: Any = None
+        self.specialized = False
+        #: Absolute ``perf_counter`` deadline (None = no deadline). Checked
+        #: at batch dispatch: an expired request fails fast with
+        #: :class:`~repro.runtime.resilience.DeadlineExceeded` instead of
+        #: occupying a worker.
+        self.deadline: Optional[float] = None
+        #: Called last by :meth:`RuntimeServer._settle` with what it ended
+        #: the request with — its ``RuntimeResult`` or the exception it
+        #: failed with — however the request ends. The graph scheduler
+        #: settles its nodes through it; it must not raise.
+        self.on_settle: Optional[Callable[[Any], None]] = None
 
 
 class _Stages:
@@ -351,8 +367,8 @@ class RuntimeServer:
 
         with RuntimeServer(machine, disk_cache="cache/") as server:
             server.warm("gemm", [dict(m=4096, n=4096, k=4096)])
-            future = server.submit("gemm", dict(m=4000, n=4000, k=4000))
-            print(future.result().gpu.summary())
+            handle = server.submit("gemm", dict(m=4000, n=4000, k=4000))
+            print(handle.result().gpu.summary())
     """
 
     def __init__(
@@ -510,10 +526,10 @@ class RuntimeServer:
         """Stop the server.
 
         ``drain=True`` serves everything already queued first;
-        ``drain=False`` cancels queued requests (their futures report
+        ``drain=False`` cancels queued requests (their handles report
         cancellation, and they are counted ``failed`` like every other
         request that ends without a result), which *fails* any in-flight
-        ``submit_graph`` future — nothing is left pending: a cancelled
+        ``submit_graph`` handle — nothing is left pending: a cancelled
         node fails its graph, and a node a worker already holds settles
         before that worker is joined, its successors' submit raising
         "server closed" (``_stopping`` is set under the queue lock).
@@ -568,7 +584,8 @@ class RuntimeServer:
     def _coerce_shape(
         self, kernel: RegisteredKernel, shape: ShapeLike
     ) -> Dict[str, int]:
-        if isinstance(shape, Mapping):
+        # An exact dict skips the ABC check, the costlier test.
+        if type(shape) is dict or isinstance(shape, Mapping):
             return dict(shape)
         values = tuple(shape)
         if len(values) != len(kernel.dims):
@@ -585,8 +602,9 @@ class RuntimeServer:
         *,
         inputs: Optional[Mapping[str, np.ndarray]] = None,
         deadline: Optional[float] = None,
-    ) -> "Future[RuntimeResult]":
-        """Admit one request; returns a future of :class:`RuntimeResult`.
+    ) -> RequestHandle:
+        """Admit one request; returns its :class:`~repro.runtime.handle.
+        RequestHandle`, which resolves to a :class:`RuntimeResult`.
 
         Unknown kernel names and malformed shapes raise immediately in
         the calling thread (the request never enters the queue), as
@@ -596,14 +614,15 @@ class RuntimeServer:
         ``RuntimeResult.outputs``.
 
         A request no worker would add anything to is served on the
-        calling thread, and its future is done when ``submit`` returns:
+        calling thread, and its handle is done when ``submit`` returns:
         it carries no ``inputs``, the server is started and not
         stopping, nothing is queued, and its bucket's launch record is
         current, holds its timing and names a kernel resident in the
         memory cache (:meth:`admit` decides). Everything else is
-        enqueued for the workers. An unexpected exception while serving
-        fails the future (the workers' crash handler); ``submit`` does
-        not raise it.
+        enqueued for the workers; its handle can be cancelled until a
+        worker claims it. An unexpected exception while serving fails
+        the handle (the workers' crash handler); ``submit`` does not
+        raise it.
 
         ``deadline`` is a relative time limit in seconds: a request still
         queued when it elapses fails fast with
@@ -627,48 +646,47 @@ class RuntimeServer:
         shape_dict = self._coerce_shape(registered, shape)
         bucket = registered.bucket(shape_dict)
         exact = None
-        specialized = False
+        entry = None
         specializer = self.specializer
         if specializer is not None:
             exact = registered.exact_bucket(shape_dict)
             entry = specializer.lookup(registered.name, exact)
             if entry is not None:
                 bucket = entry.serving
-                specialized = True
                 self.telemetry.count("specialized_hits")
                 self.telemetry.count("padded_flops_saved", entry.flops_saved)
         request = self.prepare_request(
             registered, shape_dict, bucket, inputs=inputs
         )
-        request.exact_bucket = exact
-        request.specialized = specialized
+        if specializer is not None:
+            request.exact_bucket = exact
+            request.specialized = entry is not None
         if deadline is not None:
             request.deadline = time.perf_counter() + deadline
         self.admit([request])
-        return request.future
+        return request
 
-    def _ready(self, batch_key: Tuple[str, Bucket]) -> Optional[Launch]:
-        """A bucket's launch record if its requests need neither compile
-        nor simulation — the record is current, holds its timing, and
-        its key is resident in memory (a membership test moves no LRU
-        entry and bumps no counter) — else ``None``. Read without a
-        lock: a pin or an eviction landing after the check only makes
-        ``_serve`` simulate or compile on the admitting thread, as a
-        worker would."""
-        launch = self._launches.get(batch_key)
-        if (
-            launch is not None
-            and launch.gpu is not None
-            and launch.current
-            and launch.key in compile_cache
-        ):
+    def _ready(self, request: _QueuedRequest) -> Optional[Launch]:
+        """The launch record of a timing-only request that needs no
+        simulation — the record is current and holds its timing — else
+        ``None``. Whether its kernel is resident is the probe
+        :meth:`admit` makes next. Read without a lock: a pin landing
+        after the check serves this request from the record it found,
+        as if it had been admitted just before."""
+        if request.inputs is not None:
+            return None
+        launch = self._launches.get(request.batch_key)
+        if launch is not None and launch.gpu is not None and launch.current:
             return launch
         return None
 
-    def _serve_inline(self, batch: List[_QueuedRequest]) -> None:
+    def _serve_inline(
+        self, launch: Launch, kernel: Any, batch: List[_QueuedRequest]
+    ) -> None:
         """Serve a micro-batch admitted to its admitting thread on that
-        thread: the workers' ``_serve`` and crash handler, then the
-        batch leaves the ``_inline`` count."""
+        thread, from the ``launch`` record and resident ``kernel`` its
+        probe found: the workers' ``_serve`` and crash handler, then
+        the batch leaves the ``_inline`` count."""
         stages = (
             _Stages(self.tracer, "submitter")
             if self.tracer.enabled
@@ -676,7 +694,7 @@ class RuntimeServer:
         )
         stages.enter("dispatch")
         try:
-            self._serve(batch, stages)
+            self._serve(batch, stages, (launch, kernel))
         except Exception as error:
             self._worker_crash(batch, error)
         finally:
@@ -701,17 +719,9 @@ class RuntimeServer:
         The slot's submit timestamp is stamped by :meth:`admit`. A
         caller that must learn how the slot ends sets its
         ``on_settle``, which :meth:`_settle` calls last whichever way
-        the request ends; no callback is attached to its future.
+        the request ends; no done-callback is attached to the slot.
         """
-        return _QueuedRequest(
-            kernel=registered,
-            shape=shape,
-            bucket=bucket,
-            inputs=inputs,
-            future=Future(),
-            submitted_at=0.0,
-            batch_key=(registered.name, bucket),
-        )
+        return _QueuedRequest(registered, shape, bucket, inputs)
 
     def admit(self, requests: Sequence[_QueuedRequest]) -> None:
         """Admit prepared slots — one from ``submit``, a ready set from
@@ -719,43 +729,55 @@ class RuntimeServer:
         anything to: the one serve-here-or-queue decision.
 
         A timing-only request whose bucket is :meth:`_ready` is grouped
-        with its same-bucket peers; every other request (data-carrying,
-        or of a bucket that needs a compile or a simulation) is
-        enqueued, in the given order. The groups are served on the
-        calling thread, in micro-batches of up to ``max_batch``, only
-        while the server is started and nothing is queued (checked
-        under the lock that enqueues; they are counted in ``_inline``
-        until :meth:`_serve_inline` settles them); otherwise they are
-        enqueued too. The whole admission takes one lock acquisition,
-        which notifies one waiting worker per enqueued request. While
-        tracing, each request's ``trace_parent`` span (a graph node's)
-        gets ``served_by``: ``"submitter"`` or ``"worker"``.
+        with its same-bucket peers into micro-batches of up to
+        ``max_batch``, and each micro-batch probes the memory cache once
+        for its record's kernel (:meth:`CompileCache.resident`: a hit
+        counts and moves the entry like any lookup's); every other
+        request (data-carrying, of a bucket that needs a simulation, or
+        whose kernel is not resident) is enqueued, in the given order.
+        The micro-batches are served on the calling thread, from the
+        kernel their probe found, only while the server is started and
+        nothing is queued (read before probing, since a probe counts a
+        hit, and checked again under the lock that enqueues; they are
+        counted in ``_inline`` until :meth:`_serve_inline` settles
+        them); otherwise they are enqueued too. The whole admission
+        takes one lock acquisition, which gives each enqueued slot its
+        lock and notifies one waiting worker per enqueued request.
+        Enqueued requests are counted here; one served here is counted
+        with its ending (:meth:`_settle`). While tracing, each request's
+        ``trace_parent`` span (a graph node's) gets ``served_by``:
+        ``"submitter"`` or ``"worker"``.
 
         Raises :class:`CypressError` (before touching the queue) when
         the server is closed, or when the bounded queue is full under
         the ``"reject-new"`` shed policy; under ``"drop-oldest"`` the
         longest-queued requests — the head of the queue — are evicted
-        instead (their futures fail, counted as ``shed_requests`` — not
+        instead (their handles fail, counted as ``shed_requests`` — not
         as failures).
         """
         queued: Sequence[_QueuedRequest] = []
-        # The timing-only requests of ready buckets, as the micro-batches
-        # this thread would serve: up to ``max_batch`` per launch record
-        # (by its id: one record per bucket, and an int hashes cheaply).
-        batches: List[List[_QueuedRequest]] = []
+        # The micro-batches this thread would serve, each with the record
+        # and kernel it is served from: up to ``max_batch`` requests per
+        # launch record (by its id: one record per bucket, and an int
+        # hashes cheaply).
+        batches: List[Tuple[Launch, Any, List[_QueuedRequest]]] = []
         filling: Dict[int, List[_QueuedRequest]] = {}
+        may_serve = self._started and not self._queue
         for request in requests:
-            launch = None
-            if request.inputs is None:
-                launch = self._ready(request.batch_key)
+            launch = self._ready(request) if may_serve else None
+            if launch is not None:
+                batch = filling.get(id(launch))
+                if batch is None or len(batch) == self.max_batch:
+                    kernel = compile_cache.resident(launch.key)
+                    if kernel is None:
+                        launch = None  # evicted: a worker recompiles it
+                    else:
+                        batch = filling[id(launch)] = []
+                        batches.append((launch, kernel, batch))
             if launch is None:
                 queued.append(request)
-                continue
-            batch = filling.get(id(launch))
-            if batch is None or len(batch) == self.max_batch:
-                batch = filling[id(launch)] = []
-                batches.append(batch)
-            batch.append(request)
+            else:
+                batch.append(request)
         inline = len(requests) - len(queued)
         now = time.perf_counter()
         tracer = self.tracer
@@ -806,6 +828,10 @@ class RuntimeServer:
             for request in requests:
                 request.submitted_at = now
             if queued:
+                for request in queued:
+                    # Shared from here on: a worker may claim it while
+                    # its holder cancels or waits on it.
+                    request.lock = threading.Lock()
                 self._queue.extend(queued)
                 self._cv.notify(len(queued))
         if shed:
@@ -820,7 +846,8 @@ class RuntimeServer:
             )
             for victim in shed:
                 self._settle(victim, error=error, counter="shed_requests")
-        self.telemetry.count("requests", len(requests))
+        if queued:
+            self.telemetry.count("requests", len(queued))
         if self.speculator is not None:
             self.speculator.record_traffic(r.batch_key for r in requests)
         if self.specializer is not None:
@@ -832,12 +859,12 @@ class RuntimeServer:
             )
         if not here:
             return
-        for batch in batches:
+        for launch, kernel, batch in batches:
             if tracer.enabled:
                 for request in batch:
                     if request.trace_parent is not None:
                         request.trace_parent.args["served_by"] = "submitter"
-            self._serve_inline(batch)
+            self._serve_inline(launch, kernel, batch)
 
     def submit_graph(
         self,
@@ -866,8 +893,9 @@ class RuntimeServer:
                 through the graph; requires bucket-aligned node shapes.
 
         Returns:
-            A :class:`~repro.graph.GraphExecution`; its ``future``
-            resolves to a :class:`~repro.graph.GraphResult` with
+            A :class:`~repro.graph.GraphExecution`; its ``future`` (a
+            :class:`~repro.runtime.handle.RequestHandle`) resolves to a
+            :class:`~repro.graph.GraphResult` with
             per-node results, the makespan, and (with ``inputs``) the
             final root arrays.
         """
@@ -1031,13 +1059,18 @@ class RuntimeServer:
         kernel, tier = compile_cache.lookup(
             key, compute or launch.compute, tier=self.disk_tier
         )
-        if (
-            tier == TIER_MEMORY
-            and self.disk_tier is not None
-            and not self.disk_tier.contains(key)
-        ):
-            self.disk_tier.store(key, kernel)
+        if tier == TIER_MEMORY:
+            self._persist(key, kernel)
         return kernel, tier
+
+    def _persist(self, key: str, kernel: Any) -> None:
+        """Write a kernel served from the memory cache through to this
+        server's disk tier when the disk lacks it (a memory hit skips
+        the lookup's write-through, and the kernel may predate this
+        server)."""
+        disk = self.disk_tier
+        if disk is not None and not disk.contains(key):
+            disk.store(key, kernel)
 
     def _worker_loop(self) -> None:
         while True:
@@ -1068,7 +1101,7 @@ class RuntimeServer:
                 self._serve(batch, stages)
             except Exception as error:  # pragma: no cover - crash path
                 # _serve settles per-request errors itself; an
-                # exception escaping it (telemetry, tracing, future
+                # exception escaping it (telemetry, tracing, handle
                 # plumbing) would otherwise kill this worker silently.
                 # Fail whatever is unsettled and leave a black box.
                 self._worker_crash(batch, error)
@@ -1104,57 +1137,58 @@ class RuntimeServer:
         *,
         error: Optional[BaseException] = None,
         counter: str = "failed",
+        batch: int = 0,
     ) -> bool:
         """End ``request`` — the one terminal of the request path.
 
         However a request leaves — served (``result``), failed, past
         its deadline, shed (``counter="shed_requests"``), caught in a
         worker crash, or cancelled (a ``CancelledError``: by ``close``,
-        or by its holder while it queued) — only this code closes its
-        ``request`` span, bumps its terminal counter and touches its
-        future, so ``completed + failed + shed_requests == requests``
-        is a property of this one function. Last, it hands the outcome
-        to the slot's ``on_settle`` hook, the one way a graph node
-        settles. Returns whether this call settled it (only the crash
-        handler re-offers settled requests).
+        or by its holder while it queued) — only this code records its
+        ending, closes its ``request`` span and resolves its handle, so
+        ``completed + failed + shed_requests == requests`` is a
+        property of this one function. The ending is one telemetry
+        update, which also counts a request served on its admitting
+        thread as admitted (``admit`` left that to here) and, when
+        ``batch`` is its micro-batch's size, that batch. Last, it hands
+        the outcome to the slot's ``on_settle`` hook, the one way a
+        graph node settles. Returns whether this call settled it (only
+        the crash handler re-offers settled requests).
         """
         if request.stage == _SETTLED:
             return False
-        claimed = request.stage == _CLAIMED
-        request.stage = _SETTLED
-        future, span = request.future, request.span
+        # Only a slot enqueued (and so counted) by ``admit`` has a lock.
+        admitted = request.lock is None
+        span = request.span
         if error is None:
-            self.telemetry.record_result(
-                result.kernel, result.latency_s, result.tier, result.gpu.tflops
+            self.telemetry.record_ending(
+                "completed", result, admitted=admitted, batch=batch
             )
             if span is not None:
                 served = {"tier": result.tier, "batch_size": result.batch_size}
                 self.tracer.end(span, args=served)
-            future.set_result(result)
         else:
-            self.telemetry.count(counter)
+            self.telemetry.record_ending(
+                counter, admitted=admitted, batch=batch
+            )
             if span is not None:
                 self.tracer.end(span, args={"error": repr(error)})
-            if isinstance(error, CancelledError):
-                future.cancel()
-            elif claimed or future.set_running_or_notify_cancel():
-                future.set_exception(error)
+        request._resolve(result, error)
         if request.on_settle is not None:
             request.on_settle(result if error is None else error)
         return True
 
     def _dispatch(self, batch: List[_QueuedRequest]) -> List[_QueuedRequest]:
-        """Claim a popped batch's futures and fail the requests already
+        """Claim a popped batch's slots and fail the requests already
         past their deadline fast — no compile, no simulate, no worker
         time beyond this bookkeeping. Returns the live rest."""
         now = None  # the clock is read only if a request has a deadline
         live = []
         for request in batch:
-            if not request.future.set_running_or_notify_cancel():
-                error = CancelledError("cancelled by its holder while queued")
-                self._settle(request, error=error)
+            if not request._claim():
+                # Its holder cancelled it while it queued.
+                self._settle(request, error=request._error)
                 continue
-            request.stage = _CLAIMED
             if request.deadline is not None:
                 if now is None:
                     now = time.perf_counter()
@@ -1171,34 +1205,59 @@ class RuntimeServer:
             live.append(request)
         return live
 
-    def _serve(self, batch: List[_QueuedRequest], stages: _Stages) -> None:
-        """One popped micro-batch through dispatch, obtain, execute and
-        resolve; ``stages`` marks each boundary as it is crossed."""
+    def _serve(
+        self,
+        batch: List[_QueuedRequest],
+        stages: _Stages,
+        found: Optional[Tuple[Launch, Any]] = None,
+    ) -> None:
+        """One micro-batch through dispatch, obtain, execute and
+        resolve; ``stages`` marks each boundary as it is crossed.
+
+        A worker's batch (``found`` is ``None``) reads its launch record
+        and fetches its kernel here, and is counted as it starts. A
+        batch its admitting thread serves brings the ``(launch record,
+        resident kernel)`` that ``admit``'s probe found, and is counted
+        with its head's ending, in that request's one telemetry update.
+        """
         live = self._dispatch(batch)
         if not live:
             return
         stages.enter("batch")
-        self.telemetry.record_batch(len(live))
         head = live[0]
+        inline_size = 0
+        if found is None:
+            self.telemetry.record_batch(len(live))
+        else:
+            inline_size = len(live)
         name = head.kernel.name
         if self.speculator is not None:
             self.speculator.note_request(name, head.bucket)
         try:
             stages.enter("compile")
-            launch = self._launch(head.kernel, head.bucket)
-            compute, timing = launch.compute, self._timing
+            timing = self._timing
+            if found is None:
+                launch = self._launch(head.kernel, head.bucket)
+                compute = launch.compute
+                if self.faults is not None:
+                    # The compile site wraps only the compile a lookup
+                    # that missed both tiers runs, so a warm request
+                    # never reaches it.
+                    compute = self.faults.wrap("compile", name, compute)
+                kernel, tier = self._fetch(launch, compute)
+            else:
+                (launch, kernel), tier = found, TIER_MEMORY
+                self._persist(launch.key, kernel)
             if self.faults is not None:
-                # The compile site wraps only the compile a lookup that
-                # missed both tiers runs, so a warm request never
-                # reaches it.
-                compute = self.faults.wrap("compile", name, compute)
                 timing = self.faults.wrap("worker.execute", name, timing)
-            kernel, tier = self._fetch(launch, compute)
             stages.enter("execute")
             gpu = timing(launch, kernel)
         except Exception as error:
             for request in live:
-                self._settle(request, error=error)
+                self._settle(
+                    request, error=error,
+                    batch=inline_size if request is head else 0,
+                )
             return
         stages.served(live, kernel, tier)
         params = launch.params
@@ -1227,10 +1286,15 @@ class RuntimeServer:
                     params=dict(params) if params else None,
                 )
             except Exception as error:
-                self._settle(request, error=error)
+                self._settle(
+                    request, error=error,
+                    batch=inline_size if request is head else 0,
+                )
                 continue
             stages.resolved(request, done_at)
-            self._settle(request, result)
+            self._settle(
+                request, result, batch=inline_size if request is head else 0
+            )
 
     # ------------------------------------------------------------------
     # Introspection

@@ -19,7 +19,7 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, List, NamedTuple, Optional, Sequence
+from typing import Any, Dict, List, NamedTuple, Optional, Sequence
 
 from repro.compiler.cache import TIER_COMPILE, TIER_DISK, TIER_MEMORY
 from repro.util import fmt_percent
@@ -392,26 +392,44 @@ class Telemetry:
             self._counts["batches"] += 1
             self._max_batch = max(self._max_batch, size)
 
-    def record_result(
-        self, kernel: str, latency_s: float, tier: str, tflops: float
+    def record_ending(
+        self,
+        counter: str,
+        result: Any = None,
+        *,
+        admitted: bool = False,
+        batch: int = 0,
     ) -> None:
-        """Record one completed request.
+        """Record how one request ended, in one locked update.
 
         Args:
-            kernel: registered kernel name.
-            latency_s: submit-to-resolve wall time.
-            tier: which cache tier produced the kernel.
-            tflops: simulated throughput of the serving kernel.
+            counter: the terminal :data:`COUNTERS` row — ``"completed"``,
+                ``"failed"`` or ``"shed_requests"``.
+            result: a completed request's ``RuntimeResult``, whose
+                kernel, submit-to-resolve latency, cache tier and
+                simulated throughput are recorded.
+            admitted: also count the request as submitted (one served
+                on its admitting thread is counted when it ends).
+            batch: also count one micro-batch of this many requests.
         """
         with self._lock:
-            self._counts["completed"] += 1
+            counts = self._counts
+            counts[counter] += 1
+            if admitted:
+                counts["requests"] += 1
+            if batch:
+                counts["batches"] += 1
+                self._max_batch = max(self._max_batch, batch)
+            if result is None:
+                return
+            tier = result.tier
             self._tiers[tier] = self._tiers.get(tier, 0) + 1
-            window = self._kernels.get(kernel)
+            window = self._kernels.get(result.kernel)
             if window is None:
-                window = self._kernels[kernel] = _KernelWindow()
+                window = self._kernels[result.kernel] = _KernelWindow()
             window.requests += 1
-            window.latencies.append(latency_s)
-            window.tflops_sum += tflops
+            window.latencies.append(result.latency_s)
+            window.tflops_sum += result.gpu.tflops
 
     def record_graph_done(self, makespan_s: float) -> None:
         """Record one completed graph's submit-to-last-node wall time."""

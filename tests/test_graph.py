@@ -14,7 +14,6 @@ through ``api.run_graph`` and ``RuntimeServer.submit_graph``.
 import sys
 import threading
 import time
-from concurrent.futures import FIRST_COMPLETED, Future, wait
 
 import numpy as np
 import pytest
@@ -33,7 +32,7 @@ from repro.graph import (
     TaskGraph,
     infer_edges,
 )
-from repro.runtime import FaultPlan, RuntimeServer
+from repro.runtime import FaultPlan, RequestHandle, RuntimeServer
 from repro.tensors import partition_by_blocks
 from repro.tensors.regions import tensor_region
 
@@ -802,7 +801,7 @@ class TestReadyWorklist:
         )
         serve = RuntimeServer._serve
 
-        def close_during_the_second(self, batch, stages):
+        def close_during_the_second(self, batch, stages, found=None):
             if len(calls) == 1:
                 # Mid-drain: close from another thread, and serve this
                 # batch only once close has stopped the server.
@@ -812,7 +811,7 @@ class TestReadyWorklist:
                         lambda: server._stopping, timeout=30
                     )
             calls.append(batch)
-            return serve(self, batch, stages)
+            return serve(self, batch, stages, found)
 
         calls = []
         monkeypatch.setattr(RuntimeServer, "_serve", close_during_the_second)
@@ -826,7 +825,7 @@ class TestReadyWorklist:
         assert isinstance(error, CypressError) and "closed" in str(error)
         # The batch in flight when close landed was finished, not cut.
         assert len(calls) == 2
-        assert all(r.future.done() for batch in calls for r in batch)
+        assert all(request.done() for batch in calls for request in batch)
         stats = server.stats()
         assert stats.completed == stats.requests == 2
 
@@ -842,13 +841,13 @@ class TestOneSettlePath:
         from repro.kernels import transformer_block_graph
 
         spied = []
-        attach = Future.add_done_callback
+        attach = RequestHandle.add_done_callback
 
-        def spy(future, fn):
-            spied.append(future)
-            return attach(future, fn)
+        def spy(handle, fn):
+            spied.append(handle)
+            return attach(handle, fn)
 
-        monkeypatch.setattr(Future, "add_done_callback", spy)
+        monkeypatch.setattr(RequestHandle, "add_done_callback", spy)
         # The alternating graph of TestReadyWorklist: nodes 1 and 3 are
         # of buckets the server has never timed, so workers serve them;
         # the warm nodes are served by the thread that readies them.
@@ -973,7 +972,11 @@ def _wait_for_a_served_node(executions, timeout):
         if not running:
             return
         pending = [future for future in futures if not future.done()]
-        wait(pending + running, timeout=0.01, return_when=FIRST_COMPLETED)
+        # Wake on the first handle to finish, as FIRST_COMPLETED would.
+        woken = threading.Event()
+        for handle in pending + running:
+            handle.add_done_callback(lambda _handle: woken.set())
+        woken.wait(timeout=0.01)
 
 
 def _outcome(execution):

@@ -741,11 +741,11 @@ class TestFlightRotation:
         serve = RuntimeServer._serve
         calls = []
 
-        def serve_crashing_once(self, batch, stages):
+        def serve_crashing_once(self, batch, stages, found=None):
             calls.append(len(batch))
             if len(calls) == 1:
                 raise RuntimeError("boom")
-            return serve(self, batch, stages)
+            return serve(self, batch, stages, found)
 
         monkeypatch.setattr(RuntimeServer, "_serve", serve_crashing_once)
         server = RuntimeServer(

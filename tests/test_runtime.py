@@ -28,6 +28,7 @@ from repro.runtime import (
     FaultPlan,
     InjectedFault,
     KernelRegistry,
+    RequestHandle,
     ResilienceConfig,
     RuntimeServer,
     default_registry,
@@ -120,6 +121,37 @@ class TestBucketPolicy:
         # required strictly ascending rungs.
         with pytest.raises(CypressError, match="strictly"):
             BucketPolicy(ladders={"m": (128, 128)})
+
+    def test_a_bucket_pickled_under_another_hash_seed_is_found(self):
+        """A bucket keeps its hash, and the hash of its ``str`` names
+        moves with ``PYTHONHASHSEED``: one pickled by an interpreter of
+        another seed must still find its equal as a dict key here."""
+        import pickle
+        import subprocess
+
+        dims = (("m", 512), ("n", 256), ("k", 128))
+        code = (
+            "import pickle, sys; from repro.runtime import Bucket; "
+            f"bucket = Bucket({dims!r}); "
+            "sys.stdout.write(f'{hash(bucket)} {pickle.dumps(bucket).hex()}')"
+        )
+        src = os.path.join(os.path.dirname(__file__), "..", "src")
+        table = {Bucket(dims): "served"}
+        theirs = set()
+        for seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+            out = subprocess.run(
+                [sys.executable, "-c", code], env=env, check=True,
+                capture_output=True, text=True, timeout=120,
+            ).stdout
+            their_hash, payload = out.split()
+            theirs.add(int(their_hash))
+            loaded = pickle.loads(bytes.fromhex(payload))
+            assert loaded == Bucket(dims)
+            assert hash(loaded) == hash(Bucket(dims))
+            assert table[loaded] == "served"
+        # At least one child hashed differently from this interpreter.
+        assert theirs != {hash(Bucket(dims))}
 
 
 _ladders = st.lists(
@@ -444,11 +476,11 @@ def _recording(serve, calls, hold=None):
     """``RuntimeServer._serve`` that first appends ``(thread ident,
     batch)`` to ``calls``; ``hold(batch)`` runs next, if given."""
 
-    def recording(self, batch, stages):
+    def recording(self, batch, stages, found=None):
         calls.append((threading.get_ident(), list(batch)))
         if hold is not None:
             hold(batch)
-        return serve(self, batch, stages)
+        return serve(self, batch, stages, found)
 
     return recording
 
@@ -470,7 +502,7 @@ def _route(server, calls, future):
     (ident, head), = [
         (ident, batch[0])
         for ident, batch in calls
-        if any(request.future is future for request in batch)
+        if any(request is future for request in batch)
     ]
     (dispatch,) = [
         span for span in server.tracer.spans()
@@ -587,6 +619,27 @@ class TestInlineRouting:
             assert _route(server, serving_threads, second) == (
                 threading.get_ident(), "submitter"
             )
+
+    def test_an_inline_request_is_one_memory_hit_written_through(
+        self, hopper, registry, tmp_path, serving_threads
+    ):
+        """The submitting thread serves from the kernel ``admit``'s one
+        probe found: one counted memory hit, no miss, and the kernel
+        written through to a disk tier that lacks it."""
+        with RuntimeServer(
+            hopper, registry, workers=1, disk_cache=str(tmp_path)
+        ) as server:
+            server.warm("gemm", [SHAPE])
+            (launch,) = server._launches.values()
+            server.disk_tier._file(launch.key).unlink()
+            stats = api.compile_cache_stats()
+            hits, misses = stats.hits, stats.misses
+            future = server.submit("gemm", SHAPE)
+            assert future.done() and future.result().tier == "memory"
+            assert serving_threads[-1][0] == threading.get_ident()
+            stats = api.compile_cache_stats()
+            assert (stats.hits, stats.misses) == (hits + 1, misses)
+            assert server.disk_tier.contains(launch.key)
 
     def test_an_evicted_kernel_goes_to_a_worker(
         self, hopper, registry, serving_threads
@@ -1232,9 +1285,10 @@ def _execute_fault_inline(server, monkeypatch):
 
 def _crashed_inline(server, monkeypatch):
     _warm_started(server)
-    # An exception escaping ``_serve``: the future fails, ``submit``
-    # does not raise.
-    monkeypatch.setattr(server.telemetry, "record_batch", _explode)
+    # An exception escaping ``_serve`` (an inline batch is counted with
+    # its head's ending, so ``record_batch`` is not on its path): the
+    # handle fails, ``submit`` does not raise.
+    monkeypatch.setattr(server, "_dispatch", _explode)
     return _submit_inline(server)
 
 
@@ -1376,8 +1430,7 @@ class TestOutcomes:
             assert serving.wait(timeout=60)
             server.close(drain=drain)
             entered = [
-                request.future for _ident, batch in list(calls)
-                for request in batch
+                request for _ident, batch in list(calls) for request in batch
             ]
             stats = server.stats()
         finally:
@@ -1388,7 +1441,7 @@ class TestOutcomes:
         assert not any(thread.is_alive() for thread in threads)
         ((held_by, request),) = held
         assert held_by in {thread.ident for thread in threads}
-        assert request.future.result().tier == "memory"
+        assert request.result().tier == "memory"
         assert all(future.done() for future in entered)
         assert all(future.done() for future in futures)
         assert stats.completed >= 1
@@ -1396,6 +1449,233 @@ class TestOutcomes:
             stats.completed + stats.failed + stats.shed_requests
             == stats.requests
         )
+
+
+class TestHandle:
+    """``submit`` returns the request's slot as a ``RequestHandle``:
+    every method on each way a request can end, and the wait and
+    callback paths against a racing settle."""
+
+    @staticmethod
+    def _queued(server, shape=SHAPE, **kwargs):
+        handle = server.submit("gemm", shape, **kwargs)
+        assert not handle.done() and not handle.cancelled()
+        return handle
+
+    @staticmethod
+    def _assert_times_out(handle):
+        with pytest.raises(TimeoutError):
+            handle.result(timeout=0.01)
+        with pytest.raises(TimeoutError):
+            handle.exception(timeout=0.01)
+
+    def test_inline(self, hopper, registry):
+        with RuntimeServer(hopper, registry, workers=1) as server:
+            server.warm("gemm", [SHAPE])
+            handle = server.submit("gemm", SHAPE)
+            assert isinstance(handle, RequestHandle)
+            assert handle.lock is None  # served before anyone saw it
+            seen = []
+            handle.add_done_callback(
+                lambda h: seen.append((h, threading.get_ident()))
+            )
+            assert seen == [(handle, threading.get_ident())]
+            assert handle.done() and not handle.cancelled()
+            assert not handle.cancel()
+            assert handle.exception(timeout=0) is None
+            result = handle.result(timeout=0)
+            assert result.tier == "memory" and result.tflops > 0
+
+    def test_queued(self, hopper, registry):
+        server = RuntimeServer(hopper, registry, workers=1, start=False)
+        try:
+            handle = self._queued(server)
+            self._assert_times_out(handle)
+            seen = []
+            handle.add_done_callback(
+                lambda h: seen.append((h, threading.get_ident()))
+            )
+            assert seen == []
+            server.start()
+            result = handle.result(timeout=120)
+            assert result.tier == "compile"
+            assert handle.exception() is None
+            assert handle.done() and not handle.cancelled()
+            assert not handle.cancel()
+            ((called_with, thread),) = seen
+            assert called_with is handle
+            assert thread in {worker.ident for worker in server._threads}
+        finally:
+            server.close()
+
+    def test_failed(self, hopper, registry):
+        registry.register(
+            "bad_gemm", build_gemm, ("m", "n", "k"),
+            policy=BucketPolicy(ladders={}),
+            defaults=dict(tile_m=192, tile_n=128, tile_k=64),
+        )
+        with RuntimeServer(hopper, registry, workers=1) as server:
+            handle = server.submit("bad_gemm", dict(m=256, n=256, k=128))
+            error = handle.exception(timeout=120)
+            assert isinstance(error, CypressError)
+            with pytest.raises(CypressError) as raised:
+                handle.result()
+            assert raised.value is error
+            assert handle.done() and not handle.cancelled()
+            assert not handle.cancel()
+
+    def test_deadline(self, hopper, registry):
+        server = RuntimeServer(hopper, registry, workers=1, start=False)
+        try:
+            handle = self._queued(server, deadline=0.0)
+            self._assert_times_out(handle)
+            server.start()
+            assert isinstance(handle.exception(timeout=120), DeadlineExceeded)
+            with pytest.raises(DeadlineExceeded):
+                handle.result()
+            assert not handle.cancelled() and not handle.cancel()
+        finally:
+            server.close()
+        assert server.stats().timeouts == 1
+
+    def test_cancelled_by_its_holder(self, hopper, registry):
+        server = RuntimeServer(
+            hopper, registry, workers=1, trace=True, start=False
+        )
+        try:
+            handle = self._queued(server)
+            seen = []
+            handle.add_done_callback(seen.append)
+            assert handle.cancel()
+            assert seen == [handle]  # run by cancel, on this thread
+            assert handle.done() and handle.cancelled()
+            assert handle.cancel()  # still cancelled
+            with pytest.raises(CancelledError):
+                handle.result(timeout=0)
+            with pytest.raises(CancelledError):
+                handle.exception(timeout=0)
+            late = []
+            handle.add_done_callback(late.append)
+            assert late == [handle]
+            server.start()
+            # A later request of the bucket is served; the cancelled one
+            # is settled — counted failed, its span closed — at dispatch.
+            assert server.submit("gemm", SHAPE).result(timeout=120)
+        finally:
+            server.close()
+        assert seen == [handle]
+        assert handle.cancelled()
+        stats = server.stats()
+        assert (stats.requests, stats.completed, stats.failed) == (2, 1, 1)
+        spans = [s for s in server.tracer.spans() if s.name == "request"]
+        assert sorted("error" in span.args for span in spans) == [
+            False, True
+        ]
+
+    def test_a_claimed_request_cannot_be_cancelled(
+        self, hopper, registry, monkeypatch
+    ):
+        entered, release = threading.Event(), threading.Event()
+        dispatch = RuntimeServer._dispatch
+
+        def claim_then_hold(self, batch):
+            live = dispatch(self, batch)
+            entered.set()
+            release.wait(timeout=60)
+            return live
+
+        monkeypatch.setattr(RuntimeServer, "_dispatch", claim_then_hold)
+        with RuntimeServer(hopper, registry, workers=1) as server:
+            handle = server.submit("gemm", SHAPE)
+            try:
+                assert entered.wait(timeout=60)
+                assert not handle.cancel()
+                assert not handle.done() and not handle.cancelled()
+            finally:
+                release.set()
+            assert handle.result(timeout=120).tier == "compile"
+            assert not handle.cancelled()
+        stats = server.stats()
+        assert (stats.requests, stats.completed, stats.failed) == (1, 1, 0)
+
+    def test_close_without_drain_cancels(self, hopper, registry):
+        server = RuntimeServer(hopper, registry, workers=1, start=False)
+        handle = self._queued(server)
+        seen = []
+        handle.add_done_callback(seen.append)
+        server.close(drain=False)
+        assert seen == [handle]
+        assert handle.cancelled() and handle.cancel()
+        with pytest.raises(CancelledError):
+            handle.result(timeout=0)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_waiters_and_callbacks_race_the_settle(
+        self, hopper, registry, seed
+    ):
+        """Up to three threads wait on or attach callbacks to a queued
+        slot while a fourth settles it, in seeded random orders: no
+        waiter hangs, every one sees the outcome, and every callback
+        runs exactly once."""
+        import random
+
+        draw = random.Random(seed)
+        server = RuntimeServer(hopper, registry, workers=1, start=False)
+        with server:
+            server.start()
+            served = server.submit("gemm", SHAPE).result(timeout=120)
+            registered = registry.get("gemm")
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                for trial in range(60):
+                    request = server.prepare_request(
+                        registered, dict(SHAPE), served.bucket
+                    )
+                    request.lock = threading.Lock()  # as admit shares it
+                    request._claim()
+                    fails = draw.random() < 0.5
+                    error = RuntimeError(f"trial {trial}")
+                    roles = [
+                        draw.choice(("wait", "callback"))
+                        for _ in range(draw.randint(1, 3))
+                    ]
+                    calls, outcomes = [], []
+                    start = threading.Barrier(len(roles) + 1)
+
+                    def run(role, pause):
+                        start.wait(timeout=30)
+                        time.sleep(pause)
+                        if role == "callback":
+                            request.add_done_callback(calls.append)
+                        elif fails:
+                            outcomes.append(request.exception(timeout=30))
+                        else:
+                            outcomes.append(request.result(timeout=30))
+
+                    threads = [
+                        threading.Thread(
+                            target=run,
+                            args=(role, draw.choice((0, 0, 1e-5, 1e-4))),
+                        )
+                        for role in roles
+                    ]
+                    for thread in threads:
+                        thread.start()
+                    start.wait(timeout=30)
+                    time.sleep(draw.choice((0, 0, 1e-5, 1e-4)))
+                    if fails:
+                        assert server._settle(request, error=error)
+                    else:
+                        assert server._settle(request, served)
+                    for thread in threads:
+                        thread.join(timeout=30)
+                    assert not any(thread.is_alive() for thread in threads)
+                    assert calls == [request] * roles.count("callback")
+                    want = error if fails else served
+                    assert outcomes == [want] * roles.count("wait")
+            finally:
+                sys.setswitchinterval(interval)
 
 
 class TestServeEntryPoint:
