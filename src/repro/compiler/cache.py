@@ -49,7 +49,7 @@ DEFAULT_CAPACITY = 256
 #: a persisted tier written by another revision is never read back; bump
 #: it whenever a generated artefact (IR annotations, schedule, CUDA text,
 #: the pickled classes themselves) changes.
-COMPILER_REVISION = "entities numbered per compile"
+COMPILER_REVISION = "keys cover the externals a program names"
 
 #: Which branch of :meth:`CompileCache.lookup` produced the kernel: the
 #: in-memory LRU, the second tier passed to the lookup, or ``compute``.

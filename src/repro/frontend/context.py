@@ -193,12 +193,17 @@ def prange(*extents: int) -> Iterator:
 
 
 def call_external(function: str, *args: Any) -> None:
-    """Invoke a registered external function from a leaf task body."""
+    """Invoke an external function by a string literal of the leaf's body."""
     ctx = _require_context()
     if not ctx.variant.is_leaf:
         raise TraceError(
             f"inner task variant {ctx.variant.variant_name!r} may not "
             "call external functions (paper section 3.2)"
+        )
+    if not (isinstance(function, str) and function in ctx.variant.literals):
+        raise TraceError(
+            f"leaf variant {ctx.variant.variant_name!r} calls external "
+            f"{function!r} by a name that is not a literal of its body"
         )
     ctx.registry.external(function)  # existence check
     coerced = tuple(

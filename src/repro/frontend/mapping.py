@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Sequence, Tuple
 
 from repro.errors import MappingError
-from repro.frontend.task import TaskRegistry, TaskVariant
+from repro.frontend.task import TaskRegistry, TaskVariant, body_constants
 from repro.machine.machine import MachineModel
 from repro.machine.memory import MemoryKind
 from repro.machine.processor import ProcessorKind, depth_of
@@ -33,8 +33,8 @@ _ADDRESS = re.compile(r" at 0x[0-9a-fA-F]+")
 def _code_digest(code: types.CodeType, digests: Dict[int, Any]) -> str:
     """The content digest of a code object (nested ones included),
     hashed once: code is immutable and ``digests`` — the registry's
-    memo — holds it alive under its ``id``. A ``frozenset`` constant is
-    sorted first, its repr follows the hash seed."""
+    memo — holds it alive under its ``id``. A docstring is read as
+    ``None``; a ``frozenset`` is sorted: its repr follows the hash seed."""
     entry = digests.get(id(code))
     if entry is None:
         consts = tuple(
@@ -43,7 +43,7 @@ def _code_digest(code: types.CodeType, digests: Dict[int, Any]) -> str:
             else sorted(map(repr, const))
             if isinstance(const, frozenset)
             else repr(const)
-            for const in code.co_consts
+            for const in body_constants(code)
         )
         payload = repr((code.co_code.hex(), consts, code.co_names)).encode()
         entry = digests[id(code)] = (code, hashlib.sha256(payload).hexdigest())
@@ -335,9 +335,9 @@ class MappingSpec:
 
         Covers every mapping decision, the machine description, and the
         *logical program itself* — the bodies of the task variants the
-        instances reference and of every registered external function —
-        so two different programs that happen to reuse instance/variant
-        names cannot collide in the compile cache. Every mapping, the
+        instances reference and of the externals their leaves name
+        (:attr:`TaskVariant.literals`), docstrings aside — so programs
+        reusing names cannot collide in the cache. Every mapping, the
         machine, and each body's captured values and defaults are read
         from their *current* contents on every call, so mutating a
         ``TaskMapping`` (or a variable a task body closes over) after
@@ -351,6 +351,10 @@ class MappingSpec:
             self.by_instance[name].content_key()
             for name in sorted(self.by_instance)
         )
+        variants = [
+            self.registry.variant(name)
+            for name in sorted({m.variant for m in self.by_instance.values()})
+        ]
         variant_keys = tuple(
             (
                 variant.task_name,
@@ -365,13 +369,9 @@ class MappingSpec:
                     variant.fn, f"variant {variant.variant_name!r}", digests
                 ),
             )
-            for variant in (
-                self.registry.variant(variant_name)
-                for variant_name in sorted(
-                    {m.variant for m in self.by_instance.values()}
-                )
-            )
+            for variant in variants
         )
+        named = set().union(*(v.literals for v in variants if v.is_leaf))
         external_keys = tuple(
             (
                 name,
@@ -383,6 +383,7 @@ class MappingSpec:
                 else None,
             )
             for name, ext in sorted(self.registry.externals.items())
+            if name in named
         )
         payload = repr(
             (machine_key, instance_keys, variant_keys, external_keys)

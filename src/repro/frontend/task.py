@@ -11,7 +11,9 @@ for the arbitrary CUDA C++ a leaf may call.
 
 from __future__ import annotations
 
+import functools
 import inspect
+import types
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -20,6 +22,16 @@ from repro.frontend.privileges import Privilege
 
 Inner = "inner"
 Leaf = "leaf"
+
+
+def body_constants(code: types.CodeType) -> Tuple[Any, ...]:
+    """``code``'s constants, its docstring read as ``None``: on Python
+    3.11 a ``def``'s docstring (or ``None``) is ``co_consts[0]``, and a
+    lambda's or comprehension's code (named ``<...>``) has none."""
+    consts = code.co_consts
+    if consts and isinstance(consts[0], str) and code.co_name[0] != "<":
+        return (None,) + consts[1:]
+    return consts
 
 
 @dataclass
@@ -49,6 +61,22 @@ class TaskVariant:
     @property
     def tensor_params(self) -> Tuple[str, ...]:
         return tuple(p for p in self.params if p in self.privileges)
+
+    @functools.cached_property
+    def literals(self) -> frozenset[str]:
+        """The string literals of the body's code, nested code included
+        and docstrings skipped: the only names a leaf may pass to
+        ``call_external``, so the externals its compile key covers."""
+        found, codes = set(), [self.fn.__code__]
+        while codes:
+            for const in body_constants(codes.pop()):
+                if isinstance(const, types.CodeType):
+                    codes.append(const)
+                elif isinstance(const, (tuple, frozenset)):
+                    found.update(c for c in const if isinstance(c, str))
+                elif isinstance(const, str):
+                    found.add(const)
+        return frozenset(found)
 
     def privilege_of(self, param: str) -> Privilege:
         if param not in self.privileges:
@@ -108,9 +136,6 @@ class TaskRegistry:
         self.variants: Dict[str, TaskVariant] = {}
         self.tasks: Dict[str, List[str]] = {}
         self.externals: Dict[str, ExternalFunction] = {}
-        #: Bumped by every registration: a compile key covers every
-        #: external, so it is current only while this count stands.
-        self.registrations = 0
         #: ``id(code) -> (code, digest)``: the once-hashed bytecode of
         #: the bodies ``MappingSpec.fingerprint`` covers.
         self.code_digests: Dict[int, Tuple[Any, str]] = {}
@@ -135,7 +160,6 @@ class TaskRegistry:
         self.tasks.setdefault(variant.task_name, []).append(
             variant.variant_name
         )
-        self.registrations += 1
 
     def variant(self, name: str) -> TaskVariant:
         if name not in self.variants:
@@ -155,7 +179,6 @@ class TaskRegistry:
         if ext.name in self.externals:
             raise TraceError(f"duplicate external function {ext.name!r}")
         self.externals[ext.name] = ext
-        self.registrations += 1
 
     def external(self, name: str) -> ExternalFunction:
         if name not in self.externals:

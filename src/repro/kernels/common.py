@@ -2,9 +2,9 @@
 
 Every kernel module registers its tasks into one shared registry (they
 reuse the ``clear``/``copy`` trees and the leaf externals). External
-functions carry both a numpy implementation — FP32 accumulation over
-FP16 storage, matching Tensor Core semantics — and a cost kind for the
-simulator.
+functions carry both a numpy implementation — FP16 operands, products
+in FP32 rounded to the accumulator's dtype (FP16 in the GEMM family,
+FP32 in attention) — and a cost kind for the simulator.
 """
 
 from __future__ import annotations
@@ -68,22 +68,18 @@ def _prod(shape) -> int:
 # ------------------------------------------------------------------
 # External leaf functions
 # ------------------------------------------------------------------
-# Two docstrings below keep a deeper indent on their continuation
-# lines: a docstring is a constant of its function's code, which every
-# compile key hashes (MappingSpec.fingerprint), so re-indenting one
-# would move every key.
 @kernel_registry.external_function(
     "wgmma_f16",
     cost_kind="wgmma",
     flops_fn=lambda shapes: 2 * _prod(shapes[0]) * shapes[1][-1],
 )
 def wgmma_f16(C: np.ndarray, A: np.ndarray, B: np.ndarray) -> None:
-    """Warpgroup MMA: C += A @ B with FP32 accumulation.
+    """Warpgroup MMA: C += A @ B, the product computed in FP32 and
+    rounded to C's dtype (FP16 for GEMMs' ``Cacc``, FP32 in attention).
 
-        Called per thread on co-aligned fragments: C holds the thread's
-        Figure-4 output elements, A the matching rows (all K), B the
-        matching columns (all K).
-        """
+    Called per thread on co-aligned fragments: C holds the thread's
+    Figure-4 output elements, A the matching rows (all K), B the
+    matching columns (all K)."""
     acc = A.astype(np.float32) @ B.astype(np.float32)
     C += acc.astype(C.dtype)
 
@@ -94,7 +90,7 @@ def wgmma_f16(C: np.ndarray, A: np.ndarray, B: np.ndarray) -> None:
     flops_fn=lambda shapes: 2 * _prod(shapes[0]) * shapes[1][-1],
 )
 def wgmma_f16_st(C: np.ndarray, A: np.ndarray, B: np.ndarray) -> None:
-    """Warpgroup MMA, overwriting: C = A @ B (FP32 accumulate)."""
+    """Warpgroup MMA, overwriting: C = A @ B in FP32, rounded to C's dtype."""
     acc = A.astype(np.float32) @ B.astype(np.float32)
     C[...] = acc.astype(C.dtype)
 
@@ -129,15 +125,6 @@ def tma_store_tile(dst: np.ndarray, src: np.ndarray) -> None:
     dst[...] = src.astype(dst.dtype)
 
 
-@kernel_registry.external_function(
-    "row_sum_accum",
-    cost_kind="simt",
-    flops_fn=lambda shapes: _prod(shapes[1]),
-)
-def row_sum_accum(y: np.ndarray, A: np.ndarray) -> None:
-    """y += sum of A along its last axis (GEMM+Reduction leaf)."""
-    y += A.astype(np.float32).sum(axis=-1).astype(y.dtype)
-
 _NEG_INF = -1.0e30
 
 
@@ -157,13 +144,12 @@ def online_softmax_update(
 ) -> None:
     """One online-softmax step of Flash Attention.
 
-        Updates the running row max ``m`` and row sum ``l`` with the
-        scaled score tile ``S``, rescales the output accumulator ``acc``
-        and writes the unnormalized probabilities into ``P``. Rows whose
-        running max is still the -inf sentinel contribute nothing, which
-        makes the Flash-Attention-3 software-pipeline prologue (an
-        all-sentinel score buffer) a no-op.
-        """
+    Updates the running row max ``m`` and row sum ``l`` with the scaled
+    score tile ``S`` (all in FP32), rescales the output accumulator
+    ``acc`` and writes the unnormalized probabilities into ``P``,
+    rounded to its dtype. Rows whose running max is still the -inf
+    sentinel contribute nothing, which makes the Flash-Attention-3
+    software-pipeline prologue (an all-sentinel score buffer) a no-op."""
     s32 = S.astype(np.float32) * scale
     s32 = np.where(S.astype(np.float32) <= _NEG_INF / 2, -np.inf, s32)
     m_new = np.maximum(m, s32.max(axis=-1, keepdims=True))

@@ -128,32 +128,22 @@ class Launch:
     and hashes nothing: the pinned mapping ``params`` (``None``:
     registered defaults), the ``build`` under them, and that build's
     compile ``key`` and ``compute`` (:func:`~repro.compiler.pipeline.
-    build_step`), hashed once, here. The key covers every registered
-    external, so the record is :attr:`current` only until its task
-    registry registers again. ``warmed`` names the compiled kernel once
-    ``warm`` has fetched it. ``gpu`` is that kernel's simulated timing on
-    the server's machine, a pure function of ``key``: filled by the
+    build_step`), hashed once, here; no later registration outdates
+    the key. ``warmed`` names the compiled kernel once ``warm`` has
+    fetched it. ``gpu`` is that kernel's simulated timing on the
+    server's machine, a pure function of ``key``: filled by the
     record's first executed batch (or by ``warm``) and reused by every
     later one, so it is dropped only with the record."""
 
     params: Optional[Dict[str, Any]]
     build: KernelBuild
-    registrations: int = field(init=False)
     key: str = field(init=False)
     compute: Callable[[], Any] = field(init=False)
     warmed: Optional[str] = None
     gpu: Optional[GpuResult] = None
 
     def __post_init__(self) -> None:
-        # Read before hashing: a registration racing the hash leaves a
-        # record that reads outdated, never one that reads current.
-        self.registrations = self.build.spec.registry.registrations
         self.key, self.compute = build_step(self.build)
-
-    @property
-    def current(self) -> bool:
-        """Whether the task registry has registered nothing since."""
-        return self.registrations == self.build.spec.registry.registrations
 
 
 class KernelRegistry:

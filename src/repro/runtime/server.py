@@ -616,13 +616,12 @@ class RuntimeServer:
         A request no worker would add anything to is served on the
         calling thread, and its handle is done when ``submit`` returns:
         it carries no ``inputs``, the server is started and not
-        stopping, nothing is queued, and its bucket's launch record is
-        current, holds its timing and names a kernel resident in the
-        memory cache (:meth:`admit` decides). Everything else is
-        enqueued for the workers; its handle can be cancelled until a
-        worker claims it. An unexpected exception while serving fails
-        the handle (the workers' crash handler); ``submit`` does not
-        raise it.
+        stopping, nothing is queued, and its bucket's launch record
+        holds its timing and names a kernel resident in the memory
+        cache (:meth:`admit` decides). Everything else is enqueued for
+        the workers; its handle can be cancelled until a worker claims
+        it. An unexpected exception while serving fails the handle (the
+        workers' crash handler); ``submit`` does not raise it.
 
         ``deadline`` is a relative time limit in seconds: a request still
         queued when it elapses fails fast with
@@ -667,16 +666,15 @@ class RuntimeServer:
         return request
 
     def _ready(self, request: _QueuedRequest) -> Optional[Launch]:
-        """The launch record of a timing-only request that needs no
-        simulation — the record is current and holds its timing — else
-        ``None``. Whether its kernel is resident is the probe
-        :meth:`admit` makes next. Read without a lock: a pin landing
+        """The launch record of a timing-only request if it holds its
+        timing, else ``None``. Whether its kernel is resident is the
+        probe :meth:`admit` makes next. Read without a lock: a pin landing
         after the check serves this request from the record it found,
         as if it had been admitted just before."""
         if request.inputs is not None:
             return None
         launch = self._launches.get(request.batch_key)
-        if launch is not None and launch.gpu is not None and launch.current:
+        if launch is not None and launch.gpu is not None:
             return launch
         return None
 
@@ -1000,25 +998,21 @@ class RuntimeServer:
         pin: Optional[Dict[str, Any]] = None,
     ) -> Launch:
         """The record ``bucket``'s requests are served from — the one
-        place the server builds and hashes a launch. Made on first use,
-        replaced whole when ``pin`` gives the bucket tuned parameters
-        and remade under the same ones once a registration outdates it.
-        A warm request reads it without the lock; every write is under
-        it, so racing first uses leave one record and never overwrite a
-        pin."""
+        place the server builds and hashes a launch. Made on first use
+        and replaced whole when ``pin`` gives the bucket tuned
+        parameters. A warm request reads it without the lock; every
+        write is under it, so racing first uses leave one record and
+        never overwrite a pin."""
         memo_key = (registered.name, bucket)
         launch = self._launches.get(memo_key)
-        if pin is None and launch is not None and launch.current:
+        if pin is None and launch is not None:
             return launch
         with self._launch_lock:
             launch = self._launches.get(memo_key)
-            params = launch.params if launch is not None else None
-            if pin is not None:
-                params = pin
-            elif launch is not None and launch.current:
+            if pin is None and launch is not None:
                 return launch
             launch = self._launches[memo_key] = Launch(
-                params, registered.build(self.machine, bucket, params)
+                pin, registered.build(self.machine, bucket, pin)
             )
             return launch
 

@@ -253,7 +253,6 @@ EXTERNAL_ARGS = {
     "zero_frag": (((4, 64), np.float16, False),),
     "tma_store_tile": (((8, 16), np.float16, False),
                        ((8, 16), np.float16, True)),
-    "row_sum_accum": (((4,), np.float32, False), ((4, 64), np.float16, True)),
     "row_sum_weighted": (((4,), np.float32, False),
                          ((4, 64), np.float16, True), 0.25),
     "online_softmax_update": (

@@ -22,8 +22,7 @@ from repro import api
 from repro.compiler import CompileOptions
 from repro.compiler.cache import compile_key
 from repro.compiler.pipeline import compile_key_for
-from repro.frontend import MappingSpec, TaskRegistry
-from repro.frontend.task import ExternalFunction
+from repro.frontend import Leaf, MappingSpec, TaskRegistry, call_external
 from repro.gpusim.functional import interpret_function
 from repro.gpusim.gpu import simulate_kernel
 from repro.kernels import build_gemm, kernel_registry, transformer_block_graph
@@ -95,13 +94,6 @@ def _private_tasks():
     return tasks, private_gemm
 
 
-def _register_later(tasks):
-    def later(x):
-        x[...] = 0
-
-    tasks.register_external(ExternalFunction("later", later, "nop"))
-
-
 def _served_key(server, kernel, shape):
     registered = server.registry.get(kernel)
     return server._launches[(kernel, registered.bucket(shape))].key
@@ -156,22 +148,6 @@ class TestRecordIsTheLaunch:
                 hopper, registered, registered.bucket(A), after.params
             )
             assert (after.gpu, after.build_name) == (gpu, kernel.name)
-            assert len(server._launches) == 1
-
-    def test_a_registration_outdates_the_record(self, hopper):
-        tasks, private_gemm = _private_tasks()
-        with RuntimeServer(hopper, _registry(private_gemm), workers=1) as server:
-            first = server.submit("gemm", A).result(timeout=120)
-            key = _served_key(server, "gemm", A)
-            again = server.submit("gemm", A).result(timeout=120)
-            assert (first.tier, again.tier) == ("compile", "memory")
-            assert _served_key(server, "gemm", A) == key
-            # The fingerprint covers every registered external.
-            _register_later(tasks)
-            third = server.submit("gemm", A).result(timeout=120)
-            assert third.tier == "compile"
-            assert _served_key(server, "gemm", A) != key
-            assert third.gpu == first.gpu
             assert len(server._launches) == 1
 
     def test_eviction_recompiles_from_the_record(
@@ -455,16 +431,30 @@ class TestTimingIsSimulatedOncePerRecord:
         simulations = counts["simulate_kernel"] - marks["simulate_kernel"]
         return served["before"], served["after"], simulations
 
-    def test_a_registration_simulates_once_more(self, hopper):
+    def test_a_registration_leaves_the_record_alone(self, hopper):
         tasks, private_gemm = _private_tasks()
+        seen = {}
+
+        def register(server, bucket):
+            seen.update(server=server, key=_served_key(server, "gemm", A))
+
+            @tasks.external_function("later", cost_kind="nop")
+            def later(x):
+                x[...] = 0
+
+            @tasks.task("later", Leaf, writes=["x"])
+            def later_leaf(x):
+                call_external("later", x)
+
         before, after, simulations = self._simulations_after(
-            (hopper, _registry(private_gemm)),
-            lambda server, bucket: _register_later(tasks),
+            (hopper, _registry(private_gemm)), register
         )
-        assert simulations == 1
-        assert after[0].gpu is not before[0].gpu
-        assert after[0].gpu == before[0].gpu
-        assert all(r.gpu is after[0].gpu for r in after)
+        # The key covers only the externals the GEMM's leaves name, so
+        # it still names the resident kernel.
+        assert _served_key(seen["server"], "gemm", A) == seen["key"]
+        assert simulations == 0
+        assert all(r.tier == "memory" for r in after)
+        assert all(r.gpu is before[0].gpu for r in after)
 
     def test_a_deopt_forget_simulates_once_more(self, hopper, registry):
         before, after, simulations = self._simulations_after(

@@ -198,7 +198,6 @@ CLASSES = {
                 "a test that reaches it through the program",
     "test-oracle": "a checker only tests use; move it under tests/",
     "operator-surface": "named by docs/ops.md or docs/observability.md",
-    "key-bound": "deleting it moves pinned compile keys",
     "dunder": "a dunder method, or a method of an abstract base",
     "delete": "nothing needs it; delete it",
 }
