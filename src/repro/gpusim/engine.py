@@ -50,22 +50,30 @@ class ResourcePool:
         }
         # All service rates come from the shared roofline derivation so
         # the analytic cost model and the simulator agree on the
-        # hardware's capabilities (repro.gpusim.roofline).
-        self._tensor_flops_per_cycle = roof.tensor_flops_per_cycle
-        self._simt_flops_per_cycle = roof.simt_flops_per_cycle
-        self._sfu_ops_per_cycle = roof.sfu_ops_per_cycle
-        self._smem_bytes_per_cycle = roof.smem_bytes_per_cycle
-        # Per-SM copy throughput rides the L2: tile loads mostly hit in
-        # L2 thanks to inter-CTA reuse (row/column panels shared across
-        # a wave). Compulsory DRAM traffic is bounded separately by the
+        # hardware's capabilities (repro.gpusim.roofline). Per-SM copy
+        # throughput rides the L2: tile loads mostly hit in L2 thanks to
+        # inter-CTA reuse (row/column panels shared across a wave).
+        # Compulsory DRAM traffic is bounded separately by the
         # whole-device HBM roofline in the GPU model.
-        self._global_bytes_per_cycle = roof.global_bytes_per_cycle
-        self._global_latency = roof.global_latency_cycles
-        self._tma_latency = roof.tma_latency_cycles
+        r, copy = self.resources, roof.global_bytes_per_cycle
+        # kinds -> (resource, work attribute, work per cycle, latency)
+        models = {
+            ("tma_load", "tma_store"):
+                (r["tma"], "bytes_moved", copy, roof.tma_latency_cycles),
+            ("cp_async",):
+                (r["lsu"], "bytes_moved", copy, roof.cp_async_latency_cycles),
+            ("ld_global", "st_global"):
+                (r["lsu"], "bytes_moved", copy, roof.global_latency_cycles),
+            ("wgmma", "mma_sync"):
+                (r["tensor"], "flops", roof.tensor_flops_per_cycle, 0.0),
+            ("simt",): (r["simt"], "flops", roof.simt_flops_per_cycle, 0.0),
+            ("sfu",): (r["sfu"], "sfu_ops", roof.sfu_ops_per_cycle, 0.0),
+            ("smem_copy",):
+                (r["smem"], "bytes_moved", roof.smem_bytes_per_cycle, 0.0),
+        }
+        self._models = {k: m for kinds, m in models.items() for k in kinds}
         self._tma_issue = roof.tma_issue_cycles
-        self._cp_async_latency = roof.cp_async_latency_cycles
         self._cp_async_issue_per_16b = roof.cp_async_issue_cycles_per_16b
-        self.has_tma = roof.has_tma
 
     # ------------------------------------------------------------------
     # Service/issue models per instruction kind
@@ -88,33 +96,13 @@ class ResourcePool:
 
     def completion(self, kind: str, ready: float, instr) -> float:
         """Reserve the servicing resource; return the completion time."""
-        if kind in ("tma_load", "tma_store"):
-            service = instr.bytes_moved / self._global_bytes_per_cycle
-            finish = self.resources["tma"].reserve(ready, service)
-            return finish + self._tma_latency
-        if kind == "cp_async":
-            service = instr.bytes_moved / self._global_bytes_per_cycle
-            finish = self.resources["lsu"].reserve(ready, service)
-            return finish + self._cp_async_latency
-        if kind in ("ld_global", "st_global"):
-            service = instr.bytes_moved / self._global_bytes_per_cycle
-            finish = self.resources["lsu"].reserve(ready, service)
-            return finish + self._global_latency
-        if kind in ("wgmma", "mma_sync"):
-            service = instr.flops / self._tensor_flops_per_cycle
-            return self.resources["tensor"].reserve(ready, service)
-        if kind == "simt":
-            service = instr.flops / self._simt_flops_per_cycle
-            return self.resources["simt"].reserve(ready, service)
-        if kind == "sfu":
-            service = instr.sfu_ops / self._sfu_ops_per_cycle
-            return self.resources["sfu"].reserve(ready, service)
-        if kind == "smem_copy":
-            service = instr.bytes_moved / self._smem_bytes_per_cycle
-            return self.resources["smem"].reserve(ready, service)
-        if kind == "nop":
-            return ready
-        raise SimulationError(f"no completion model for kind {kind!r}")
+        model = self._models.get(kind)
+        if model is None:
+            if kind == "nop":
+                return ready
+            raise SimulationError(f"no completion model for kind {kind!r}")
+        resource, work, rate, latency = model
+        return resource.reserve(ready, getattr(instr, work) / rate) + latency
 
     def busy_times(self) -> Dict[str, float]:
         return {name: res.busy for name, res in self.resources.items()}

@@ -6,32 +6,41 @@ instruction starts once its stream reaches it *and* its dependence
 events have completed (the explicit-waits of warp-specialized code).
 Asynchronous instructions occupy the stream only for their issue cost,
 so a DMA warp can run ``PIPE`` iterations ahead, bounded exactly by the
-backward write-after-read edges the pipelining pass recorded.
+backward write-after-read edges the pipelining pass recorded. A single
+stream (no warp specialization) issues a pipelined loop's copies
+``pipeline - 1`` iterations early: the unrolled multistage prefetch of
+Ampere-style kernels (Figure 1a).
 
-For single-stream (non-warp-specialized) schedules, copies inside a
-pipelined loop are issued ``pipeline - 1`` iterations early, modeling
-the unrolled multistage prefetch of Ampere-style kernels (Figure 1a).
+A dynamic instruction's id is its segment's base + iteration x the
+segment's width + its position. One pass builds a row per static
+instruction as its streams run it (a compute instruction's
+per-warpgroup share, a copy as written): its issue cycles, whether it
+blocks its stream, and its dependences as offsets from the instance's
+id (a producer in another segment: its fixed last-iteration id). A
+stream is a list of ``(row, id, iteration)``; per-id state is flat
+lists. Each issue reserves through
+:meth:`~repro.gpusim.engine.ResourcePool.completion`, the one service
+model, which the differential oracle reads too.
 
 An issue re-resolves only the stream head that advanced and the heads
-that were blocked. What a head waits on is worked out once, when it
-becomes the head (a dependence in another segment through a
-``uid -> (segment, last iteration)`` table built per call), and its
-ready time is cached from the moment every instance of every dependence
-has completed: completion times only ever change when an instance
-issues, so from then on the value is final, and so is the start time
-built on it (the stream's own clock moves only when that stream
-issues). Nothing outlives the call, and the schedule is only read: the
-per-warpgroup instruction variants live in a table local to it.
+that were blocked. A head's dependences are worked out when it becomes
+the head (a uid in no segment raises then, once it applies), and its
+ready time is cached once every instance of every dependence has
+completed: completion times change only when an instance issues, so the
+value is final, and so is the start time built on it (a stream's clock
+moves only when it issues). Nothing outlives the call, and the schedule
+is only read.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from repro.errors import SimulationError
 from repro.gpusim.engine import ResourcePool
-from repro.gpusim.kernel import Instr, KernelSchedule, Segment
+from repro.gpusim.kernel import Instr, KernelSchedule
 from repro.gpusim.roofline import Roofline
 
 
@@ -45,43 +54,46 @@ class CtaResult:
     dynamic_instructions: int
 
 
-@dataclass
-class _Item:
-    """One dynamic instruction instance on a stream."""
+class _Row(NamedTuple):
+    """One static instruction as its streams issue it."""
 
-    instr: Instr
-    iteration: int
-    segment: int
+    instr: Instr  # as costed on its streams
+    issue: float
+    blocking: bool
+    #: ``(gate, target, scale)`` per dependence (deps, carried deps,
+    #: write-after-read consumers), on id ``target + scale * id`` from
+    #: iteration ``gate`` on; ``scale`` 0 names another segment's id.
+    deps: Tuple[Tuple[int, int, int], ...]
+    unknown: Tuple[Tuple[int, int], ...]  # (gate, uid): in no segment
+    instances: int  # stream instances: one per warpgroup for compute
 
 
-#: (segment, iteration, uid) of one dynamic instruction.
-_Key = Tuple[int, int, int]
+#: One dynamic instruction on a stream: its row, id and iteration.
+_Entry = Tuple[_Row, int, int]
+
+_BLOCKING = ("simt", "sfu", "smem_copy", "ld_global", "st_global")
 
 
 def simulate_cta(schedule: KernelSchedule, roof: Roofline) -> CtaResult:
     """Simulate one CTA of ``schedule`` at the rates of ``roof`` (a
     machine's :func:`~repro.gpusim.roofline.roofline`)."""
     pool = ResourcePool(roof)
-    streams = _build_streams(schedule)
-    # Instances of each dynamic instruction still to issue, the latest
-    # finish among those that have, and — once none is left — the time
-    # the instruction as a whole completed.
-    remaining = _expected_instances(streams)
-    latest: Dict[_Key, float] = {}
-    finished: Dict[_Key, float] = {}
-    home = {
-        instr.uid: (seg_idx, segment.extent - 1)
-        for seg_idx, segment in enumerate(schedule.segments)
-        for instr in segment.instrs
-    }
+    rows, bases = _rows(schedule, pool)
+    streams = _build_streams(schedule, rows, bases)
+    # Per id: instances still to issue, the latest finish among those
+    # that have, and — once none is left — when the whole one completed.
+    remaining: List[int] = []
+    for seg_rows, segment in zip(rows, schedule.segments):
+        remaining += [row.instances for row in seg_rows] * segment.extent
+    latest = [0.0] * len(remaining)
+    finished: List[Optional[float]] = [None] * len(remaining)
     stream_time: Dict[str, float] = {name: 0.0 for name in streams}
     cursor: Dict[str, int] = {name: 0 for name in streams}
     # Per unfinished stream: what its head waits on, and its feasible
     # start time — None while the head is blocked or not yet resolved.
-    waits: Dict[str, List[_Key]] = {
-        name: _dep_keys(items[0], remaining, home)
-        for name, items in streams.items()
-        if items
+    waits: Dict[str, List[int]] = {
+        name: _waits(*entries[0]) for name, entries in streams.items()
+        if entries
     }
     start: Dict[str, Optional[float]] = dict.fromkeys(waits)
 
@@ -96,190 +108,171 @@ def simulate_cta(schedule: KernelSchedule, roof: Roofline) -> CtaResult:
                 ready = _deps_ready(waits[candidate], finished)
                 if ready is None:
                     continue
-                when = start[candidate] = max(stream_time[candidate], ready)
-            if name is None or when < start[name]:
-                name = candidate
+                clock = stream_time[candidate]
+                # max(clock, ready), spelled out: no call per resolution
+                when = start[candidate] = ready if ready > clock else clock
+            if name is None or when < begin:
+                name, begin = candidate, when
         if name is None:
             raise SimulationError(
                 "schedule deadlocked: circular dependence between "
                 "instruction streams: "
                 + "; ".join(
-                    _blocked(n, streams[n][cursor[n]], waits[n], finished)
+                    _blocked(n, streams[n][cursor[n]], waits[n], finished,
+                             schedule, bases)
                     for n in start
                 )
             )
-        items = streams[name]
-        item = items[cursor[name]]
-        begin = start[name]
-        issue = pool.issue_cycles(item.instr.kind, item.instr.bytes_moved)
-        finish = pool.completion(item.instr.kind, begin + issue, item.instr)
-        blocking = item.instr.kind in ("simt", "sfu", "smem_copy",
-                                       "ld_global", "st_global")
-        stream_time[name] = finish if blocking else begin + issue
-        key = (item.segment, item.iteration, item.instr.uid)
-        latest[key] = max(latest.get(key, 0.0), finish)
-        remaining[key] -= 1
-        if not remaining[key]:
-            finished[key] = latest[key]
-        cursor[name] += 1
-        if cursor[name] == len(items):
+        entries = streams[name]
+        at = cursor[name]
+        row, me, _ = entries[at]
+        instr, issue, blocking, _, _, _ = row
+        issued = begin + issue
+        finish = pool.completion(instr.kind, issued, instr)
+        stream_time[name] = finish if blocking else issued
+        if finish > latest[me]:
+            latest[me] = finish
+        remaining[me] -= 1
+        if not remaining[me]:
+            finished[me] = latest[me]
+        at = cursor[name] = at + 1
+        if at == len(entries):
             del start[name]
         else:
             start[name] = None
-            waits[name] = _dep_keys(items[cursor[name]], remaining, home)
+            waits[name] = _waits(*entries[at])
 
     return CtaResult(
-        cycles=max([*stream_time.values(), *finished.values(), 0.0]),
+        cycles=max([*stream_time.values(), *finished, 0.0]),
         busy=pool.busy_times(),
         stream_cycles=dict(stream_time),
-        dynamic_instructions=sum(len(items) for items in streams.values()),
+        dynamic_instructions=sum(len(e) for e in streams.values()),
     )
 
 
 # ----------------------------------------------------------------------
-# Stream construction
+# Rows and streams
 # ----------------------------------------------------------------------
-def _build_streams(schedule: KernelSchedule) -> Dict[str, List[_Item]]:
-    names = [f"wg{i}" for i in range(schedule.n_warpgroups)]
-    if schedule.warpspecialized:
-        names.append("dma")
-    streams: Dict[str, List[_Item]] = {name: [] for name in names}
-    # Work annotated on a compute instruction covers all warpgroups;
-    # each stream executes 1/Nth of it. One variant per instruction,
-    # owned by this simulation — the schedule is shared and cached.
+def _rows(
+    schedule: KernelSchedule, pool: ResourcePool
+) -> Tuple[List[List[_Row]], List[int]]:
+    """Each segment's rows, and each segment's first id (then the total)."""
+    segments = schedule.segments
+    bases = [0]
+    home: Dict[int, Tuple[int, int]] = {}
+    for seg_idx, segment in enumerate(segments):
+        bases.append(bases[-1] + segment.extent * len(segment.instrs))
+        for pos, instr in enumerate(segment.instrs):
+            home[instr.uid] = (seg_idx, pos)
+
+    def edge(seg_idx: int, pos: int, uid: int, back: int):
+        """``(gate, target, scale)`` of the dependence of ``pos`` in
+        ``seg_idx`` on ``uid`` ``back`` iterations earlier; scale None
+        if ``uid`` has no instance there (none, or a later iteration:
+        past the last one in the end)."""
+        other, at = home.get(uid, (None, None))
+        if other is None or other == seg_idx and back < 0:
+            return back, uid, None
+        width = len(segments[other].instrs)
+        if other == seg_idx:
+            return back, at - pos - back * width, 1
+        last = segments[other].extent - 1
+        return back, bases[other] + last * width + at, 0
+
     n = schedule.n_warpgroups
-    per_wg = {
-        instr.uid: instr if n == 1 else replace(
-            instr,
-            bytes_moved=instr.bytes_moved // n,
-            flops=instr.flops / n,
-            sfu_ops=instr.sfu_ops / n,
-        )
-        for segment in schedule.segments
-        for instr in segment.instrs
-    }
-    for seg_idx, segment in enumerate(schedule.segments):
-        if schedule.warpspecialized:
-            _emit_warpspec(streams, per_wg, seg_idx, segment)
-        else:
-            _emit_single(streams, per_wg, seg_idx, segment)
-    return streams
+    rows = []
+    for seg_idx, segment in enumerate(segments):
+        rows.append([])
+        for pos, instr in enumerate(segment.instrs):
+            # Work annotated on a compute instruction covers all
+            # warpgroups; each stream executes 1/Nth of it.
+            dma = instr.role == "dma"
+            if not dma and n > 1:
+                instr = replace(
+                    instr,
+                    bytes_moved=instr.bytes_moved // n,
+                    flops=instr.flops / n,
+                    sfu_ops=instr.sfu_ops / n,
+                )
+            edges = [*((uid, 0) for uid in instr.deps), *instr.carried_deps]
+            if instr.war_distance > 0:
+                war = instr.war_distance
+                edges += [(uid, war) for uid in instr.war_consumers]
+            deps = [edge(seg_idx, pos, uid, back) for uid, back in edges]
+            rows[-1].append(_Row(
+                instr,
+                pool.issue_cycles(instr.kind, instr.bytes_moved),
+                instr.kind in _BLOCKING,
+                tuple(dep for dep in deps if dep[2] is not None),
+                tuple((gate, uid) for gate, uid, s in deps if s is None),
+                1 if dma else n,
+            ))
+    return rows, bases
 
 
-def _emit_warpspec(
-    streams: Dict[str, List[_Item]],
-    per_wg: Dict[int, Instr],
-    seg_idx: int,
-    segment: Segment,
-) -> None:
-    for k in range(segment.extent):
-        for instr in segment.instrs:
-            if instr.role == "dma":
-                streams["dma"].append(_Item(instr, k, seg_idx))
+def _build_streams(
+    schedule: KernelSchedule, rows: List[List[_Row]], bases: List[int]
+) -> Dict[str, List[_Entry]]:
+    names = [f"wg{i}" for i in range(schedule.n_warpgroups)]
+    compute = [[] for _ in names]
+    streams: Dict[str, List[_Entry]] = dict(zip(names, compute))
+    # a single warp issues each block-wide copy
+    copy_stream = compute[0]
+    if schedule.warpspecialized:
+        copy_stream = streams["dma"] = []
+    for seg_rows, base, segment in zip(rows, bases, schedule.segments):
+        width = len(seg_rows)
+        order = [
+            (pos, k) for k in range(segment.extent) for pos in range(width)
+        ]
+        ahead = segment.pipeline - 1 if segment.is_loop else 0
+        if ahead and not schedule.warpspecialized:
+            # Multistage prefetch: a copy of iteration k issues just
+            # before iteration k - ahead's other instructions (those of
+            # k < ahead lead them all). A copy that depends on
+            # same-iteration compute results (like the serialized B2
+            # load of the modeled Triton Dual-GEMM) stays in place.
+            early = {
+                pos for pos, i in enumerate(segment.instrs)
+                if i.role == "dma" and not i.deps
+            }
+            order.sort(key=lambda at: (at[1] - ahead, 0, at[0])
+                       if at[0] in early else (at[1], 1, at[0]))
+        for pos, k in order:
+            row = seg_rows[pos]
+            entry = (row, base + k * width + pos, k)
+            if row.instr.role == "dma":
+                copy_stream.append(entry)
             else:
-                for name, items in streams.items():
-                    if name != "dma":
-                        items.append(_Item(per_wg[instr.uid], k, seg_idx))
-
-
-def _emit_single(
-    streams: Dict[str, List[_Item]],
-    per_wg: Dict[int, Instr],
-    seg_idx: int,
-    segment: Segment,
-) -> None:
-    """Single-stream emission with multistage prefetch reordering.
-
-    Copies that depend on same-iteration compute results (like the
-    serialized B2 load of the modeled Triton Dual-GEMM) cannot be
-    prefetched; they stay in program position.
-    """
-    prefetch = segment.pipeline - 1 if segment.is_loop else 0
-    copies = [
-        i for i in segment.instrs if i.role == "dma" and not i.deps
-    ]
-    compute = [i for i in segment.instrs if i not in copies]
-    schedule_rows: List[Tuple[Instr, int]] = []
-    if prefetch > 0:
-        for k in range(min(prefetch, segment.extent)):
-            for instr in copies:
-                schedule_rows.append((instr, k))
-        for k in range(segment.extent):
-            fetch_iter = k + prefetch
-            if fetch_iter < segment.extent:
-                for instr in copies:
-                    schedule_rows.append((instr, fetch_iter))
-            for instr in compute:
-                schedule_rows.append((instr, k))
-    else:
-        for k in range(segment.extent):
-            for instr in segment.instrs:
-                schedule_rows.append((instr, k))
-    for instr, k in schedule_rows:
-        if instr.role == "dma":
-            # a single warp issues each block-wide copy
-            streams["wg0"].append(_Item(instr, k, seg_idx))
-        else:
-            for items in streams.values():
-                items.append(_Item(per_wg[instr.uid], k, seg_idx))
+                for entries in compute:
+                    entries.append(entry)
+    return streams
 
 
 # ----------------------------------------------------------------------
 # Dependence resolution
 # ----------------------------------------------------------------------
-def _expected_instances(
-    streams: Dict[str, List[_Item]]
-) -> Dict[_Key, int]:
-    """How many stream instances each dynamic instruction has.
-
-    A compute instruction replicated across N warpgroups only counts as
-    complete once all N instances finish (the warpgroup barrier).
-    """
-    expected: Dict[_Key, int] = {}
-    for items in streams.values():
-        for item in items:
-            key = (item.segment, item.iteration, item.instr.uid)
-            expected[key] = expected.get(key, 0) + 1
-    return expected
-
-
-def _dep_keys(
-    item: _Item, expected: Dict[_Key, int], home: Dict[int, Tuple[int, int]]
-) -> List[_Key]:
-    """The dynamic instructions ``item`` waits on: same-iteration deps,
-    carried deps, then write-after-read consumers."""
-    instr, segment, iteration = item.instr, item.segment, item.iteration
-    keys = [(segment, iteration, dep) for dep in instr.deps]
-    keys += [
-        (segment, iteration - distance, dep)
-        for dep, distance in instr.carried_deps
-        if distance <= iteration
-    ]
-    if 0 < instr.war_distance <= iteration:
-        target = iteration - instr.war_distance
-        keys += [(segment, target, uid) for uid in instr.war_consumers]
-    for position, key in enumerate(keys):
-        if key not in expected:
-            # The producer lives in another segment (loop-external
-            # dependence): it completes once, at its own final instance.
-            uid = key[2]
-            if uid not in home or home[uid][0] == segment:
-                raise SimulationError(
-                    f"instruction depends on unknown uid {uid}"
-                )
-            keys[position] = (*home[uid], uid)
-    return keys
+def _waits(row: _Row, me: int, iteration: int) -> List[int]:
+    """The ids the instance ``me`` of ``row`` at ``iteration`` waits on."""
+    for gate, uid in row.unknown:
+        if gate <= iteration:
+            raise SimulationError(f"instruction depends on unknown uid {uid}")
+    waits = []
+    for gate, target, scale in row.deps:
+        if gate <= iteration:
+            waits.append(target + scale * me)
+    return waits
 
 
 def _deps_ready(
-    waits: List[_Key], finished: Dict[_Key, float]
+    waits: List[int], finished: List[Optional[float]]
 ) -> Optional[float]:
     """Latest completion among a head's dependencies, or None if some
     dependency has not fully completed yet. A time, once returned, is
     final: every instance it was taken over has issued."""
     ready = 0.0
-    for key in waits:
-        time = finished.get(key)
+    for dep in waits:
+        time = finished[dep]
         if time is None:
             return None
         if time > ready:
@@ -288,12 +281,17 @@ def _deps_ready(
 
 
 def _blocked(
-    name: str, item: _Item, waits: List[_Key], finished: Dict[_Key, float]
+    name: str, entry: _Entry, waits: List[int], finished: List,
+    schedule: KernelSchedule, bases: List[int],
 ) -> str:
     """One deadlocked stream: its head and the first thing it waits on."""
-    segment, iteration, uid = next(k for k in waits if k not in finished)
+    row, _, iteration = entry
+    dep = next(dep for dep in waits if finished[dep] is None)
+    segment = bisect_right(bases, dep) - 1
+    instrs = schedule.segments[segment].instrs
+    k, pos = divmod(dep - bases[segment], len(instrs))
     return (
-        f"{name} is at {item.instr.label or item.instr.kind!r} "
-        f"(uid {item.instr.uid}, iteration {item.iteration}) waiting on "
-        f"uid {uid} (segment {segment}, iteration {iteration})"
+        f"{name} is at {row.instr.label or row.instr.kind!r} "
+        f"(uid {row.instr.uid}, iteration {iteration}) waiting on "
+        f"uid {instrs[pos].uid} (segment {segment}, iteration {k})"
     )

@@ -202,24 +202,24 @@ class _Stages:
     ``queue``/``dispatch``/``batch``/``compile``/``pass.*``/``execute``
     spans.
 
-    A batch's stages are contiguous, so :meth:`enter` crosses each
-    boundary once and stamps it. One is built per batch only while
-    tracing; otherwise every batch shares the inert :data:`_UNMARKED`
-    and the hot path allocates nothing. ``served_by`` names the thread
-    that serves the batch: ``"worker"`` or ``"submitter"``.
+    A batch's stages are contiguous: it is built as the batch enters
+    ``dispatch``, and :meth:`enter` crosses each later boundary once and
+    stamps it. One is built per batch only while tracing; otherwise the
+    batch carries ``None`` and the hot path makes no stage call at all.
+    ``served_by`` names the thread that serves the batch: ``"worker"``
+    or ``"submitter"``.
     """
 
     __slots__ = ("tracer", "stamps", "served_by")
 
     def __init__(self, tracer: Any, served_by: str = "worker") -> None:
         self.tracer = tracer
-        self.stamps: Dict[str, float] = {}
+        self.stamps: Dict[str, float] = {"dispatch": time.perf_counter()}
         self.served_by = served_by
 
     def enter(self, stage: str) -> None:
         """Cross the boundary into ``stage``."""
-        if self.tracer.enabled:
-            self.stamps[stage] = time.perf_counter()
+        self.stamps[stage] = time.perf_counter()
 
     def served(
         self, live: List[_QueuedRequest], kernel: Any, tier: str
@@ -290,10 +290,6 @@ class _Stages:
                 "execute", "serve", self.stamps["execute"], done_at,
                 parent=request.span,
             )
-
-
-#: What every batch gets while tracing is off.
-_UNMARKED = _Stages(NULL_TRACER)
 
 
 def _config(value: Any, config_type: type) -> Any:
@@ -686,11 +682,8 @@ class RuntimeServer:
         probe found: the workers' ``_serve`` and crash handler, then
         the batch leaves the ``_inline`` count."""
         stages = (
-            _Stages(self.tracer, "submitter")
-            if self.tracer.enabled
-            else _UNMARKED
+            _Stages(self.tracer, "submitter") if self.tracer.enabled else None
         )
-        stages.enter("dispatch")
         try:
             self._serve(batch, stages, (launch, kernel))
         except Exception as error:
@@ -1074,10 +1067,7 @@ class RuntimeServer:
                 if not self._queue:
                     return
                 request = self._queue.popleft()
-                stages = (
-                    _Stages(self.tracer) if self.tracer.enabled else _UNMARKED
-                )
-                stages.enter("dispatch")
+                stages = _Stages(self.tracer) if self.tracer.enabled else None
                 batch = [request]
                 if self.max_batch > 1 and self._queue:
                     same = [
@@ -1202,11 +1192,12 @@ class RuntimeServer:
     def _serve(
         self,
         batch: List[_QueuedRequest],
-        stages: _Stages,
+        stages: Optional[_Stages],
         found: Optional[Tuple[Launch, Any]] = None,
     ) -> None:
         """One micro-batch through dispatch, obtain, execute and
-        resolve; ``stages`` marks each boundary as it is crossed.
+        resolve; ``stages`` (``None`` while untraced) marks each
+        boundary as it is crossed.
 
         A worker's batch (``found`` is ``None``) reads its launch record
         and fetches its kernel here, and is counted as it starts. A
@@ -1217,7 +1208,8 @@ class RuntimeServer:
         live = self._dispatch(batch)
         if not live:
             return
-        stages.enter("batch")
+        if stages is not None:
+            stages.enter("batch")
         head = live[0]
         inline_size = 0
         if found is None:
@@ -1228,7 +1220,8 @@ class RuntimeServer:
         if self.speculator is not None:
             self.speculator.note_request(name, head.bucket)
         try:
-            stages.enter("compile")
+            if stages is not None:
+                stages.enter("compile")
             timing = self._timing
             if found is None:
                 launch = self._launch(head.kernel, head.bucket)
@@ -1244,7 +1237,8 @@ class RuntimeServer:
                 self._persist(launch.key, kernel)
             if self.faults is not None:
                 timing = self.faults.wrap("worker.execute", name, timing)
-            stages.enter("execute")
+            if stages is not None:
+                stages.enter("execute")
             gpu = timing(launch, kernel)
         except Exception as error:
             for request in live:
@@ -1253,7 +1247,8 @@ class RuntimeServer:
                     batch=inline_size if request is head else 0,
                 )
             return
-        stages.served(live, kernel, tier)
+        if stages is not None:
+            stages.served(live, kernel, tier)
         params = launch.params
         for request in live:
             try:
@@ -1285,7 +1280,8 @@ class RuntimeServer:
                     batch=inline_size if request is head else 0,
                 )
                 continue
-            stages.resolved(request, done_at)
+            if stages is not None:
+                stages.resolved(request, done_at)
             self._settle(
                 request, result, batch=inline_size if request is head else 0
             )

@@ -184,6 +184,62 @@ class TestExecutor:
         assert result.dynamic_instructions <= len(calls)
         assert len(calls) <= 2 * result.dynamic_instructions
 
+    @pytest.mark.parametrize("edge", ["carried", "war"])
+    def test_unknown_uid_raises_only_once_it_applies(self, hopper, edge):
+        """A carried or write-after-read edge to a uid in no segment is
+        an error from the iteration it applies on, not before: with a
+        distance past the last iteration the loop simulates."""
+
+        def loop(distance):
+            edges = (
+                dict(carried_deps=[(99, distance)]) if edge == "carried"
+                else dict(war_distance=distance, war_consumers=[99])
+            )
+            return KernelSchedule(
+                name="late-edge",
+                segments=[Segment(
+                    [Instr(uid=1, kind="simt", flops=64.0, **edges)],
+                    extent=3,
+                )],
+                grid=1, n_warpgroups=1, warpspecialized=False,
+                smem_bytes_per_cta=0, regs_per_thread=32,
+                total_flops=1.0, unique_dram_bytes=1.0,
+            )
+
+        roof = roofline(hopper)
+        assert simulate_cta(loop(3), roof).dynamic_instructions == 3
+        with pytest.raises(SimulationError, match="unknown uid 99"):
+            simulate_cta(loop(2), roof)
+
+    @pytest.mark.parametrize("n_warpgroups", [1, 2])
+    def test_prefetched_loop_waits_on_an_earlier_segment(
+        self, hopper, n_warpgroups
+    ):
+        """One stream, a pipelined loop whose copies are issued two
+        iterations early and whose compute also waits on the final
+        iteration of a producer in the segment before it."""
+        from test_executor_oracle import assert_agrees
+
+        # On its own resource and slow, so each of its iterations
+        # finishes well after the copies: waiting on its first one
+        # instead of its last would show in the cycles.
+        producer = Instr(uid=1, kind="tma_store", bytes_moved=1 << 20)
+        copy = Instr(uid=2, kind="cp_async", role="dma", bytes_moved=16384)
+        mma = Instr(uid=3, kind="mma_sync", flops=1.0e6, deps=[2, 1])
+        schedule = KernelSchedule(
+            name="prefetch",
+            segments=[
+                Segment([producer], extent=2),
+                Segment([copy, mma], extent=5, pipeline=3),
+            ],
+            grid=1, n_warpgroups=n_warpgroups, warpspecialized=False,
+            smem_bytes_per_cta=0, regs_per_thread=32,
+            total_flops=1.0, unique_dram_bytes=1.0,
+        )
+        cycles, _, _, dynamic = assert_agrees(schedule, hopper)
+        assert dynamic == 2 * n_warpgroups + 5 + 5 * n_warpgroups
+        assert cycles > 0
+
     def test_cross_segment_dependency(self, hopper):
         producer = Instr(uid=1, kind="wgmma", flops=1.0e6)
         consumer = Instr(uid=2, kind="simt", flops=100.0, deps=[1])

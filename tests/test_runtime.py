@@ -543,6 +543,28 @@ class TestInlineRouting:
             stats = server.stats()
         assert stats.completed == stats.requests == 1
 
+    def test_untraced_batches_make_no_stage_call(
+        self, hopper, registry, monkeypatch
+    ):
+        """Stage stamps exist only to become spans: with tracing off, a
+        batch its submitter serves, a warm one a worker serves and a
+        cold one a worker compiles build no marker and cross no stage."""
+        from repro.runtime import server as server_module
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("stage marker used while untraced")
+
+        for name in ("__init__", "enter", "served", "resolved"):
+            monkeypatch.setattr(server_module._Stages, name, refuse)
+        with RuntimeServer(hopper, registry, workers=1) as server:
+            server.warm("gemm", [SHAPE])
+            inline = server.submit("gemm", SHAPE)
+            warm = server.submit("gemm", SHAPE, inputs=_gemm_inputs())
+            cold = server.submit("gemm", dict(m=256, n=256, k=128))
+            assert inline.result(timeout=120).tier == "memory"
+            assert warm.result(timeout=120).outputs is not None
+            assert cold.result(timeout=120).tier == "compile"
+
     def _assert_worker_served(self, server, calls, future):
         ident, served_by = _route(server, calls, future)
         assert ident != threading.get_ident()

@@ -57,7 +57,6 @@ STATE = {
     "obs.trace._NULL_CONTEXT": NO_OP,
     "runtime.registry._ATTN_ALIGN": TABLE,
     "runtime.registry._GEMM_ALIGN": TABLE,
-    "runtime.server._UNMARKED": NO_OP,
     "sym.expr._OPS": TABLE,
 }
 
